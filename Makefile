@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout bench benchall trace
+.PHONY: check build vet test fmt capacity admission layout ledger bench benchall trace
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
 # capacity gate, and the layout-synthesis gate.
@@ -52,6 +52,12 @@ admission:
 LAYOUT_JSON ?= BENCH_layout.json
 layout:
 	$(GO) run ./cmd/rtbench -exp layout -mesh 8 -strict-layout hotspot -benchjson $(LAYOUT_JSON)
+
+# ledger runs the performance ledger's own tests (benchmark/ is a
+# separate module, so `go test ./...` does not descend into it),
+# including its -smoke pass over every BENCHMARK.json workload.
+ledger:
+	$(GO) test -C benchmark ./...
 
 # bench runs the simulator-speed micro-benchmarks (router tick hot
 # paths, cycle rate sequential vs parallel, scheduler selection, sort

@@ -60,10 +60,11 @@ type Config struct {
 	// Horizon is the horizon parameter programmed on every output port.
 	Horizon uint32
 	// Reference disables every admission fast path — the incremental EDF
-	// cache, the unicast planner, route memoization, and batched
-	// speculation — so the controller runs the original from-scratch
-	// analysis on every check. A Reference controller must make exactly
-	// the same decisions as a standard one (the fuzz harness diffs them);
+	// cache and its memos, the unicast path planner, and batched
+	// speculation — so the controller runs the tree planner and the
+	// from-scratch analysis on every check. A Reference controller must
+	// make exactly the same decisions as a standard one (the fuzz harness
+	// diffs them);
 	// it exists as the differential-testing oracle and as the honest
 	// "pre-PR sequential path" the admission campaign times against.
 	Reference bool
@@ -88,8 +89,10 @@ type Controller struct {
 	chans  map[int]*Channel
 	failed []bool
 	seq    int
-	// linkNames and nodeNames lazily cache rendered link/node names for
-	// audit records (dense, same indexing as links/nodes).
+	// linkNames and nodeNames hold every link's and node's rendered name
+	// (dense, same indexing as links/nodes) for rejections and audit
+	// records. Filled once by New and read-only afterwards, so AdmitBatch's
+	// concurrent planners may stamp names on their rejections.
 	linkNames []string
 	nodeNames []string
 
@@ -99,14 +102,11 @@ type Controller struct {
 	// sealed holds the last published capacity snapshot (see Seal in
 	// ledger.go); atomic so a live HTTP scrape never races a seal.
 	sealed atomic.Pointer[metrics.CapacitySnapshot]
-	// memo caches the deterministic planners' port sequences (pure
-	// functions of endpoints, so entries never invalidate).
-	memo routeMemo
 	// sc is the serial control path's evaluation scratch; AdmitBatch's
 	// concurrent evaluators carry their own.
 	sc evalScratch
-	// mut counts reservation-state mutations (commits, teardowns, link
-	// failure transitions); rejMemo caches whole admit() rejections
+	// mut counts reservation-state mutations (every reserve and release
+	// walk, link failure transitions); rejMemo caches whole admit() rejections
 	// keyed by request and mut. Mass admission replays the same few
 	// (src, dst, spec) rejections thousands of times against unchanged
 	// state, and a rejection leaves no state behind, so replaying the
@@ -191,8 +191,12 @@ func New(net *mesh.Network, cfg Config) (*Controller, error) {
 		failed: make([]bool, net.W*net.H*(router.NumPorts+1)),
 	}
 	c.linkNames = make([]string, len(c.links))
+	for i := range c.linkNames {
+		c.linkNames[i] = c.linkKeyAt(i).String()
+	}
 	c.nodeNames = make([]string, len(c.nodes))
 	for _, coord := range net.Coords() {
+		c.nodeNames[net.Shard(coord)] = coord.String()
 		r := net.Router(coord)
 		if !r.Wheel().ValidDelay(int64(cfg.Horizon)) {
 			return nil, fmt.Errorf("admission: horizon %d exceeds half clock range", cfg.Horizon)
@@ -228,25 +232,13 @@ func (c *Controller) linkKeyAt(i int) linkKey {
 // link has never held a reservation.
 func (c *Controller) linkAt(k linkKey) *linkState { return c.links[c.linkIdx(k)] }
 
-// linkName returns k.String() through a lazily filled dense cache: the
-// rejection path stamps a link name on every audited refusal, and there
-// are only W×H×(NumPorts+1) distinct names.
-func (c *Controller) linkName(k linkKey) string {
-	i := c.linkIdx(k)
-	if c.linkNames[i] == "" {
-		c.linkNames[i] = k.String()
-	}
-	return c.linkNames[i]
-}
+// linkName returns k.String() from the name table: the rejection path
+// stamps a link name on every refusal, and there are only
+// W×H×(NumPorts+1) distinct names.
+func (c *Controller) linkName(k linkKey) string { return c.linkNames[c.linkIdx(k)] }
 
 // nodeName is linkName's per-router twin.
-func (c *Controller) nodeName(co mesh.Coord) string {
-	i := c.net.Shard(co)
-	if c.nodeNames[i] == "" {
-		c.nodeNames[i] = co.String()
-	}
-	return c.nodeNames[i]
-}
+func (c *Controller) nodeName(co mesh.Coord) string { return c.nodeNames[c.net.Shard(co)] }
 
 // node returns the router's reservation state (always materialized by
 // the constructor).
@@ -280,6 +272,8 @@ type Channel struct {
 	hops []hopRef
 }
 
+// hopRef is one router traversal of a channel, as planned and as
+// reserved: phase 1 fills these in, reserve and release walk them.
 type hopRef struct {
 	node    mesh.Coord
 	inConn  uint8
@@ -372,33 +366,49 @@ func (c *Controller) buildTree(src mesh.Coord, dsts []mesh.Coord, route routeFn)
 // Channel carries the connection id the source must stamp.
 func (c *Controller) Admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*Channel, error) {
 	ch, err := c.admit(src, dsts, spec)
-	c.recordAdmit(src, dsts, spec, ch, err)
+	c.recordAdmit("admit", src, dsts, spec, ch, err)
 	return ch, err
 }
 
-// recordAdmit counts one admission decision and, when an audit log is
-// attached, records it. Shared between Admit and AdmitBatch's serial
-// finalize, so a batched request leaves exactly the trail a sequential
-// one does.
-func (c *Controller) recordAdmit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, ch *Channel, err error) {
+// recordAdmit counts one admission decision and audits it. Shared by
+// Admit, AdmitLayout and AdmitBatch's serial finalize, so a batched
+// request leaves exactly the trail a sequential one does.
+func (c *Controller) recordAdmit(op string, src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, ch *Channel, err error) {
+	outcome := "admitted"
 	if err != nil {
+		outcome = "rejected"
 		c.stats.rejects.Add(1)
 	} else {
 		c.stats.admits.Add(1)
 	}
+	c.record(op, outcome, src, dsts, spec, ch, err)
+}
+
+// record files one control-plane decision in the attached audit log —
+// the one record builder behind admit, admit_layout, reroute, restore
+// and teardown. ch is the channel the decision concerns (nil when a
+// refused admission created none); a refusal carries err's typed
+// explanation, a grant ch's margin and — except on a teardown, whose
+// channel is leaving — its route and delay split. Records file under
+// the source node's shard, shard 0 for a source outside the mesh.
+func (c *Controller) record(op, outcome string, src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, ch *Channel, err error) {
 	if c.audit == nil {
 		return
 	}
-	srcName := src.String()
+	shard, srcName := 0, ""
 	if c.net.Contains(src) {
-		srcName = c.nodeName(src)
+		shard, srcName = c.net.Shard(src), c.nodeName(src)
+	} else {
+		srcName = src.String()
 	}
 	rec := obs.AuditRecord{
-		Op: "admit", Channel: -1,
+		Op: op, Outcome: outcome, Channel: -1,
 		Src: srcName, Dst: c.dstName(dsts), Spec: c.specStr(spec),
 	}
+	if ch != nil {
+		rec.Channel = ch.ID
+	}
 	if err != nil {
-		rec.Outcome = "rejected"
 		rec.Err = err.Error()
 		if rej, ok := Explain(err); ok {
 			rec.Binding = rej.BindingResource()
@@ -407,15 +417,15 @@ func (c *Controller) recordAdmit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spe
 			rec.Router = rej.Router()
 		}
 	} else {
-		rec.Outcome = "admitted"
-		rec.Channel = ch.ID
-		rec.Route = ch.Route()
-		rec.LocalD = ch.LocalD
-		rec.DSplit = dsplitString(ch.DSplit)
-		rec.Hops = ch.Hops()
 		rec.Margin = float64(ch.Margin)
+		if op != "teardown" {
+			rec.Route = ch.Route()
+			rec.LocalD = ch.LocalD
+			rec.DSplit = dsplitString(ch.DSplit)
+			rec.Hops = ch.Hops()
+		}
 	}
-	c.audit.Record(c.net.Shard(src), rec)
+	c.audit.Record(shard, rec)
 }
 
 // dsplitString renders a per-hop delay split for audit records, e.g.
@@ -447,13 +457,12 @@ type rejKey struct {
 // in place (buckets are kept, so steady state stays allocation-free).
 const rejMemoCap = 1 << 14
 
+// admit is plan + commitPlan behind the rejection-replay memo. A plan
+// that passes is committed as planned: should a control write refuse it
+// mid-commit, the programming error is returned (state unwound) rather
+// than falling through to the other routing order — the same answer
+// AdmitBatch gives for a speculative plan.
 func (c *Controller) admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*Channel, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if len(dsts) == 0 {
-		return nil, fmt.Errorf("admission: no destinations")
-	}
 	memoable := len(dsts) == 1 && !c.cfg.Reference
 	var key rejKey
 	if memoable {
@@ -462,14 +471,9 @@ func (c *Controller) admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*C
 			return nil, err
 		}
 	}
-	ch, errXY := c.tryVia(src, dsts, spec, xyOrder)
-	if errXY == nil {
-		return ch, nil
-	}
-	if len(dsts) == 1 && src.X != dsts[0].X && src.Y != dsts[0].Y {
-		if ch, errYX := c.tryVia(src, dsts, spec, yxOrder); errYX == nil {
-			return ch, nil
-		}
+	p, err := c.plan(src, dsts, spec, &c.sc)
+	if err == nil {
+		return c.commitPlan(p)
 	}
 	if memoable {
 		if c.rejMemo == nil {
@@ -477,39 +481,39 @@ func (c *Controller) admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*C
 		} else if len(c.rejMemo) >= rejMemoCap {
 			clear(c.rejMemo)
 		}
-		c.rejMemo[key] = errXY
+		c.rejMemo[key] = err
 	}
-	return nil, errXY
-}
-
-// tryVia plans and immediately commits along one routing order.
-func (c *Controller) tryVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder) (*Channel, error) {
-	p, err := c.planVia(src, dsts, spec, order, &c.sc)
-	if err != nil {
-		return nil, err
-	}
-	return c.commitPlan(p)
+	return nil, err
 }
 
 // plan runs admission phase 1 only — route, delay split, schedulability,
-// buffers, identifiers, with the XY→YX fallback Admit applies — without
-// mutating any controller state. In incremental (non-Reference) mode it
-// is safe to call from many goroutines concurrently against a frozen
+// buffers, identifiers, with the XY→YX fallback — without mutating any
+// controller state, returning the channel commitPlan would establish.
+// A unicast request goes through planPath with the dimension-order route
+// and the uniform split; multicast trees, and everything in Reference
+// mode, go through the tree planner. In incremental (non-Reference) mode
+// it is safe to call from many goroutines concurrently against a frozen
 // controller, each with its own scratch; that is AdmitBatch's
 // speculative evaluation.
-func (c *Controller) plan(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, sc *evalScratch) (*admitPlan, error) {
+func (c *Controller) plan(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, sc *evalScratch) (*Channel, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if len(dsts) == 0 {
 		return nil, fmt.Errorf("admission: no destinations")
 	}
-	p, errXY := c.planVia(src, dsts, spec, xyOrder, sc)
+	try := func(order routeOrder) (*Channel, error) {
+		if len(dsts) == 1 && !c.cfg.Reference {
+			return c.planUniform(src, dsts[0], spec, order, sc)
+		}
+		return c.planVia(src, dsts, spec, order, sc)
+	}
+	p, errXY := try(xyOrder)
 	if errXY == nil {
 		return p, nil
 	}
 	if len(dsts) == 1 && src.X != dsts[0].X && src.Y != dsts[0].Y {
-		if p, errYX := c.planVia(src, dsts, spec, yxOrder, sc); errYX == nil {
+		if p, errYX := try(yxOrder); errYX == nil {
 			return p, nil
 		}
 	}
@@ -569,57 +573,43 @@ const (
 	yxOrder
 )
 
-// routeFor returns the (memoized) port sequence for one routing order.
-// Reference mode bypasses the memo so the pre-PR cost model stays
-// honest.
-func (c *Controller) routeFor(src, dst mesh.Coord, order routeOrder) []int {
-	if c.cfg.Reference {
-		if order == yxOrder {
-			return mesh.YXRoute(src, dst)
-		}
-		return mesh.XYRoute(src, dst)
+// route returns the order's port sequence from src to dst.
+func (o routeOrder) route(src, dst mesh.Coord) []int {
+	if o == yxOrder {
+		return mesh.YXRoute(src, dst)
 	}
-	return c.memo.route(src, dst, order)
+	return mesh.XYRoute(src, dst)
 }
 
-// admitPlan is the read-only product of admission phase 1: everything
-// phase 2 needs to debit resources and program the chips. The plan's
-// task carries no channel id yet — commitPlan stamps the id when the
-// plan actually lands, so a plan computed speculatively (before earlier
-// batched requests settled) commits with the right id.
-type admitPlan struct {
-	src    mesh.Coord
-	dsts   []mesh.Coord
-	spec   rtc.Spec
-	d      int64
-	margin int64
-	task   task
-	hops   []planHop
-	// dsplit is the explicit per-hop split of a layout plan (nil for the
-	// default planners, whose hops all share d). commitPlan copies it
-	// onto the channel so audits and the ledger can tell the two apart.
-	dsplit  []int64
-	srcIn   uint8
-	dstConn []uint8
-}
-
-type planHop struct {
-	node    mesh.Coord
-	mask    sched.PortMask
-	in, out uint8
-	buffers int
-	// d is this hop's delay bound (see hopRef.d). The default planners
-	// set every hop to the plan's uniform d; planLayout sets DSplit[j].
-	d int64
-}
-
-// planVia runs admission phase 1 along one routing order.
-func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*admitPlan, error) {
-	if len(dsts) == 1 && !c.cfg.Reference {
-		return c.planUnicast(src, dsts, spec, order, sc)
+// uniformOK checks the constraints on a uniform per-router bound d: a
+// non-empty budget, and Section 4.3's rollover limits on what the
+// downstream hop can see early — window+d at the source, h+d elsewhere.
+func (c *Controller) uniformOK(wheel timing.Wheel, d int64) error {
+	if d < 1 {
+		return fmt.Errorf("admission: empty delay budget")
 	}
-	route := func(s, d mesh.Coord) []int { return c.routeFor(s, d, order) }
-	nodes, maxSegs, err := c.buildTree(src, dsts, route)
+	if err := rolloverOK(wheel, "source window", c.cfg.SourceWindow, d); err != nil {
+		return err
+	}
+	return rolloverOK(wheel, "horizon", int64(c.cfg.Horizon), d)
+}
+
+// rolloverOK checks one half-clock-range constraint: early (the source
+// window or the horizon) plus the hop's delay bound must stay a valid
+// delay.
+func rolloverOK(wheel timing.Wheel, name string, early, d int64) error {
+	if wheel.ValidDelay(early + d) {
+		return nil
+	}
+	return fmt.Errorf("admission: %s %d + d %d exceeds half clock range", name, early, d)
+}
+
+// planVia runs admission phase 1 along one routing order with the
+// generic tree planner: multicast requests, and — as the oracle the
+// differential fuzz diffs planPath against — every request of a
+// Reference-mode controller.
+func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*Channel, error) {
+	nodes, maxSegs, err := c.buildTree(src, dsts, order.route)
 	if err != nil {
 		return nil, err
 	}
@@ -631,18 +621,8 @@ func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, o
 		return nil, err
 	}
 	d := ds[len(ds)-1] // uniform (the most conservative of the split)
-	if d < 1 {
-		return nil, fmt.Errorf("admission: empty delay budget")
-	}
-	// Rollover constraints (Section 4.3): what the downstream hop can
-	// see early is window+d at the source, h+d elsewhere.
-	if !wheel.ValidDelay(c.cfg.SourceWindow + d) {
-		return nil, fmt.Errorf("admission: source window %d + d %d exceeds half clock range",
-			c.cfg.SourceWindow, d)
-	}
-	if !wheel.ValidDelay(int64(c.cfg.Horizon) + d) {
-		return nil, fmt.Errorf("admission: horizon %d + d %d exceeds half clock range",
-			c.cfg.Horizon, d)
+	if err := c.uniformOK(wheel, d); err != nil {
+		return nil, err
 	}
 
 	// Check every resource without mutating anything. The channel's
@@ -666,9 +646,7 @@ func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, o
 			if !rep.feasible {
 				return nil, overloadError(c.linkName(key), c.nodeName(n.coord), rep, false)
 			}
-			if rep.headroom < margin {
-				margin = rep.headroom
-			}
+			margin = min(margin, rep.headroom)
 		}
 		prev := int64(c.cfg.Horizon) + d
 		if n.depth == 0 {
@@ -684,99 +662,111 @@ func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, o
 	if err != nil {
 		return nil, err
 	}
-	p := &admitPlan{src: src, dsts: dsts, spec: spec, d: d, margin: margin, task: newTask}
-	p.hops = make([]planHop, len(nodes))
+	ch := &Channel{Src: src, Dsts: append([]mesh.Coord(nil), dsts...), Spec: spec,
+		LocalD: d, Margin: margin, SrcConn: ids[src].in}
+	ch.hops = make([]hopRef, len(nodes))
 	for i, n := range nodes {
-		p.hops[i] = planHop{node: n.coord, mask: n.mask,
-			in: ids[n.coord].in, out: ids[n.coord].out, buffers: buffers[n.coord], d: d}
+		ch.hops[i] = hopRef{node: n.coord, mask: n.mask,
+			inConn: ids[n.coord].in, outConn: ids[n.coord].out, buffers: buffers[n.coord], d: d}
 	}
-	p.srcIn = ids[src].in
-	p.dstConn = make([]uint8, len(dsts))
+	ch.DstConn = make([]uint8, len(dsts))
 	for i, dst := range dsts {
-		p.dstConn[i] = ids[dst].out
+		ch.DstConn[i] = ids[dst].out
 	}
-	return p, nil
+	return ch, nil
 }
 
-// planUnicast is the allocation-light phase 1 for single-destination
-// requests: the route tree degenerates to a path, so no tree maps and no
-// claim maps are needed — each router appears once and hands its
-// outgoing id straight to the next. It mirrors the generic planner
-// decision for decision (same check order, same first-fit id scans, same
-// error values); the admission fuzz harness diffs the two via a
-// Reference-mode shadow controller.
-func (c *Controller) planUnicast(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*admitPlan, error) {
-	dst := dsts[0]
+// endpointsOK refuses a unicast request whose source or destination
+// lies outside the mesh.
+func (c *Controller) endpointsOK(src, dst mesh.Coord) error {
 	if !c.net.Contains(src) {
-		return nil, fmt.Errorf("admission: source %s outside mesh", src)
+		return fmt.Errorf("admission: source %s outside mesh", src)
 	}
 	if !c.net.Contains(dst) {
-		return nil, fmt.Errorf("admission: destination %s outside mesh", dst)
+		return fmt.Errorf("admission: destination %s outside mesh", dst)
 	}
-	ports := c.routeFor(src, dst, order)
+	return nil
+}
+
+// planUniform is the default planner's door into planPath: one
+// dimension-order route with the uniform floor split of the deadline.
+func (c *Controller) planUniform(src, dst mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*Channel, error) {
+	if err := c.endpointsOK(src, dst); err != nil {
+		return nil, err
+	}
+	route := order.route(src, dst)
 	wheel := c.node(src).wheel
-	d, err := rtc.DecomposeUniform(spec, len(ports), wheel)
+	d, err := rtc.DecomposeUniform(spec, len(route), wheel)
 	if err != nil {
 		return nil, err
 	}
-	if d < 1 {
-		return nil, fmt.Errorf("admission: empty delay budget")
+	if err := c.uniformOK(wheel, d); err != nil {
+		return nil, err
 	}
-	if !wheel.ValidDelay(c.cfg.SourceWindow + d) {
-		return nil, fmt.Errorf("admission: source window %d + d %d exceeds half clock range",
-			c.cfg.SourceWindow, d)
+	ds := sc.ds[:0]
+	for range route {
+		ds = append(ds, d)
 	}
-	if !wheel.ValidDelay(int64(c.cfg.Horizon) + d) {
-		return nil, fmt.Errorf("admission: horizon %d + d %d exceeds half clock range",
-			c.cfg.Horizon, d)
+	sc.ds = ds
+	ch, err := c.planPath(src, dst, spec, route, ds, sc)
+	if err != nil {
+		return nil, err
 	}
+	ch.LocalD = d
+	return ch, nil
+}
 
-	newTask := task{C: spec.MessageSlots(), T: spec.Imin, D: d}
+// planPath is admission phase 1 for one unicast layout — a loop-free
+// port route from src ending in local delivery at dst, and a per-hop
+// delay split ds parallel to it — and the only unicast resource walk
+// there is: the default planner (planUniform) and the explicit-layout
+// door (planLayout) both validate their route and split and then land
+// here. Each hop's link task carries its own d_j (the injection
+// pseudo-link the source hop's), and the buffer bound at hop j sees
+// prev = SourceWindow at the source and Horizon + d_{j-1} downstream
+// (Section 4.3's h+d with the upstream hop's actual bound). It decides
+// exactly as the tree planner does on a path — same check order, same
+// first-fit id scans, same error values; the admission fuzz harness
+// diffs the two via a Reference-mode shadow controller. Every check
+// runs against the scratch hop buffer; the channel only materializes
+// once the layout passes, so a rejected attempt allocates nothing here.
+func (c *Controller) planPath(src, dst mesh.Coord, spec rtc.Spec, route []int, ds []int64, sc *evalScratch) (*Channel, error) {
+	tk := task{C: spec.MessageSlots(), T: spec.Imin, D: ds[0]}
 	injKey := linkKey{src, portInject}
-	rep := c.linkCheckIn(injKey, newTask, sc)
+	rep := c.linkCheckIn(injKey, tk, sc)
 	if !rep.feasible {
-		return nil, overloadError(c.linkName(injKey), c.nodeName(injKey.node), rep, true)
+		return nil, overloadError(c.linkName(injKey), c.nodeName(src), rep, true)
 	}
 	margin := rep.headroom
-	// Check every hop into the scratch hop buffer first; the plan (and
-	// its hops slice) only materializes once the route passes, so a
-	// rejected attempt allocates nothing here.
+	if cap(sc.hops) < len(route) {
+		sc.hops = make([]hopRef, 0, len(route))
+	}
 	hops := sc.hops[:0]
-	at := src
-	for i, port := range ports {
+	at, prev := src, c.cfg.SourceWindow
+	for i, port := range route {
+		tk.D = ds[i]
 		key := linkKey{at, port}
-		rep := c.linkCheckIn(key, newTask, sc)
+		rep := c.linkCheckIn(key, tk, sc)
 		if !rep.feasible {
-			sc.hops = hops
 			return nil, overloadError(c.linkName(key), c.nodeName(at), rep, false)
 		}
-		if rep.headroom < margin {
-			margin = rep.headroom
-		}
-		prev := int64(c.cfg.Horizon) + d
-		if i == 0 {
-			prev = c.cfg.SourceWindow
-		}
-		need := rtc.BufferBound(prev, d, spec)
+		margin = min(margin, rep.headroom)
+		need := rtc.BufferBound(prev, ds[i], spec)
 		mask := sched.PortMask(1) << port
 		if err := c.buffersFit(at, mask, need); err != nil {
-			sc.hops = hops
 			return nil, err
 		}
-		hops = append(hops, planHop{node: at, mask: mask, buffers: need, d: d})
+		hops = append(hops, hopRef{node: at, mask: mask, buffers: need, d: ds[i]})
+		prev = int64(c.cfg.Horizon) + ds[i]
 		if port != router.PortLocal {
 			at = at.Add(port)
 		}
 	}
-	sc.hops = hops
-	p := &admitPlan{src: src, dsts: dsts, spec: spec, d: d, task: newTask, margin: margin}
-	p.hops = make([]planHop, len(hops))
-	copy(p.hops, hops)
 
 	// Identifier assignment down the path: the source picks its lowest
 	// free id; each hop's outgoing id is the lowest free at the next
-	// router (the generic assigner's claim set is empty there, since a
-	// path visits every router once); the delivery id at the destination
+	// router (the tree assigner's claim set is empty there, since a path
+	// visits every router once); the delivery id at the destination
 	// additionally avoids the incoming id it just claimed.
 	conns := c.node(src).conns
 	cur, ok := firstFreeID(c.node(src), conns, -1)
@@ -786,15 +776,14 @@ func (c *Controller) planUnicast(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spe
 			msg:  fmt.Sprintf("admission: %s out of connection identifiers", src),
 		}
 	}
-	p.srcIn = cur
-	for i, port := range ports {
-		h := &p.hops[i]
-		h.in = cur
-		var out uint8
-		if port == router.PortLocal {
-			out, ok = firstFreeID(c.node(h.node), conns, int(cur))
+	srcIn := cur
+	for i := range hops {
+		h := &hops[i]
+		h.inConn = cur
+		if route[i] == router.PortLocal {
+			cur, ok = firstFreeID(c.node(h.node), conns, int(cur))
 		} else {
-			out, ok = firstFreeID(c.node(h.node.Add(port)), conns, -1)
+			cur, ok = firstFreeID(c.node(h.node.Add(route[i])), conns, -1)
 		}
 		if !ok {
 			return nil, &ErrIDExhausted{
@@ -802,16 +791,15 @@ func (c *Controller) planUnicast(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spe
 				msg: fmt.Sprintf("admission: no common free id across children of %s", h.node),
 			}
 		}
-		h.out = out
-		cur = out
+		h.outConn = cur
 	}
-	p.dstConn = []uint8{p.hops[len(ports)-1].out}
-	return p, nil
+	return &Channel{Src: src, Dsts: []mesh.Coord{dst}, Spec: spec, Margin: margin,
+		SrcConn: srcIn, DstConn: []uint8{cur}, hops: append([]hopRef(nil), hops...)}, nil
 }
 
 // firstFreeID returns the lowest connection id free at ns, skipping
-// except (-1 for none) — the same id the generic assigner's first-fit
-// scan lands on.
+// except (-1 for none) — the same id the tree assigner's first-fit scan
+// lands on.
 func firstFreeID(ns *nodeState, conns int, except int) (uint8, bool) {
 	for v := 0; v < conns; v++ {
 		if v == except || ns.usedIDs[uint8(v)] {
@@ -822,166 +810,136 @@ func firstFreeID(ns *nodeState, conns int, except int) (uint8, bool) {
 	return 0, false
 }
 
-// commitPlan is admission phase 2: debit resources and program the
-// chips exactly as the plan says. The plan must describe the
-// controller's current state — AdmitBatch guarantees that by re-planning
-// any request whose footprint an earlier commit touched.
-func (c *Controller) commitPlan(p *admitPlan) (*Channel, error) {
-	c.mut++
-	ch := &Channel{
-		ID:     c.seq,
-		Src:    p.src,
-		Dsts:   append([]mesh.Coord(nil), p.dsts...),
-		Spec:   p.spec,
-		LocalD: p.d,
-		DSplit: append([]int64(nil), p.dsplit...),
-		Margin: p.margin,
-	}
+// commitPlan is admission phase 2: number the planned channel, debit
+// its resources and program the chips exactly as planned. The plan must
+// describe the controller's current state — AdmitBatch guarantees that
+// by re-planning any request whose footprint an earlier commit touched.
+func (c *Controller) commitPlan(ch *Channel) (*Channel, error) {
+	ch.ID = c.seq
 	c.seq++
-	newTask := p.task
-	newTask.chanID = ch.ID
-	for _, h := range p.hops {
-		if err := c.net.Router(h.node).SetConnection(h.in, h.out, uint8(h.d), h.mask); err != nil {
-			// A control write failed mid-commit; unwind the hops already
-			// programmed so a refused admission leaves no debris.
-			c.unwindCommit(ch)
-			return nil, fmt.Errorf("admission: programming %s: %w", h.node, err)
-		}
-		ns := c.node(h.node)
-		ns.usedIDs[h.in] = true
-		if h.mask.Has(router.PortLocal) {
-			ns.usedIDs[h.out] = true
-		}
-		ns.total += h.buffers
-		hopTask := newTask
-		hopTask.D = h.d
-		for pt := 0; pt < router.NumPorts; pt++ {
-			if h.mask.Has(pt) {
-				ns.portBuffers[pt] += h.buffers
-				ls := c.link(linkKey{h.node, pt})
-				ls.tasks = append(ls.tasks, hopTask)
-				c.noteAdd(ls, hopTask)
-			}
-		}
-		ch.hops = append(ch.hops, hopRef{node: h.node, inConn: h.in, outConn: h.out, mask: h.mask, buffers: h.buffers, d: h.d})
+	if err := c.reserve(ch); err != nil {
+		return nil, fmt.Errorf("admission: programming %w", err)
 	}
-	// The injection pseudo-link's deadline is the source router's delay
-	// bound — hops[0] is always the source (depth 0 sorts first).
-	injTask := newTask
-	injTask.D = p.hops[0].d
-	inj := c.link(linkKey{p.src, portInject})
-	inj.tasks = append(inj.tasks, injTask)
-	c.noteAdd(inj, injTask)
-	ch.SrcConn = p.srcIn
-	ch.DstConn = append([]uint8(nil), p.dstConn...)
-	c.chans[ch.ID] = ch
 	return ch, nil
 }
 
-// noteAdd and noteRemove keep a link's incremental EDF cache in step
-// with its task list; Reference mode leaves caches unbuilt.
-func (c *Controller) noteAdd(ls *linkState, tk task) {
+// reserve debits everything ch's hop records name — connection ids,
+// packet buffers, one EDF task per link (the injection pseudo-link
+// carries the source hop's deadline; hops[0] is always the source) —
+// and programs the routers' connection tables, then lists ch as active.
+// It is the only walk that adds reservations: commitPlan runs it on a
+// freshly planned channel, restore on one a Teardown released. A
+// refused control write releases the hops already taken, so a failure
+// leaves no debris; the error names the refusing router.
+func (c *Controller) reserve(ch *Channel) error {
+	c.mut++
+	tk := task{C: ch.Spec.MessageSlots(), T: ch.Spec.Imin, D: ch.hops[0].d, chanID: ch.ID}
+	c.addTask(linkKey{ch.Src, portInject}, tk)
+	for i, h := range ch.hops {
+		if err := c.net.Router(h.node).SetConnection(h.inConn, h.outConn, uint8(h.d), h.mask); err != nil {
+			// Clearing entries this walk just wrote cannot fail; the
+			// refused write is the error to report.
+			_ = c.release(ch, ch.hops[:i])
+			return fmt.Errorf("%s: %w", h.node, err)
+		}
+		ns := c.node(h.node)
+		ns.usedIDs[h.inConn] = true
+		if h.mask.Has(router.PortLocal) {
+			ns.usedIDs[h.outConn] = true
+		}
+		ns.total += h.buffers
+		tk.D = h.d
+		for p := 0; p < router.NumPorts; p++ {
+			if h.mask.Has(p) {
+				ns.portBuffers[p] += h.buffers
+				c.addTask(linkKey{h.node, p}, tk)
+			}
+		}
+	}
+	c.chans[ch.ID] = ch
+	return nil
+}
+
+// release is reserve's inverse and the only walk that removes
+// reservations: it clears the table entries and credits back the
+// resources of the given hops — all of ch.hops on a teardown, the
+// already-programmed prefix when reserve unwinds — plus the injection
+// task, and delists ch. It finishes the walk even if a control write
+// fails, returning the first such error.
+func (c *Controller) release(ch *Channel, hops []hopRef) error {
+	c.mut++
+	delete(c.chans, ch.ID)
+	c.dropTask(linkKey{ch.Src, portInject}, ch.ID)
+	var first error
+	for _, h := range hops {
+		if err := c.net.Router(h.node).ClearConnection(h.inConn); err != nil && first == nil {
+			first = err
+		}
+		ns := c.node(h.node)
+		delete(ns.usedIDs, h.inConn)
+		if h.mask.Has(router.PortLocal) {
+			delete(ns.usedIDs, h.outConn)
+		}
+		ns.total -= h.buffers
+		for p := 0; p < router.NumPorts; p++ {
+			if h.mask.Has(p) {
+				ns.portBuffers[p] -= h.buffers
+				c.dropTask(linkKey{h.node, p}, ch.ID)
+			}
+		}
+	}
+	return first
+}
+
+// addTask and dropTask edit one link's task list and keep its
+// incremental EDF cache in step; Reference mode leaves caches unbuilt.
+func (c *Controller) addTask(k linkKey, tk task) {
+	ls := c.link(k)
+	ls.tasks = append(ls.tasks, tk)
 	if !c.cfg.Reference {
 		ls.cache.addTask(ls.tasks, tk)
 	}
 }
 
-func (c *Controller) noteRemove(ls *linkState, tk task) {
-	if !c.cfg.Reference {
-		ls.cache.removeTask(ls.tasks, tk)
+func (c *Controller) dropTask(k linkKey, chanID int) {
+	ls := c.link(k)
+	for i, tk := range ls.tasks {
+		if tk.chanID == chanID {
+			ls.tasks = append(ls.tasks[:i], ls.tasks[i+1:]...)
+			if !c.cfg.Reference {
+				ls.cache.removeTask(ls.tasks, tk)
+			}
+			return
+		}
 	}
+}
+
+// active reports whether ch is a channel this controller currently
+// holds. Channel ids are only unique per controller, so identity — not
+// the id — decides.
+func (c *Controller) active(ch *Channel) error {
+	if ch == nil {
+		return &ErrNotActive{ID: -1}
+	}
+	if c.chans[ch.ID] != ch {
+		return &ErrNotActive{ID: ch.ID}
+	}
+	return nil
 }
 
 // Teardown releases an admitted channel's resources and invalidates its
-// table entries.
+// table entries. A nil channel, one already torn down, or one admitted
+// by another controller is refused with *ErrNotActive, ledger untouched.
 func (c *Controller) Teardown(ch *Channel) error {
-	if err := c.teardown(ch); err != nil {
+	if err := c.active(ch); err != nil {
+		return err
+	}
+	if err := c.release(ch, ch.hops); err != nil {
 		return err
 	}
 	c.stats.teardowns.Add(1)
-	if c.audit != nil {
-		c.audit.Record(c.net.Shard(ch.Src), obs.AuditRecord{
-			Op: "teardown", Outcome: "released", Channel: ch.ID,
-			Src: ch.Src.String(), Dst: dstString(ch.Dsts), Spec: specString(ch.Spec),
-			Margin: float64(ch.Margin),
-		})
-	}
+	c.record("teardown", "released", ch.Src, ch.Dsts, ch.Spec, ch, nil)
 	return nil
-}
-
-func (c *Controller) teardown(ch *Channel) error {
-	if _, ok := c.chans[ch.ID]; !ok {
-		return fmt.Errorf("admission: channel %d not active", ch.ID)
-	}
-	c.mut++
-	delete(c.chans, ch.ID)
-	inj := c.link(linkKey{ch.Src, portInject})
-	for i := range inj.tasks {
-		if inj.tasks[i].chanID == ch.ID {
-			tk := inj.tasks[i]
-			inj.tasks = append(inj.tasks[:i], inj.tasks[i+1:]...)
-			c.noteRemove(inj, tk)
-			break
-		}
-	}
-	for _, h := range ch.hops {
-		if err := c.net.Router(h.node).ClearConnection(h.inConn); err != nil {
-			return err
-		}
-		ns := c.node(h.node)
-		delete(ns.usedIDs, h.inConn)
-		if h.mask.Has(router.PortLocal) {
-			delete(ns.usedIDs, h.outConn)
-		}
-		ns.total -= h.buffers
-		for p := 0; p < router.NumPorts; p++ {
-			if h.mask.Has(p) {
-				ns.portBuffers[p] -= h.buffers
-				key := linkKey{h.node, p}
-				ls := c.link(key)
-				for i := range ls.tasks {
-					if ls.tasks[i].chanID == ch.ID {
-						tk := ls.tasks[i]
-						ls.tasks = append(ls.tasks[:i], ls.tasks[i+1:]...)
-						c.noteRemove(ls, tk)
-						break
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// unwindCommit reverses the hops already committed by admitVia's phase 2
-// when a later control write fails: table entries are cleared and the
-// resource debits reversed, hop by hop.
-func (c *Controller) unwindCommit(ch *Channel) {
-	c.mut++
-	for _, h := range ch.hops {
-		_ = c.net.Router(h.node).ClearConnection(h.inConn)
-		ns := c.node(h.node)
-		delete(ns.usedIDs, h.inConn)
-		if h.mask.Has(router.PortLocal) {
-			delete(ns.usedIDs, h.outConn)
-		}
-		ns.total -= h.buffers
-		for p := 0; p < router.NumPorts; p++ {
-			if h.mask.Has(p) {
-				ns.portBuffers[p] -= h.buffers
-				ls := c.link(linkKey{h.node, p})
-				for i := range ls.tasks {
-					if ls.tasks[i].chanID == ch.ID {
-						tk := ls.tasks[i]
-						ls.tasks = append(ls.tasks[:i], ls.tasks[i+1:]...)
-						c.noteRemove(ls, tk)
-						break
-					}
-				}
-			}
-		}
-	}
-	ch.hops = nil
 }
 
 // restore re-commits a channel's reservations exactly as they were
@@ -992,44 +950,11 @@ func (c *Controller) restore(ch *Channel) error {
 	if _, ok := c.chans[ch.ID]; ok {
 		return fmt.Errorf("admission: channel %d already active", ch.ID)
 	}
-	newTask := task{C: ch.Spec.MessageSlots(), T: ch.Spec.Imin, chanID: ch.ID}
-	for _, h := range ch.hops {
-		if err := c.net.Router(h.node).SetConnection(h.inConn, h.outConn, uint8(h.d), h.mask); err != nil {
-			return fmt.Errorf("admission: restoring channel %d at %s: %w", ch.ID, h.node, err)
-		}
-		ns := c.node(h.node)
-		ns.usedIDs[h.inConn] = true
-		if h.mask.Has(router.PortLocal) {
-			ns.usedIDs[h.outConn] = true
-		}
-		ns.total += h.buffers
-		hopTask := newTask
-		hopTask.D = h.d
-		for p := 0; p < router.NumPorts; p++ {
-			if h.mask.Has(p) {
-				ns.portBuffers[p] += h.buffers
-				ls := c.link(linkKey{h.node, p})
-				ls.tasks = append(ls.tasks, hopTask)
-				c.noteAdd(ls, hopTask)
-			}
-		}
+	if err := c.reserve(ch); err != nil {
+		return fmt.Errorf("admission: restoring channel %d at %w", ch.ID, err)
 	}
-	injTask := newTask
-	injTask.D = ch.hops[0].d
-	inj := c.link(linkKey{ch.Src, portInject})
-	inj.tasks = append(inj.tasks, injTask)
-	c.noteAdd(inj, injTask)
-	c.chans[ch.ID] = ch
 	c.stats.restores.Add(1)
-	if c.audit != nil {
-		c.audit.Record(c.net.Shard(ch.Src), obs.AuditRecord{
-			Op: "restore", Outcome: "restored", Channel: ch.ID,
-			Src: ch.Src.String(), Dst: dstString(ch.Dsts), Spec: specString(ch.Spec),
-			Route: ch.Route(), LocalD: ch.LocalD, DSplit: dsplitString(ch.DSplit),
-			Hops:   ch.Hops(),
-			Margin: float64(ch.Margin),
-		})
-	}
+	c.record("restore", "restored", ch.Src, ch.Dsts, ch.Spec, ch, nil)
 	return nil
 }
 
@@ -1052,14 +977,9 @@ func (c *Controller) link(k linkKey) *linkState {
 	return ls
 }
 
-// linkCheck runs the EDF schedulability analysis for the link with the
+// linkCheckIn runs the EDF schedulability analysis for the link with the
 // candidate task added; failed links are never feasible and report the
-// "link_failed" pseudo-test.
-func (c *Controller) linkCheck(k linkKey, cand task) edfReport {
-	return c.linkCheckIn(k, cand, &c.sc)
-}
-
-// linkCheckIn is linkCheck with an explicit evaluation scratch, so
+// "link_failed" pseudo-test. The evaluation scratch is explicit so
 // AdmitBatch's concurrent planners don't share buffers. It never mutates
 // controller state: links with no reservations are analyzed against a
 // shared pre-built empty cache instead of materializing a linkState.
@@ -1077,7 +997,7 @@ func (c *Controller) linkCheckIn(k linkKey, cand task, sc *evalScratch) edfRepor
 	}
 	ls := c.links[i]
 	if ls == nil {
-		return sc.emptyCheck(cand)
+		return emptyLinkCache.check(nil, cand, sc)
 	}
 	return ls.cache.check(ls.tasks, cand, sc)
 }
@@ -1382,34 +1302,19 @@ func (ch *Channel) Uses(node mesh.Coord, port int) bool {
 // layout-admitted channel leaves it exactly as it was. A successful
 // reroute of a layout channel falls back to the default planner (uniform
 // split); re-synthesizing a layout after a failure is the optimizer's
-// job, not the control plane's.
+// job, not the control plane's. A channel this controller does not hold
+// (nil, torn down, or another controller's) is refused with
+// *ErrNotActive before anything is touched.
 func (c *Controller) Reroute(ch *Channel) (*Channel, error) {
+	if err := c.active(ch); err != nil {
+		return nil, err
+	}
 	nch, err := c.reroute(ch)
 	c.stats.reroutes.Add(1)
-	if c.audit != nil {
-		rec := obs.AuditRecord{
-			Op: "reroute", Channel: ch.ID,
-			Src: ch.Src.String(), Dst: dstString(ch.Dsts), Spec: specString(ch.Spec),
-		}
-		if err != nil {
-			rec.Outcome = "refused"
-			rec.Err = err.Error()
-			if rej, ok := Explain(err); ok {
-				rec.Binding = rej.BindingResource()
-				rec.Test = rej.FailingTest()
-				rec.Margin = rej.FailMargin()
-				rec.Router = rej.Router()
-			}
-		} else {
-			rec.Outcome = "rerouted"
-			rec.Channel = nch.ID
-			rec.Route = nch.Route()
-			rec.LocalD = nch.LocalD
-			rec.DSplit = dsplitString(nch.DSplit)
-			rec.Hops = nch.Hops()
-			rec.Margin = float64(nch.Margin)
-		}
-		c.audit.Record(c.net.Shard(ch.Src), rec)
+	if err != nil {
+		c.record("reroute", "refused", ch.Src, ch.Dsts, ch.Spec, ch, err)
+	} else {
+		c.record("reroute", "rerouted", ch.Src, ch.Dsts, ch.Spec, nch, nil)
 	}
 	return nch, err
 }

@@ -57,8 +57,7 @@ func (c *Controller) AdmitBatch(reqs []Request, workers int) BatchResult {
 	if workers <= 1 || c.cfg.Reference {
 		for i := range reqs {
 			r := &reqs[i]
-			ch, err := c.admit(r.Src, r.Dsts, r.Spec)
-			c.recordAdmit(r.Src, r.Dsts, r.Spec, ch, err)
+			ch, err := c.Admit(r.Src, r.Dsts, r.Spec)
 			res.note(i, ch, err)
 		}
 		return res
@@ -74,6 +73,9 @@ func (c *Controller) AdmitBatch(reqs []Request, workers int) BatchResult {
 		}
 		n := end - base
 		c.stats.batchChunks.Add(1)
+		// This chunk's speculation sees every earlier chunk's commits, so
+		// only commits made while finalizing it can stale a plan.
+		clear(dirty)
 
 		// Speculation: workers race down the chunk planning read-only.
 		var cursor atomic.Int64
@@ -123,7 +125,7 @@ func (c *Controller) AdmitBatch(reqs []Request, workers int) BatchResult {
 				// nodes inside the request's own footprint.
 				orBits(dirty, sp.fp, words)
 			}
-			c.recordAdmit(r.Src, r.Dsts, r.Spec, ch, err)
+			c.recordAdmit("admit", r.Src, r.Dsts, r.Spec, ch, err)
 			res.note(base+i, ch, err)
 		}
 	}
@@ -142,7 +144,7 @@ func (r *BatchResult) note(i int, ch *Channel, err error) {
 // specPlan is one request's speculative outcome plus the node bitset its
 // planning could have consulted.
 type specPlan struct {
-	plan *admitPlan
+	plan *Channel
 	err  error
 	fp   []uint64
 }
@@ -167,7 +169,7 @@ func (c *Controller) footprint(fp []uint64, src mesh.Coord, dsts []mesh.Coord) [
 	walk := func(order routeOrder, dst mesh.Coord) {
 		at := src
 		mark(at)
-		for _, p := range c.routeFor(src, dst, order) {
+		for _, p := range order.route(src, dst) {
 			if p != router.PortLocal {
 				at = at.Add(p)
 				mark(at)

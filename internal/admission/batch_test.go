@@ -133,6 +133,39 @@ func TestAdmitBatchIdentity(t *testing.T) {
 	}
 }
 
+// TestAdmitBatchChunkFootprint: a chunk's speculation already sees every
+// earlier chunk's commits, so only commits made while finalizing the
+// same chunk can stale a plan. Chunk 1 admits one channel per mesh row;
+// chunk 2 repeats the requests — each footprint was touched by chunk 1
+// alone, so none of them may be re-planned.
+func TestAdmitBatchChunkFootprint(t *testing.T) {
+	defer func(n int) { batchChunkSize = n }(batchChunkSize)
+	batchChunkSize = 4
+
+	var reqs []Request
+	for chunk := 0; chunk < 2; chunk++ {
+		for y := 0; y < 4; y++ {
+			reqs = append(reqs, Request{Src: mesh.Coord{X: 0, Y: y}, Dsts: []mesh.Coord{{X: 3, Y: y}},
+				Spec: rtc.Spec{Imin: 16, Smax: 18, D: 64}})
+		}
+	}
+	c, err := New(mesh.MustNew(4, 4, router.DefaultConfig()), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.AdmitBatch(reqs, 2)
+	if res.Admitted != len(reqs) {
+		t.Fatalf("admitted %d of %d row channels: %v", res.Admitted, len(reqs), res.Errs)
+	}
+	if res.Replans != 0 || c.Stats().BatchReplans != 0 {
+		t.Fatalf("replans = %d (stats %d): chunk 2 re-planned requests only chunk 1 had touched",
+			res.Replans, c.Stats().BatchReplans)
+	}
+	if err := c.VerifyLedger(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdmitBatchEmptyAndSingle covers the degenerate shapes: an empty
 // batch and a batch smaller than the worker count.
 func TestAdmitBatchEmptyAndSingle(t *testing.T) {

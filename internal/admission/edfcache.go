@@ -33,49 +33,23 @@ type stepPoint struct {
 // evalScratch holds the per-caller scratch buffers a check needs, so the
 // hot path allocates nothing and concurrent checkers never share state.
 type evalScratch struct {
-	next  []int64 // per-task next release, for the tail merge in check
+	next  []int64 // per-task next release, for minSlack's walk past the coverage
 	tasks []task
-	// hops is the unicast planner's hop buffer; plans only copy it out
-	// once a route passes every check.
-	hops []planHop
-	// coords is the layout planner's visited-router buffer (loop check).
+	// hops is planPath's hop buffer; a channel only copies it out once a
+	// layout passes every check. ds is planUniform's split buffer.
+	hops []hopRef
+	ds   []int64
+	// coords is the layout door's visited-router buffer (loop check).
 	coords []mesh.Coord
-	// tailT/tailP extend the cache's points/prefix past its coverage for
-	// one failReport call: merged committed step points in (cover,
-	// tailHi] with the running demand at each. tailBase carries the
-	// min-scan's running demand so the merge resumes where it stopped —
-	// the tail grows lazily to the largest t the rescan actually visits.
-	tailT    []int64
-	tailP    []int64
-	tailBase int64
-	tailHi   int64
 	// memo caches full check verdicts keyed by (cache identity, cache
 	// epoch, candidate parameters). Mass admission re-checks the same few
 	// candidate shapes against the same committed sets thousands of times
 	// — every request in a traffic family shares one Spec, and per-hop
 	// deadlines only take a handful of values — so most checks become one
-	// map probe. Exact by construction: check is a pure function of the
+	// map probe, reservation-free links (the shared emptyLinkCache)
+	// included. Exact by construction: check is a pure function of the
 	// committed set (named by cache+epoch) and the candidate.
 	memo map[checkKey]edfReport
-	// candRep memoizes the empty-link analysis of the current candidate:
-	// a route visits many links with no reservations, and their verdict
-	// depends only on the candidate's (C, T, D). candValid gates the memo
-	// and candC/candT/candD key it.
-	candValid           bool
-	candC, candT, candD int64
-	candRep             edfReport
-}
-
-// emptyCheck returns emptyLinkCache.check(nil, cand, sc) through the
-// scratch's single-entry memo. Exact: the empty-link report is a pure
-// function of the candidate's timing parameters.
-func (sc *evalScratch) emptyCheck(cand task) edfReport {
-	if !sc.candValid || sc.candC != cand.C || sc.candT != cand.T || sc.candD != cand.D {
-		sc.candRep = emptyLinkCache.check(nil, cand, sc)
-		sc.candC, sc.candT, sc.candD = cand.C, cand.T, cand.D
-		sc.candValid = true
-	}
-	return sc.candRep
 }
 
 type edfCache struct {
@@ -135,7 +109,7 @@ const coverCap = 4096
 // coverFor picks the cache coverage for a committed busy-period bound:
 // doubled (within the cap) so the typical candidate check — whose own
 // bound exceeds the committed one — finds every point it needs already
-// cached instead of gathering a tail.
+// cached instead of walking the ladders past the coverage.
 func coverFor(limit int64) int64 {
 	c := 2 * limit
 	if c < 256 {
@@ -340,7 +314,7 @@ func (ec *edfCache) removeTask(tasks []task, tk task) {
 	// cover only ever shrinks the committed bound, so coverage stays valid.
 }
 
-// candSteps counts the candidate's releases due by t: max(0, ⌊(t−D)/T⌋+1).
+// candContrib is the candidate's demand due by t: max(0, ⌊(t−D)/T⌋+1)·C.
 func candContrib(cand task, t int64) int64 {
 	if t < cand.D {
 		return 0
@@ -366,30 +340,27 @@ const memoCap = 1 << 15
 // and the task slice; sc supplies the scratch buffers and the verdict
 // memo.
 func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
-	if ec.built && !ec.degenerate && sc != nil {
-		key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
-		if rep, ok := sc.memo[key]; ok {
-			return rep
-		}
-		rep := ec.checkFull(tasks, cand, sc)
-		if sc.memo == nil {
-			sc.memo = make(map[checkKey]edfReport, 1<<10)
-		} else if len(sc.memo) >= memoCap {
-			clear(sc.memo)
-		}
-		sc.memo[key] = rep
-		return rep
-	}
-	return ec.checkFull(tasks, cand, sc)
-}
-
-// checkFull is the uncached analysis behind check.
-func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfReport {
 	if !ec.built || ec.degenerate {
 		sc.tasks = append(append(sc.tasks[:0], tasks...), cand)
-		rep := edfAnalyze(sc.tasks)
+		return edfAnalyze(sc.tasks)
+	}
+	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
+	if rep, ok := sc.memo[key]; ok {
 		return rep
 	}
+	rep := ec.checkFull(tasks, cand, sc)
+	if sc.memo == nil {
+		sc.memo = make(map[checkKey]edfReport, 1<<10)
+	} else if len(sc.memo) >= memoCap {
+		clear(sc.memo)
+	}
+	sc.memo[key] = rep
+	return rep
+}
+
+// checkFull is the uncached analysis behind check, on a built,
+// non-degenerate cache.
+func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfReport {
 	if !validTask(cand) {
 		// edfAnalyze sums utilization up to (not including) the bad task;
 		// the candidate is last, so that sum is the full committed util.
@@ -400,297 +371,151 @@ func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfRepor
 	if util > 1.0+1e-9 {
 		return edfReport{test: "utilization", util: util, margin: 1.0 - util}
 	}
-	maxD := ec.maxD
-	if cand.D > maxD {
-		maxD = cand.D
+	limit := busyBoundFrom(max(ec.maxD, cand.D), sumC, util)
+	headroom, ok := ec.minSlack(tasks, cand, limit, sc)
+	if !ok {
+		return failReport(tasks, cand, limit, util)
 	}
-	limit := busyBoundFrom(maxD, sumC, util)
+	return edfReport{feasible: true, util: util, headroom: headroom,
+		margin: float64(headroom)}
+}
 
-	// One pass over the union of committed and candidate step points ≤
-	// limit. dbf at a committed point is the cached prefix (plus the tail
-	// running sum); the candidate's own contribution is a running sum —
-	// both walks advance in ascending t, so each candidate step adds one
-	// C instead of paying candContrib's division per point. Headroom is
-	// the minimum slack over the union — the same point set edfAnalyze
-	// visits, so the minimum is identical.
+// minSlack walks the union of the committed set's and the candidate's
+// step points ≤ limit in ascending t and returns the minimum slack
+// t − dbf(t) over them — the same point set edfAnalyze visits, so the
+// minimum is identical — or false at the first negative slack. A zero
+// cand (C = 0) means no candidate: the committed set alone. dbf at a
+// committed point is the cached prefix inside the coverage and a running
+// sum past it; the candidate's own contribution is a running sum too —
+// both walks ascend, so each candidate step adds one C instead of paying
+// candContrib's division per point.
+func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScratch) (int64, bool) {
 	headroom := int64(maxAnalysisHorizon)
-	infeasible := false
 	dbfC := int64(0) // committed dbf at the last committed point visited
 	nc := cand.D     // next candidate step not yet visited
 	cc := int64(0)   // candidate demand from steps before nc
-	visit := func(t, committed int64) bool {
-		for nc < t && nc <= limit {
+	if cand.C == 0 {
+		nc = limit + 1
+	}
+	// candTo visits the candidate's steps before t; it and visit report
+	// false once a slack goes negative.
+	candTo := func(t int64) bool {
+		for ; nc < t && nc <= limit; nc += cand.T {
 			cc += cand.C
-			if s := nc - dbfC - cc; s < 0 {
-				infeasible = true
-				return true
-			} else if s < headroom {
-				headroom = s
+			s := nc - dbfC - cc
+			if s < 0 {
+				return false
 			}
-			nc += cand.T
+			headroom = min(headroom, s)
+		}
+		return true
+	}
+	visit := func(t, committed int64) bool {
+		if !candTo(t) {
+			return false
 		}
 		dbfC = committed
-		ct := cc
+		s := t - committed - cc
 		if nc == t {
 			// The candidate also steps exactly at t; count it, but leave
 			// nc for the next catch-up so its own visit still happens.
-			ct += cand.C
+			s -= cand.C
 		}
-		if s := t - committed - ct; s < 0 {
-			infeasible = true
-			return true
-		} else if s < headroom {
-			headroom = s
+		if s < 0 {
+			return false
 		}
-		return false
+		headroom = min(headroom, s)
+		return true
 	}
 	for i := range ec.points {
 		if ec.points[i].t > limit {
 			break
 		}
-		if visit(ec.points[i].t, ec.prefix[i]) {
-			break
+		if !visit(ec.points[i].t, ec.prefix[i]) {
+			return 0, false
 		}
 	}
-	if !infeasible && limit > ec.cover {
-		// Committed step points past the cache coverage: a candidate near
-		// the utilization ceiling drives the bound far past the committed
-		// coverage. Rather than materializing and sorting that tail (it
-		// can hold tens of thousands of points), merge the tasks' ladders
-		// on the fly — each ladder is ascending, and per-link task counts
-		// are small, so an O(tasks) min-scan per point beats any sort.
-		next := sc.next[:0]
-		for i := range tasks {
-			t := tasks[i].D
+	if limit > ec.cover {
+		// Committed step points past the cache coverage: a set near the
+		// utilization ceiling drives the bound far past it. Rather than
+		// materializing and sorting that tail (it can hold tens of
+		// thousands of points), merge the tasks' ladders on the fly —
+		// each ladder is ascending, and per-link task counts are small,
+		// so an O(tasks) min-scan per point beats any sort.
+		nx := sc.next[:0]
+		for _, tk := range tasks {
+			t := tk.D
 			if ec.cover >= t {
-				t = tasks[i].D + ((ec.cover-tasks[i].D)/tasks[i].T+1)*tasks[i].T
+				t += ((ec.cover-tk.D)/tk.T + 1) * tk.T
 			}
-			next = append(next, t)
+			nx = append(nx, t)
 		}
-		sc.next = next
+		sc.next = nx
 		base := int64(0)
 		if n := len(ec.prefix); n > 0 {
 			base = ec.prefix[n-1]
 		}
 		for {
 			mt := limit + 1
-			for _, t := range next {
-				if t < mt {
-					mt = t
-				}
+			for _, t := range nx {
+				mt = min(mt, t)
 			}
 			if mt > limit {
 				break
 			}
-			for i := range next {
-				if next[i] == mt {
+			for i := range nx {
+				if nx[i] == mt {
 					base += tasks[i].C
-					next[i] += tasks[i].T
+					nx[i] += tasks[i].T
 				}
 			}
-			if visit(mt, base) {
-				break
+			if !visit(mt, base) {
+				return 0, false
 			}
 		}
 	}
-	if !infeasible {
-		for nc <= limit {
-			cc += cand.C
-			if s := nc - dbfC - cc; s < 0 {
-				infeasible = true
-				break
-			} else if s < headroom {
-				headroom = s
-			}
-			nc += cand.T
-		}
+	if !candTo(limit + 1) {
+		return 0, false
 	}
-	if infeasible {
-		return ec.failReport(tasks, cand, limit, util, sc)
-	}
-	return edfReport{feasible: true, util: util, headroom: headroom,
-		margin: float64(headroom)}
-}
-
-// resetTail arms the lazy tail merge: the committed ladders' k-way
-// min-scan is positioned just past the cache coverage, with nothing
-// materialized yet. demandVia extends it on demand, so a rescan that
-// finds its violation early never walks the deep tail at all.
-func (ec *edfCache) resetTail(tasks []task, sc *evalScratch) {
-	sc.tailT, sc.tailP = sc.tailT[:0], sc.tailP[:0]
-	next := sc.next[:0]
-	for i := range tasks {
-		t := tasks[i].D
-		if ec.cover >= t {
-			t = tasks[i].D + ((ec.cover-tasks[i].D)/tasks[i].T+1)*tasks[i].T
-		}
-		next = append(next, t)
-	}
-	sc.next = next
-	sc.tailBase = 0
-	if n := len(ec.prefix); n > 0 {
-		sc.tailBase = ec.prefix[n-1]
-	}
-	sc.tailHi = ec.cover
-}
-
-// extendTail advances the min-scan until every committed step point ≤ t
-// is materialized in tailT/tailP.
-func (ec *edfCache) extendTail(tasks []task, t int64, sc *evalScratch) {
-	next := sc.next
-	for {
-		mt := t + 1
-		for _, nt := range next {
-			if nt < mt {
-				mt = nt
-			}
-		}
-		if mt > t {
-			sc.tailHi = t
-			return
-		}
-		for i := range next {
-			if next[i] == mt {
-				sc.tailBase += tasks[i].C
-				next[i] += tasks[i].T
-			}
-		}
-		sc.tailT = append(sc.tailT, mt)
-		sc.tailP = append(sc.tailP, sc.tailBase)
-	}
-}
-
-// demandVia is dbf(t) over the committed set: the cached prefix inside
-// the coverage, the lazily merged scratch tail past it. Exact for any t
-// once resetTail has armed the scratch.
-func (ec *edfCache) demandVia(tasks []task, t int64, sc *evalScratch) int64 {
-	pts, pre := ec.points, ec.prefix
-	if t > ec.cover {
-		if t > sc.tailHi {
-			ec.extendTail(tasks, t, sc)
-		}
-		lo, hi := 0, len(sc.tailT)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if sc.tailT[mid] <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 {
-			return sc.tailP[lo-1]
-		}
-		// No committed step in (cover, t]: demand equals the full prefix.
-		if n := len(pre); n > 0 {
-			return pre[n-1]
-		}
-		return 0
-	}
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].t <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return pre[lo-1]
+	return headroom, true
 }
 
 // failReport reproduces edfAnalyze's busy-period failure byte for byte:
 // the violation reported is the first one in edfAnalyze's own iteration
 // order (task slice order, then k ascending), which is not necessarily
-// the earliest t. Called only after check proved a violation exists, so
-// the scan always finds one. Each demand evaluation costs a binary
-// search against the cache (lazily extended past its coverage by
-// extendTail) instead of a full pass over the committed set.
-func (ec *edfCache) failReport(tasks []task, cand task, limit int64, util float64, sc *evalScratch) edfReport {
-	ec.resetTail(tasks, sc)
+// the earliest t. Called only after minSlack proved a violation exists,
+// so the scan always finds one.
+func failReport(tasks []task, cand task, limit int64, util float64) edfReport {
 	for i := 0; i <= len(tasks); i++ {
 		tk := cand
 		if i < len(tasks) {
 			tk = tasks[i]
 		}
 		for t := tk.D; t <= limit; t += tk.T {
-			d := ec.demandVia(tasks, t, sc) + candContrib(cand, t)
+			d := demandAt(tasks, t) + candContrib(cand, t)
 			if slack := t - d; slack < 0 {
 				return edfReport{test: "busy_period", util: util,
 					at: t, demand: d, margin: float64(slack)}
 			}
 		}
 	}
-	// Unreachable: check's scan found a negative-slack point over the
-	// same union of steps.
+	// Unreachable: minSlack found a negative-slack point over the same
+	// union of steps.
 	return edfReport{test: "busy_period", util: util, margin: -1}
 }
 
 // committedReport analyzes the committed set alone off the cache,
 // returning what edfAnalyze(tasks) would. Used by VerifyLedger's
-// cross-check and anywhere a from-scratch recompute would be wasteful.
+// cross-check (cold path, so it brings a throwaway scratch).
 func (ec *edfCache) committedReport(tasks []task) edfReport {
-	if !ec.built || ec.degenerate || len(tasks) == 0 {
+	if !ec.built || ec.degenerate || len(tasks) == 0 || ec.util > 1.0+1e-9 {
 		return edfAnalyze(tasks)
 	}
-	if ec.util > 1.0+1e-9 {
-		return edfReport{test: "utilization", util: ec.util, margin: 1.0 - ec.util}
-	}
-	limit := busyBoundFrom(ec.maxD, ec.sumC, ec.util)
-	headroom := int64(maxAnalysisHorizon)
-	for i := range ec.points {
-		if ec.points[i].t > limit {
-			break
-		}
-		if s := ec.points[i].t - ec.prefix[i]; s < 0 {
-			// A committed set is feasible by construction; if one ever is
-			// not, defer to the exact scan for the failure report.
-			return edfAnalyze(tasks)
-		} else if s < headroom {
-			headroom = s
-		}
-	}
-	if limit > ec.cover {
-		// Merge the ladders past the coverage cap on the fly, as check
-		// does. Cold path (snapshots and ledger verification), so the
-		// scratch allocation is fine.
-		next := make([]int64, len(tasks))
-		for i := range tasks {
-			t := tasks[i].D
-			if ec.cover >= t {
-				t = tasks[i].D + ((ec.cover-tasks[i].D)/tasks[i].T+1)*tasks[i].T
-			}
-			next[i] = t
-		}
-		base := int64(0)
-		if n := len(ec.prefix); n > 0 {
-			base = ec.prefix[n-1]
-		}
-		for {
-			mt := limit + 1
-			for _, t := range next {
-				if t < mt {
-					mt = t
-				}
-			}
-			if mt > limit {
-				break
-			}
-			for i := range next {
-				if next[i] == mt {
-					base += tasks[i].C
-					next[i] += tasks[i].T
-				}
-			}
-			if s := mt - base; s < 0 {
-				return edfAnalyze(tasks)
-			} else if s < headroom {
-				headroom = s
-			}
-		}
+	headroom, ok := ec.minSlack(tasks, task{}, busyBoundFrom(ec.maxD, ec.sumC, ec.util), new(evalScratch))
+	if !ok {
+		// A committed set is feasible by construction; if one ever is
+		// not, defer to the exact scan for the failure report.
+		return edfAnalyze(tasks)
 	}
 	return edfReport{feasible: true, util: ec.util, headroom: headroom,
 		margin: float64(headroom)}

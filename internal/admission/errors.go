@@ -225,6 +225,17 @@ func (e *ErrIDExhausted) FailMargin() float64 { return -1 }
 // Router implements Rejection: the router with no free identifier.
 func (e *ErrIDExhausted) Router() string { return e.Node }
 
+// ErrNotActive refuses a Teardown or Reroute of a channel the controller
+// does not hold: a nil channel (ID −1), one already torn down, or one
+// admitted by a different controller whose id merely collides.
+type ErrNotActive struct {
+	ID int
+}
+
+func (e *ErrNotActive) Error() string {
+	return "admission: channel " + strconv.Itoa(e.ID) + " not active"
+}
+
 // overloadError builds the typed link rejection for one analysis
 // report; inject selects the injection-port message wording. node is
 // always required — Router() and audit refusal records surface it even

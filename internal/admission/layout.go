@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/rtc"
-	"repro/internal/sched"
 )
 
 // PlanSpec is an explicit channel layout: a concrete unicast route and
@@ -44,108 +42,50 @@ func (c *Controller) PlanLayout(ps PlanSpec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.margin, nil
+	return p.Margin, nil
 }
 
 // AdmitLayout establishes a channel along an explicit layout, or
-// explains why it cannot. It shares phase 2 (commitPlan) with the
-// default planners, so the ledger, the routers' connection tables, and
-// teardown/restore treat a layout channel identically to a default one
-// — the only differences are the caller-chosen route, the per-hop
-// deadlines, and the audit op "admit_layout".
+// explains why it cannot. It shares both phases with the default
+// planner — planPath for the resource walk, commitPlan for the debit —
+// so the ledger, the routers' connection tables, and teardown/restore
+// treat a layout channel identically to a default one; the only
+// differences are the caller-chosen route, the per-hop deadlines, and
+// the audit op "admit_layout".
 func (c *Controller) AdmitLayout(ps PlanSpec) (*Channel, error) {
-	ch, err := c.admitLayout(ps)
-	c.recordLayout(ps, ch, err)
+	ch, err := c.planLayout(ps, &c.sc)
+	if err == nil {
+		ch, err = c.commitPlan(ch)
+	}
+	c.recordAdmit("admit_layout", ps.Src, []mesh.Coord{ps.Dst}, ps.Spec, ch, err)
 	return ch, err
 }
 
-func (c *Controller) admitLayout(ps PlanSpec) (*Channel, error) {
-	p, err := c.planLayout(ps, &c.sc)
-	if err != nil {
-		return nil, err
-	}
-	return c.commitPlan(p)
-}
-
-// recordLayout is recordAdmit for the layout entry point; the op name
-// keeps layout decisions distinguishable in the audit trail while the
-// record shape (and the byte-identity machinery around it) stays the
-// same.
-func (c *Controller) recordLayout(ps PlanSpec, ch *Channel, err error) {
-	if err != nil {
-		c.stats.rejects.Add(1)
-	} else {
-		c.stats.admits.Add(1)
-	}
-	if c.audit == nil {
-		return
-	}
-	srcName := ps.Src.String()
-	shard := 0
-	if c.net.Contains(ps.Src) {
-		srcName = c.nodeName(ps.Src)
-		shard = c.net.Shard(ps.Src)
-	}
-	dstName := ps.Dst.String()
-	if c.net.Contains(ps.Dst) {
-		dstName = c.nodeName(ps.Dst)
-	}
-	rec := obs.AuditRecord{
-		Op: "admit_layout", Channel: -1,
-		Src: srcName, Dst: dstName, Spec: c.specStr(ps.Spec),
-	}
-	if err != nil {
-		rec.Outcome = "rejected"
-		rec.Err = err.Error()
-		if rej, ok := Explain(err); ok {
-			rec.Binding = rej.BindingResource()
-			rec.Test = rej.FailingTest()
-			rec.Margin = rej.FailMargin()
-			rec.Router = rej.Router()
-		}
-	} else {
-		rec.Outcome = "admitted"
-		rec.Channel = ch.ID
-		rec.Route = ch.Route()
-		rec.DSplit = dsplitString(ch.DSplit)
-		rec.Hops = ch.Hops()
-		rec.Margin = float64(ch.Margin)
-	}
-	c.audit.Record(shard, rec)
-}
-
-// layoutCoords fills the scratch coordinate buffer with the routers a
-// route visits, source first.
-func (sc *evalScratch) layoutCoords(src mesh.Coord, route []int) []mesh.Coord {
-	coords := sc.coords[:0]
+// RouteCoords appends the routers a port route visits from src, source
+// first (one per route entry; the closing local delivery stays put).
+func RouteCoords(buf []mesh.Coord, src mesh.Coord, route []int) []mesh.Coord {
 	at := src
 	for _, port := range route {
-		coords = append(coords, at)
+		buf = append(buf, at)
 		if port != router.PortLocal {
 			at = at.Add(port)
 		}
 	}
-	sc.coords = coords
-	return coords
+	return buf
 }
 
-// planLayout validates an explicit layout and runs the full phase-1
-// resource check against it. The per-hop checks mirror planUnicast
-// decision for decision — same check order, same typed errors, same
-// buffer-bound recurrence — except that each hop uses its own d_j:
-// the hop's link tasks carry deadline d_j, and the buffer bound at hop
-// j sees prev = SourceWindow at the source and Horizon + d_{j-1}
-// downstream (Section 4.3's h+d with the upstream hop's actual bound).
-func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*admitPlan, error) {
+// planLayout is the explicit-layout door into planPath: it validates
+// the caller's route (in-mesh links, loop-free, local delivery at Dst)
+// and delay split (every d_j covers the message service time and the
+// rollover window, Σd_j ≤ D), then runs the one resource walk. The
+// channel's delay structure lives in DSplit; LocalD stays zero.
+func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) {
 	spec := ps.Spec
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if !c.net.Contains(ps.Src) {
-		return nil, fmt.Errorf("admission: source %s outside mesh", ps.Src)
-	}
-	if !c.net.Contains(ps.Dst) {
-		return nil, fmt.Errorf("admission: destination %s outside mesh", ps.Dst)
+	if err := c.endpointsOK(ps.Src, ps.Dst); err != nil {
+		return nil, err
 	}
 	n := len(ps.Route)
 	if n == 0 {
@@ -181,7 +121,8 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*admitPlan, error
 	// Loop-freedom: a simple path in a mesh revisits a router only if
 	// some prefix returns to it; checking pairwise is O(n²) but n is a
 	// Manhattan path length, and this runs once per probe.
-	visited := sc.layoutCoords(ps.Src, ps.Route)
+	visited := RouteCoords(sc.coords[:0], ps.Src, ps.Route)
+	sc.coords = visited
 	for i := 1; i < len(visited); i++ {
 		for j := 0; j < i; j++ {
 			if visited[i] == visited[j] {
@@ -201,97 +142,22 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*admitPlan, error
 		if d < slots {
 			return nil, fmt.Errorf("admission: layout: hop %d bound %d below message service time %d", j, d, slots)
 		}
-		if !wheel.ValidDelay(int64(c.cfg.Horizon) + d) {
-			return nil, fmt.Errorf("admission: horizon %d + d %d exceeds half clock range", c.cfg.Horizon, d)
+		if err := rolloverOK(wheel, "horizon", int64(c.cfg.Horizon), d); err != nil {
+			return nil, err
 		}
 		sum += d
 	}
-	if !wheel.ValidDelay(c.cfg.SourceWindow + ps.DSplit[0]) {
-		return nil, fmt.Errorf("admission: source window %d + d %d exceeds half clock range",
-			c.cfg.SourceWindow, ps.DSplit[0])
+	if err := rolloverOK(wheel, "source window", c.cfg.SourceWindow, ps.DSplit[0]); err != nil {
+		return nil, err
 	}
 	if sum > spec.D {
 		return nil, fmt.Errorf("admission: layout: split sums to %d, over the end-to-end bound %d", sum, spec.D)
 	}
 
-	// Schedulability and buffers, hop by hop. The injection pseudo-link
-	// carries the source hop's deadline; each mesh link its own hop's.
-	newTask := task{C: slots, T: spec.Imin, D: ps.DSplit[0]}
-	injKey := linkKey{ps.Src, portInject}
-	rep := c.linkCheckIn(injKey, newTask, sc)
-	if !rep.feasible {
-		return nil, overloadError(c.linkName(injKey), c.nodeName(injKey.node), rep, true)
+	ch, err := c.planPath(ps.Src, ps.Dst, spec, ps.Route, ps.DSplit, sc)
+	if err != nil {
+		return nil, err
 	}
-	margin := rep.headroom
-	hops := sc.hops[:0]
-	at = ps.Src
-	for i, port := range ps.Route {
-		d := ps.DSplit[i]
-		hopTask := newTask
-		hopTask.D = d
-		key := linkKey{at, port}
-		rep := c.linkCheckIn(key, hopTask, sc)
-		if !rep.feasible {
-			sc.hops = hops
-			return nil, overloadError(c.linkName(key), c.nodeName(at), rep, false)
-		}
-		if rep.headroom < margin {
-			margin = rep.headroom
-		}
-		prev := c.cfg.SourceWindow
-		if i > 0 {
-			prev = int64(c.cfg.Horizon) + ps.DSplit[i-1]
-		}
-		need := rtc.BufferBound(prev, d, spec)
-		mask := sched.PortMask(1) << port
-		if err := c.buffersFit(at, mask, need); err != nil {
-			sc.hops = hops
-			return nil, err
-		}
-		hops = append(hops, planHop{node: at, mask: mask, buffers: need, d: d})
-		if port != router.PortLocal {
-			at = at.Add(port)
-		}
-	}
-	sc.hops = hops
-	// LocalD stays zero on a layout plan: the channel's delay structure
-	// lives in DSplit, and commitPlan copies both through verbatim.
-	p := &admitPlan{src: ps.Src, dsts: []mesh.Coord{ps.Dst}, spec: spec, task: newTask, margin: margin}
-	p.dsplit = append([]int64(nil), ps.DSplit...)
-	p.hops = make([]planHop, len(hops))
-	copy(p.hops, hops)
-
-	// Identifier assignment walks the path exactly like planUnicast:
-	// the source picks its lowest free id, each hop hands the next
-	// router's lowest free id downstream, and the delivery id avoids
-	// the id it arrives on.
-	conns := c.node(ps.Src).conns
-	cur, ok := firstFreeID(c.node(ps.Src), conns, -1)
-	if !ok {
-		return nil, &ErrIDExhausted{
-			Node: ps.Src.String(),
-			msg:  fmt.Sprintf("admission: %s out of connection identifiers", ps.Src),
-		}
-	}
-	p.srcIn = cur
-	for i, port := range ps.Route {
-		h := &p.hops[i]
-		h.in = cur
-		var out uint8
-		if port == router.PortLocal {
-			out, ok = firstFreeID(c.node(h.node), conns, int(cur))
-		} else {
-			out, ok = firstFreeID(c.node(h.node.Add(port)), conns, -1)
-		}
-		if !ok {
-			return nil, &ErrIDExhausted{
-				Node: h.node.String(), Common: true,
-				msg: fmt.Sprintf("admission: no common free id across children of %s", h.node),
-			}
-		}
-		h.out = out
-		cur = out
-	}
-	p.dstConn = []uint8{p.hops[n-1].out}
-	return p, nil
+	ch.DSplit = append([]int64(nil), ps.DSplit...)
+	return ch, nil
 }

@@ -1,0 +1,280 @@
+package admission
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/mesh"
+	"repro/internal/obs"
+	"repro/internal/router"
+	"repro/internal/rtc"
+)
+
+// TestDoorsShareOneWalk: the default planner and the explicit-layout
+// door are one resource walk (planPath) behind two validators. Twin
+// loaded 8×8 controllers see the same request stream, A through Admit
+// and B through AdmitLayout with A's route and the uniform split: every
+// grant must match hop for hop (ids, margin, programmed table entries,
+// sealed ledger bytes), and every typed XY rejection must come back from
+// PlanLayout(XY, uniform) with the byte-identical message.
+func TestDoorsShareOneWalk(t *testing.T) {
+	netA := mesh.MustNew(8, 8, router.DefaultConfig())
+	netB := mesh.MustNew(8, 8, router.DefaultConfig())
+	a, err := New(netA, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(netB, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range batchFamily("uniform", 8, 8, 160) {
+		_, ea := a.Admit(r.Src, r.Dsts, r.Spec)
+		_, eb := b.Admit(r.Src, r.Dsts, r.Spec)
+		if (ea == nil) != (eb == nil) {
+			t.Fatalf("background load diverged: %v vs %v", ea, eb)
+		}
+	}
+	seal := func(c *Controller) []byte {
+		j, err := json.Marshal(c.Seal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	uniform := func(d int64, n int) []int64 {
+		ds := make([]int64, n)
+		for i := range ds {
+			ds[i] = d
+		}
+		return ds
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	var liveA, liveB []*Channel
+	grants, rejections := 0, 0
+	for i := 0; i < 400; i++ {
+		if len(liveA) > 0 && rng.Intn(4) == 0 {
+			k := rng.Intn(len(liveA))
+			if ea, eb := a.Teardown(liveA[k]), b.Teardown(liveB[k]); ea != nil || eb != nil {
+				t.Fatalf("req %d: teardown: %v / %v", i, ea, eb)
+			}
+			liveA = append(liveA[:k], liveA[k+1:]...)
+			liveB = append(liveB[:k], liveB[k+1:]...)
+		}
+		src := mesh.Coord{X: rng.Intn(8), Y: rng.Intn(8)}
+		dst := mesh.Coord{X: rng.Intn(8), Y: rng.Intn(8)}
+		if src == dst {
+			continue
+		}
+		spec := rtc.Spec{Imin: int64(8 + 8*rng.Intn(5)), Smax: 18, D: int64(8*(abs(dst.X-src.X)+abs(dst.Y-src.Y)+1) + rng.Intn(40))}
+
+		chA, err := a.Admit(src, []mesh.Coord{dst}, spec)
+		if err != nil {
+			if _, typed := Explain(err); !typed {
+				continue
+			}
+			route := mesh.XYRoute(src, dst)
+			d, derr := rtc.DecomposeUniform(spec, len(route), netB.Router(src).Wheel())
+			if derr != nil {
+				t.Fatalf("req %d: typed rejection %v but the split fails: %v", i, err, derr)
+			}
+			_, perr := b.PlanLayout(PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: uniform(d, len(route))})
+			if perr == nil || perr.Error() != err.Error() {
+				t.Fatalf("req %d: Admit rejects with %q, PlanLayout(XY, uniform) says %v", i, err, perr)
+			}
+			rejections++
+			continue
+		}
+		route := make([]int, len(chA.hops))
+		for j, h := range chA.hops {
+			route[j] = h.mask.Ports(nil)[0]
+		}
+		chB, err := b.AdmitLayout(PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: uniform(chA.LocalD, len(route))})
+		if err != nil {
+			t.Fatalf("req %d: Admit grants %s, AdmitLayout refuses the same layout: %v", i, chA.Route(), err)
+		}
+		if chA.Margin != chB.Margin || chA.ID != chB.ID {
+			t.Fatalf("req %d: margin/id %d/%d vs %d/%d", i, chA.Margin, chA.ID, chB.Margin, chB.ID)
+		}
+		idsA, idsB := chA.HopIDs(), chB.HopIDs()
+		if len(idsA) != len(idsB) {
+			t.Fatalf("req %d: %d hops vs %d", i, len(idsA), len(idsB))
+		}
+		for j := range idsA {
+			if idsA[j] != idsB[j] {
+				t.Fatalf("req %d hop %d: %+v vs %+v", i, j, idsA[j], idsB[j])
+			}
+			ea := netA.Router(idsA[j].Node).Connection(idsA[j].In)
+			eb := netB.Router(idsB[j].Node).Connection(idsB[j].In)
+			if !ea.Valid || ea != eb {
+				t.Fatalf("req %d hop %d: table entry %+v vs %+v", i, j, ea, eb)
+			}
+		}
+		if !bytes.Equal(seal(a), seal(b)) {
+			t.Fatalf("req %d: sealed ledgers diverge after the grant", i)
+		}
+		liveA, liveB = append(liveA, chA), append(liveB, chB)
+		grants++
+	}
+	if grants < 20 || rejections < 20 {
+		t.Fatalf("degenerate stream: %d grants, %d typed rejections", grants, rejections)
+	}
+	for _, c := range []*Controller{a, b} {
+		if err := c.VerifyLedger(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNotActiveChannelRefused: Teardown and Reroute identify a channel
+// by pointer, not by id — ids are only unique per controller. A nil
+// channel, another controller's channel with a colliding id, and a
+// channel already torn down all come back as *ErrNotActive, and none of
+// them may touch the ledger.
+func TestNotActiveChannelRefused(t *testing.T) {
+	a, _ := New(newNet(t, 3, 3), DefaultConfig())
+	b, _ := New(newNet(t, 3, 3), DefaultConfig())
+	src, dsts := mesh.Coord{X: 0, Y: 0}, []mesh.Coord{{X: 2, Y: 1}}
+	spec := rtc.Spec{Imin: 8, Smax: 18, D: 60}
+	own, err := a.Admit(src, dsts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := b.Admit(src, dsts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.ID != own.ID {
+		t.Fatalf("test needs colliding ids, got %d and %d", own.ID, foreign.ID)
+	}
+	stale, err := a.Admit(src, dsts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Teardown(stale); err != nil {
+		t.Fatal(err)
+	}
+	before := sealJSON(t, a)
+	for name, ch := range map[string]*Channel{"nil": nil, "foreign": foreign, "torn down": stale} {
+		_, rerr := a.Reroute(ch)
+		for op, err := range map[string]error{"Teardown": a.Teardown(ch), "Reroute": rerr} {
+			var na *ErrNotActive
+			if !errors.As(err, &na) {
+				t.Fatalf("%s(%s channel) = %v, want *ErrNotActive", op, name, err)
+			}
+		}
+		if a.Active() != 1 {
+			t.Fatalf("%s channel: Active = %d, want 1", name, a.Active())
+		}
+		if err := a.VerifyLedger(); err != nil {
+			t.Fatalf("%s channel: %v", name, err)
+		}
+		if !bytes.Equal(before, sealJSON(t, a)) {
+			t.Fatalf("%s channel: refused call mutated the ledger", name)
+		}
+	}
+	if err := a.Teardown(own); err != nil {
+		t.Fatalf("own channel no longer tears down: %v", err)
+	}
+	if err := b.Teardown(foreign); err != nil {
+		t.Fatalf("the other controller's channel was disturbed: %v", err)
+	}
+}
+
+// TestAuditOffMeshSource: one record builder, one shard rule. A request
+// whose source lies outside the mesh has no source shard, so both
+// admission doors file its rejection under shard 0 — and the two
+// records differ only in Op.
+func TestAuditOffMeshSource(t *testing.T) {
+	c, _ := New(newNet(t, 3, 3), DefaultConfig())
+	log := obs.NewAuditLog()
+	c.AttachAudit(log)
+	dst := mesh.Coord{X: 1, Y: 1}
+	spec := rtc.Spec{Imin: 8, Smax: 18, D: 60}
+	for _, src := range []mesh.Coord{{X: 7, Y: 0}, {X: -1, Y: 0}} {
+		log.Reset()
+		if _, err := c.Admit(src, []mesh.Coord{dst}, spec); err == nil {
+			t.Fatalf("off-mesh source %s admitted", src)
+		}
+		if _, err := c.AdmitLayout(PlanSpec{Src: src, Dst: dst, Spec: spec,
+			Route: []int{router.PortLocal}, DSplit: []int64{60}}); err == nil {
+			t.Fatalf("off-mesh source %s admitted by layout", src)
+		}
+		recs := log.Merged()
+		if len(recs) != 2 {
+			t.Fatalf("source %s: %d records, want 2", src, len(recs))
+		}
+		admit, layout := recs[0], recs[1]
+		if admit.Node != 0 || layout.Node != 0 {
+			t.Errorf("source %s: records sharded to nodes %d and %d, want 0 and 0", src, admit.Node, layout.Node)
+		}
+		if admit.Op != "admit" || layout.Op != "admit_layout" {
+			t.Errorf("source %s: ops %q and %q", src, admit.Op, layout.Op)
+		}
+		layout.Op, layout.Seq, layout.NodeSeq = admit.Op, admit.Seq, admit.NodeSeq
+		if admit != layout {
+			t.Errorf("source %s: records differ beyond Op:\n%+v\n%+v", src, admit, layout)
+		}
+	}
+}
+
+// TestCommitFailureReturnsProgrammingError pins what a refused control
+// write means now that admit is plan + commit: the plan that passed is
+// the decision, so both Admit and AdmitBatch return the programming
+// error with every debit unwound — Admit no longer falls through to the
+// YX order (which AdmitBatch never did). The controller is made to
+// believe the source's tables hold 8 identifiers where the routers hold
+// 4, so the XY plan passes on an id the third router cannot store.
+func TestCommitFailureReturnsProgrammingError(t *testing.T) {
+	cfg := router.DefaultConfig()
+	cfg.Conns = 4
+	build := func() *Controller {
+		c, err := New(mesh.MustNew(3, 3, cfg), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two deliveries into (2,0) take all four of its identifiers.
+		for i := 0; i < 2; i++ {
+			if _, err := c.Admit(mesh.Coord{X: 2, Y: 1}, []mesh.Coord{{X: 2, Y: 0}}, rtc.Spec{Imin: 32, Smax: 18, D: 60}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.node(mesh.Coord{X: 0, Y: 0}).conns = 8
+		return c
+	}
+	src, dsts := mesh.Coord{X: 0, Y: 0}, []mesh.Coord{{X: 2, Y: 2}}
+	spec := rtc.Spec{Imin: 32, Smax: 18, D: 100}
+	check := func(door string, c *Controller, err error) string {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "admission: programming (1,0)") {
+			t.Fatalf("%s: err = %v, want the programming error at (1,0)", door, err)
+		}
+		if _, typed := Explain(err); typed {
+			t.Fatalf("%s: programming failure explained as a resource rejection", door)
+		}
+		if c.Active() != 2 {
+			t.Fatalf("%s: Active = %d, want the 2 background channels", door, c.Active())
+		}
+		if c.net.Router(src).Connection(0).Valid {
+			t.Fatalf("%s: source table entry survived the unwind", door)
+		}
+		if err := c.VerifyLedger(); err != nil {
+			t.Fatalf("%s: %v", door, err)
+		}
+		return err.Error()
+	}
+	c := build()
+	_, err := c.Admit(src, dsts, spec)
+	single := check("Admit", c, err)
+
+	c = build()
+	res := c.AdmitBatch([]Request{{Src: src, Dsts: dsts, Spec: spec}, {Src: src, Dsts: dsts, Spec: spec}}, 2)
+	if batch := check("AdmitBatch", c, res.Errs[0]); batch != single {
+		t.Fatalf("AdmitBatch says %q, Admit %q", batch, single)
+	}
+}

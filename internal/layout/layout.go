@@ -23,6 +23,8 @@
 package layout
 
 import (
+	"slices"
+
 	"repro/internal/admission"
 	"repro/internal/mesh"
 	"repro/internal/router"
@@ -198,7 +200,7 @@ func (s *synth) repair(req Request, route []int, wheel timing.Wheel) (admission.
 		return admission.PlanSpec{}, err
 	}
 	dsplit := append([]int64(nil), ds...)
-	coords := routeCoords(req.Src, route)
+	coords := admission.RouteCoords(nil, req.Src, route)
 	c := req.Spec.MessageSlots()
 	var lastErr error
 	for iter := 0; iter <= s.opts.MaxRepairs; iter++ {
@@ -319,35 +321,10 @@ func hopIndex(coords []mesh.Coord, routerName string) int {
 	return -1
 }
 
-// routeCoords lists the routers a route visits, source first.
-func routeCoords(src mesh.Coord, route []int) []mesh.Coord {
-	coords := make([]mesh.Coord, 0, len(route))
-	at := src
-	for _, port := range route {
-		coords = append(coords, at)
-		if port != router.PortLocal {
-			at = at.Add(port)
-		}
-	}
-	return coords
-}
-
 // isDimensionOrdered reports whether route is the XY or YX path for
 // the endpoints.
 func isDimensionOrdered(src, dst mesh.Coord, route []int) bool {
-	return sameRoute(route, mesh.XYRoute(src, dst)) || sameRoute(route, mesh.YXRoute(src, dst))
-}
-
-func sameRoute(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(route, mesh.XYRoute(src, dst)) || slices.Equal(route, mesh.YXRoute(src, dst))
 }
 
 // isUniform reports whether every hop shares one bound — the shape the
