@@ -63,17 +63,18 @@ ledger:
 # paths, cycle rate sequential vs parallel, scheduler selection, sort
 # keys) with allocation reporting, the admission-path benchmarks with
 # their allocs-per-admit ceiling (TestAdmitAllocs fails the run if the
-# steady-state admit path starts allocating), then runs the full
-# scaling sweep — mesh size × worker count, printing the speedup table
-# — and records machine-readable numbers (including allocs/cycle,
-# GOMAXPROCS and NumCPU) in $(BENCH_JSON).
+# steady-state admit path starts allocating), then runs the scaling
+# sweep — mesh size × worker count, printing the speedup table — and
+# records machine-readable numbers (including allocs/cycle, GOMAXPROCS
+# and NumCPU) in $(BENCH_JSON). The sweep stops at 64×64: the 128×128
+# rows of rtbench's default sweep need more than 16 GB of memory.
 BENCH_JSON ?= BENCH_router.json
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkRouterTick -benchmem ./internal/router
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterCycleRate|BenchmarkT4SchedulerThroughput|BenchmarkFig6SortKeys' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit$$|BenchmarkAdmitBatch$$|BenchmarkLinkCheckCached$$' -benchmem ./internal/admission
 	$(GO) test -run TestAdmitAllocs -count=1 ./internal/admission
-	$(GO) run ./cmd/rtbench -exp sweep -benchjson $(BENCH_JSON)
+	$(GO) run ./cmd/rtbench -exp sweep -mesh 8,16,32,64 -benchjson $(BENCH_JSON)
 
 # benchall runs every benchmark, including the full experiment replays.
 benchall:

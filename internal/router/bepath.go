@@ -203,7 +203,9 @@ func (u *beInput) parse() {
 		u.dropping = true
 		u.r.Stats.BEMisroutes++
 		u.r.dropBE(metrics.DropBEMisroute, u.outPort)
+		return
 	}
+	u.r.beWaiting[u.outPort] |= 1 << u.id
 }
 
 // hasByte reports whether the engine can supply a byte to its output.
@@ -273,6 +275,9 @@ func (u *beInput) discardFrame() {
 		if o := u.r.beOut[q]; o.curIn == u.id {
 			o.curIn = -1
 		}
+	}
+	if u.parsed && !u.bound && !u.dropping {
+		u.r.beWaiting[u.outPort] &^= 1 << u.id
 	}
 	u.buf = u.buf[:0]
 	u.bufHead = 0
@@ -473,22 +478,18 @@ func (b *beOutput) sendFaultFlit() {
 	b.r.out[b.port].Drive(b.r.nowCycle, ph)
 }
 
-// bind picks a waiting input if none is bound, scanning round-robin.
+// bind picks a waiting input if none is bound, round-robin from the
+// input after the last one bound.
 func (b *beOutput) bind() {
-	if b.curIn >= 0 {
+	w := b.r.beWaiting[b.port]
+	if b.curIn >= 0 || w == 0 {
 		return
 	}
-	n := len(b.r.beIn)
-	for i := 0; i < n; i++ {
-		idx := (b.rr + i) % n
-		u := b.r.beIn[idx]
-		if u.parsed && !u.bound && !u.dropping && u.outPort == b.port {
-			u.bound = true
-			b.curIn = idx
-			b.rr = idx + 1
-			return
-		}
-	}
+	idx := firstFrom(uint32(w), b.rr)
+	b.r.beWaiting[b.port] = w &^ (1 << idx)
+	b.r.beIn[idx].bound = true
+	b.curIn = idx
+	b.rr = idx + 1
 }
 
 // canSend reports whether a best-effort flit could go out this cycle.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/packet"
 )
@@ -13,11 +14,15 @@ import (
 // FIFO, as in the shared-memory switches the paper cites.
 type packetMemory struct {
 	data [][packet.TCBytes]byte
-	idle []int // FIFO of free slot addresses
+	// idle is the FIFO of free slot addresses, a fixed ring: nIdle
+	// entries starting at idle[head].
+	idle  []int
+	head  int
+	nIdle int
 }
 
 func newPacketMemory(slots int) *packetMemory {
-	m := &packetMemory{data: make([][packet.TCBytes]byte, slots)}
+	m := &packetMemory{data: make([][packet.TCBytes]byte, slots), nIdle: slots}
 	m.idle = make([]int, slots)
 	for i := range m.idle {
 		m.idle[i] = i
@@ -27,11 +32,14 @@ func newPacketMemory(slots int) *packetMemory {
 
 // alloc pops a free slot from the idle-address FIFO.
 func (m *packetMemory) alloc() (int, bool) {
-	if len(m.idle) == 0 {
+	if m.nIdle == 0 {
 		return -1, false
 	}
-	s := m.idle[0]
-	m.idle = m.idle[1:]
+	s := m.idle[m.head]
+	if m.head++; m.head == len(m.idle) {
+		m.head = 0
+	}
+	m.nIdle--
 	return s, true
 }
 
@@ -40,10 +48,18 @@ func (m *packetMemory) free(slot int) {
 	if slot < 0 || slot >= len(m.data) {
 		panic(fmt.Sprintf("router: freeing invalid memory slot %d", slot))
 	}
-	m.idle = append(m.idle, slot)
+	if m.nIdle == len(m.idle) {
+		panic(fmt.Sprintf("router: freeing memory slot %d with every slot already idle", slot))
+	}
+	tail := m.head + m.nIdle
+	if tail >= len(m.idle) {
+		tail -= len(m.idle)
+	}
+	m.idle[tail] = slot
+	m.nIdle++
 }
 
-func (m *packetMemory) freeSlots() int { return len(m.idle) }
+func (m *packetMemory) freeSlots() int { return m.nIdle }
 
 // writeChunk stores chunk i (chunkBytes wide) of a packet into slot.
 func (m *packetMemory) writeChunk(slot, chunk, chunkBytes int, src []byte) {
@@ -58,10 +74,11 @@ func (m *packetMemory) readChunk(slot, chunk, chunkBytes int, dst []byte) {
 }
 
 // busClient is a port engine that may need a memory access this cycle.
-// The bus polls clients in round-robin order and grants one chunk
+// An engine raises its request line (memBus.request) when a transfer
+// starts and drops it (memBus.release) with the last chunk; the bus
+// polls the raised lines in round-robin order and grants one chunk
 // transfer per cycle (demand-driven arbitration, Section 3.4).
 type busClient interface {
-	wantsBus() bool
 	busGrant()
 }
 
@@ -69,23 +86,42 @@ type busClient interface {
 // chunk transfer per cycle among all requesting engines.
 type memBus struct {
 	clients []busClient
-	rr      int
+	// want has bit i set while clients[i] has a transfer in progress.
+	want uint32
+	rr   int
 	// grants counts chunk transfers, a utilization statistic.
 	grants int64
 }
 
-func (b *memBus) attach(c busClient) { b.clients = append(b.clients, c) }
+// attach adds a client and returns its request line, a single bit of
+// want, in polling order.
+func (b *memBus) attach(c busClient) uint32 {
+	b.clients = append(b.clients, c)
+	return 1 << (len(b.clients) - 1)
+}
 
-// tick grants at most one client, starting the scan after last grantee.
+func (b *memBus) request(line uint32) { b.want |= line }
+func (b *memBus) release(line uint32) { b.want &^= line }
+
+// tick grants at most one client, the first requester at or after the
+// one following the last grantee.
 func (b *memBus) tick() {
-	n := len(b.clients)
-	for i := 0; i < n; i++ {
-		idx := (b.rr + i) % n
-		if b.clients[idx].wantsBus() {
-			b.clients[idx].busGrant()
-			b.rr = idx + 1
-			b.grants++
-			return
-		}
+	if b.want == 0 {
+		return
 	}
+	idx := firstFrom(b.want, b.rr)
+	b.clients[idx].busGrant()
+	b.rr = idx + 1
+	b.grants++
+}
+
+// firstFrom is the round-robin pick shared by the memory bus and the
+// best-effort output binding: the position of the lowest set bit of mask
+// at or after rr, wrapping to the lowest set bit of all. mask must be
+// non-zero; rr may be one past the highest position.
+func firstFrom(mask uint32, rr int) int {
+	if hi := mask >> uint(rr) << uint(rr); hi != 0 {
+		return bits.TrailingZeros32(hi)
+	}
+	return bits.TrailingZeros32(mask)
 }

@@ -93,6 +93,10 @@ type Router struct {
 	tcOut [NumPorts]*tcOutput
 	beIn  [NumPorts]*beInput
 	beOut [NumPorts]*beOutput
+	// beWaiting[q] has bit i set exactly while beIn[i] holds a parsed
+	// header routed to output q and is neither bound nor dropping — the
+	// inputs beOut[q].bind chooses among.
+	beWaiting [NumPorts]uint8
 
 	// tcInjectQ is a head-indexed queue: popped entries advance tcInjHead
 	// instead of reslicing, so the backing array is reused rather than
@@ -204,10 +208,10 @@ func New(name string, cfg Config) (*Router, error) {
 	// Bus polling order mirrors the chip's ten port engines: five
 	// receive engines then five transmit engines.
 	for i := 0; i < NumPorts; i++ {
-		r.bus.attach(r.tcIn[i])
+		r.tcIn[i].busLine = r.bus.attach(r.tcIn[i])
 	}
 	for i := 0; i < NumPorts; i++ {
-		r.bus.attach(r.tcOut[i])
+		r.tcOut[i].busLine = r.bus.attach(r.tcOut[i])
 	}
 	return r, nil
 }

@@ -14,8 +14,9 @@ import (
 // internal bus in chunk-sized transfers, and installs the scheduling
 // leaf from the connection-table entry.
 type tcInput struct {
-	r  *Router
-	id int // input index: 0..3 mesh links, 4 injection
+	r       *Router
+	id      int    // input index: 0..3 mesh links, 4 injection
+	busLine uint32 // memory-bus request line, raised while wActive
 
 	asm  [packet.TCBytes]byte
 	nAsm int
@@ -272,13 +273,12 @@ func (u *tcInput) launchWrite() {
 		return
 	}
 	u.wActive = true
+	u.r.bus.request(u.busLine)
 	u.wSlot = slot
 	u.wChunk = 0
 	u.wData = u.popPending()
 	u.r.noteMemOccupancy()
 }
-
-func (u *tcInput) wantsBus() bool { return u.wActive }
 
 // busGrant writes one chunk; on the last chunk the packet is live in
 // memory and its scheduling leaf is installed.
@@ -290,6 +290,7 @@ func (u *tcInput) busGrant() {
 		return
 	}
 	u.wActive = false
+	u.r.bus.release(u.busLine)
 	u.finishPacket()
 }
 
@@ -334,8 +335,9 @@ func (u *tcInput) finishPacket() {
 // memory fetch, and transmission, so scheduling overlaps transmission as
 // in the chip.
 type tcOutput struct {
-	r    *Router
-	port int
+	r       *Router
+	port    int
+	busLine uint32 // memory-bus request line, raised while fetching
 
 	// candidate awaiting fetch
 	cand      sched.Selection
@@ -408,10 +410,9 @@ func (o *tcOutput) launchFetch() {
 		return
 	}
 	o.fetching = true
+	o.r.bus.request(o.busLine)
 	o.fChunk = 0
 }
-
-func (o *tcOutput) wantsBus() bool { return o.fetching }
 
 func (o *tcOutput) busGrant() {
 	cb := o.r.cfg.ChunkBytes
@@ -421,6 +422,7 @@ func (o *tcOutput) busGrant() {
 		return
 	}
 	o.fetching = false
+	o.r.bus.release(o.busLine)
 	o.candValid = false
 	o.staged = true
 	o.sSlot = o.cand.Slot

@@ -25,10 +25,11 @@ func newBenchPair(b *testing.B) (*sim.Kernel, *Router, *Router) {
 	return k, ra, rb
 }
 
-// BenchmarkRouterTick measures the router's per-cycle cost on the three
-// hot paths the simulator spends its time in: the quiescent fast path,
-// saturated time-constrained forwarding, and best-effort wormhole
-// traffic contending in both directions. One iteration is one simulated
+// BenchmarkRouterTick measures the router's per-cycle cost on the hot
+// paths the simulator spends its time in: the quiescent fast path,
+// saturated time-constrained forwarding (with a near-empty and with a
+// 32-leaf scheduler), and best-effort wormhole traffic contending in
+// both directions. One iteration is one simulated
 // cycle, so ns/op reads directly as ns/cycle and allocs/op as
 // allocs/cycle (the steady-state figure TestSteadyStateAllocs gates at
 // the mesh level).
@@ -48,7 +49,12 @@ func BenchmarkRouterTick(b *testing.B) {
 		}
 	})
 
-	b.Run("tc_forward", func(b *testing.B) {
+	// tcForward saturates the A→B link with one packet per slot, each
+	// stamped ahead slots before its logical arrival time. With ahead 0
+	// the tree holds a leaf or two; with ahead 32 every packet waits out
+	// its earliness in A's memory, so about 32 leaves stay resident — the
+	// occupancy a loaded mesh runs at, and what Select's cost scales with.
+	tcForward := func(b *testing.B, ahead int) {
 		k, ra, rb := newBenchPair(b)
 		if err := ra.SetConnection(1, 2, 5, 1<<PortXPlus); err != nil {
 			b.Fatal(err)
@@ -61,26 +67,34 @@ func BenchmarkRouterTick(b *testing.B) {
 			// One packet per slot keeps the scheduler, the shared memory,
 			// and the transmit engines busy every single cycle.
 			if cycle%packet.TCBytes == 0 && ra.FreeSlots() > 0 {
+				if ahead > 0 {
+					pkt.Stamp = packet.StampOf(ra.SlotNow(int64(k.Now()))) + uint8(ahead)
+				}
 				ra.InjectTC(pkt)
 			}
 			k.Step()
 			rb.DrainTC()
 		}
 		// Warm-up must outlast the connection's scheduling delay (d=5
-		// slots at each hop) so deliveries are already flowing when the
-		// measured window starts.
-		for c := 0; c < 32*packet.TCBytes; c++ {
+		// slots at each hop) and the packets' earliness, so deliveries
+		// are already flowing when the measured window starts.
+		for c := 0; c < (32+2*ahead)*packet.TCBytes; c++ {
 			step(c)
 		}
 		if rb.Stats.TCDelivered == 0 {
 			b.Fatal("tc_forward benchmark forwarded nothing during warm-up")
+		}
+		if occ := ra.Scheduler().Occupancy(); ahead > 0 && (occ < ahead-4 || occ > ahead+4) {
+			b.Fatalf("%d leaves resident after warm-up, want about %d", occ, ahead)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			step(i)
 		}
-	})
+	}
+	b.Run("tc_forward", func(b *testing.B) { tcForward(b, 0) })
+	b.Run("tc_forward_occ32", func(b *testing.B) { tcForward(b, 32) })
 
 	b.Run("be_contention", func(b *testing.B) {
 		k, ra, rb := newBenchPair(b)

@@ -144,11 +144,19 @@ type IdleSkipper interface {
 }
 
 // EDFTree is the paper's scheduler: a comparator tree over all leaves
-// with Figure 4 keys. The software model scans linearly; Tournament (in
-// tree.go) mirrors the hardware structure and is tested equivalent.
+// with Figure 4 keys. In the chip only eligible leaves take part in a
+// reduction; the software model keeps, per output port, a bitmap of the
+// slots that still owe that port a copy and reduces over those alone,
+// in ascending slot order. Tournament (in tree.go) mirrors the hardware
+// structure and is tested equivalent.
 type EDFTree struct {
-	wheel   timing.Wheel
-	leaves  []Leaf
+	wheel  timing.Wheel
+	leaves []Leaf
+	// owed[p] has bit s set exactly when leaves[s] is in use and its
+	// mask holds port p: Install sets the bits of the leaf's mask,
+	// ClearPort clears the one it transmits, and nothing else writes a
+	// leaf, so Select visits the leaves a scan of all slots would pass.
+	owed    [NumPorts][]uint64
 	inUse   int
 	Overdue int64 // count of selections whose laxity clamped (robustness metric)
 	Selects int64 // count of Select invocations (arbitration beats)
@@ -160,7 +168,13 @@ func NewEDFTree(slots int, wheel timing.Wheel) *EDFTree {
 	if slots <= 0 {
 		panic("sched: slots must be positive")
 	}
-	return &EDFTree{wheel: wheel, leaves: make([]Leaf, slots)}
+	t := &EDFTree{wheel: wheel, leaves: make([]Leaf, slots)}
+	words := (slots + 63) / 64
+	index := make([]uint64, NumPorts*words)
+	for p := range t.owed {
+		t.owed[p] = index[p*words : (p+1)*words : (p+1)*words]
+	}
+	return t
 }
 
 // Wheel returns the clock wheel the tree sorts on.
@@ -177,38 +191,48 @@ func (t *EDFTree) Install(slot int, leaf Leaf) error {
 	if leaf.Mask == 0 {
 		return fmt.Errorf("sched: installing leaf with empty port mask")
 	}
+	if leaf.Mask&^AllPortsMask(NumPorts) != 0 {
+		// No port could ever clear such a bit: the leaf would never free.
+		return fmt.Errorf("sched: port mask %#x has bits beyond %d ports", uint8(leaf.Mask), NumPorts)
+	}
 	leaf.InUse = true
 	t.leaves[slot] = leaf
 	t.inUse++
+	for m := uint8(leaf.Mask); m != 0; m &= m - 1 {
+		t.owed[bits.TrailingZeros8(m)][slot>>6] |= 1 << (slot & 63)
+	}
 	return nil
 }
 
 // Select implements Scheduler. It performs the same min-reduction the
 // hardware comparator tree performs, with the top-of-tree horizon check.
+// A port outside [0, NumPorts) is owed nothing.
 func (t *EDFTree) Select(port int, now timing.Stamp, horizon uint32) Selection {
 	t.Selects++
 	best := Selection{Slot: -1, Class: ClassNone, Key: t.wheel.KeyIneligible()}
-	for i := range t.leaves {
-		lf := &t.leaves[i]
-		if !lf.InUse || !lf.Mask.Has(port) {
-			continue
-		}
-		k, early, overdue := t.wheel.SortKey(lf.L, lf.Dl, now)
-		if overdue {
-			t.Overdue++
-		}
-		if k < best.Key {
-			best.Key = k
-			best.Slot = i
-			if early {
-				best.Class = ClassEarly
-			} else {
-				best.Class = ClassOnTime
+	if port < 0 || port >= NumPorts {
+		return best
+	}
+	for w, word := range t.owed[port] {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			lf := &t.leaves[i]
+			k, early, overdue := t.wheel.SortKey(lf.L, lf.Dl, now)
+			if overdue {
+				t.Overdue++
+			}
+			// Strict compare over ascending slots: ties stay with the
+			// lowest slot.
+			if k < best.Key {
+				best.Key = k
+				best.Slot = i
+				if early {
+					best.Class = ClassEarly
+				} else {
+					best.Class = ClassOnTime
+				}
 			}
 		}
-	}
-	if best.Slot < 0 {
-		return Selection{Slot: -1, Class: ClassNone, Key: t.wheel.KeyIneligible()}
 	}
 	// Top-of-tree check: early winners ship only within the horizon.
 	if best.Class == ClassEarly && !t.wheel.WithinHorizon(best.Key, horizon) {
@@ -226,10 +250,11 @@ func (t *EDFTree) ClearPort(slot, port int) (bool, error) {
 	if !lf.InUse {
 		return false, fmt.Errorf("sched: clearing free slot %d", slot)
 	}
-	if !lf.Mask.Has(port) {
+	if port < 0 || port >= NumPorts || !lf.Mask.Has(port) {
 		return false, fmt.Errorf("sched: port %d bit already clear in slot %d", port, slot)
 	}
 	lf.Mask = lf.Mask.Clear(port)
+	t.owed[port][slot>>6] &^= 1 << (slot & 63)
 	if lf.Mask == 0 {
 		*lf = Leaf{}
 		t.inUse--

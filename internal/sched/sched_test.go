@@ -57,6 +57,13 @@ func TestEDFInstallErrors(t *testing.T) {
 	if err := tr.Install(0, Leaf{Mask: 1}); err == nil {
 		t.Error("double install: want error")
 	}
+	// A mask bit no output port owns could never be cleared: the leaf
+	// (and its memory slot) would leak.
+	for _, m := range []PortMask{1 << NumPorts, 0x80, 0x1f | 1<<NumPorts} {
+		if err := tr.Install(1, Leaf{Mask: m}); err == nil {
+			t.Errorf("mask %#x beyond %d ports: want error", m, NumPorts)
+		}
+	}
 	if tr.Occupancy() != 1 {
 		t.Errorf("Occupancy = %d, want 1", tr.Occupancy())
 	}
@@ -144,6 +151,24 @@ func TestEDFClearErrors(t *testing.T) {
 	must(t, tr.Install(0, Leaf{Mask: 0b10}))
 	if _, err := tr.ClearPort(0, 0); err == nil {
 		t.Error("clear of unset port bit: want error")
+	}
+	// Ports outside [0, NumPorts) index no bitmap: an error from
+	// ClearPort, an empty selection (that still counts as a beat) from
+	// Select, never a panic.
+	for _, port := range []int{-1, NumPorts, 7, 8, 64, 1 << 20} {
+		if _, err := tr.ClearPort(0, port); err == nil {
+			t.Errorf("clear of port %d: want error", port)
+		}
+		beats := tr.Selects
+		if sel := tr.Select(port, 0, 127); sel.Slot != -1 || sel.Class != ClassNone || sel.Key != wheel8.KeyIneligible() {
+			t.Errorf("Select(port %d) = %+v, want no eligible leaf", port, sel)
+		}
+		if tr.Selects != beats+1 {
+			t.Errorf("Select(port %d) counted %d beats, want 1", port, tr.Selects-beats)
+		}
+	}
+	if lf := tr.Leaf(0); !lf.InUse || lf.Mask != 0b10 || tr.Occupancy() != 1 {
+		t.Errorf("refused clears disturbed the leaf: %+v, occupancy %d", lf, tr.Occupancy())
 	}
 }
 
