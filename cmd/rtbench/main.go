@@ -66,7 +66,7 @@ var (
 	strictLayout    = flag.String("strict-layout", "", "comma-separated families whose synthesized run must admit strictly more than greedy in -exp layout (e.g. hotspot,transpose)")
 	minAdmitSpeedup = flag.Float64("min-admit-speedup", 0, "fail -exp admission if any family's incremental-vs-reference sequential speedup (timed in-run, serial vs serial) is below this (0 = don't enforce)")
 	minAdmitRate    = flag.Float64("min-admit-rate", 0, "fail -exp admission if the best AdmitBatch decisions/sec is below this floor; loudly skipped on a single-CPU runner (0 = don't enforce)")
-	epoch           = flag.Int("epoch", 1, "synchronization epoch for cyclerate/sweep/forensics: amortize the parallel kernel's barrier over this many cycles (links deepen to match; 1 = per-cycle barriers)")
+	linkLatency     = flag.Int("link-latency", 1, "mesh link latency in cycles for cyclerate/sweep/forensics, on every run compared; the parallel kernel derives its synchronization epoch from it, so deeper links amortize its barrier (1 = the paper's wire, per-cycle barriers)")
 	cpuProfile      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile      = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsOut      = flag.String("metrics", "", "write aggregate telemetry across all runs to this file (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
@@ -165,11 +165,11 @@ func main() {
 		"faults":    func() error { return runFaults(*seed) },
 		"ring":      func() error { return runRing(*cycles) },
 		"sharing":   func() error { return runSharing(*cycles) },
-		"cyclerate": func() error { return runCycleRate(*cycles, *workers, *epoch, *benchJSON) },
+		"cyclerate": func() error { return runKernelRate(*cycles, *workers, *linkLatency, *benchJSON) },
 		"sweep": func() error {
-			return runSweep(*cycles, *workers, *epoch, *meshList, *benchJSON, *minSpeedup, *baseline, *maxRegress)
+			return runSweep(*cycles, *workers, *linkLatency, *meshList, *benchJSON, *minSpeedup, *baseline, *maxRegress)
 		},
-		"forensics": func() error { return runForensics(*scenarioPath, *cycles, *epoch) },
+		"forensics": func() error { return runForensics(*scenarioPath, *cycles, *linkLatency) },
 		"capacity": func() error {
 			return runCapacity(*meshList, *scenarioPath, *cycles, *benchJSON, *baseline, *maxRegress)
 		},
@@ -240,9 +240,9 @@ var (
 		"faults":    {"seed"},
 		"ring":      {"cycles"},
 		"sharing":   {"cycles"},
-		"cyclerate": {"cycles", "workers", "epoch", "benchjson"},
-		"sweep":     {"cycles", "workers", "epoch", "mesh", "benchjson", "min-speedup", "baseline", "max-regress"},
-		"forensics": {"scenario", "cycles", "epoch"},
+		"cyclerate": {"cycles", "workers", "link-latency", "benchjson"},
+		"sweep":     {"cycles", "workers", "link-latency", "mesh", "benchjson", "min-speedup", "baseline", "max-regress"},
+		"forensics": {"scenario", "cycles", "link-latency"},
 		"capacity":  {"mesh", "scenario", "cycles", "benchjson", "baseline", "max-regress"},
 		"admission": {"mesh", "requests", "benchjson", "min-admit-speedup", "min-admit-rate", "baseline", "max-regress"},
 		"layout":    {"mesh", "requests", "benchjson", "baseline", "max-regress", "strict-layout"},
@@ -523,8 +523,8 @@ func runSharing(cycles int64) error {
 	return nil
 }
 
-func runCycleRate(cycles int64, workers, epoch int, benchJSON string) error {
-	res, err := experiments.RunCycleRate(8, 8, cycles, workers, epoch)
+func runKernelRate(cycles int64, workers, linkLat int, benchJSON string) error {
+	res, err := experiments.RunCycleRate(8, 8, cycles, workers, linkLat)
 	if err != nil {
 		return err
 	}
@@ -567,8 +567,8 @@ func runCycleRate(cycles int64, workers, epoch int, benchJSON string) error {
 // non-advancing time-constrained cycle must carry exactly one blame
 // cause (no unattributed cycles), and the blame totals must reconcile
 // with the independent hardware counters.
-func runForensics(scenarioPath string, cycles int64, epoch int) error {
-	res, err := experiments.RunForensics(scenarioPath, cycles, nil, epoch)
+func runForensics(scenarioPath string, cycles int64, linkLat int) error {
+	res, err := experiments.RunForensics(scenarioPath, cycles, nil, linkLat)
 	if err != nil {
 		return err
 	}
@@ -750,7 +750,7 @@ func runLayout(meshList string, requests int, benchJSON, baseline string, maxReg
 // non-zero cycles overrides every mesh's budget, and minSpeedup turns
 // the sweep into a regression tripwire for CI. A baseline file adds a
 // per-row diff against the archived sweep, failing past maxRegress.
-func runSweep(cycles int64, workers, epoch int, meshList, benchJSON string, minSpeedup float64, baseline string, maxRegress float64) error {
+func runSweep(cycles int64, workers, linkLat int, meshList, benchJSON string, minSpeedup float64, baseline string, maxRegress float64) error {
 	var meshes []int
 	if meshList != "" {
 		for _, s := range strings.Split(meshList, ",") {
@@ -776,7 +776,7 @@ func runSweep(cycles int64, workers, epoch int, meshList, benchJSON string, minS
 	if runtime.GOMAXPROCS(0) == 1 {
 		fmt.Fprintf(os.Stderr, "rtbench: WARNING: GOMAXPROCS=1 (NumCPU=%d) — every parallel row runs its workers on a single OS thread, so speedups here measure overhead, not scaling\n", runtime.NumCPU())
 	}
-	res, err := experiments.RunScalingSweep(meshes, workerSet, budget, epoch)
+	res, err := experiments.RunScalingSweep(meshes, workerSet, budget, linkLat)
 	if err != nil {
 		return err
 	}
@@ -845,11 +845,11 @@ func runSweep(cycles int64, workers, epoch int, meshList, benchJSON string, minS
 		return regress
 	}
 	out := map[string]any{
-		"benchmark":  "router_scaling_sweep",
-		"gomaxprocs": res.GOMAXPROCS,
-		"num_cpu":    res.NumCPU,
-		"epoch":      epoch,
-		"rows":       rows,
+		"benchmark":    "router_scaling_sweep",
+		"gomaxprocs":   res.GOMAXPROCS,
+		"num_cpu":      res.NumCPU,
+		"link_latency": linkLat,
+		"rows":         rows,
 	}
 	// Headline: the 8×8 mesh at 4 workers, the configuration the older
 	// single-point cyclerate benchmark archived.

@@ -84,7 +84,9 @@ type Options struct {
 	// Workers selects the kernel execution mode: 0 or 1 runs the
 	// simulation sequentially (the default); n > 1 ticks the per-node
 	// shards on n workers with bit-identical results; negative picks
-	// GOMAXPROCS. Parallel systems should be Closed when done.
+	// GOMAXPROCS. Parallel systems should be Closed when done. The
+	// workers rendezvous once per Router.LinkLatency cycles: the kernel
+	// derives that epoch from the wiring (sim.Kernel.EffectiveEpoch).
 	//
 	// Observability is parallel-safe under any worker count: each router
 	// writes lifecycle events only into its own node's collector shard
@@ -98,18 +100,6 @@ type Options struct {
 	// barriers, and a hand-installed router.OnLifecycle hook that writes
 	// shared state must synchronize itself (prefer obs.Sharded).
 	Workers int
-	// Tile sets the spatial tile edge for the parallel execution mode:
-	// node shards group into Tile×Tile blocks per kernel worker. 0 means
-	// mesh.DefaultTileSize; 1 is per-node grouping. Results are
-	// bit-identical for every tile size.
-	Tile int
-	// Epoch asks the parallel kernel to run workers for Epoch
-	// consecutive cycles between barrier rendezvous, amortizing the
-	// synchronization cost. 0 or 1 is the per-cycle default. The kernel
-	// clamps the request to what the wiring makes legal — the minimum
-	// cross-shard link latency — so results stay bit-identical at any
-	// epoch; raising Router.LinkLatency is what buys longer epochs.
-	Epoch int
 }
 
 // DefaultMetrics, when set, is attached by NewMesh to systems built
@@ -293,14 +283,8 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 		reg.SetCapacitySource(adm.Sealed)
 		reg.SetAdmissionSource(adm.Stats)
 	}
-	if opts.Tile != 0 {
-		net.SetTileSize(opts.Tile)
-	}
 	if opts.Workers != 0 && opts.Workers != 1 {
 		net.SetWorkers(opts.Workers)
-	}
-	if opts.Epoch > 1 {
-		net.Kernel.SetEpoch(int64(opts.Epoch))
 	}
 	return sys, nil
 }

@@ -19,7 +19,7 @@ import (
 // per-router hardware counters, every packet delivered at every node in
 // delivery order, the telemetry registry totals, the merged lifecycle
 // trace, the per-channel SLO snapshots, and the epoch length the kernel
-// actually settled on.
+// derived from the wiring.
 type loadedRun struct {
 	Stats      []router.Stats
 	Deliveries [][]string
@@ -34,8 +34,7 @@ type loadedRun struct {
 // wires.
 type loadedOpts struct {
 	workers   int
-	tile      int
-	epoch     int
+	tile      int // mesh tile edge; 0 = mesh.DefaultTileSize
 	linkLat   int // router.Config.LinkLatency; 0 = the 1-cycle default
 	forcePool bool
 	cycles    int64
@@ -53,13 +52,16 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 	rcfg := router.DefaultConfig()
 	rcfg.LinkLatency = o.linkLat
 	sys, err := NewMesh(8, 8, Options{
-		Router: rcfg, Workers: o.workers, Tile: o.tile, Epoch: o.epoch,
+		Router: rcfg, Workers: o.workers,
 		Metrics: reg, Collector: col, ChannelSLO: slo,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	if o.tile != 0 {
+		sys.Net.SetTileSize(o.tile)
+	}
 	sys.Net.Kernel.ForcePool(o.forcePool)
 
 	spec := rtc.Spec{Imin: 8, Smax: 18, D: 120}
@@ -212,49 +214,63 @@ func TestParallelEquivalence(t *testing.T) {
 }
 
 // TestEpochEquivalenceLoaded extends the parallel contract to the
-// epoch-synchronized mode: with 4-cycle wires (the minimum cross-shard
-// latency that legalizes epochs up to 4), the same loaded mesh must be
-// byte-identical across epoch lengths 1, 2, and 4 at several worker
-// counts — and the kernel must actually have run at the requested epoch,
-// not silently clamped it away.
+// epoch-synchronized mode: the kernel derives its epoch from the link
+// latency, so at 1-, 2- and 4-cycle wires the same loaded mesh must be
+// byte-identical to the sequential run over the same wires at several
+// worker counts — and the kernel must actually have run epochs as long
+// as the wires (the k of each leg), not something shorter.
 func TestEpochEquivalenceLoaded(t *testing.T) {
-	const linkLat = 4
 	cycles := int64(6000)
 	if testing.Short() {
 		cycles = 3000
 	}
-	// Longer wires change the behavior (arrivals shift), so the epoch
-	// matrix needs its own sequential reference at the same latency.
-	seq := runLoaded(t, loadedOpts{workers: 1, linkLat: linkLat, cycles: cycles})
-	checkLoadedVacuity(t, seq)
+	for _, linkLat := range []int{1, 2, 4} {
+		// Longer wires change the behavior (arrivals shift), so each
+		// latency needs its own sequential reference.
+		seq := runLoaded(t, loadedOpts{workers: 1, linkLat: linkLat, cycles: cycles})
+		checkLoadedVacuity(t, seq)
 
-	for _, workers := range []int{2, 4} {
-		for _, epoch := range []int{1, 2, 4} {
-			workers, epoch := workers, epoch
-			t.Run(fmt.Sprintf("w%d-k%d", workers, epoch), func(t *testing.T) {
+		for _, workers := range []int{2, 4} {
+			label := fmt.Sprintf("w%d-k%d", workers, linkLat)
+			t.Run(label, func(t *testing.T) {
 				run := runLoaded(t, loadedOpts{
-					workers: workers, epoch: epoch, linkLat: linkLat,
+					workers: workers, linkLat: linkLat,
 					forcePool: true, cycles: cycles,
 				})
-				if epoch > 1 && run.Epoch != int64(epoch) {
-					t.Fatalf("kernel clamped epoch to %d, want %d — the matrix leg is vacuous", run.Epoch, epoch)
+				if run.Epoch != int64(linkLat) {
+					t.Fatalf("kernel ran epoch %d on %d-cycle wires — the matrix leg is vacuous", run.Epoch, linkLat)
 				}
-				compareLoaded(t, seq, run, fmt.Sprintf("w%d-k%d", workers, epoch))
+				compareLoaded(t, seq, run, label)
 			})
 		}
 	}
 }
 
-// TestEpochClampLoaded pins the legality clamp at the system level: on
-// the paper's single-cycle wires a requested epoch of 4 must fall back
-// to per-cycle execution (1-cycle cross-shard pipes cannot legally hide
-// multi-cycle batches) and still reproduce the sequential run exactly.
+// TestEpochDerivedFromLinkLatency: Workers and Router.LinkLatency are
+// all a caller sets — no epoch request, no ForcePool — and the kernel
+// runs 4-cycle epochs over 4-cycle links, bit-identical to the
+// sequential run.
+func TestEpochDerivedFromLinkLatency(t *testing.T) {
+	const cycles = 3000
+	seq := runLoaded(t, loadedOpts{workers: 1, linkLat: 4, cycles: cycles})
+	checkLoadedVacuity(t, seq)
+	run := runLoaded(t, loadedOpts{workers: 2, linkLat: 4, cycles: cycles})
+	if run.Epoch != 4 {
+		t.Fatalf("effective epoch %d on 4-cycle links, want 4", run.Epoch)
+	}
+	compareLoaded(t, seq, run, "derived-epoch")
+}
+
+// TestEpochClampLoaded pins the legality bound at the system level: on
+// the paper's single-cycle wires the derived epoch is 1 (1-cycle
+// cross-shard pipes cannot legally hide multi-cycle batches), and the
+// per-cycle pooled run reproduces the sequential run exactly.
 func TestEpochClampLoaded(t *testing.T) {
 	cycles := int64(3000)
 	seq := runLoaded(t, loadedOpts{workers: 1, cycles: cycles})
-	run := runLoaded(t, loadedOpts{workers: 4, epoch: 4, forcePool: true, cycles: cycles})
+	run := runLoaded(t, loadedOpts{workers: 4, forcePool: true, cycles: cycles})
 	if run.Epoch != 1 {
-		t.Fatalf("effective epoch %d on 1-cycle wires, want clamp to 1", run.Epoch)
+		t.Fatalf("effective epoch %d on 1-cycle wires, want 1", run.Epoch)
 	}
 	compareLoaded(t, seq, run, "clamped-epoch")
 }
@@ -295,10 +311,10 @@ func TestParallelTracingRace(t *testing.T) {
 		t.Fatalf("metrics snapshots diverged between 1 and %d workers", workers)
 	}
 
-	// The epoch path batches the compute phase differently (per-tile
+	// A multi-cycle step batches the compute phase differently (per-tile
 	// inner loops, no per-cycle barrier), so it gets its own race leg
-	// on 4-cycle wires where epoch 4 is legal.
-	epoch := runLoaded(t, loadedOpts{workers: workers, epoch: 4, linkLat: 4, forcePool: true, cycles: cycles})
+	// on 4-cycle wires, where the kernel runs 4-cycle epochs.
+	epoch := runLoaded(t, loadedOpts{workers: workers, linkLat: 4, forcePool: true, cycles: cycles})
 	seqLat := runLoaded(t, loadedOpts{workers: 1, linkLat: 4, cycles: cycles})
 	if seqLat.Trace != epoch.Trace {
 		t.Fatalf("merged traces diverged between sequential and epoch-4 runs")

@@ -22,9 +22,9 @@ type CycleRateResult struct {
 	W, H    int
 	Cycles  int64
 	Workers int
-	// Epoch is the synchronization epoch requested for the parallel
-	// mode (1 = per-cycle barriers). Epochs above 1 deepen the link
-	// latency to match, on both modes, so the comparison stays honest.
+	// Epoch is the synchronization epoch the parallel kernel derived
+	// from the link latency (1 = per-cycle barriers). Deeper links apply
+	// to both modes, so the comparison stays honest.
 	Epoch int
 
 	SeqRate float64 // cycles per second, sequential kernel
@@ -41,11 +41,10 @@ type CycleRateResult struct {
 
 // loadCycleRateSystem builds the measured workload: real-time channels
 // crossing the mesh corner to corner plus a best-effort source on every
-// node, all registered into per-node shards. linkLat deepens the mesh
-// wires (epoch legality requires latency >= epoch), epoch > 1 turns on
-// epoch-synchronized execution.
-func loadCycleRateSystem(w, h, workers, linkLat, epoch int) (*core.System, error) {
-	opts := core.Options{Workers: workers, Epoch: epoch}
+// node, all registered into per-node shards. linkLat > 1 deepens the
+// mesh wires, which is what lets the parallel kernel run epochs.
+func loadCycleRateSystem(w, h, workers, linkLat int) (*core.System, error) {
+	opts := core.Options{Workers: workers}
 	if linkLat > 1 {
 		opts.Router = router.DefaultConfig()
 		opts.Router.LinkLatency = linkLat
@@ -93,6 +92,7 @@ type measurement struct {
 	Rate  float64   // cycles per second, best repetition
 	Reps  []float64 // cycles per second of every repetition, in order
 	Stats []router.Stats
+	Epoch int // the kernel's EffectiveEpoch
 }
 
 // timeSegment times one already-warm system over cycles and folds the
@@ -123,8 +123,8 @@ func allocWarmup(w, h int) int64 {
 // clean measured window. Timing repetitions can't reuse this number —
 // their warm-up is sized for rate stability, not pool circulation, so
 // folding allocation reads into them would report the transient.
-func steadyAllocs(w, h, workers, linkLat, epoch int, window int64) (float64, error) {
-	sys, err := loadCycleRateSystem(w, h, workers, linkLat, epoch)
+func steadyAllocs(w, h, workers, linkLat int, window int64) (float64, error) {
+	sys, err := loadCycleRateSystem(w, h, workers, linkLat)
 	if err != nil {
 		return 0, err
 	}
@@ -145,20 +145,16 @@ func steadyAllocs(w, h, workers, linkLat, epoch int, window int64) (float64, err
 // percent bias for any single instance, and only re-drawing it per
 // repetition lets the median expose the code's real difference. The
 // returned speedup is the median of the per-repetition par/seq ratios.
-// epoch > 1 runs the parallel mode epoch-synchronized; both modes then
-// share the deepened link latency the epoch requires, so the sequential
-// baseline simulates the identical machine.
-func timePair(w, h, workers, epoch int, cycles int64) (seq, par measurement, speedup float64, err error) {
-	linkLat := 1
-	if epoch > 1 {
-		linkLat = epoch
-	}
+// Both modes share linkLat, so the sequential baseline simulates the
+// identical machine; over deepened links the parallel mode runs
+// epoch-synchronized.
+func timePair(w, h, workers, linkLat int, cycles int64) (seq, par measurement, speedup float64, err error) {
 	for rep := 0; rep < timingReps; rep++ {
-		seqSys, err := loadCycleRateSystem(w, h, 1, linkLat, 0)
+		seqSys, err := loadCycleRateSystem(w, h, 1, linkLat)
 		if err != nil {
 			return seq, par, 0, err
 		}
-		parSys, err := loadCycleRateSystem(w, h, workers, linkLat, epoch)
+		parSys, err := loadCycleRateSystem(w, h, workers, linkLat)
 		if err != nil {
 			seqSys.Close()
 			return seq, par, 0, err
@@ -177,6 +173,7 @@ func timePair(w, h, workers, epoch int, cycles int64) (seq, par measurement, spe
 			for _, c := range parSys.Net.Coords() {
 				par.Stats = append(par.Stats, parSys.Router(c).Stats)
 			}
+			par.Epoch = int(parSys.Net.Kernel.EffectiveEpoch())
 		}
 		parSys.Close()
 		seqSys.Close()
@@ -197,35 +194,28 @@ func timePair(w, h, workers, epoch int, cycles int64) (seq, par measurement, spe
 // RunCycleRate measures simulator throughput on a loaded w×h mesh with
 // the sequential kernel and with the parallel kernel at the given
 // worker count (<= 0 picks GOMAXPROCS), and cross-checks that both
-// modes produce identical router counters. epoch > 1 amortizes the
-// parallel kernel's barrier over that many cycles (the links deepen to
-// match, in both modes).
-func RunCycleRate(w, h int, cycles int64, workers, epoch int) (*CycleRateResult, error) {
+// modes produce identical router counters. linkLat > 1 deepens the
+// links in both modes, which amortizes the parallel kernel's barrier
+// over that many cycles.
+func RunCycleRate(w, h int, cycles int64, workers, linkLat int) (*CycleRateResult, error) {
 	workers = sim.ResolveWorkers(workers)
-	if epoch < 1 {
-		epoch = 1
-	}
 	if cycles <= 0 {
 		cycles = 50000
 	}
-	seq, par, speedup, err := timePair(w, h, workers, epoch, cycles)
+	seq, par, speedup, err := timePair(w, h, workers, linkLat, cycles)
 	if err != nil {
 		return nil, err
 	}
-	linkLat := 1
-	if epoch > 1 {
-		linkLat = epoch
-	}
-	seqAllocs, err := steadyAllocs(w, h, 1, linkLat, 0, cycles)
+	seqAllocs, err := steadyAllocs(w, h, 1, linkLat, cycles)
 	if err != nil {
 		return nil, err
 	}
-	parAllocs, err := steadyAllocs(w, h, workers, linkLat, epoch, cycles)
+	parAllocs, err := steadyAllocs(w, h, workers, linkLat, cycles)
 	if err != nil {
 		return nil, err
 	}
 	return &CycleRateResult{
-		W: w, H: h, Cycles: cycles, Workers: workers, Epoch: epoch,
+		W: w, H: h, Cycles: cycles, Workers: workers, Epoch: par.Epoch,
 		SeqRate: seq.Rate, ParRate: par.Rate, Speedup: speedup,
 		SeqAllocsPerCycle: seqAllocs, ParAllocsPerCycle: parAllocs,
 		StatsMatch: reflect.DeepEqual(seq.Stats, par.Stats),

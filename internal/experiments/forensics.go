@@ -25,9 +25,9 @@ type ForensicsResult struct {
 	Scenario string
 	Cycles   int64
 	Workers  []int
-	// Epoch is the synchronization epoch every run used (1 = per-cycle
-	// barriers; above 1 the mesh links deepen to match).
-	Epoch int
+	// LinkLatency is the mesh-wire depth every run used; the parallel
+	// runs synchronize once per that many cycles.
+	LinkLatency int
 	// Identical reports whether every worker count produced a
 	// byte-identical forensics report (attribution + recorder summary).
 	Identical bool
@@ -67,7 +67,7 @@ type forensicsRun struct {
 	summary scenario.Result
 }
 
-func runForensicsOnce(path string, cycles int64, workers, epoch, shardCap int) (*forensicsRun, error) {
+func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int) (*forensicsRun, error) {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		return nil, err
@@ -80,7 +80,7 @@ func runForensicsOnce(path string, cycles int64, workers, epoch, shardCap int) (
 	rec := obs.NewRecorder(0, 0)
 	res, sys, err := sc.RunWith(scenario.RunOpts{
 		Metrics: reg, Collector: col, ChannelSLO: slo,
-		Forensics: fns, Recorder: rec, Workers: workers, Epoch: epoch,
+		Forensics: fns, Recorder: rec, Workers: workers, LinkLatency: linkLat,
 	})
 	if err != nil {
 		return nil, err
@@ -113,20 +113,21 @@ func runForensicsOnce(path string, cycles int64, workers, epoch, shardCap int) (
 //     machinery actually retransmitted or aborted.
 //
 // cycles > 0 caps the scenario's run length (the -short test mode).
-// epoch > 1 runs every worker count epoch-synchronized over deepened
-// links, so the byte-identical gate covers the epoch path too.
-func RunForensics(path string, cycles int64, workers []int, epoch int) (*ForensicsResult, error) {
+// linkLat > 1 runs every worker count over deepened links — the parallel
+// ones epoch-synchronized — so the byte-identical gate covers the epoch
+// path too.
+func RunForensics(path string, cycles int64, workers []int, linkLat int) (*ForensicsResult, error) {
 	if len(workers) == 0 {
 		workers = DefaultForensicsWorkers
 	}
-	if epoch < 1 {
-		epoch = 1
+	if linkLat < 1 {
+		linkLat = 1
 	}
 	const shardCap = 1 << 15
-	res := &ForensicsResult{Scenario: path, Workers: workers, Epoch: epoch, Identical: true}
+	res := &ForensicsResult{Scenario: path, Workers: workers, LinkLatency: linkLat, Identical: true}
 	var ref *forensicsRun
 	for i, wk := range workers {
-		run, err := runForensicsOnce(path, cycles, wk, epoch, shardCap)
+		run, err := runForensicsOnce(path, cycles, wk, linkLat, shardCap)
 		if err != nil {
 			return nil, fmt.Errorf("forensics %s x%d: %w", path, wk, err)
 		}
@@ -193,7 +194,7 @@ func RunForensics(path string, cycles int64, workers []int, epoch int) (*Forensi
 // Table renders the check list.
 func (r *ForensicsResult) Table() *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Forensics gate: %s (%d cycles, epoch %d)", r.Scenario, r.Cycles, r.Epoch),
+		Title:  fmt.Sprintf("Forensics gate: %s (%d cycles, %d-cycle links)", r.Scenario, r.Cycles, r.LinkLatency),
 		Header: []string{"check", "ok", "detail"},
 	}
 	t.AddRow("byte_identical_reports", fmt.Sprintf("%v", r.Identical),

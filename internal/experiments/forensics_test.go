@@ -18,12 +18,12 @@ func gateCycles(short, full int64) int64 {
 
 func runGate(t *testing.T, path string, cycles int64) *ForensicsResult {
 	t.Helper()
-	return runGateEpoch(t, path, cycles, 1)
+	return runGateLinks(t, path, cycles, 1)
 }
 
-func runGateEpoch(t *testing.T, path string, cycles int64, epoch int) *ForensicsResult {
+func runGateLinks(t *testing.T, path string, cycles int64, linkLat int) *ForensicsResult {
 	t.Helper()
-	res, err := RunForensics(path, cycles, nil, epoch)
+	res, err := RunForensics(path, cycles, nil, linkLat)
 	if err != nil {
 		t.Fatalf("RunForensics(%s): %v", path, err)
 	}
@@ -76,7 +76,7 @@ func TestForensicsGateFaulty(t *testing.T) {
 // epochs, the report must still be byte-identical at workers {1,2,4}
 // and every invariant must still reconcile.
 func TestForensicsGateEpoch(t *testing.T) {
-	res := runGateEpoch(t, "../../scenarios/fig6.json", gateCycles(4000, 10000), 4)
+	res := runGateLinks(t, "../../scenarios/fig6.json", gateCycles(4000, 10000), 4)
 	if res.Stats.TCStallCycles == 0 {
 		t.Error("epoch-4 fig6 produced no attributed TC stall cycles; the engine saw nothing")
 	}

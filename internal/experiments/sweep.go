@@ -16,9 +16,9 @@ type SweepRow struct {
 	W, H    int
 	Cycles  int64
 	Workers int
-	// Epoch is the synchronization epoch of the parallel mode (1 =
-	// per-cycle barriers); epochs above 1 deepen the link latency to
-	// match on both modes.
+	// Epoch is the synchronization epoch the parallel kernel derived
+	// from the link latency (1 = per-cycle barriers); deeper links apply
+	// to both modes.
 	Epoch int
 
 	SeqRate float64 // cycles per second, sequential kernel
@@ -35,8 +35,8 @@ type SweepRow struct {
 
 // SweepResult is the full scaling matrix. GOMAXPROCS and NumCPU record
 // the machine parallelism the sweep actually had available, so a reader
-// of the archived numbers can tell a single-core inline-path result
-// from a real multicore one (GOMAXPROCS can be capped below the CPU
+// of the archived numbers can tell a single-core result (the pool never
+// runs) from a real multicore one (GOMAXPROCS can be capped below the CPU
 // count by the environment; NumCPU is the hardware's own figure).
 type SweepResult struct {
 	GOMAXPROCS int
@@ -80,10 +80,10 @@ func DefaultSweepCycles(edge int) int64 {
 // RunScalingSweep measures simulator throughput for every mesh edge ×
 // worker count combination. Each mesh's sequential baseline is timed
 // once and shared across its rows. Nil or empty arguments select the
-// defaults; worker counts <= 0 resolve to GOMAXPROCS. epoch > 1 runs
-// the parallel mode epoch-synchronized (links deepened to match on
-// both modes).
-func RunScalingSweep(meshes []int, workers []int, cycles func(edge int) int64, epoch int) (*SweepResult, error) {
+// defaults; worker counts <= 0 resolve to GOMAXPROCS. linkLat > 1
+// deepens the links on both modes, so the parallel mode runs
+// epoch-synchronized.
+func RunScalingSweep(meshes []int, workers []int, cycles func(edge int) int64, linkLat int) (*SweepResult, error) {
 	if len(meshes) == 0 {
 		meshes = DefaultSweepMeshes
 	}
@@ -92,13 +92,6 @@ func RunScalingSweep(meshes []int, workers []int, cycles func(edge int) int64, e
 	}
 	if cycles == nil {
 		cycles = DefaultSweepCycles
-	}
-	if epoch < 1 {
-		epoch = 1
-	}
-	linkLat := 1
-	if epoch > 1 {
-		linkLat = epoch
 	}
 	res := &SweepResult{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	for _, edge := range meshes {
@@ -115,11 +108,11 @@ func RunScalingSweep(meshes []int, workers []int, cycles func(edge int) int64, e
 				wkAlloc = r
 			}
 		}
-		seqAllocs, err := steadyAllocs(edge, edge, 1, linkLat, 0, n)
+		seqAllocs, err := steadyAllocs(edge, edge, 1, linkLat, n)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %dx%d seq allocs: %w", edge, edge, err)
 		}
-		parAllocs, err := steadyAllocs(edge, edge, wkAlloc, linkLat, epoch, n)
+		parAllocs, err := steadyAllocs(edge, edge, wkAlloc, linkLat, n)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %dx%d par allocs: %w", edge, edge, err)
 		}
@@ -127,12 +120,12 @@ func RunScalingSweep(meshes []int, workers []int, cycles func(edge int) int64, e
 			wk = sim.ResolveWorkers(wk)
 			// Each row carries its own interleaved sequential baseline so
 			// the ratio is taken under the same machine conditions.
-			seq, par, speedup, err := timePair(edge, edge, wk, epoch, n)
+			seq, par, speedup, err := timePair(edge, edge, wk, linkLat, n)
 			if err != nil {
 				return nil, fmt.Errorf("sweep %dx%d x%d: %w", edge, edge, wk, err)
 			}
 			res.Rows = append(res.Rows, SweepRow{
-				W: edge, H: edge, Cycles: n, Workers: wk, Epoch: epoch,
+				W: edge, H: edge, Cycles: n, Workers: wk, Epoch: par.Epoch,
 				SeqRate: seq.Rate, ParRate: par.Rate, Speedup: speedup,
 				SeqAllocsPerCycle: seqAllocs, ParAllocsPerCycle: parAllocs,
 				StatsMatch: reflect.DeepEqual(seq.Stats, par.Stats),

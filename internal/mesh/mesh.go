@@ -132,9 +132,9 @@ func MustNew(w, h int, cfg router.Config) *Network {
 
 // wire connects a and b bidirectionally: a's outPort to b, b's reverse
 // port back to a. The channels carry the configured link latency and
-// tell the kernel which shards they bridge, which is what licenses
-// epoch-synchronized parallel execution (the epoch length is bounded by
-// the minimum cross-shard wire latency).
+// tell the kernel which shards they bridge; from those the kernel
+// derives the epoch of its parallel mode (the minimum cross-shard wire
+// latency), so this latency is the only thing that sets it.
 func (n *Network) wire(a, b Coord, aPort, bPort int) {
 	lat := int64(n.cfg.LinkLatency)
 	if lat <= 0 {

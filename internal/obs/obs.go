@@ -1,9 +1,9 @@
 // Package obs is the parallel-safe observability layer: sharded
 // lifecycle collection, per-channel SLO accounting, and trace export.
 //
-// The problem it solves: a single shared Router.OnLifecycle observer (a
-// trace.Ring) races under the parallel two-phase kernel, which used to
-// force tracing into sequential mode. Sharded keeps one event buffer
+// The problem it solves: a single shared Router.OnLifecycle observer
+// (one event buffer for the whole mesh) races under the parallel
+// two-phase kernel, which would force tracing into sequential mode. Sharded keeps one event buffer
 // per mesh node instead. During the compute phase every router writes
 // only its own node's shard — plain stores, no atomics, no locks — and
 // the kernel's end-of-run barrier orders those writes before any merge.
@@ -37,10 +37,9 @@ type Event struct {
 }
 
 // shard is one node's private event buffer: a fixed-capacity
-// newest-wins ring, same eviction policy as trace.Ring. Only the owning
-// node's goroutine touches it during the compute phase; merge-time
-// readers run after the worker pool's barrier, which provides the
-// happens-before edge.
+// newest-wins ring. Only the owning node's goroutine touches it during
+// the compute phase; merge-time readers run after the worker pool's
+// barrier, which provides the happens-before edge.
 type shard struct {
 	name  string // router name, for export metadata
 	buf   []Event

@@ -159,10 +159,11 @@ type Config struct {
 	BERetryLimit int
 	// LinkLatency is the one-way mesh-wire latency in cycles (phit and
 	// acknowledgement alike). Zero means the default of 1, the paper's
-	// single-cycle wire. Longer wires model pipelined board-level links;
-	// they also raise the parallel kernel's legal epoch length, which is
-	// derived from the minimum cross-shard wire latency. The best-effort
-	// nack window scales with the round trip automatically.
+	// single-cycle wire. Longer wires model pipelined board-level links.
+	// The parallel kernel derives its synchronization epoch from this
+	// latency (it rendezvous once per minimum cross-shard wire latency),
+	// so nothing else sets the epoch. The best-effort nack window scales
+	// with the round trip automatically.
 	LinkLatency int
 	// Horizons are the initial per-output-port horizon parameters (in
 	// slots); the control interface can rewrite them at run time.

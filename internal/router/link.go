@@ -10,16 +10,17 @@ import (
 // wires two Channels (one per direction) between each pair of
 // neighbours. The default latency of one cycle is the paper's wire; a
 // longer latency models a pipelined board-level link, and — because the
-// kernel learns each wire's latency — is also what licenses epoch
-// synchronization in the parallel engine.
+// kernel learns each wire's latency — is also what the parallel engine
+// derives its synchronization epoch from.
 type Channel struct {
 	data *sim.Pipe[packet.Phit]
 	ack  *sim.Pipe[packet.Ack]
 }
 
 // NewChannel creates a one-cycle channel with unknown endpoint shards
-// and registers its wires with the kernel. Meshes use NewChannelShards
-// so the kernel can derive epoch legality from the wire.
+// and registers its wires with the kernel (which then steps every
+// cycle). Meshes use NewChannelShards so the kernel can derive its
+// epoch from the wire.
 func NewChannel(k *sim.Kernel) *Channel {
 	return NewChannelShards(k, 1, -1, -1)
 }

@@ -148,10 +148,10 @@ type Router struct {
 	OnBETransmit func(port int, cycle int64)
 	// OnLifecycle, if set, observes every packet-level lifecycle event
 	// (inject, enqueue, arbitration win, transmit, cut-through, block,
-	// drop, deliver); trace.AttachRouter installs the standard recorder.
+	// drop, deliver); obs.Sharded.Attach installs the standard recorder.
 	OnLifecycle func(LifecycleEvent)
 	// OnReset, if set, is invoked by ResetStats so externally attached
-	// state (trace rings) rotates together with the counters.
+	// state (collector shards) rotates together with the counters.
 	OnReset func()
 	// LinkFault, if set, intercepts every valid phit sampled from a mesh
 	// input wire before the receive engines see it. The hook returns the
@@ -275,7 +275,7 @@ func (r *Router) OutputState(p int) PortState {
 // warmup idiom: run to steady state, reset, then measure. Attached
 // telemetry resets with them (the metrics block, any scheduler
 // counters, and — via OnReset — externally attached recorders such as
-// trace rings), so warmup exclusion is consistent across every
+// collector shards), so warmup exclusion is consistent across every
 // observation channel.
 func (r *Router) ResetStats() {
 	r.Stats = Stats{}

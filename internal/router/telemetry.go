@@ -9,7 +9,7 @@ import (
 // LifecycleKind classifies one step in a packet's life inside a router.
 // Together the kinds let a per-hop timeline — the logical-arrival ℓ_j
 // chain of the paper — be reconstructed from a recorded event stream
-// (see trace.Timeline).
+// (obs.Sharded records it; the Perfetto export links the hops).
 type LifecycleKind uint8
 
 const (

@@ -275,12 +275,11 @@ type RunOpts struct {
 	// negative GOMAXPROCS. Parallel runs should Close the returned
 	// System when done with it.
 	Workers int
-	// Epoch > 1 amortizes the parallel kernel's rendezvous over that
-	// many cycles. Epoch legality requires every cross-shard wire to
-	// carry at least that much latency, so the mesh links are deepened
-	// to the epoch — a scenario run with Epoch n simulates a machine
-	// with n-cycle links, identically at every worker count.
-	Epoch int
+	// LinkLatency > 1 deepens the mesh links to that many cycles: the
+	// run then simulates a machine with n-cycle links, identically at
+	// every worker count, and the parallel kernel — which derives its
+	// epoch from the wiring — rendezvous once per n cycles.
+	LinkLatency int
 }
 
 // Run builds the system, opens every channel, attaches the generators,
@@ -299,8 +298,8 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	}
 	rcfg := router.DefaultConfig()
 	rcfg.VCT = sc.Router.VCT
-	if opts.Epoch > 1 {
-		rcfg.LinkLatency = opts.Epoch
+	if opts.LinkLatency > 1 {
+		rcfg.LinkLatency = opts.LinkLatency
 	}
 	for _, f := range sc.Failures {
 		if !f.outage() {
@@ -336,7 +335,6 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 		Recorder:           opts.Recorder,
 		Audit:              opts.Audit,
 		Workers:            opts.Workers,
-		Epoch:              opts.Epoch,
 	}.WithAdmission(acfg))
 	if err != nil {
 		return nil, nil, err

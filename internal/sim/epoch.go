@@ -8,13 +8,15 @@ package sim
 // before t+k, so workers may tick their tiles for k consecutive cycles
 // between rendezvous without any tile observing another's writes early:
 // the reader's probe range [t, t+k) and the writer's store range
-// [t+k, t+2k) occupy disjoint ring slots. SetEpoch requests such a k;
-// the kernel clamps it to the minimum cross-shard pipe latency and
-// falls back to 1 whenever a latch (a Reg needs its commit every edge),
-// a barrier component, or an unknown-latency wire makes longer epochs
-// illegal. The clamp re-derives lazily after every registration, so a
-// barrier component registered mid-run flushes the epoch back to 1
-// before the next Run iteration.
+// [t+k, t+2k) occupy disjoint ring slots. The kernel derives k itself —
+// the minimum cross-shard pipe latency — and always runs that longest
+// legal epoch; it falls back to 1 whenever a latch (a Reg needs its
+// commit every edge), a barrier component, or a wire whose endpoint
+// shards are unknown makes longer epochs illegal, or when no wire
+// crosses shards at all and nothing bounds the epoch. The derivation
+// re-runs lazily after every registration, so a barrier component
+// registered mid-run flushes the epoch back to 1 before the next Run
+// iteration.
 //
 // Quiescence skipping removes the idle cycles entirely. A component
 // that implements Skipper can report the next cycle at which it has
@@ -48,25 +50,10 @@ type Skipper interface {
 	Skip(now, target Cycle)
 }
 
-// SetEpoch requests that parallel workers run up to n consecutive
-// cycles between rendezvous. The effective epoch is clamped to the
-// minimum cross-shard pipe latency and collapses to 1 whenever latches
-// or barrier components are present (EffectiveEpoch reports the result).
-// n < 1 panics. Epochs only change execution schedule, never results.
-func (k *Kernel) SetEpoch(n int64) {
-	if n < 1 {
-		panic("sim: SetEpoch requires n >= 1")
-	}
-	k.epochReq = n
-	k.syncDirty = true
-}
-
-// Epoch returns the requested epoch length.
-func (k *Kernel) Epoch() int64 { return k.epochReq }
-
-// EffectiveEpoch returns the epoch length the kernel may legally run:
-// the requested length clamped by wire latencies, latches, and barrier
-// components.
+// EffectiveEpoch returns the number of consecutive cycles parallel
+// workers run between rendezvous: the longest epoch the wires, latches
+// and barrier components allow. Epochs only change the execution
+// schedule, never results.
 func (k *Kernel) EffectiveEpoch() int64 {
 	k.refreshSync()
 	return k.effEpoch
@@ -79,33 +66,7 @@ func (k *Kernel) refreshSync() {
 		return
 	}
 	k.syncDirty = false
-
-	e := k.epochReq
-	if len(k.latches) > 0 {
-		// Regs must commit at every edge; epochs would skip commits.
-		e = 1
-	}
-	if e > 1 {
-		for _, en := range k.entries {
-			if en.shard == globalShard {
-				// A barrier component may read anything; it needs the
-				// per-cycle rendezvous.
-				e = 1
-				break
-			}
-		}
-	}
-	if e > 1 {
-		for _, pe := range k.pipes {
-			if pe.writer == pe.reader && pe.writer >= 0 {
-				continue // same-shard wire: ordering is per-shard serial
-			}
-			if l := pe.p.Latency(); l < e {
-				e = l
-			}
-		}
-	}
-	k.effEpoch = e
+	k.effEpoch = k.legalEpoch()
 
 	// Whole-system skipping needs every component able to fast-forward
 	// and no latch whose per-edge drain a jump would miss.
@@ -125,6 +86,35 @@ func (k *Kernel) refreshSync() {
 		k.skippers = k.skippers[:0]
 	}
 	k.skipBlock = -1
+}
+
+// legalEpoch is the minimum latency over the cross-shard pipes, or 1
+// where that bound does not exist or does not suffice.
+func (k *Kernel) legalEpoch() int64 {
+	if len(k.latches) > 0 {
+		return 1 // Regs must commit at every edge; epochs would skip commits
+	}
+	for _, en := range k.entries {
+		if en.shard == globalShard {
+			return 1 // a barrier component may read anything, every cycle
+		}
+	}
+	e := int64(0) // no cross-shard wire seen yet
+	for _, pe := range k.pipes {
+		if pe.writer < 0 || pe.reader < 0 {
+			return 1 // unknown endpoints: no tile owns the wire's reads
+		}
+		if pe.writer == pe.reader {
+			continue // same-shard wire: ordering is per-shard serial
+		}
+		if l := pe.p.Latency(); e == 0 || l < e {
+			e = l
+		}
+	}
+	if e == 0 {
+		return 1 // no wire crosses shards: nothing bounds the epoch
+	}
+	return e
 }
 
 // trySkipTo fast-forwards the whole system to the earliest upcoming

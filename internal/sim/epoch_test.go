@@ -42,70 +42,59 @@ func TestPipeSemantics(t *testing.T) {
 	}
 }
 
-// TestEpochLegality pins the clamp rules: the effective epoch is the
-// requested length bounded by the minimum cross-shard pipe latency;
-// same-shard wires are exempt; unknown-shard wires, 1-cycle wires,
-// latches, and barrier components all force per-cycle stepping.
+// TestEpochLegality pins the derivation: the epoch is the minimum
+// cross-shard pipe latency; same-shard wires are exempt; a latch, a
+// barrier component (even one registered mid-run), a wire with an
+// unknown endpoint shard, or the absence of any cross-shard wire all
+// force per-cycle stepping.
 func TestEpochLegality(t *testing.T) {
-	mk := func() *Kernel {
-		k := NewKernel()
-		k.RegisterShard(0, &funcComp{"a", func(Cycle) {}})
-		k.RegisterShard(1, &funcComp{"b", func(Cycle) {}})
-		return k
+	type wire struct {
+		lat            int64
+		writer, reader int
 	}
-
-	k := mk()
-	k.AttachPipe(NewPipe[int](4), 0, 1)
-	k.SetEpoch(8)
-	if got := k.EffectiveEpoch(); got != 4 {
-		t.Fatalf("cross-shard latency 4: effective epoch %d, want 4", got)
-	}
-
-	// A same-shard wire of any latency never constrains the epoch.
-	k.AttachPipe(NewPipe[int](1), 1, 1)
-	if got := k.EffectiveEpoch(); got != 4 {
-		t.Fatalf("same-shard 1-cycle wire clamped epoch to %d", got)
-	}
-
-	// A 1-cycle cross-shard wire refuses any epoch beyond 1.
-	k.AttachPipe(NewPipe[int](1), 1, 0)
-	if got := k.EffectiveEpoch(); got != 1 {
-		t.Fatalf("1-cycle cross-shard wire: effective epoch %d, want 1", got)
-	}
-
-	// Unknown endpoint shards must be treated as cross-shard.
-	k = mk()
-	k.AttachPipe(NewPipe[int](4), 0, 1)
-	k.AttachPipe(NewPipe[int](2), -1, -1)
-	k.SetEpoch(8)
-	if got := k.EffectiveEpoch(); got != 2 {
-		t.Fatalf("unknown-shard latency 2: effective epoch %d, want 2", got)
-	}
-
-	// Latches need their commit every edge.
-	k = mk()
-	k.AttachPipe(NewPipe[int](4), 0, 1)
-	k.AddLatch(NewReg[int]())
-	k.SetEpoch(4)
-	if got := k.EffectiveEpoch(); got != 1 {
-		t.Fatalf("latched kernel: effective epoch %d, want 1", got)
-	}
-
-	// Barrier components need the per-cycle rendezvous.
-	k = mk()
-	k.AttachPipe(NewPipe[int](4), 0, 1)
-	k.Register(&funcComp{"barrier", func(Cycle) {}})
-	k.SetEpoch(4)
-	if got := k.EffectiveEpoch(); got != 1 {
-		t.Fatalf("barrier kernel: effective epoch %d, want 1", got)
-	}
-
-	// The request itself is respected when lower than the wires allow.
-	k = mk()
-	k.AttachPipe(NewPipe[int](8), 0, 1)
-	k.SetEpoch(2)
-	if got := k.EffectiveEpoch(); got != 2 {
-		t.Fatalf("requested 2 under latency 8: effective epoch %d", got)
+	for _, tc := range []struct {
+		name           string
+		wires          []wire
+		latch, barrier bool
+		midRun         bool // add the latch/barrier after running 8 cycles
+		want           int64
+	}{
+		{name: "cross-shard 4", wires: []wire{{4, 0, 1}}, want: 4},
+		{name: "minimum of 4 and 2", wires: []wire{{4, 0, 1}, {2, 1, 0}}, want: 2},
+		{name: "same-shard 1-cycle wire is exempt", wires: []wire{{4, 0, 1}, {1, 1, 1}}, want: 4},
+		{name: "cross-shard 1", wires: []wire{{4, 0, 1}, {1, 1, 0}}, want: 1},
+		{name: "unknown reader", wires: []wire{{4, 0, 1}, {2, 0, -1}}, want: 1},
+		{name: "unknown writer", wires: []wire{{4, 0, 1}, {2, -1, 1}}, want: 1},
+		{name: "latch", wires: []wire{{4, 0, 1}}, latch: true, want: 1},
+		{name: "barrier", wires: []wire{{4, 0, 1}}, barrier: true, want: 1},
+		{name: "latch mid-run", wires: []wire{{4, 0, 1}}, latch: true, midRun: true, want: 1},
+		{name: "barrier mid-run", wires: []wire{{4, 0, 1}}, barrier: true, midRun: true, want: 1},
+		{name: "no pipes", want: 1},
+		{name: "same-shard pipes only", wires: []wire{{4, 0, 0}, {2, 1, 1}}, want: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			k.RegisterShard(0, &funcComp{"a", func(Cycle) {}})
+			k.RegisterShard(1, &funcComp{"b", func(Cycle) {}})
+			for _, w := range tc.wires {
+				k.AttachPipe(NewPipe[int](w.lat), w.writer, w.reader)
+			}
+			if tc.midRun {
+				k.Run(8)
+				if got := k.EffectiveEpoch(); got != 4 {
+					t.Fatalf("effective epoch %d before the late registration, want 4", got)
+				}
+			}
+			if tc.latch {
+				k.AddLatch(NewReg[int]())
+			}
+			if tc.barrier {
+				k.Register(&funcComp{"barrier", func(Cycle) {}})
+			}
+			if got := k.EffectiveEpoch(); got != tc.want {
+				t.Fatalf("effective epoch %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -120,7 +109,6 @@ func TestEpochMidRunBarrierFlush(t *testing.T) {
 	k.RegisterShard(0, &funcComp{"a", func(Cycle) {}})
 	k.RegisterShard(1, &funcComp{"b", func(Cycle) {}})
 	k.AttachPipe(NewPipe[int](4), 0, 1)
-	k.SetEpoch(4)
 	k.Run(8)
 	if got := k.EffectiveEpoch(); got != 4 {
 		t.Fatalf("effective epoch %d before barrier, want 4", got)
@@ -212,41 +200,37 @@ func buildPipeRing(k *Kernel, n int, lat int64) []*pipeStage {
 
 // TestEpochEquivalence is the kernel-level bit-identity contract: a
 // pipe-coupled ring produces identical per-stage histories whether it
-// runs sequentially, per-cycle parallel, or epoch-synchronized, at any
-// worker count and epoch length the wires allow.
+// runs sequentially or on the pool, at any worker count — and the pool
+// runs epochs as long as the ring's wires, whatever their latency.
 func TestEpochEquivalence(t *testing.T) {
-	const n, lat, cycles = 12, 4, 600
-	ref := NewKernel()
-	refStages := buildPipeRing(ref, n, lat)
-	ref.Run(cycles)
+	const n, cycles = 12, 600
+	for _, lat := range []int64{1, 2, 4} {
+		ref := NewKernel()
+		refStages := buildPipeRing(ref, n, lat)
+		ref.Run(cycles)
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, epoch := range []int64{1, 2, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			k := NewKernel()
 			stages := buildPipeRing(k, n, lat)
 			k.SetWorkers(workers)
 			k.ForcePool(workers > 1)
-			k.SetEpoch(epoch)
-			if workers > 1 {
-				want := epoch
-				if got := k.EffectiveEpoch(); got != want {
-					t.Fatalf("workers %d epoch %d: effective %d", workers, epoch, got)
-				}
+			if got := k.EffectiveEpoch(); got != lat {
+				t.Fatalf("latency %d workers %d: effective epoch %d", lat, workers, got)
 			}
 			k.Run(cycles)
 			k.Close()
 			if k.Now() != ref.Now() {
-				t.Fatalf("workers %d epoch %d: clock at %d, want %d", workers, epoch, k.Now(), ref.Now())
+				t.Fatalf("latency %d workers %d: clock at %d, want %d", lat, workers, k.Now(), ref.Now())
 			}
 			for i := range stages {
 				if len(stages[i].seen) != len(refStages[i].seen) {
-					t.Fatalf("workers %d epoch %d stage %d: %d events, want %d",
-						workers, epoch, i, len(stages[i].seen), len(refStages[i].seen))
+					t.Fatalf("latency %d workers %d stage %d: %d events, want %d",
+						lat, workers, i, len(stages[i].seen), len(refStages[i].seen))
 				}
 				for j := range stages[i].seen {
 					if stages[i].seen[j] != refStages[i].seen[j] {
-						t.Fatalf("workers %d epoch %d stage %d event %d: %q vs %q",
-							workers, epoch, i, j, stages[i].seen[j], refStages[i].seen[j])
+						t.Fatalf("latency %d workers %d stage %d event %d: %q vs %q",
+							lat, workers, i, j, stages[i].seen[j], refStages[i].seen[j])
 					}
 				}
 			}

@@ -11,9 +11,9 @@ import (
 //
 // The compute/commit split already guarantees that evaluation order
 // never changes results across component boundaries, as long as
-// components communicate only through Regs: every Tick reads values
-// latched at the previous edge and writes values latched at the next
-// one. The parallel mode exploits exactly that property.
+// components communicate only through Regs and Pipes: every Tick reads
+// values latched at an earlier edge and writes values readable at a
+// later one. The parallel mode exploits exactly that property.
 //
 // The engine compiles the registration list into a plan once (rebuilt
 // lazily when registrations, tiling, or the worker count change):
@@ -28,25 +28,22 @@ import (
 //     (e.g. a telemetry sampler reading every router's counters), so
 //     they act as barriers: all workers rendezvous, worker 0 ticks the
 //     component alone, and all workers rendezvous again.
-//   - The latches are partitioned per worker into contiguous spans over
-//     the typed commit banks (plus the loose interface list), so the
-//     commit phase is a deterministic dirty scan with no shared cursor.
 //
-// Per cycle the pool costs one dispatch: the main goroutine publishes
+// Per step the pool costs one dispatch: the main goroutine publishes
 // the job and enters the cycle barrier, every worker ticks its own
 // group, and the tick-phase join doubles as the commit dispatch — each
-// worker falls directly into committing its own latch spans. A final
-// join lets Step return only after all state has committed, keeping
-// between-step reads (RunUntil predicates, stats scrapes) safe. The
-// barriers are sense-reversing atomics that spin briefly before parking,
-// so a cycle costs a handful of atomic operations instead of the
-// channel broadcast + WaitGroup rendezvous per phase it used to.
+// worker falls directly into committing its own contiguous share of
+// the latches, so the commit has no shared cursor. A final join lets
+// Step return only after all state has committed, keeping between-step
+// reads (RunUntil predicates, stats scrapes) safe. The barriers are
+// sense-reversing atomics that spin briefly before parking, so a step
+// costs a handful of atomic operations rather than a channel broadcast
+// and a WaitGroup rendezvous per phase.
 //
-// When the process has a single CPU (or a single worker group), the
-// pool cannot help, so the engine runs the same plan inline on the
-// calling goroutine: no dispatch at all, but still the tiled iteration
-// order and the dirty-latch commit. ForcePool overrides this for tests
-// that need the real rendezvous path exercised under the race detector.
+// When the process has a single CPU (or the plan a single worker
+// group), the pool cannot help, so Step runs the sequential cycle on
+// the calling goroutine. ForcePool overrides this for tests that need
+// the real rendezvous path exercised under the race detector.
 
 // SetWorkers selects the execution mode: n <= 1 is the sequential mode
 // (the default), n > 1 ticks shards on n workers (the caller counts as
@@ -66,16 +63,16 @@ func (k *Kernel) SetWorkers(n int) {
 func (k *Kernel) Workers() int { return k.workers }
 
 // ForcePool makes the parallel mode always run on the resident worker
-// pool, even where the engine would normally fall back to the inline
-// path (single-CPU processes, single-group plans). It exists so tests
+// pool, even where the engine would normally fall back to the
+// sequential cycle (single-CPU processes, single-group plans). It exists so tests
 // can exercise the rendezvous machinery under the race detector on any
 // machine; simulations have no reason to set it.
 func (k *Kernel) ForcePool(on bool) { k.forcePool = on }
 
-// Close releases the resident worker goroutines. The kernel remains
-// usable afterwards in sequential mode (and a later Step with workers
-// still set restarts the pool). Callers that enable parallel mode on
-// short-lived kernels — benchmarks, sweeps — should Close them.
+// Close releases the resident worker goroutines and returns the kernel
+// to sequential mode, in which it remains usable; SetWorkers re-enables
+// parallel mode. Callers that enable parallel mode on short-lived
+// kernels — benchmarks, sweeps — should Close them.
 func (k *Kernel) Close() {
 	k.stopPool()
 	if k.workers != 1 {
@@ -99,16 +96,16 @@ type planSeg struct {
 }
 
 // planTile is one spatial tile of one worker's share: its components in
-// tick order, plus what the epoch mode's per-tile skip needs — the
-// components' Skipper views (nil when any component cannot skip) and
-// the pipes whose reader lives in this tile.
+// tick order, plus what the per-tile skip of a multi-cycle step needs —
+// the components' Skipper views (nil when any component cannot skip)
+// and the pipes whose reader lives in this tile.
 type planTile struct {
 	comps    []Component
 	skippers []Skipper
 	pipes    []PipeState
 }
 
-// trySkip fast-forwards one tile across a whole epoch when every
+// trySkip fast-forwards one tile across a whole step when every
 // component in it is idle past end and no inbound wire delivers before
 // then. The pipe probe touches only ring slots in [now, end), which the
 // epoch legality bound keeps disjoint from any concurrent writer's.
@@ -132,15 +129,7 @@ func (t *planTile) trySkip(now, end Cycle) bool {
 	return true
 }
 
-// latchSpan is one contiguous slice of one commit bank (or, for
-// bank == -1, of the loose interface list) owned by one worker.
-type latchSpan struct {
-	bank   int
-	lo, hi int
-}
-
-// buildPlan compiles the registration list into the segment schedule
-// and the per-worker latch spans.
+// buildPlan compiles the registration list into the segment schedule.
 func (k *Kernel) buildPlan() {
 	k.plan = k.plan[:0]
 	var run []entry
@@ -159,7 +148,6 @@ func (k *Kernel) buildPlan() {
 		run = append(run, e)
 	}
 	flush()
-	k.buildSpans()
 	k.planDirty = false
 }
 
@@ -169,7 +157,9 @@ func (k *Kernel) buildPlan() {
 // id so the assignment is stable and spatially contiguous, and a greedy
 // contiguous deal balances component counts across the workers. Each
 // tile also learns its Skipper roster and inbound pipes, which is what
-// the epoch mode's per-tile quiescence skip consults.
+// the per-tile quiescence skip consults. A pipe with an unknown reader
+// belongs to no tile, but it also pins the epoch to 1 (legalEpoch), and
+// tiles only skip inside longer steps.
 func (k *Kernel) groupRun(run []entry) [][]planTile {
 	tileOf := func(shard int) int {
 		if k.tiling != nil {
@@ -197,20 +187,8 @@ func (k *Kernel) groupRun(run []entry) [][]planTile {
 	}
 	sort.Slice(tiles, func(i, j int) bool { return tiles[i].id < tiles[j].id })
 
-	// A pipe with an unknown reader shard cannot be assigned to a tile,
-	// so no tile may skip past it: disable tile skipping plan-wide.
-	tileSkipOK := true
-	for _, pe := range k.pipes {
-		if pe.reader < 0 {
-			tileSkipOK = false
-			break
-		}
-	}
 	build := func(t *tile) planTile {
 		pt := planTile{comps: t.comps}
-		if !tileSkipOK {
-			return pt
-		}
 		skippers := make([]Skipper, 0, len(t.comps))
 		for _, c := range t.comps {
 			s, ok := c.(Skipper)
@@ -251,112 +229,17 @@ func (k *Kernel) groupRun(run []entry) [][]planTile {
 	return groups
 }
 
-// buildSpans deals the latches out to the workers: the banks (then the
-// loose list) form one logical sequence, split into contiguous
-// per-worker ranges, so every latch commits exactly once and the
-// partition is deterministic for any worker count.
-func (k *Kernel) buildSpans() {
-	total := len(k.loose)
-	for _, b := range k.banks {
-		total += b.size()
-	}
-	n := k.workers
-	k.spans = make([][]latchSpan, n)
-	for w := 0; w < n; w++ {
-		glo, ghi := w*total/n, (w+1)*total/n
-		off := 0
-		for bi := -1; bi < len(k.banks); bi++ {
-			var sz int
-			if bi < 0 {
-				sz = len(k.loose)
-			} else {
-				sz = k.banks[bi].size()
-			}
-			lo, hi := glo-off, ghi-off
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > sz {
-				hi = sz
-			}
-			if lo < hi {
-				k.spans[w] = append(k.spans[w], latchSpan{bank: bi, lo: lo, hi: hi})
-			}
-			off += sz
-		}
-	}
-}
-
-// commitSpans commits one worker's share of the latches.
-func (k *Kernel) commitSpans(spans []latchSpan) {
-	for _, s := range spans {
-		if s.bank < 0 {
-			for _, l := range k.loose[s.lo:s.hi] {
-				l.Commit()
-			}
-			continue
-		}
-		k.banks[s.bank].commitRange(s.lo, s.hi)
-	}
-}
-
-// stepParallel executes one cycle of the compiled plan.
-func (k *Kernel) stepParallel() {
-	if !k.forcePool && runtime.GOMAXPROCS(0) == 1 {
-		// Single CPU: no plan needed at all, the inline path ticks the
-		// registration list directly.
-		k.stepInline()
-		return
+// usePool reports whether the next step runs on the worker pool:
+// parallel mode is on and — unless ForcePool insists — the process has a
+// second CPU and the plan a second worker group to put on it.
+func (k *Kernel) usePool() bool {
+	if k.workers == 1 || (!k.forcePool && runtime.GOMAXPROCS(0) == 1) {
+		return false
 	}
 	if k.planDirty {
 		k.buildPlan()
 	}
-	if !k.forcePool && k.singleGroup() {
-		k.stepInline()
-		return
-	}
-	if k.dirtyOn {
-		// The dirty hooks are single-threaded; the pooled commit uses the
-		// per-worker latch spans instead.
-		k.disableDirty()
-	}
-	if k.pool == nil {
-		k.pool = newWorkerPool(k)
-	}
-	p := k.pool
-	p.plan, p.spans, p.now, p.epoch = k.plan, k.spans, k.now, 1
-	p.enter.await()
-	p.runCycle(0)
-	k.now++
-}
-
-// stepEpoch executes e consecutive cycles with a single rendezvous.
-// Callers guarantee e ≤ EffectiveEpoch, which implies the plan has no
-// barrier segments and the kernel no latches — so the epoch needs no
-// commit phases and no mid-epoch synchronization at all.
-func (k *Kernel) stepEpoch(e int64) {
-	if k.planDirty {
-		k.buildPlan()
-	}
-	if !k.forcePool && (runtime.GOMAXPROCS(0) == 1 || k.singleGroup()) {
-		// No parallelism to amortize for; per-cycle stepping is the same
-		// work without the plan bookkeeping.
-		for i := int64(0); i < e; i++ {
-			k.Step()
-		}
-		return
-	}
-	if k.dirtyOn {
-		k.disableDirty()
-	}
-	if k.pool == nil {
-		k.pool = newWorkerPool(k)
-	}
-	p := k.pool
-	p.plan, p.spans, p.now, p.epoch = k.plan, k.spans, k.now, e
-	p.enter.await()
-	p.runCycle(0)
-	k.now += Cycle(e)
+	return k.forcePool || !k.singleGroup()
 }
 
 // singleGroup reports a plan with no parallelism to extract: no segment
@@ -370,56 +253,20 @@ func (k *Kernel) singleGroup() bool {
 	return true
 }
 
-// stepInline is the degenerate parallel mode for processes where
-// concurrency cannot help: it ticks the registration list directly —
-// the same order and cost as the sequential reference — and commits
-// from the dirty list, touching only the registers that were written
-// this cycle or still have to drain. That O(active wires) commit is
-// where the mode's single-CPU advantage comes from.
-func (k *Kernel) stepInline() {
-	if !k.dirtyOn {
-		k.enableDirty()
+// stepPool executes e consecutive cycles of the compiled plan with a
+// single worker rendezvous. Callers guarantee e ≤ EffectiveEpoch, so
+// e > 1 implies the plan has no barrier segments and the kernel no
+// latches: the step needs no mid-epoch synchronization, and its one
+// commit phase is empty.
+func (k *Kernel) stepPool(e int64) {
+	if k.pool == nil {
+		k.pool = newWorkerPool(k.workers)
 	}
-	now := k.now
-	for _, e := range k.entries {
-		e.c.Tick(now)
-	}
-	// Commit and compact in place: wires that must drain next edge stay.
-	dl := k.dirty
-	keep := 0
-	for _, r := range dl {
-		if r.commitKeep() {
-			dl[keep] = r
-			keep++
-		}
-	}
-	k.dirty = dl[:keep]
-	for _, l := range k.loose {
-		l.Commit()
-	}
-	k.now++
-}
-
-// enableDirty attaches every banked register to the kernel's dirty list
-// and seeds the list with the registers that are already non-clean, so
-// switching modes mid-run loses no pending drains.
-func (k *Kernel) enableDirty() {
-	list := k.dirty[:0]
-	for _, b := range k.banks {
-		list = b.attach(&k.dirty, list)
-	}
-	k.dirty = list
-	k.dirtyOn = true
-}
-
-// disableDirty detaches the hooks; the sequential and pooled commits
-// walk the full latch set and need no list.
-func (k *Kernel) disableDirty() {
-	for _, b := range k.banks {
-		b.detach()
-	}
-	k.dirty = k.dirty[:0]
-	k.dirtyOn = false
+	p := k.pool
+	p.plan, p.latches, p.now, p.end = k.plan, k.latches, k.now, k.now+Cycle(e)
+	p.enter.await()
+	p.run(0)
+	k.now = p.end
 }
 
 // cycleBarrier is a sense-reversing barrier: the last arriver of a
@@ -474,33 +321,30 @@ func (b *cycleBarrier) await() {
 // the workers after they leave it; the barrier's atomics order the
 // accesses.
 type workerPool struct {
-	k *Kernel
 	n int
 
-	// enter releases a cycle (workers park here between Steps), join
+	// enter releases a step (workers park here between steps), join
 	// synchronizes phases within it, and leave ends it. All three have
 	// every worker plus the main goroutine as participants.
 	enter, join, leave *cycleBarrier
 
 	stopping bool
 	plan     []planSeg
-	spans    [][]latchSpan
-	now      Cycle
-	epoch    int64
+	latches  []Latchable
+	now, end Cycle // the step covers cycles [now, end)
 	wg       sync.WaitGroup
 }
 
-func newWorkerPool(k *Kernel) *workerPool {
+func newWorkerPool(n int) *workerPool {
 	spin := 0
 	if runtime.GOMAXPROCS(0) > 1 {
 		spin = 256
 	}
 	p := &workerPool{
-		k:     k,
-		n:     k.workers,
-		enter: newCycleBarrier(k.workers, spin),
-		join:  newCycleBarrier(k.workers, spin),
-		leave: newCycleBarrier(k.workers, spin),
+		n:     n,
+		enter: newCycleBarrier(n, spin),
+		join:  newCycleBarrier(n, spin),
+		leave: newCycleBarrier(n, spin),
 	}
 	p.wg.Add(p.n - 1)
 	for w := 1; w < p.n; w++ {
@@ -516,21 +360,23 @@ func (p *workerPool) workerLoop(id int) {
 		if p.stopping {
 			return
 		}
-		p.runCycle(id)
+		p.run(id)
 	}
 }
 
-// runCycle is one worker's share of one cycle. Every worker executes
-// the same await sequence (the plan is shared), so the barriers stay
-// balanced: around each barrier component all workers rendezvous twice,
-// and the tick-phase join flows straight into each worker's own commit
-// spans — the commit has no dispatch of its own.
-func (p *workerPool) runCycle(id int) {
-	now := p.now
-	if e := p.epoch; e > 1 {
-		p.runEpoch(id, now, now+Cycle(e))
-		return
-	}
+// run is one worker's share of one step. Every worker executes the same
+// await sequence (the plan is shared), so the barriers stay balanced:
+// around each barrier component all workers rendezvous twice, and the
+// tick-phase join flows straight into each worker's own share of the
+// latches — the commit has no dispatch of its own.
+//
+// Each tile runs [now, end) to completion — or, in a multi-cycle step,
+// skips the whole span when quiescent — before the next tile starts.
+// Tile-serial order is safe for the same reason the epoch is: anything
+// a tile writes toward another lands at least a full epoch later, so
+// within the step no tile can observe a sibling's progress.
+func (p *workerPool) run(id int) {
+	now, end := p.now, p.end
 	for i := range p.plan {
 		s := &p.plan[i]
 		if s.barrier != nil {
@@ -541,46 +387,26 @@ func (p *workerPool) runCycle(id int) {
 			p.join.await()
 			continue
 		}
-		if id < len(s.groups) {
-			for ti := range s.groups[id] {
-				for _, c := range s.groups[id][ti].comps {
-					c.Tick(now)
+		if id >= len(s.groups) {
+			continue
+		}
+		for ti := range s.groups[id] {
+			t := &s.groups[id][ti]
+			if end-now > 1 && t.trySkip(now, end) {
+				continue
+			}
+			for c := now; c < end; c++ {
+				for _, comp := range t.comps {
+					comp.Tick(c)
 				}
 			}
 		}
 	}
 	p.join.await()
-	p.k.commitSpans(p.spans[id])
-	p.leave.await()
-}
-
-// runEpoch is one worker's share of one epoch: each of its tiles runs
-// [now, end) to completion — or skips the whole span when quiescent —
-// before the next tile starts. Tile-serial order is safe for the same
-// reason the epoch is: anything a tile writes toward another lands at
-// least a full epoch later, so within the epoch no tile can observe a
-// sibling's progress. The epoch legality check guarantees the plan
-// holds no barrier segments and the kernel no latches, so the single
-// join covers the (empty) commit spans.
-func (p *workerPool) runEpoch(id int, now, end Cycle) {
-	for i := range p.plan {
-		s := &p.plan[i]
-		if id < len(s.groups) {
-			for ti := range s.groups[id] {
-				t := &s.groups[id][ti]
-				if t.trySkip(now, end) {
-					continue
-				}
-				for c := now; c < end; c++ {
-					for _, comp := range t.comps {
-						comp.Tick(c)
-					}
-				}
-			}
-		}
+	n := len(p.latches)
+	for _, l := range p.latches[id*n/p.n : (id+1)*n/p.n] {
+		l.Commit()
 	}
-	p.join.await()
-	p.k.commitSpans(p.spans[id])
 	p.leave.await()
 }
 

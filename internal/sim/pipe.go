@@ -12,7 +12,7 @@ package sim
 // least 2×latency slots, a reader probing cycles [t, t+k) and a writer
 // storing cycles [t+latency, t+k+latency) touch disjoint slots whenever
 // k ≤ latency — the property that makes epoch-synchronized execution
-// race-free (see Kernel.SetEpoch).
+// race-free (see epoch.go).
 //
 // A Pipe carries values from exactly one writing component to exactly
 // one reading component, at most one value per cycle. It is not a
@@ -112,9 +112,8 @@ type pipeEntry struct {
 
 // AttachPipe registers a delay line with the kernel. writerShard and
 // readerShard name the shards of the pipe's driving and receiving
-// components (pass -1 when unknown — the kernel then treats the wire as
-// cross-shard for the epoch legality check and never tile-skips past
-// it). The latency of the slowest-safe epoch derives from the minimum
+// components (pass -1 when unknown — the kernel then steps every cycle,
+// because no tile owns the wire). The epoch derives from the minimum
 // latency over all cross-shard pipes.
 func (k *Kernel) AttachPipe(p PipeState, writerShard, readerShard int) {
 	if p == nil {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestForcePoolMatchesSequential forces the rendezvous worker pool on
-// (bypassing the single-CPU inline path) and requires the Reg-coupled
-// ring to reproduce the sequential history bit for bit.
+// (bypassing the single-CPU sequential fallback) and requires the
+// Reg-coupled ring to reproduce the sequential history bit for bit.
 func TestForcePoolMatchesSequential(t *testing.T) {
 	const n, cycles = 13, 200
 	seq := NewKernel()
@@ -66,7 +66,7 @@ func TestForcePoolBarrier(t *testing.T) {
 	}
 }
 
-// TestForcePoolCommit checks the partitioned commit spans latch every
+// TestForcePoolCommit checks the per-worker latch shares commit every
 // Reg exactly once per cycle when the pooled path runs for real.
 func TestForcePoolCommit(t *testing.T) {
 	k := NewKernel()
@@ -133,8 +133,8 @@ func TestTiledPlanGroups(t *testing.T) {
 }
 
 // TestTilingEquivalence: the tiling only regroups work — the ring's
-// observed history is bit-identical for every tile choice, inline and
-// pooled.
+// observed history is bit-identical for every tile choice, with and
+// without ForcePool.
 func TestTilingEquivalence(t *testing.T) {
 	const n, cycles = 13, 150
 	ref := NewKernel()
@@ -166,17 +166,16 @@ func TestTilingEquivalence(t *testing.T) {
 }
 
 // TestDirtyLatchCommit drives a wire and a sticky Reg through
-// write/no-write cycles at every execution mode and checks the dirty
-// tracking preserves the documented semantics: wires drain to zero one
-// cycle after their last write, stickies hold, and untouched latches
-// stay untouched.
+// write/no-write cycles in the sequential and the pooled mode and checks
+// the documented Reg semantics: wires drain to zero one cycle after
+// their last write, stickies hold, and untouched latches stay untouched.
 func TestDirtyLatchCommit(t *testing.T) {
 	type mode struct {
 		name    string
 		workers int
 		pool    bool
 	}
-	for _, m := range []mode{{"seq", 1, false}, {"inline", 2, false}, {"pooled", 2, true}} {
+	for _, m := range []mode{{"seq", 1, false}, {"pooled", 2, true}} {
 		t.Run(m.name, func(t *testing.T) {
 			k := NewKernel()
 			wire := NewReg[int]()
@@ -214,8 +213,7 @@ func TestDirtyLatchCommit(t *testing.T) {
 }
 
 // TestRegCommitIdempotentWhenClean: once a Reg has drained, further
-// commits are no-ops — the invariant the dirty-scan commit relies on to
-// skip clean latches.
+// commits change nothing a reader can see.
 func TestRegCommitIdempotentWhenClean(t *testing.T) {
 	wire := NewReg[int]()
 	wire.Write(5)

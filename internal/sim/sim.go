@@ -63,44 +63,23 @@ func ResolveWorkers(n int) int {
 // tick concurrently with components of other shards, while components
 // registered with plain Register act as barriers (see parallel.go).
 // Results are bit-identical across worker counts as long as components
-// of different shards communicate only through Regs.
+// of different shards communicate only through Regs and Pipes.
 type Kernel struct {
 	entries []entry
-	latches []Latchable // every latch, in AddLatch order (the reference walk)
+	latches []Latchable // in AddLatch order
 	now     Cycle
-
-	// Typed commit banks for the parallel engine: Regs of the same value
-	// type share a bank so the dirty-latch commit scan is a direct call
-	// on a concrete type instead of an interface dispatch per latch.
-	// Latchables that are not Regs stay on the loose list and commit
-	// through the interface every cycle.
-	banks   []latchBank
-	bankIdx map[any]int
-	loose   []Latchable
-
-	// Inline-mode dirty list: when the parallel engine runs on the
-	// calling goroutine (stepInline), every banked Reg carries a hook to
-	// this list and enqueues itself on its clean→written transition, so
-	// the commit phase touches only registers that can change — O(active
-	// wires), not O(all latches). The hooks are single-threaded by
-	// construction and therefore disabled in the pooled and sequential
-	// modes (dirtyOn tracks whether they are attached).
-	dirty   []dirtyLatch
-	dirtyOn bool
 
 	workers   int
 	tiling    func(shard int) int // nil = one tile per shard
 	forcePool bool
 	pool      *workerPool
 	plan      []planSeg
-	spans     [][]latchSpan
 	planDirty bool
 
 	// Epoch synchronization and quiescence skipping (see epoch.go).
 	// syncDirty marks the derived fields stale after any registration.
 	pipes     []pipeEntry
-	epochReq  int64 // requested epoch length (SetEpoch)
-	effEpoch  int64 // legal epoch length, derived from wires/latches
+	effEpoch  int64 // longest legal epoch, derived from wires/latches
 	skipOK    bool  // every component is a Skipper and no latches exist
 	skippers  []Skipper
 	skipBlock int // index of the most recent skip-blocking component
@@ -119,7 +98,7 @@ const globalShard = -1
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{workers: 1, epochReq: 1, effEpoch: 1, skipBlock: -1}
+	return &Kernel{workers: 1, effEpoch: 1, skipBlock: -1}
 }
 
 // Register adds a component. Components tick in registration order. In
@@ -137,10 +116,10 @@ func (k *Kernel) Register(c Component) {
 // RegisterShard adds a component to a shard. Components of the same
 // shard always tick in registration order relative to each other;
 // components of different shards may tick concurrently in parallel
-// mode, so they must interact only through Regs (or not at all). The
-// shard key is arbitrary; meshes use the router's row-major index and
-// tag each router's node-side software (pacer, sink, traffic sources)
-// with its router's shard.
+// mode, so they must interact only through Regs and Pipes (or not at
+// all). The shard key is arbitrary; meshes use the router's row-major
+// index and tag each router's node-side software (pacer, sink, traffic
+// sources) with its router's shard.
 func (k *Kernel) RegisterShard(shard int, c Component) {
 	if c == nil {
 		panic("sim: RegisterShard(nil)")
@@ -169,41 +148,19 @@ func (k *Kernel) AddLatch(l Latchable) {
 		panic("sim: AddLatch(nil)")
 	}
 	k.latches = append(k.latches, l)
-	if b, ok := l.(banked); ok {
-		key := b.bankKey()
-		i, ok := k.bankIdx[key]
-		if !ok {
-			if k.bankIdx == nil {
-				k.bankIdx = make(map[any]int)
-			}
-			i = len(k.banks)
-			k.bankIdx[key] = i
-			k.banks = append(k.banks, b.newBank())
-		}
-		b.joinBank(k.banks[i])
-	} else {
-		k.loose = append(k.loose, l)
-	}
-	if k.dirtyOn {
-		// The new latch has no hook yet; drop back to the hookless state
-		// and let the next inline step re-attach everything.
-		k.disableDirty()
-	}
-	k.planDirty = true
 	k.syncDirty = true
 }
 
 // Now returns the current cycle (the cycle about to be executed by Step).
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Step executes one full cycle: compute phase then commit phase.
+// Step executes one full cycle: compute phase then commit phase. The
+// loop below is the sequential reference; parallel mode runs the same
+// cycle on the worker pool when there is parallelism to extract.
 func (k *Kernel) Step() {
-	if k.workers > 1 {
-		k.stepParallel()
+	if k.usePool() {
+		k.stepPool(1)
 		return
-	}
-	if k.dirtyOn {
-		k.disableDirty()
 	}
 	for _, e := range k.entries {
 		e.c.Tick(k.now)
@@ -226,16 +183,8 @@ func (k *Kernel) Run(n int64) {
 		if k.trySkipTo(end) {
 			continue
 		}
-		e := k.effEpoch
-		if k.workers > 1 && e > 1 {
-			if rem := int64(end - k.now); e > rem {
-				e = rem
-			}
-		} else {
-			e = 1
-		}
-		if e > 1 {
-			k.stepEpoch(e)
+		if e := min(k.effEpoch, int64(end-k.now)); e > 1 && k.usePool() {
+			k.stepPool(e)
 		} else {
 			k.Step()
 		}
@@ -263,15 +212,6 @@ func (k *Kernel) String() string {
 		k.now, len(k.entries), len(k.latches), k.workers)
 }
 
-// Reg dirty states. The invariant behind the clean fast path: a clean
-// register has cur == next (for a wire, both zero), so commit would be a
-// no-op and the parallel engine's dirty scan can skip it.
-const (
-	regClean   uint8 = iota // no write since the last settled commit
-	regWritten              // next was written this cycle
-	regDrain                // wire carried a value last edge; must drain to zero
-)
-
 // Reg is a clock-latched register of any value type. Producers write the
 // next value during the compute phase; consumers read the current value.
 // If no producer writes during a cycle, the register drains to the zero
@@ -279,12 +219,7 @@ const (
 // cycle it was driven).
 type Reg[T any] struct {
 	cur, next T
-	sticky    bool  // if true, hold value until overwritten (latch semantics)
-	state     uint8 // regClean, regWritten, or regDrain
-
-	// hook, when attached by the kernel's inline mode, is the dirty list
-	// this register enqueues itself on when it leaves the clean state.
-	hook *[]dirtyLatch
+	sticky    bool // if true, hold value until overwritten (latch semantics)
 }
 
 // NewReg returns a wire-semantics register (drains each cycle).
@@ -297,114 +232,15 @@ func NewSticky[T any]() *Reg[T] { return &Reg[T]{sticky: true} }
 func (r *Reg[T]) Read() T { return r.cur }
 
 // Write drives the value to be latched at the next clock edge.
-func (r *Reg[T]) Write(v T) {
-	r.next = v
-	if r.state == regClean && r.hook != nil {
-		*r.hook = append(*r.hook, r)
-	}
-	r.state = regWritten
-}
+func (r *Reg[T]) Write(v T) { r.next = v }
 
-// Commit implements Latchable. An unwritten register whose previous
-// commit already settled it is clean — cur equals next — and commits in
-// one byte compare, which is what makes the dirty-latch scan cheap.
+// Commit implements Latchable. A sticky register keeps next, so an edge
+// without a write re-latches the held value; a wire clears it, so an
+// edge without a write latches zero.
 func (r *Reg[T]) Commit() {
-	if r.state == regClean {
-		return
-	}
 	r.cur = r.next
-	if r.sticky {
-		// cur == next holds from here until the next Write.
-		r.state = regClean
-		return
+	if !r.sticky {
+		var zero T
+		r.next = zero
 	}
-	var zero T
-	r.next = zero
-	if r.state == regWritten {
-		// The wire carried a value this edge; one more commit must drain
-		// cur back to zero before the register settles clean.
-		r.state = regDrain
-	} else {
-		r.state = regClean
-	}
-}
-
-// dirtyLatch is a latch that supports the inline mode's dirty-list
-// commit: commitKeep commits a known-dirty latch and reports whether it
-// must stay on the list for the next edge (a wire that still has to
-// drain).
-type dirtyLatch interface {
-	commitKeep() bool
-}
-
-// commitKeep commits a register known to be dirty. A freshly written
-// wire drains at the next edge, so it stays enqueued; a sticky register
-// or a draining wire settles clean and leaves the list.
-func (r *Reg[T]) commitKeep() bool {
-	r.cur = r.next
-	if r.sticky {
-		r.state = regClean
-		return false
-	}
-	var zero T
-	r.next = zero
-	if r.state == regWritten {
-		r.state = regDrain
-		return true
-	}
-	r.state = regClean
-	return false
-}
-
-// banked is implemented by latches that can join a typed commit bank.
-type banked interface {
-	bankKey() any
-	newBank() latchBank
-	joinBank(b latchBank)
-}
-
-// latchBank is a homogeneous slice of latches committed by direct
-// (devirtualized) calls. attach/detach manage the inline mode's dirty
-// hooks: attach points every member at the kernel's dirty list and
-// seeds the list with the members that are already dirty.
-type latchBank interface {
-	size() int
-	commitRange(lo, hi int)
-	attach(hook *[]dirtyLatch, list []dirtyLatch) []dirtyLatch
-	detach()
-}
-
-// regBank commits a contiguous range of same-typed Regs. The per-reg
-// state check happens inside Reg.Commit, which inlines here.
-type regBank[T any] struct{ regs []*Reg[T] }
-
-func (b *regBank[T]) size() int { return len(b.regs) }
-
-func (b *regBank[T]) commitRange(lo, hi int) {
-	for _, r := range b.regs[lo:hi] {
-		r.Commit()
-	}
-}
-
-func (b *regBank[T]) attach(hook *[]dirtyLatch, list []dirtyLatch) []dirtyLatch {
-	for _, r := range b.regs {
-		r.hook = hook
-		if r.state != regClean {
-			list = append(list, r)
-		}
-	}
-	return list
-}
-
-func (b *regBank[T]) detach() {
-	for _, r := range b.regs {
-		r.hook = nil
-	}
-}
-
-func (r *Reg[T]) bankKey() any       { return (*regBank[T])(nil) }
-func (r *Reg[T]) newBank() latchBank { return &regBank[T]{} }
-func (r *Reg[T]) joinBank(b latchBank) {
-	rb := b.(*regBank[T])
-	rb.regs = append(rb.regs, r)
 }

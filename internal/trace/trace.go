@@ -1,14 +1,14 @@
-// Package trace records time-stamped network events into a bounded ring
-// for post-mortem inspection — the software analog of watching the
-// Verilog waveforms the authors used. Recorders attach to router hooks
-// and sink observers; cmd/rtsim exposes the tail via -trace.
+// Package trace defines the time-stamped network event — the software
+// analog of watching the Verilog waveforms the authors used — with its
+// translation from router lifecycle observations and its human-readable
+// rendering. The obs package's sharded collector records and merges the
+// events; cmd/rtsim exposes the tail via -trace.
 package trace
 
 import (
 	"fmt"
 	"io"
 
-	"repro/internal/mesh"
 	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/timing"
@@ -94,63 +94,6 @@ type Event struct {
 	BE     bool
 }
 
-// Ring is a fixed-capacity event recorder; the newest events win.
-type Ring struct {
-	buf   []Event
-	next  int
-	total int64
-}
-
-// NewRing returns a recorder keeping the last n events.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, 0, n)}
-}
-
-// Record appends an event, evicting the oldest beyond capacity.
-func (r *Ring) Record(e Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-	}
-	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
-}
-
-// Total returns how many events were recorded overall (including
-// evicted ones).
-func (r *Ring) Total() int64 { return r.total }
-
-// Reset discards all retained events and the running total, keeping
-// the capacity. Router.ResetStats invokes it through the OnReset chain
-// installed by AttachRouter.
-func (r *Ring) Reset() {
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.total = 0
-}
-
-// Events returns the retained events oldest-first.
-func (r *Ring) Events() []Event {
-	if len(r.buf) < cap(r.buf) {
-		out := make([]Event, len(r.buf))
-		copy(out, r.buf)
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dump writes the retained events, oldest first.
-func (r *Ring) Dump(w io.Writer) {
-	DumpEvents(w, r.Events())
-}
-
 // DumpEvents writes events in the standard human-readable trace format,
 // one line each, in slice order. The slack printed on transmit,
 // arbitration, cut-through, and delivery lines is the signed slot margin
@@ -185,9 +128,7 @@ func DumpEvents(w io.Writer, events []Event) {
 	}
 }
 
-// FromLifecycle translates a router observation into a trace event. The
-// obs package reuses it so sharded collectors and the legacy ring render
-// identically.
+// FromLifecycle translates a router observation into a trace event.
 func FromLifecycle(ev router.LifecycleEvent) Event {
 	e := Event{
 		Cycle:   ev.Cycle,
@@ -229,80 +170,4 @@ func FromLifecycle(ev router.LifecycleEvent) Event {
 		e.Reason = ev.Cause.String()
 	}
 	return e
-}
-
-// AttachRouter hooks the router's full packet lifecycle — inject,
-// enqueue, arbitration wins, transmits, cut-throughs, best-effort
-// blocks, drops, and deliveries — into the ring. It chains with any
-// lifecycle hook already installed, and chains the router's OnReset so
-// Router.ResetStats also clears the ring.
-func AttachRouter(ring *Ring, r *router.Router) {
-	prev := r.OnLifecycle
-	r.OnLifecycle = func(ev router.LifecycleEvent) {
-		ring.Record(FromLifecycle(ev))
-		if prev != nil {
-			prev(ev)
-		}
-	}
-	prevReset := r.OnReset
-	r.OnReset = func() {
-		ring.Reset()
-		if prevReset != nil {
-			prevReset()
-		}
-	}
-}
-
-// Timeline reconstructs the per-hop history of the connection: the
-// chain of logical arrivals (ℓ_j in the paper) from injection at the
-// source through every hop's enqueue/arbitration/transmit to delivery.
-// Because headers are rewritten at each hop, the walk follows the
-// connection-id chain: an event transmitting conn a as conn b extends
-// the set of ids considered part of the flow. conn id 0 is treated as
-// "unknown" and never followed. If unrelated connections reuse an id
-// retained in the ring their events merge into the result; keep rings
-// short-lived (or Reset between phases) when ids are recycled.
-func Timeline(ring *Ring, conn uint8) []Event {
-	live := map[uint8]bool{conn: true}
-	var out []Event
-	for _, e := range ring.Events() {
-		if e.BE || !live[e.Conn] {
-			continue
-		}
-		out = append(out, e)
-		switch e.Kind {
-		case KindEnqueue, KindTCTransmit, KindCutThrough, KindArbWin:
-			if e.OutConn != 0 {
-				live[e.OutConn] = true
-			}
-		}
-	}
-	return out
-}
-
-// AttachDeliveries hooks a node's delivery events into the ring via its
-// sink observers. The at label names the node.
-//
-// Deprecated-in-spirit: AttachRouter now records deliveries through the
-// lifecycle hook, so attaching both double-counts. The observer remains
-// for callers that want delivery events only.
-type DeliveryObserver struct {
-	ring *Ring
-	at   mesh.Coord
-}
-
-// NewDeliveryObserver returns observer callbacks for traffic.Sink.OnTC
-// and OnBE.
-func NewDeliveryObserver(ring *Ring, at mesh.Coord) *DeliveryObserver {
-	return &DeliveryObserver{ring: ring, at: at}
-}
-
-// TC records a time-constrained delivery.
-func (o *DeliveryObserver) TC(d router.DeliveredTC) {
-	o.ring.Record(Event{Cycle: d.Cycle, Kind: KindTCDeliver, Router: o.at.String(), Conn: d.Conn})
-}
-
-// BE records a best-effort delivery.
-func (o *DeliveryObserver) BE(d router.DeliveredBE) {
-	o.ring.Record(Event{Cycle: d.Cycle, Kind: KindBEDeliver, Router: o.at.String(), BE: true})
 }

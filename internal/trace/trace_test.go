@@ -7,43 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
-
-func TestRingEviction(t *testing.T) {
-	r := trace.NewRing(3)
-	for i := int64(0); i < 5; i++ {
-		r.Record(trace.Event{Cycle: i})
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d, want 3", len(ev))
-	}
-	for i, e := range ev {
-		if e.Cycle != int64(i+2) {
-			t.Errorf("event %d cycle %d, want %d (oldest-first)", i, e.Cycle, i+2)
-		}
-	}
-}
-
-func TestRingUnderfill(t *testing.T) {
-	r := trace.NewRing(10)
-	r.Record(trace.Event{Cycle: 7})
-	ev := r.Events()
-	if len(ev) != 1 || ev[0].Cycle != 7 {
-		t.Fatalf("events = %v", ev)
-	}
-	if trace.NewRing(0) == nil {
-		t.Fatal("degenerate capacity must clamp, not fail")
-	}
-}
 
 func TestKindString(t *testing.T) {
 	if trace.KindTCTransmit.String() != "tc-tx" || trace.KindTCDeliver.String() != "tc-rx" || trace.KindBEDeliver.String() != "be-rx" {
@@ -57,17 +26,13 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestAttachEndToEnd traces a live system and checks the full packet
-// lifecycle appears with sane fields. trace.AttachRouter alone now records
-// deliveries (through the lifecycle hook), so no sink observers are
-// needed.
+// TestAttachEndToEnd attaches a sharded collector to a live system and
+// checks the full packet lifecycle comes out of FromLifecycle and
+// DumpEvents with sane fields.
 func TestAttachEndToEnd(t *testing.T) {
-	sys := core.MustNewMesh(2, 1, core.Options{})
-	ring := trace.NewRing(64)
+	col := obs.NewSharded(64)
+	sys := core.MustNewMesh(2, 1, core.Options{Collector: col})
 	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
-	for _, c := range sys.Net.Coords() {
-		trace.AttachRouter(ring, sys.Router(c))
-	}
 	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, rtc.Spec{Imin: 8, Smax: 18, D: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +47,9 @@ func TestAttachEndToEnd(t *testing.T) {
 	sys.Router(src).InjectBE(frame)
 	sys.Run(2000)
 
+	events := col.TraceEvents()
 	var inject, enq, win, tx, rx, be int
-	for _, e := range ring.Events() {
+	for _, e := range events {
 		switch e.Kind {
 		case trace.KindInject:
 			inject++
@@ -112,115 +78,11 @@ func TestAttachEndToEnd(t *testing.T) {
 		t.Errorf("inject=%d enqueue=%d arb-win=%d, want 1,>=1,2", inject, enq, win)
 	}
 	var buf bytes.Buffer
-	ring.Dump(&buf)
+	trace.DumpEvents(&buf, events)
 	out := buf.String()
 	for _, want := range []string{"inject", "enqueue", "tc-tx", "tc-rx", "be-rx", "(0,0)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestTimeline reconstructs a multi-hop time-constrained packet's
-// inject→deliver chain across rewritten per-hop connection ids.
-func TestTimeline(t *testing.T) {
-	sys := core.MustNewMesh(3, 1, core.Options{})
-	ring := trace.NewRing(256)
-	for _, c := range sys.Net.Coords() {
-		trace.AttachRouter(ring, sys.Router(c))
-	}
-	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 0}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, rtc.Spec{Imin: 8, Smax: 18, D: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.Send([]byte("hop-hop")); err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(4000)
-
-	tl := trace.Timeline(ring, ch.Admitted().SrcConn)
-	if len(tl) < 4 {
-		t.Fatalf("timeline too short: %v", tl)
-	}
-	if tl[0].Kind != trace.KindInject || tl[0].Router != src.String() {
-		t.Errorf("timeline does not start with inject at source: %+v", tl[0])
-	}
-	last := tl[len(tl)-1]
-	if last.Kind != trace.KindTCDeliver || last.Router != dst.String() {
-		t.Errorf("timeline does not end with delivery at destination: %+v", last)
-	}
-	hops := map[string]bool{}
-	var tx int
-	for i, e := range tl {
-		hops[e.Router] = true
-		if i > 0 && e.Cycle < tl[i-1].Cycle {
-			t.Errorf("timeline not in cycle order at %d: %+v", i, e)
-		}
-		if e.Kind == trace.KindTCTransmit {
-			tx++
-		}
-	}
-	if len(hops) != 3 {
-		t.Errorf("timeline spans %d routers, want all 3 hops", len(hops))
-	}
-	if tx != 3 {
-		t.Errorf("timeline has %d transmits, want 3 (one per hop)", tx)
-	}
-}
-
-// TestResetStatsClearsRing checks Router.ResetStats propagates through
-// the OnReset chain installed by trace.AttachRouter.
-func TestResetStatsClearsRing(t *testing.T) {
-	sys := core.MustNewMesh(2, 1, core.Options{})
-	ring := trace.NewRing(64)
-	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
-	for _, c := range sys.Net.Coords() {
-		trace.AttachRouter(ring, sys.Router(c))
-	}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, rtc.Spec{Imin: 8, Smax: 18, D: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.Send([]byte("warmup")); err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(2000)
-	if ring.Total() == 0 {
-		t.Fatal("warmup recorded nothing")
-	}
-	sys.Router(src).ResetStats()
-	if ring.Total() != 0 || len(ring.Events()) != 0 {
-		t.Errorf("ResetStats left %d events (total %d)", len(ring.Events()), ring.Total())
-	}
-}
-
-// TestAttachChainsExistingHook verifies tracing composes with hooks the
-// experiments install rather than displacing them.
-func TestAttachChainsExistingHook(t *testing.T) {
-	sys := core.MustNewMesh(1, 1, core.Options{})
-	at := mesh.Coord{X: 0, Y: 0}
-	r := sys.Router(at)
-	called := 0
-	r.OnTCTransmit = func(router.TCTransmitEvent) { called++ }
-	ring := trace.NewRing(8)
-	trace.AttachRouter(ring, r)
-	ch, err := sys.OpenChannel(at, []mesh.Coord{at}, rtc.Spec{Imin: 8, Smax: 18, D: 16})
-	if err != nil {
-		// Self-channels may be rejected by routing; fall back to raw
-		// injection against a hand-programmed entry.
-		if err := r.SetConnection(9, 9, 8, 1<<router.PortLocal); err != nil {
-			t.Fatal(err)
-		}
-		r.InjectTC(packet.TCPacket{Conn: 9})
-	} else if err := ch.Send([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(1000)
-	if called == 0 {
-		t.Error("pre-existing hook no longer invoked")
-	}
-	if ring.Total() == 0 {
-		t.Error("ring recorded nothing")
 	}
 }
