@@ -34,11 +34,9 @@ capacity:
 # pre-cache reference path against the incremental-EDF path in the
 # same run (serial vs serial, so the speedup floor is enforceable on
 # any hardware), checking batch byte-identity at workers 1/2/4, and
-# churning teardown/re-admit against the ledger verifier. Results land
-# in $(ADMIT_JSON).
-ADMIT_JSON ?= BENCH_admission.json
+# churning teardown/re-admit against the ledger verifier.
 admission:
-	$(GO) run ./cmd/rtbench -exp admission -requests 100000 -min-admit-speedup 5 -benchjson $(ADMIT_JSON)
+	$(GO) run ./cmd/rtbench -exp admission -requests 100000 -min-admit-speedup 5
 
 # layout runs the channel-layout synthesis campaign on an 8×8 mesh:
 # per family, the greedy planner versus the route-and-split search over
@@ -47,11 +45,9 @@ admission:
 # greedy on the hotspot family (transpose fully admits at this size, so
 # strictness there is enforced by CI's 16×16 run), if either ledger
 # breaks conservation, or if the Reference-mode shadow controller
-# refuses — or re-seals differently — any synthesized layout. Results
-# land in $(LAYOUT_JSON).
-LAYOUT_JSON ?= BENCH_layout.json
+# refuses — or re-seals differently — any synthesized layout.
 layout:
-	$(GO) run ./cmd/rtbench -exp layout -mesh 8 -strict-layout hotspot -benchjson $(LAYOUT_JSON)
+	$(GO) run ./cmd/rtbench -exp layout -mesh 8 -strict-layout hotspot
 
 # ledger runs the performance ledger's own tests (benchmark/ is a
 # separate module, so `go test ./...` does not descend into it),

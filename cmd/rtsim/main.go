@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -33,7 +32,6 @@ import (
 	"repro/internal/rtc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -321,36 +319,18 @@ func dumpTraceTail(col *obs.Sharded, n int) {
 	if col == nil || n <= 0 {
 		return
 	}
-	evs := col.TraceEvents()
-	tail := evs
-	if n < len(evs) {
-		tail = evs[len(evs)-n:]
-	}
-	fmt.Printf("\nlast %d of %d network events:\n", len(tail), col.Total())
-	trace.DumpEvents(os.Stdout, tail)
+	retained := col.Total() - col.Dropped()
+	fmt.Printf("\nlast %d of %d network events:\n", min(int64(n), retained), col.Total())
+	col.DumpTail(os.Stdout, n)
 }
 
 // writeTraceFile exports the merged timeline; the extension picks the
-// format (.json Chrome trace for Perfetto, .jsonl event log, otherwise
-// the human-readable dump).
+// format (see obs.WriteTraceFile).
 func writeTraceFile(col *obs.Sharded, slo *obs.SLO, path string) {
 	if col == nil || path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".json"):
-		err = obs.WriteChromeTrace(f, col, slo)
-	case strings.HasSuffix(path, ".jsonl"):
-		err = obs.WriteJSONL(f, col)
-	default:
-		col.Dump(f)
-	}
-	if err != nil {
+	if err := obs.WriteTraceFile(path, col, slo); err != nil {
 		fail(err)
 	}
 	fmt.Printf("trace written to %s (%d events recorded, %d evicted)\n", path, col.Total(), col.Dropped())
@@ -399,29 +379,12 @@ func finishTelemetry(reg *metrics.Registry, now int64, metricsOut string) {
 	if metricsOut == "" {
 		return
 	}
-	if err := writeMetrics(reg, metricsOut); err != nil {
+	if err := reg.WriteFile(metricsOut); err != nil {
 		fail(err)
 	}
 	if metricsOut != "-" {
 		fmt.Printf("telemetry report written to %s\n", metricsOut)
 	}
-}
-
-// writeMetrics dumps the registry; the extension picks the format.
-func writeMetrics(reg *metrics.Registry, path string) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		return reg.WritePrometheus(w)
-	}
-	return reg.WriteJSON(w)
 }
 
 // runScenario plays a declarative workload file (see scenarios/ and the

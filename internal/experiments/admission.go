@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -395,144 +394,4 @@ func (r *AdmissionResult) Table() *Table {
 		}
 	}
 	return t
-}
-
-// AdmissionBaselineRow mirrors one archived campaign row (the shape
-// rtbench writes to BENCH_admission.json).
-type AdmissionBaselineRow struct {
-	Family          string  `json:"family"`
-	Requests        int     `json:"requests"`
-	Admitted        int     `json:"admitted"`
-	RefDecPerSec    float64 `json:"ref_decisions_per_sec"`
-	SeqDecPerSec    float64 `json:"seq_decisions_per_sec"`
-	Speedup         float64 `json:"speedup_vs_reference"`
-	P99AdmitMicros  float64 `json:"p99_admit_micros"`
-	BestBatchPerSec float64 `json:"best_batch_decisions_per_sec"`
-}
-
-// AdmissionBaseline is an archived admission campaign result.
-type AdmissionBaseline struct {
-	Mesh       string                 `json:"mesh"`
-	Requests   int                    `json:"requests"`
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	NumCPU     int                    `json:"num_cpu"`
-	Rows       []AdmissionBaselineRow `json:"rows"`
-}
-
-// BaselineRows converts a fresh result into the archived row shape.
-func (r *AdmissionResult) BaselineRows() []AdmissionBaselineRow {
-	rows := make([]AdmissionBaselineRow, 0, len(r.Families))
-	for _, f := range r.Families {
-		row := AdmissionBaselineRow{
-			Family: f.Name, Requests: f.Requests, Admitted: f.Admitted,
-			RefDecPerSec: f.RefDecisionsPerSec, SeqDecPerSec: f.SeqDecisionsPerSec,
-			Speedup: f.Speedup, P99AdmitMicros: f.P99AdmitMicros,
-		}
-		for _, b := range f.Batch {
-			if b.DecisionsPerSec > row.BestBatchPerSec {
-				row.BestBatchPerSec = b.DecisionsPerSec
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// LoadAdmissionBaseline reads an archived BENCH_admission.json.
-func LoadAdmissionBaseline(path string) (*AdmissionBaseline, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("admission baseline: %w", err)
-	}
-	var b AdmissionBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("admission baseline %s: %w", path, err)
-	}
-	if len(b.Rows) == 0 {
-		return nil, fmt.Errorf("admission baseline %s: no rows", path)
-	}
-	return &b, nil
-}
-
-// AdmissionDelta compares one family against its baseline counterpart.
-// SpeedupRatio is cur/base (machine-rate independent: both runs measure
-// reference and incremental on their own hardware); AdmittedDrift is
-// cur−base, which must be zero when mesh and request count match.
-type AdmissionDelta struct {
-	Family        string
-	SameShape     bool // mesh and request count match the baseline
-	BaseSpeedup   float64
-	CurSpeedup    float64
-	SpeedupRatio  float64
-	BaseAdmitted  int
-	CurAdmitted   int
-	AdmittedDrift int
-	BaseP99Micros float64
-	CurP99Micros  float64
-}
-
-// Diff matches the campaign's families against the baseline by name.
-func (r *AdmissionResult) Diff(base *AdmissionBaseline) []AdmissionDelta {
-	idx := make(map[string]AdmissionBaselineRow, len(base.Rows))
-	for _, row := range base.Rows {
-		idx[row.Family] = row
-	}
-	sameShape := base.Mesh == fmt.Sprintf("%dx%d", r.W, r.H) && base.Requests == r.Requests
-	var out []AdmissionDelta
-	for _, f := range r.Families {
-		b, ok := idx[f.Name]
-		if !ok {
-			continue
-		}
-		d := AdmissionDelta{
-			Family: f.Name, SameShape: sameShape && b.Requests == f.Requests,
-			BaseSpeedup: b.Speedup, CurSpeedup: f.Speedup,
-			BaseAdmitted: b.Admitted, CurAdmitted: f.Admitted,
-			AdmittedDrift: f.Admitted - b.Admitted,
-			BaseP99Micros: b.P99AdmitMicros, CurP99Micros: f.P99AdmitMicros,
-		}
-		if b.Speedup > 0 {
-			d.SpeedupRatio = f.Speedup / b.Speedup
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// AdmissionDeltaTable renders the baseline comparison.
-func AdmissionDeltaTable(deltas []AdmissionDelta, baselinePath string) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Admission campaign vs baseline %s", baselinePath),
-		Header: []string{"family", "speedup", "base", "ratio", "admitted", "base", "p99_us", "base"},
-	}
-	for _, d := range deltas {
-		t.AddRow(
-			d.Family,
-			fmt.Sprintf("%.1fx", d.CurSpeedup),
-			fmt.Sprintf("%.1fx", d.BaseSpeedup),
-			f2(d.SpeedupRatio),
-			di(d.CurAdmitted), di(d.BaseAdmitted),
-			f2(d.CurP99Micros), f2(d.BaseP99Micros),
-		)
-	}
-	return t
-}
-
-// CheckAdmissionRegression fails on the first family whose speedup fell
-// more than maxRegress below the baseline, or — when the mesh and
-// request count match the archive — whose admitted count drifted at all
-// (the decision sequence is deterministic, so any drift is a behavior
-// change, not noise).
-func CheckAdmissionRegression(deltas []AdmissionDelta, maxRegress float64) error {
-	for _, d := range deltas {
-		if d.SameShape && d.AdmittedDrift != 0 {
-			return fmt.Errorf("%s: admitted %d, baseline %d — deterministic decision sequence drifted",
-				d.Family, d.CurAdmitted, d.BaseAdmitted)
-		}
-		if maxRegress > 0 && d.BaseSpeedup > 0 && d.SpeedupRatio < 1-maxRegress {
-			return fmt.Errorf("%s: speedup %.1fx is %.0f%% below baseline %.1fx",
-				d.Family, d.CurSpeedup, (1-d.SpeedupRatio)*100, d.BaseSpeedup)
-		}
-	}
-	return nil
 }

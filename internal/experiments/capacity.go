@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -362,111 +361,6 @@ func (f *CapacityFamilyResult) HeadroomTable(top int) *Table {
 			d(lc.ReservedSlots), d(lc.HeadroomSlots), d(lc.WorstMarginSlots))
 	}
 	return t
-}
-
-// CapacityBaselineRow mirrors one archived capacity row (the shape
-// rtbench writes to a capacity bench JSON).
-type CapacityBaselineRow struct {
-	Family      string `json:"family"`
-	MaxChannels int    `json:"max_channels"`
-	Capped      bool   `json:"capped"`
-}
-
-// CapacityBaseline is an archived capacity campaign result.
-type CapacityBaseline struct {
-	Mesh string                `json:"mesh"`
-	Rows []CapacityBaselineRow `json:"rows"`
-}
-
-// BaselineRows converts a fresh result into the archived row shape.
-func (r *CapacityResult) BaselineRows() []CapacityBaselineRow {
-	rows := make([]CapacityBaselineRow, 0, len(r.Families))
-	for _, f := range r.Families {
-		rows = append(rows, CapacityBaselineRow{
-			Family: f.Name, MaxChannels: f.MaxChannels, Capped: f.Capped,
-		})
-	}
-	return rows
-}
-
-// LoadCapacityBaseline reads an archived capacity bench JSON.
-func LoadCapacityBaseline(path string) (*CapacityBaseline, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("capacity baseline: %w", err)
-	}
-	var b CapacityBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("capacity baseline %s: %w", path, err)
-	}
-	if len(b.Rows) == 0 {
-		return nil, fmt.Errorf("capacity baseline %s: no rows", path)
-	}
-	return &b, nil
-}
-
-// CapacityDelta compares one family's saturation point against its
-// baseline counterpart.
-type CapacityDelta struct {
-	Family    string
-	SameShape bool // mesh matches the baseline
-	Base      int
-	Cur       int
-	Drift     int
-}
-
-// Diff matches the campaign's families against the baseline by name.
-func (r *CapacityResult) Diff(base *CapacityBaseline) []CapacityDelta {
-	idx := make(map[string]CapacityBaselineRow, len(base.Rows))
-	for _, row := range base.Rows {
-		idx[row.Family] = row
-	}
-	sameShape := base.Mesh == fmt.Sprintf("%dx%d", r.W, r.H)
-	var out []CapacityDelta
-	for _, f := range r.Families {
-		b, ok := idx[f.Name]
-		if !ok {
-			continue
-		}
-		out = append(out, CapacityDelta{
-			Family: f.Name, SameShape: sameShape,
-			Base: b.MaxChannels, Cur: f.MaxChannels, Drift: f.MaxChannels - b.MaxChannels,
-		})
-	}
-	return out
-}
-
-// CapacityDeltaTable renders the baseline comparison.
-func CapacityDeltaTable(deltas []CapacityDelta, baselinePath string) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Capacity campaign vs baseline %s", baselinePath),
-		Header: []string{"family", "max_channels", "base", "drift"},
-	}
-	for _, d := range deltas {
-		t.AddRow(d.Family, di(d.Cur), di(d.Base), fmt.Sprintf("%+d", d.Drift))
-	}
-	return t
-}
-
-// CheckCapacityRegression fails on the first family whose saturation
-// point drifted from a same-mesh baseline (the search is deterministic,
-// so any drift is a behavior change), or — across meshes — whose count
-// fell more than maxRegress below the baseline's.
-func CheckCapacityRegression(deltas []CapacityDelta, maxRegress float64) error {
-	for _, d := range deltas {
-		if d.SameShape && d.Drift != 0 {
-			return fmt.Errorf("%s: max admissible %d, baseline %d — deterministic saturation point drifted",
-				d.Family, d.Cur, d.Base)
-		}
-		if maxRegress > 0 && d.Base > 0 {
-			ratio := float64(d.Cur) / float64(d.Base)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("%s: max admissible %d is %.0f%% below baseline %d",
-					d.Family, d.Cur, (1-ratio)*100, d.Base)
-			}
-		}
-	}
-	return nil
 }
 
 // AuditIdentityResult is the outcome of RunAuditIdentity: whether the

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"time"
@@ -11,33 +10,8 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/router"
 	"repro/internal/rtc"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
-
-// CycleRateResult reports the simulator's own throughput — cycles per
-// second on a loaded mesh — sequentially and with the parallel kernel,
-// together with the evidence that the two modes agree bit for bit.
-type CycleRateResult struct {
-	W, H    int
-	Cycles  int64
-	Workers int
-	// Epoch is the synchronization epoch the parallel kernel derived
-	// from the link latency (1 = per-cycle barriers). Deeper links apply
-	// to both modes, so the comparison stays honest.
-	Epoch int
-
-	SeqRate float64 // cycles per second, sequential kernel
-	ParRate float64 // cycles per second, parallel kernel
-	Speedup float64 // median of per-repetition par/seq ratios
-
-	SeqAllocsPerCycle float64
-	ParAllocsPerCycle float64
-
-	// StatsMatch confirms the parallel run reproduced the sequential
-	// run's per-router hardware counters exactly.
-	StatsMatch bool
-}
 
 // loadCycleRateSystem builds the measured workload: real-time channels
 // crossing the mesh corner to corner plus a best-effort source on every
@@ -189,51 +163,4 @@ func timePair(w, h, workers, linkLat int, cycles int64) (seq, par measurement, s
 		speedup = ratios[len(ratios)/2]
 	}
 	return seq, par, speedup, nil
-}
-
-// RunCycleRate measures simulator throughput on a loaded w×h mesh with
-// the sequential kernel and with the parallel kernel at the given
-// worker count (<= 0 picks GOMAXPROCS), and cross-checks that both
-// modes produce identical router counters. linkLat > 1 deepens the
-// links in both modes, which amortizes the parallel kernel's barrier
-// over that many cycles.
-func RunCycleRate(w, h int, cycles int64, workers, linkLat int) (*CycleRateResult, error) {
-	workers = sim.ResolveWorkers(workers)
-	if cycles <= 0 {
-		cycles = 50000
-	}
-	seq, par, speedup, err := timePair(w, h, workers, linkLat, cycles)
-	if err != nil {
-		return nil, err
-	}
-	seqAllocs, err := steadyAllocs(w, h, 1, linkLat, cycles)
-	if err != nil {
-		return nil, err
-	}
-	parAllocs, err := steadyAllocs(w, h, workers, linkLat, cycles)
-	if err != nil {
-		return nil, err
-	}
-	return &CycleRateResult{
-		W: w, H: h, Cycles: cycles, Workers: workers, Epoch: par.Epoch,
-		SeqRate: seq.Rate, ParRate: par.Rate, Speedup: speedup,
-		SeqAllocsPerCycle: seqAllocs, ParAllocsPerCycle: parAllocs,
-		StatsMatch: reflect.DeepEqual(seq.Stats, par.Stats),
-	}, nil
-}
-
-// Table renders the result.
-func (r *CycleRateResult) Table() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Simulator cycle rate, %dx%d mesh, %d cycles", r.W, r.H, r.Cycles),
-		Header: []string{"kernel", "cycles/sec", "allocs/cycle"},
-	}
-	t.AddRow("sequential", fmt.Sprintf("%.0f", r.SeqRate), fmt.Sprintf("%.2f", r.SeqAllocsPerCycle))
-	par := fmt.Sprintf("parallel x%d", r.Workers)
-	if r.Epoch > 1 {
-		par += fmt.Sprintf(" epoch %d", r.Epoch)
-	}
-	t.AddRow(par, fmt.Sprintf("%.0f", r.ParRate), fmt.Sprintf("%.2f", r.ParAllocsPerCycle))
-	t.AddNote("speedup %.2fx; router counters bit-identical: %v", r.Speedup, r.StatsMatch)
-	return t
 }

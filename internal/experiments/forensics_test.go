@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -79,80 +78,5 @@ func TestForensicsGateEpoch(t *testing.T) {
 	res := runGateLinks(t, "../../scenarios/fig6.json", gateCycles(4000, 10000), 4)
 	if res.Stats.TCStallCycles == 0 {
 		t.Error("epoch-4 fig6 produced no attributed TC stall cycles; the engine saw nothing")
-	}
-}
-
-// TestSweepDiff covers the baseline matcher and the regression gate on
-// synthetic rows: a halved speedup trips the gate, a within-tolerance
-// row and a single-worker row do not.
-func TestSweepDiff(t *testing.T) {
-	cur := &SweepResult{Rows: []SweepRow{
-		{W: 8, H: 8, Workers: 1, Speedup: 0.5, ParAllocsPerCycle: 2.0},
-		{W: 8, H: 8, Workers: 4, Speedup: 1.0, ParAllocsPerCycle: 2.0},
-		{W: 16, H: 16, Workers: 4, Speedup: 2.0, ParAllocsPerCycle: 2.0},
-	}}
-	base := &SweepBaseline{Rows: []BaselineRow{
-		{Mesh: "8x8", Workers: 1, Speedup: 1.0, ParAllocsPerCycle: 2.0},
-		{Mesh: "8x8", Workers: 4, Speedup: 2.0, ParAllocsPerCycle: 2.0},
-		{Mesh: "16x16", Workers: 4, Speedup: 2.1, ParAllocsPerCycle: 2.0},
-		{Mesh: "32x32", Workers: 4, Speedup: 3.0, ParAllocsPerCycle: 2.0},
-	}}
-	deltas := cur.Diff(base)
-	if len(deltas) != 3 {
-		t.Fatalf("matched %d rows, want 3 (32x32 has no current row)", len(deltas))
-	}
-	if err := CheckRegression(deltas, 0.2); err == nil {
-		t.Error("halved 8x8 x4 speedup passed a 20%% gate")
-	} else if !strings.Contains(err.Error(), "8x8 x4") {
-		t.Errorf("gate blamed the wrong row: %v", err)
-	}
-	if err := CheckRegression(deltas[:1], 0.2); err != nil {
-		t.Errorf("single-worker row tripped the speedup floor: %v", err)
-	}
-	if err := CheckRegression(deltas[2:], 0.2); err != nil {
-		t.Errorf("within-tolerance row tripped the gate: %v", err)
-	}
-	if err := CheckRegression(deltas, 0); err != nil {
-		t.Errorf("disabled gate (max-regress 0) still failed: %v", err)
-	}
-
-	// Allocation growth trips the gate independently of speedup.
-	grew := []SweepDelta{{Mesh: "8x8", Workers: 4, BaseSpeedup: 2.0,
-		CurSpeedup: 2.0, SpeedupRatio: 1.0,
-		BaseAllocs: 1.0, CurAllocs: 1.5, AllocsRatio: 1.5}}
-	if err := CheckRegression(grew, 0.2); err == nil {
-		t.Error("50%% allocation growth passed a 20%% gate")
-	}
-}
-
-// TestLoadSweepBaseline exercises the archive loader's error paths and
-// round-trip.
-func TestLoadSweepBaseline(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		t.Helper()
-		p := dir + "/" + name
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	good := write("good.json",
-		`{"gomaxprocs": 8, "rows": [{"mesh": "8x8", "workers": 4, "speedup": 2.5}]}`)
-	b, err := LoadSweepBaseline(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GOMAXPROCS != 8 || len(b.Rows) != 1 || b.Rows[0].Speedup != 2.5 {
-		t.Errorf("round-trip mismatch: %+v", b)
-	}
-	if _, err := LoadSweepBaseline(dir + "/missing.json"); err == nil {
-		t.Error("missing file loaded")
-	}
-	if _, err := LoadSweepBaseline(write("empty.json", `{"rows": []}`)); err == nil {
-		t.Error("empty baseline loaded")
-	}
-	if _, err := LoadSweepBaseline(write("bad.json", `{"rows": [`)); err == nil {
-		t.Error("malformed baseline loaded")
 	}
 }

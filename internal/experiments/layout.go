@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -331,121 +330,4 @@ func (f *LayoutFamilyResult) BindingTable() *Table {
 		t.AddRow(g, gr, s, sr)
 	}
 	return t
-}
-
-// LayoutBaselineRow mirrors one archived layout-campaign row (the shape
-// rtbench writes to BENCH_layout.json).
-type LayoutBaselineRow struct {
-	Family         string `json:"family"`
-	Requests       int    `json:"requests"`
-	GreedyAdmitted int    `json:"greedy_admitted"`
-	SynthAdmitted  int    `json:"synth_admitted"`
-	Rerouted       int    `json:"rerouted"`
-	Nonuniform     int    `json:"nonuniform"`
-}
-
-// LayoutBaseline is an archived layout campaign result.
-type LayoutBaseline struct {
-	Mesh     string              `json:"mesh"`
-	Requests int                 `json:"requests"`
-	Rows     []LayoutBaselineRow `json:"rows"`
-}
-
-// BaselineRows converts a fresh result into the archived row shape.
-func (r *LayoutResult) BaselineRows() []LayoutBaselineRow {
-	rows := make([]LayoutBaselineRow, 0, len(r.Families))
-	for _, f := range r.Families {
-		rows = append(rows, LayoutBaselineRow{
-			Family: f.Name, Requests: f.Requests,
-			GreedyAdmitted: f.GreedyAdmitted, SynthAdmitted: f.SynthAdmitted,
-			Rerouted: f.Rerouted, Nonuniform: f.Nonuniform,
-		})
-	}
-	return rows
-}
-
-// LoadLayoutBaseline reads an archived BENCH_layout.json.
-func LoadLayoutBaseline(path string) (*LayoutBaseline, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("layout baseline: %w", err)
-	}
-	var b LayoutBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("layout baseline %s: %w", path, err)
-	}
-	if len(b.Rows) == 0 {
-		return nil, fmt.Errorf("layout baseline %s: no rows", path)
-	}
-	return &b, nil
-}
-
-// LayoutDelta compares one family against its baseline counterpart.
-type LayoutDelta struct {
-	Family      string
-	SameShape   bool // mesh and request count match the baseline
-	BaseGreedy  int
-	CurGreedy   int
-	BaseSynth   int
-	CurSynth    int
-	SynthDrift  int
-	GreedyDrift int
-}
-
-// Diff matches the campaign's families against the baseline by name.
-func (r *LayoutResult) Diff(base *LayoutBaseline) []LayoutDelta {
-	idx := make(map[string]LayoutBaselineRow, len(base.Rows))
-	for _, row := range base.Rows {
-		idx[row.Family] = row
-	}
-	sameShape := base.Mesh == fmt.Sprintf("%dx%d", r.W, r.H) && base.Requests == r.Requests
-	var out []LayoutDelta
-	for _, f := range r.Families {
-		b, ok := idx[f.Name]
-		if !ok {
-			continue
-		}
-		out = append(out, LayoutDelta{
-			Family: f.Name, SameShape: sameShape && b.Requests == f.Requests,
-			BaseGreedy: b.GreedyAdmitted, CurGreedy: f.GreedyAdmitted,
-			BaseSynth: b.SynthAdmitted, CurSynth: f.SynthAdmitted,
-			SynthDrift:  f.SynthAdmitted - b.SynthAdmitted,
-			GreedyDrift: f.GreedyAdmitted - b.GreedyAdmitted,
-		})
-	}
-	return out
-}
-
-// LayoutDeltaTable renders the baseline comparison.
-func LayoutDeltaTable(deltas []LayoutDelta, baselinePath string) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Layout campaign vs baseline %s", baselinePath),
-		Header: []string{"family", "greedy", "base", "synth", "base", "drift"},
-	}
-	for _, d := range deltas {
-		t.AddRow(d.Family, di(d.CurGreedy), di(d.BaseGreedy),
-			di(d.CurSynth), di(d.BaseSynth), fmt.Sprintf("%+d", d.SynthDrift))
-	}
-	return t
-}
-
-// CheckLayoutRegression fails on the first family whose admitted counts
-// drifted from a same-shape baseline (both runs are deterministic, so
-// any drift is a behavior change), or — across shapes — whose
-// synthesized count fell more than maxRegress below the baseline's.
-func CheckLayoutRegression(deltas []LayoutDelta, maxRegress float64) error {
-	for _, d := range deltas {
-		if d.SameShape && (d.SynthDrift != 0 || d.GreedyDrift != 0) {
-			return fmt.Errorf("%s: greedy %d/synth %d, baseline %d/%d — deterministic decision sequence drifted",
-				d.Family, d.CurGreedy, d.CurSynth, d.BaseGreedy, d.BaseSynth)
-		}
-		if maxRegress > 0 && d.BaseSynth > 0 {
-			ratio := float64(d.CurSynth) / float64(d.BaseSynth)
-			if ratio < 1-maxRegress {
-				return fmt.Errorf("%s: synthesized %d is %.0f%% below baseline %d",
-					d.Family, d.CurSynth, (1-ratio)*100, d.BaseSynth)
-			}
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,56 +44,5 @@ func TestLayoutCampaign(t *testing.T) {
 	}
 	if res.Table() == nil {
 		t.Error("nil summary table")
-	}
-}
-
-// TestLayoutBaselineRoundTrip archives a campaign's rows, reloads them,
-// and checks the diff against itself is clean while a doctored baseline
-// trips the regression check.
-func TestLayoutBaselineRoundTrip(t *testing.T) {
-	res, err := RunLayout(4, 4, 24, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_layout.json")
-	blob, err := json.Marshal(map[string]any{
-		"benchmark": "layout_synthesis",
-		"mesh":      "4x4",
-		"requests":  res.Requests,
-		"rows":      res.BaselineRows(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadLayoutBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := res.Diff(base)
-	if len(deltas) != len(res.Families) {
-		t.Fatalf("diff covers %d families, want %d", len(deltas), len(res.Families))
-	}
-	for _, d := range deltas {
-		if !d.SameShape {
-			t.Errorf("family %s: same-run diff reports a shape mismatch", d.Family)
-		}
-		if d.SynthDrift != 0 || d.GreedyDrift != 0 {
-			t.Errorf("family %s: self-diff drifted (greedy %+d, synth %+d)", d.Family, d.GreedyDrift, d.SynthDrift)
-		}
-	}
-	if err := CheckLayoutRegression(deltas, 0.01); err != nil {
-		t.Errorf("self-diff failed the regression check: %v", err)
-	}
-
-	// Doctor the baseline: same shape with different counts must trip
-	// the determinism contract.
-	doctored := *base
-	doctored.Rows = append([]LayoutBaselineRow(nil), base.Rows...)
-	doctored.Rows[0].SynthAdmitted += 3
-	if err := CheckLayoutRegression(res.Diff(&doctored), 0.5); err == nil {
-		t.Error("doctored same-shape baseline passed the regression check")
 	}
 }

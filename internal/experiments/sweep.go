@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"sort"
@@ -167,4 +169,61 @@ func (s *SweepResult) Table() *Table {
 		)
 	}
 	return t
+}
+
+// WriteJSONFile writes the scaling matrix — the one table the
+// performance ledger does not produce — in machine-readable form.
+func (s *SweepResult) WriteJSONFile(path string, linkLat int) error {
+	type jsonRow struct {
+		Mesh              string  `json:"mesh"`
+		Cycles            int64   `json:"cycles"`
+		Workers           int     `json:"workers"`
+		Epoch             int     `json:"epoch"`
+		SeqCyclesPerSec   float64 `json:"seq_cycles_per_sec"`
+		ParCyclesPerSec   float64 `json:"par_cycles_per_sec"`
+		Speedup           float64 `json:"speedup"`
+		SeqAllocsPerCycle float64 `json:"seq_allocs_per_cycle"`
+		ParAllocsPerCycle float64 `json:"par_allocs_per_cycle"`
+		StatsMatch        bool    `json:"stats_match"`
+	}
+	rows := make([]jsonRow, len(s.Rows))
+	for i, r := range s.Rows {
+		rows[i] = jsonRow{
+			Mesh: fmt.Sprintf("%dx%d", r.W, r.H), Cycles: r.Cycles, Workers: r.Workers, Epoch: r.Epoch,
+			SeqCyclesPerSec: r.SeqRate, ParCyclesPerSec: r.ParRate, Speedup: r.Speedup,
+			SeqAllocsPerCycle: r.SeqAllocsPerCycle, ParAllocsPerCycle: r.ParAllocsPerCycle,
+			StatsMatch: r.StatsMatch,
+		}
+	}
+	out := map[string]any{
+		"benchmark":    "router_scaling_sweep",
+		"gomaxprocs":   s.GOMAXPROCS,
+		"num_cpu":      s.NumCPU,
+		"link_latency": linkLat,
+		"rows":         rows,
+	}
+	// Headline, flattened into the top level: the 8×8 mesh at 4 workers,
+	// when the sweep covers it.
+	if h := s.Row(8, 4); h != nil {
+		out["mesh"] = "8x8"
+		out["cycles"] = h.Cycles
+		out["workers"] = h.Workers
+		out["seq_cycles_per_sec"] = h.SeqRate
+		out["par_cycles_per_sec"] = h.ParRate
+		out["speedup"] = h.Speedup
+		out["seq_allocs_per_cycle"] = h.SeqAllocsPerCycle
+		out["par_allocs_per_cycle"] = h.ParAllocsPerCycle
+		out["stats_match"] = h.StatsMatch
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(out)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -22,7 +22,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -722,6 +724,28 @@ func (g *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(g.Snapshot())
+}
+
+// WriteFile writes the snapshot to path ("-" = stdout); the extension
+// picks the format: .prom and .txt are Prometheus text, anything else
+// JSON.
+func (g *Registry) WriteFile(path string) error {
+	write := g.WriteJSON
+	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
+		write = g.WritePrometheus
+	}
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
+	"strings"
 
 	"repro/internal/packet"
 	"repro/internal/router"
@@ -290,4 +293,87 @@ func WriteJSONLEvents(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
+}
+
+// textLabel names an event in the text dump. It differs from
+// LifecycleKind.String where the dump's established vocabulary does:
+// transmissions and deliveries carry their traffic class in the label.
+func textLabel(e *Event) string {
+	switch e.Kind {
+	case router.EvTransmit:
+		return "tc-tx"
+	case router.EvCutThrough:
+		return "cut-thru"
+	case router.EvDeliver:
+		if e.BE {
+			return "be-rx"
+		}
+		return "tc-rx"
+	default:
+		return e.Kind.String()
+	}
+}
+
+// WriteText writes events in the standard human-readable trace format —
+// the software analog of watching the Verilog waveforms the authors
+// used — one line each, in slice order. The slack printed on transmit,
+// arbitration, cut-through, and delivery lines is the signed slot margin
+// against the event's deadline stamp (negative = overdue).
+func WriteText(w io.Writer, events []Event) {
+	for i := range events {
+		e := &events[i]
+		label := textLabel(e)
+		miss := ""
+		if e.Missed {
+			miss = " MISS"
+		}
+		switch e.Kind {
+		case router.EvTransmit, router.EvArbWin:
+			fmt.Fprintf(w, "%10d  %s  %s %s conn=%d->%d class=%s wait=%d slack=%d%s\n",
+				e.Cycle, label, e.Router, router.PortName(e.Port), e.InConn, e.OutConn, e.Class, e.Wait, e.Slack, miss)
+		case router.EvCutThrough:
+			fmt.Fprintf(w, "%10d  %s  %s %s conn=%d->%d class=%s slack=%d\n",
+				e.Cycle, label, e.Router, router.PortName(e.Port), e.InConn, e.OutConn, e.Class, e.Slack)
+		case router.EvEnqueue:
+			fmt.Fprintf(w, "%10d  %s  %s conn=%d->%d\n", e.Cycle, label, e.Router, e.InConn, e.OutConn)
+		case router.EvDrop:
+			fmt.Fprintf(w, "%10d  %s  %s conn=%d reason=%s\n", e.Cycle, label, e.Router, e.InConn, e.Reason)
+		case router.EvStall:
+			fmt.Fprintf(w, "%10d  %s  %s %s conn=%d cause=%s blamed=%d cycles=%d\n",
+				e.Cycle, label, e.Router, router.PortName(e.Port), e.InConn, e.Cause, e.OutConn, e.Wait)
+		case router.EvBlock:
+			fmt.Fprintf(w, "%10d  %s  %s %s\n", e.Cycle, label, e.Router, router.PortName(e.Port))
+		case router.EvDeliver:
+			slack := ""
+			if !e.BE {
+				slack = fmt.Sprintf(" slack=%d", e.Slack)
+			}
+			fmt.Fprintf(w, "%10d  %s  %s conn=%d%s%s\n", e.Cycle, label, e.Router, e.InConn, slack, miss)
+		default:
+			fmt.Fprintf(w, "%10d  %s  %s conn=%d%s\n", e.Cycle, label, e.Router, e.InConn, miss)
+		}
+	}
+}
+
+// WriteTraceFile exports the collector's merged timeline to path; the
+// extension picks the format: .json is Chrome trace-event JSON for
+// Perfetto, .jsonl the JSON-lines event log, anything else the
+// human-readable dump.
+func WriteTraceFile(path string, c *Sharded, slo *SLO) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	switch {
+	case strings.HasSuffix(path, ".json"):
+		err = WriteChromeTrace(f, c, slo)
+	case strings.HasSuffix(path, ".jsonl"):
+		err = WriteJSONL(f, c)
+	default:
+		c.Dump(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -14,8 +14,8 @@
 // it).
 //
 // On top of the merged stream sit the per-channel SLO accountants
-// (slo.go) and the exporters (export.go): Chrome trace-event JSON for
-// Perfetto and a JSONL event log.
+// (slo.go) and the exporters (export.go): the human-readable text dump,
+// Chrome trace-event JSON for Perfetto, and a JSONL event log.
 package obs
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/router"
-	"repro/internal/trace"
 )
 
 // Event is one lifecycle observation tagged with its shard identity:
@@ -193,29 +192,18 @@ func (c *Sharded) Merged() []Event {
 	return out
 }
 
-// TraceEvents converts the merged timeline to trace events, rendering
-// exactly as a legacy single-ring recording of the same run would.
-func (c *Sharded) TraceEvents() []trace.Event {
-	m := c.Merged()
-	out := make([]trace.Event, len(m))
-	for i, e := range m {
-		out[i] = trace.FromLifecycle(e.LifecycleEvent)
-	}
-	return out
-}
-
 // Dump writes the merged timeline in the standard human-readable trace
 // format. The output is byte-identical across worker counts.
 func (c *Sharded) Dump(w io.Writer) {
-	trace.DumpEvents(w, c.TraceEvents())
+	WriteText(w, c.Merged())
 }
 
 // DumpTail writes only the last n merged events (all of them when n <= 0
 // or n exceeds the retained count).
 func (c *Sharded) DumpTail(w io.Writer, n int) {
-	ev := c.TraceEvents()
+	ev := c.Merged()
 	if n > 0 && n < len(ev) {
 		ev = ev[len(ev)-n:]
 	}
-	trace.DumpEvents(w, ev)
+	WriteText(w, ev)
 }
