@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout ledger bench benchall trace
+.PHONY: check build vet test fmt capacity admission layout ledger bench benchall trace loc
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
 # capacity gate, and the layout-synthesis gate.
@@ -81,3 +81,14 @@ benchall:
 TRACE_JSON ?= trace.json
 trace:
 	$(GO) run ./cmd/rtsim -scenario scenarios/fig6.json -trace-out $(TRACE_JSON)
+
+# loc prints `wc -l` of non-test and test Go per package directory and
+# in total, benchmark/ (its own module) excluded: the numbers ROADMAP's
+# size gates are stated in.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if ($$2 ~ /_test\.go$$/) t[d] += $$1; else s[d] += $$1; seen[d] = 1 } \
+	     END { for (d in seen) print d, s[d] + 0, t[d] + 0 }' | sort | \
+	awk 'BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+	     { printf "%-28s %8d %8d\n", $$1, $$2, $$3; S += $$2; T += $$3 } \
+	     END { printf "%-28s %8d %8d\n", "total", S, T }'

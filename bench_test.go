@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -14,14 +15,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/router"
-	"repro/internal/rtc"
 	"repro/internal/sched"
 	"repro/internal/timing"
-	"repro/internal/traffic"
 )
 
 // BenchmarkE1WormholeBaseline regenerates the Section 5.2 latency model
@@ -322,49 +320,24 @@ func BenchmarkX11LeafSharing(b *testing.B) {
 	b.ReportMetric(missAt32*100, "tight-miss-%@32-sharing")
 }
 
-// buildLoadedMesh constructs a loaded w×h benchmark mesh — real-time
-// channels crossing corner to corner plus a best-effort source on every
-// node. With traced set it carries the full observability stack: the
-// sharded lifecycle collector, the telemetry registry, and per-channel
-// SLO histograms.
+// buildLoadedMesh builds the sweep's loaded w×h mesh
+// (experiments.LoadedMesh: real-time channels crossing corner to corner
+// plus a best-effort source on every node). With traced set it carries
+// the full observability stack: the sharded lifecycle collector, the
+// telemetry registry, and per-channel SLO histograms.
 func buildLoadedMesh(tb testing.TB, w, h, workers int, traced bool) *core.System {
 	tb.Helper()
-	opts := core.Options{Workers: workers}
+	fx := experiments.LoadedMesh(w, h, workers, 1)
 	if traced {
-		opts.Metrics = metrics.NewRegistry()
-		opts.Collector = obs.NewSharded(obs.DefaultShardCap)
-		opts.ChannelSLO = obs.NewSLO()
+		fx.Options.Metrics = metrics.NewRegistry()
+		fx.Options.Collector = obs.NewSharded(obs.DefaultShardCap)
+		fx.Options.ChannelSLO = obs.NewSLO()
 	}
-	sys, err := core.NewMesh(w, h, opts)
+	b, err := fx.BuildAll()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	spec := rtc.Spec{Imin: 8, Smax: 18, D: 24 * int64(w+h)}
-	for i, rt := range [][2]mesh.Coord{
-		{{X: 0, Y: 0}, {X: w - 1, Y: h - 1}},
-		{{X: w - 1, Y: 0}, {X: 0, Y: h - 1}},
-		{{X: 0, Y: h - 1}, {X: w - 1, Y: 0}},
-		{{X: w - 1, Y: h - 1}, {X: 0, Y: 0}},
-	} {
-		ch, err := sys.OpenChannel(rt[0], []mesh.Coord{rt[1]}, spec)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		app, err := traffic.NewTCApp(fmt.Sprintf("tc%d", i), ch.Paced(), spec, traffic.Periodic, 18)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		sys.RegisterNode(rt[0], app)
-	}
-	for i, c := range sys.Net.Coords() {
-		be, err := traffic.NewBEApp(fmt.Sprintf("be%d", i), sys.Net, c,
-			traffic.UniformDst(sys.Net, c), traffic.FixedSize(64), 0.3, int64(i)+1)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		sys.RegisterNode(c, be)
-	}
-	return sys
+	return b.System
 }
 
 // BenchmarkRouterCycleRate measures the simulator itself: cycles per
@@ -417,9 +390,14 @@ func BenchmarkRouterCycleRateTraced(b *testing.B) {
 // time. Both systems are built up front and timed in alternating
 // windows — untraced, traced, untraced, traced, … — so host-speed drift
 // lands on both sides of every pair alike, and the gate reads the median
-// of the per-pair ratios, which discards one-off stalls entirely. The
-// gate is skipped in short mode and under the race detector, where
-// instrumented atomics distort the ratio.
+// of the per-pair ratios, which discards one-off stalls entirely. A
+// verdict needs the ratios to agree with each other more closely than
+// the median stands from the budget: when their interquartile spread is
+// wider than that margin — sibling test binaries sharing the host's two
+// CPUs do this — the verdict subtest is reported unresolved and skipped
+// rather than passed or failed on noise; a tight spread over the budget
+// still fails. The gate is also skipped in short mode and under the race
+// detector, where instrumented atomics distort the ratio.
 func TestTracingOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in short mode")
@@ -450,12 +428,19 @@ func TestTracingOverheadGate(t *testing.T) {
 		ratios[i] = float64(tr) / float64(p)
 	}
 	sort.Float64s(ratios)
-	ratio := ratios[trials/2]
-	t.Logf("traced/untraced per-pair ratios %.3f, median %.3f", ratios, ratio)
-	if ratio > 1.10 {
-		t.Errorf("tracing overhead %.1f%% exceeds the 10%% budget (per-pair ratios %.3f)",
-			(ratio-1)*100, ratios)
-	}
+	const budget = 1.10
+	ratio, iqr := ratios[trials/2], ratios[3*trials/4]-ratios[trials/4]
+	t.Logf("traced/untraced per-pair ratios %.3f, median %.3f, interquartile spread %.3f", ratios, ratio, iqr)
+	t.Run("verdict", func(t *testing.T) {
+		if margin := math.Abs(budget - ratio); iqr > margin {
+			t.Skipf("unresolved on a noisy host: interquartile spread %.3f exceeds the %.3f between the median %.3f and the %.2f budget (per-pair ratios %.3f)",
+				iqr, margin, ratio, budget, ratios)
+		}
+		if ratio > budget {
+			t.Errorf("tracing overhead %.1f%% exceeds the 10%% budget (per-pair ratios %.3f)",
+				(ratio-1)*100, ratios)
+		}
+	})
 }
 
 // TestSteadyStateAllocs is the allocation regression gate locking in the

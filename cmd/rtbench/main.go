@@ -320,7 +320,7 @@ func meshEdge(def int) (int, error) {
 }
 
 // failedChecks reports every failed campaign check on stderr.
-func failedChecks(campaign string, checks []experiments.CapacityCheck) {
+func failedChecks(campaign string, checks experiments.Checks) {
 	for _, c := range checks {
 		if !c.OK {
 			fmt.Fprintf(os.Stderr, "rtbench: %s check %s failed: %s\n", campaign, c.Name, c.Detail)

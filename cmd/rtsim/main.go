@@ -20,6 +20,7 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/admission"
@@ -32,41 +33,77 @@ import (
 	"repro/internal/rtc"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 )
 
-func main() {
+// workloadFlags describe the flag-driven workload. A scenario file
+// carries its own mesh, channels, traffic and router settings, so one of
+// these set beside -scenario would be dropped: it is an error (exit 2),
+// not a silent no-op.
+var workloadFlags = []string{"mesh", "channels", "imin", "deadline", "smax", "berate", "besize",
+	"cycles", "seed", "horizon", "window", "sched", "vct", "shared"}
+
+// observers is the observability stack one run attaches: whichever of
+// these the flags asked for, nil otherwise.
+type observers struct {
+	reg *metrics.Registry
+	col *obs.Sharded
+	slo *obs.SLO
+	fns *obs.Forensics
+	rec *obs.Recorder
+	aud *obs.AuditLog
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with its exit code returned, so tests can drive the
+// command in-process.
+func run(args []string) int {
+	fs := flag.NewFlagSet("rtsim", flag.ExitOnError)
 	var (
-		meshDim    = flag.String("mesh", "4x4", "mesh dimensions WxH")
-		channels   = flag.Int("channels", 8, "real-time channels to open at random placements")
-		imin       = flag.Int64("imin", 16, "channel Imin in slots")
-		deadline   = flag.Int64("deadline", 96, "channel end-to-end bound in slots")
-		smax       = flag.Int("smax", 18, "channel message size in bytes")
-		beRate     = flag.Float64("berate", 0.2, "best-effort bytes/cycle injected per node (0 disables)")
-		beSize     = flag.Int("besize", 64, "best-effort payload bytes")
-		cycles     = flag.Int64("cycles", 100000, "cycles to simulate")
-		seed       = flag.Int64("seed", 1, "workload placement seed")
-		horizon    = flag.Uint("horizon", 8, "horizon parameter programmed on all ports (slots)")
-		window     = flag.Int64("window", 8, "source regulator window (slots)")
-		scheduler  = flag.String("sched", "edf", "link scheduler: edf|fifo|static")
-		vct        = flag.Bool("vct", false, "enable virtual cut-through for time-constrained traffic")
-		shared     = flag.Bool("shared", false, "use shared-pool buffer accounting instead of partitioned")
-		traceN     = flag.Int("trace", 0, "dump the last N network events after the run (0 disables)")
-		traceOut   = flag.String("trace-out", "", "write the merged event timeline to this file after the run (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
-		traceBuf   = flag.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace/-trace-out (oldest events evict first)")
-		scenPath   = flag.String("scenario", "", "run a JSON scenario file instead of the flag-driven workload")
-		links      = flag.Bool("links", false, "print the per-link utilization table after the run")
-		metricsOut = flag.String("metrics", "", "write the telemetry report to this file after the run (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-		sample     = flag.Int64("sample", 0, "snapshot telemetry totals into a time series every N cycles (0 = cycles/100 when telemetry is on)")
-		listen     = flag.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/)")
-		workers    = flag.Int("workers", 1, "simulation kernel workers: 1 = sequential, >1 parallel (bit-identical results), 0 = GOMAXPROCS")
-		explain    = flag.Bool("explain", false, "print the slack-attribution report after the run: cause totals, blame matrix, per-channel waterfalls, longest stall episodes")
-		flight     = flag.String("flight", "", "write the flight-recorder dump to this file after the run: the merged events of the last -flight-cycles cycles before the final trigger (.jsonl = JSON lines with trigger records, otherwise Chrome trace-event JSON for Perfetto)")
-		flightN    = flag.Int64("flight-cycles", 0, "flight-recorder dump window in cycles (0 = 4096); the dump draws on the -trace-buf event retention, so windows deeper than the per-node buffer covers come back truncated")
-		admitRep   = flag.Bool("admit-report", false, "print the capacity ledger (per-link reservations, EDF headroom, buffer/id usage) and the admission audit trail after the run")
-		memProfile = flag.String("memprofile", "", "write a heap (allocs) profile to this file at exit")
+		meshDim    = fs.String("mesh", "4x4", "mesh dimensions WxH")
+		channels   = fs.Int("channels", 8, "real-time channels to open at random placements")
+		imin       = fs.Int64("imin", 16, "channel Imin in slots")
+		deadline   = fs.Int64("deadline", 96, "channel end-to-end bound in slots")
+		smax       = fs.Int("smax", 18, "channel message size in bytes")
+		beRate     = fs.Float64("berate", 0.2, "best-effort bytes/cycle injected per node (0 disables)")
+		beSize     = fs.Int("besize", 64, "best-effort payload bytes")
+		cycles     = fs.Int64("cycles", 100000, "cycles to simulate")
+		seed       = fs.Int64("seed", 1, "workload placement seed")
+		horizon    = fs.Uint("horizon", 8, "horizon parameter programmed on all ports (slots)")
+		window     = fs.Int64("window", 8, "source regulator window (slots)")
+		scheduler  = fs.String("sched", "edf", "link scheduler: edf|fifo|static")
+		vct        = fs.Bool("vct", false, "enable virtual cut-through for time-constrained traffic")
+		shared     = fs.Bool("shared", false, "use shared-pool buffer accounting instead of partitioned")
+		traceN     = fs.Int("trace", 0, "dump the last N network events after the run (0 disables)")
+		traceOut   = fs.String("trace-out", "", "write the merged event timeline to this file after the run (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
+		traceBuf   = fs.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace/-trace-out (oldest events evict first)")
+		scenPath   = fs.String("scenario", "", "run a JSON scenario file instead of the flag-driven workload (the workload flags then conflict with it)")
+		links      = fs.Bool("links", false, "print the per-link utilization table after the run")
+		metricsOut = fs.String("metrics", "", "write the telemetry report to this file after the run (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
+		sample     = fs.Int64("sample", 0, "snapshot telemetry totals into a time series every N cycles (0 = 1% of the run, the scenario's own length under -scenario, when telemetry is on)")
+		listen     = fs.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/)")
+		workers    = fs.Int("workers", 1, "simulation kernel workers: 1 = sequential, >1 parallel (bit-identical results), 0 = GOMAXPROCS")
+		explain    = fs.Bool("explain", false, "print the slack-attribution report after the run: cause totals, blame matrix, per-channel waterfalls, longest stall episodes")
+		flight     = fs.String("flight", "", "write the flight-recorder dump to this file after the run: the merged events of the last -flight-cycles cycles before the final trigger (.jsonl = JSON lines with trigger records, otherwise Chrome trace-event JSON for Perfetto)")
+		flightN    = fs.Int64("flight-cycles", 0, "flight-recorder dump window in cycles (0 = 4096); the dump draws on the -trace-buf event retention, so windows deeper than the per-node buffer covers come back truncated")
+		admitRep   = fs.Bool("admit-report", false, "print the capacity ledger (per-link reservations, EDF headroom, buffer/id usage) and the admission audit trail after the run")
+		memProfile = fs.String("memprofile", "", "write a heap (allocs) profile to this file at exit")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
+
+	if *scenPath != "" {
+		var bad []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(workloadFlags, f.Name) {
+				bad = append(bad, f.Name)
+			}
+		})
+		if len(bad) > 0 {
+			fmt.Fprintf(os.Stderr, "rtsim: -scenario %s carries its own workload and does not consume -%s\n",
+				*scenPath, strings.Join(bad, ", -"))
+			return 2
+		}
+	}
 
 	if *memProfile != "" {
 		path := *memProfile
@@ -92,131 +129,132 @@ func main() {
 		*workers = -1
 	}
 
-	reg := openTelemetry(*metricsOut, *listen, sample, *cycles)
-
 	// Tracing is sharded per node (obs.Sharded), so it composes with any
 	// worker count; the merged timeline is identical across modes.
 	// Forensics and the flight recorder both reconstruct from the merged
 	// timeline, so requesting either brings the collector up too.
-	var col *obs.Sharded
+	o := observers{reg: openTelemetry(*metricsOut, *listen), slo: obs.NewSLO()}
 	if *traceN > 0 || *traceOut != "" || *explain || *flight != "" {
-		col = obs.NewSharded(*traceBuf)
+		o.col = obs.NewSharded(*traceBuf)
 	}
-	slo := obs.NewSLO()
-	var fns *obs.Forensics
-	var rec *obs.Recorder
 	if *explain || *flight != "" {
-		fns = obs.NewForensics()
-		fns.UseSLO(slo)
-		rec = obs.NewRecorder(*flightN, 0)
+		o.fns = obs.NewForensics()
+		o.fns.UseSLO(o.slo)
+		o.rec = obs.NewRecorder(*flightN, 0)
 	}
-
-	var aud *obs.AuditLog
 	if *admitRep {
-		aud = obs.NewAuditLog()
+		o.aud = obs.NewAuditLog()
 	}
 
+	var sys *core.System
 	if *scenPath != "" {
-		runScenario(*scenPath, reg, *sample, *metricsOut, *workers, col, slo, fns, rec, aud,
-			*traceN, *traceOut, *explain, *flight)
-		return
-	}
-
-	w, h, err := parseMesh(*meshDim)
-	if err != nil {
-		fail(err)
-	}
-	cfg := router.DefaultConfig()
-	cfg.VCT = *vct
-	switch *scheduler {
-	case "edf":
-	case "fifo":
-		cfg.Scheduler = router.SchedFIFO
-	case "static":
-		cfg.Scheduler = router.SchedStaticPriority
-	default:
-		fail(fmt.Errorf("unknown scheduler %q", *scheduler))
-	}
-	policy := admission.Partitioned
-	if *shared {
-		policy = admission.SharedPool
-	}
-	sys, err := core.NewMesh(w, h, core.Options{
-		Router:             cfg,
-		Metrics:            reg,
-		MetricsSampleEvery: *sample,
-		Collector:          col,
-		ChannelSLO:         slo,
-		Forensics:          fns,
-		Recorder:           rec,
-		Audit:              aud,
-		Workers:            *workers,
-	}.WithAdmission(admission.Config{
-		Policy:       policy,
-		SourceWindow: *window,
-		Horizon:      uint32(*horizon),
-	}))
-	if err != nil {
-		fail(err)
-	}
-	defer sys.Close()
-
-	rng := rand.New(rand.NewSource(*seed))
-	spec := rtc.Spec{Imin: *imin, Smax: *smax, D: *deadline}
-	opened := 0
-	for try := 0; try < *channels*10 && opened < *channels; try++ {
-		src := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
-		dst := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
-		if src == dst {
-			continue
-		}
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			continue
-		}
-		app, err := traffic.NewTCApp(fmt.Sprintf("tc%d", opened), ch.Paced(), spec, traffic.Periodic, *smax)
+		sys = runScenario(*scenPath, o, *sample, *workers)
+	} else {
+		w, h, err := parseMesh(*meshDim)
 		if err != nil {
 			fail(err)
 		}
-		sys.RegisterNode(src, app)
-		opened++
-	}
-	fmt.Printf("opened %d/%d real-time channels (Imin=%d slots, D=%d slots, Smax=%dB)\n",
-		opened, *channels, *imin, *deadline, *smax)
-	// The admission phase is over: publish the reservation ledger so a
-	// live -listen scrape and the final telemetry report both carry it.
-	sys.SealCapacity()
+		cfg := router.DefaultConfig()
+		cfg.VCT = *vct
+		switch *scheduler {
+		case "edf":
+		case "fifo":
+			cfg.Scheduler = router.SchedFIFO
+		case "static":
+			cfg.Scheduler = router.SchedStaticPriority
+		default:
+			fail(fmt.Errorf("unknown scheduler %q", *scheduler))
+		}
+		policy := admission.Partitioned
+		if *shared {
+			policy = admission.SharedPool
+		}
+		fx := core.Fixture{
+			W: w, H: h, Seed: *seed,
+			Options: core.Options{
+				Router:             cfg,
+				Metrics:            o.reg,
+				MetricsSampleEvery: samplePeriod(o.reg, *sample, *cycles),
+				Collector:          o.col,
+				ChannelSLO:         o.slo,
+				Forensics:          o.fns,
+				Recorder:           o.rec,
+				Audit:              o.aud,
+				Workers:            *workers,
+			}.WithAdmission(admission.Config{
+				Policy:       policy,
+				SourceWindow: *window,
+				Horizon:      uint32(*horizon),
+			}),
+		}
+		if *beRate > 0 {
+			fx.BestEffort = core.EveryNode(w, h, core.BESource{Rate: *beRate, SizeMin: *beSize, SizeMax: *beSize})
+		}
+		b, err := fx.Build()
+		if err != nil {
+			fail(err)
+		}
+		sys = b.System
 
-	if *beRate > 0 {
-		for i, c := range sys.Net.Coords() {
-			app, err := traffic.NewBEApp(fmt.Sprintf("be%s", c), sys.Net, c,
-				traffic.UniformDst(sys.Net, c), traffic.FixedSize(*beSize), *beRate, *seed+int64(i))
+		// Channels go to random placements until enough are admitted, so
+		// the request list is not known up front: each try is one Open.
+		rng := rand.New(rand.NewSource(*seed))
+		req := core.ChannelReq{Spec: rtc.Spec{Imin: *imin, Smax: *smax, D: *deadline}}
+		opened := 0
+		for try := 0; try < *channels*10 && opened < *channels; try++ {
+			req.Src = mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
+			dst := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
+			if req.Src == dst {
+				continue
+			}
+			req.Dsts = []mesh.Coord{dst}
+			_, refused, err := sys.Open(req)
 			if err != nil {
 				fail(err)
 			}
-			sys.RegisterNode(c, app)
+			if refused == nil {
+				opened++
+			}
 		}
-		fmt.Printf("best-effort background: %.2f bytes/cycle/node, %dB payloads, uniform destinations\n",
-			*beRate, *beSize)
+		fmt.Printf("opened %d/%d real-time channels (Imin=%d slots, D=%d slots, Smax=%dB)\n",
+			opened, *channels, *imin, *deadline, *smax)
+		// The admission phase is over: publish the reservation ledger so a
+		// live -listen scrape and the final telemetry report both carry it.
+		sys.SealCapacity()
+		if *beRate > 0 {
+			fmt.Printf("best-effort background: %.2f bytes/cycle/node, %dB payloads, uniform destinations\n",
+				*beRate, *beSize)
+		}
+		sys.Run(*cycles)
 	}
+	defer sys.Close()
 
-	sys.Run(*cycles)
 	// Flush open stall episodes before anything reads the merged
 	// timeline, so -trace-out, -explain and -flight all see them.
-	if fns != nil {
-		fns.Flush()
+	if o.fns != nil {
+		o.fns.Flush()
 	}
-	printSummary(sys, *cycles, *workers)
-	printChannelReport(slo)
+	printSummary(sys, *workers)
+	printChannelReport(o.slo)
 	if *links {
-		printLinkTable(sys, *cycles)
+		printLinkTable(sys)
 	}
-	printForensics(fns, rec, col, *explain)
-	printAdmitReport(sys, aud)
-	dumpTraceTail(col, *traceN)
-	writeTraceFile(col, slo, *traceOut)
-	writeFlightFile(rec, col, slo, *flight)
-	finishTelemetry(reg, sys.Now(), *metricsOut)
+	printForensics(o.fns, o.rec, o.col, *explain)
+	printAdmitReport(sys, o.aud)
+	dumpTraceTail(o.col, *traceN)
+	writeTraceFile(o.col, o.slo, *traceOut)
+	writeFlightFile(o.rec, o.col, o.slo, *flight)
+	finishTelemetry(o.reg, sys.Now(), *metricsOut)
+	return 0
+}
+
+// samplePeriod resolves -sample: an explicit period stands; otherwise,
+// with telemetry on, 1% of the run that is about to happen.
+func samplePeriod(reg *metrics.Registry, sample, cycles int64) int64 {
+	if reg == nil || sample > 0 {
+		return sample
+	}
+	return max(cycles/100, 1)
 }
 
 // printAdmitReport writes the sealed capacity ledger (per-link
@@ -337,19 +375,12 @@ func writeTraceFile(col *obs.Sharded, slo *obs.SLO, path string) {
 }
 
 // openTelemetry builds the metrics registry when any telemetry output
-// is requested, starts the live HTTP endpoint, and defaults the
-// sampling period to 1% of the run.
-func openTelemetry(metricsOut, listen string, sample *int64, cycles int64) *metrics.Registry {
+// is requested and starts the live HTTP endpoint.
+func openTelemetry(metricsOut, listen string) *metrics.Registry {
 	if metricsOut == "" && listen == "" {
 		return nil
 	}
 	reg := metrics.NewRegistry()
-	if *sample <= 0 {
-		*sample = cycles / 100
-		if *sample < 1 {
-			*sample = 1
-		}
-	}
 	if listen != "" {
 		// Telemetry at the root, the standard pprof handlers alongside it:
 		// profiling parity with rtbench without a second listener.
@@ -388,24 +419,18 @@ func finishTelemetry(reg *metrics.Registry, now int64, metricsOut string) {
 }
 
 // runScenario plays a declarative workload file (see scenarios/ and the
-// scenario package).
-func runScenario(path string, reg *metrics.Registry, sample int64, metricsOut string, workers int,
-	col *obs.Sharded, slo *obs.SLO, fns *obs.Forensics, rec *obs.Recorder, aud *obs.AuditLog,
-	traceN int, traceOut string, explain bool, flight string) {
+// scenario package) and prints what it opened and played.
+func runScenario(path string, o observers, sample int64, workers int) *core.System {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fail(err)
 	}
 	res, sys, err := sc.RunWith(scenario.RunOpts{
-		Metrics: reg, SampleEvery: sample, Workers: workers,
-		Collector: col, ChannelSLO: slo, Forensics: fns, Recorder: rec, Audit: aud,
+		Metrics: o.reg, SampleEvery: samplePeriod(o.reg, sample, sc.Cycles), Workers: workers,
+		Collector: o.col, ChannelSLO: o.slo, Forensics: o.fns, Recorder: o.rec, Audit: o.aud,
 	})
 	if err != nil {
 		fail(err)
-	}
-	defer sys.Close()
-	if fns != nil {
-		fns.Flush()
 	}
 	fmt.Printf("scenario %s: %dx%d mesh, %d channels opened", path, sc.Mesh.W, sc.Mesh.H, res.Opened)
 	if len(res.Rejected) > 0 {
@@ -423,14 +448,7 @@ func runScenario(path string, reg *metrics.Registry, sample int64, metricsOut st
 		fmt.Printf("wire faults injected: %d corrupted, %d lost phits\n",
 			res.Faults.CorruptedPhits, res.Faults.LostPhits)
 	}
-	printSummary(sys, res.Cycles, workers)
-	printChannelReport(slo)
-	printForensics(fns, rec, col, explain)
-	printAdmitReport(sys, aud)
-	dumpTraceTail(col, traceN)
-	writeTraceFile(col, slo, traceOut)
-	writeFlightFile(rec, col, slo, flight)
-	finishTelemetry(reg, sys.Now(), metricsOut)
+	return sys
 }
 
 func parseMesh(s string) (int, int, error) {
@@ -450,7 +468,8 @@ func parseMesh(s string) (int, int, error) {
 
 // printLinkTable reports per-link traffic: the PP-MESS-SIM style
 // breakdown of where the bytes went.
-func printLinkTable(sys *core.System, cycles int64) {
+func printLinkTable(sys *core.System) {
+	cycles := sys.Now()
 	fmt.Println("\nper-link traffic (bytes and utilization):")
 	fmt.Printf("  %-8s %-6s %12s %12s %8s\n", "router", "port", "TC bytes", "BE bytes", "util%")
 	for _, c := range sys.Net.Coords() {
@@ -467,8 +486,8 @@ func printLinkTable(sys *core.System, cycles int64) {
 	}
 }
 
-func printSummary(sys *core.System, cycles int64, workers int) {
-	sum := sys.Summarize()
+func printSummary(sys *core.System, workers int) {
+	sum, cycles := sys.Summarize(), sys.Now()
 	fmt.Printf("\nsimulated %d cycles (%d slots) on %d kernel worker(s)\n",
 		cycles, cycles/packet.TCBytes, sim.ResolveWorkers(workers))
 	fmt.Printf("time-constrained: %d delivered, %d deadline misses, %d drops\n",

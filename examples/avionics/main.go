@@ -15,7 +15,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/router"
 	"repro/internal/rtc"
-	"repro/internal/traffic"
 )
 
 const (
@@ -26,38 +25,36 @@ const (
 )
 
 func main() {
-	sys, err := core.NewMesh(4, 4, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	controller := mesh.Coord{X: 1, Y: 1}
 	actuators := []mesh.Coord{{X: 0, Y: 0}, {X: 3, Y: 0}, {X: 0, Y: 3}, {X: 3, Y: 3}}
 	sensors := []mesh.Coord{{X: 2, Y: 0}, {X: 0, Y: 2}, {X: 3, Y: 2}}
 
-	// One multicast channel carries each command to all four actuators.
-	cmdSpec := rtc.Spec{Imin: controlPeriod, Smax: 18, D: controlBound}
-	cmd, err := sys.OpenChannel(controller, actuators, cmdSpec)
+	logSink := mesh.Coord{X: 0, Y: 1}
+	fx := core.Fixture{
+		W: 4, H: 4, Seed: 42,
+		// One multicast channel carries each command to all four
+		// actuators; the control loop below sends on it by hand.
+		Channels: []core.ChannelReq{{
+			Src: controller, Dsts: actuators, Manual: true,
+			Spec: rtc.Spec{Imin: controlPeriod, Smax: 18, D: controlBound},
+		}},
+		// The maintenance task dumps logs as best-effort bulk transfers.
+		BestEffort: []core.BESource{{Src: mesh.Coord{X: 2, Y: 2}, Dst: &logSink, Rate: 0.8, SizeMin: 900, SizeMax: 900}},
+	}
+	// Sensor channels stream readings back to the controller.
+	for _, s := range sensors {
+		fx.Channels = append(fx.Channels, core.ChannelReq{
+			Src: s, Dsts: []mesh.Coord{controller},
+			Spec: rtc.Spec{Imin: sensorPeriod, Smax: 36, D: sensorBound},
+		})
+	}
+	sys, err := fx.BuildAll()
 	if err != nil {
 		log.Fatal(err)
 	}
+	cmd := sys.Channels[0]
 	fmt.Printf("command channel: multicast to %d actuators, %d slots/hop budget\n",
 		len(actuators), cmd.Admitted().LocalD)
-
-	// Sensor channels stream readings back to the controller.
-	sensorSpec := rtc.Spec{Imin: sensorPeriod, Smax: 36, D: sensorBound}
-	for i, s := range sensors {
-		ch, err := sys.OpenChannel(s, []mesh.Coord{controller}, sensorSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		app, err := traffic.NewTCApp(fmt.Sprintf("sensor%d", i), ch.Paced(), sensorSpec,
-			traffic.Periodic, 36)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys.Net.Kernel.Register(app)
-	}
 
 	// Count command arrivals per actuator and watch worst latency.
 	arrivals := map[mesh.Coord]int{}
@@ -65,14 +62,6 @@ func main() {
 		a := a
 		sys.Sink(a).OnTC = func(d router.DeliveredTC) { arrivals[a]++ }
 	}
-
-	// The maintenance task dumps logs as best-effort bulk transfers.
-	logDump, err := traffic.NewBEApp("maintenance", sys.Net, mesh.Coord{X: 2, Y: 2},
-		traffic.FixedDst(mesh.Coord{X: 0, Y: 1}), traffic.FixedSize(900), 0.8, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys.Net.Kernel.Register(logDump)
 
 	// Fly for 40 control periods.
 	const periods = 40

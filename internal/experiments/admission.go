@@ -64,17 +64,7 @@ type AdmissionResult struct {
 	NumCPU     int
 	GOMAXPROCS int
 	Families   []AdmissionFamilyResult
-	Checks     []CapacityCheck
-}
-
-// OK reports whether every identity and ledger check passed.
-func (r *AdmissionResult) OK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
+	Checks     // identity and ledger invariants
 }
 
 // MinSpeedup returns the smallest per-family incremental-vs-reference
@@ -129,26 +119,31 @@ type admissionRun struct {
 	ctl   *admission.Controller
 }
 
-func newAdmissionController(w, h int, reference bool) (*admission.Controller, *obs.AuditLog, error) {
+// newController builds a fresh w×h mesh with an admission controller
+// over it — every campaign's starting point — attaching aud when it is
+// non-nil.
+func newController(w, h int, cfg admission.Config, aud *obs.AuditLog) (*mesh.Network, *admission.Controller, error) {
 	net, err := mesh.New(w, h, router.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := admission.DefaultConfig()
-	cfg.Reference = reference
 	ctl, err := admission.New(net, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	aud := obs.NewAuditLog()
-	ctl.AttachAudit(aud)
-	return ctl, aud, nil
+	if aud != nil {
+		ctl.AttachAudit(aud)
+	}
+	return net, ctl, nil
 }
 
 // sequentialRun admits the sequence one request at a time. latencies, if
 // non-nil, receives one duration per decision (for the p99 figure).
 func sequentialRun(w, h int, reference bool, reqs []admission.Request, latencies *[]time.Duration) (*admissionRun, error) {
-	ctl, aud, err := newAdmissionController(w, h, reference)
+	cfg := admission.DefaultConfig()
+	cfg.Reference = reference
+	aud := obs.NewAuditLog()
+	_, ctl, err := newController(w, h, cfg, aud)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +172,8 @@ func sequentialRun(w, h int, reference bool, reqs []admission.Request, latencies
 // batchRun admits the sequence through AdmitBatch at the given worker
 // count.
 func batchRun(w, h, workers int, reqs []admission.Request) (*admissionRun, int64, error) {
-	ctl, aud, err := newAdmissionController(w, h, false)
+	aud := obs.NewAuditLog()
+	_, ctl, err := newController(w, h, admission.DefaultConfig(), aud)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -253,11 +249,7 @@ func RunAdmission(w, h, requests int, workers []int) (*AdmissionResult, error) {
 		W: w, H: h, Requests: requests, WorkerSet: workers,
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	check := func(name string, ok bool, format string, args ...any) {
-		res.Checks = append(res.Checks, CapacityCheck{
-			Name: name, OK: ok, Detail: fmt.Sprintf(format, args...),
-		})
-	}
+	check := res.Checks.add
 	for _, fam := range DefaultCapacityFamilies() {
 		reqs := admissionRequests(fam, w, h, requests)
 		fr := AdmissionFamilyResult{Name: fam.Name, Requests: len(reqs)}
@@ -286,11 +278,8 @@ func RunAdmission(w, h, requests int, workers []int) (*AdmissionResult, error) {
 			fr.Admitted, fr.Rejected, len(reqs))
 		// The reference controller is the oracle: the incremental path
 		// must reproduce its decisions, ledger, and audit log exactly.
-		if ok, why := sameRun(refRun, seqRun); ok {
-			check(fam.Name+"_ref_identity", true, "incremental path matches the reference oracle")
-		} else {
-			check(fam.Name+"_ref_identity", false, "%s", why)
-		}
+		ok, why := sameRun(refRun, seqRun)
+		check(fam.Name+"_ref_identity", ok, "%s", why)
 
 		for _, wk := range workers {
 			bRun, replans, err := batchRun(w, h, wk, reqs)
@@ -301,14 +290,8 @@ func RunAdmission(w, h, requests int, workers []int) (*AdmissionResult, error) {
 			if bRun.secs > 0 {
 				row.DecisionsPerSec = float64(len(reqs)) / bRun.secs
 			}
-			ok, why := sameRun(seqRun, bRun)
-			row.Identical = ok
-			if ok {
-				check(fmt.Sprintf("%s_batch_identity_x%d", fam.Name, wk), true,
-					"%d replans", replans)
-			} else {
-				check(fmt.Sprintf("%s_batch_identity_x%d", fam.Name, wk), false, "%s", why)
-			}
+			row.Identical, why = sameRun(seqRun, bRun)
+			check(fmt.Sprintf("%s_batch_identity_x%d", fam.Name, wk), row.Identical, "%s", why)
 			fr.Batch = append(fr.Batch, row)
 		}
 
@@ -388,10 +371,6 @@ func (r *AdmissionResult) Table() *Table {
 			fmt.Sprintf("%.0f", f.ChurnOpsPerSec))
 		t.AddRow(row...)
 	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			t.AddNote("FAILED %s: %s", c.Name, c.Detail)
-		}
-	}
+	r.Checks.noteFailures(t)
 	return t
 }

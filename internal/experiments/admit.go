@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/admission"
 	"repro/internal/mesh"
-	"repro/internal/router"
 	"repro/internal/rtc"
 )
 
@@ -51,11 +50,7 @@ func RunAdmit() (*AdmitResult, error) {
 }
 
 func countAdmitted(cfg admission.Config, pick func(i int) (mesh.Coord, mesh.Coord)) (int, error) {
-	net, err := mesh.New(4, 4, router.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	ctl, err := admission.New(net, cfg)
+	_, ctl, err := newController(4, 4, cfg, nil)
 	if err != nil {
 		return 0, err
 	}

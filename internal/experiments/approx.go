@@ -34,14 +34,14 @@ func RunApprox(shifts []uint, cycles int64) (*ApproxResult, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		tight, loose, err := runCompareRouter(cfg, cycles)
+		b, err := runCompareRouter(cfg, cycles)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: shift %d: %w", sh, err)
 		}
 		res.KeyBits = append(res.KeyBits, int(cfg.ClockBits-sh)+1)
-		res.TightMiss = append(res.TightMiss, tight.missRate())
-		res.TightP99 = append(res.TightP99, tight.lat.Quantile(0.99))
-		res.LooseMiss = append(res.LooseMiss, loose.missRate())
+		res.TightMiss = append(res.TightMiss, b.tight.missRate())
+		res.TightP99 = append(res.TightP99, b.tight.lat.Quantile(0.99))
+		res.LooseMiss = append(res.LooseMiss, b.loose.missRate())
 	}
 	return res, nil
 }

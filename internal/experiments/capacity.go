@@ -11,22 +11,20 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/scenario"
 )
 
 // CapacityFamily is one deterministic sequence of channel requests: the
 // i-th request's endpoints come from Place, all requests share Spec.
-// The capacity campaign binary-searches the longest admissible prefix
-// of the sequence — the family's max admissible channel count — which
-// is the baseline number the ROADMAP's layout-synthesis engine will
-// have to beat.
+// The capacity campaign admits the sequence until its first refusal:
+// the longest admissible prefix is the family's max admissible channel
+// count — the baseline number the layout-synthesis engine has to beat.
 type CapacityFamily struct {
 	Name string
 	Spec rtc.Spec
 	// Place returns the i-th request's endpoints on a w×h mesh. It must
-	// be a pure function of its arguments so probes are reproducible.
+	// be a pure function of its arguments so runs are reproducible.
 	Place func(i, w, h int) (src, dst mesh.Coord)
 }
 
@@ -84,23 +82,49 @@ func DefaultCapacityFamilies() []CapacityFamily {
 	}
 }
 
-// CapacityCheck is one pass/fail invariant of the capacity campaign.
-type CapacityCheck struct {
+// Check is one pass/fail invariant of a campaign.
+type Check struct {
 	Name   string
 	OK     bool
 	Detail string
+}
+
+// Checks is the invariant list every campaign result embeds.
+type Checks []Check
+
+func (cs *Checks) add(name string, ok bool, format string, args ...any) {
+	*cs = append(*cs, Check{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
+}
+
+// OK reports whether every check passed.
+func (cs Checks) OK() bool {
+	for _, c := range cs {
+		if !c.OK {
+			return false
+		}
+	}
+	return true
+}
+
+// noteFailures adds one table note per failed check.
+func (cs Checks) noteFailures(t *Table) {
+	for _, c := range cs {
+		if !c.OK {
+			t.AddNote("FAILED %s: %s", c.Name, c.Detail)
+		}
+	}
 }
 
 // CapacityFamilyResult is one family's saturation point and the sealed
 // ledger at that point.
 type CapacityFamilyResult struct {
 	Name string
-	// MaxChannels is the longest fully admissible request prefix;
-	// Probes counts the admission sweeps the search spent finding it.
-	// Capped means the search hit its request budget without a
-	// rejection (the family cannot saturate this mesh).
+	// MaxChannels is the longest fully admissible request prefix: "the
+	// first n requests all admit" holds exactly for n up to the index of
+	// the first refusal, so one sequential pass finds it. Capped means
+	// the pass spent its request budget without a refusal (the family
+	// cannot saturate this mesh).
 	MaxChannels int
-	Probes      int
 	Capped      bool
 	// Snapshot is the sealed capacity ledger with MaxChannels admitted.
 	Snapshot *metrics.CapacitySnapshot
@@ -108,7 +132,6 @@ type CapacityFamilyResult struct {
 	RejectBinding string
 	RejectTest    string
 	RejectMargin  float64
-	RejectErr     string
 	// Heatmap is the per-node utilization grid at saturation.
 	Heatmap string
 }
@@ -117,87 +140,13 @@ type CapacityFamilyResult struct {
 type CapacityResult struct {
 	W, H     int
 	Families []CapacityFamilyResult
-	Checks   []CapacityCheck
+	Checks   // conservation and explanation invariants
 }
 
-// OK reports whether every conservation and explanation check passed.
-func (r *CapacityResult) OK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
-
-// capacityProbeBudget bounds the request sequence per family, as a
+// capacityRequestBudget bounds the request sequence per family, as a
 // multiple of the node count. A family that admits its whole budget is
-// reported Capped rather than searched further.
-const capacityProbeBudget = 8
-
-// admitPrefix admits the first n requests of the family on a fresh
-// controller. It returns the controller, the admitted channels, and the
-// rejection that stopped the prefix short (nil when all n fit).
-func admitPrefix(fam CapacityFamily, w, h, n int) (*admission.Controller, []*admission.Channel, error, error) {
-	net, err := mesh.New(w, h, router.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ctl, err := admission.New(net, admission.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	chans := make([]*admission.Channel, 0, n)
-	for i := 0; i < n; i++ {
-		src, dst := fam.Place(i, w, h)
-		ch, rej := ctl.Admit(src, []mesh.Coord{dst}, fam.Spec)
-		if rej != nil {
-			return ctl, chans, rej, nil
-		}
-		chans = append(chans, ch)
-	}
-	return ctl, chans, nil, nil
-}
-
-// maxAdmissible finds the longest admissible prefix by exponential
-// growth then bisection. The predicate "the first n requests all admit"
-// is monotone in n — a longer prefix replays the shorter one first — so
-// binary search is exact, not heuristic.
-func maxAdmissible(fam CapacityFamily, w, h, budget int) (max, probes int, capped bool, err error) {
-	lo, hi := 0, 1
-	for {
-		_, _, rej, perr := admitPrefix(fam, w, h, hi)
-		probes++
-		if perr != nil {
-			return 0, probes, false, perr
-		}
-		if rej != nil {
-			break
-		}
-		lo = hi
-		if hi >= budget {
-			return lo, probes, true, nil
-		}
-		hi *= 2
-		if hi > budget {
-			hi = budget
-		}
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		_, _, rej, perr := admitPrefix(fam, w, h, mid)
-		probes++
-		if perr != nil {
-			return 0, probes, false, perr
-		}
-		if rej == nil {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, probes, false, nil
-}
+// reported Capped.
+const capacityRequestBudget = 8
 
 // utilizationHeatmap renders the sealed ledger as a w×h digit grid: each
 // cell is the highest utilization of any resource leaving that node
@@ -230,69 +179,61 @@ func utilizationHeatmap(w, h int, snap *metrics.CapacitySnapshot) string {
 	return b.String()
 }
 
-// RunCapacity runs the capacity-probe campaign on a w×h mesh: for each
-// request family it binary-searches the max admissible channel count,
-// seals the ledger at saturation, and checks the conservation invariant
-// (per-link/per-node totals equal the sum of channel reservations,
-// restored exactly by teardown) plus the typed-explanation contract
-// (the first rejection past saturation names a binding resource, test,
-// and margin).
+// RunCapacity runs the capacity campaign on a w×h mesh: for each
+// request family it admits requests until the first refusal, seals the
+// ledger at that saturation point, and checks the conservation
+// invariant (per-link/per-node totals equal the sum of channel
+// reservations, restored exactly by teardown) plus the typed-explanation
+// contract (the refusal names a binding resource, test, and margin, and
+// leaves the ledger untouched).
 func RunCapacity(w, h int, families []CapacityFamily) (*CapacityResult, error) {
 	if len(families) == 0 {
 		families = DefaultCapacityFamilies()
 	}
 	res := &CapacityResult{W: w, H: h}
-	check := func(name string, ok bool, format string, args ...any) {
-		res.Checks = append(res.Checks, CapacityCheck{
-			Name: name, OK: ok, Detail: fmt.Sprintf(format, args...),
-		})
-	}
-	budget := capacityProbeBudget * w * h
+	check := res.Checks.add
+	budget := capacityRequestBudget * w * h
 	for _, fam := range families {
-		max, probes, capped, err := maxAdmissible(fam, w, h, budget)
+		_, ctl, err := newController(w, h, admission.DefaultConfig(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("capacity %s on %dx%d: %w", fam.Name, w, h, err)
 		}
-		fr := CapacityFamilyResult{Name: fam.Name, MaxChannels: max, Probes: probes, Capped: capped}
-
-		// Re-admit the saturating prefix to populate a ledger for the
-		// heatmap, the conservation checks, and the rejection probe.
-		ctl, chans, rej, err := admitPrefix(fam, w, h, max)
-		if err != nil {
-			return nil, err
+		var chans []*admission.Channel
+		var rerr error // the refusal that ends the pass
+		for len(chans) < budget && rerr == nil {
+			src, dst := fam.Place(len(chans), w, h)
+			ch, err := ctl.Admit(src, []mesh.Coord{dst}, fam.Spec)
+			if err != nil {
+				rerr = err
+			} else {
+				chans = append(chans, ch)
+			}
 		}
-		probes++
-		if rej != nil {
-			return nil, fmt.Errorf("capacity %s: prefix of %d stopped admitting on replay: %v", fam.Name, max, rej)
-		}
+		max := len(chans)
+		fr := CapacityFamilyResult{Name: fam.Name, MaxChannels: max, Capped: rerr == nil}
 		fr.Snapshot = ctl.Seal()
 		fr.Heatmap = utilizationHeatmap(w, h, fr.Snapshot)
-		check(fam.Name+"_ledger_conservation", ctl.VerifyLedger() == nil,
-			"%d channels admitted: %v", max, ctl.VerifyLedger())
+		verr := ctl.VerifyLedger()
+		check(fam.Name+"_ledger_conservation", verr == nil, "%d channels admitted: %v", max, verr)
 
-		if !capped {
-			// The next request must be refused with a typed explanation,
-			// and the refusal must not perturb the ledger.
-			src, dst := fam.Place(max, w, h)
-			_, rerr := ctl.Admit(src, []mesh.Coord{dst}, fam.Spec)
-			if rerr == nil {
-				check(fam.Name+"_saturation_rejects", false,
-					"request %d admitted past the searched maximum", max)
-			} else if exp, ok := admission.Explain(rerr); ok {
+		if rerr != nil {
+			// The refusal must carry a typed explanation, and must have
+			// left the ledger holding exactly the admitted prefix: the
+			// conservation check above would name any residue.
+			if exp, ok := admission.Explain(rerr); ok {
 				fr.RejectBinding = exp.BindingResource()
 				fr.RejectTest = exp.FailingTest()
 				fr.RejectMargin = exp.FailMargin()
-				fr.RejectErr = rerr.Error()
 				check(fam.Name+"_saturation_rejects", true,
 					"binding %s, test %s, margin %+g", fr.RejectBinding, fr.RejectTest, fr.RejectMargin)
 			} else {
 				check(fam.Name+"_saturation_rejects", false,
 					"rejection carries no typed explanation: %v", rerr)
 			}
-			after, _ := json.Marshal(ctl.Seal())
-			before, _ := json.Marshal(fr.Snapshot)
-			check(fam.Name+"_rejection_inert", bytes.Equal(before, after),
-				"ledger changed across a refused admission")
+			check(fam.Name+"_rejection_inert",
+				verr == nil && ctl.Active() == max && fr.Snapshot.Channels == max,
+				"%d active, %d sealed after request %d was refused with %d admitted",
+				ctl.Active(), fr.Snapshot.Channels, max, max)
 		}
 
 		// Tear every channel down; the ledger must return to empty.
@@ -311,7 +252,6 @@ func RunCapacity(w, h int, families []CapacityFamily) (*CapacityResult, error) {
 			"%d active, %d reserved links after full teardown (err %v)",
 			ctl.Active(), len(empty.Links), tderr)
 
-		fr.Probes = probes
 		res.Families = append(res.Families, fr)
 	}
 	return res, nil
@@ -321,7 +261,7 @@ func RunCapacity(w, h int, families []CapacityFamily) (*CapacityResult, error) {
 func (r *CapacityResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Capacity campaign: %dx%d mesh", r.W, r.H),
-		Header: []string{"family", "max_channels", "probes", "worst_link",
+		Header: []string{"family", "max_channels", "worst_link",
 			"worst_util", "min_headroom", "binding", "test", "margin"},
 	}
 	for _, f := range r.Families {
@@ -329,15 +269,10 @@ func (r *CapacityResult) Table() *Table {
 		if f.Capped {
 			binding, test, margin = "-", "(request budget reached)", "-"
 		}
-		t.AddRow(f.Name, di(f.MaxChannels), di(f.Probes),
-			f.Snapshot.WorstLink, f2(f.Snapshot.WorstUtilization),
+		t.AddRow(f.Name, di(f.MaxChannels), f.Snapshot.WorstLink, f2(f.Snapshot.WorstUtilization),
 			d(f.Snapshot.MinHeadroomSlots), binding, test, margin)
 	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			t.AddNote("FAILED %s: %s", c.Name, c.Detail)
-		}
-	}
+	r.Checks.noteFailures(t)
 	return t
 }
 

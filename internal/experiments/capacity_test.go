@@ -3,12 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/admission"
+	"repro/internal/mesh"
 )
 
-// TestCapacityCampaign runs the probe campaign on a small mesh: every
-// family must saturate (find a finite max admissible channel count with
-// a typed rejection past it), every conservation check must pass, and
-// the heatmap must be renderable.
+// TestCapacityCampaign runs the campaign on a small mesh: every family
+// must saturate (a finite max admissible channel count, request max−1
+// admitted and request max refused with a typed rejection), every
+// conservation check must pass, and the heatmap must be renderable.
 func TestCapacityCampaign(t *testing.T) {
 	res, err := RunCapacity(4, 4, nil)
 	if err != nil {
@@ -20,7 +23,7 @@ func TestCapacityCampaign(t *testing.T) {
 		}
 	}
 	saturated := 0
-	for _, f := range res.Families {
+	for i, f := range res.Families {
 		if f.MaxChannels <= 0 {
 			t.Errorf("family %s admitted no channels at all", f.Name)
 		}
@@ -28,6 +31,20 @@ func TestCapacityCampaign(t *testing.T) {
 			continue
 		}
 		saturated++
+		// MaxChannels is a boundary: on a fresh controller every request
+		// up to max−1 admits and request max is the first refused.
+		fam := DefaultCapacityFamilies()[i]
+		_, ctl, err := newController(4, 4, admission.DefaultConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= f.MaxChannels; n++ {
+			src, dst := fam.Place(n, 4, 4)
+			_, err := ctl.Admit(src, []mesh.Coord{dst}, fam.Spec)
+			if refused := err != nil; refused != (n == f.MaxChannels) {
+				t.Errorf("family %s, max %d: request %d refused = %v (%v)", f.Name, f.MaxChannels, n, refused, err)
+			}
+		}
 		if f.RejectTest == "" || f.RejectBinding == "" {
 			t.Errorf("family %s saturated without a typed explanation (binding %q, test %q)",
 				f.Name, f.RejectBinding, f.RejectTest)

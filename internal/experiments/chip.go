@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/packet"
 	"repro/internal/sched"
@@ -11,8 +10,9 @@ import (
 
 // ChipResult is the Table 4 analog: the architectural parameters of the
 // modelled chip and the structural cost of the shared comparator tree
-// for several design points, plus measured selection throughput of the
-// software model. Silicon area, transistor count and power (Table 4b)
+// for several design points. (The software model's selection cost is a
+// wall-clock number and lives in the performance ledger as
+// sched.select_ns_occ256, not in this reproducible table.) Silicon area, transistor count and power (Table 4b)
 // are properties of the 0.5 µm implementation and are not reproducible
 // in a simulator; the comparator counts and pipeline depths that drove
 // them are.
@@ -25,9 +25,6 @@ type ChipResult struct {
 	// ClockTradeoffs quantifies §4.3: each clock bit doubles both the
 	// usable per-hop delay range and the comparator width.
 	ClockTradeoffs []ClockPoint
-	// SelectNsPerOp is the software model's full-occupancy selection
-	// cost for the paper's 256-leaf tree (context for bench numbers).
-	SelectNsPerOp float64
 }
 
 // ClockPoint is one clock-width design point.
@@ -38,7 +35,7 @@ type ClockPoint struct {
 }
 
 // RunChip computes the cost table for leaf counts bracketing the
-// paper's 256 and measures software selection cost.
+// paper's 256.
 func RunChip() *ChipResult {
 	res := &ChipResult{
 		Params: []string{
@@ -64,26 +61,6 @@ func RunChip() *ChipResult {
 			MaxD:    w.HalfRange() - 1,
 		})
 	}
-
-	// Measure: full tree of on-time packets, one selection.
-	wheel := timing.MustWheel(8)
-	tree := sched.NewEDFTree(256, wheel)
-	for i := 0; i < 256; i++ {
-		leaf := sched.Leaf{
-			L:    wheel.Wrap(timing.Slot(i % 100)),
-			Dl:   wheel.Wrap(timing.Slot(i%100 + 20)),
-			Mask: sched.PortMask(1 << (i % 5)),
-		}
-		if err := tree.Install(i, leaf); err != nil {
-			panic(err)
-		}
-	}
-	const iters = 20000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		tree.Select(i%5, wheel.Wrap(timing.Slot(i)), 0)
-	}
-	res.SelectNsPerOp = float64(time.Since(start).Nanoseconds()) / iters
 	return res
 }
 
@@ -100,7 +77,6 @@ func (r *ChipResult) Table() *Table {
 		t.AddNote("%s", p)
 	}
 	t.AddNote("paper chip point: 256 leaves, 255 comparators, 8 levels folded into 2 pipeline stages")
-	t.AddNote("software model: %.0f ns per full-occupancy selection", r.SelectNsPerOp)
 	return t
 }
 

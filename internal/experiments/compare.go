@@ -53,61 +53,61 @@ func missBound(dSlots int64) float64 {
 	return float64((dSlots+2)*packet.TCBytes) + 10
 }
 
+// cmpStream is one connection of the X2 workload. The same three
+// streams, all ending at router 2 of the line, drive every architecture.
+type cmpStream struct {
+	name  string
+	at    int   // source router
+	imin  int64 // slots
+	d     int64 // end-to-end bound, slots
+	size  int   // message payload bytes
+	tight bool
+}
+
+var cmpStreams = []cmpStream{
+	{"loose0", 0, cmpLooseImin, cmpLooseD, cmpLooseSmax, false},
+	{"loose1", 0, cmpLooseImin, cmpLooseD, cmpLooseSmax, false},
+	{"tight", 1, cmpTightImin, cmpTightD, packet.TCPayloadBytes, true},
+}
+
 // RunCompare evaluates all five architectures.
 func RunCompare(cycles int64) (*CompareResult, error) {
 	if cycles < 10000 {
 		return nil, fmt.Errorf("experiments: comparison needs at least 10000 cycles")
 	}
+	overRouter := func(cfg router.Config) func(int64) (*bottleneck, error) {
+		return func(cycles int64) (*bottleneck, error) { return runCompareRouter(cfg, cycles) }
+	}
 	res := &CompareResult{}
-	kinds := []struct {
+	for _, leg := range []struct {
 		name string
-		cfg  router.Config
+		run  func(cycles int64) (*bottleneck, error)
 	}{
-		{"real-time (EDF)", router.DefaultConfig()},
-		{"FIFO output-queued", baseline.FIFOConfig()},
-		{"static priority", baseline.StaticPriorityConfig()},
-	}
-	for _, k := range kinds {
-		tight, loose, err := runCompareRouter(k.cfg, cycles)
+		{"real-time (EDF)", overRouter(router.DefaultConfig())},
+		{"FIFO output-queued", overRouter(baseline.FIFOConfig())},
+		{"static priority", overRouter(baseline.StaticPriorityConfig())},
+		{"priority-forwarding", runComparePF},
+		{"priority-VC wormhole", runCompareVC},
+	} {
+		b, err := leg.run(cycles)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", k.name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", leg.name, err)
 		}
-		res.add(k.name, tight, loose)
+		res.Disciplines = append(res.Disciplines, leg.name)
+		res.TightMiss = append(res.TightMiss, b.tight.missRate())
+		res.LooseMiss = append(res.LooseMiss, b.loose.missRate())
+		res.TightMean = append(res.TightMean, b.tight.lat.Mean())
+		res.LooseMean = append(res.LooseMean, b.loose.lat.Mean())
+		res.TightN = append(res.TightN, int64(b.tight.lat.N()))
+		res.LooseN = append(res.LooseN, int64(b.loose.lat.N()))
 	}
-	tight, loose, err := runComparePF(cycles)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: priority-forwarding: %w", err)
-	}
-	res.add("priority-forwarding", tight, loose)
-	tight, loose, err = runCompareVC(cycles)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: priority-VC wormhole: %w", err)
-	}
-	res.add("priority-VC wormhole", tight, loose)
 	return res, nil
-}
-
-func (r *CompareResult) add(name string, tight, loose *classStats) {
-	r.Disciplines = append(r.Disciplines, name)
-	r.TightMiss = append(r.TightMiss, tight.missRate())
-	r.LooseMiss = append(r.LooseMiss, loose.missRate())
-	r.TightMean = append(r.TightMean, tight.lat.Mean())
-	r.LooseMean = append(r.LooseMean, loose.lat.Mean())
-	r.TightN = append(r.TightN, int64(tight.lat.N()))
-	r.LooseN = append(r.LooseN, int64(loose.lat.N()))
 }
 
 type classStats struct {
 	lat    stats.Hist
 	bound  float64
 	misses int64
-}
-
-func (c *classStats) observe(latency float64) {
-	c.lat.Add(latency)
-	if latency > c.bound {
-		c.misses++
-	}
 }
 
 func (c *classStats) missRate() float64 {
@@ -117,253 +117,171 @@ func (c *classStats) missRate() float64 {
 	return float64(c.misses) / float64(c.lat.N())
 }
 
+// bottleneck is one architecture's outcome on the workload: the latency
+// of every probed message, by class, against the class's bound.
+type bottleneck struct{ tight, loose classStats }
+
+func newBottleneck() *bottleneck {
+	return &bottleneck{
+		tight: classStats{bound: missBound(cmpTightD)},
+		loose: classStats{bound: missBound(cmpLooseD)},
+	}
+}
+
+func (b *bottleneck) observe(tight bool, latency int64) {
+	c := &b.loose
+	if tight {
+		c = &b.tight
+	}
+	c.lat.AddInt(latency)
+	if float64(latency) > c.bound {
+		c.misses++
+	}
+}
+
 // runCompareRouter drives the workload over real-time router hardware
 // with the given scheduler configuration.
-func runCompareRouter(cfg router.Config, cycles int64) (tight, loose *classStats, err error) {
-	sys, err := core.NewMesh(3, 1, core.Options{Router: cfg})
-	if err != nil {
-		return nil, nil, err
-	}
+func runCompareRouter(cfg router.Config, cycles int64) (*bottleneck, error) {
 	dst := mesh.Coord{X: 2, Y: 0}
-	looseSpec := rtc.Spec{Imin: cmpLooseImin, Smax: cmpLooseSmax, D: cmpLooseD}
-	tightSpec := rtc.Spec{Imin: cmpTightImin, Smax: packet.TCPayloadBytes, D: cmpTightD}
-
-	tight = &classStats{bound: missBound(cmpTightD)}
-	loose = &classStats{bound: missBound(cmpLooseD)}
-	byConn := map[uint8]*classStats{}
-
-	open := func(src mesh.Coord, spec rtc.Spec, cls *classStats, tag string) error {
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			return err
-		}
-		byConn[ch.Admitted().DstConn[0]] = cls
-		app, err := traffic.NewTCApp(tag, ch.Paced(), spec, traffic.Periodic, spec.Smax)
-		if err != nil {
-			return err
-		}
-		sys.Net.Kernel.Register(app)
-		return nil
+	fx := core.Fixture{W: 3, H: 1, Options: core.Options{Router: cfg}}
+	for _, st := range cmpStreams {
+		fx.Channels = append(fx.Channels, core.ChannelReq{
+			Src: mesh.Coord{X: st.at, Y: 0}, Dsts: []mesh.Coord{dst},
+			Spec: rtc.Spec{Imin: st.imin, Smax: st.size, D: st.d},
+		})
 	}
-	if err := open(mesh.Coord{X: 0, Y: 0}, looseSpec, loose, "loose0"); err != nil {
-		return nil, nil, err
+	sys, err := fx.BuildAll()
+	if err != nil {
+		return nil, err
 	}
-	if err := open(mesh.Coord{X: 0, Y: 0}, looseSpec, loose, "loose1"); err != nil {
-		return nil, nil, err
-	}
-	if err := open(mesh.Coord{X: 1, Y: 0}, tightSpec, tight, "tight"); err != nil {
-		return nil, nil, err
+	b := newBottleneck()
+	tight := make(map[uint8]bool)
+	for i, st := range cmpStreams {
+		tight[sys.Channels[i].Admitted().DstConn[0]] = st.tight
 	}
 	sys.Sink(dst).OnTC = func(d router.DeliveredTC) {
-		cls, ok := byConn[d.Conn]
-		if !ok {
-			return
-		}
-		inj, _ := traffic.DecodeProbe(d.Payload[:])
-		if inj > 0 && inj <= d.Cycle {
-			cls.observe(float64(d.Cycle - inj))
+		if lat, ok := traffic.ProbeLatency(d.Payload[:], d.Cycle); ok {
+			b.observe(tight[d.Conn], lat)
 		}
 	}
 	sys.Run(cycles)
-	return tight, loose, nil
+	return b, nil
 }
 
-// pfInjector submits periodic messages to a PF router with a static
-// priority in the stamp byte.
-type pfInjector struct {
-	name string
-	r    *baseline.PFRouter
-	conn uint8
-	prio uint8
-	imin int64 // slots
-	pkts int   // packets per message
-	next int64 // next release cycle
-	seq  uint32
+// rival is what the two rival fabrics share with each other (and with
+// the real-time router): a clocked component with link ports.
+type rival interface {
+	sim.Component
+	ConnectIn(p int, l *router.InLink)
+	ConnectOut(p int, l *router.OutLink)
 }
 
-func (a *pfInjector) Name() string { return a.name }
-func (a *pfInjector) Tick(now sim.Cycle) {
-	if int64(now) < a.next {
-		return
+// runRivalLine wires rs into a bidirectional line along x, gives each
+// workload stream a periodic source firing inject at its source router
+// (sources tick before the routers), and runs, calling collect after
+// every cycle to empty the last router's delivery queue.
+func runRivalLine[R rival](rs []R, inject func(st cmpStream, id int, r R, now sim.Cycle, seq uint32),
+	collect func(), cycles int64) {
+	k := sim.NewKernel()
+	for i := 0; i+1 < len(rs); i++ {
+		fw := router.NewChannel(k)
+		rs[i].ConnectOut(router.PortXPlus, fw.Out())
+		rs[i+1].ConnectIn(router.PortXMinus, fw.In())
+		bw := router.NewChannel(k)
+		rs[i+1].ConnectOut(router.PortXMinus, bw.Out())
+		rs[i].ConnectIn(router.PortXPlus, bw.In())
 	}
-	a.next = int64(now) + a.imin*packet.TCBytes
-	for i := 0; i < a.pkts; i++ {
-		p := packet.TCPacket{Conn: a.conn, Stamp: a.prio}
-		// Probe only the first packet so message-level latency counting
-		// matches the TCApp-driven architectures.
-		if i == 0 {
-			traffic.EncodeProbe(p.Payload[:], int64(now), a.seq)
-			a.seq++
-		}
-		a.r.Inject(p)
+	for i, st := range cmpStreams {
+		k.Register(traffic.NewPeriodicSource(st.name, st.imin*packet.TCBytes, func(now sim.Cycle, seq uint32) {
+			inject(st, i, rs[st.at], now, seq)
+		}))
+	}
+	for _, r := range rs {
+		k.Register(r)
+	}
+	for c := int64(0); c < cycles; c++ {
+		k.Step()
+		collect()
 	}
 }
 
 // runComparePF drives the same workload over the priority-forwarding
-// model. Static priorities: tight = 4, loose = 16 (their local delay
-// bounds, as a deadline-monotonic assignment).
-func runComparePF(cycles int64) (tight, loose *classStats, err error) {
-	k := sim.NewKernel()
+// model: stream i is connection i+1, routed along the line and delivered
+// at pf2, its messages carrying a static priority in the stamp byte —
+// the stream's per-hop delay bound (tight 4, loose 16), a
+// deadline-monotonic assignment.
+func runComparePF(cycles int64) (*bottleneck, error) {
 	rs := make([]*baseline.PFRouter, 3)
 	for i := range rs {
-		rs[i], err = baseline.NewPFRouter(fmt.Sprintf("pf%d", i), 256)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if rs[i], err = baseline.NewPFRouter(fmt.Sprintf("pf%d", i), 256); err != nil {
+			return nil, err
 		}
 	}
-	for i := 0; i < 2; i++ {
-		fw := router.NewChannel(k)
-		rs[i].ConnectOut(router.PortXPlus, fw.Out())
-		rs[i+1].ConnectIn(router.PortXMinus, fw.In())
-		bw := router.NewChannel(k)
-		rs[i+1].ConnectOut(router.PortXMinus, bw.Out())
-		rs[i].ConnectIn(router.PortXPlus, bw.In())
-	}
-	// Routes: loose ids 1,2 from pf0; tight id 3 from pf1; all delivered
-	// at pf2.
-	for _, id := range []uint8{1, 2} {
-		if err := rs[0].SetRoute(id, id, 1<<router.PortXPlus); err != nil {
-			return nil, nil, err
-		}
-		if err := rs[1].SetRoute(id, id, 1<<router.PortXPlus); err != nil {
-			return nil, nil, err
-		}
-		if err := rs[2].SetRoute(id, id, 1<<router.PortLocal); err != nil {
-			return nil, nil, err
+	for i, st := range cmpStreams {
+		id := uint8(i + 1)
+		for at := st.at; at < len(rs); at++ {
+			port := router.PortXPlus
+			if at == len(rs)-1 {
+				port = router.PortLocal
+			}
+			if err := rs[at].SetRoute(id, id, 1<<port); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if err := rs[1].SetRoute(3, 3, 1<<router.PortXPlus); err != nil {
-		return nil, nil, err
-	}
-	if err := rs[2].SetRoute(3, 3, 1<<router.PortLocal); err != nil {
-		return nil, nil, err
-	}
-
-	tight = &classStats{bound: missBound(cmpTightD)}
-	loose = &classStats{bound: missBound(cmpLooseD)}
-	apps := []*pfInjector{
-		{name: "loose0", r: rs[0], conn: 1, prio: 16, imin: cmpLooseImin, pkts: 5},
-		{name: "loose1", r: rs[0], conn: 2, prio: 16, imin: cmpLooseImin, pkts: 5},
-		{name: "tight", r: rs[1], conn: 3, prio: 4, imin: cmpTightImin, pkts: 1},
-	}
-	for _, a := range apps {
-		k.Register(a)
-	}
-	for _, r := range rs {
-		k.Register(r)
-	}
-	collect := &pfCollector{r: rs[2], tight: tight, loose: loose}
-	k.Register(collect)
-	k.Run(cycles)
-	return tight, loose, nil
-}
-
-type pfCollector struct {
-	r            *baseline.PFRouter
-	tight, loose *classStats
-}
-
-func (c *pfCollector) Name() string { return "pf-collect" }
-func (c *pfCollector) Tick(now sim.Cycle) {
-	for _, d := range c.r.DrainTC() {
-		inj, _ := traffic.DecodeProbe(d.Payload[:])
-		if inj <= 0 || inj > d.Cycle {
-			continue
+	b := newBottleneck()
+	runRivalLine(rs, func(st cmpStream, i int, r *baseline.PFRouter, now sim.Cycle, seq uint32) {
+		prio := uint8(st.d / int64(len(rs)-st.at))
+		for n := 0; n*packet.TCPayloadBytes < st.size; n++ {
+			p := packet.TCPacket{Conn: uint8(i + 1), Stamp: prio}
+			// Probe only the first packet so message-level latency
+			// counting matches the TCApp-driven architectures.
+			if n == 0 {
+				traffic.EncodeProbe(p.Payload[:], int64(now), seq)
+			}
+			r.Inject(p)
 		}
-		lat := float64(d.Cycle - inj)
-		if d.Conn == 3 {
-			c.tight.observe(lat)
-		} else {
-			c.loose.observe(lat)
+	}, func() {
+		for _, d := range rs[2].DrainTC() {
+			if lat, ok := traffic.ProbeLatency(d.Payload[:], d.Cycle); ok {
+				b.observe(cmpStreams[d.Conn-1].tight, lat)
+			}
 		}
-	}
-}
-
-// vcInjector submits periodic wormhole messages on the priority virtual
-// channel, the class mapping of priority-VC designs: every
-// time-critical packet rides VC0, undifferentiated within it.
-type vcInjector struct {
-	name string
-	r    *baseline.VCRouter
-	xoff int
-	size int // payload bytes
-	imin int64
-	next int64
-	seq  uint32
-}
-
-func (a *vcInjector) Name() string { return a.name }
-func (a *vcInjector) Tick(now sim.Cycle) {
-	if int64(now) < a.next {
-		return
-	}
-	a.next = int64(now) + a.imin*packet.TCBytes
-	body := make([]byte, a.size)
-	traffic.EncodeProbe(body, int64(now), a.seq)
-	a.seq++
-	frame, err := packet.NewBE(a.xoff, 0, body)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	if err := a.r.Inject(0, frame); err != nil {
-		panic("experiments: " + err.Error())
-	}
+	}, cycles)
+	return b, nil
 }
 
 // runCompareVC drives the workload over the priority-virtual-channel
-// wormhole model: both streams share VC0, FIFO/round-robin within it.
-func runCompareVC(cycles int64) (tight, loose *classStats, err error) {
-	k := sim.NewKernel()
+// wormhole model. Every time-critical packet rides VC0, the class
+// mapping of priority-VC designs, undifferentiated within it: both
+// streams share the channel, FIFO/round-robin inside it.
+func runCompareVC(cycles int64) (*bottleneck, error) {
 	rs := make([]*baseline.VCRouter, 3)
 	for i := range rs {
 		rs[i] = baseline.NewVCRouter(fmt.Sprintf("vc%d", i))
 	}
-	for i := 0; i < 2; i++ {
-		fw := router.NewChannel(k)
-		rs[i].ConnectOut(router.PortXPlus, fw.Out())
-		rs[i+1].ConnectIn(router.PortXMinus, fw.In())
-		bw := router.NewChannel(k)
-		rs[i+1].ConnectOut(router.PortXMinus, bw.Out())
-		rs[i].ConnectIn(router.PortXPlus, bw.In())
-	}
-	tight = &classStats{bound: missBound(cmpTightD)}
-	loose = &classStats{bound: missBound(cmpLooseD)}
-	apps := []*vcInjector{
-		{name: "loose0", r: rs[0], xoff: 2, size: cmpLooseSmax, imin: cmpLooseImin},
-		{name: "loose1", r: rs[0], xoff: 2, size: cmpLooseSmax, imin: cmpLooseImin},
-		{name: "tight", r: rs[1], xoff: 1, size: packet.TCPayloadBytes, imin: cmpTightImin},
-	}
-	for _, a := range apps {
-		k.Register(a)
-	}
-	for _, r := range rs {
-		k.Register(r)
-	}
-	collect := &vcCollector{r: rs[2], tight: tight, loose: loose}
-	k.Register(collect)
-	k.Run(cycles)
-	return tight, loose, nil
-}
-
-type vcCollector struct {
-	r            *baseline.VCRouter
-	tight, loose *classStats
-}
-
-func (c *vcCollector) Name() string { return "vc-collect" }
-func (c *vcCollector) Tick(sim.Cycle) {
-	for _, d := range c.r.Drain(0) {
-		inj, _ := traffic.DecodeProbe(d.Payload)
-		if inj <= 0 || inj > d.Cycle {
-			continue
+	b := newBottleneck()
+	runRivalLine(rs, func(st cmpStream, _ int, r *baseline.VCRouter, now sim.Cycle, seq uint32) {
+		body := make([]byte, st.size)
+		traffic.EncodeProbe(body, int64(now), seq)
+		frame, err := packet.NewBE(len(rs)-1-st.at, 0, body)
+		if err == nil {
+			err = r.Inject(0, frame)
 		}
-		lat := float64(d.Cycle - inj)
-		if len(d.Payload) == cmpLooseSmax {
-			c.loose.observe(lat)
-		} else {
-			c.tight.observe(lat)
+		if err != nil {
+			panic("experiments: " + err.Error())
 		}
-	}
+	}, func() {
+		for _, d := range rs[2].Drain(0) {
+			// A wormhole frame carries no connection id: the class is
+			// read off the message size.
+			if lat, ok := traffic.ProbeLatency(d.Payload, d.Cycle); ok {
+				b.observe(len(d.Payload) != cmpLooseSmax, lat)
+			}
+		}
+	}, cycles)
+	return b, nil
 }
 
 // Table renders the comparison.

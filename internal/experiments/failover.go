@@ -27,37 +27,67 @@ type FailoverResult struct {
 	RerouteOK bool
 }
 
+// probeTrain drives a Manual channel by hand: n probe-stamped messages
+// numbered from *seq, one Imin apart — each, if non-nil, runs after
+// message i is submitted — then a drain of the channel's bound D.
+func probeTrain(sys *core.System, ch *core.Channel, n int, seq *uint32, each func(i int) error) error {
+	spec := ch.Spec()
+	for i := 0; i < n; i++ {
+		if err := sendProbe(sys, ch, seq); err != nil {
+			return err
+		}
+		if each != nil {
+			if err := each(i); err != nil {
+				return err
+			}
+		}
+		sys.Run(spec.Imin * packet.TCBytes)
+	}
+	sys.Run(spec.D * packet.TCBytes)
+	return nil
+}
+
+// sendProbe submits one full-size message stamped with the cycle the
+// regulator first sees it.
+func sendProbe(sys *core.System, ch *core.Channel, seq *uint32) error {
+	body := make([]byte, packet.TCPayloadBytes)
+	traffic.EncodeProbe(body, sys.Now()+1, *seq)
+	*seq++
+	return ch.Send(body)
+}
+
+// cornerChannel is the one-channel 3×3 rig X9 and X10 share: a Manual
+// channel from (0,0) to (2,2), whose XY and YX routes are disjoint.
+func cornerChannel(cfg router.Config, d int64) (*core.System, *core.Channel, error) {
+	b, err := core.Fixture{W: 3, H: 3, Options: core.Options{Router: cfg}, Channels: []core.ChannelReq{{
+		Src: mesh.Coord{X: 0, Y: 0}, Dsts: []mesh.Coord{{X: 2, Y: 2}}, Manual: true,
+		Spec: rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: d},
+	}}}.BuildAll()
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.System, b.Channels[0], nil
+}
+
 // RunFailover runs the three-phase timeline with the given messages per
 // phase.
 func RunFailover(perPhase int) (*FailoverResult, error) {
 	if perPhase < 1 {
 		return nil, fmt.Errorf("experiments: need at least one message per phase")
 	}
-	sys, err := core.NewMesh(3, 3, core.Options{})
+	sys, ch, err := cornerChannel(router.Config{}, 80)
 	if err != nil {
 		return nil, err
 	}
 	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 2}
-	spec := rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: 80}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-	if err != nil {
-		return nil, err
-	}
 	res := &FailoverResult{}
 	seq := uint32(0)
 	phase := func(name string, n int) error {
 		startDeliv := sys.Sink(dst).TCCount
 		startSum := sys.Summarize()
-		for i := 0; i < n; i++ {
-			body := make([]byte, packet.TCPayloadBytes)
-			traffic.EncodeProbe(body, sys.Now()+1, seq)
-			seq++
-			if err := ch.Send(body); err != nil {
-				return err
-			}
-			sys.Run(spec.Imin * packet.TCBytes)
+		if err := probeTrain(sys, ch, n, &seq, nil); err != nil {
+			return err
 		}
-		sys.Run(spec.D * packet.TCBytes)
 		endSum := sys.Summarize()
 		res.Phases = append(res.Phases, name)
 		res.Sent = append(res.Sent, int64(n))

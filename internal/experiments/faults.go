@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/packet"
 	"repro/internal/router"
-	"repro/internal/rtc"
-	"repro/internal/traffic"
 )
 
 // FaultsRow is one point of the X10 fault-rate sweep: a fresh 3×3 mesh
@@ -68,17 +65,12 @@ func faultsRun(kind fault.Kind, rate, burst float64, msgs int, seed int64) (Faul
 	}
 	cfg := router.DefaultConfig()
 	cfg.Integrity = true
-	sys, err := core.NewMesh(3, 3, core.Options{Router: cfg})
+	sys, ch, err := cornerChannel(cfg, faultsSpecD)
 	if err != nil {
 		return row, err
 	}
-	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 2}
+	dst := mesh.Coord{X: 2, Y: 2}
 	beSrc, beDst := mesh.Coord{X: 0, Y: 2}, mesh.Coord{X: 2, Y: 0}
-	spec := rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: faultsSpecD}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-	if err != nil {
-		return row, err
-	}
 	var inj *fault.Injector
 	if rate > 0 {
 		inj = fault.New(seed)
@@ -86,27 +78,24 @@ func faultsRun(kind fault.Kind, rate, burst float64, msgs int, seed int64) (Faul
 			return row, err
 		}
 	}
+	// A best-effort packet rides along with every other message. After
+	// the train's own drain, 8000 more cycles with no new traffic: every
+	// in-flight packet ends in a bucket (delivered, dropped, aborted) or —
+	// under phit loss only — strands as one partial assembly awaiting a
+	// framing verdict.
 	seq := uint32(0)
-	for i := 0; i < msgs; i++ {
-		body := make([]byte, packet.TCPayloadBytes)
-		traffic.EncodeProbe(body, sys.Now()+1, seq)
-		seq++
-		if err := ch.Send(body); err != nil {
-			return row, err
-		}
+	err = probeTrain(sys, ch, msgs, &seq, func(i int) error {
 		row.TCSent++
-		if i%2 == 0 {
-			if err := sys.SendBestEffort(beSrc, beDst, make([]byte, 64)); err != nil {
-				return row, err
-			}
-			row.BESent++
+		if i%2 != 0 {
+			return nil
 		}
-		sys.Run(spec.Imin * packet.TCBytes)
+		row.BESent++
+		return sys.SendBestEffort(beSrc, beDst, make([]byte, 64))
+	})
+	if err != nil {
+		return row, err
 	}
-	// Drain: no new traffic; every in-flight packet ends in a bucket
-	// (delivered, dropped, aborted) or — under phit loss only — strands
-	// as one partial assembly awaiting a framing verdict.
-	sys.Run(faultsSpecD*packet.TCBytes + 8000)
+	sys.Run(8000)
 
 	if inj != nil {
 		s := inj.Stats()
@@ -154,31 +143,13 @@ func faultsRun(kind fault.Kind, rate, burst float64, msgs int, seed int64) (Faul
 // faultsFlap plays fail → reroute → repair → failback on the channel's
 // first-hop link and measures the recovery time after the repair.
 func faultsFlap(res *FaultsResult, msgs int) error {
-	sys, err := core.NewMesh(3, 3, core.Options{})
+	sys, ch, err := cornerChannel(router.Config{}, faultsSpecD)
 	if err != nil {
 		return err
 	}
 	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 2}
-	spec := rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: faultsSpecD}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-	if err != nil {
-		return err
-	}
 	seq := uint32(0)
-	send := func(n int) error {
-		for i := 0; i < n; i++ {
-			body := make([]byte, packet.TCPayloadBytes)
-			traffic.EncodeProbe(body, sys.Now()+1, seq)
-			seq++
-			if err := ch.Send(body); err != nil {
-				return err
-			}
-			sys.Run(spec.Imin * packet.TCBytes)
-		}
-		sys.Run(spec.D * packet.TCBytes)
-		return nil
-	}
-	if err := send(msgs); err != nil {
+	if err := probeTrain(sys, ch, msgs, &seq, nil); err != nil {
 		return err
 	}
 	if err := sys.FailLink(src, router.PortXPlus); err != nil {
@@ -188,7 +159,7 @@ func faultsFlap(res *FaultsResult, msgs int) error {
 		return err
 	}
 	res.FlapRerouted = !ch.Admitted().Uses(src, router.PortXPlus)
-	if err := send(msgs); err != nil {
+	if err := probeTrain(sys, ch, msgs, &seq, nil); err != nil {
 		return err
 	}
 	if err := sys.RepairLink(src, router.PortXPlus); err != nil {
@@ -200,12 +171,10 @@ func faultsFlap(res *FaultsResult, msgs int) error {
 	}
 	res.FlapFailback = ch.Admitted().Uses(src, router.PortXPlus)
 	before := sys.Sink(dst).TCCount
-	body := make([]byte, packet.TCPayloadBytes)
-	traffic.EncodeProbe(body, sys.Now()+1, seq)
-	if err := ch.Send(body); err != nil {
+	if err := sendProbe(sys, ch, &seq); err != nil {
 		return err
 	}
-	if !sys.RunUntil(func() bool { return sys.Sink(dst).TCCount > before }, 4*spec.D*packet.TCBytes) {
+	if !sys.RunUntil(func() bool { return sys.Sink(dst).TCCount > before }, 4*faultsSpecD*packet.TCBytes) {
 		return fmt.Errorf("experiments: faults: no delivery after repair and failback")
 	}
 	res.TimeToRecover = sys.Now() - repairAt

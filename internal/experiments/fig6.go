@@ -8,7 +8,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/rtc"
 	"repro/internal/timing"
-	"repro/internal/traffic"
 )
 
 // Fig6Result demonstrates the clock-rollover handling of Section 4.3 /
@@ -52,21 +51,13 @@ func RunFig6(wraps int64) (*Fig6Result, error) {
 	// Soak: a periodic channel running across `wraps` rollovers of the
 	// 256-slot clock. Any misclassification at a wrap would surface as a
 	// held packet (deadline miss) or an early release.
-	sys, err := core.NewMesh(2, 1, core.Options{})
+	sys, err := core.Fixture{W: 2, H: 1, Channels: []core.ChannelReq{{
+		Src: mesh.Coord{X: 0, Y: 0}, Dsts: []mesh.Coord{{X: 1, Y: 0}},
+		Spec: rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: 32},
+	}}}.BuildAll()
 	if err != nil {
 		return nil, err
 	}
-	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
-	spec := rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: 32}
-	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-	if err != nil {
-		return nil, err
-	}
-	app, err := traffic.NewTCApp("tc", ch.Paced(), spec, traffic.Periodic, packet.TCPayloadBytes)
-	if err != nil {
-		return nil, err
-	}
-	sys.Net.Kernel.Register(app)
 	cycles := wraps * 256 * packet.TCBytes
 	sys.Run(cycles)
 	sum := sys.Summarize()

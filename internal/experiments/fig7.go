@@ -61,32 +61,35 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	if len(cfg.Imins) == 0 || cfg.Cycles <= 0 || cfg.Sample <= 0 {
 		return nil, fmt.Errorf("experiments: invalid Figure 7 config")
 	}
-	sys, err := core.NewMesh(2, 1, core.Options{}.WithAdmission(admission.Config{
-		Policy:       admission.Partitioned,
-		SourceWindow: 4,
-		Horizon:      0, // the paper's experiment uses h = 0
-	}))
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
+	fx := core.Fixture{
+		W: 2, H: 1, Seed: 1,
+		Options: core.Options{}.WithAdmission(admission.Config{
+			Policy:       admission.Partitioned,
+			SourceWindow: 4,
+			Horizon:      0, // the paper's experiment uses h = 0
+		}),
+		// Backlogged best-effort traffic: saturate whatever the scheduler
+		// leaves over.
+		BestEffort: []core.BESource{{Src: src, Dst: &dst, Rate: 1.0, SizeMin: 60, SizeMax: 60}},
+	}
+	for _, imin := range cfg.Imins {
+		fx.Channels = append(fx.Channels, core.ChannelReq{
+			Src: src, Dsts: []mesh.Coord{dst}, Pattern: traffic.Backlogged,
+			Spec: rtc.Spec{Imin: imin, Smax: packet.TCPayloadBytes, D: 2 * imin},
+		})
+	}
+	sys, err := fx.BuildAll()
 	if err != nil {
 		return nil, err
 	}
-	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
 
 	res := &Fig7Result{Cfg: cfg}
 	accs := make([]*stats.Accumulator, 0, len(cfg.Imins)+1)
 	connAcc := make(map[uint8]*stats.Accumulator)
 	for i, imin := range cfg.Imins {
-		spec := rtc.Spec{Imin: imin, Smax: packet.TCPayloadBytes, D: 2 * imin}
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: admitting connection %d: %w", i, err)
-		}
-		app, err := traffic.NewTCApp(fmt.Sprintf("tc%d", i), ch.Paced(), spec, traffic.Backlogged, packet.TCPayloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		sys.Net.Kernel.Register(app)
 		acc := &stats.Accumulator{Series: stats.Series{Name: fmt.Sprintf("connection %d (d=Imin=%d)", i+1, imin)}}
-		connAcc[ch.Admitted().SrcConn] = acc
+		connAcc[sys.Channels[i].Admitted().SrcConn] = acc
 		accs = append(accs, acc)
 		res.TC = append(res.TC, &acc.Series)
 	}
@@ -110,13 +113,6 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 		}
 	}
 
-	// Backlogged best-effort traffic: saturate whatever the scheduler
-	// leaves over.
-	beApp, err := traffic.NewBEApp("be", sys.Net, src, traffic.FixedDst(dst), traffic.FixedSize(60), 1.0, 1)
-	if err != nil {
-		return nil, err
-	}
-	sys.Net.Kernel.Register(beApp)
 	sys.Net.Kernel.Register(&sampler{period: cfg.Sample, accs: accs})
 
 	sys.Run(cfg.Cycles)

@@ -10,13 +10,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// ForensicsCheck is one pass/fail invariant of the forensics run.
-type ForensicsCheck struct {
-	Name   string
-	OK     bool
-	Detail string
-}
-
 // ForensicsResult is the outcome of RunForensics: the attribution
 // report of the reference run, the determinism verdict across worker
 // counts, and the conservation / reconciliation checks the CI gate
@@ -37,21 +30,11 @@ type ForensicsResult struct {
 	Stats metrics.ForensicsSnapshot
 	// Triggers is the reference run's flight-recorder trigger count.
 	Triggers int64
-	Checks   []ForensicsCheck
+	Checks
 }
 
 // OK reports whether every check passed and the reports matched.
-func (r *ForensicsResult) OK() bool {
-	if !r.Identical {
-		return false
-	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
+func (r *ForensicsResult) OK() bool { return r.Identical && r.Checks.OK() }
 
 // DefaultForensicsWorkers is the worker set the determinism check
 // covers.
@@ -60,11 +43,10 @@ var DefaultForensicsWorkers = []int{1, 2, 4}
 // forensicsRun is one scenario execution with the full forensics stack
 // attached.
 type forensicsRun struct {
-	report  []byte
-	stats   metrics.ForensicsSnapshot
-	reg     *metrics.Registry
-	rec     *obs.Recorder
-	summary scenario.Result
+	report []byte
+	stats  metrics.ForensicsSnapshot
+	reg    *metrics.Registry
+	rec    *obs.Recorder
 }
 
 func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int) (*forensicsRun, error) {
@@ -78,7 +60,7 @@ func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int)
 	slo := obs.NewSLO()
 	fns := obs.NewForensics()
 	rec := obs.NewRecorder(0, 0)
-	res, sys, err := sc.RunWith(scenario.RunOpts{
+	_, sys, err := sc.RunWith(scenario.RunOpts{
 		Metrics: reg, Collector: col, ChannelSLO: slo,
 		Forensics: fns, Recorder: rec, Workers: workers, LinkLatency: linkLat,
 	})
@@ -94,7 +76,6 @@ func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int)
 	rec.Summary(&buf)
 	return &forensicsRun{
 		report: buf.Bytes(), stats: fns.Stats(), reg: reg, rec: rec,
-		summary: *res,
 	}, nil
 }
 
@@ -144,11 +125,7 @@ func RunForensics(path string, cycles int64, workers []int, linkLat int) (*Foren
 	res.Triggers = ref.rec.Count()
 	res.Cycles = ref.reg.Cycles.Load()
 
-	check := func(name string, ok bool, format string, args ...any) {
-		res.Checks = append(res.Checks, ForensicsCheck{
-			Name: name, OK: ok, Detail: fmt.Sprintf(format, args...),
-		})
-	}
+	check := res.Checks.add
 
 	st := ref.stats
 	check("unattributed_zero", st.Unattributed == 0,

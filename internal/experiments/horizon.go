@@ -9,7 +9,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/rtc"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 )
 
 // HorizonResult is the X1 extension study: the horizon parameter trades
@@ -49,25 +48,20 @@ func RunHorizon(horizons []uint32, cycles int64) (*HorizonResult, error) {
 	res := &HorizonResult{Horizons: horizons}
 	spec := rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: 120} // d = 30/hop: lots of slack
 	for _, h := range horizons {
-		sys, err := core.NewMesh(4, 1, core.Options{}.WithAdmission(admission.Config{
-			Policy:       admission.Partitioned,
-			SourceWindow: 16,
-			Horizon:      h,
-		}))
+		sys, err := core.Fixture{
+			W: 4, H: 1,
+			Options: core.Options{}.WithAdmission(admission.Config{
+				Policy:       admission.Partitioned,
+				SourceWindow: 16,
+				Horizon:      h,
+			}),
+			Channels: []core.ChannelReq{{Src: mesh.Coord{X: 0, Y: 0}, Dsts: []mesh.Coord{{X: 3, Y: 0}}, Spec: spec}},
+		}.BuildAll()
 		if err != nil {
 			return nil, err
 		}
-		src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 3, Y: 0}
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			return nil, err
-		}
-		app, err := traffic.NewTCApp("tc", ch.Paced(), spec, traffic.Periodic, packet.TCPayloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		probe := &occupancyProbe{sys: sys, at: mesh.Coord{X: 1, Y: 0}}
-		sys.Net.Kernel.Register(app)
+		ch := sys.Channels[0]
+		probe := &occupancyProbe{sys: sys.System, at: mesh.Coord{X: 1, Y: 0}}
 		sys.Net.Kernel.Register(probe)
 		sys.Run(cycles)
 		sum := sys.Summarize()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
-	"repro/internal/router"
 )
 
 // LayoutBindingCount is one binding resource's rejection tally.
@@ -58,17 +57,7 @@ type LayoutResult struct {
 	W, H     int
 	Requests int
 	Families []LayoutFamilyResult
-	Checks   []CapacityCheck
-}
-
-// OK reports whether every invariant check passed.
-func (r *LayoutResult) OK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
+	Checks
 }
 
 // StrictlyBeatsGreedy reports whether the synthesizer admitted strictly
@@ -184,16 +173,12 @@ func RunLayout(w, h, requests int, families []CapacityFamily) (*LayoutResult, er
 		requests = defaultLayoutRequests(w, h)
 	}
 	res := &LayoutResult{W: w, H: h, Requests: requests}
-	check := func(name string, ok bool, format string, args ...any) {
-		res.Checks = append(res.Checks, CapacityCheck{
-			Name: name, OK: ok, Detail: fmt.Sprintf(format, args...),
-		})
-	}
+	check := res.Checks.add
 	for _, fam := range families {
 		fr := LayoutFamilyResult{Name: fam.Name, Requests: requests}
 
 		// Greedy baseline: the default planner, one request at a time.
-		gctl, _, err := newAdmissionController(w, h, false)
+		_, gctl, err := newController(w, h, admission.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -216,11 +201,7 @@ func RunLayout(w, h, requests int, families []CapacityFamily) (*LayoutResult, er
 		fr.GreedyRejectHeat = rejectionHeatmap(w, h, greedyRouters)
 
 		// Synthesized run: identical sequence, layout search enabled.
-		snet, err := mesh.New(w, h, router.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		sctl, err := admission.New(snet, admission.DefaultConfig())
+		snet, sctl, err := newController(w, h, admission.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +229,9 @@ func RunLayout(w, h, requests int, families []CapacityFamily) (*LayoutResult, er
 		// no fast paths) replays every accepted layout verbatim. Each
 		// must be re-admitted with the same channel identity, and the
 		// final sealed ledgers must be byte-identical.
-		shadow, _, err := newAdmissionController(w, h, true)
+		refCfg := admission.DefaultConfig()
+		refCfg.Reference = true
+		_, shadow, err := newController(w, h, refCfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -300,11 +283,7 @@ func (r *LayoutResult) Table() *Table {
 			fmt.Sprintf("%+d", f.SynthAdmitted-f.GreedyAdmitted),
 			di(f.Rerouted), di(f.Nonuniform), di(f.Probes), di(f.Repairs), shadow)
 	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			t.AddNote("FAILED %s: %s", c.Name, c.Detail)
-		}
-	}
+	r.Checks.noteFailures(t)
 	return t
 }
 

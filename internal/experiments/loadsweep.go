@@ -7,7 +7,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/packet"
 	"repro/internal/rtc"
-	"repro/internal/traffic"
 )
 
 // LoadSweepResult is the X7 study: the network-level evaluation the
@@ -33,48 +32,33 @@ func RunLoadSweep(rates []float64, cycles int64) (*LoadSweepResult, error) {
 	if len(rates) == 0 || cycles < 10000 {
 		return nil, fmt.Errorf("experiments: invalid load sweep config")
 	}
-	res := &LoadSweepResult{Rates: rates, Cycles: cycles}
+	// A fixed real-time population: eight channels between corners and
+	// mid-mesh nodes.
+	fx := core.Fixture{W: 4, H: 4, Seed: 1}
+	for _, rt := range [][2]mesh.Coord{
+		{{X: 0, Y: 0}, {X: 3, Y: 1}},
+		{{X: 3, Y: 0}, {X: 0, Y: 2}},
+		{{X: 0, Y: 3}, {X: 2, Y: 0}},
+		{{X: 3, Y: 3}, {X: 1, Y: 1}},
+		{{X: 1, Y: 2}, {X: 3, Y: 2}},
+		{{X: 2, Y: 1}, {X: 0, Y: 1}},
+		{{X: 1, Y: 0}, {X: 1, Y: 3}},
+		{{X: 2, Y: 3}, {X: 2, Y: 0}},
+	} {
+		fx.Channels = append(fx.Channels, core.ChannelReq{
+			Src: rt[0], Dsts: []mesh.Coord{rt[1]},
+			Spec: rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: 100},
+		})
+	}
+	res := &LoadSweepResult{Rates: rates, Cycles: cycles, Channels: len(fx.Channels)}
 	for _, rate := range rates {
-		sys, err := core.NewMesh(4, 4, core.Options{})
+		fx.BestEffort = nil
+		if rate > 0 {
+			fx.BestEffort = core.EveryNode(4, 4, core.BESource{Rate: rate, SizeMin: 96, SizeMax: 96})
+		}
+		sys, err := fx.BuildAll()
 		if err != nil {
 			return nil, err
-		}
-		// A fixed real-time population: eight channels between corners
-		// and mid-mesh nodes.
-		routes := [][2]mesh.Coord{
-			{{X: 0, Y: 0}, {X: 3, Y: 1}},
-			{{X: 3, Y: 0}, {X: 0, Y: 2}},
-			{{X: 0, Y: 3}, {X: 2, Y: 0}},
-			{{X: 3, Y: 3}, {X: 1, Y: 1}},
-			{{X: 1, Y: 2}, {X: 3, Y: 2}},
-			{{X: 2, Y: 1}, {X: 0, Y: 1}},
-			{{X: 1, Y: 0}, {X: 1, Y: 3}},
-			{{X: 2, Y: 3}, {X: 2, Y: 0}},
-		}
-		opened := 0
-		for i, rt := range routes {
-			spec := rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: 100}
-			ch, err := sys.OpenChannel(rt[0], []mesh.Coord{rt[1]}, spec)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: channel %d: %w", i, err)
-			}
-			app, err := traffic.NewTCApp(fmt.Sprintf("tc%d", i), ch.Paced(), spec, traffic.Periodic, packet.TCPayloadBytes)
-			if err != nil {
-				return nil, err
-			}
-			sys.Net.Kernel.Register(app)
-			opened++
-		}
-		res.Channels = opened
-		if rate > 0 {
-			for i, c := range sys.Net.Coords() {
-				app, err := traffic.NewBEApp(fmt.Sprintf("be%d", i), sys.Net, c,
-					traffic.UniformDst(sys.Net, c), traffic.FixedSize(96), rate, int64(i+1))
-				if err != nil {
-					return nil, err
-				}
-				sys.Net.Kernel.Register(app)
-			}
 		}
 		// Standard simulator methodology: warm the network into steady
 		// state, reset the counters, then measure.

@@ -41,38 +41,26 @@ func RunMulticast(fanouts []int, messages int) (*MulticastResult, error) {
 		if k < 1 || k > len(all) {
 			return nil, fmt.Errorf("experiments: fan-out %d out of range [1,%d]", k, len(all))
 		}
-		sys, err := core.NewMesh(4, 4, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		src := mesh.Coord{X: 0, Y: 0}
 		dsts := all[:k]
 		spec := rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: 98}
-		ch, err := sys.OpenChannel(src, dsts, spec)
+		sys, err := core.Fixture{W: 4, H: 4, Channels: []core.ChannelReq{{
+			Src: mesh.Coord{X: 0, Y: 0}, Dsts: dsts, Spec: spec, Manual: true,
+		}}}.BuildAll()
 		if err != nil {
 			return nil, err
 		}
 		var worst float64
 		for _, d := range dsts {
-			snk := sys.Sink(d)
-			snk.OnTC = func(del router.DeliveredTC) {
-				inj, _ := traffic.DecodeProbe(del.Payload[:])
-				if inj > 0 && inj <= del.Cycle {
-					if lat := float64(del.Cycle - inj); lat > worst {
-						worst = lat
-					}
+			sys.Sink(d).OnTC = func(del router.DeliveredTC) {
+				if lat, ok := traffic.ProbeLatency(del.Payload[:], del.Cycle); ok {
+					worst = max(worst, float64(lat))
 				}
 			}
 		}
-		for m := 0; m < messages; m++ {
-			body := make([]byte, packet.TCPayloadBytes)
-			traffic.EncodeProbe(body, sys.Now()+1, uint32(m))
-			if err := ch.Send(body); err != nil {
-				return nil, err
-			}
-			sys.Run(spec.Imin * packet.TCBytes)
+		seq := uint32(0)
+		if err := probeTrain(sys.System, sys.Channels[0], messages, &seq, nil); err != nil {
+			return nil, err
 		}
-		sys.Run(spec.D * packet.TCBytes)
 		sum := sys.Summarize()
 		res.Fanouts = append(res.Fanouts, k)
 		res.MaxLat = append(res.MaxLat, worst)

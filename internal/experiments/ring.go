@@ -29,50 +29,6 @@ type RingResult struct {
 	Budget    float64
 }
 
-// ringCollector gathers latencies at every node.
-type ringCollector struct {
-	rs  []*router.Router
-	max float64
-	n   int64
-}
-
-func (c *ringCollector) Name() string { return "ring-collect" }
-func (c *ringCollector) Tick(sim.Cycle) {
-	for _, r := range c.rs {
-		for _, d := range r.DrainTC() {
-			c.n++
-			inj, _ := traffic.DecodeProbe(d.Payload[:])
-			if inj > 0 && inj <= d.Cycle {
-				if lat := float64(d.Cycle - inj); lat > c.max {
-					c.max = lat
-				}
-			}
-		}
-	}
-}
-
-// ringSource injects one packet per period on one connection.
-type ringSource struct {
-	name   string
-	r      *router.Router
-	conn   uint8
-	period int64
-	next   int64
-	seq    uint32
-}
-
-func (s *ringSource) Name() string { return "ring-src-" + s.name }
-func (s *ringSource) Tick(now sim.Cycle) {
-	if int64(now) < s.next {
-		return
-	}
-	s.next = int64(now) + s.period*packet.TCBytes
-	p := packet.TCPacket{Conn: s.conn, Stamp: packet.StampOf(s.r.SlotNow(int64(now)))}
-	traffic.EncodeProbe(p.Payload[:], int64(now), s.seq)
-	s.seq++
-	s.r.InjectTC(p)
-}
-
 // RunRing wires nodes routers into a unidirectional ring and runs
 // every-node-to-antipode periodic channels with d slots per hop.
 func RunRing(nodes int, dPerHop int64, cycles int64) (*RingResult, error) {
@@ -87,6 +43,7 @@ func RunRing(nodes int, dPerHop int64, cycles int64) (*RingResult, error) {
 		return nil, fmt.Errorf("experiments: cycles must be positive")
 	}
 	k := sim.NewKernel()
+	res := &RingResult{Nodes: nodes, Hops: hops, Budget: missBound(dPerHop * int64(hops+1))}
 	rs := make([]*router.Router, nodes)
 	for i := range rs {
 		r, err := router.New(fmt.Sprintf("ring%d", i), router.DefaultConfig())
@@ -118,8 +75,13 @@ func RunRing(nodes int, dPerHop int64, cycles int64) (*RingResult, error) {
 		if err := dst.SetConnection(id, id+128, uint8(dPerHop), 1<<router.PortLocal); err != nil {
 			return nil, err
 		}
-		src := &ringSource{name: fmt.Sprint(n), r: rs[n], conn: id, period: period}
-		k.Register(src)
+		// One on-time packet per period, stamped on the source's clock.
+		src := rs[n]
+		k.Register(traffic.NewPeriodicSource(fmt.Sprint("ring-src-", n), period*packet.TCBytes, func(now sim.Cycle, seq uint32) {
+			p := packet.TCPacket{Conn: id, Stamp: packet.StampOf(src.SlotNow(int64(now)))}
+			traffic.EncodeProbe(p.Payload[:], int64(now), seq)
+			src.InjectTC(p)
+		}))
 	}
 	// Table-index safety: ids are globally unique per channel, and no
 	// channel transits its own destination (hops < nodes), so a transit
@@ -127,20 +89,18 @@ func RunRing(nodes int, dPerHop int64, cycles int64) (*RingResult, error) {
 	for _, r := range rs {
 		k.Register(r)
 	}
-	collect := &ringCollector{rs: rs}
-	k.Register(collect)
+	sinks := make([]*traffic.Sink, nodes)
+	for i, r := range rs {
+		sinks[i] = traffic.NewSink("ring-collect", r)
+		k.Register(sinks[i])
+	}
 	k.Run(cycles)
 
-	res := &RingResult{
-		Nodes:  nodes,
-		Hops:   hops,
-		MaxLat: collect.max,
-		Budget: missBound(dPerHop * int64(hops+1)),
-	}
-	res.Delivered = collect.n
 	// The final period's packets may still be in flight at cutoff.
 	res.Expected = int64(nodes) * (cycles/(period*packet.TCBytes) - 1)
-	for _, r := range rs {
+	for i, r := range rs {
+		res.Delivered += sinks[i].TCCount
+		res.MaxLat = max(res.MaxLat, sinks[i].TCLatency.Max())
 		res.Misses += r.Stats.TCDeadlineMisses
 	}
 	return res, nil

@@ -35,14 +35,14 @@ func RunSharing(factors []int, cycles int64) (*SharingResult, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		tight, loose, err := runCompareRouter(cfg, cycles)
+		b, err := runCompareRouter(cfg, cycles)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sharing %d: %w", f, err)
 		}
 		res.Comparators = append(res.Comparators, sched.CostModelShared(cfg.Slots, f, cfg.ClockBits, 2).Comparators)
-		res.TightMiss = append(res.TightMiss, tight.missRate())
-		res.TightP99 = append(res.TightP99, tight.lat.Quantile(0.99))
-		res.LooseMiss = append(res.LooseMiss, loose.missRate())
+		res.TightMiss = append(res.TightMiss, b.tight.missRate())
+		res.TightP99 = append(res.TightP99, b.tight.lat.Quantile(0.99))
+		res.LooseMiss = append(res.LooseMiss, b.loose.missRate())
 	}
 	return res, nil
 }

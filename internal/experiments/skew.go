@@ -57,68 +57,23 @@ func RunSkew(skews []int64, cycles int64) (*SkewResult, error) {
 		if err := b.SetConnection(2, 7, 8, 1<<router.PortLocal); err != nil {
 			return nil, err
 		}
-		src := &skewSource{r: a}
-		k.Register(src)
+		// One on-time packet per 16 slots, stamped on A's clock (skew
+		// zero — global time).
+		k.Register(traffic.NewPeriodicSource("skew-src", 16*packet.TCBytes, func(now sim.Cycle, seq uint32) {
+			p := packet.TCPacket{Conn: 1, Stamp: packet.StampOf(a.SlotNow(int64(now)))}
+			traffic.EncodeProbe(p.Payload[:], int64(now), seq)
+			a.InjectTC(p)
+		}))
 		k.Register(a)
 		k.Register(b)
-		var lat meanAcc
-		collect := &skewCollector{r: b, lat: &lat}
-		k.Register(collect)
+		sink := traffic.NewSink("skew-sink", b)
+		k.Register(sink)
 		k.Run(cycles)
-		res.MeanLat = append(res.MeanLat, lat.mean())
+		res.MeanLat = append(res.MeanLat, sink.TCLatency.Mean())
 		res.Misses = append(res.Misses, b.Stats.TCDeadlineMisses+a.Stats.TCDeadlineMisses)
 		res.Delivered = append(res.Delivered, b.Stats.TCDelivered)
 	}
 	return res, nil
-}
-
-// meanAcc is a minimal mean accumulator.
-type meanAcc struct {
-	sum float64
-	n   int64
-}
-
-func (s *meanAcc) add(v float64) { s.sum += v; s.n++ }
-func (s *meanAcc) mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// skewSource injects one on-time packet per 16 slots, stamped on A's
-// clock (skew zero — global time).
-type skewSource struct {
-	r    *router.Router
-	next int64
-	seq  uint32
-}
-
-func (s *skewSource) Name() string { return "skew-src" }
-func (s *skewSource) Tick(now sim.Cycle) {
-	if int64(now) < s.next {
-		return
-	}
-	s.next = int64(now) + 16*packet.TCBytes
-	p := packet.TCPacket{Conn: 1, Stamp: packet.StampOf(s.r.SlotNow(int64(now)))}
-	traffic.EncodeProbe(p.Payload[:], int64(now), s.seq)
-	s.seq++
-	s.r.InjectTC(p)
-}
-
-type skewCollector struct {
-	r   *router.Router
-	lat *meanAcc
-}
-
-func (c *skewCollector) Name() string { return "skew-sink" }
-func (c *skewCollector) Tick(sim.Cycle) {
-	for _, d := range c.r.DrainTC() {
-		inj, _ := traffic.DecodeProbe(d.Payload[:])
-		if inj > 0 && inj <= d.Cycle {
-			c.lat.add(float64(d.Cycle - inj))
-		}
-	}
 }
 
 // Table renders the sweep.

@@ -27,72 +27,83 @@ type VCTResult struct {
 	Misses      int64
 }
 
+// vctLine is the study's rig: a periodic channel down a line of hops+1
+// routers, with cross backlogged channels contending for the
+// (1,0)→(2,0) link. A generous horizon lets early packets move at every
+// hop, matching Section 7's "proceed directly" condition; tight per-hop
+// bounds (d = 5 slots) keep packets near their logical arrival times,
+// so latency is set by the forwarding pipeline rather than by
+// eligibility gating — the regime where cut-through can pay off.
+func vctLine(hops int, vct bool, cross int) core.Fixture {
+	cfg := router.DefaultConfig()
+	cfg.VCT = vct
+	fx := core.Fixture{
+		W: hops + 1, H: 1,
+		Options: core.Options{Router: cfg}.WithAdmission(admission.Config{
+			Policy:       admission.Partitioned,
+			SourceWindow: 8,
+			Horizon:      32,
+		}),
+		Channels: []core.ChannelReq{{
+			Src: mesh.Coord{X: 0, Y: 0}, Dsts: []mesh.Coord{{X: hops, Y: 0}},
+			Spec: rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: int64(5 * (hops + 1))},
+		}},
+	}
+	for i := 0; i < cross; i++ {
+		fx.Channels = append(fx.Channels, core.ChannelReq{
+			Src: mesh.Coord{X: 1, Y: 0}, Dsts: []mesh.Coord{{X: 2, Y: 0}}, Pattern: traffic.Backlogged,
+			Spec: rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: 32},
+		})
+	}
+	return fx
+}
+
+// runVCTLine runs the rig and returns its summary and the fraction of
+// forwarding events that cut through. TCTransmitted counts cut and
+// stored transmissions alike, so the fraction is cuts over all of them.
+func runVCTLine(fx core.Fixture, cycles int64) (core.Summary, float64, error) {
+	sys, err := fx.BuildAll()
+	if err != nil {
+		return core.Summary{}, 0, err
+	}
+	sys.Run(cycles)
+	var cuts, transmits int64
+	for _, c := range sys.Net.Coords() {
+		st := sys.Router(c).Stats
+		cuts += st.TCCutThroughs
+		for p := 0; p < router.NumPorts; p++ {
+			transmits += st.TCTransmitted[p]
+		}
+	}
+	frac := 0.0
+	if transmits > 0 {
+		frac = float64(cuts) / float64(transmits)
+	}
+	return sys.Summarize(), frac, nil
+}
+
 // RunVCT measures the virtual cut-through latency improvement across a
 // line of hops+1 routers.
 func RunVCT(hops int, cycles int64) (*VCTResult, error) {
 	if hops < 1 || hops > 7 || cycles <= 0 {
 		return nil, fmt.Errorf("experiments: invalid VCT config (hops %d)", hops)
 	}
-	run := func(vct bool) (mean float64, cuts, transmits, misses int64, err error) {
-		cfg := router.DefaultConfig()
-		cfg.VCT = vct
-		// A generous horizon lets early packets move at every hop,
-		// matching Section 7's "proceed directly" condition.
-		sys, err := core.NewMesh(hops+1, 1, core.Options{Router: cfg}.WithAdmission(admission.Config{
-			Policy:       admission.Partitioned,
-			SourceWindow: 8,
-			Horizon:      32,
-		}))
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: hops, Y: 0}
-		// Tight per-hop bounds (d = 5 slots) keep packets near their
-		// logical arrival times, so latency is set by the forwarding
-		// pipeline rather than by eligibility gating — the regime where
-		// cut-through can pay off.
-		spec := rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: int64(5 * (hops + 1))}
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		app, err := traffic.NewTCApp("tc", ch.Paced(), spec, traffic.Periodic, packet.TCPayloadBytes)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		sys.Net.Kernel.Register(app)
-		sys.Run(cycles)
-		sum := sys.Summarize()
-		for _, c := range sys.Net.Coords() {
-			st := sys.Router(c).Stats
-			cuts += st.TCCutThroughs
-			for p := 0; p < router.NumPorts; p++ {
-				transmits += st.TCTransmitted[p]
-			}
-		}
-		return sum.TCLatency.Mean(), cuts, transmits, sum.TCMisses, nil
-	}
-	off, _, _, m1, err := run(false)
+	off, _, err := runVCTLine(vctLine(hops, false, 0), cycles)
 	if err != nil {
 		return nil, err
 	}
-	on, cuts, transmits, m2, err := run(true)
+	on, frac, err := runVCTLine(vctLine(hops, true, 0), cycles)
 	if err != nil {
 		return nil, err
 	}
-	res := &VCTResult{
-		Hops:    hops,
-		MeanOff: off,
-		MeanOn:  on,
-		Saving:  off - on,
-		Misses:  m1 + m2,
-	}
-	// TCTransmitted counts cut and stored transmissions alike, so the
-	// fraction is cuts over all forwarding events.
-	if transmits > 0 {
-		res.CutFraction = float64(cuts) / float64(transmits)
-	}
-	return res, nil
+	return &VCTResult{
+		Hops:        hops,
+		MeanOff:     off.TCLatency.Mean(),
+		MeanOn:      on.TCLatency.Mean(),
+		Saving:      off.TCLatency.Mean() - on.TCLatency.Mean(),
+		CutFraction: frac,
+		Misses:      off.TCMisses + on.TCMisses,
+	}, nil
 }
 
 // VCTLoadResult extends the study with time-constrained cross-traffic:
@@ -113,60 +124,14 @@ func RunVCTLoad(cross []int, cycles int64) (*VCTLoadResult, error) {
 	if len(cross) == 0 || cycles <= 0 {
 		return nil, fmt.Errorf("experiments: invalid VCT load sweep")
 	}
-	const hops = 3
 	res := &VCTLoadResult{CrossChannels: cross}
 	for _, n := range cross {
 		if n < 0 || n > 6 {
 			return nil, fmt.Errorf("experiments: cross-channel count %d out of [0,6]", n)
 		}
-		cfg := router.DefaultConfig()
-		cfg.VCT = true
-		sys, err := core.NewMesh(hops+1, 1, core.Options{Router: cfg}.WithAdmission(admission.Config{
-			Policy:       admission.Partitioned,
-			SourceWindow: 8,
-			Horizon:      32,
-		}))
+		sum, frac, err := runVCTLine(vctLine(3, true, n), cycles)
 		if err != nil {
 			return nil, err
-		}
-		src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: hops, Y: 0}
-		spec := rtc.Spec{Imin: 16, Smax: packet.TCPayloadBytes, D: int64(5 * (hops + 1))}
-		ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, spec)
-		if err != nil {
-			return nil, err
-		}
-		app, err := traffic.NewTCApp("tc", ch.Paced(), spec, traffic.Periodic, packet.TCPayloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		sys.Net.Kernel.Register(app)
-		// Competing channels share the (1,0)→(2,0) link segment.
-		for i := 0; i < n; i++ {
-			cspec := rtc.Spec{Imin: 8, Smax: packet.TCPayloadBytes, D: 32}
-			cch, err := sys.OpenChannel(mesh.Coord{X: 1, Y: 0}, []mesh.Coord{{X: 2, Y: 0}}, cspec)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: cross channel %d: %w", i, err)
-			}
-			capp, err := traffic.NewTCApp(fmt.Sprintf("cross%d", i), cch.Paced(), cspec,
-				traffic.Backlogged, packet.TCPayloadBytes)
-			if err != nil {
-				return nil, err
-			}
-			sys.Net.Kernel.Register(capp)
-		}
-		sys.Run(cycles)
-		sum := sys.Summarize()
-		var cuts, transmits int64
-		for _, c := range sys.Net.Coords() {
-			st := sys.Router(c).Stats
-			cuts += st.TCCutThroughs
-			for p := 0; p < router.NumPorts; p++ {
-				transmits += st.TCTransmitted[p]
-			}
-		}
-		frac := 0.0
-		if transmits > 0 {
-			frac = float64(cuts) / float64(transmits)
 		}
 		res.CutFraction = append(res.CutFraction, frac)
 		res.TCMean = append(res.TCMean, sum.TCLatency.Mean())

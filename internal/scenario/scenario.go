@@ -325,86 +325,62 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	}
 	acfg.Horizon = sc.Admission.Horizon
 
-	sys, err := core.NewMesh(sc.Mesh.W, sc.Mesh.H, core.Options{
-		Router:             rcfg,
-		Metrics:            opts.Metrics,
-		MetricsSampleEvery: opts.SampleEvery,
-		Collector:          opts.Collector,
-		ChannelSLO:         opts.ChannelSLO,
-		Forensics:          opts.Forensics,
-		Recorder:           opts.Recorder,
-		Audit:              opts.Audit,
-		Workers:            opts.Workers,
-	}.WithAdmission(acfg))
-	if err != nil {
-		return nil, nil, err
+	fx := core.Fixture{
+		W: sc.Mesh.W, H: sc.Mesh.H, Seed: sc.Seed,
+		Options: core.Options{
+			Router:             rcfg,
+			Metrics:            opts.Metrics,
+			MetricsSampleEvery: opts.SampleEvery,
+			Collector:          opts.Collector,
+			ChannelSLO:         opts.ChannelSLO,
+			Forensics:          opts.Forensics,
+			Recorder:           opts.Recorder,
+			Audit:              opts.Audit,
+			Workers:            opts.Workers,
+		}.WithAdmission(acfg),
 	}
-	res := &Result{Cycles: sc.Cycles}
-
-	type openChan struct {
-		ch  *core.Channel
-		def Channel
-	}
-	var opened []openChan
-	for i, def := range sc.Channels {
-		spec := rtc.Spec{Imin: def.Imin, Smax: def.Smax, Bmax: def.Bmax, D: def.D}
-		dsts := make([]mesh.Coord, len(def.Dsts))
-		for j, d := range def.Dsts {
-			dsts[j] = coord(d)
+	for _, def := range sc.Channels {
+		req := core.ChannelReq{
+			Src:  coord(def.Src),
+			Spec: rtc.Spec{Imin: def.Imin, Smax: def.Smax, Bmax: def.Bmax, D: def.D},
+			Size: def.Size,
 		}
-		ch, err := sys.OpenChannel(coord(def.Src), dsts, spec)
-		if err != nil {
-			res.Rejected = append(res.Rejected, fmt.Sprintf("channel %d: %v", i, err))
-			continue
+		for _, d := range def.Dsts {
+			req.Dsts = append(req.Dsts, coord(d))
 		}
-		pattern := traffic.Periodic
 		switch def.Pattern {
 		case "bursty":
-			pattern = traffic.Bursty
+			req.Pattern = traffic.Bursty
 		case "backlogged":
-			pattern = traffic.Backlogged
+			req.Pattern = traffic.Backlogged
 		}
-		size := def.Size
-		if size == 0 {
-			size = def.Smax
-		}
-		// Pass the core.Channel facade, not the raw regulator handle, so
-		// the generator keeps flowing after a failure-driven Reroute.
-		app, err := traffic.NewTCApp(fmt.Sprintf("tc%d", i), ch, spec, pattern, size)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: channel %d: %w", i, err)
-		}
-		// The generator only touches its source node's regulator, so it
-		// lives in that node's shard and stays off the parallel-mode
-		// barrier path.
-		sys.RegisterNode(coord(def.Src), app)
-		opened = append(opened, openChan{ch, def})
-		res.Opened++
+		fx.Channels = append(fx.Channels, req)
 	}
+	for _, f := range sc.BestEffort {
+		be := core.BESource{Src: coord(f.Src), Rate: f.Rate, SizeMin: f.SizeMin, SizeMax: f.SizeMax}
+		if f.Dst != nil {
+			dst := coord(*f.Dst)
+			be.Dst = &dst
+		}
+		fx.BestEffort = append(fx.BestEffort, be)
+	}
+	sys, err := fx.Build()
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: %w", err)
+	}
+	res := &Result{Cycles: sc.Cycles}
+	var opened []*core.Channel
+	for i, ch := range sys.Channels {
+		if ch == nil {
+			res.Rejected = append(res.Rejected, fmt.Sprintf("channel %d: %v", i, sys.Refusals[i]))
+			continue
+		}
+		opened = append(opened, ch)
+	}
+	res.Opened = len(opened)
 	// The admission phase is over: publish the reservation ledger so a
 	// live scrape during the run sees the admitted state.
 	sys.SealCapacity()
-	for i, f := range sc.BestEffort {
-		var dst traffic.DstPicker
-		if f.Dst != nil {
-			dst = traffic.FixedDst(coord(*f.Dst))
-		} else {
-			dst = traffic.UniformDst(sys.Net, coord(f.Src))
-		}
-		lo, hi := f.SizeMin, f.SizeMax
-		if lo < 1 {
-			lo = traffic.ProbeBytes
-		}
-		if hi < lo {
-			hi = lo
-		}
-		app, err := traffic.NewBEApp(fmt.Sprintf("be%d", i), sys.Net, coord(f.Src),
-			dst, traffic.UniformSize(lo, hi), f.Rate, sc.Seed+int64(i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: best-effort %d: %w", i, err)
-		}
-		sys.RegisterNode(coord(f.Src), app)
-	}
 
 	// The failure timeline: every episode contributes an onset event and,
 	// with RepairAt set, an ending event. Deterministic order: by cycle,
@@ -477,11 +453,11 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 				router.PortYMinus: router.PortYPlus,
 			}[port]
 			to := from.Add(port)
-			for _, oc := range opened {
-				if oc.ch.Admitted().Uses(from, port) || oc.ch.Admitted().Uses(to, rev) {
-					if err := oc.ch.Reroute(); err == nil {
+			for _, ch := range opened {
+				if ch.Admitted().Uses(from, port) || ch.Admitted().Uses(to, rev) {
+					if err := ch.Reroute(); err == nil {
 						res.Rerouted++
-						reroutedAt[ev.idx] = append(reroutedAt[ev.idx], oc.ch)
+						reroutedAt[ev.idx] = append(reroutedAt[ev.idx], ch)
 					}
 				}
 			}
@@ -507,5 +483,5 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	if inj != nil {
 		res.Faults = inj.Stats()
 	}
-	return res, sys, nil
+	return res, sys.System, nil
 }

@@ -24,10 +24,9 @@ import (
 // deadline *order* inside a bucket is not. The X6 experiment measures
 // what that costs in deadline slack across granularities.
 type ApproxEDF struct {
-	wheel  timing.Wheel
-	shift  uint
-	leaves []Leaf
-	inUse  int
+	leafTable
+	wheel timing.Wheel
+	shift uint
 }
 
 // NewApproxEDF returns an approximate scheduler dropping the low
@@ -40,29 +39,12 @@ func NewApproxEDF(slots int, wheel timing.Wheel, shift uint) (*ApproxEDF, error)
 		return nil, fmt.Errorf("sched: quantization of %d bits leaves no key on a %d-bit clock",
 			shift, wheel.Bits())
 	}
-	return &ApproxEDF{wheel: wheel, shift: shift, leaves: make([]Leaf, slots)}, nil
+	return &ApproxEDF{leafTable: newLeafTable(slots), wheel: wheel, shift: shift}, nil
 }
 
 // QuantizedKeyBits returns the comparator width after quantization
 // (class bit plus the surviving magnitude bits).
 func (a *ApproxEDF) QuantizedKeyBits() int { return int(a.wheel.Bits()-a.shift) + 1 }
-
-// Install implements Scheduler.
-func (a *ApproxEDF) Install(slot int, leaf Leaf) error {
-	if slot < 0 || slot >= len(a.leaves) {
-		return fmt.Errorf("sched: slot %d out of range [0,%d)", slot, len(a.leaves))
-	}
-	if a.leaves[slot].InUse {
-		return fmt.Errorf("sched: slot %d already in use", slot)
-	}
-	if leaf.Mask == 0 {
-		return fmt.Errorf("sched: installing leaf with empty port mask")
-	}
-	leaf.InUse = true
-	a.leaves[slot] = leaf
-	a.inUse++
-	return nil
-}
 
 // Select implements Scheduler with bucketed comparisons. The horizon
 // check uses the exact gap — the buffer-reservation contract depends on
@@ -103,36 +85,3 @@ func (a *ApproxEDF) Select(port int, now timing.Stamp, horizon uint32) Selection
 	}
 	return best
 }
-
-// ClearPort implements Scheduler.
-func (a *ApproxEDF) ClearPort(slot, port int) (bool, error) {
-	if slot < 0 || slot >= len(a.leaves) {
-		return false, fmt.Errorf("sched: slot %d out of range", slot)
-	}
-	lf := &a.leaves[slot]
-	if !lf.InUse || !lf.Mask.Has(port) {
-		return false, fmt.Errorf("sched: invalid clear of slot %d port %d", slot, port)
-	}
-	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		a.inUse--
-		return true, nil
-	}
-	return false, nil
-}
-
-// Leaf implements Scheduler.
-func (a *ApproxEDF) Leaf(slot int) Leaf { return a.leaves[slot] }
-
-// Occupancy implements Scheduler.
-func (a *ApproxEDF) Occupancy() int { return a.inUse }
-
-// Slots implements Scheduler.
-func (a *ApproxEDF) Slots() int { return len(a.leaves) }
-
-// SkipIdleSelects implements IdleSkipper: an empty-tree Select is a
-// pure scan with no telemetry, so skipping beats changes nothing.
-func (a *ApproxEDF) SkipIdleSelects(int64) {}
-
-var _ Scheduler = (*ApproxEDF)(nil)

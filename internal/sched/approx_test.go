@@ -125,23 +125,3 @@ func TestApproxClassExact(t *testing.T) {
 		t.Errorf("early within horizon not offered: %+v", sel)
 	}
 }
-
-func TestApproxInstallClearErrors(t *testing.T) {
-	a, _ := NewApproxEDF(4, wheel8, 1)
-	if err := a.Install(9, Leaf{Mask: 1}); err == nil {
-		t.Error("out-of-range install accepted")
-	}
-	if err := a.Install(0, Leaf{}); err == nil {
-		t.Error("empty mask accepted")
-	}
-	must(t, a.Install(0, Leaf{Mask: 1}))
-	if err := a.Install(0, Leaf{Mask: 1}); err == nil {
-		t.Error("double install accepted")
-	}
-	if _, err := a.ClearPort(0, 3); err == nil {
-		t.Error("clear of unset bit accepted")
-	}
-	if _, err := a.ClearPort(9, 0); err == nil {
-		t.Error("out-of-range clear accepted")
-	}
-}

@@ -6,6 +6,80 @@ import (
 	"repro/internal/timing"
 )
 
+// leafTable is the leaf array every scheduler embeds: a slot's leaf, the
+// in-use count, install validation, and the mask-clear-and-free of
+// ClearPort. The ablation schedulers (FIFO, StaticPriority, ApproxEDF,
+// Tournament) add only their ordering rule; EDFTree also keeps its own
+// Install and ClearPort, which are fused with the owed-leaf bitmaps the
+// performance ledger times and refuse mask bits no port owns.
+type leafTable struct {
+	leaves []Leaf
+	inUse  int
+}
+
+func newLeafTable(slots int) leafTable {
+	if slots <= 0 {
+		panic("sched: slots must be positive")
+	}
+	return leafTable{leaves: make([]Leaf, slots)}
+}
+
+// Install implements Scheduler.
+func (t *leafTable) Install(slot int, leaf Leaf) error {
+	if slot < 0 || slot >= len(t.leaves) {
+		return fmt.Errorf("sched: slot %d out of range [0,%d)", slot, len(t.leaves))
+	}
+	if t.leaves[slot].InUse {
+		return fmt.Errorf("sched: slot %d already in use", slot)
+	}
+	if leaf.Mask == 0 {
+		return fmt.Errorf("sched: installing leaf with empty port mask")
+	}
+	leaf.InUse = true
+	t.leaves[slot] = leaf
+	t.inUse++
+	return nil
+}
+
+// owes checks that slot holds a packet still owed to port.
+func (t *leafTable) owes(slot, port int) error {
+	if slot < 0 || slot >= len(t.leaves) {
+		return fmt.Errorf("sched: slot %d out of range", slot)
+	}
+	if lf := &t.leaves[slot]; !lf.InUse || !lf.Mask.Has(port) {
+		return fmt.Errorf("sched: invalid clear of slot %d port %d", slot, port)
+	}
+	return nil
+}
+
+// ClearPort implements Scheduler.
+func (t *leafTable) ClearPort(slot, port int) (bool, error) {
+	if err := t.owes(slot, port); err != nil {
+		return false, err
+	}
+	lf := &t.leaves[slot]
+	lf.Mask = lf.Mask.Clear(port)
+	if lf.Mask == 0 {
+		*lf = Leaf{}
+		t.inUse--
+		return true, nil
+	}
+	return false, nil
+}
+
+// Leaf implements Scheduler.
+func (t *leafTable) Leaf(slot int) Leaf { return t.leaves[slot] }
+
+// Occupancy implements Scheduler.
+func (t *leafTable) Occupancy() int { return t.inUse }
+
+// Slots implements Scheduler.
+func (t *leafTable) Slots() int { return len(t.leaves) }
+
+// SkipIdleSelects implements IdleSkipper for the schedulers whose
+// empty-table Select is a pure scan with no telemetry.
+func (t *leafTable) SkipIdleSelects(int64) {}
+
 // FIFO is an ablation scheduler: time-constrained packets leave each port
 // in arrival order, with no deadline awareness. It models a conventional
 // output-queued packet switch and is the "what if we drop the comparator
@@ -16,33 +90,18 @@ import (
 // traffic is never held back — one of the two behaviours the real-time
 // design exists to fix (the other being deadline order).
 type FIFO struct {
-	leaves []Leaf
+	leafTable
 	queues [NumPorts][]int
-	inUse  int
 }
 
 // NewFIFO returns a FIFO scheduler with the given number of leaf slots.
-func NewFIFO(slots int) *FIFO {
-	if slots <= 0 {
-		panic("sched: slots must be positive")
-	}
-	return &FIFO{leaves: make([]Leaf, slots)}
-}
+func NewFIFO(slots int) *FIFO { return &FIFO{leafTable: newLeafTable(slots)} }
 
 // Install implements Scheduler.
 func (f *FIFO) Install(slot int, leaf Leaf) error {
-	if slot < 0 || slot >= len(f.leaves) {
-		return fmt.Errorf("sched: slot %d out of range [0,%d)", slot, len(f.leaves))
+	if err := f.leafTable.Install(slot, leaf); err != nil {
+		return err
 	}
-	if f.leaves[slot].InUse {
-		return fmt.Errorf("sched: slot %d already in use", slot)
-	}
-	if leaf.Mask == 0 {
-		return fmt.Errorf("sched: installing leaf with empty port mask")
-	}
-	leaf.InUse = true
-	f.leaves[slot] = leaf
-	f.inUse++
 	for p := 0; p < NumPorts; p++ {
 		if leaf.Mask.Has(p) {
 			f.queues[p] = append(f.queues[p], slot)
@@ -60,40 +119,19 @@ func (f *FIFO) Select(port int, _ timing.Stamp, _ uint32) Selection {
 	return Selection{Slot: q[0], Class: ClassOnTime}
 }
 
-// ClearPort implements Scheduler.
+// ClearPort implements Scheduler: only the head of the port's queue may
+// leave.
 func (f *FIFO) ClearPort(slot, port int) (bool, error) {
-	if slot < 0 || slot >= len(f.leaves) {
-		return false, fmt.Errorf("sched: slot %d out of range", slot)
-	}
-	lf := &f.leaves[slot]
-	if !lf.InUse || !lf.Mask.Has(port) {
-		return false, fmt.Errorf("sched: invalid clear of slot %d port %d", slot, port)
+	if err := f.owes(slot, port); err != nil {
+		return false, err
 	}
 	q := f.queues[port]
 	if len(q) == 0 || q[0] != slot {
 		return false, fmt.Errorf("sched: FIFO clear of slot %d which is not at head of port %d", slot, port)
 	}
 	f.queues[port] = q[1:]
-	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		f.inUse--
-		return true, nil
-	}
-	return false, nil
+	return f.leafTable.ClearPort(slot, port)
 }
-
-// Leaf implements Scheduler.
-func (f *FIFO) Leaf(slot int) Leaf { return f.leaves[slot] }
-
-// Occupancy implements Scheduler.
-func (f *FIFO) Occupancy() int { return f.inUse }
-
-// Slots implements Scheduler.
-func (f *FIFO) Slots() int { return len(f.leaves) }
-
-// SkipIdleSelects implements IdleSkipper: FIFO Select is pure.
-func (f *FIFO) SkipIdleSelects(int64) {}
 
 // StaticPriority is an ablation scheduler that serves time-constrained
 // packets by a fixed per-connection priority rather than per-packet
@@ -103,44 +141,31 @@ func (f *FIFO) SkipIdleSelects(int64) {}
 // (smaller = more urgent); packets are always eligible (no logical
 // arrival gating), and FIFO order breaks priority ties.
 type StaticPriority struct {
-	leaves []Leaf
-	prio   []uint8
-	seq    []int64
-	next   int64
-	inUse  int
+	leafTable
+	prio []uint8
+	seq  []int64
+	next int64
 }
 
 // NewStaticPriority returns a static-priority scheduler with the given
 // number of leaf slots.
 func NewStaticPriority(slots int) *StaticPriority {
-	if slots <= 0 {
-		panic("sched: slots must be positive")
-	}
 	return &StaticPriority{
-		leaves: make([]Leaf, slots),
-		prio:   make([]uint8, slots),
-		seq:    make([]int64, slots),
+		leafTable: newLeafTable(slots),
+		prio:      make([]uint8, slots),
+		seq:       make([]int64, slots),
 	}
 }
 
 // Install implements Scheduler. The leaf's deadline field carries the
 // static priority: priority = ℓ+d − ℓ = the connection's delay parameter.
 func (s *StaticPriority) Install(slot int, leaf Leaf) error {
-	if slot < 0 || slot >= len(s.leaves) {
-		return fmt.Errorf("sched: slot %d out of range [0,%d)", slot, len(s.leaves))
+	if err := s.leafTable.Install(slot, leaf); err != nil {
+		return err
 	}
-	if s.leaves[slot].InUse {
-		return fmt.Errorf("sched: slot %d already in use", slot)
-	}
-	if leaf.Mask == 0 {
-		return fmt.Errorf("sched: installing leaf with empty port mask")
-	}
-	leaf.InUse = true
-	s.leaves[slot] = leaf
 	s.prio[slot] = uint8(leaf.Dl - leaf.L)
 	s.seq[slot] = s.next
 	s.next++
-	s.inUse++
 	return nil
 }
 
@@ -163,42 +188,13 @@ func (s *StaticPriority) Select(port int, _ timing.Stamp, _ uint32) Selection {
 	return Selection{Slot: best, Class: ClassOnTime, Key: timing.Key(s.prio[best])}
 }
 
-// ClearPort implements Scheduler.
-func (s *StaticPriority) ClearPort(slot, port int) (bool, error) {
-	if slot < 0 || slot >= len(s.leaves) {
-		return false, fmt.Errorf("sched: slot %d out of range", slot)
-	}
-	lf := &s.leaves[slot]
-	if !lf.InUse || !lf.Mask.Has(port) {
-		return false, fmt.Errorf("sched: invalid clear of slot %d port %d", slot, port)
-	}
-	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		s.inUse--
-		return true, nil
-	}
-	return false, nil
-}
-
-// Leaf implements Scheduler.
-func (s *StaticPriority) Leaf(slot int) Leaf { return s.leaves[slot] }
-
-// Occupancy implements Scheduler.
-func (s *StaticPriority) Occupancy() int { return s.inUse }
-
-// Slots implements Scheduler.
-func (s *StaticPriority) Slots() int { return len(s.leaves) }
-
-// SkipIdleSelects implements IdleSkipper: an empty scan is pure.
-func (s *StaticPriority) SkipIdleSelects(int64) {}
-
 // Compile-time interface checks.
 var (
 	_ Scheduler = (*EDFTree)(nil)
 	_ Scheduler = (*FIFO)(nil)
 	_ Scheduler = (*StaticPriority)(nil)
 	_ Scheduler = (*Tournament)(nil)
+	_ Scheduler = (*ApproxEDF)(nil)
 
 	_ IdleSkipper = (*EDFTree)(nil)
 	_ IdleSkipper = (*FIFO)(nil)

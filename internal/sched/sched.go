@@ -17,13 +17,15 @@
 // whether a winning early packet falls within the link's horizon
 // parameter h and may be sent ahead of its logical arrival time.
 //
-// The package provides three Scheduler implementations behind one
-// interface:
+// The package provides five Scheduler implementations behind one
+// interface and over one leaf table (leafTable, in baseline.go):
 //
 //   - EDFTree — the paper's design (deadline-driven with horizon).
+//   - Tournament — the same decisions from a materialized comparator tree.
 //   - FIFO — per-port FIFO order; the "no deadline hardware" baseline.
 //   - StaticPriority — per-connection fixed priority, standing in for
 //     priority-forwarding-style designs in ablations.
+//   - ApproxEDF — EDF on quantized keys (the paper's Section 7 proposal).
 package sched
 
 import (
@@ -150,14 +152,13 @@ type IdleSkipper interface {
 // in ascending slot order. Tournament (in tree.go) mirrors the hardware
 // structure and is tested equivalent.
 type EDFTree struct {
-	wheel  timing.Wheel
-	leaves []Leaf
+	leafTable
+	wheel timing.Wheel
 	// owed[p] has bit s set exactly when leaves[s] is in use and its
 	// mask holds port p: Install sets the bits of the leaf's mask,
 	// ClearPort clears the one it transmits, and nothing else writes a
 	// leaf, so Select visits the leaves a scan of all slots would pass.
 	owed    [NumPorts][]uint64
-	inUse   int
 	Overdue int64 // count of selections whose laxity clamped (robustness metric)
 	Selects int64 // count of Select invocations (arbitration beats)
 }
@@ -165,10 +166,7 @@ type EDFTree struct {
 // NewEDFTree returns an EDF scheduler with the given number of leaf slots
 // on the given clock wheel.
 func NewEDFTree(slots int, wheel timing.Wheel) *EDFTree {
-	if slots <= 0 {
-		panic("sched: slots must be positive")
-	}
-	t := &EDFTree{wheel: wheel, leaves: make([]Leaf, slots)}
+	t := &EDFTree{leafTable: newLeafTable(slots), wheel: wheel}
 	words := (slots + 63) / 64
 	index := make([]uint64, NumPorts*words)
 	for p := range t.owed {
@@ -262,15 +260,6 @@ func (t *EDFTree) ClearPort(slot, port int) (bool, error) {
 	}
 	return false, nil
 }
-
-// Leaf implements Scheduler.
-func (t *EDFTree) Leaf(slot int) Leaf { return t.leaves[slot] }
-
-// Occupancy implements Scheduler.
-func (t *EDFTree) Occupancy() int { return t.inUse }
-
-// Slots implements Scheduler.
-func (t *EDFTree) Slots() int { return len(t.leaves) }
 
 // ResetTelemetry zeroes the running Select and Overdue counters without
 // disturbing installed leaves; Router.ResetStats calls it so warmup

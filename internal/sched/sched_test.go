@@ -40,23 +40,91 @@ func TestPortMask(t *testing.T) {
 	}
 }
 
+// schedulers returns one fresh instance of every Scheduler
+// implementation, each with the given number of leaf slots.
+func schedulers(t *testing.T, slots int) map[string]Scheduler {
+	t.Helper()
+	approx, err := NewApproxEDF(slots, wheel8, 1)
+	must(t, err)
+	return map[string]Scheduler{
+		"EDFTree":        NewEDFTree(slots, wheel8),
+		"Tournament":     NewTournament(slots, wheel8),
+		"FIFO":           NewFIFO(slots),
+		"StaticPriority": NewStaticPriority(slots),
+		"ApproxEDF":      approx,
+	}
+}
+
+// TestSchedulerConformance is the leaf-table contract every
+// implementation shares, whatever its ordering rule: what Install and
+// ClearPort refuse, that a refusal disturbs nothing, and what Leaf and
+// Occupancy report as a multicast leaf's ports clear one by one.
+func TestSchedulerConformance(t *testing.T) {
+	for name, s := range schedulers(t, 4) {
+		t.Run(name, func(t *testing.T) {
+			if s.Slots() != 4 || s.Occupancy() != 0 {
+				t.Fatalf("fresh table: %d slots, occupancy %d", s.Slots(), s.Occupancy())
+			}
+			for _, slot := range []int{-1, 4, 9} {
+				if err := s.Install(slot, Leaf{Mask: 1}); err == nil {
+					t.Errorf("install in slot %d of 4: want error", slot)
+				}
+				if _, err := s.ClearPort(slot, 0); err == nil {
+					t.Errorf("clear of slot %d of 4: want error", slot)
+				}
+			}
+			if err := s.Install(0, Leaf{Mask: 0}); err == nil {
+				t.Error("install with an empty mask: want error")
+			}
+			if _, err := s.ClearPort(0, 0); err == nil {
+				t.Error("clear of a free slot: want error")
+			}
+			must(t, s.Install(0, Leaf{L: 3, Dl: 9, Mask: 0b1010, OutConn: 7}))
+			if err := s.Install(0, Leaf{Mask: 1}); err == nil {
+				t.Error("install into a slot in use: want error")
+			}
+			if _, err := s.ClearPort(0, 0); err == nil {
+				t.Error("clear of a port the leaf does not owe: want error")
+			}
+			must(t, s.Install(2, Leaf{Mask: 0b1}))
+			// Every refusal above must have left the two leaves alone.
+			if lf := s.Leaf(0); !lf.InUse || lf.Mask != 0b1010 || lf.L != 3 || lf.Dl != 9 || lf.OutConn != 7 {
+				t.Errorf("leaf 0 after refusals: %+v", lf)
+			}
+			if s.Occupancy() != 2 {
+				t.Errorf("Occupancy = %d, want 2", s.Occupancy())
+			}
+			// A multicast leaf frees only with its last port.
+			if empty, err := s.ClearPort(0, 3); err != nil || empty {
+				t.Fatalf("first multicast clear: empty %v, err %v", empty, err)
+			}
+			if lf := s.Leaf(0); !lf.InUse || lf.Mask != 0b0010 || s.Occupancy() != 2 {
+				t.Errorf("after a partial clear: %+v, occupancy %d", lf, s.Occupancy())
+			}
+			if _, err := s.ClearPort(0, 3); err == nil {
+				t.Error("second clear of the same port: want error")
+			}
+			if empty, err := s.ClearPort(0, 1); err != nil || !empty {
+				t.Fatalf("last multicast clear: empty %v, err %v", empty, err)
+			}
+			if lf := s.Leaf(0); lf != (Leaf{}) || s.Occupancy() != 1 {
+				t.Errorf("after the last clear: %+v, occupancy %d", lf, s.Occupancy())
+			}
+			// The freed slot is installable again.
+			must(t, s.Install(0, Leaf{Mask: 1}))
+			if s.Occupancy() != 2 {
+				t.Errorf("Occupancy after reinstall = %d, want 2", s.Occupancy())
+			}
+		})
+	}
+}
+
+// TestEDFInstallErrors: beyond the shared contract
+// (TestSchedulerConformance), the EDF tree refuses mask bits no port
+// owns.
 func TestEDFInstallErrors(t *testing.T) {
 	tr := NewEDFTree(4, wheel8)
-	if err := tr.Install(4, Leaf{Mask: 1}); err == nil {
-		t.Error("out-of-range slot: want error")
-	}
-	if err := tr.Install(-1, Leaf{Mask: 1}); err == nil {
-		t.Error("negative slot: want error")
-	}
-	if err := tr.Install(0, Leaf{Mask: 0}); err == nil {
-		t.Error("empty mask: want error")
-	}
-	if err := tr.Install(0, Leaf{Mask: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Install(0, Leaf{Mask: 1}); err == nil {
-		t.Error("double install: want error")
-	}
+	must(t, tr.Install(0, Leaf{Mask: 1}))
 	// A mask bit no output port owns could never be cleared: the leaf
 	// (and its memory slot) would leak.
 	for _, m := range []PortMask{1 << NumPorts, 0x80, 0x1f | 1<<NumPorts} {
@@ -140,18 +208,11 @@ func TestEDFPerPortEligibility(t *testing.T) {
 	}
 }
 
+// TestEDFClearErrors: beyond the shared contract, the EDF tree turns a
+// port outside [0, NumPorts) into an error or an empty selection.
 func TestEDFClearErrors(t *testing.T) {
 	tr := NewEDFTree(4, wheel8)
-	if _, err := tr.ClearPort(9, 0); err == nil {
-		t.Error("out-of-range clear: want error")
-	}
-	if _, err := tr.ClearPort(0, 0); err == nil {
-		t.Error("clear of free slot: want error")
-	}
 	must(t, tr.Install(0, Leaf{Mask: 0b10}))
-	if _, err := tr.ClearPort(0, 0); err == nil {
-		t.Error("clear of unset port bit: want error")
-	}
 	// Ports outside [0, NumPorts) index no bitmap: an error from
 	// ClearPort, an empty selection (that still counts as a beat) from
 	// Select, never a panic.

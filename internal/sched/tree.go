@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/timing"
@@ -14,8 +13,8 @@ import (
 // many comparators, how many levels, what pipeline beat — can be answered
 // quantitatively (cmd/rtchip, Table 4).
 type Tournament struct {
+	leafTable
 	wheel  timing.Wheel
-	leaves []Leaf
 	levels int
 
 	// CompareOps counts comparator evaluations across all Select calls,
@@ -28,13 +27,10 @@ type Tournament struct {
 // NewTournament returns a structural tree over the given number of leaf
 // slots (rounded up internally to a power of two, as the hardware would).
 func NewTournament(slots int, wheel timing.Wheel) *Tournament {
-	if slots <= 0 {
-		panic("sched: slots must be positive")
-	}
 	return &Tournament{
-		wheel:  wheel,
-		leaves: make([]Leaf, slots),
-		levels: treeLevels(slots),
+		leafTable: newLeafTable(slots),
+		wheel:     wheel,
+		levels:    treeLevels(slots),
 	}
 }
 
@@ -43,22 +39,6 @@ func treeLevels(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// Install places packet state in a leaf, as EDFTree.Install.
-func (t *Tournament) Install(slot int, leaf Leaf) error {
-	if slot < 0 || slot >= len(t.leaves) {
-		return fmt.Errorf("sched: slot %d out of range [0,%d)", slot, len(t.leaves))
-	}
-	if t.leaves[slot].InUse {
-		return fmt.Errorf("sched: slot %d already in use", slot)
-	}
-	if leaf.Mask == 0 {
-		return fmt.Errorf("sched: installing leaf with empty port mask")
-	}
-	leaf.InUse = true
-	t.leaves[slot] = leaf
-	return nil
 }
 
 // Select runs the tournament reduction level by level, exactly as the
@@ -111,26 +91,6 @@ func (t *Tournament) Select(port int, now timing.Stamp, horizon uint32) Selectio
 	return sel
 }
 
-// ClearPort mirrors EDFTree.ClearPort.
-func (t *Tournament) ClearPort(slot, port int) (bool, error) {
-	if slot < 0 || slot >= len(t.leaves) {
-		return false, fmt.Errorf("sched: slot %d out of range", slot)
-	}
-	lf := &t.leaves[slot]
-	if !lf.InUse || !lf.Mask.Has(port) {
-		return false, fmt.Errorf("sched: invalid clear of slot %d port %d", slot, port)
-	}
-	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		return true, nil
-	}
-	return false, nil
-}
-
-// Leaf implements Scheduler.
-func (t *Tournament) Leaf(slot int) Leaf { return t.leaves[slot] }
-
 // ResetTelemetry zeroes the running comparator and Select counters
 // without disturbing installed leaves.
 func (t *Tournament) ResetTelemetry() {
@@ -145,20 +105,6 @@ func (t *Tournament) SkipIdleSelects(n int64) {
 	t.Selects += n
 	t.CompareOps += n * int64(1<<t.levels-1)
 }
-
-// Occupancy implements Scheduler.
-func (t *Tournament) Occupancy() int {
-	n := 0
-	for i := range t.leaves {
-		if t.leaves[i].InUse {
-			n++
-		}
-	}
-	return n
-}
-
-// Slots implements Scheduler.
-func (t *Tournament) Slots() int { return len(t.leaves) }
 
 // Levels returns the number of comparator rows in the tree.
 func (t *Tournament) Levels() int { return t.levels }

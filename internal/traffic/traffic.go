@@ -43,6 +43,15 @@ func DecodeProbe(src []byte) (cycle int64, seq uint32) {
 	return int64(binary.BigEndian.Uint64(src[0:8])), binary.BigEndian.Uint32(src[8:12])
 }
 
+// ProbeLatency recovers the injection-to-delivery latency in cycles
+// from a probe payload. A payload without a probe decodes to injection
+// cycle zero and one stamped after its own delivery cannot be a probe;
+// neither yields a latency.
+func ProbeLatency(payload []byte, delivered int64) (int64, bool) {
+	inj, _ := DecodeProbe(payload)
+	return delivered - inj, inj > 0 && inj <= delivered
+}
+
 // TCPattern selects how a time-constrained source generates messages.
 type TCPattern int
 
@@ -427,11 +436,10 @@ func (s *Sink) Tick(now sim.Cycle) {
 	}
 	for _, d := range s.r.DrainTC() {
 		s.TCCount++
-		inj, _ := DecodeProbe(d.Payload[:])
-		if inj > 0 && inj <= d.Cycle {
-			s.TCLatency.AddInt(d.Cycle - inj)
+		if lat, ok := ProbeLatency(d.Payload[:], d.Cycle); ok {
+			s.TCLatency.AddInt(lat)
 			if s.OnTCLatency != nil {
-				s.OnTCLatency(d.Conn, d.Cycle-inj)
+				s.OnTCLatency(d.Conn, lat)
 			}
 		}
 		if s.OnTC != nil {
@@ -440,9 +448,8 @@ func (s *Sink) Tick(now sim.Cycle) {
 	}
 	for _, d := range s.r.DrainBE() {
 		s.BECount++
-		inj, _ := DecodeProbe(d.Payload)
-		if inj > 0 && inj <= d.Cycle {
-			s.BELatency.AddInt(d.Cycle - inj)
+		if lat, ok := ProbeLatency(d.Payload, d.Cycle); ok {
+			s.BELatency.AddInt(lat)
 		}
 		if s.OnBE != nil {
 			s.OnBE(d)

@@ -33,6 +33,33 @@ func TestProbePanicsShort(t *testing.T) {
 	EncodeProbe(make([]byte, 4), 1, 1)
 }
 
+// TestProbeLatency: only a payload carrying a probe stamped no later
+// than its own delivery yields a latency.
+func TestProbeLatency(t *testing.T) {
+	probed := func(inj int64) []byte {
+		b := make([]byte, ProbeBytes)
+		EncodeProbe(b, inj, 0)
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		lat     int64
+		ok      bool
+	}{
+		{"probed", probed(100), 60, true},
+		{"delivered the cycle it was stamped", probed(160), 0, true},
+		{"un-probed padding", make([]byte, 18), 0, false},
+		{"too short for a probe", []byte{1, 2}, 0, false},
+		{"stamped in the future", probed(200), 0, false},
+	} {
+		lat, ok := ProbeLatency(tc.payload, 160)
+		if ok != tc.ok || (ok && lat != tc.lat) {
+			t.Errorf("%s: latency %d, ok %v; want %d, %v", tc.name, lat, ok, tc.lat, tc.ok)
+		}
+	}
+}
+
 // pacedRig builds a single router with a pacer, channel, app and sink.
 type pacedRig struct {
 	k    *sim.Kernel
