@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout ledger bench benchall trace loc
+.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission trace loc
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
 # capacity gate, and the layout-synthesis gate.
@@ -68,13 +68,24 @@ BENCH_JSON ?= BENCH_router.json
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkRouterTick -benchmem ./internal/router
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterCycleRate|BenchmarkT4SchedulerThroughput|BenchmarkFig6SortKeys' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkAdmit$$|BenchmarkAdmitBatch$$|BenchmarkLinkCheckCached$$' -benchmem ./internal/admission
+	$(GO) test -run '^$$' -bench 'BenchmarkAdmit$$|BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$|BenchmarkAdmitBatch$$|BenchmarkLinkCheckCached$$' -benchmem ./internal/admission
 	$(GO) test -run TestAdmitAllocs -count=1 ./internal/admission
 	$(GO) run ./cmd/rtbench -exp sweep -mesh 8,16,32,64 -benchjson $(BENCH_JSON)
 
 # benchall runs every benchmark, including the full experiment replays.
 benchall:
 	$(GO) test -bench=. -benchmem ./...
+
+# profile-admission CPU-profiles the incremental admission path alone —
+# the filling and the churning micro-benchmarks; `rtbench -exp admission`
+# also times the Reference leg, which would drown it — and prints the
+# top of the profile. A hot-path change quotes this before and after
+# (DESIGN §8). Leaves $(ADMISSION_PROF) and the test binary behind.
+ADMISSION_PROF ?= admission.prof
+profile-admission:
+	$(GO) test -run '^$$' -bench 'BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$' -benchtime 3s \
+		-cpuprofile $(ADMISSION_PROF) -o admission.test ./internal/admission
+	$(GO) tool pprof -top -nodecount 25 admission.test $(ADMISSION_PROF)
 
 # trace produces a sample Perfetto trace from the Figure 6 scenario
 # (open $(TRACE_JSON) at https://ui.perfetto.dev, or chrome://tracing).

@@ -14,6 +14,7 @@ package admission
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,8 +165,20 @@ type linkState struct {
 	cache edfCache
 }
 
+// idSet is a set of 8-bit connection identifiers, one bit each.
+type idSet [4]uint64
+
+func (s *idSet) has(id uint8) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+func (s *idSet) add(id uint8)      { s[id>>6] |= 1 << (id & 63) }
+func (s *idSet) del(id uint8)      { s[id>>6] &^= 1 << (id & 63) }
+
+// n is the number of ids in the set.
+func (s *idSet) n() int {
+	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+}
+
 type nodeState struct {
-	usedIDs     map[uint8]bool
+	usedIDs     idSet
 	portBuffers [router.NumPorts]int
 	total       int
 	// wheel, slots and conns cache the router's static configuration so
@@ -206,8 +219,7 @@ func New(net *mesh.Network, cfg Config) (*Controller, error) {
 		}
 		cfgR := r.Config()
 		c.nodes[net.Shard(coord)] = &nodeState{
-			usedIDs: make(map[uint8]bool),
-			wheel:   r.Wheel(), slots: cfgR.Slots, conns: cfgR.Conns,
+			wheel: r.Wheel(), slots: cfgR.Slots, conns: cfgR.Conns,
 		}
 	}
 	return c, nil
@@ -801,11 +813,16 @@ func (c *Controller) planPath(src, dst mesh.Coord, spec rtc.Spec, route []int, d
 // except (-1 for none) — the same id the tree assigner's first-fit scan
 // lands on.
 func firstFreeID(ns *nodeState, conns int, except int) (uint8, bool) {
-	for v := 0; v < conns; v++ {
-		if v == except || ns.usedIDs[uint8(v)] {
-			continue
+	for i, w := range ns.usedIDs {
+		free := ^w
+		if except>>6 == i { // never for except = -1
+			free &^= 1 << (except & 63)
 		}
-		return uint8(v), true
+		if free != 0 {
+			// The lowest free id overall: if it is not below conns, none is.
+			v := i<<6 + bits.TrailingZeros64(free)
+			return uint8(v), v < conns
+		}
 	}
 	return 0, false
 }
@@ -843,9 +860,9 @@ func (c *Controller) reserve(ch *Channel) error {
 			return fmt.Errorf("%s: %w", h.node, err)
 		}
 		ns := c.node(h.node)
-		ns.usedIDs[h.inConn] = true
+		ns.usedIDs.add(h.inConn)
 		if h.mask.Has(router.PortLocal) {
-			ns.usedIDs[h.outConn] = true
+			ns.usedIDs.add(h.outConn)
 		}
 		ns.total += h.buffers
 		tk.D = h.d
@@ -876,9 +893,9 @@ func (c *Controller) release(ch *Channel, hops []hopRef) error {
 			first = err
 		}
 		ns := c.node(h.node)
-		delete(ns.usedIDs, h.inConn)
+		ns.usedIDs.del(h.inConn)
 		if h.mask.Has(router.PortLocal) {
-			delete(ns.usedIDs, h.outConn)
+			ns.usedIDs.del(h.outConn)
 		}
 		ns.total -= h.buffers
 		for p := 0; p < router.NumPorts; p++ {
@@ -1044,17 +1061,17 @@ func (c *Controller) assignIDs(nodes []*treeNode) (map[mesh.Coord]idPair, error)
 	// Tentatively claimed incoming ids per coordinate during this
 	// assignment (so two children of one parent don't collide with each
 	// other before commit).
-	claimed := make(map[mesh.Coord]map[uint8]bool)
-	claim := func(at mesh.Coord) map[uint8]bool {
+	claimed := make(map[mesh.Coord]*idSet)
+	claim := func(at mesh.Coord) *idSet {
 		m, ok := claimed[at]
 		if !ok {
-			m = make(map[uint8]bool)
+			m = new(idSet)
 			claimed[at] = m
 		}
 		return m
 	}
 	freeAt := func(at mesh.Coord, id uint8) bool {
-		return !c.node(at).usedIDs[id] && !claim(at)[id]
+		return !c.node(at).usedIDs.has(id) && !claim(at).has(id)
 	}
 	conns := c.node(nodes[0].coord).conns
 	for i, n := range nodes {
@@ -1076,7 +1093,7 @@ func (c *Controller) assignIDs(nodes []*treeNode) (map[mesh.Coord]idPair, error)
 					msg:  fmt.Sprintf("admission: %s out of connection identifiers", n.coord),
 				}
 			}
-			claim(n.coord)[in] = true
+			claim(n.coord).add(in)
 		} else {
 			pair, ok := ids[n.coord]
 			if !ok {
@@ -1122,10 +1139,10 @@ func (c *Controller) assignIDs(nodes []*treeNode) (map[mesh.Coord]idPair, error)
 			}
 		}
 		if local {
-			claim(n.coord)[out] = true
+			claim(n.coord).add(out)
 		}
 		for _, chd := range children {
-			claim(chd)[out] = true
+			claim(chd).add(out)
 			ids[chd] = idPair{in: out}
 		}
 		ids[n.coord] = idPair{in: in, out: out}

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mesh"
@@ -356,6 +357,56 @@ func TestIDExhaustion(t *testing.T) {
 	// at the destination router, so a 3-entry table fits one channel.
 	if admitted != 1 {
 		t.Errorf("admitted %d with a 3-entry table, want 1", admitted)
+	}
+}
+
+// TestFirstFreeIDOracle diffs the bitmap first-fit against the linear
+// scan it replaced, at table sizes on both sides of every word boundary.
+func TestFirstFreeIDOracle(t *testing.T) {
+	scan := func(ns *nodeState, conns, except int) (uint8, bool) {
+		for v := 0; v < conns; v++ {
+			if v != except && !ns.usedIDs.has(uint8(v)) {
+				return uint8(v), true
+			}
+		}
+		return 0, false
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, conns := range []int{1, 63, 64, 65, 255, 256} {
+		for trial := 0; trial < 200; trial++ {
+			ns := new(nodeState)
+			switch trial % 4 {
+			case 0: // random density, from nearly empty to nearly full
+				density := rng.Intn(101)
+				for v := 0; v < 256; v++ {
+					if rng.Intn(100) < density {
+						ns.usedIDs.add(uint8(v))
+					}
+				}
+			case 1: // every id below conns taken
+				for v := 0; v < conns; v++ {
+					ns.usedIDs.add(uint8(v))
+				}
+			case 2: // exactly one free id below conns
+				for v := 0; v < conns; v++ {
+					ns.usedIDs.add(uint8(v))
+				}
+				ns.usedIDs.del(uint8(rng.Intn(conns)))
+			case 3: // a full prefix, free above it
+				for v, n := 0, rng.Intn(conns+1); v < n; v++ {
+					ns.usedIDs.add(uint8(v))
+				}
+			}
+			only, _ := scan(ns, conns, -1)
+			for _, except := range []int{-1, 0, 63, 64, int(only)} {
+				gotID, gotOK := firstFreeID(ns, conns, except)
+				wantID, wantOK := scan(ns, conns, except)
+				if gotOK != wantOK || (wantOK && gotID != wantID) {
+					t.Fatalf("conns %d except %d set %x: bitmap says (%d, %v), scan says (%d, %v)",
+						conns, except, ns.usedIDs, gotID, gotOK, wantID, wantOK)
+				}
+			}
+		}
 	}
 }
 

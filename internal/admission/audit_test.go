@@ -242,6 +242,28 @@ func TestVerifyLedgerDetectsTamper(t *testing.T) {
 	if err := c.VerifyLedger(); err != nil {
 		t.Errorf("restored ledger still flagged: %v", err)
 	}
+	// The id sets: a bit no channel holds, then a held one cleared.
+	ns := c.node(mesh.Coord{X: 1, Y: 0})
+	held := c.chans[0].hops[1].inConn
+	ns.usedIDs.add(200)
+	if err := c.VerifyLedger(); err == nil {
+		t.Error("connection id held by no channel not detected")
+	}
+	ns.usedIDs.del(200)
+	ns.usedIDs.del(held)
+	if err := c.VerifyLedger(); err == nil {
+		t.Error("released connection id of a live channel not detected")
+	}
+	// Same count, wrong member.
+	ns.usedIDs.add(200)
+	if err := c.VerifyLedger(); err == nil {
+		t.Error("swapped connection id not detected")
+	}
+	ns.usedIDs.del(200)
+	ns.usedIDs.add(held)
+	if err := c.VerifyLedger(); err != nil {
+		t.Errorf("restored id set still flagged: %v", err)
+	}
 }
 
 // TestAuditTrail exercises the attached log across an admit, a

@@ -1,6 +1,12 @@
 package admission
 
-import "repro/internal/mesh"
+import (
+	"math/bits"
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/mesh"
+)
 
 // Incremental EDF analysis. edfAnalyze re-enumerates every step point of
 // every committed task on every check, which makes admission cost grow
@@ -45,15 +51,23 @@ type evalScratch struct {
 	// epoch, candidate parameters). Mass admission re-checks the same few
 	// candidate shapes against the same committed sets thousands of times
 	// — every request in a traffic family shares one Spec, and per-hop
-	// deadlines only take a handful of values — so most checks become one
-	// map probe, reservation-free links (the shared emptyLinkCache)
-	// included. Exact by construction: check is a pure function of the
-	// committed set (named by cache+epoch) and the candidate.
-	memo map[checkKey]edfReport
+	// deadlines only take a handful of values — so most checks of a loaded
+	// link become one table probe (lightly loaded and reservation-free
+	// links are cheaper to analyse than to probe; see memoWorth). Exact by
+	// construction: check is a pure function of the committed set (named by
+	// cache+epoch) and the candidate, and a slot only hits on a full key
+	// match. Direct-mapped (see remember); evicted counts the still-live
+	// entries overwritten since the last resize.
+	memo    []memoEntry
+	evicted int
 }
 
 type edfCache struct {
 	built bool
+	// id names the cache in the verdict table's slot hash: a small integer
+	// handed out at first build mixes better, and cheaper, than the
+	// cache's address would.
+	id uint32
 	// epoch counts mutations (rebuild/addTask/removeTask). Together with
 	// the cache's identity it names one exact committed set, which is
 	// what lets evalScratch memoize check verdicts across calls.
@@ -139,6 +153,8 @@ func stepsInto(buf []stepPoint, tk task, lo, hi int64) []stepPoint {
 
 // sortSteps orders points by t without allocating (heapsort; the inputs
 // are concatenations of short ascending runs, and sizes stay small).
+// Only a gather of several tasks' ladders needs it: one task's ladder
+// comes out of stepsInto already ascending.
 func sortSteps(s []stepPoint) {
 	n := len(s)
 	for i := n/2 - 1; i >= 0; i-- {
@@ -169,6 +185,9 @@ func siftStep(s []stepPoint, root, n int) {
 
 // rebuild computes the cache from scratch off the committed set.
 func (ec *edfCache) rebuild(tasks []task) {
+	if ec.id == 0 {
+		ec.id = cacheIDs.Add(1)
+	}
 	ec.epoch++
 	ec.built = true
 	ec.degenerate = false
@@ -192,15 +211,17 @@ func (ec *edfCache) rebuild(tasks []task) {
 		raw = stepsInto(raw, tasks[i], 0, ec.cover)
 	}
 	ec.raw = raw
+	if len(tasks) > 1 {
+		sortSteps(raw)
+	}
 	ec.mergeIn(raw)
 }
 
-// mergeIn folds raw (unsorted) step points into the sorted unique
-// points/prefix arrays, summing weights at equal t.
+// mergeIn folds raw — step points ascending in t, repeats allowed — into
+// the sorted unique points/prefix arrays, summing weights at equal t.
 func (ec *edfCache) mergeIn(raw []stepPoint) {
 	if len(raw) > 0 {
-		sortSteps(raw)
-		merged := ec.spare[:0]
+		merged := slices.Grow(ec.spare[:0], len(ec.points)+len(raw))
 		i, j := 0, 0
 		for i < len(ec.points) || j < len(raw) {
 			switch {
@@ -227,7 +248,7 @@ func (ec *edfCache) mergeIn(raw []stepPoint) {
 		}
 		ec.points, ec.spare = merged, ec.points[:0]
 	}
-	ec.prefix = ec.prefix[:0]
+	ec.prefix = slices.Grow(ec.prefix[:0], len(ec.points))
 	var run int64
 	for _, p := range ec.points {
 		run += p.w
@@ -271,9 +292,15 @@ func (ec *edfCache) addTask(tasks []task, tk task) {
 			raw = stepsInto(raw, tasks[i], ec.cover, target)
 		}
 	}
+	extended := len(raw) > 0
 	raw = stepsInto(raw, tk, 0, target)
 	ec.raw = raw
 	ec.cover = target
+	if extended {
+		// Several ladders end to end; the common case — tk's ladder alone
+		// — is already in order.
+		sortSteps(raw)
+	}
 	ec.mergeIn(raw)
 }
 
@@ -331,9 +358,93 @@ type checkKey struct {
 	c, t, d int64
 }
 
-// memoCap bounds the scratch memo; on overflow the map is cleared (the
-// builtin keeps its buckets, so steady state stays allocation-free).
-const memoCap = 1 << 15
+// slot is the key's index in a verdict table of 1<<(64-shift) entries:
+// the five integers that name the check, each spread by its own odd
+// multiplier, folded once so the high bits see every input.
+func (k checkKey) slot(shift uint) int {
+	h := uint64(k.ec.id)*0x9e3779b97f4a7c15 ^ k.epoch*0xbf58476d1ce4e5b9 ^
+		uint64(k.c)*0x94d049bb133111eb ^ uint64(k.t)*0xd6e8feb86659fd93 ^ uint64(k.d)*0xff51afd7ed558ccd
+	h ^= h >> 29
+	return int(h * 0x9e3779b97f4a7c15 >> shift)
+}
+
+// memoEntry is one verdict-table slot; a nil key.ec marks it empty.
+type memoEntry struct {
+	key checkKey
+	rep edfReport
+}
+
+// live reports whether the entry can still hit: its cache has not been
+// mutated since the verdict was stored.
+func (e *memoEntry) live() bool { return e.key.ec != nil && e.key.ec.epoch == e.key.epoch }
+
+// The verdict table starts at memoMin entries and doubles, up to memoCap,
+// whenever the live entries overwritten since the last resize reach its
+// size: a controller that is filling or churning (whose entries die with
+// every commit) keeps a table that fits the cache, a saturated one under
+// a rejection storm grows it to its working set. Past memoCap a colliding
+// entry simply replaces the old one.
+const (
+	memoMin = 1 << 10
+	memoCap = 1 << 15
+)
+
+// memoWorth is the committed-set size, in cached step points, up to which
+// check skips the table: walking that few points costs less than the
+// probe — a cold cache line or two — and the store after a miss, which is
+// all a filling or churning controller ever gets out of the memo on its
+// lightly loaded links. The saturated links a rejection storm re-checks
+// hold hundreds of points. (32 / 64 / 128 measured: storm prefers the
+// small end, churn the large, fill is flat from 64 up.)
+const memoWorth = 64
+
+// cacheIDs hands out edfCache.id values (atomic: controllers on
+// different goroutines build caches independently).
+var cacheIDs atomic.Uint32
+
+func memoShift(size int) uint { return uint(64 - bits.TrailingZeros(uint(size))) }
+
+// lookup returns the stored verdict for key, nil if the table does not
+// hold it.
+func (sc *evalScratch) lookup(key checkKey) *edfReport {
+	if sc.memo == nil {
+		return nil
+	}
+	if e := &sc.memo[key.slot(memoShift(len(sc.memo)))]; e.key == key {
+		return &e.rep
+	}
+	return nil
+}
+
+// remember stores a verdict lookup just missed, growing the table first
+// if collisions among live entries say it is too small.
+func (sc *evalScratch) remember(key checkKey, rep edfReport) {
+	if sc.memo == nil {
+		sc.memo = make([]memoEntry, memoMin)
+	}
+	e := &sc.memo[key.slot(memoShift(len(sc.memo)))]
+	if e.live() {
+		sc.evicted++
+		if sc.evicted >= len(sc.memo) && len(sc.memo) < memoCap {
+			sc.growMemo()
+			e = &sc.memo[key.slot(memoShift(len(sc.memo)))]
+		}
+	}
+	*e = memoEntry{key, rep}
+}
+
+// growMemo doubles the table and re-places the entries still live.
+func (sc *evalScratch) growMemo() {
+	old := sc.memo
+	sc.memo = make([]memoEntry, 2*len(old))
+	sc.evicted = 0
+	shift := memoShift(len(sc.memo))
+	for i := range old {
+		if e := &old[i]; e.live() {
+			sc.memo[e.key.slot(shift)] = *e
+		}
+	}
+}
 
 // check analyzes the committed set plus one candidate, returning exactly
 // what edfAnalyze(append(tasks, cand)) returns. Read-only on the cache
@@ -344,17 +455,15 @@ func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
 		sc.tasks = append(append(sc.tasks[:0], tasks...), cand)
 		return edfAnalyze(sc.tasks)
 	}
+	if len(ec.points) <= memoWorth {
+		return ec.checkFull(tasks, cand, sc)
+	}
 	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
-	if rep, ok := sc.memo[key]; ok {
-		return rep
+	if rep := sc.lookup(key); rep != nil {
+		return *rep
 	}
 	rep := ec.checkFull(tasks, cand, sc)
-	if sc.memo == nil {
-		sc.memo = make(map[checkKey]edfReport, 1<<10)
-	} else if len(sc.memo) >= memoCap {
-		clear(sc.memo)
-	}
-	sc.memo[key] = rep
+	sc.remember(key, rep)
 	return rep
 }
 
@@ -374,7 +483,7 @@ func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfRepor
 	limit := busyBoundFrom(max(ec.maxD, cand.D), sumC, util)
 	headroom, ok := ec.minSlack(tasks, cand, limit, sc)
 	if !ok {
-		return failReport(tasks, cand, limit, util)
+		return ec.failReport(tasks, cand, limit, util)
 	}
 	return edfReport{feasible: true, util: util, headroom: headroom,
 		margin: float64(headroom)}
@@ -484,15 +593,30 @@ func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScrat
 // the violation reported is the first one in edfAnalyze's own iteration
 // order (task slice order, then k ascending), which is not necessarily
 // the earliest t. Called only after minSlack proved a violation exists,
-// so the scan always finds one.
-func failReport(tasks []task, cand task, limit int64, util float64) edfReport {
+// so the scan always finds one. Committed demand at t is read off the
+// cache — the prefix at the last cached point ≤ t, found by a cursor
+// that moves forward with each ascending ladder — and only past the
+// coverage recomputed by demandAt.
+func (ec *edfCache) failReport(tasks []task, cand task, limit int64, util float64) edfReport {
 	for i := 0; i <= len(tasks); i++ {
 		tk := cand
 		if i < len(tasks) {
 			tk = tasks[i]
 		}
+		cur := 0 // points[:cur] are the cached points ≤ t
 		for t := tk.D; t <= limit; t += tk.T {
-			d := demandAt(tasks, t) + candContrib(cand, t)
+			var d int64
+			if t <= ec.cover {
+				for cur < len(ec.points) && ec.points[cur].t <= t {
+					cur++
+				}
+				if cur > 0 {
+					d = ec.prefix[cur-1]
+				}
+			} else {
+				d = demandAt(tasks, t)
+			}
+			d += candContrib(cand, t)
 			if slack := t - d; slack < 0 {
 				return edfReport{test: "busy_period", util: util,
 					at: t, demand: d, margin: float64(slack)}

@@ -56,6 +56,177 @@ func TestEDFCacheDifferential(t *testing.T) {
 			}
 		}
 	}
+	diffFailReports(t)
+}
+
+// diffFailReports aims rejecting candidates at failReport's two ways of
+// reading committed demand: (a) a first violated step that falls between
+// two cached points, where dbf(t) is the prefix at the last point ≤ t,
+// and (b) one past coverCap on a set near utilization 1, where it falls
+// back to demandAt. Each must equal edfAnalyze's report field for field.
+func diffFailReports(t *testing.T) {
+	build := func(tasks []task) *edfCache {
+		ec := new(edfCache)
+		ec.rebuild(nil)
+		for i, tk := range tasks {
+			ec.addTask(tasks[:i+1], tk)
+		}
+		return ec
+	}
+	diff := func(ec *edfCache, tasks []task, cand task) edfReport {
+		t.Helper()
+		got := ec.check(tasks, cand, new(evalScratch))
+		want := edfAnalyze(append(append([]task(nil), tasks...), cand))
+		if got != want {
+			t.Fatalf("cache check %+v, edfAnalyze %+v\ntasks=%v cand=%+v", got, want, tasks, cand)
+		}
+		return got
+	}
+
+	// (a) Sparse committed ladders (long periods, short deadlines) and a
+	// candidate whose own early step tips the demand over.
+	rng := rand.New(rand.NewSource(99))
+	between := 0
+	for trial := 0; trial < 400; trial++ {
+		var tasks []task
+		for len(tasks) < 1+rng.Intn(4) {
+			c := int64(2 + rng.Intn(6))
+			tk := task{C: c, T: 60 + int64(rng.Intn(60)), D: c + int64(rng.Intn(12))}
+			if edfFeasible(append(append([]task(nil), tasks...), tk)) {
+				tasks = append(tasks, tk)
+			}
+		}
+		ec := build(tasks)
+		c := int64(2 + rng.Intn(6))
+		rep := diff(ec, tasks, task{C: c, T: 60 + int64(rng.Intn(60)), D: c + int64(rng.Intn(12))})
+		if rep.test != "busy_period" || rep.at > ec.cover {
+			continue
+		}
+		cached := false
+		for _, p := range ec.points {
+			cached = cached || p.t == rep.at
+		}
+		if !cached {
+			between++
+		}
+	}
+	if between < 20 {
+		t.Fatalf("only %d rejections failed between two cached points; the generator no longer reaches that case", between)
+	}
+
+	// (b) Sets found by search: utilization within 2e-4 of 1 with the
+	// candidate, first violation far past the coverage.
+	late := []struct {
+		tasks []task
+		cand  task
+		at    int64
+	}{
+		{[]task{{C: 2, T: 10, D: 8}, {C: 2, T: 11, D: 9}, {C: 1, T: 13, D: 12}, {C: 2, T: 5, D: 3},
+			{C: 3, T: 91, D: 91}, {C: 1, T: 25, D: 24}, {C: 3, T: 60, D: 58}}, task{C: 1, T: 55, D: 53}, 5278},
+		{[]task{{C: 1, T: 50, D: 50}, {C: 2, T: 53, D: 51}, {C: 3, T: 47, D: 46}, {C: 2, T: 4, D: 2},
+			{C: 3, T: 9, D: 7}, {C: 2, T: 70, D: 68}}, task{C: 2, T: 121, D: 119}, 22750},
+		{[]task{{C: 1, T: 32, D: 32}, {C: 2, T: 53, D: 52}, {C: 2, T: 8, D: 6}, {C: 3, T: 5, D: 3},
+			{C: 1, T: 89, D: 87}, {C: 3, T: 85, D: 85}}, task{C: 2, T: 58, D: 58}, 45478},
+	}
+	for _, tc := range late {
+		rep := diff(build(tc.tasks), tc.tasks, tc.cand)
+		if rep.test != "busy_period" || rep.at != tc.at || rep.at <= coverCap {
+			t.Fatalf("late case: report %+v, want a busy_period failure at %d, past the cover cap", rep, tc.at)
+		}
+	}
+}
+
+// TestVerdictTableCollisions checks several hundred distinct (cache,
+// epoch, C, T, D) keys in random order against a verdict table held at
+// its minimum size — so entries collide and evict one another — and then
+// through a resize: every answer, hit or miss, must be checkFull's. The
+// shared empty-link cache rides along: below memoWorth points its checks
+// bypass the table, and must come out the same.
+func TestVerdictTableCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type link struct {
+		ec    *edfCache
+		tasks []task
+	}
+	links := []link{{ec: emptyLinkCache}}
+	for len(links) < 12 {
+		l := link{ec: new(edfCache)}
+		l.ec.rebuild(nil)
+		// Light short-period tasks until the set holds enough points for
+		// check to go to the table at all; how many that takes varies, so
+		// epochs differ across links.
+		for tries, need := 0, memoWorth+rng.Intn(64); len(l.ec.points) <= need; tries++ {
+			if tries == 1000 {
+				t.Fatalf("link saturated at %d cached points", len(l.ec.points))
+			}
+			T := int64(16 + rng.Intn(48))
+			tk := task{C: 1, T: T, D: T - int64(rng.Intn(4))}
+			if edfFeasible(append(append([]task(nil), l.tasks...), tk)) {
+				l.tasks = append(l.tasks, tk)
+				l.ec.addTask(l.tasks, tk)
+			}
+		}
+		links = append(links, l)
+	}
+	type probe struct {
+		link
+		cand task
+		want edfReport
+	}
+	var probes []probe
+	for _, l := range links {
+		for i := 0; i < 50; i++ {
+			cand := randTask(rng)
+			probes = append(probes, probe{l, cand, l.ec.checkFull(l.tasks, cand, new(evalScratch))})
+		}
+	}
+	var sc evalScratch
+	sweep := func(stage string) {
+		t.Helper()
+		for _, i := range rng.Perm(len(probes)) {
+			p := probes[i]
+			if got := p.ec.check(p.tasks, p.cand, &sc); got != p.want {
+				t.Fatalf("%s: table answered %+v, checkFull %+v (tasks=%v cand=%+v)", stage, got, p.want, p.tasks, p.cand)
+			}
+		}
+	}
+	for round := 0; round < 8; round++ {
+		sc.evicted = 0 // never lets the growth rule fire
+		sweep("pinned")
+		if len(sc.memo) != memoMin {
+			t.Fatalf("table grew to %d while pinned", len(sc.memo))
+		}
+	}
+	if sc.evicted == 0 {
+		t.Fatalf("%d keys never collided in %d slots; the test exercises no eviction", len(probes), memoMin)
+	}
+	for len(sc.memo) == memoMin {
+		sweep("growing")
+	}
+	if len(sc.memo) != 2*memoMin || sc.evicted >= len(sc.memo) {
+		t.Fatalf("after a resize: %d slots, %d evictions counted", len(sc.memo), sc.evicted)
+	}
+	// A resize re-places every live verdict: the wider index extends the
+	// old one, so entries that did not share a slot before cannot now.
+	held := func(p probe) bool {
+		return sc.lookup(checkKey{p.ec, p.ec.epoch, p.cand.C, p.cand.T, p.cand.D}) != nil
+	}
+	var before []probe
+	for _, p := range probes {
+		if held(p) {
+			before = append(before, p)
+		}
+	}
+	if len(before) < len(probes)/2 {
+		t.Fatalf("only %d of %d verdicts in a table of %d", len(before), len(probes), len(sc.memo))
+	}
+	sc.growMemo()
+	for _, p := range before {
+		if !held(p) {
+			t.Fatalf("resize to %d slots dropped a live verdict (cand %+v)", len(sc.memo), p.cand)
+		}
+	}
+	sweep("resized")
 }
 
 // TestEDFCacheRemoveCompaction pins the stale-point hazard: after the

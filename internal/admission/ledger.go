@@ -3,6 +3,7 @@ package admission
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mesh"
@@ -83,7 +84,7 @@ func (c *Controller) buildSnapshot() *metrics.CapacitySnapshot {
 	}
 	for _, coord := range c.net.Coords() {
 		ns := c.node(coord)
-		used := len(ns.usedIDs)
+		used := ns.usedIDs.n()
 		if ns.total == 0 && used == 0 {
 			continue
 		}
@@ -114,7 +115,7 @@ func (c *Controller) VerifyLedger() error {
 	type nodeWant struct {
 		ports [router.NumPorts]int
 		total int
-		ids   map[uint8]bool
+		ids   idSet
 	}
 	wantLink := make(map[linkKey]map[int]task)
 	want := make(map[mesh.Coord]*nodeWant)
@@ -129,7 +130,7 @@ func (c *Controller) VerifyLedger() error {
 	getNode := func(co mesh.Coord) *nodeWant {
 		n := want[co]
 		if n == nil {
-			n = &nodeWant{ids: make(map[uint8]bool)}
+			n = &nodeWant{}
 			want[co] = n
 		}
 		return n
@@ -146,9 +147,9 @@ func (c *Controller) VerifyLedger() error {
 		for _, h := range ch.hops {
 			n := getNode(h.node)
 			n.total += h.buffers
-			n.ids[h.inConn] = true
+			n.ids.add(h.inConn)
 			if h.mask.Has(router.PortLocal) {
-				n.ids[h.outConn] = true
+				n.ids.add(h.outConn)
 			}
 			tk.D = h.d
 			for p := 0; p < router.NumPorts; p++ {
@@ -192,7 +193,7 @@ func (c *Controller) VerifyLedger() error {
 		co := mesh.Coord{X: i % c.net.W, Y: i / c.net.W}
 		var wantTotal int
 		var wantPorts [router.NumPorts]int
-		var wantIDs map[uint8]bool
+		var wantIDs idSet
 		if w := want[co]; w != nil {
 			wantTotal, wantPorts, wantIDs = w.total, w.ports, w.ids
 		}
@@ -202,12 +203,12 @@ func (c *Controller) VerifyLedger() error {
 		if ns.portBuffers != wantPorts {
 			return fmt.Errorf("admission: ledger: %s port buffers %v, reservations say %v", co, ns.portBuffers, wantPorts)
 		}
-		if len(ns.usedIDs) != len(wantIDs) {
-			return fmt.Errorf("admission: ledger: %s holds %d connection ids, reservations say %d", co, len(ns.usedIDs), len(wantIDs))
+		if ns.usedIDs.n() != wantIDs.n() {
+			return fmt.Errorf("admission: ledger: %s holds %d connection ids, reservations say %d", co, ns.usedIDs.n(), wantIDs.n())
 		}
-		for id := range wantIDs {
-			if !ns.usedIDs[id] {
-				return fmt.Errorf("admission: ledger: %s id %d reserved by a channel but not held", co, id)
+		for w := range wantIDs {
+			if missing := wantIDs[w] &^ ns.usedIDs[w]; missing != 0 {
+				return fmt.Errorf("admission: ledger: %s id %d reserved by a channel but not held", co, w<<6+bits.TrailingZeros64(missing))
 			}
 		}
 	}
@@ -270,6 +271,7 @@ func (c *Controller) verifyCache(k linkKey, ls *linkState) error {
 	for i := range ls.tasks {
 		raw = stepsInto(raw, ls.tasks[i], 0, ec.cover)
 	}
+	sortSteps(raw)
 	var want edfCache
 	want.built = true
 	want.mergeIn(raw)

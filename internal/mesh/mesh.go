@@ -51,8 +51,8 @@ type Network struct {
 	Kernel  *sim.Kernel
 	W, H    int
 	cfg     router.Config
-	routers map[Coord]*router.Router
-	order   []Coord // deterministic iteration order
+	routers []*router.Router // dense, indexed by Shard(c)
+	order   []Coord          // deterministic iteration order
 	failed  map[linkID]bool
 }
 
@@ -87,7 +87,7 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 		W:       w,
 		H:       h,
 		cfg:     cfg,
-		routers: make(map[Coord]*router.Router, w*h),
+		routers: make([]*router.Router, 0, w*h),
 		failed:  make(map[linkID]bool),
 	}
 	for y := 0; y < h; y++ {
@@ -97,7 +97,7 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.routers[c] = r
+			n.routers = append(n.routers, r)
 			n.order = append(n.order, c)
 			// Each router is its own kernel shard; node-side software
 			// (pacers, sinks, traffic apps) registers into the same shard
@@ -142,15 +142,20 @@ func (n *Network) wire(a, b Coord, aPort, bPort int) {
 	}
 	sa, sb := n.Shard(a), n.Shard(b)
 	fw := router.NewChannelShards(n.Kernel, lat, sa, sb)
-	n.routers[a].ConnectOut(aPort, fw.Out())
-	n.routers[b].ConnectIn(bPort, fw.In())
+	n.Router(a).ConnectOut(aPort, fw.Out())
+	n.Router(b).ConnectIn(bPort, fw.In())
 	bw := router.NewChannelShards(n.Kernel, lat, sb, sa)
-	n.routers[b].ConnectOut(bPort, bw.Out())
-	n.routers[a].ConnectIn(aPort, bw.In())
+	n.Router(b).ConnectOut(bPort, bw.Out())
+	n.Router(a).ConnectIn(aPort, bw.In())
 }
 
 // Router returns the router at c, or nil if out of range.
-func (n *Network) Router(c Coord) *router.Router { return n.routers[c] }
+func (n *Network) Router(c Coord) *router.Router {
+	if !n.Contains(c) {
+		return nil
+	}
+	return n.routers[n.Shard(c)]
+}
 
 // Contains reports whether c lies in the mesh.
 func (n *Network) Contains(c Coord) bool {
@@ -310,11 +315,11 @@ func (n *Network) FailLink(from Coord, port int) error {
 		return fmt.Errorf("mesh: link %s→%s already failed", from, router.PortName(port))
 	}
 	n.failed[id] = true
-	n.routers[from].ConnectOut(port, nil)
-	n.routers[from].ConnectIn(port, nil)
+	n.Router(from).ConnectOut(port, nil)
+	n.Router(from).ConnectIn(port, nil)
 	rp := reversePort(port)
-	n.routers[to].ConnectOut(rp, nil)
-	n.routers[to].ConnectIn(rp, nil)
+	n.Router(to).ConnectOut(rp, nil)
+	n.Router(to).ConnectIn(rp, nil)
 	return nil
 }
 
@@ -354,8 +359,8 @@ func (n *Network) LinkFailed(from Coord, port int) bool {
 // to each router's live Stats struct (no copying); it must only read.
 func (n *Network) TotalStats(f func(*router.Stats) int64) int64 {
 	var total int64
-	for _, c := range n.order {
-		total += f(&n.routers[c].Stats)
+	for _, r := range n.routers {
+		total += f(&r.Stats)
 	}
 	return total
 }
