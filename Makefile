@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission trace loc
+.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission profile-dataplane trace loc
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
 # capacity gate, and the layout-synthesis gate.
@@ -62,8 +62,10 @@ ledger:
 # steady-state admit path starts allocating), then runs the scaling
 # sweep — mesh size × worker count, printing the speedup table — and
 # records machine-readable numbers (including allocs/cycle, GOMAXPROCS
-# and NumCPU) in $(BENCH_JSON). The sweep stops at 64×64: the 128×128
-# rows of rtbench's default sweep need more than 16 GB of memory.
+# and NumCPU) in $(BENCH_JSON). The sweep stops at 64×64, as rtbench's
+# own default does: the 128×128 rows need more than 16 GB of memory and
+# get the process (or a neighbour on a shared host) OOM-killed; ask for
+# them with `rtbench -exp sweep -mesh 128` where there is room.
 BENCH_JSON ?= BENCH_router.json
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkRouterTick -benchmem ./internal/router
@@ -86,6 +88,22 @@ profile-admission:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$' -benchtime 3s \
 		-cpuprofile $(ADMISSION_PROF) -o admission.test ./internal/admission
 	$(GO) tool pprof -top -nodecount 25 admission.test $(ADMISSION_PROF)
+
+# profile-dataplane CPU-profiles the dataplane's two regimes on the
+# sequential kernel and prints the top of each profile: a 32×32 sparse
+# mesh (BenchmarkSparseCycleRate over experiments.SparseMesh — nearly
+# every router idle or parked) and the loaded 8×8 mesh
+# (BenchmarkRouterCycleRate over experiments.LoadedMesh — every router
+# busy). A router hot-path change quotes both before and after (DESIGN
+# §6). Leaves the two profiles and the test binary behind.
+DATAPLANE_PROF ?= dataplane
+profile-dataplane:
+	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$' -benchtime 30000x -cpu 1 \
+		-cpuprofile $(DATAPLANE_PROF)_sparse.prof -o dataplane.test .
+	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_sparse.prof
+	$(GO) test -run '^$$' -bench '^BenchmarkRouterCycleRate$$/^workers=1$$' -benchtime 150000x -cpu 1 \
+		-cpuprofile $(DATAPLANE_PROF)_loaded.prof -o dataplane.test .
+	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_loaded.prof
 
 # trace produces a sample Perfetto trace from the Figure 6 scenario
 # (open $(TRACE_JSON) at https://ui.perfetto.dev, or chrome://tracing).

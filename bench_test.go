@@ -363,6 +363,29 @@ func BenchmarkRouterCycleRate(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseCycleRate is the other regime of the dataplane: a 32×32
+// mesh carrying experiments.SparseMesh's forty channels and nothing
+// else, on the sequential kernel. Nearly every router-tick is an idle or a
+// parked one, so ns/op over the 1024 routers reads as the cost of a
+// router at rest; `make profile-dataplane` profiles it beside the loaded
+// mesh above.
+func BenchmarkSparseCycleRate(b *testing.B) {
+	built, err := experiments.SparseMesh(32, 32).BuildAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := built.System
+	defer sys.Close()
+	sys.Run(2000) // every channel has packets in flight
+	b.ResetTimer()
+	sys.Run(int64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(1024), "routers")
+	if sys.Summarize().TCDelivered == 0 {
+		b.Fatal("sparse mesh delivered nothing")
+	}
+}
+
 // BenchmarkRouterCycleRateTraced is the same mesh with the full
 // observability stack attached — sharded lifecycle collector, telemetry
 // counters, and channel SLO histograms — so the delta against

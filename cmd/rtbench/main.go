@@ -40,7 +40,7 @@ var (
 	chart           = flag.Bool("chart", false, "render ASCII charts where available")
 	workers         = flag.Int("workers", 0, "narrow the sweep to this single kernel worker count (0 = the default worker set)")
 	benchJSON       = flag.String("benchjson", "", "write the sweep's mesh × workers matrix as JSON to this file (e.g. BENCH_router.json)")
-	meshList        = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64,128); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
+	meshList        = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64; 128 runs when asked for and needs more than 16 GB of memory); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
 	minSpeedup      = flag.Float64("min-speedup", 0, "fail the sweep if any parallel row is slower than this fraction of sequential (0 = don't enforce)")
 	scenarioPath    = flag.String("scenario", "scenarios/faulty.json", "scenario file for -exp forensics and the audit-identity leg of -exp capacity")
 	requests        = flag.Int("requests", 0, "request count per family for -exp admission and -exp layout (0 = 100000 for admission, 3·nodes for layout)")

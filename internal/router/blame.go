@@ -158,10 +158,12 @@ type blameBank struct {
 }
 
 // EnableBlame switches slack-attribution collection on. Idempotent;
-// obs.Forensics calls it when attaching.
+// obs.Forensics calls it when attaching. A parked router wakes: from
+// here on every port-cycle a held packet waits is attributed.
 func (r *Router) EnableBlame() {
 	if r.blame == nil {
 		r.blame = &blameBank{cells: make(map[BlameKey]int64)}
+		r.rest = restBusy
 	}
 }
 

@@ -42,6 +42,15 @@ func NewChannelShards(k *sim.Kernel, latency int64, srcShard, dstShard int) *Cha
 // Latency returns the channel's one-way wire latency in cycles.
 func (c *Channel) Latency() int64 { return c.data.Latency() }
 
+// inbound is what a receiving router asks of an inbound wire's delay
+// line to keep the wire's arrival stamps in its own stamp block (see
+// Router.lendStamps): the phit wire for the holder of the InLink, the
+// ack wire for the holder of the OutLink.
+type inbound interface {
+	Ring() int
+	MirrorStamps(m []uint16)
+}
+
 // Out returns the sending end of the channel.
 func (c *Channel) Out() *OutLink { return &OutLink{c} }
 

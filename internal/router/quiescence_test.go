@@ -1,22 +1,32 @@
 package router
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
 // idleBuster is a same-package helper that pins routers onto the full
-// tick path by clearing their idle latch every cycle, giving the
-// differential tests a no-fast-path control.
-type idleBuster struct{ rs []*Router }
+// tick by clearing their rest state every cycle, giving the differential
+// tests a control that never parks and never idles. With parkedOnly it
+// leaves an idle router alone — the router as it was before the parked
+// state existed, whose IdleTicks the parked path must not disturb.
+type idleBuster struct {
+	rs         []*Router
+	parkedOnly bool
+}
 
 func (b *idleBuster) Name() string { return "idle-buster" }
 func (b *idleBuster) Tick(sim.Cycle) {
 	for _, r := range b.rs {
-		r.idle = false
+		if !b.parkedOnly || r.rest == restParked {
+			r.rest = restBusy
+		}
 	}
 }
 
@@ -117,5 +127,246 @@ func TestQuiescenceWakesOnArrival(t *testing.T) {
 	d := r.b.DrainTC()
 	if len(d) != 1 || d[0].Payload[0] != 0xC3 {
 		t.Fatalf("bad delivery %+v", d)
+	}
+}
+
+// parkedObs is everything the parked differential compares.
+type parkedObs struct {
+	deliveries       [2][]DeliveredTC
+	stats            [2]Stats
+	selects, overdue [2]int64
+	snap             metrics.Snapshot
+	idle, parked     [2]int64
+}
+
+// runParkedScript drives a pair rig for 16000 cycles — the 8-bit slot
+// clock rolls over every 5120, so three times — with a seeded script of
+// packets stamped 1…200 slots ahead of the slot clock, most of which park
+// in a packet memory until their logical arrival time (those more than
+// half the wheel ahead read as overdue and leave at once). The
+// connections cover what a parked router must still get right: A→B
+// traffic and B's own injections contending for B's reception port, a
+// multicast leaf owed to a link and to the reception port, leaves owed
+// to an unwired port alone and together with a live one, and traffic in
+// the reverse direction. bust is registered after the routers, if set.
+func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuster) parkedObs {
+	t.Helper()
+	r := newPairRig(t, cfg)
+	rs := [2]*Router{r.a, r.b}
+	conns := []struct {
+		at         int // index into rs
+		in, out, d uint8
+		mask       sched.PortMask
+	}{
+		{0, 1, 2, 5, maskOf(PortXPlus)},
+		{1, 2, 7, 5, maskOf(PortLocal)},
+		{1, 3, 8, 5, maskOf(PortLocal)},
+		{0, 4, 5, 6, maskOf(PortXPlus, PortLocal)},
+		{1, 5, 9, 5, maskOf(PortLocal)},
+		{0, 6, 6, 5, maskOf(PortYPlus)},
+		{0, 10, 10, 7, maskOf(PortYPlus, PortLocal)},
+		{1, 11, 12, 5, maskOf(PortXMinus)},
+		{0, 12, 13, 5, maskOf(PortLocal)},
+	}
+	for _, c := range conns {
+		if err := rs[c.at].SetConnection(c.in, c.out, c.d, c.mask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injectA, injectB := []uint8{1, 4, 6, 10}, []uint8{3, 11}
+	var reg *metrics.Registry
+	if withMetrics {
+		reg = metrics.NewRegistry()
+		r.a.AttachMetrics(reg.Router("A"))
+		r.b.AttachMetrics(reg.Router("B"))
+	}
+	if bust != nil {
+		bust.rs = rs[:]
+		r.k.Register(bust)
+	}
+
+	var o parkedObs
+	rng := rand.New(rand.NewSource(7))
+	next := int64(0)
+	for r.k.Now() < 16000 {
+		now := int64(r.k.Now())
+		if now >= next {
+			// A quiet stretch now and then lets both routers drain to idle,
+			// so the script crosses idle → parked → busy → idle.
+			next = now + 20 + rng.Int63n(150)
+			if rng.Intn(50) == 0 {
+				next += 3000
+			}
+			at, ids := r.a, injectA
+			if rng.Intn(3) == 0 {
+				at, ids = r.b, injectB
+			}
+			ahead := uint8(1 + rng.Intn(200))
+			stamp := packet.StampOf(at.SlotNow(now)) + ahead
+			at.InjectTC(tcPkt(ids[rng.Intn(len(ids))], stamp, byte(now)))
+		}
+		r.k.Run(min(next, 16000) - now)
+		for i, x := range rs {
+			o.deliveries[i] = append(o.deliveries[i], x.DrainTC()...)
+		}
+	}
+	for i, x := range rs {
+		o.stats[i] = x.Stats
+		tree := x.Scheduler().(*sched.EDFTree)
+		o.selects[i], o.overdue[i] = tree.Selects, tree.Overdue
+		o.idle[i], o.parked[i] = x.IdleTicks(), x.ParkedTicks()
+	}
+	if reg != nil {
+		o.snap = reg.Snapshot()
+	}
+	return o
+}
+
+// TestParkedFastPathEquivalence: a router that only holds packets until
+// their logical arrival time leaves out output arbitration and, unless
+// the beat wakes it, everything after the beat. Every observable must
+// match a control pinned to the full tick, and the idle-cycle count must
+// match a control that only never parks.
+func TestParkedFastPathEquivalence(t *testing.T) {
+	integrity := DefaultConfig()
+	integrity.Integrity = true
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		metrics bool
+	}{
+		{"metrics", DefaultConfig(), true},
+		{"integrity", integrity, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast := runParkedScript(t, tc.cfg, tc.metrics, nil)
+			full := runParkedScript(t, tc.cfg, tc.metrics, &idleBuster{})
+			unparked := runParkedScript(t, tc.cfg, tc.metrics, &idleBuster{parkedOnly: true})
+
+			if fast.parked[0] == 0 || fast.parked[1] == 0 {
+				t.Errorf("parked path never engaged: %v parked ticks", fast.parked)
+			}
+			if fast.idle[0] == 0 || fast.idle[1] == 0 {
+				t.Errorf("script never let the routers go idle: %v idle ticks", fast.idle)
+			}
+			if n := len(fast.deliveries[0]) + len(fast.deliveries[1]); n < 100 {
+				t.Errorf("only %d deliveries: the script exercised nothing", n)
+			}
+			if fast.stats[0].TCDeadPortDrops == 0 || fast.overdue[0] == 0 {
+				t.Errorf("script missed a case: %d dead-port drops, %d overdue selections",
+					fast.stats[0].TCDeadPortDrops, fast.overdue[0])
+			}
+			if full.parked != [2]int64{} || full.idle != [2]int64{} || unparked.parked != [2]int64{} {
+				t.Errorf("controls left the full tick: full parked %v idle %v, unparked parked %v",
+					full.parked, full.idle, unparked.parked)
+			}
+			if fast.idle != unparked.idle {
+				t.Errorf("idle ticks diverge from the never-parking control: %v vs %v", fast.idle, unparked.idle)
+			}
+			for _, ctl := range []struct {
+				name string
+				o    parkedObs
+			}{{"full-tick", full}, {"never-parking", unparked}} {
+				// The tick counts were judged above; everything else must be equal.
+				ctl.o.idle, ctl.o.parked = fast.idle, fast.parked
+				if !reflect.DeepEqual(fast, ctl.o) {
+					t.Errorf("diverges from the %s control:\nfast: %+v\nctl:  %+v", ctl.name, fast, ctl.o)
+				}
+			}
+		})
+	}
+}
+
+// TestParkedWakesSameCycle: the cycle a parked router's beat selects a
+// packet whose logical arrival time has come, the fetch launches in that
+// same Tick — as on a router that never parks — so holding costs the
+// packet no cycle.
+func TestParkedWakesSameCycle(t *testing.T) {
+	build := func() *rig {
+		r := newRig(t, DefaultConfig())
+		if err := r.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
+			t.Fatal(err)
+		}
+		r.a.InjectTC(tcPkt(1, 30, 0x11)) // ℓ = slot 30 = cycle 600
+		return r
+	}
+	fast, ctl := build(), build()
+	ctl.k.Register(&idleBuster{rs: []*Router{ctl.a}})
+
+	woke := false
+	for c := 0; c < 700; c++ {
+		before := fast.a.rest
+		fast.k.Step()
+		ctl.k.Step()
+		fs, cs := fast.a.OutputState(PortLocal), ctl.a.OutputState(PortLocal)
+		if fs != cs {
+			t.Fatalf("cycle %d: reception port %+v, control %+v", c, fs, cs)
+		}
+		if fs.Fetching && !woke {
+			woke = true
+			if before != restParked {
+				t.Errorf("cycle %d: fetch launched from rest state %d, want parked", c, before)
+			}
+			if c < 590 {
+				t.Errorf("fetch launched at cycle %d, long before ℓ", c)
+			}
+		}
+	}
+	if !woke || fast.a.ParkedTicks() < 500 {
+		t.Errorf("woke=%v after %d parked ticks", woke, fast.a.ParkedTicks())
+	}
+	if fast.a.Stats != ctl.a.Stats || fast.a.Stats.TCDelivered != 1 {
+		t.Errorf("stats %+v, control %+v", fast.a.Stats, ctl.a.Stats)
+	}
+}
+
+// TestBlameNeverParks: forensics attributes a horizon hold to every
+// port-cycle a held packet waits, so a router with blame on must run the
+// full tick while it holds one — the parked tick would lose exactly those
+// cells — and switching blame on wakes a router that had parked.
+func TestBlameNeverParks(t *testing.T) {
+	build := func() *rig {
+		r := newRig(t, DefaultConfig())
+		if err := r.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
+			t.Fatal(err)
+		}
+		r.a.EnableBlame()
+		r.a.InjectTC(tcPkt(1, 30, 0x22))
+		return r
+	}
+	cells := func(r *Router) map[BlameKey]int64 {
+		m := map[BlameKey]int64{}
+		r.ForEachBlame(func(k BlameKey, v int64) { m[k] = v })
+		return m
+	}
+	free, ctl := build(), build()
+	ctl.k.Register(&idleBuster{rs: []*Router{ctl.a}})
+	free.k.Run(900)
+	ctl.k.Run(900)
+	if free.a.ParkedTicks() != 0 {
+		t.Errorf("router with blame on spent %d ticks parked", free.a.ParkedTicks())
+	}
+	held := cells(free.a)[BlameKey{Port: PortLocal, Victim: 1, Cause: CauseHorizonHold}]
+	if held < 500 {
+		t.Errorf("horizon_hold cell = %d cycles, want the whole hold (> 500)", held)
+	}
+	if !reflect.DeepEqual(cells(free.a), cells(ctl.a)) {
+		t.Errorf("blame cells diverge from the full-tick control:\n%v\n%v", cells(free.a), cells(ctl.a))
+	}
+
+	late := newRig(t, DefaultConfig())
+	if err := late.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
+		t.Fatal(err)
+	}
+	late.a.InjectTC(tcPkt(1, 30, 0x33))
+	late.k.Run(200)
+	if late.a.rest != restParked {
+		t.Fatalf("rest state %d after 200 cycles, want parked", late.a.rest)
+	}
+	late.a.EnableBlame()
+	parked := late.a.ParkedTicks()
+	late.k.Run(200)
+	if late.a.ParkedTicks() != parked {
+		t.Errorf("router parked for %d more ticks after EnableBlame", late.a.ParkedTicks()-parked)
 	}
 }

@@ -74,9 +74,62 @@ type Stats struct {
 // its mesh links with ConnectIn/ConnectOut (or the mesh package) before
 // running the kernel.
 type Router struct {
-	cfg   Config
-	name  string
+	// What a router at rest touches every cycle — its own short Tick and
+	// the node's sink asking HasDeliveries — comes first and together:
+	// a sparse mesh ticks a thousand resting routers a cycle, and each
+	// cache line they are spread over is a miss apiece.
+
+	// rest is the rest state the last full Tick left the router in (see
+	// restState); while it is not busy and the link wires stay clear,
+	// Tick leaves out what provably cannot change state. Cleared by
+	// injections, rewiring and EnableBlame.
+	rest restState
+	// prevSlot/slotSeen detect slot-clock rollovers.
+	slotSeen bool
+	// stampBuf backs stamps (below) while every attached link is one
+	// cycle long. It sits among the words every Tick of this router
+	// touches, so a neighbour's Pipe.Write storing into it lands on a
+	// line that is in cache anyway.
+	stampBuf [numWires * 2]uint16
+	prevSlot timing.Stamp
+
+	nowCycle       int64
+	schedCountdown int
+	schedRR        int
+
+	// stamps mirrors the arrival stamps (their low 16 bits) of the eight
+	// inbound wires — the phit wire of each input link, then the ack wire
+	// of each output link — one ring of stampMask+1 cycles per wire, lent
+	// to the wires' pipes (lendStamps). inputsClear reads these words of
+	// the router's own memory instead of chasing link → channel → pipe →
+	// slot eight times a cycle.
+	stamps    []uint16
+	stampMask int64
+
+	// idleTicks and parkedTicks count the cycles spent in the two rest
+	// states.
+	idleTicks   int64
+	parkedTicks int64
+
+	// met is the attached telemetry block (nil = telemetry off); see
+	// AttachMetrics.
+	met   *metrics.RouterMetrics
 	wheel timing.Wheel
+
+	// schedSkip caches the scheduler's IdleSkipper view; non-nil is a
+	// precondition for the quiescence fast-forward (Skip).
+	schedSkip sched.IdleSkipper
+
+	// Delivery queues are double-buffered: Drain returns the filled
+	// buffer and installs the spare, so steady-state delivery never
+	// allocates once both buffers have grown to the working set.
+	tcDelivered  []DeliveredTC
+	beDelivered  []DeliveredBE
+	tcDrainSpare []DeliveredTC
+	beDrainSpare []DeliveredBE
+
+	cfg  Config
+	name string
 
 	in  [NumLinks]*InLink
 	out [NumLinks]*OutLink
@@ -104,40 +157,13 @@ type Router struct {
 	tcInjectQ [][packet.TCBytes]byte
 	tcInjHead int
 
-	// Delivery queues are double-buffered: Drain returns the filled
-	// buffer and installs the spare, so steady-state delivery never
-	// allocates once both buffers have grown to the working set.
-	tcDelivered  []DeliveredTC
-	tcDrainSpare []DeliveredTC
-	beDelivered  []DeliveredBE
-	beDrainSpare []DeliveredBE
-
 	// beFree recycles fully injected best-effort frames back to local
 	// sources (BEFrameBuf), bounding frame allocation per packet.
 	beFree [][]byte
 
-	schedCountdown int
-	schedRR        int
-	nowCycle       int64
-
-	// idle caches the quiescence summary computed at the end of every
-	// full Tick: no buffered flits, empty packet memory, no pending
-	// injections, no in-flight best-effort frames. While it holds (and
-	// the link wires stay clear), Tick runs a fast path that replicates
-	// only the idle cycle's observable effects — see tickIdle. Cleared
-	// by injections and rewiring; idleTicks counts fast-path cycles.
-	idle      bool
-	idleTicks int64
-
 	// blame is the slack-attribution bank (nil = forensics off); see
 	// blame.go and EnableBlame.
 	blame *blameBank
-
-	// met is the attached telemetry block (nil = telemetry off); see
-	// AttachMetrics. prevSlot/slotSeen detect slot-clock rollovers.
-	met      *metrics.RouterMetrics
-	prevSlot timing.Stamp
-	slotSeen bool
 
 	// Stats exposes the hardware counters; read-only for callers.
 	Stats Stats
@@ -163,10 +189,6 @@ type Router struct {
 	// allocation-free. See internal/fault.
 	LinkFault func(port int, ph packet.Phit) (out packet.Phit, ok bool)
 
-	// schedSkip caches the scheduler's IdleSkipper view; non-nil is a
-	// precondition for the quiescence fast-forward (Skip).
-	schedSkip sched.IdleSkipper
-
 	// beArena backs the payloads of delivered best-effort packets:
 	// chunked bump allocation instead of one heap allocation per
 	// delivery. Double-buffered in step with the beDelivered queues, so
@@ -191,6 +213,7 @@ func New(name string, cfg Config) (*Router, error) {
 		horizons: cfg.Horizons,
 		beFree:   make([][]byte, 0, beFreeCap),
 	}
+	r.stamps, r.stampMask = r.stampBuf[:], 1
 	// The nack window scales with the link round trip: a corrupted flit
 	// left 2·latency cycles before its nack reaches the sender, and at
 	// one flit per cycle the history must cover that window plus slack.
@@ -295,8 +318,12 @@ func (r *Router) ConnectIn(p int, l *InLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectIn(%d) out of link range", r.name, p))
 	}
+	if old := r.in[p]; old != nil {
+		old.ch.data.MirrorStamps(nil)
+	}
 	r.in[p] = l
-	r.idle = false
+	r.rest = restBusy
+	r.lendStamps()
 }
 
 // ConnectOut attaches the transmit side of a mesh link to output port p.
@@ -304,15 +331,56 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectOut(%d) out of link range", r.name, p))
 	}
+	if old := r.out[p]; old != nil {
+		old.ch.ack.MirrorStamps(nil)
+	}
 	r.out[p] = l
-	r.idle = false
+	r.rest = restBusy
+	r.lendStamps()
+}
+
+// numWires counts a router's inbound wires: a phit wire per input link
+// and an ack wire per output link.
+const numWires = 2 * NumLinks
+
+// inbound returns the delay line of inbound wire w, or nil while that
+// link is unattached.
+func (r *Router) inbound(w int) inbound {
+	if w < NumLinks {
+		if l := r.in[w]; l != nil {
+			return l.ch.data
+		}
+	} else if l := r.out[w-NumLinks]; l != nil {
+		return l.ch.ack
+	}
+	return nil
+}
+
+// lendStamps hands every attached inbound wire its row of the stamp
+// block, first growing the rows to the deepest attached ring.
+func (r *Router) lendStamps() {
+	size := int(r.stampMask) + 1
+	for w := 0; w < numWires; w++ {
+		if p := r.inbound(w); p != nil && p.Ring() > size {
+			size = p.Ring()
+		}
+	}
+	if size*numWires > len(r.stamps) {
+		r.stamps, r.stampMask = make([]uint16, size*numWires), int64(size-1)
+	}
+	clear(r.stamps)
+	for w := 0; w < numWires; w++ {
+		if p := r.inbound(w); p != nil {
+			p.MirrorStamps(r.stamps[w*size : (w+1)*size])
+		}
+	}
 }
 
 // InjectTC queues one time-constrained packet at the injection port. The
 // header stamp must carry the connection's logical arrival time ℓ0(m) on
 // the network slot clock.
 func (r *Router) InjectTC(p packet.TCPacket) {
-	r.idle = false
+	r.rest = restBusy
 	if r.tcInjHead > 0 && len(r.tcInjectQ) == cap(r.tcInjectQ) {
 		// Reclaim the consumed head space instead of growing.
 		n := copy(r.tcInjectQ, r.tcInjectQ[r.tcInjHead:])
@@ -338,7 +406,7 @@ func (r *Router) InjectBE(frame []byte) {
 	if len(frame) < packet.BEHeaderBytes {
 		panic(fmt.Sprintf("router %s: InjectBE frame of %d bytes", r.name, len(frame)))
 	}
-	r.idle = false
+	r.rest = restBusy
 	r.beIn[PortLocal].inject(frame)
 }
 
@@ -428,6 +496,29 @@ func (r *Router) slotNow(now int64) timing.Stamp {
 // Section 4.1: here skew is exactly zero).
 func (r *Router) SlotNow(now int64) timing.Stamp { return r.slotNow(now) }
 
+// restState summarizes what a router holds between two cycles, which
+// decides how much of the next Tick can be left out while the link wires
+// stay clear. The end of every full Tick records it.
+type restState uint8
+
+const (
+	// restBusy: some engine holds work (or the state is unknown — after
+	// an injection or a rewiring). The next Tick runs in full.
+	restBusy restState = iota
+	// restParked: every engine is idle (enginesIdle), forensics is off
+	// and the tick took nothing off a wire, but packets sit in the packet
+	// memory as scheduler leaves, held until their logical arrival time
+	// (atRest). Output arbitration has
+	// nothing to move, so the next Tick runs the countdown and the real
+	// comparator-tree beat alone, and the rest of the cycle only if that
+	// beat produced a candidate to fetch.
+	restParked
+	// restIdle: every engine idle, the packet memory free, no leaf
+	// installed. The next Tick is the countdown and an empty-tree beat,
+	// and the kernel may skip the router altogether (NextWork, Skip).
+	restIdle
+)
+
 // Tick implements sim.Component. Phase order inside the chip:
 //
 //  1. output arbitration drives this cycle's phits from last cycle's
@@ -436,11 +527,16 @@ func (r *Router) SlotNow(now int64) timing.Stamp { return r.slotNow(now) }
 //  3. fetch/write launches and one memory-bus chunk transfer,
 //  4. inputs sample the link wires, and
 //  5. acknowledgements return flit credits upstream.
+//
+// A router at rest whose wires are clear leaves out the phases that
+// provably change nothing: phase 1 when parked, and phases 3–5 too unless
+// the parked beat made a candidate; all but the countdown and an
+// empty-tree beat when idle (see restState).
 func (r *Router) Tick(now sim.Cycle) {
 	nowSlot := r.slotNow(int64(now))
-	if r.idle && r.inputsClear(int64(now)) {
-		r.tickIdle(int64(now), nowSlot)
-		return
+	rest := r.rest
+	if rest != restBusy && !r.inputsClear(int64(now)) {
+		rest = restBusy
 	}
 	r.nowCycle = int64(now)
 
@@ -451,16 +547,32 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 	r.prevSlot, r.slotSeen = nowSlot, true
 
-	for p := 0; p < NumPorts; p++ {
-		r.arbitrate(p, nowSlot)
+	if rest == restBusy {
+		for p := 0; p < NumPorts; p++ {
+			r.arbitrate(p, nowSlot)
+		}
 	}
 
+	candidate := false
 	r.schedCountdown--
 	if r.schedCountdown <= 0 {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		r.schedBeat(nowSlot)
+		if rest == restIdle && r.schedSkip != nil {
+			r.idleBeats(1)
+		} else {
+			candidate = r.schedBeat(nowSlot)
+		}
+	}
+
+	switch {
+	case rest == restIdle:
+		r.idleTicks++
+		return
+	case rest == restParked && !candidate:
+		r.parkedTicks++
+		return
 	}
 
 	for p := 0; p < NumPorts; p++ {
@@ -470,7 +582,7 @@ func (r *Router) Tick(now sim.Cycle) {
 	r.bus.tick()
 	r.Stats.BusGrants = r.bus.grants
 
-	r.sampleInputs()
+	arrived := r.sampleInputs()
 
 	for p := 0; p < NumLinks; p++ {
 		if r.in[p] == nil {
@@ -494,41 +606,27 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 	}
 
-	r.idle = r.quiescent()
-}
-
-// tickIdle is the quiescent cycle. With every engine empty and the link
-// wires clear, a full Tick reduces to exactly three observable effects:
-// the slot-clock rollover detection, the schedule countdown, and — on a
-// beat — the comparator-tree selection, which on an empty scheduler only
-// advances the round-robin pointer and the scheduler telemetry
-// (schedBeat is called unchanged, so any Select-side accounting stays
-// identical). Everything else in the pipeline provably does not change
-// state, so the fast path skips it.
-func (r *Router) tickIdle(now int64, nowSlot timing.Stamp) {
-	r.nowCycle = now
-	if nowSlot < r.prevSlot && r.slotSeen && r.met != nil {
-		r.met.SlotRollovers.Inc()
-	}
-	r.prevSlot, r.slotSeen = nowSlot, true
-	r.schedCountdown--
-	if r.schedCountdown <= 0 {
-		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		r.schedBeat(nowSlot)
-	}
-	r.idleTicks++
+	r.rest = r.atRest(arrived)
 }
 
 // inputsClear reports that nothing arrived on the link wires this
 // cycle: no valid phit to sample and no returning best-effort credit.
-// Together with the cached quiescence summary this licenses tickIdle.
+// Together with the recorded rest state this licenses the short ticks.
+// The stamp block answers for a quiet wire; a stamp that matches the
+// cycle — an arrival, or sixteen stale or never-written bits that happen
+// to agree with it — is settled by the precise read.
 func (r *Router) inputsClear(now int64) bool {
-	for p := 0; p < NumLinks; p++ {
-		if r.in[p] != nil && r.in[p].Phit(now).Valid {
-			return false
+	i, size := now&r.stampMask, r.stampMask+1
+	for w := 0; w < numWires; w, i = w+1, i+size {
+		if r.stamps[i] != uint16(now) {
+			continue
 		}
-		if r.out[p] != nil {
-			if a := r.out[p].Ack(now); a.BECredit || a.BENack {
+		if w < NumLinks {
+			if l := r.in[w]; l != nil && l.Phit(now).Valid {
+				return false
+			}
+		} else if l := r.out[w-NumLinks]; l != nil {
+			if a := l.Ack(now); a.BECredit || a.BENack {
 				return false
 			}
 		}
@@ -536,14 +634,32 @@ func (r *Router) inputsClear(now int64) bool {
 	return true
 }
 
-// quiescent computes the idle summary after a full Tick: every receive
-// and transmit engine empty, both injection queues drained, the packet
-// memory fully free, and no scheduling leaves installed. While it holds,
-// the next Tick can take the fast path (provided the wires stay clear).
-func (r *Router) quiescent() bool {
-	if r.tcInjHead != len(r.tcInjectQ) ||
-		r.mem.freeSlots() != r.cfg.Slots ||
-		r.schedq.Occupancy() != 0 {
+// atRest computes the rest state after a full Tick; arrived says the
+// tick took something off a wire. Going idle is judged exactly — IdleTicks
+// is a count other runs are compared by — but parking a tick late costs
+// nothing, so a router that holds packets skips the engine scan on the
+// cheap signs that it cannot pass: an arrival this very cycle, which on a
+// loaded mesh is nearly every cycle. Forensics runs never park: blameIdle
+// attributes a horizon hold to every port-cycle a held packet waits,
+// which the parked tick would leave out.
+func (r *Router) atRest(arrived bool) restState {
+	held := r.mem.freeSlots() != r.cfg.Slots || r.schedq.Occupancy() != 0
+	if held && (arrived || r.blame != nil) || !r.enginesIdle() {
+		return restBusy
+	}
+	if held {
+		return restParked
+	}
+	return restIdle
+}
+
+// enginesIdle reports that every receive and transmit engine is empty
+// and both injection queues are drained: nothing is being assembled,
+// written, fetched, staged, transmitted or cut through, and no
+// best-effort byte, credit, nack or recovery flit is owed. Packets may
+// still sit in the packet memory behind scheduler leaves.
+func (r *Router) enginesIdle() bool {
+	if r.tcInjHead != len(r.tcInjectQ) {
 		return false
 	}
 	for p := 0; p < NumPorts; p++ {
@@ -569,30 +685,36 @@ func (r *Router) quiescent() bool {
 	return true
 }
 
-// IdleTicks reports how many cycles this router has executed through
-// the quiescence fast path — a diagnostic for tests and benchmarks, not
-// a hardware counter.
+// IdleTicks reports how many cycles this router has spent idle — no
+// packet anywhere in it, the tick (or the kernel's skip) reduced to the
+// countdown — a diagnostic for tests and benchmarks, not a hardware
+// counter.
 func (r *Router) IdleTicks() int64 { return r.idleTicks }
 
-// NextWork implements sim.Skipper. While the router is quiescent and
+// ParkedTicks reports how many cycles this router has spent parked:
+// holding packets until their logical arrival time with every engine
+// idle, the tick reduced to the comparator-tree beat. A diagnostic like
+// IdleTicks.
+func (r *Router) ParkedTicks() int64 { return r.parkedTicks }
+
+// NextWork implements sim.Skipper. While the router is idle and
 // its scheduler supports closed-form idle accounting, every future idle
 // cycle's observable effects can be replayed in O(1), so the kernel may
 // fast-forward arbitrarily far — arriving wire traffic is tracked
-// separately, by the link pipes' stamps. A busy router, or one whose
-// scheduler lacks SkipIdleSelects, must tick every cycle.
+// separately, by the link pipes' stamps. A busy or parked router, or one
+// whose scheduler lacks SkipIdleSelects, must tick every cycle.
 func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
-	if !r.idle || r.schedSkip == nil {
+	if r.rest != restIdle || r.schedSkip == nil {
 		return now
 	}
 	return sim.Never
 }
 
 // Skip implements sim.Skipper: replay the idle ticks for cycles
-// [now, target) in closed form, bit-identical to running tickIdle
-// target−now times. The replayed effects are exactly tickIdle's: slot
+// [now, target) in closed form, bit-identical to running the idle Tick
+// target−now times. The replayed effects are exactly that tick's: slot
 // rollover telemetry, the scheduler countdown with its empty-tree
-// selection beats (round-robin pointer, Select-side accounting, the
-// occupancy gauge), and the idle-cycle counter.
+// selection beats (idleBeats), and the idle-cycle counter.
 func (r *Router) Skip(now, target sim.Cycle) {
 	n := int64(target - now)
 	if n <= 0 {
@@ -613,27 +735,33 @@ func (r *Router) Skip(now, target sim.Cycle) {
 	r.prevSlot, r.slotSeen = r.slotNow(last), true
 
 	// Scheduler beats: the countdown decrements every cycle and fires a
-	// beat at zero. On a quiescent router a beat advances the round-robin
-	// pointer, runs one empty selection, and refreshes the occupancy
-	// gauge (idempotent at zero occupancy) — all replayed in closed form.
-	// A prior Tick guarantees schedCountdown ∈ [1, period].
+	// beat at zero. A prior Tick guarantees schedCountdown ∈ [1, period].
 	period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
 	if c0 := int64(r.schedCountdown); n >= c0 {
 		beats := 1 + (n-c0)/period
 		rem := n - (c0 + (beats-1)*period)
 		r.schedCountdown = int(period - rem)
-		r.schedRR = (r.schedRR%NumPorts+int((beats-1)%int64(NumPorts)))%NumPorts + 1
-		r.schedSkip.SkipIdleSelects(beats)
-		if r.met != nil {
-			r.met.SchedSelects.Add(beats)
-			r.noteSchedOccupancy()
-		}
+		r.idleBeats(beats)
 	} else {
 		r.schedCountdown = int(c0 - n)
 	}
 
 	r.idleTicks += n
 	r.nowCycle = last
+}
+
+// idleBeats replays n ≥ 1 comparator-tree beats of an idle router in
+// closed form: each advances the round-robin pointer by one port, runs
+// one empty-tree selection (SkipIdleSelects is bit-identical to it) and
+// refreshes the occupancy gauge, idempotent at zero occupancy. Requires
+// schedSkip.
+func (r *Router) idleBeats(n int64) {
+	r.schedRR = (r.schedRR%NumPorts+int((n-1)%int64(NumPorts)))%NumPorts + 1
+	r.schedSkip.SkipIdleSelects(n)
+	if r.met != nil {
+		r.met.SchedSelects.Add(n)
+		r.noteSchedOccupancy()
+	}
 }
 
 // unwrappedSlot is slotNow before wrapping: the monotone slot count
@@ -654,8 +782,10 @@ func (r *Router) HasDeliveries() bool {
 
 // schedBeat runs one comparator-tree selection for the next port in
 // round-robin order, modelling the shared, pipelined tree's throughput
-// of one result per SchedPeriod cycles.
-func (r *Router) schedBeat(nowSlot timing.Stamp) {
+// of one result per SchedPeriod cycles. It reports whether the port it
+// served holds a candidate afterwards — on a parked router, whether this
+// beat woke it.
+func (r *Router) schedBeat(nowSlot timing.Stamp) bool {
 	for i := 0; i < NumPorts; i++ {
 		p := (r.schedRR + i) % NumPorts
 		o := r.tcOut[p]
@@ -668,8 +798,9 @@ func (r *Router) schedBeat(nowSlot timing.Stamp) {
 			r.met.SchedSelects.Inc()
 			r.noteSchedOccupancy()
 		}
-		return
+		return o.candValid
 	}
+	return false
 }
 
 // arbitrate resolves one output port for one cycle: continue an active
@@ -907,8 +1038,10 @@ func (r *Router) deliverLocalTC(buf [packet.TCBytes]byte) {
 	}
 }
 
-// sampleInputs reads the link wires and injection queues.
-func (r *Router) sampleInputs() {
+// sampleInputs reads the link wires and injection queues. It reports
+// whether a wire carried anything this cycle: a valid phit (even one a
+// fault then erased) or an acknowledgement.
+func (r *Router) sampleInputs() (arrived bool) {
 	for p := 0; p < NumLinks; p++ {
 		if r.in[p] == nil {
 			// A failed upstream link can never complete an in-progress
@@ -923,6 +1056,7 @@ func (r *Router) sampleInputs() {
 		}
 		if r.in[p] != nil {
 			ph := r.in[p].Phit(r.nowCycle)
+			arrived = arrived || ph.Valid
 			if ph.Valid && r.LinkFault != nil && !ph.Abort {
 				var ok bool
 				if ph, ok = r.LinkFault(p, ph); !ok {
@@ -956,6 +1090,7 @@ func (r *Router) sampleInputs() {
 		}
 		if r.out[p] != nil {
 			a := r.out[p].Ack(r.nowCycle)
+			arrived = arrived || a.BECredit || a.BENack
 			if a.BECredit {
 				be := r.beOut[p]
 				if be.credits < r.cfg.FlitBufBytes {
@@ -972,6 +1107,7 @@ func (r *Router) sampleInputs() {
 	for p := 0; p < NumPorts; p++ {
 		r.beIn[p].parse()
 	}
+	return arrived
 }
 
 // feedTCInjection streams queued time-constrained packets across the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -26,10 +27,12 @@ func newBenchPair(b *testing.B) (*sim.Kernel, *Router, *Router) {
 }
 
 // BenchmarkRouterTick measures the router's per-cycle cost on the hot
-// paths the simulator spends its time in: the quiescent fast path,
-// saturated time-constrained forwarding (with a near-empty and with a
-// 32-leaf scheduler), and best-effort wormhole traffic contending in
-// both directions. One iteration is one simulated
+// paths the simulator spends its time in: the idle tick (bare, and with
+// all four links attached so reading the wires is in the number), the
+// parked tick (packets held to their logical arrival time, nothing
+// moving), saturated time-constrained forwarding (with a near-empty and
+// with a 32-leaf scheduler), and best-effort wormhole traffic contending
+// in both directions. One iteration is one simulated
 // cycle, so ns/op reads directly as ns/cycle and allocs/op as
 // allocs/cycle (the steady-state figure TestSteadyStateAllocs gates at
 // the mesh level).
@@ -46,6 +49,72 @@ func BenchmarkRouterTick(b *testing.B) {
 		}
 		if r.Stats.TCDelivered != 0 {
 			b.Fatal("idle benchmark delivered packets")
+		}
+	})
+
+	b.Run("idle_wired", func(b *testing.B) {
+		k := sim.NewKernel()
+		r := MustNew("A", DefaultConfig())
+		k.Register(r)
+		for p := 0; p < NumLinks; p++ {
+			Loopback(k, r, p, p^1) // +x→−x, −x→+x, +y→−y, −y→+y
+		}
+		k.Run(16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.Step()
+		}
+		if r.IdleTicks() < int64(b.N) {
+			b.Fatalf("%d idle ticks in %d cycles", r.IdleTicks(), b.N)
+		}
+	})
+
+	// parked holds eight leaves in each router of the pair, all a hundred
+	// slots short of their logical arrival time. The 8-bit slot clock
+	// would bring any stamp due within 2560 cycles, so every 1024 cycles
+	// the leaves are re-stamped in place — below the router's own
+	// interfaces, since a real packet cannot be told to wait longer.
+	b.Run("parked", func(b *testing.B) {
+		k, ra, rb := newBenchPair(b)
+		hold := func(r *Router) {
+			l := r.wheel.Add(r.slotNow(int64(k.Now())), 100)
+			for s := 0; s < 8; s++ {
+				if r.schedq.Leaf(s).InUse {
+					if _, err := r.schedq.ClearPort(s, PortLocal); err != nil {
+						b.Fatal(err)
+					}
+				} else if got, ok := r.mem.alloc(); !ok || got != s {
+					b.Fatalf("allocated slot %d, want %d", got, s)
+				}
+				leaf := sched.Leaf{L: l, Dl: r.wheel.Add(l, 5), Mask: 1 << PortLocal, InConn: 1, OutConn: 1}
+				if err := r.schedq.Install(s, leaf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r.rest = restBusy // as an injection would: the next Tick re-derives it
+		}
+		step := func(cycle int) {
+			if cycle%1024 == 0 {
+				hold(ra)
+				hold(rb)
+			}
+			k.Step()
+		}
+		for c := 0; c < 16; c++ {
+			step(c)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i + 16)
+		}
+		if parked := ra.ParkedTicks() + rb.ParkedTicks(); parked < 2*int64(b.N)*99/100 {
+			b.Fatalf("%d parked ticks in %d cycles of two routers", parked, b.N)
+		}
+		if ra.Scheduler().Occupancy() != 8 || ra.Stats.TCTransmitted != [NumPorts]int64{} {
+			b.Fatalf("%d leaves resident, %v transmitted: the hold did not hold",
+				ra.Scheduler().Occupancy(), ra.Stats.TCTransmitted)
 		}
 	})
 

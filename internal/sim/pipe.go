@@ -23,6 +23,11 @@ type Pipe[T any] struct {
 	lat   Cycle
 	mask  int64
 	slots []pipeSlot[T]
+	// mirror, when the reading component has lent one (MirrorStamps),
+	// repeats the low bits of every arrival stamp into a ring the reader
+	// owns. With it the struct is 64 bytes: one cache line, not a
+	// straddled one and a half.
+	mirror []uint16
 }
 
 type pipeSlot[T any] struct {
@@ -55,6 +60,38 @@ func (p *Pipe[T]) Write(now Cycle, v T) {
 	at := now + p.lat
 	s := &p.slots[int64(at)&p.mask]
 	s.stamp, s.val = at, v
+	if m := p.mirror; m != nil {
+		m[int(at)&(len(m)-1)] = uint16(at)
+	}
+}
+
+// Ring returns the number of slots in the pipe's ring, the least length
+// MirrorStamps accepts.
+func (p *Pipe[T]) Ring() int { return len(p.slots) }
+
+// MirrorStamps lends the pipe a stamp ring owned by its reader: from
+// now on Write also stores the low 16 bits of each arrival stamp at
+// m[stamp&(len(m)-1)]. The reader then learns "nothing arrives at cycle
+// c" from m[c&(len(m)-1)] != uint16(c) — sixteen bits of its own memory,
+// next to whatever else it keeps there — and needs Read only on a match,
+// which may also be a stale stamp 65536·k cycles old. len(m) must be a
+// power of two no shorter than Ring, which keeps the ring's disjoint-slot
+// discipline: the mirror is as race-free as the slots. The stamps in
+// flight are copied in; nil takes the mirror away again. Only safe at a
+// synchronization point.
+func (p *Pipe[T]) MirrorStamps(m []uint16) {
+	if m != nil && (len(m) < len(p.slots) || len(m)&(len(m)-1) != 0) {
+		panic("sim: pipe stamp mirror must be a power of two no shorter than the ring")
+	}
+	p.mirror = m
+	if m == nil {
+		return
+	}
+	for i := range p.slots {
+		if s := p.slots[i].stamp; s >= 0 {
+			m[int(s)&(len(m)-1)] = uint16(s)
+		}
+	}
 }
 
 // Read returns the value arriving exactly at cycle now, or the zero
