@@ -94,8 +94,9 @@ profile-admission:
 # mesh (BenchmarkSparseCycleRate over experiments.SparseMesh — nearly
 # every router idle or parked) and the loaded 8×8 mesh
 # (BenchmarkRouterCycleRate over experiments.LoadedMesh — every router
-# busy). A router hot-path change quotes both before and after (DESIGN
-# §6). Leaves the two profiles and the test binary behind.
+# busy), the latter followed by the per-line view of Router.Tick and
+# sampleInputs. A router hot-path change quotes both before and after
+# (DESIGN §6). Leaves the two profiles and the test binary behind.
 DATAPLANE_PROF ?= dataplane
 profile-dataplane:
 	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$' -benchtime 30000x -cpu 1 \
@@ -104,6 +105,7 @@ profile-dataplane:
 	$(GO) test -run '^$$' -bench '^BenchmarkRouterCycleRate$$/^workers=1$$' -benchtime 150000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_loaded.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_loaded.prof
+	$(GO) tool pprof -list 'Router..Tick$$|sampleInputs$$' dataplane.test $(DATAPLANE_PROF)_loaded.prof
 
 # trace produces a sample Perfetto trace from the Figure 6 scenario
 # (open $(TRACE_JSON) at https://ui.perfetto.dev, or chrome://tracing).

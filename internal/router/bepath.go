@@ -36,8 +36,9 @@ type beInput struct {
 	// accumulation for the internal bus cost BEHeadDelay cycles per hop.
 	readyAt int64
 
-	// consumed counts flits removed from the buffer this cycle; each one
-	// returns a credit upstream (mesh links only).
+	// consumed counts flits removed from the buffer whose credit has not
+	// gone back upstream yet. Mesh links only: the injection port is fed by
+	// the local processor and owes nobody a credit.
 	consumed int
 
 	// Integrity receive state (mesh links only). discard marks the engine
@@ -69,6 +70,15 @@ func (u *beInput) push(b byte) {
 		u.bufHead = 0
 	}
 	u.buf = append(u.buf, b)
+	if !u.parsed {
+		u.r.beUnparsed |= 1 << u.id
+	}
+}
+
+// owe counts one flit whose credit must return upstream.
+func (u *beInput) owe() {
+	u.consumed++
+	u.r.beOwed |= 1 << u.id
 }
 
 // inject queues one encoded frame behind the injection port.
@@ -105,7 +115,7 @@ func (u *beInput) acceptWireBE(ph packet.Phit) {
 	ok := ph.SideValid && ph.Side == packet.CRC8Update(0, ph.Data)
 	if u.discard {
 		if !ph.Rexmit || !ok {
-			u.consumed++ // discarded flits still return their credit
+			u.owe() // discarded flits still return their credit
 			if ph.Rexmit {
 				// The retransmission itself arrived corrupt: nack again.
 				u.nack()
@@ -114,7 +124,7 @@ func (u *beInput) acceptWireBE(ph packet.Phit) {
 		}
 		u.discard = false
 	} else if !ok {
-		u.consumed++
+		u.owe()
 		u.discard = true
 		u.nack()
 		return
@@ -123,7 +133,7 @@ func (u *beInput) acceptWireBE(ph packet.Phit) {
 }
 
 func (u *beInput) nack() {
-	u.nackPending = true
+	u.nackPending = true // beside a credit owed (acceptWireBE), which marks beOwed
 	u.r.Stats.BEFlitNacks++
 	if u.r.met != nil {
 		u.r.met.BEFlitNacks.Inc()
@@ -137,7 +147,7 @@ func (u *beInput) nack() {
 // counted once, at the router that originated the abort — this side
 // only records the drop reason.
 func (u *beInput) abortRecv() {
-	u.consumed++ // the abort flit spent a credit; return it
+	u.owe() // the abort flit spent a credit; return it
 	u.r.dropBE(metrics.DropBEAborted, u.id)
 	u.discardFrame()
 }
@@ -200,7 +210,7 @@ func (u *beInput) parse() {
 		// No neighbour in that direction: a routing error (dimension
 		// order keeps in-mesh destinations on existing links). Consume
 		// and discard the packet.
-		u.dropping = true
+		u.setDropping()
 		u.r.Stats.BEMisroutes++
 		u.r.dropBE(metrics.DropBEMisroute, u.outPort)
 		return
@@ -225,16 +235,29 @@ func (u *beInput) pop() (b byte, head, tail bool) {
 		u.buf = u.buf[:0]
 		u.bufHead = 0
 	}
-	u.consumed++
+	if u.id != PortLocal {
+		u.owe()
+	}
 	head = u.fwdIdx == 0
 	u.fwdIdx++
 	tail = u.fwdIdx == int(u.hdr.Len)
 	if tail {
 		u.parsed = false
 		u.bound = false
-		u.dropping = false
+		u.clearDropping()
+		u.r.beUnparsed |= 1 << u.id // the next frame's header may be buffered already
 	}
 	return b, head, tail
+}
+
+func (u *beInput) setDropping() {
+	u.dropping = true
+	u.r.beDropping |= 1 << u.id
+}
+
+func (u *beInput) clearDropping() {
+	u.dropping = false
+	u.r.beDropping &^= 1 << u.id
 }
 
 // drainDropped consumes one byte per cycle of a misrouted packet.
@@ -283,7 +306,7 @@ func (u *beInput) discardFrame() {
 	u.bufHead = 0
 	u.parsed = false
 	u.bound = false
-	u.dropping = false
+	u.clearDropping()
 	u.discard = false
 	u.nackPending = false
 }
@@ -395,8 +418,7 @@ func (b *beOutput) abortFrame() {
 	b.clearFault()
 	b.abortPending = true
 	if b.curIn >= 0 {
-		u := b.r.beIn[b.curIn]
-		u.dropping = true
+		b.r.beIn[b.curIn].setDropping()
 		b.curIn = -1
 	}
 	b.r.Stats.BEFrameAborts++
@@ -428,8 +450,7 @@ func (b *beOutput) clearFault() {
 // router feeding the failed link.
 func (b *beOutput) drainDeadBE() {
 	if b.curIn >= 0 {
-		u := b.r.beIn[b.curIn]
-		u.dropping = true
+		b.r.beIn[b.curIn].setDropping()
 		b.curIn = -1
 		b.r.Stats.BETruncated++
 		b.r.dropBE(metrics.DropBETruncated, b.port)

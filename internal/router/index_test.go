@@ -114,10 +114,52 @@ func TestBusTickMatchesModuloScan(t *testing.T) {
 	}
 }
 
-// checkIndexes fails unless both occupancy indexes of r equal what the
-// engine flags they summarize say.
+// portFlags is what the engine flags say each port mask of a router
+// should hold (see the field comments in router.go).
+type portFlags struct {
+	staged, cand, dropping, owed, unparsed uint8
+}
+
+func flagsOf(r *Router) (f portFlags) {
+	for p := 0; p < NumPorts; p++ {
+		if r.tcIn[p].nPending > 0 {
+			f.staged |= 1 << p
+		}
+		if r.tcOut[p].candValid {
+			f.cand |= 1 << p
+		}
+		u := r.beIn[p]
+		if u.dropping {
+			f.dropping |= 1 << p
+		}
+		if p < NumLinks && (u.consumed > 0 || u.nackPending) {
+			f.owed |= 1 << p
+		}
+		if !u.parsed && u.occ() >= packet.BEHeaderBytes {
+			f.unparsed |= 1 << p
+		}
+	}
+	return f
+}
+
+// checkIndexes fails unless every occupancy index of r agrees with the
+// engine flags it summarizes: the waiting-input masks, the bus request
+// mask and the exact port masks equal them, the one-sided port masks
+// cover them.
 func checkIndexes(t *testing.T, r *Router, cycle int64) {
 	t.Helper()
+	f := flagsOf(r)
+	if r.tcStaged != f.staged || r.tcCand != f.cand || r.beDropping != f.dropping {
+		t.Fatalf("router %s cycle %d: tcStaged %05b tcCand %05b beDropping %05b, flags say %05b %05b %05b",
+			r.name, cycle, r.tcStaged, r.tcCand, r.beDropping, f.staged, f.cand, f.dropping)
+	}
+	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 {
+		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b do not cover the flags %05b %05b",
+			r.name, cycle, r.beOwed, r.beUnparsed, f.owed, f.unparsed)
+	}
+	if n := r.beIn[PortLocal].consumed; n != 0 {
+		t.Fatalf("router %s cycle %d: the injection port counts %d credits owed", r.name, cycle, n)
+	}
 	for q := 0; q < NumPorts; q++ {
 		var want uint8
 		for i, u := range r.beIn {
@@ -145,8 +187,9 @@ func checkIndexes(t *testing.T, r *Router, cycle int64) {
 
 // TestIndexesTrackEngineFlags runs a contended pair of routers with link
 // integrity on and checks after every cycle that the waiting-input masks
-// equal parsed && !bound && !dropping per input and the bus request mask
-// equals wActive / fetching per engine. B's reception port is fought
+// equal parsed && !bound && !dropping per input, the bus request mask
+// equals wActive / fetching per engine, and the five port masks agree
+// with the flags they stand for. B's reception port is fought
 // over by three inputs (the link from A, a loopback of B's own +y
 // output, and B's injection port); the run takes in a misrouted frame, a
 // frame aborted after its retry budget (a fault hook garbles the A→B
@@ -173,18 +216,10 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 		}
 		return ph, true
 	}
-	be := func(rt *Router, xoff, yoff, n int) {
-		if rt.BEInjectBacklog() >= 4 {
-			return
-		}
-		frame, err := packet.AppendBE(rt.BEFrameBuf(), xoff, yoff, make([]byte, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.InjectBE(frame)
-	}
+	be := func(rt *Router, xoff, yoff, n int) { topUpBE(t, rt, xoff, yoff, n) }
 	var maxWaiters int
 	var cutAt int64 = -1
+	var seen portFlags // every mask bit either router ever showed between cycles
 	for c := int64(0); c < 6000; c++ {
 		if cutAt < 0 {
 			be(a, 1, 0, 60) // A → B's reception port
@@ -207,6 +242,12 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 		b.DrainTC()
 		checkIndexes(t, a, c)
 		checkIndexes(t, b, c)
+		for _, x := range []*Router{a, b} {
+			seen.staged |= x.tcStaged
+			seen.cand |= x.tcCand
+			seen.dropping |= x.beDropping
+			seen.owed |= x.beOwed
+		}
 		if n := bits.OnesCount8(b.beWaiting[PortLocal]); n > maxWaiters {
 			maxWaiters = n
 		}
@@ -233,5 +274,9 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 		t.Error("no time-constrained traffic crossed the memory bus")
 	case b.Stats.BEDelivered == 0:
 		t.Error("no best-effort frame delivered")
+	case b.Stats.BEFlitNacks == 0:
+		t.Error("no flit nacked on the garbled link")
+	case seen.staged == 0 || seen.cand == 0 || seen.dropping == 0 || seen.owed == 0:
+		t.Errorf("a port mask never held a bit between cycles: %+v", seen)
 	}
 }

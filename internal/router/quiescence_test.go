@@ -105,6 +105,75 @@ func TestQuiescenceFastPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestQuiescenceAfterBestEffort: a router that has sourced best-effort
+// frames goes idle again once they drain. The injection port owes nobody a
+// credit; counting its flits as owed once kept the injecting router on the
+// full tick for good. Frames from A to B and from B to itself, interleaved
+// with idle stretches, must leave the fast rig and the never-resting
+// control with equal counters and deliveries.
+func TestQuiescenceAfterBestEffort(t *testing.T) {
+	fast, slow := quiescencePair(t)
+	type obs struct {
+		atA, atB       []DeliveredBE
+		statsA, statsB Stats
+	}
+	var idleA, idleB []int64 // the fast rig's idle ticks after each stretch
+	run := func(r *rig) obs {
+		var o obs
+		drain := func() {
+			for _, d := range r.a.DrainBE() {
+				o.atA = append(o.atA, DeliveredBE{append([]byte(nil), d.Payload...), d.Cycle})
+			}
+			for _, d := range r.b.DrainBE() {
+				o.atB = append(o.atB, DeliveredBE{append([]byte(nil), d.Payload...), d.Cycle})
+			}
+		}
+		send := func(at *Router, xoff int, payload string) {
+			frame, err := packet.NewBE(xoff, 0, []byte(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at.InjectBE(frame)
+		}
+		r.k.Run(300)
+		for i, payload := range []string{"seven b", "a frame of some length", "x"} {
+			send(r.a, 1, payload) // A → B
+			if i == 1 {
+				send(r.b, 0, payload) // B's injection port → B's reception port
+			}
+			r.k.Run(200)
+			drain()
+			r.k.Run(1000)
+			if r == fast {
+				idleA, idleB = append(idleA, r.a.IdleTicks()), append(idleB, r.b.IdleTicks())
+			}
+		}
+		o.statsA, o.statsB = r.a.Stats, r.b.Stats
+		return o
+	}
+	fo, so := run(fast), run(slow)
+	if len(fo.atB) != 4 || len(fo.atA) != 0 {
+		t.Fatalf("fast rig delivered %d frames at B and %d at A, want 4 and 0", len(fo.atB), len(fo.atA))
+	}
+	if !reflect.DeepEqual(fo, so) {
+		t.Errorf("fast rig diverges from the never-resting control:\nfast: %+v\nslow: %+v", fo, so)
+	}
+	for i := range idleA {
+		var prevA, prevB int64
+		if i > 0 {
+			prevA, prevB = idleA[i-1], idleB[i-1]
+		}
+		// 1200 cycles a round, a frame in flight for a few dozen of them.
+		if idleA[i]-prevA < 1000 || idleB[i]-prevB < 1000 {
+			t.Errorf("round %d: idle ticks grew by %d at A and %d at B, want at least 1000 each",
+				i, idleA[i]-prevA, idleB[i]-prevB)
+		}
+	}
+	if slow.a.IdleTicks() != 0 || slow.b.IdleTicks() != 0 {
+		t.Errorf("control rig rested: A=%d B=%d idle ticks", slow.a.IdleTicks(), slow.b.IdleTicks())
+	}
+}
+
 // TestQuiescenceWakesOnArrival: a router that has gone idle must drop
 // out of the fast path the cycle a phit lands on an input wire, not a
 // cycle late — otherwise the first byte of a packet would be lost.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -150,6 +151,27 @@ type Router struct {
 	// header routed to output q and is neither bound nor dropping — the
 	// inputs beOut[q].bind chooses among.
 	beWaiting [NumPorts]uint8
+	// The port masks below let a busy Tick visit only the ports that hold
+	// work: bit p stands for port p's engine, each loop walks its mask in
+	// ascending port order, and checkIndexes (index_test.go) compares every
+	// mask with the engine flags after every cycle of the index tests.
+	//
+	// tcStaged has bit p set exactly while tcIn[p].nPending > 0, tcCand
+	// exactly while tcOut[p].candValid: together the ports the launch
+	// loop visits.
+	tcStaged, tcCand uint8
+	// beDropping has bit p set exactly while beIn[p].dropping: the inputs
+	// arbitrate drains a discarded frame from.
+	beDropping uint8
+	// beOwed covers the link inputs that owe a credit or a nack upstream
+	// (consumed > 0 || nackPending). One-sided: the flag implies the bit,
+	// and the acknowledge loop clears a bit once it finds nothing owed.
+	beOwed uint8
+	// beUnparsed covers the inputs whose buffer may hold an unparsed
+	// header (!parsed && occ() ≥ BEHeaderBytes). One-sided: set by a byte
+	// pushed while no header is parsed and by a frame's tail pop, cleared
+	// by the parse loop's visit.
+	beUnparsed uint8
 
 	// tcInjectQ is a head-indexed queue: popped entries advance tcInjHead
 	// instead of reslicing, so the backing array is reused rather than
@@ -531,7 +553,11 @@ const (
 // A router at rest whose wires are clear leaves out the phases that
 // provably change nothing: phase 1 when parked, and phases 3–5 too unless
 // the parked beat made a candidate; all but the countdown and an
-// empty-tree beat when idle (see restState).
+// empty-tree beat when idle (see restState). A busy tick visits only the
+// ports that hold work: the launch, acknowledge and parse loops walk port
+// masks (tcStaged|tcCand, beOwed, beUnparsed) in ascending port order,
+// arbitrate drains a dropped frame only where beDropping marks one, and
+// sampleInputs reads a wire only when its stamp row matches the cycle.
 func (r *Router) Tick(now sim.Cycle) {
 	nowSlot := r.slotNow(int64(now))
 	rest := r.rest
@@ -575,18 +601,28 @@ func (r *Router) Tick(now sim.Cycle) {
 		return
 	}
 
-	for p := 0; p < NumPorts; p++ {
-		r.tcIn[p].launchWrite()
-		r.tcOut[p].launchFetch()
+	// Neither launch changes what the other reads, so one pass over the
+	// ports with a staged packet or a candidate, write before fetch at
+	// each, is the order a pass over all five would take.
+	staged, cand := r.tcStaged, r.tcCand
+	for m := staged | cand; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		if staged&(1<<p) != 0 {
+			r.tcIn[p].launchWrite()
+		}
+		if cand&(1<<p) != 0 {
+			r.tcOut[p].launchFetch()
+		}
 	}
 	r.bus.tick()
 	r.Stats.BusGrants = r.bus.grants
 
 	arrived := r.sampleInputs()
 
-	for p := 0; p < NumLinks; p++ {
+	for m := r.beOwed; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
 		if r.in[p] == nil {
-			continue
+			continue // the debt stands until the link is back
 		}
 		u := r.beIn[p]
 		var a packet.Ack
@@ -603,6 +639,9 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		if a.BECredit || a.BENack {
 			r.in[p].DriveAck(r.nowCycle, a)
+		}
+		if u.consumed == 0 {
+			r.beOwed &^= 1 << p
 		}
 	}
 
@@ -813,13 +852,17 @@ func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
 	if p != PortLocal && r.out[p] == nil {
 		r.drainDeadPort(o)
 		r.beOut[p].drainDeadBE()
-		r.beIn[p].drainDropped()
+		if r.beDropping&(1<<p) != 0 {
+			r.beIn[p].drainDropped()
+		}
 		if r.blame != nil {
 			r.blameClose(p)
 		}
 		return
 	}
-	r.beIn[p].drainDropped()
+	if r.beDropping&(1<<p) != 0 {
+		r.beIn[p].drainDropped()
+	}
 
 	if o.txActive {
 		r.emitTC(o)
@@ -1040,9 +1083,14 @@ func (r *Router) deliverLocalTC(buf [packet.TCBytes]byte) {
 
 // sampleInputs reads the link wires and injection queues. It reports
 // whether a wire carried anything this cycle: a valid phit (even one a
-// fault then erased) or an acknowledgement.
+// fault then erased) or an acknowledgement. A wire is read only when its
+// row of the stamp block matches the cycle — a quiet wire yields the zero
+// Phit or Ack without the link → channel → pipe → slot chase — and a
+// match, true or stale, is settled by the precise read, as in inputsClear.
 func (r *Router) sampleInputs() (arrived bool) {
-	for p := 0; p < NumLinks; p++ {
+	now := r.nowCycle
+	i, size := now&r.stampMask, r.stampMask+1
+	for p := 0; p < NumLinks; p, i = p+1, i+size {
 		if r.in[p] == nil {
 			// A failed upstream link can never complete an in-progress
 			// packet: flush the fragment so it releases its output.
@@ -1055,7 +1103,10 @@ func (r *Router) sampleInputs() (arrived bool) {
 			}
 		}
 		if r.in[p] != nil {
-			ph := r.in[p].Phit(r.nowCycle)
+			var ph packet.Phit
+			if r.stamps[i] == uint16(now) {
+				ph = r.in[p].Phit(now)
+			}
 			arrived = arrived || ph.Valid
 			if ph.Valid && r.LinkFault != nil && !ph.Abort {
 				var ok bool
@@ -1074,7 +1125,7 @@ func (r *Router) sampleInputs() (arrived bool) {
 			if ph.Valid {
 				switch ph.VC {
 				case packet.VCTime:
-					r.tcIn[p].acceptWire(ph, r.nowCycle)
+					r.tcIn[p].acceptWire(ph, now)
 				case packet.VCBest:
 					u := r.beIn[p]
 					switch {
@@ -1088,8 +1139,8 @@ func (r *Router) sampleInputs() (arrived bool) {
 				}
 			}
 		}
-		if r.out[p] != nil {
-			a := r.out[p].Ack(r.nowCycle)
+		if r.out[p] != nil && r.stamps[i+NumLinks*size] == uint16(now) {
+			a := r.out[p].Ack(now)
 			arrived = arrived || a.BECredit || a.BENack
 			if a.BECredit {
 				be := r.beOut[p]
@@ -1098,15 +1149,18 @@ func (r *Router) sampleInputs() (arrived bool) {
 				}
 			}
 			if a.BENack {
-				r.beOut[p].handleNack(r.nowCycle)
+				r.beOut[p].handleNack(now)
 			}
 		}
 	}
 	r.feedTCInjection()
 	r.beIn[PortLocal].feedInjection()
-	for p := 0; p < NumPorts; p++ {
-		r.beIn[p].parse()
+	for m := r.beUnparsed; m != 0; m &= m - 1 {
+		r.beIn[bits.TrailingZeros8(m)].parse()
 	}
+	// A visited input is parsed now or short of a whole header: the next
+	// push or tail pop raises its bit again.
+	r.beUnparsed = 0
 	return arrived
 }
 

@@ -46,6 +46,21 @@ func maskOf(ports ...int) sched.PortMask {
 	return m
 }
 
+// topUpBE injects one best-effort frame of n payload bytes at rt, as a
+// backpressured source would: not while four frames are queued behind the
+// injection port, and from the recycled frame pool.
+func topUpBE(t testing.TB, rt *Router, xoff, yoff, n int) {
+	t.Helper()
+	if rt.BEInjectBacklog() >= 4 {
+		return
+	}
+	frame, err := packet.AppendBE(rt.BEFrameBuf(), xoff, yoff, make([]byte, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.InjectBE(frame)
+}
+
 func tcPkt(conn, stamp uint8, tag byte) packet.TCPacket {
 	p := packet.TCPacket{Conn: conn, Stamp: stamp}
 	p.Payload[0] = tag

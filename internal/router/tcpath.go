@@ -61,7 +61,9 @@ type tcInput struct {
 func (u *tcInput) popPending() [packet.TCBytes]byte {
 	p := u.pending[0]
 	copy(u.pending[:], u.pending[1:])
-	u.nPending--
+	if u.nPending--; u.nPending == 0 {
+		u.r.tcStaged &^= 1 << u.id
+	}
 	return p
 }
 
@@ -123,8 +125,7 @@ func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
 		u.r.dropTC(metrics.DropTCStaging, u.asm[0], -1)
 		return
 	}
-	u.pending[u.nPending] = u.asm
-	u.nPending++
+	u.stage()
 }
 
 // framingDrop abandons a partial assembly whose frame can no longer be
@@ -165,9 +166,16 @@ func (u *tcInput) acceptByte(b byte, now int64) {
 			u.r.dropTC(metrics.DropTCStaging, u.asm[0], -1)
 			return
 		}
-		u.pending[u.nPending] = u.asm
-		u.nPending++
+		u.stage()
 	}
+}
+
+// stage moves the assembled packet to the staging space, which the
+// caller has checked has room.
+func (u *tcInput) stage() {
+	u.pending[u.nPending] = u.asm
+	u.nPending++
+	u.r.tcStaged |= 1 << u.id
 }
 
 // tryCutThrough attempts the Section 7 virtual cut-through: if the
@@ -388,7 +396,7 @@ func (o *tcOutput) schedule(nowSlot timing.Stamp) {
 	sel := o.r.schedq.Select(o.port, nowSlot, o.r.horizons[o.port])
 	if sel.Class == sched.ClassNone {
 		if !o.staged {
-			o.candValid = false
+			o.setCand(false)
 		}
 		return
 	}
@@ -401,7 +409,17 @@ func (o *tcOutput) schedule(nowSlot timing.Stamp) {
 		o.r.Stats.TCStageReplaced++
 	}
 	o.cand = sel
-	o.candValid = true
+	o.setCand(true)
+}
+
+// setCand records whether the port holds a candidate awaiting fetch.
+func (o *tcOutput) setCand(valid bool) {
+	o.candValid = valid
+	if valid {
+		o.r.tcCand |= 1 << o.port
+	} else {
+		o.r.tcCand &^= 1 << o.port
+	}
 }
 
 // launchFetch starts reading the candidate from packet memory.
@@ -423,7 +441,7 @@ func (o *tcOutput) busGrant() {
 	}
 	o.fetching = false
 	o.r.bus.release(o.busLine)
-	o.candValid = false
+	o.setCand(false)
 	o.staged = true
 	o.sSlot = o.cand.Slot
 	o.sLeaf = o.r.schedq.Leaf(o.sSlot)

@@ -31,8 +31,10 @@ func newBenchPair(b *testing.B) (*sim.Kernel, *Router, *Router) {
 // all four links attached so reading the wires is in the number), the
 // parked tick (packets held to their logical arrival time, nothing
 // moving), saturated time-constrained forwarding (with a near-empty and
-// with a 32-leaf scheduler), and best-effort wormhole traffic contending
-// in both directions. One iteration is one simulated
+// with a 32-leaf scheduler, and with the sender's other three links
+// attached but quiet — the ports a busy tick should not pay for), and
+// best-effort wormhole traffic contending in both directions. One
+// iteration is one simulated
 // cycle, so ns/op reads directly as ns/cycle and allocs/op as
 // allocs/cycle (the steady-state figure TestSteadyStateAllocs gates at
 // the mesh level).
@@ -123,8 +125,15 @@ func BenchmarkRouterTick(b *testing.B) {
 	// the tree holds a leaf or two; with ahead 32 every packet waits out
 	// its earliness in A's memory, so about 32 leaves stay resident — the
 	// occupancy a loaded mesh runs at, and what Select's cost scales with.
-	tcForward := func(b *testing.B, ahead int) {
+	// With quietPorts A's other three links are looped back on themselves
+	// and carry nothing: wired like a mesh router's, with work on one.
+	tcForward := func(b *testing.B, ahead int, quietPorts bool) {
 		k, ra, rb := newBenchPair(b)
+		if quietPorts {
+			for _, p := range []int{PortXMinus, PortYPlus, PortYMinus} {
+				Loopback(k, ra, p, p)
+			}
+		}
 		if err := ra.SetConnection(1, 2, 5, 1<<PortXPlus); err != nil {
 			b.Fatal(err)
 		}
@@ -162,8 +171,9 @@ func BenchmarkRouterTick(b *testing.B) {
 			step(i)
 		}
 	}
-	b.Run("tc_forward", func(b *testing.B) { tcForward(b, 0) })
-	b.Run("tc_forward_occ32", func(b *testing.B) { tcForward(b, 32) })
+	b.Run("tc_forward", func(b *testing.B) { tcForward(b, 0, false) })
+	b.Run("tc_forward_occ32", func(b *testing.B) { tcForward(b, 32, false) })
+	b.Run("busy_quiet_ports", func(b *testing.B) { tcForward(b, 0, true) })
 
 	b.Run("be_contention", func(b *testing.B) {
 		k, ra, rb := newBenchPair(b)

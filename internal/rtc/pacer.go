@@ -36,6 +36,9 @@ type Pacer struct {
 	wheel  timing.Wheel
 	window int64
 	chans  []*PacedChannel
+	// queued counts the messages queued across chans (Σ Pending()), so a
+	// tick with nothing to release never walks the channels.
+	queued int
 }
 
 // NewPacer creates a regulator feeding the given router's injection
@@ -61,6 +64,7 @@ type queuedMsg struct {
 
 // PacedChannel is the source-side handle of one real-time channel.
 type PacedChannel struct {
+	p      *Pacer
 	conn   uint8
 	spec   Spec
 	localD int64
@@ -96,7 +100,7 @@ func (p *Pacer) Channel(conn uint8, spec Spec, localD int64) (*PacedChannel, err
 	if localD < 1 {
 		return nil, fmt.Errorf("rtc: local delay bound %d must be positive", localD)
 	}
-	c := &PacedChannel{conn: conn, spec: spec, localD: localD, src: NewSource(spec)}
+	c := &PacedChannel{p: p, conn: conn, spec: spec, localD: localD, src: NewSource(spec)}
 	p.chans = append(p.chans, c)
 	return c, nil
 }
@@ -140,6 +144,7 @@ func (c *PacedChannel) Submit(now timing.Slot, payload []byte) error {
 		c.qHead = 0
 	}
 	c.queue = append(c.queue, queuedMsg{l: l, packets: pks})
+	c.p.queued++
 	return nil
 }
 
@@ -153,6 +158,7 @@ func (p *Pacer) Remove(ch *PacedChannel) {
 	for i, c := range p.chans {
 		if c == ch {
 			p.chans = append(p.chans[:i], p.chans[i+1:]...)
+			p.queued -= ch.Pending()
 			return
 		}
 	}
@@ -165,10 +171,11 @@ func (p *Pacer) Name() string { return p.name }
 // its previous release, hand it the eligible message (ℓ0 within the
 // window) with the earliest local deadline ℓ0+d.
 func (p *Pacer) Tick(now sim.Cycle) {
-	// Most nodes of a large mesh source no real-time channels at all;
-	// their pacers are pure overhead, so get out before touching the
+	// Most nodes of a large mesh source no real-time channels at all, and
+	// a periodic source's queue is empty between releases; such a tick is
+	// pure overhead, so get out before touching the channels or the
 	// router.
-	if len(p.chans) == 0 {
+	if p.queued == 0 {
 		return
 	}
 	// Keeping at most one packet queued behind the one crossing the port
@@ -227,6 +234,7 @@ func (p *Pacer) Tick(now sim.Cycle) {
 	}
 	best.pool = append(best.pool, m.packets)
 	best.Sent++
+	p.queued--
 }
 
 // NextWork implements sim.Skipper: with every channel queue empty a
@@ -236,10 +244,8 @@ func (p *Pacer) Tick(now sim.Cycle) {
 // makes the pacer immediate work: eligibility depends on the moving
 // slot clock, so it is re-examined every cycle.
 func (p *Pacer) NextWork(now sim.Cycle) sim.Cycle {
-	for _, c := range p.chans {
-		if c.Pending() > 0 {
-			return now
-		}
+	if p.queued > 0 {
+		return now
 	}
 	return sim.Never
 }
