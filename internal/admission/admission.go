@@ -13,9 +13,10 @@
 package admission
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -60,14 +61,14 @@ type Config struct {
 	SourceWindow int64
 	// Horizon is the horizon parameter programmed on every output port.
 	Horizon uint32
-	// Reference disables every admission fast path — the incremental EDF
-	// cache and its memos, the unicast path planner, and batched
-	// speculation — so the controller runs the tree planner and the
-	// from-scratch analysis on every check. A Reference controller must
-	// make exactly the same decisions as a standard one (the fuzz harness
-	// diffs them);
-	// it exists as the differential-testing oracle and as the honest
-	// "pre-PR sequential path" the admission campaign times against.
+	// Reference turns the admission caches off: every link check runs the
+	// from-scratch edfAnalyze (no incremental EDF cache, so no verdict
+	// memo), no rejection is replayed from the memo, and AdmitBatch runs
+	// the plain sequential loop. Planning is the one walk either way. A
+	// Reference controller must make exactly the same decisions as a
+	// standard one (the fuzz harness diffs them); it is the
+	// differential-testing oracle for the caches and the baseline the
+	// admission campaign times them against.
 	Reference bool
 }
 
@@ -171,6 +172,13 @@ type idSet [4]uint64
 func (s *idSet) has(id uint8) bool { return s[id>>6]&(1<<(id&63)) != 0 }
 func (s *idSet) add(id uint8)      { s[id>>6] |= 1 << (id & 63) }
 func (s *idSet) del(id uint8)      { s[id>>6] &^= 1 << (id & 63) }
+
+// or adds every id of t to s.
+func (s *idSet) or(t *idSet) {
+	for i := range s {
+		s[i] |= t[i]
+	}
+}
 
 // n is the number of ids in the set.
 func (s *idSet) n() int {
@@ -285,12 +293,16 @@ type Channel struct {
 }
 
 // hopRef is one router traversal of a channel, as planned and as
-// reserved: phase 1 fills these in, reserve and release walk them.
+// reserved: a door lays out the skeleton (node, mask, d, parent), the
+// phase-1 walk fills in the rest, reserve and release walk them.
 type hopRef struct {
 	node    mesh.Coord
 	inConn  uint8
 	outConn uint8
 	mask    sched.PortMask
+	// parent is the index of the hop that forwards to this one, −1 at the
+	// source; hops are stored parents first.
+	parent  int32
 	buffers int
 	// d is the per-router delay bound reserved at this hop — LocalD for
 	// default-planned channels, DSplit[j] for layout-admitted ones. It is
@@ -300,73 +312,56 @@ type hopRef struct {
 	d int64
 }
 
-// treeNode is one router in the multicast route tree.
-type treeNode struct {
-	coord mesh.Coord
-	mask  sched.PortMask // output ports used (links and/or local)
-	depth int            // routers from the source (source = 0)
+// appendPath appends one skeleton hop per route entry — the router the
+// route has reached, forwarding on that entry's port with bound d, fed by
+// the hop before it (the first by none).
+func appendPath(hops []hopRef, src mesh.Coord, route []int, d int64) []hopRef {
+	at, parent := src, int32(-1)
+	for _, port := range route {
+		hops = append(hops, hopRef{node: at, mask: 1 << port, parent: parent, d: d})
+		parent = int32(len(hops) - 1)
+		at = at.Add(port)
+	}
+	return hops
 }
 
-// routeFn produces a port sequence from src to dst.
-type routeFn func(src, dst mesh.Coord) []int
-
-// buildTree merges the routes to every destination into one tree using
-// the given routing order. It returns nodes in breadth-first order.
-func (c *Controller) buildTree(src mesh.Coord, dsts []mesh.Coord, route routeFn) ([]*treeNode, int, error) {
-	if !c.net.Contains(src) {
-		return nil, 0, fmt.Errorf("admission: source %s outside mesh", src)
-	}
-	byCoord := make(map[mesh.Coord]*treeNode)
-	get := func(at mesh.Coord, depth int) *treeNode {
-		n, ok := byCoord[at]
-		if !ok {
-			n = &treeNode{coord: at, depth: depth}
-			byCoord[at] = n
-		}
-		return n
-	}
-	maxSegs := 0
-	seen := make(map[mesh.Coord]bool)
-	for _, dst := range dsts {
-		if !c.net.Contains(dst) {
-			return nil, 0, fmt.Errorf("admission: destination %s outside mesh", dst)
-		}
-		if seen[dst] {
-			return nil, 0, fmt.Errorf("admission: duplicate destination %s", dst)
-		}
-		seen[dst] = true
-		ports := route(src, dst)
-		if len(ports) > maxSegs {
-			maxSegs = len(ports)
-		}
-		at := src
-		for i, port := range ports {
-			n := get(at, i)
-			if n.depth != i {
-				// Single-order merges always agree on depth; a mismatch
-				// would mean two routes visit one router at different
-				// distances, impossible within one dimension order.
-				return nil, 0, fmt.Errorf("admission: internal: inconsistent tree depth at %s", at)
-			}
-			n.mask |= 1 << port
-			at = at.Add(port)
-		}
-	}
-	nodes := make([]*treeNode, 0, len(byCoord))
-	for _, n := range byCoord {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].depth != nodes[j].depth {
-			return nodes[i].depth < nodes[j].depth
-		}
-		a, b := nodes[i].coord, nodes[j].coord
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
+// mergeTree folds concatenated dimension-order paths from src into one
+// tree: one hop per router with the paths' port masks OR'd, breadth-first
+// in (depth, Y, X) order, each pointing at the hop that forwards to it.
+// Routes of one dimension order from one source reach a router at the
+// same depth — its Manhattan distance — so the merge is exact.
+func mergeTree(src mesh.Coord, hops []hopRef) []hopRef {
+	depth := func(co mesh.Coord) int { return abs(co.X-src.X) + abs(co.Y-src.Y) }
+	slices.SortFunc(hops, func(a, b hopRef) int {
+		return cmp.Or(cmp.Compare(depth(a.node), depth(b.node)),
+			cmp.Compare(a.node.Y, b.node.Y), cmp.Compare(a.node.X, b.node.X))
 	})
-	return nodes, maxSegs, nil
+	tree := hops[:0]
+	for _, h := range hops {
+		if n := len(tree); n > 0 && tree[n-1].node == h.node {
+			tree[n-1].mask |= h.mask
+			continue
+		}
+		tree = append(tree, h)
+	}
+	for i := 1; i < len(tree); i++ {
+		j := i - 1
+		for !tree[j].feeds(tree[i].node) {
+			j--
+		}
+		tree[i].parent = int32(j)
+	}
+	return tree
+}
+
+// feeds reports whether the hop forwards to the router at co.
+func (h *hopRef) feeds(co mesh.Coord) bool {
+	for p := 0; p < router.NumLinks; p++ {
+		if h.mask.Has(p) && h.node.Add(p) == co {
+			return true
+		}
+	}
+	return false
 }
 
 // Admit establishes a real-time channel from src to one or more
@@ -499,13 +494,12 @@ func (c *Controller) admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*C
 }
 
 // plan runs admission phase 1 only — route, delay split, schedulability,
-// buffers, identifiers, with the XY→YX fallback — without mutating any
-// controller state, returning the channel commitPlan would establish.
-// A unicast request goes through planPath with the dimension-order route
-// and the uniform split; multicast trees, and everything in Reference
-// mode, go through the tree planner. In incremental (non-Reference) mode
-// it is safe to call from many goroutines concurrently against a frozen
-// controller, each with its own scratch; that is AdmitBatch's
+// buffers, identifiers — without mutating any controller state,
+// returning the channel commitPlan would establish. Every request goes
+// through planUniform along the XY order; a unicast one that refuses
+// falls back to the disjoint YX order. In incremental (non-Reference)
+// mode it is safe to call from many goroutines concurrently against a
+// frozen controller, each with its own scratch; that is AdmitBatch's
 // speculative evaluation.
 func (c *Controller) plan(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, sc *evalScratch) (*Channel, error) {
 	if err := spec.Validate(); err != nil {
@@ -514,18 +508,12 @@ func (c *Controller) plan(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, sc *
 	if len(dsts) == 0 {
 		return nil, fmt.Errorf("admission: no destinations")
 	}
-	try := func(order routeOrder) (*Channel, error) {
-		if len(dsts) == 1 && !c.cfg.Reference {
-			return c.planUniform(src, dsts[0], spec, order, sc)
-		}
-		return c.planVia(src, dsts, spec, order, sc)
-	}
-	p, errXY := try(xyOrder)
+	p, errXY := c.planUniform(src, dsts, spec, xyOrder, sc)
 	if errXY == nil {
 		return p, nil
 	}
 	if len(dsts) == 1 && src.X != dsts[0].X && src.Y != dsts[0].Y {
-		if p, errYX := try(yxOrder); errYX == nil {
+		if p, errYX := c.planUniform(src, dsts, spec, yxOrder, sc); errYX == nil {
 			return p, nil
 		}
 	}
@@ -585,12 +573,12 @@ const (
 	yxOrder
 )
 
-// route returns the order's port sequence from src to dst.
-func (o routeOrder) route(src, dst mesh.Coord) []int {
+// appendRoute appends the order's port sequence from src to dst to buf.
+func (o routeOrder) appendRoute(buf []int, src, dst mesh.Coord) []int {
 	if o == yxOrder {
-		return mesh.YXRoute(src, dst)
+		return mesh.AppendYXRoute(buf, src, dst)
 	}
-	return mesh.XYRoute(src, dst)
+	return mesh.AppendXYRoute(buf, src, dst)
 }
 
 // uniformOK checks the constraints on a uniform per-router bound d: a
@@ -616,111 +604,54 @@ func rolloverOK(wheel timing.Wheel, name string, early, d int64) error {
 	return fmt.Errorf("admission: %s %d + d %d exceeds half clock range", name, early, d)
 }
 
-// planVia runs admission phase 1 along one routing order with the
-// generic tree planner: multicast requests, and — as the oracle the
-// differential fuzz diffs planPath against — every request of a
-// Reference-mode controller.
-func (c *Controller) planVia(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*Channel, error) {
-	nodes, maxSegs, err := c.buildTree(src, dsts, order.route)
-	if err != nil {
-		return nil, err
-	}
-	wheel := c.node(src).wheel
-	// The hardware uses one d per router shared by all branches; use the
-	// deepest path to size it, so every branch meets its bound.
-	ds, err := rtc.Decompose(spec, maxSegs, wheel)
-	if err != nil {
-		return nil, err
-	}
-	d := ds[len(ds)-1] // uniform (the most conservative of the split)
-	if err := c.uniformOK(wheel, d); err != nil {
-		return nil, err
-	}
-
-	// Check every resource without mutating anything. The channel's
-	// admission margin is the minimum EDF headroom across every link
-	// checked, candidate included.
-	newTask := task{C: spec.MessageSlots(), T: spec.Imin, D: d}
-	injKey := linkKey{src, portInject}
-	rep := c.linkCheckIn(injKey, newTask, sc)
-	if !rep.feasible {
-		return nil, overloadError(c.linkName(injKey), c.nodeName(injKey.node), rep, true)
-	}
-	margin := rep.headroom
-	buffers := make(map[mesh.Coord]int, len(nodes))
-	for _, n := range nodes {
-		for p := 0; p < router.NumPorts; p++ {
-			if !n.mask.Has(p) {
-				continue
-			}
-			key := linkKey{n.coord, p}
-			rep := c.linkCheckIn(key, newTask, sc)
-			if !rep.feasible {
-				return nil, overloadError(c.linkName(key), c.nodeName(n.coord), rep, false)
-			}
-			margin = min(margin, rep.headroom)
-		}
-		prev := int64(c.cfg.Horizon) + d
-		if n.depth == 0 {
-			prev = c.cfg.SourceWindow
-		}
-		need := rtc.BufferBound(prev, d, spec)
-		buffers[n.coord] = need
-		if err := c.buffersFit(n.coord, n.mask, need); err != nil {
-			return nil, err
-		}
-	}
-	ids, err := c.assignIDs(nodes)
-	if err != nil {
-		return nil, err
-	}
-	ch := &Channel{Src: src, Dsts: append([]mesh.Coord(nil), dsts...), Spec: spec,
-		LocalD: d, Margin: margin, SrcConn: ids[src].in}
-	ch.hops = make([]hopRef, len(nodes))
-	for i, n := range nodes {
-		ch.hops[i] = hopRef{node: n.coord, mask: n.mask,
-			inConn: ids[n.coord].in, outConn: ids[n.coord].out, buffers: buffers[n.coord], d: d}
-	}
-	ch.DstConn = make([]uint8, len(dsts))
-	for i, dst := range dsts {
-		ch.DstConn[i] = ids[dst].out
-	}
-	return ch, nil
-}
-
-// endpointsOK refuses a unicast request whose source or destination
-// lies outside the mesh.
-func (c *Controller) endpointsOK(src, dst mesh.Coord) error {
+// endpointsOK refuses a request whose source or any destination lies
+// outside the mesh, or that names one destination twice.
+func (c *Controller) endpointsOK(src mesh.Coord, dsts []mesh.Coord) error {
 	if !c.net.Contains(src) {
 		return fmt.Errorf("admission: source %s outside mesh", src)
 	}
-	if !c.net.Contains(dst) {
-		return fmt.Errorf("admission: destination %s outside mesh", dst)
+	for i, dst := range dsts {
+		if !c.net.Contains(dst) {
+			return fmt.Errorf("admission: destination %s outside mesh", dst)
+		}
+		if slices.Contains(dsts[:i], dst) {
+			return fmt.Errorf("admission: duplicate destination %s", dst)
+		}
 	}
 	return nil
 }
 
-// planUniform is the default planner's door into planPath: one
-// dimension-order route with the uniform floor split of the deadline.
-func (c *Controller) planUniform(src, dst mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*Channel, error) {
-	if err := c.endpointsOK(src, dst); err != nil {
+// planUniform is the default planner's door into planHops: the routing
+// order's route to every destination, merged per router into one tree
+// (a unicast route is a tree with one leaf), and one uniform per-router
+// bound d — the hardware keeps one d per router for every branch, so the
+// longest route sizes it, with the floor split of the deadline.
+func (c *Controller) planUniform(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder, sc *evalScratch) (*Channel, error) {
+	if err := c.endpointsOK(src, dsts); err != nil {
 		return nil, err
 	}
-	route := order.route(src, dst)
+	segs := 0 // routers on the longest (minimal) route
+	for _, dst := range dsts {
+		segs = max(segs, abs(dst.X-src.X)+abs(dst.Y-src.Y)+1)
+	}
 	wheel := c.node(src).wheel
-	d, err := rtc.DecomposeUniform(spec, len(route), wheel)
+	d, err := rtc.DecomposeUniform(spec, segs, wheel)
 	if err != nil {
 		return nil, err
 	}
 	if err := c.uniformOK(wheel, d); err != nil {
 		return nil, err
 	}
-	ds := sc.ds[:0]
-	for range route {
-		ds = append(ds, d)
+	hops := sc.hops[:0]
+	for _, dst := range dsts {
+		sc.route = order.appendRoute(sc.route[:0], src, dst)
+		hops = appendPath(hops, src, sc.route, d)
 	}
-	sc.ds = ds
-	ch, err := c.planPath(src, dst, spec, route, ds, sc)
+	if len(dsts) > 1 {
+		hops = mergeTree(src, hops)
+	}
+	sc.hops = hops
+	ch, err := c.planHops(src, dsts, spec, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -728,92 +659,108 @@ func (c *Controller) planUniform(src, dst mesh.Coord, spec rtc.Spec, order route
 	return ch, nil
 }
 
-// planPath is admission phase 1 for one unicast layout — a loop-free
-// port route from src ending in local delivery at dst, and a per-hop
-// delay split ds parallel to it — and the only unicast resource walk
-// there is: the default planner (planUniform) and the explicit-layout
-// door (planLayout) both validate their route and split and then land
-// here. Each hop's link task carries its own d_j (the injection
-// pseudo-link the source hop's), and the buffer bound at hop j sees
-// prev = SourceWindow at the source and Horizon + d_{j-1} downstream
-// (Section 4.3's h+d with the upstream hop's actual bound). It decides
-// exactly as the tree planner does on a path — same check order, same
-// first-fit id scans, same error values; the admission fuzz harness
-// diffs the two via a Reference-mode shadow controller. Every check
-// runs against the scratch hop buffer; the channel only materializes
-// once the layout passes, so a rejected attempt allocates nothing here.
-func (c *Controller) planPath(src, dst mesh.Coord, spec rtc.Spec, route []int, ds []int64, sc *evalScratch) (*Channel, error) {
-	tk := task{C: spec.MessageSlots(), T: spec.Imin, D: ds[0]}
+// planHops is admission phase 1 and the only resource walk there is:
+// both doors — planUniform and the explicit-layout planLayout — lay out
+// the hop skeleton in sc.hops (router, port mask, d, parent; parents
+// first) and land here. Each hop checks its link tasks in ascending port
+// order, carrying its own d (the injection pseudo-link the source hop's),
+// then its buffer bound, with prev = SourceWindow at the source and
+// Horizon + d of the parent hop downstream (Section 4.3's h+d with the
+// upstream hop's actual bound). Every check runs against the scratch
+// skeleton; the channel only materializes once the plan passes, so a
+// rejected attempt allocates nothing here.
+func (c *Controller) planHops(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, sc *evalScratch) (*Channel, error) {
+	hops := sc.hops
+	tk := task{C: spec.MessageSlots(), T: spec.Imin, D: hops[0].d}
 	injKey := linkKey{src, portInject}
 	rep := c.linkCheckIn(injKey, tk, sc)
 	if !rep.feasible {
 		return nil, overloadError(c.linkName(injKey), c.nodeName(src), rep, true)
 	}
 	margin := rep.headroom
-	if cap(sc.hops) < len(route) {
-		sc.hops = make([]hopRef, 0, len(route))
-	}
-	hops := sc.hops[:0]
-	at, prev := src, c.cfg.SourceWindow
-	for i, port := range route {
-		tk.D = ds[i]
-		key := linkKey{at, port}
-		rep := c.linkCheckIn(key, tk, sc)
-		if !rep.feasible {
-			return nil, overloadError(c.linkName(key), c.nodeName(at), rep, false)
+	for i := range hops {
+		h := &hops[i]
+		tk.D = h.d
+		for m := h.mask; m != 0; m &= m - 1 {
+			key := linkKey{h.node, bits.TrailingZeros8(uint8(m))}
+			rep := c.linkCheckIn(key, tk, sc)
+			if !rep.feasible {
+				return nil, overloadError(c.linkName(key), c.nodeName(h.node), rep, false)
+			}
+			margin = min(margin, rep.headroom)
 		}
-		margin = min(margin, rep.headroom)
-		need := rtc.BufferBound(prev, ds[i], spec)
-		mask := sched.PortMask(1) << port
-		if err := c.buffersFit(at, mask, need); err != nil {
+		prev := c.cfg.SourceWindow
+		if h.parent >= 0 {
+			prev = int64(c.cfg.Horizon) + hops[h.parent].d
+		}
+		h.buffers = rtc.BufferBound(prev, h.d, spec)
+		if err := c.buffersFit(h.node, h.mask, h.buffers); err != nil {
 			return nil, err
-		}
-		hops = append(hops, hopRef{node: at, mask: mask, buffers: need, d: ds[i]})
-		prev = int64(c.cfg.Horizon) + ds[i]
-		if port != router.PortLocal {
-			at = at.Add(port)
 		}
 	}
 
-	// Identifier assignment down the path: the source picks its lowest
-	// free id; each hop's outgoing id is the lowest free at the next
-	// router (the tree assigner's claim set is empty there, since a path
-	// visits every router once); the delivery id at the destination
-	// additionally avoids the incoming id it just claimed.
+	// Identifier assignment, parents first: the source picks its lowest
+	// free id, every other hop arrives on its parent's outgoing id, and
+	// each hop's outgoing id comes from outID.
 	conns := c.node(src).conns
-	cur, ok := firstFreeID(c.node(src), conns, -1)
+	srcIn, ok := firstFreeID(&c.node(src).usedIDs, conns, -1)
 	if !ok {
 		return nil, &ErrIDExhausted{
 			Node: src.String(),
 			msg:  fmt.Sprintf("admission: %s out of connection identifiers", src),
 		}
 	}
-	srcIn := cur
 	for i := range hops {
 		h := &hops[i]
-		h.inConn = cur
-		if route[i] == router.PortLocal {
-			cur, ok = firstFreeID(c.node(h.node), conns, int(cur))
-		} else {
-			cur, ok = firstFreeID(c.node(h.node.Add(route[i])), conns, -1)
+		h.inConn = srcIn
+		if h.parent >= 0 {
+			h.inConn = hops[h.parent].outConn
 		}
-		if !ok {
+		if h.outConn, ok = c.outID(h.node, h.mask, h.inConn, conns); !ok {
 			return nil, &ErrIDExhausted{
 				Node: h.node.String(), Common: true,
 				msg: fmt.Sprintf("admission: no common free id across children of %s", h.node),
 			}
 		}
-		h.outConn = cur
 	}
-	return &Channel{Src: src, Dsts: []mesh.Coord{dst}, Spec: spec, Margin: margin,
-		SrcConn: srcIn, DstConn: []uint8{cur}, hops: append([]hopRef(nil), hops...)}, nil
+	ch := &Channel{Src: src, Dsts: append([]mesh.Coord(nil), dsts...), Spec: spec, Margin: margin,
+		SrcConn: srcIn, DstConn: make([]uint8, len(dsts)), hops: append([]hopRef(nil), hops...)}
+	for i, dst := range dsts {
+		for j := len(hops) - 1; j >= 0; j-- {
+			if hops[j].node == dst && hops[j].mask.Has(router.PortLocal) {
+				ch.DstConn[i] = hops[j].outConn
+				break
+			}
+		}
+	}
+	return ch, nil
 }
 
-// firstFreeID returns the lowest connection id free at ns, skipping
-// except (-1 for none) — the same id the tree assigner's first-fit scan
-// lands on.
-func firstFreeID(ns *nodeState, conns int, except int) (uint8, bool) {
-	for i, w := range ns.usedIDs {
+// outID picks a hop's outgoing connection id. The table rewrites one id
+// per entry whatever the fan-out, so it must be free as an incoming id at
+// every link child — and, when the hop delivers locally, free at the
+// router itself and distinct from the incoming id in, because the
+// processor receives it as the delivery id and must tell connections
+// apart.
+func (c *Controller) outID(at mesh.Coord, mask sched.PortMask, in uint8, conns int) (uint8, bool) {
+	var used idSet
+	except := -1
+	for p := 0; p < router.NumLinks; p++ {
+		if mask.Has(p) {
+			used.or(&c.node(at.Add(p)).usedIDs)
+		}
+	}
+	if mask.Has(router.PortLocal) {
+		used.or(&c.node(at).usedIDs)
+		except = int(in)
+	}
+	return firstFreeID(&used, conns, except)
+}
+
+// firstFreeID returns the lowest connection id below conns not in used,
+// skipping except (-1 for none).
+func firstFreeID(used *idSet, conns int, except int) (uint8, bool) {
+	for i, w := range used {
 		free := ^w
 		if except>>6 == i { // never for except = -1
 			free &^= 1 << (except & 63)
@@ -1043,111 +990,6 @@ func (c *Controller) buffersFit(co mesh.Coord, mask sched.PortMask, need int) er
 		}
 	}
 	return nil
-}
-
-type idPair struct{ in, out uint8 }
-
-// assignIDs picks the connection identifiers along the tree: a router's
-// outgoing id must be free as an incoming id at every child router it
-// forwards to, because the hardware rewrites one id per entry regardless
-// of fan-out. The destination routers' outgoing ids become the local
-// delivery ids.
-func (c *Controller) assignIDs(nodes []*treeNode) (map[mesh.Coord]idPair, error) {
-	byCoord := make(map[mesh.Coord]*treeNode, len(nodes))
-	for _, n := range nodes {
-		byCoord[n.coord] = n
-	}
-	ids := make(map[mesh.Coord]idPair, len(nodes))
-	// Tentatively claimed incoming ids per coordinate during this
-	// assignment (so two children of one parent don't collide with each
-	// other before commit).
-	claimed := make(map[mesh.Coord]*idSet)
-	claim := func(at mesh.Coord) *idSet {
-		m, ok := claimed[at]
-		if !ok {
-			m = new(idSet)
-			claimed[at] = m
-		}
-		return m
-	}
-	freeAt := func(at mesh.Coord, id uint8) bool {
-		return !c.node(at).usedIDs.has(id) && !claim(at).has(id)
-	}
-	conns := c.node(nodes[0].coord).conns
-	for i, n := range nodes {
-		// Incoming id: for the source (depth 0) pick any free id; for
-		// others it was fixed by the parent via claimed[].
-		var in uint8
-		if i == 0 {
-			found := false
-			for v := 0; v < conns; v++ {
-				if freeAt(n.coord, uint8(v)) {
-					in = uint8(v)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, &ErrIDExhausted{
-					Node: n.coord.String(),
-					msg:  fmt.Sprintf("admission: %s out of connection identifiers", n.coord),
-				}
-			}
-			claim(n.coord).add(in)
-		} else {
-			pair, ok := ids[n.coord]
-			if !ok {
-				return nil, fmt.Errorf("admission: internal: child %s visited before parent", n.coord)
-			}
-			in = pair.in
-		}
-		// Outgoing id: the hardware rewrites one id per entry, so it must
-		// be free as an incoming id at every child router — and, when the
-		// local bit is set, free at this node too, because the processor
-		// receives it as the delivery identifier and must be able to tell
-		// connections apart.
-		children := make([]mesh.Coord, 0, 4)
-		for p := 0; p < router.NumLinks; p++ {
-			if n.mask.Has(p) {
-				children = append(children, n.coord.Add(p))
-			}
-		}
-		local := n.mask.Has(router.PortLocal)
-		var out uint8
-		found := false
-		for v := 0; v < conns; v++ {
-			if local && !freeAt(n.coord, uint8(v)) {
-				continue
-			}
-			ok := true
-			for _, ch := range children {
-				if !freeAt(ch, uint8(v)) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = uint8(v)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, &ErrIDExhausted{
-				Node: n.coord.String(), Common: true,
-				msg: fmt.Sprintf("admission: no common free id across children of %s", n.coord),
-			}
-		}
-		if local {
-			claim(n.coord).add(out)
-		}
-		for _, chd := range children {
-			claim(chd).add(out)
-			ids[chd] = idPair{in: out}
-		}
-		ids[n.coord] = idPair{in: in, out: out}
-	}
-	return ids, nil
 }
 
 // MarkFailed records a bidirectional link failure so no future channel

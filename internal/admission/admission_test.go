@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/router"
 	"repro/internal/rtc"
+	"repro/internal/sched"
 )
 
 func newNet(t *testing.T, w, h int) *mesh.Network {
@@ -361,50 +362,85 @@ func TestIDExhaustion(t *testing.T) {
 }
 
 // TestFirstFreeIDOracle diffs the bitmap first-fit against the linear
-// scan it replaced, at table sizes on both sides of every word boundary.
+// scan it replaced, at table sizes on both sides of every word boundary:
+// alone, and as a hop's outgoing id — the union over 0–4 link children,
+// plus the router itself with its incoming id excepted when the hop
+// delivers locally.
 func TestFirstFreeIDOracle(t *testing.T) {
-	scan := func(ns *nodeState, conns, except int) (uint8, bool) {
+	rng := rand.New(rand.NewSource(3))
+	// fill draws one id set: random density, every id below conns taken,
+	// exactly one free below conns, or a full prefix with free above it.
+	fill := func(s *idSet, kind, conns int) {
+		*s = idSet{}
+		switch kind {
+		case 0:
+			density := rng.Intn(101)
+			for v := 0; v < 256; v++ {
+				if rng.Intn(100) < density {
+					s.add(uint8(v))
+				}
+			}
+		case 1, 2:
+			for v := 0; v < conns; v++ {
+				s.add(uint8(v))
+			}
+			if kind == 2 {
+				s.del(uint8(rng.Intn(conns)))
+			}
+		case 3:
+			for v, n := 0, rng.Intn(conns+1); v < n; v++ {
+				s.add(uint8(v))
+			}
+		}
+	}
+	scan := func(free func(v int) bool, conns int) (uint8, bool) {
 		for v := 0; v < conns; v++ {
-			if v != except && !ns.usedIDs.has(uint8(v)) {
+			if free(v) {
 				return uint8(v), true
 			}
 		}
 		return 0, false
 	}
-	rng := rand.New(rand.NewSource(3))
+	c, err := New(newNet(t, 3, 3), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := mesh.Coord{X: 1, Y: 1}
 	for _, conns := range []int{1, 63, 64, 65, 255, 256} {
 		for trial := 0; trial < 200; trial++ {
-			ns := new(nodeState)
-			switch trial % 4 {
-			case 0: // random density, from nearly empty to nearly full
-				density := rng.Intn(101)
-				for v := 0; v < 256; v++ {
-					if rng.Intn(100) < density {
-						ns.usedIDs.add(uint8(v))
-					}
-				}
-			case 1: // every id below conns taken
-				for v := 0; v < conns; v++ {
-					ns.usedIDs.add(uint8(v))
-				}
-			case 2: // exactly one free id below conns
-				for v := 0; v < conns; v++ {
-					ns.usedIDs.add(uint8(v))
-				}
-				ns.usedIDs.del(uint8(rng.Intn(conns)))
-			case 3: // a full prefix, free above it
-				for v, n := 0, rng.Intn(conns+1); v < n; v++ {
-					ns.usedIDs.add(uint8(v))
-				}
-			}
-			only, _ := scan(ns, conns, -1)
+			var used idSet
+			fill(&used, trial%4, conns)
+			only, _ := scan(func(v int) bool { return !used.has(uint8(v)) }, conns)
 			for _, except := range []int{-1, 0, 63, 64, int(only)} {
-				gotID, gotOK := firstFreeID(ns, conns, except)
-				wantID, wantOK := scan(ns, conns, except)
+				gotID, gotOK := firstFreeID(&used, conns, except)
+				wantID, wantOK := scan(func(v int) bool { return v != except && !used.has(uint8(v)) }, conns)
 				if gotOK != wantOK || (wantOK && gotID != wantID) {
 					t.Fatalf("conns %d except %d set %x: bitmap says (%d, %v), scan says (%d, %v)",
-						conns, except, ns.usedIDs, gotID, gotOK, wantID, wantOK)
+						conns, except, used, gotID, gotOK, wantID, wantOK)
 				}
+			}
+
+			// Fan-out: a random subset of at's four links, with or without
+			// local delivery, every router's set drawn independently.
+			mask := sched.PortMask(rng.Intn(1 << router.NumPorts))
+			for p := 0; p < router.NumLinks; p++ {
+				fill(&c.node(at.Add(p)).usedIDs, rng.Intn(4), conns)
+			}
+			fill(&c.node(at).usedIDs, rng.Intn(4), conns)
+			in := uint8(rng.Intn(conns))
+			local := mask.Has(router.PortLocal)
+			gotID, gotOK := c.outID(at, mask, in, conns)
+			wantID, wantOK := scan(func(v int) bool {
+				for p := 0; p < router.NumLinks; p++ {
+					if mask.Has(p) && c.node(at.Add(p)).usedIDs.has(uint8(v)) {
+						return false
+					}
+				}
+				return !local || (v != int(in) && !c.node(at).usedIDs.has(uint8(v)))
+			}, conns)
+			if gotOK != wantOK || (wantOK && gotID != wantID) {
+				t.Fatalf("conns %d mask %05b in %d: bitmap says (%d, %v), scan says (%d, %v)",
+					conns, mask, in, gotID, gotOK, wantID, wantOK)
 			}
 		}
 	}

@@ -169,7 +169,7 @@ func (c *Controller) footprint(fp []uint64, src mesh.Coord, dsts []mesh.Coord) [
 	walk := func(order routeOrder, dst mesh.Coord) {
 		at := src
 		mark(at)
-		for _, p := range order.route(src, dst) {
+		for _, p := range order.appendRoute(nil, src, dst) {
 			if p != router.PortLocal {
 				at = at.Add(p)
 				mark(at)

@@ -190,10 +190,10 @@ func TestAdmitBatchEmptyAndSingle(t *testing.T) {
 
 // TestAdmitAllocs is the hot-path alloc gate: a steady-state
 // admit/teardown cycle on a warm controller allocates exactly what an
-// admitted channel is made of — the route's port slice, the Channel, its
-// Dsts and DstConn slices, and its copy of the hop records: five objects,
-// none per link check or per cached point. The ceiling leaves three for
-// a map bucket or a slice regrowing mid-run.
+// admitted channel is made of — the Channel, its Dsts and DstConn
+// slices, and its copy of the hop records: four objects, none per route,
+// link check or cached point. The ceiling leaves four for a map bucket
+// or a slice regrowing mid-run.
 func TestAdmitAllocs(t *testing.T) {
 	n := mesh.MustNew(8, 8, router.DefaultConfig())
 	c, err := New(n, DefaultConfig())
@@ -224,6 +224,30 @@ func TestAdmitAllocs(t *testing.T) {
 	})
 	if got > ceiling {
 		t.Fatalf("admit+teardown allocates %.1f objects, ceiling %.0f", got, ceiling)
+	}
+
+	// Multicast leg: the same walk, so a four-leaf tree allocates the same
+	// four objects — no map, no per-router node.
+	src, dsts = mesh.Coord{X: 1, Y: 1}, []mesh.Coord{{X: 6, Y: 1}, {X: 6, Y: 6}, {X: 1, Y: 6}, {X: 3, Y: 4}}
+	spec = rtc.Spec{Imin: 32, Smax: 18, D: 120}
+	const multicastCeiling = 12.0
+	plan := testing.AllocsPerRun(200, func() {
+		if _, err := c.plan(src, dsts, spec, &c.sc); err != nil {
+			t.Fatalf("multicast plan: %v", err)
+		}
+	})
+	cycle := testing.AllocsPerRun(200, func() {
+		ch, err := c.Admit(src, dsts, spec)
+		if err != nil {
+			t.Fatalf("multicast admit: %v", err)
+		}
+		if err := c.Teardown(ch); err != nil {
+			t.Fatalf("multicast teardown: %v", err)
+		}
+	})
+	t.Logf("multicast: %.1f allocs per plan, %.1f per admit+teardown", plan, cycle)
+	if plan > multicastCeiling || cycle > multicastCeiling {
+		t.Fatalf("multicast plan allocates %.1f objects and admit+teardown %.1f, ceiling %.0f", plan, cycle, multicastCeiling)
 	}
 }
 

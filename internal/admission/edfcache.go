@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
-
-	"repro/internal/mesh"
 )
 
 // Incremental EDF analysis. edfAnalyze re-enumerates every step point of
@@ -41,12 +39,11 @@ type stepPoint struct {
 type evalScratch struct {
 	next  []int64 // per-task next release, for minSlack's walk past the coverage
 	tasks []task
-	// hops is planPath's hop buffer; a channel only copies it out once a
-	// layout passes every check. ds is planUniform's split buffer.
-	hops []hopRef
-	ds   []int64
-	// coords is the layout door's visited-router buffer (loop check).
-	coords []mesh.Coord
+	// hops is the hop skeleton the doors lay out and planHops fills in; a
+	// channel only copies it out once the plan passes every check. route
+	// is planUniform's port-sequence buffer.
+	hops  []hopRef
+	route []int
 	// memo caches full check verdicts keyed by (cache identity, cache
 	// epoch, candidate parameters). Mass admission re-checks the same few
 	// candidate shapes against the same committed sets thousands of times

@@ -47,7 +47,7 @@ func (c *Controller) PlanLayout(ps PlanSpec) (int64, error) {
 
 // AdmitLayout establishes a channel along an explicit layout, or
 // explains why it cannot. It shares both phases with the default
-// planner — planPath for the resource walk, commitPlan for the debit —
+// planner — planHops for the resource walk, commitPlan for the debit —
 // so the ledger, the routers' connection tables, and teardown/restore
 // treat a layout channel identically to a default one; the only
 // differences are the caller-chosen route, the per-hop deadlines, and
@@ -74,17 +74,19 @@ func RouteCoords(buf []mesh.Coord, src mesh.Coord, route []int) []mesh.Coord {
 	return buf
 }
 
-// planLayout is the explicit-layout door into planPath: it validates
+// planLayout is the explicit-layout door into planHops: it validates
 // the caller's route (in-mesh links, loop-free, local delivery at Dst)
 // and delay split (every d_j covers the message service time and the
-// rollover window, Σd_j ≤ D), then runs the one resource walk. The
-// channel's delay structure lives in DSplit; LocalD stays zero.
+// rollover window, Σd_j ≤ D), lays the route out as a one-leaf skeleton
+// with d_j at hop j, then runs the one resource walk. The channel's
+// delay structure lives in DSplit; LocalD stays zero.
 func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) {
 	spec := ps.Spec
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := c.endpointsOK(ps.Src, ps.Dst); err != nil {
+	dsts := []mesh.Coord{ps.Dst}
+	if err := c.endpointsOK(ps.Src, dsts); err != nil {
 		return nil, err
 	}
 	n := len(ps.Route)
@@ -118,15 +120,17 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 		}
 		at = next
 	}
-	// Loop-freedom: a simple path in a mesh revisits a router only if
-	// some prefix returns to it; checking pairwise is O(n²) but n is a
-	// Manhattan path length, and this runs once per probe.
-	visited := RouteCoords(sc.coords[:0], ps.Src, ps.Route)
-	sc.coords = visited
-	for i := 1; i < len(visited); i++ {
+	// Lay the route out as the skeleton, d_j at hop j, checking
+	// loop-freedom on the way: a simple path in a mesh revisits a router
+	// only if some prefix returns to it; checking pairwise is O(n²) but n
+	// is a Manhattan path length, and this runs once per probe.
+	hops := appendPath(sc.hops[:0], ps.Src, ps.Route, 0)
+	sc.hops = hops
+	for i := range hops {
+		hops[i].d = ps.DSplit[i]
 		for j := 0; j < i; j++ {
-			if visited[i] == visited[j] {
-				return nil, fmt.Errorf("admission: layout: route revisits %s", visited[i])
+			if hops[i].node == hops[j].node {
+				return nil, fmt.Errorf("admission: layout: route revisits %s", hops[i].node)
 			}
 		}
 	}
@@ -154,7 +158,7 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 		return nil, fmt.Errorf("admission: layout: split sums to %d, over the end-to-end bound %d", sum, spec.D)
 	}
 
-	ch, err := c.planPath(ps.Src, ps.Dst, spec, ps.Route, ps.DSplit, sc)
+	ch, err := c.planHops(ps.Src, dsts, spec, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/rtc"
+	"repro/internal/sched"
 )
 
 // TestDoorsShareOneWalk: the default planner and the explicit-layout
@@ -129,6 +132,204 @@ func TestDoorsShareOneWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestPlannerDecisionsPinned pins every phase-1 decision of a seeded
+// op stream — unicast and multicast requests (fan-out 2–6, the source
+// among its own destinations, a destination on the path to another,
+// duplicate and off-mesh destinations) interleaved with teardowns,
+// reroutes and link failures/repairs — as one FNV digest per mesh and
+// table size, identical for a standard and a Reference controller. The
+// digests were recorded while multicast (and all of Reference mode) still
+// ran on a tree planner of its own; a 4-entry connection table forces
+// both identifier exhaustions, the common-id one on a fan-out router.
+func TestPlannerDecisionsPinned(t *testing.T) {
+	tiny := router.DefaultConfig()
+	tiny.Conns = 4
+	for _, leg := range []struct {
+		name string
+		size int
+		cfg  router.Config
+		want uint64
+	}{
+		{"4x4", 4, router.DefaultConfig(), 0xcdf575a2e2cbb5f8},
+		{"6x6", 6, router.DefaultConfig(), 0x7f40df52598155c5},
+		{"4x4/conns4", 4, tiny, 0x9ba28a57b51b7ba6},
+		{"6x6/conns4", 6, tiny, 0x571967efea4b92ae},
+	} {
+		for _, reference := range []bool{false, true} {
+			got, seen := pinnedDecisions(t, leg.size, leg.cfg, reference)
+			t.Logf("%s reference=%v: digest %#x, %v", leg.name, reference, got, seen)
+			if got != leg.want {
+				t.Errorf("%s reference=%v: digest %#x, want %#x", leg.name, reference, got, leg.want)
+			}
+			need := []string{"multicast", "multicast_refused", "src_in_dsts", "relay", "duplicate", "off_mesh"}
+			if leg.cfg.Conns == 4 {
+				need = append(need, "ids_exhausted", "no_common_id_fanout")
+			}
+			for _, k := range need {
+				if seen[k] == 0 {
+					t.Errorf("%s reference=%v: the stream never produced %s", leg.name, reference, k)
+				}
+			}
+		}
+	}
+}
+
+// pinnedDecisions runs TestPlannerDecisionsPinned's op stream on a fresh
+// size×size controller, returning the digest and how often each case the
+// test must cover occurred.
+func pinnedDecisions(t *testing.T, size int, rcfg router.Config, reference bool) (uint64, map[string]int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Reference = reference
+	c, err := New(mesh.MustNew(size, size, rcfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(7*size + rcfg.Conns)))
+	h := fnv.New64a()
+	seen := map[string]int{}
+	note := func(ch *Channel, err error) {
+		if err != nil {
+			fmt.Fprintf(h, "err %s\n", err)
+			return
+		}
+		fmt.Fprintf(h, "ok %s %v %v %d %d\n", ch.Route(), ch.HopIDs(), ch.DstConn, ch.Margin, ch.LocalD)
+	}
+	var live []*Channel
+	var failed []linkKey
+	for op := 0; op < 400; op++ {
+		switch k := rng.Intn(12); {
+		case k == 0 && len(live) > 0:
+			i := rng.Intn(len(live))
+			fmt.Fprintf(h, "teardown %v\n", c.Teardown(live[i]))
+			live = append(live[:i], live[i+1:]...)
+		case k == 1 && len(live) > 0:
+			i := rng.Intn(len(live))
+			ch, err := c.Reroute(live[i])
+			note(ch, err)
+			if err == nil {
+				live[i] = ch
+			}
+		case k == 2:
+			var err error
+			if len(failed) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(failed))
+				err = c.MarkRepaired(failed[i].node, failed[i].port)
+				failed = append(failed[:i], failed[i+1:]...)
+			} else {
+				lk := linkKey{mesh.Coord{X: rng.Intn(size - 1), Y: rng.Intn(size - 1)}, router.PortXPlus}
+				if rng.Intn(2) == 0 {
+					lk.port = router.PortYPlus
+				}
+				err = c.MarkFailed(lk.node, lk.port)
+				failed = append(failed, lk)
+			}
+			fmt.Fprintf(h, "link %v\n", err)
+		default:
+			src, dsts := pinnedRequest(rng, size)
+			far := 0
+			for _, d := range dsts {
+				far = max(far, abs(d.X-src.X)+abs(d.Y-src.Y))
+			}
+			spec := rtc.Spec{Imin: int64(8 + 4*rng.Intn(8)), Smax: 1 + rng.Intn(36), D: int64(far+1) * int64(3+rng.Intn(12))}
+			if rng.Intn(30) == 0 {
+				spec.D = int64(far+1) * 140 // past the rollover window
+			}
+			ch, err := c.Admit(src, dsts, spec)
+			note(ch, err)
+			if err == nil {
+				live = append(live, ch)
+				if len(dsts) > 1 {
+					seen["multicast"]++
+				}
+				for j, hop := range ch.hops {
+					if j > 0 && hop.mask.Has(router.PortLocal) && hop.mask.Count() > 1 {
+						seen["relay"]++
+					}
+				}
+				for _, d := range dsts {
+					if d == src {
+						seen["src_in_dsts"]++
+					}
+				}
+				break
+			}
+			var ide *ErrIDExhausted
+			switch {
+			case strings.Contains(err.Error(), "duplicate destination"):
+				seen["duplicate"]++
+			case strings.Contains(err.Error(), "outside mesh"):
+				seen["off_mesh"]++
+			case errors.As(err, &ide) && !ide.Common:
+				seen["ids_exhausted"]++
+			case errors.As(err, &ide) && xyFanout(src, dsts, ide.Node) > 1:
+				seen["no_common_id_fanout"]++
+			case ide == nil && len(dsts) > 1:
+				if _, typed := Explain(err); typed {
+					seen["multicast_refused"]++
+				}
+			}
+		}
+	}
+	return h.Sum64(), seen
+}
+
+// pinnedRequest draws one request for pinnedDecisions: unicast half the
+// time, otherwise fan-out 2–6, each destination now and then the source
+// itself, a repeat, an off-mesh router or a router on the XY path to an
+// earlier destination.
+func pinnedRequest(rng *rand.Rand, size int) (mesh.Coord, []mesh.Coord) {
+	src := mesh.Coord{X: rng.Intn(size), Y: rng.Intn(size)}
+	nd := 1
+	if rng.Intn(2) == 0 {
+		nd = 2 + rng.Intn(5)
+	}
+	dsts := make([]mesh.Coord, 0, nd)
+	has := func(d mesh.Coord) bool {
+		for _, e := range dsts {
+			if e == d {
+				return true
+			}
+		}
+		return false
+	}
+	for len(dsts) < nd {
+		d := mesh.Coord{X: rng.Intn(size), Y: rng.Intn(size)}
+		switch r := rng.Intn(24); {
+		case r == 0:
+			d = src
+		case r == 1 && len(dsts) > 0:
+			dsts = append(dsts, dsts[rng.Intn(len(dsts))])
+			continue
+		case r == 2:
+			d = mesh.Coord{X: size, Y: rng.Intn(size)}
+		case r < 8 && len(dsts) > 0:
+			on := RouteCoords(nil, src, mesh.XYRoute(src, dsts[rng.Intn(len(dsts))]))
+			d = on[rng.Intn(len(on))]
+		}
+		if !has(d) {
+			dsts = append(dsts, d)
+		}
+	}
+	return src, dsts
+}
+
+// xyFanout counts the output ports the XY multicast tree src→dsts uses
+// at the router named node.
+func xyFanout(src mesh.Coord, dsts []mesh.Coord, node string) int {
+	var mask sched.PortMask
+	for _, d := range dsts {
+		at := src
+		for _, p := range mesh.XYRoute(src, d) {
+			if at.String() == node {
+				mask |= 1 << p
+			}
+			at = at.Add(p)
+		}
+	}
+	return mask.Count()
 }
 
 // TestNotActiveChannelRefused: Teardown and Reroute identify a channel

@@ -34,10 +34,10 @@ type AdmissionFamilyResult struct {
 	Requests int
 	Admitted int
 	Rejected int
-	// RefSecs times the Reference-mode controller (every fast path
-	// disabled: from-scratch EDF per link, no unicast planner, no route
-	// memo) over the same request sequence — the pre-PR sequential path,
-	// measured in-run so the speedup never compares across machines.
+	// RefSecs times the Reference-mode controller (from-scratch EDF, no
+	// memos, no speculation, same planner) over the same request
+	// sequence, measured in-run so the speedup — what the caches alone
+	// buy — never compares across machines.
 	RefSecs            float64
 	RefDecisionsPerSec float64
 	// SeqSecs times the incremental sequential Admit loop.
@@ -148,6 +148,9 @@ func sequentialRun(w, h int, reference bool, reqs []admission.Request, latencies
 		return nil, err
 	}
 	run := &admissionRun{chans: make([]*admission.Channel, len(reqs)), ctl: ctl}
+	// Collect the previous run's garbage first — the Reference run leaves
+	// plenty — so no run pays for another's.
+	runtime.GC()
 	start := time.Now()
 	for i, r := range reqs {
 		var t0 time.Time
@@ -177,6 +180,7 @@ func batchRun(w, h, workers int, reqs []admission.Request) (*admissionRun, int64
 	if err != nil {
 		return nil, 0, err
 	}
+	runtime.GC()
 	start := time.Now()
 	res := ctl.AdmitBatch(reqs, workers)
 	run := &admissionRun{

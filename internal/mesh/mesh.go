@@ -235,20 +235,15 @@ func routeLen(src, dst Coord) int {
 // the default route for real-time channels. The returned slice is a
 // single exact-length allocation.
 func XYRoute(src, dst Coord) []int {
-	ports := make([]int, 0, routeLen(src, dst))
-	for x := src.X; x < dst.X; x++ {
-		ports = append(ports, router.PortXPlus)
-	}
-	for x := src.X; x > dst.X; x-- {
-		ports = append(ports, router.PortXMinus)
-	}
-	for y := src.Y; y < dst.Y; y++ {
-		ports = append(ports, router.PortYPlus)
-	}
-	for y := src.Y; y > dst.Y; y-- {
-		ports = append(ports, router.PortYMinus)
-	}
-	return append(ports, router.PortLocal)
+	return AppendXYRoute(make([]int, 0, routeLen(src, dst)), src, dst)
+}
+
+// AppendXYRoute appends XYRoute(src, dst) to buf, for callers that keep
+// a route buffer.
+func AppendXYRoute(buf []int, src, dst Coord) []int {
+	buf = appendSteps(buf, src.X, dst.X, router.PortXPlus, router.PortXMinus)
+	buf = appendSteps(buf, src.Y, dst.Y, router.PortYPlus, router.PortYMinus)
+	return append(buf, router.PortLocal)
 }
 
 // YXRoute returns the alternate dimension order — all y hops, then all
@@ -257,20 +252,26 @@ func XYRoute(src, dst Coord) []int {
 // "the chosen route depends on the resources available at various nodes
 // and links in the network").
 func YXRoute(src, dst Coord) []int {
-	ports := make([]int, 0, routeLen(src, dst))
-	for y := src.Y; y < dst.Y; y++ {
-		ports = append(ports, router.PortYPlus)
+	return AppendYXRoute(make([]int, 0, routeLen(src, dst)), src, dst)
+}
+
+// AppendYXRoute appends YXRoute(src, dst) to buf.
+func AppendYXRoute(buf []int, src, dst Coord) []int {
+	buf = appendSteps(buf, src.Y, dst.Y, router.PortYPlus, router.PortYMinus)
+	buf = appendSteps(buf, src.X, dst.X, router.PortXPlus, router.PortXMinus)
+	return append(buf, router.PortLocal)
+}
+
+// appendSteps appends the hops along one dimension from a to b: up
+// ports while a < b, down ports while a > b.
+func appendSteps(buf []int, a, b, up, down int) []int {
+	for ; a < b; a++ {
+		buf = append(buf, up)
 	}
-	for y := src.Y; y > dst.Y; y-- {
-		ports = append(ports, router.PortYMinus)
+	for ; a > b; a-- {
+		buf = append(buf, down)
 	}
-	for x := src.X; x < dst.X; x++ {
-		ports = append(ports, router.PortXPlus)
-	}
-	for x := src.X; x > dst.X; x-- {
-		ports = append(ports, router.PortXMinus)
-	}
-	return append(ports, router.PortLocal)
+	return buf
 }
 
 // BEOffsets returns the header offsets that dimension-order a
