@@ -85,7 +85,7 @@ benchall:
 # the filling and the churning micro-benchmarks; `rtbench -exp admission`
 # also times the Reference leg, which would drown it — and prints the
 # top of the profile. A hot-path change quotes this before and after
-# (DESIGN §8). Leaves $(ADMISSION_PROF) and the test binary behind.
+# in its change notes. Leaves $(ADMISSION_PROF) and the test binary behind.
 ADMISSION_PROF ?= admission.prof
 profile-admission:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$' -benchtime 3s \

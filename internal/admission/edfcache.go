@@ -9,10 +9,13 @@ import (
 // Incremental EDF analysis. edfAnalyze re-enumerates every step point of
 // every committed task on every check, which makes admission cost grow
 // superlinearly with admitted channels. The edfCache keeps, per link, the
-// committed task set's analysis pre-digested — the sorted union of its
-// step points t = D_i + k·T_i with the demand-bound function dbf(t)
-// prefix-summed at each — so checking a candidate costs O(cached points +
-// candidate's own steps) instead of O(points × tasks).
+// committed task set's demand laid out by time slot — w[t] is the demand
+// that falls due exactly at t, the sum of C over the tasks with a step
+// t = D_i + k·T_i there — beside a bitmap of the occupied slots, so
+// checking a candidate walks the committed step points in ascending t with
+// dbf(t) as a running sum: O(cached points + candidate's own steps)
+// instead of O(points × tasks). A commit or teardown adds or subtracts C
+// at its own task's steps and touches no other slot.
 //
 // The cache is bound by the byte-identity contract: for any committed set
 // and candidate, check() must return exactly the edfReport that
@@ -27,17 +30,11 @@ import (
 // frozen ledger; all mutation happens in addTask/removeTask, called only
 // from the serial commit/teardown paths.
 
-// stepPoint is one absolute deadline in the committed set's analysis
-// window: w is the demand that arrives exactly at t (the sum of C over
-// tasks with a step there).
-type stepPoint struct {
-	t, w int64
-}
-
 // evalScratch holds the per-caller scratch buffers a check needs, so the
 // hot path allocates nothing and concurrent checkers never share state.
 type evalScratch struct {
 	next  []int64 // per-task next release, for minSlack's walk past the coverage
+	dbf   []int64 // failReport's committed dbf(t) over the coverage
 	tasks []task
 	// hops is the hop skeleton the doors lay out and planHops fills in; a
 	// channel only copies it out once the plan passes every check. route
@@ -77,19 +74,21 @@ type edfCache struct {
 	sumC       int64
 	util       float64 // ΣC/T in task-slice order, bit-exact vs edfAnalyze
 	maxD       int64
-	// points/prefix cover every committed step point in (0, cover], with
-	// prefix[i] = dbf(points[i].t) over the committed set. cover is kept
-	// ahead of the committed busy-period bound so candidate checks, whose
-	// bound is necessarily larger, usually stay inside the cache.
-	cover  int64
-	points []stepPoint
-	prefix []int64
-	// spare and raw are mutation-path scratch (mergeIn double-buffers
-	// points through spare; add/rebuild gather new steps into raw), so a
-	// warm cache's updates allocate nothing. check() never touches them —
-	// concurrent checkers use their own evalScratch.
-	spare []stepPoint
-	raw   []stepPoint
+	// w[t] is the committed demand due exactly at t, for t in (0, cover]
+	// (w[0] is unused). Bit t of set is on iff w[t] > 0, n counts those
+	// slots and total is their sum, dbf(cover). cover is kept ahead of the
+	// committed busy-period bound so candidate checks, whose bound is
+	// necessarily larger, usually stay inside the cache.
+	//
+	// int32 is enough: only steps t ≤ cover ≤ coverCap are laid, and a
+	// task's C ≤ D ≤ t, so each contributes at most 2¹²; at most Conns ≤
+	// 256 channels share a link (each holds one of the downstream router's
+	// 8-bit ids), so w[t] ≤ 2²⁰ (TestEDFCacheDifferential lays that case).
+	cover int64
+	w     []int32
+	set   []uint64
+	n     int
+	total int64
 }
 
 // busyBoundFrom is busyPeriodBound with the scalars already in hand.
@@ -108,13 +107,12 @@ func busyBoundFrom(maxD, sumC int64, util float64) int64 {
 }
 
 // coverCap bounds the cached coverage. Near utilization 1 the busy-period
-// bound explodes toward maxAnalysisHorizon, and materializing that many
-// step points makes every commit-time re-merge O(tasks × horizon / T) —
-// while candidate checks rarely reach that deep (a rejection stops at its
-// first violated step point). Beyond the cap, check and committedReport
-// merge the committed ladders on the fly instead — an O(tasks) min-scan
-// per point, far cheaper than keeping (and re-sorting) the points
-// resident.
+// bound explodes toward maxAnalysisHorizon, and laying demand that far
+// makes every commit and teardown O(horizon / T) and every link's array
+// 2¹⁶ slots — while candidate checks rarely reach that deep (a rejection
+// stops at its first violated step point). Beyond the cap, check and
+// committedReport merge the committed ladders on the fly instead — an
+// O(tasks) min-scan per point.
 const coverCap = 4096
 
 // coverFor picks the cache coverage for a committed busy-period bound:
@@ -136,48 +134,33 @@ func validTask(tk task) bool {
 	return tk.C >= 1 && tk.T >= 1 && tk.D >= 1 && tk.C <= tk.D
 }
 
-// stepsInto appends every step point t = D + k·T of tk with lo < t ≤ hi.
-func stepsInto(buf []stepPoint, tk task, lo, hi int64) []stepPoint {
+// lay adds sign·C at every step t = D + k·T of tk with lo < t ≤ hi
+// (hi ≤ cover), keeping the bitmap, point count and total in step. A
+// removal (sign −1) clears the bit of a slot it empties, so no stale
+// point can surface a slack value edfAnalyze never evaluates.
+func (ec *edfCache) lay(tk task, lo, hi int64, sign int32) {
 	t := tk.D
 	if lo >= tk.D {
-		t = tk.D + ((lo-tk.D)/tk.T+1)*tk.T
+		t += ((lo-tk.D)/tk.T + 1) * tk.T
 	}
+	c := sign * int32(tk.C)
 	for ; t <= hi; t += tk.T {
-		buf = append(buf, stepPoint{t, tk.C})
-	}
-	return buf
-}
-
-// sortSteps orders points by t without allocating (heapsort; the inputs
-// are concatenations of short ascending runs, and sizes stay small).
-// Only a gather of several tasks' ladders needs it: one task's ladder
-// comes out of stepsInto already ascending.
-func sortSteps(s []stepPoint) {
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftStep(s, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		s[0], s[i] = s[i], s[0]
-		siftStep(s, 0, i)
+		was := ec.w[t]
+		ec.w[t] = was + c
+		if was == 0 || was+c == 0 {
+			ec.set[t>>6] ^= 1 << (t & 63)
+			ec.n += int(sign)
+		}
+		ec.total += int64(c)
 	}
 }
 
-func siftStep(s []stepPoint, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && s[child+1].t > s[child].t {
-			child++
-		}
-		if s[root].t >= s[child].t {
-			return
-		}
-		s[root], s[child] = s[child], s[root]
-		root = child
-	}
+// extend grows the coverage to (0, cover] with the new slots empty; the
+// caller lays the committed steps that fall in them.
+func (ec *edfCache) extend(cover int64) {
+	ec.w = append(ec.w, make([]int32, cover+1-int64(len(ec.w)))...)
+	ec.set = append(ec.set, make([]uint64, int(cover>>6)+1-len(ec.set))...)
+	ec.cover = cover
 }
 
 // rebuild computes the cache from scratch off the committed set.
@@ -189,8 +172,7 @@ func (ec *edfCache) rebuild(tasks []task) {
 	ec.built = true
 	ec.degenerate = false
 	ec.sumC, ec.util, ec.maxD = 0, 0, 0
-	ec.points = ec.points[:0]
-	ec.prefix = ec.prefix[:0]
+	ec.cover, ec.w, ec.set, ec.n, ec.total = 0, ec.w[:0], ec.set[:0], 0, 0
 	for _, tk := range tasks {
 		if !validTask(tk) {
 			ec.degenerate = true
@@ -202,54 +184,9 @@ func (ec *edfCache) rebuild(tasks []task) {
 			ec.maxD = tk.D
 		}
 	}
-	ec.cover = coverFor(busyBoundFrom(ec.maxD, ec.sumC, ec.util))
-	raw := ec.raw[:0]
-	for i := range tasks {
-		raw = stepsInto(raw, tasks[i], 0, ec.cover)
-	}
-	ec.raw = raw
-	if len(tasks) > 1 {
-		sortSteps(raw)
-	}
-	ec.mergeIn(raw)
-}
-
-// mergeIn folds raw — step points ascending in t, repeats allowed — into
-// the sorted unique points/prefix arrays, summing weights at equal t.
-func (ec *edfCache) mergeIn(raw []stepPoint) {
-	if len(raw) > 0 {
-		merged := slices.Grow(ec.spare[:0], len(ec.points)+len(raw))
-		i, j := 0, 0
-		for i < len(ec.points) || j < len(raw) {
-			switch {
-			case j == len(raw) || (i < len(ec.points) && ec.points[i].t < raw[j].t):
-				merged = append(merged, ec.points[i])
-				i++
-			case i == len(ec.points) || raw[j].t < ec.points[i].t:
-				p := raw[j]
-				j++
-				for j < len(raw) && raw[j].t == p.t {
-					p.w += raw[j].w
-					j++
-				}
-				merged = append(merged, p)
-			default: // equal t
-				p := ec.points[i]
-				i++
-				for j < len(raw) && raw[j].t == p.t {
-					p.w += raw[j].w
-					j++
-				}
-				merged = append(merged, p)
-			}
-		}
-		ec.points, ec.spare = merged, ec.points[:0]
-	}
-	ec.prefix = slices.Grow(ec.prefix[:0], len(ec.points))
-	var run int64
-	for _, p := range ec.points {
-		run += p.w
-		ec.prefix = append(ec.prefix, run)
+	ec.extend(coverFor(busyBoundFrom(ec.maxD, ec.sumC, ec.util)))
+	for _, tk := range tasks {
+		ec.lay(tk, 0, ec.cover, 1)
 	}
 }
 
@@ -274,37 +211,23 @@ func (ec *edfCache) addTask(tasks []task, tk task) {
 		ec.maxD = tk.D
 	}
 	// Extend coverage only when the committed bound actually outgrows it,
-	// and then jump to double the bound (coverFor). Tracking coverFor
-	// continuously would re-merge the whole point array on every admit as
-	// the bound creeps upward; extending geometrically amortizes those
-	// re-merges the way a growing slice amortizes appends.
-	target := ec.cover
-	if need := busyBoundFrom(ec.maxD, ec.sumC, ec.util); need > ec.cover {
-		target = coverFor(need)
-	}
-	raw := ec.raw[:0]
-	if target > ec.cover {
-		// Extend the survivors' coverage first, then lay in the new task.
-		for i := range tasks[:len(tasks)-1] {
-			raw = stepsInto(raw, tasks[i], ec.cover, target)
+	// and then jump to double the bound (coverFor): growing geometrically,
+	// the way a slice's appends do, lays each survivor's steps into a new
+	// slot range once per doubling rather than on every admit as the
+	// bound creeps upward.
+	if need := busyBoundFrom(ec.maxD, ec.sumC, ec.util); need > ec.cover && ec.cover < coverCap {
+		old := ec.cover
+		ec.extend(coverFor(need))
+		for _, s := range tasks[:len(tasks)-1] {
+			ec.lay(s, old, ec.cover, 1)
 		}
 	}
-	extended := len(raw) > 0
-	raw = stepsInto(raw, tk, 0, target)
-	ec.raw = raw
-	ec.cover = target
-	if extended {
-		// Several ladders end to end; the common case — tk's ladder alone
-		// — is already in order.
-		sortSteps(raw)
-	}
-	ec.mergeIn(raw)
+	ec.lay(tk, 0, ec.cover, 1)
 }
 
 // removeTask updates the cache after tk was removed from the committed
-// set; tasks is the post-removal slice. Zero-weight points are compacted
-// out: a stale point would otherwise surface a slack value edfAnalyze
-// never evaluates, corrupting the headroom minimum.
+// set; tasks is the post-removal slice. The coverage stays: removal only
+// ever shrinks the committed bound.
 func (ec *edfCache) removeTask(tasks []task, tk task) {
 	ec.epoch++
 	if !ec.built {
@@ -322,20 +245,7 @@ func (ec *edfCache) removeTask(tasks []task, tk task) {
 			ec.maxD = t.D
 		}
 	}
-	out := ec.points[:0]
-	next := tk.D
-	for _, p := range ec.points {
-		if p.t == next {
-			p.w -= tk.C
-			next += tk.T
-		}
-		if p.w > 0 {
-			out = append(out, p)
-		}
-	}
-	ec.points = out
-	ec.mergeIn(nil) // rebuild prefix
-	// cover only ever shrinks the committed bound, so coverage stays valid.
+	ec.lay(tk, 0, ec.cover, -1)
 }
 
 // candContrib is the candidate's demand due by t: max(0, ⌊(t−D)/T⌋+1)·C.
@@ -386,13 +296,14 @@ const (
 	memoCap = 1 << 15
 )
 
-// memoWorth is the committed-set size, in cached step points, up to which
+// memoWorth is the committed-set size, in occupied slots (n), up to which
 // check skips the table: walking that few points costs less than the
 // probe — a cold cache line or two — and the store after a miss, which is
 // all a filling or churning controller ever gets out of the memo on its
 // lightly loaded links. The saturated links a rejection storm re-checks
-// hold hundreds of points. (32 / 64 / 128 measured: storm prefers the
-// small end, churn the large, fill is flat from 64 up.)
+// hold hundreds of points. (32 / 64 / 128 measured on the bitmap walk:
+// 32 loses on all three ledger admission workloads, 128 gains 4–5 % on
+// fill and churn but loses 8 % on storm; DESIGN §8.)
 const memoWorth = 64
 
 // cacheIDs hands out edfCache.id values (atomic: controllers on
@@ -452,7 +363,7 @@ func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
 		sc.tasks = append(append(sc.tasks[:0], tasks...), cand)
 		return edfAnalyze(sc.tasks)
 	}
-	if len(ec.points) <= memoWorth {
+	if ec.n <= memoWorth {
 		return ec.checkFull(tasks, cand, sc)
 	}
 	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
@@ -480,7 +391,7 @@ func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfRepor
 	limit := busyBoundFrom(max(ec.maxD, cand.D), sumC, util)
 	headroom, ok := ec.minSlack(tasks, cand, limit, sc)
 	if !ok {
-		return ec.failReport(tasks, cand, limit, util)
+		return ec.failReport(tasks, cand, limit, util, sc)
 	}
 	return edfReport{feasible: true, util: util, headroom: headroom,
 		margin: float64(headroom)}
@@ -490,11 +401,12 @@ func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfRepor
 // step points ≤ limit in ascending t and returns the minimum slack
 // t − dbf(t) over them — the same point set edfAnalyze visits, so the
 // minimum is identical — or false at the first negative slack. A zero
-// cand (C = 0) means no candidate: the committed set alone. dbf at a
-// committed point is the cached prefix inside the coverage and a running
-// sum past it; the candidate's own contribution is a running sum too —
-// both walks ascend, so each candidate step adds one C instead of paying
-// candContrib's division per point.
+// cand (C = 0) means no candidate: the committed set alone. Inside the
+// coverage the committed points are the bitmap's set bits and dbf is a
+// running sum of w over them; past it the running sum starts from total
+// and follows the merged ladders. The candidate's own contribution is a
+// running sum too — both walks ascend, so each candidate step adds one C
+// instead of paying candContrib's division per point.
 func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScratch) (int64, bool) {
 	headroom := int64(maxAnalysisHorizon)
 	dbfC := int64(0) // committed dbf at the last committed point visited
@@ -533,12 +445,17 @@ func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScrat
 		headroom = min(headroom, s)
 		return true
 	}
-	for i := range ec.points {
-		if ec.points[i].t > limit {
-			break
-		}
-		if !visit(ec.points[i].t, ec.prefix[i]) {
-			return 0, false
+	dbf, lim := int64(0), min(limit, ec.cover)
+	for i, word := range ec.set[:lim>>6+1] {
+		for ; word != 0; word &= word - 1 {
+			t := int64(i)<<6 | int64(bits.TrailingZeros64(word))
+			if t > lim {
+				break // only in the last word
+			}
+			dbf += int64(ec.w[t])
+			if !visit(t, dbf) {
+				return 0, false
+			}
 		}
 	}
 	if limit > ec.cover {
@@ -557,10 +474,7 @@ func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScrat
 			nx = append(nx, t)
 		}
 		sc.next = nx
-		base := int64(0)
-		if n := len(ec.prefix); n > 0 {
-			base = ec.prefix[n-1]
-		}
+		base := ec.total
 		for {
 			mt := limit + 1
 			for _, t := range nx {
@@ -590,26 +504,28 @@ func (ec *edfCache) minSlack(tasks []task, cand task, limit int64, sc *evalScrat
 // the violation reported is the first one in edfAnalyze's own iteration
 // order (task slice order, then k ascending), which is not necessarily
 // the earliest t. Called only after minSlack proved a violation exists,
-// so the scan always finds one. Committed demand at t is read off the
-// cache — the prefix at the last cached point ≤ t, found by a cursor
-// that moves forward with each ascending ladder — and only past the
-// coverage recomputed by demandAt.
-func (ec *edfCache) failReport(tasks []task, cand task, limit int64, util float64) edfReport {
+// so the scan always finds one. Inside the coverage the committed demand
+// at t is read from dbf, w prefix-summed once per call into sc (one pass
+// over the slots, where a running sum per ladder would walk them once per
+// ladder). Only past the coverage is it recomputed by demandAt.
+func (ec *edfCache) failReport(tasks []task, cand task, limit int64, util float64, sc *evalScratch) edfReport {
+	lim := min(limit, ec.cover)
+	dbf := slices.Grow(sc.dbf[:0], int(lim)+1)[:lim+1]
+	var run int64
+	for t, w := range ec.w[:lim+1] {
+		run += int64(w)
+		dbf[t] = run
+	}
+	sc.dbf = dbf
 	for i := 0; i <= len(tasks); i++ {
 		tk := cand
 		if i < len(tasks) {
 			tk = tasks[i]
 		}
-		cur := 0 // points[:cur] are the cached points ≤ t
 		for t := tk.D; t <= limit; t += tk.T {
 			var d int64
-			if t <= ec.cover {
-				for cur < len(ec.points) && ec.points[cur].t <= t {
-					cur++
-				}
-				if cur > 0 {
-					d = ec.prefix[cur-1]
-				}
+			if t <= lim {
+				d = dbf[t]
 			} else {
 				d = demandAt(tasks, t)
 			}

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,12 +58,102 @@ func TestEDFCacheDifferential(t *testing.T) {
 		}
 	}
 	diffFailReports(t)
+	diffLayouts(t)
+}
+
+// diffLayouts drives one link's demand array through seeded fill-and-drain
+// sequences: a family of implicit-deadline tasks at utilization 43/112 +
+// 77/125 = 0.99993, committed in random order with light tasks added and
+// removed between its members, so the coverage crosses coverFor's
+// doublings up to coverCap; then the family drains to an empty array.
+// Last, 256 tasks that all step at t = coverCap — the most the int32
+// slots ever hold. After every mutation the arrays must equal a fresh lay
+// (sameLayout, verifyCache's check) and check must equal edfAnalyze.
+func diffLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(200))
+	var ec edfCache
+	var tasks []task
+	step := func(what string) {
+		t.Helper()
+		if err := ec.sameLayout(tasks); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got, want := ec.committedReport(tasks), edfAnalyze(tasks); got != want {
+			t.Fatalf("%s: committed report %+v, edfAnalyze %+v", what, got, want)
+		}
+		for trial := 0; trial < 3; trial++ {
+			cand := randTask(rng)
+			got := ec.check(tasks, cand, new(evalScratch))
+			if want := edfAnalyze(append(append([]task(nil), tasks...), cand)); got != want {
+				t.Fatalf("%s: cache check %+v, edfAnalyze %+v\ntasks=%v cand=%+v", what, got, want, tasks, cand)
+			}
+		}
+	}
+	add := func(tk task) {
+		tasks = append(tasks, tk)
+		ec.addTask(tasks, tk)
+		step("add")
+	}
+	remove := func(i int) {
+		tk := tasks[i]
+		tasks = append(tasks[:i], tasks[i+1:]...)
+		ec.removeTask(tasks, tk)
+		step("remove")
+	}
+	family := []task{{C: 10, T: 112}, {C: 11, T: 112}, {C: 12, T: 112}, {C: 10, T: 112},
+		{C: 20, T: 125}, {C: 20, T: 125}, {C: 20, T: 125}, {C: 17, T: 125}}
+	for seed := 0; seed < 6; seed++ {
+		ec.rebuild(nil)
+		covers := map[int64]bool{}
+		for _, i := range rng.Perm(len(family)) {
+			tk := family[i]
+			tk.D = tk.T
+			add(tk)
+			covers[ec.cover] = true
+			for light := rng.Intn(3); light > 0; light-- {
+				T := int64(64 + rng.Intn(64))
+				if tk := (task{C: 1, T: T, D: T - int64(rng.Intn(8))}); edfFeasible(append(append([]task(nil), tasks...), tk)) {
+					add(tk)
+					covers[ec.cover] = true
+				}
+			}
+			for len(tasks) > 0 && tasks[len(tasks)-1].C == 1 {
+				remove(len(tasks) - 1)
+			}
+		}
+		if ec.cover != coverCap || ec.util < 0.9999 || len(covers) < 4 {
+			t.Fatalf("seed %d: saturated family at utilization %v covers (0,%d], coverages seen %v; want ≥ 0.9999, (0,%d] and ≥ 4 doublings",
+				seed, ec.util, ec.cover, covers, coverCap)
+		}
+		for len(tasks) > 0 {
+			remove(rng.Intn(len(tasks)))
+		}
+		if ec.n != 0 || ec.total != 0 || slices.ContainsFunc(ec.set, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("seed %d: drained cache holds %d points summing to %d", seed, ec.n, ec.total)
+		}
+	}
+
+	// Every task steps at coverCap: the fullest slot the layout allows.
+	ec.rebuild(nil)
+	for i := 0; i < 256; i++ {
+		add(task{C: coverCap, T: 256 * coverCap, D: coverCap})
+	}
+	if ec.cover != coverCap || ec.n != 1 || int64(ec.w[coverCap]) != 256*coverCap {
+		t.Fatalf("256 tasks at t=%d: cover %d, %d points, w[t] = %d; want one point holding %d",
+			coverCap, ec.cover, ec.n, ec.w[coverCap], 256*coverCap)
+	}
+	for len(tasks) > 0 {
+		remove(rng.Intn(len(tasks)))
+	}
+	if ec.n != 0 || ec.w[coverCap] != 0 {
+		t.Fatalf("drained: %d points, w[%d] = %d", ec.n, coverCap, ec.w[coverCap])
+	}
 }
 
 // diffFailReports aims rejecting candidates at failReport's two ways of
 // reading committed demand: (a) a first violated step that falls between
-// two cached points, where dbf(t) is the prefix at the last point ≤ t,
-// and (b) one past coverCap on a set near utilization 1, where it falls
+// two cached points, where dbf(t) is the prefix of w through an empty
+// slot, and (b) one past coverCap on a set near utilization 1, where it falls
 // back to demandAt. Each must equal edfAnalyze's report field for field.
 func diffFailReports(t *testing.T) {
 	build := func(tasks []task) *edfCache {
@@ -102,11 +193,7 @@ func diffFailReports(t *testing.T) {
 		if rep.test != "busy_period" || rep.at > ec.cover {
 			continue
 		}
-		cached := false
-		for _, p := range ec.points {
-			cached = cached || p.t == rep.at
-		}
-		if !cached {
+		if ec.w[rep.at] == 0 {
 			between++
 		}
 	}
@@ -155,9 +242,9 @@ func TestVerdictTableCollisions(t *testing.T) {
 		// Light short-period tasks until the set holds enough points for
 		// check to go to the table at all; how many that takes varies, so
 		// epochs differ across links.
-		for tries, need := 0, memoWorth+rng.Intn(64); len(l.ec.points) <= need; tries++ {
+		for tries, need := 0, memoWorth+rng.Intn(64); l.ec.n <= need; tries++ {
 			if tries == 1000 {
-				t.Fatalf("link saturated at %d cached points", len(l.ec.points))
+				t.Fatalf("link saturated at %d cached points", l.ec.n)
 			}
 			T := int64(16 + rng.Intn(48))
 			tk := task{C: 1, T: T, D: T - int64(rng.Intn(4))}
@@ -239,8 +326,8 @@ func TestEDFCacheRemoveCompaction(t *testing.T) {
 	ec.rebuild(tasks)
 	tasks = tasks[:0]
 	ec.removeTask(tasks, tk)
-	if len(ec.points) != 0 {
-		t.Fatalf("removed task left %d step points in the cache", len(ec.points))
+	if ec.n != 0 {
+		t.Fatalf("removed task left %d step points in the cache", ec.n)
 	}
 	var sc evalScratch
 	cand := task{C: 1, T: 200, D: 100}

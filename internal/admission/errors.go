@@ -2,6 +2,7 @@ package admission
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 
 	"repro/internal/router"
@@ -234,6 +235,26 @@ type ErrNotActive struct {
 
 func (e *ErrNotActive) Error() string {
 	return "admission: channel " + strconv.Itoa(e.ID) + " not active"
+}
+
+// ErrBadLayout refuses a malformed PlanSpec: misuse of the layout door,
+// not a resource refusal, so Explain reports false for it. Callers match
+// it with errors.As and switch on Reason.
+type ErrBadLayout struct {
+	// Reason names the defect: "empty_route", "split_length" (DSplit and
+	// Route differ in length), "not_a_link", "leaves_mesh", "revisits",
+	// "no_local_delivery", "wrong_end" (the route stops short of Dst),
+	// "bound_below_service" (a d_j under the message service time) or
+	// "split_over_budget" (Σd_j > D).
+	Reason string
+	msg    string
+}
+
+func (e *ErrBadLayout) Error() string { return e.msg }
+
+// badLayout builds an ErrBadLayout with fmt's rendering of format.
+func badLayout(reason, format string, args ...any) error {
+	return &ErrBadLayout{Reason: reason, msg: fmt.Sprintf(format, args...)}
 }
 
 // overloadError builds the typed link rejection for one analysis

@@ -1,8 +1,6 @@
 package admission
 
 import (
-	"fmt"
-
 	"repro/internal/mesh"
 	"repro/internal/router"
 	"repro/internal/rtc"
@@ -91,10 +89,10 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 	}
 	n := len(ps.Route)
 	if n == 0 {
-		return nil, fmt.Errorf("admission: layout: empty route")
+		return nil, badLayout("empty_route", "admission: layout: empty route")
 	}
 	if len(ps.DSplit) != n {
-		return nil, fmt.Errorf("admission: layout: %d delay bounds for a %d-hop route", len(ps.DSplit), n)
+		return nil, badLayout("split_length", "admission: layout: %d delay bounds for a %d-hop route", len(ps.DSplit), n)
 	}
 
 	// Walk the route once up front: every coordinate visited exactly
@@ -104,19 +102,19 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 	for i, port := range ps.Route {
 		if i == n-1 {
 			if port != router.PortLocal {
-				return nil, fmt.Errorf("admission: layout: route must end with local delivery, got %s", router.PortName(port))
+				return nil, badLayout("no_local_delivery", "admission: layout: route must end with local delivery, got %s", router.PortName(port))
 			}
 			if at != ps.Dst {
-				return nil, fmt.Errorf("admission: layout: route ends at %s, not %s", at, ps.Dst)
+				return nil, badLayout("wrong_end", "admission: layout: route ends at %s, not %s", at, ps.Dst)
 			}
 			break
 		}
 		if port < 0 || port >= router.NumLinks {
-			return nil, fmt.Errorf("admission: layout: hop %d uses port %s, not a link", i, router.PortName(port))
+			return nil, badLayout("not_a_link", "admission: layout: hop %d uses port %s, not a link", i, router.PortName(port))
 		}
 		next := at.Add(port)
 		if !c.net.Contains(next) {
-			return nil, fmt.Errorf("admission: layout: route leaves the mesh at %s via %s", at, router.PortName(port))
+			return nil, badLayout("leaves_mesh", "admission: layout: route leaves the mesh at %s via %s", at, router.PortName(port))
 		}
 		at = next
 	}
@@ -130,7 +128,7 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 		hops[i].d = ps.DSplit[i]
 		for j := 0; j < i; j++ {
 			if hops[i].node == hops[j].node {
-				return nil, fmt.Errorf("admission: layout: route revisits %s", hops[i].node)
+				return nil, badLayout("revisits", "admission: layout: route revisits %s", hops[i].node)
 			}
 		}
 	}
@@ -144,7 +142,7 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 	var sum int64
 	for j, d := range ps.DSplit {
 		if d < slots {
-			return nil, fmt.Errorf("admission: layout: hop %d bound %d below message service time %d", j, d, slots)
+			return nil, badLayout("bound_below_service", "admission: layout: hop %d bound %d below message service time %d", j, d, slots)
 		}
 		if err := rolloverOK(wheel, "horizon", int64(c.cfg.Horizon), d); err != nil {
 			return nil, err
@@ -155,7 +153,7 @@ func (c *Controller) planLayout(ps PlanSpec, sc *evalScratch) (*Channel, error) 
 		return nil, err
 	}
 	if sum > spec.D {
-		return nil, fmt.Errorf("admission: layout: split sums to %d, over the end-to-end bound %d", sum, spec.D)
+		return nil, badLayout("split_over_budget", "admission: layout: split sums to %d, over the end-to-end bound %d", sum, spec.D)
 	}
 
 	ch, err := c.planHops(ps.Src, dsts, spec, sc)

@@ -3,6 +3,7 @@ package admission
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +24,11 @@ func xyPlan(t *testing.T, net *mesh.Network, src, dst mesh.Coord, spec rtc.Spec,
 	return PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: dsplit}
 }
 
-// TestLayoutValidation drives each planLayout validation error.
+// TestLayoutValidation drives each planLayout validation error: the
+// message bytes are pinned, a malformed layout is an *ErrBadLayout with
+// its Reason (errors.As), and Explain refuses it — misuse, not a
+// resource refusal. An off-mesh source is the endpoint check's plain
+// error, not a layout one.
 func TestLayoutValidation(t *testing.T) {
 	net := newNet(t, 4, 4)
 	c, err := New(net, DefaultConfig())
@@ -35,41 +40,53 @@ func TestLayoutValidation(t *testing.T) {
 	okRoute := mesh.XYRoute(src, dst) // [+x +x local]
 
 	cases := []struct {
-		name string
-		ps   PlanSpec
-		want string
+		name   string
+		ps     PlanSpec
+		reason string
+		want   string
 	}{
-		{"empty route", PlanSpec{Src: src, Dst: dst, Spec: spec}, "layout: empty route"},
-		{"split length", PlanSpec{Src: src, Dst: dst, Spec: spec, Route: okRoute, DSplit: []int64{10, 10}},
-			"layout: 2 delay bounds for a 3-hop route"},
-		{"src outside", PlanSpec{Src: mesh.Coord{X: 9, Y: 9}, Dst: dst, Spec: spec, Route: okRoute, DSplit: []int64{10, 10, 10}},
-			"source (9,9) outside mesh"},
+		{"empty route", PlanSpec{Src: src, Dst: dst, Spec: spec}, "empty_route",
+			"admission: layout: empty route"},
+		{"split length", PlanSpec{Src: src, Dst: dst, Spec: spec, Route: okRoute, DSplit: []int64{10, 10}}, "split_length",
+			"admission: layout: 2 delay bounds for a 3-hop route"},
+		{"src outside", PlanSpec{Src: mesh.Coord{X: 9, Y: 9}, Dst: dst, Spec: spec, Route: okRoute, DSplit: []int64{10, 10, 10}}, "",
+			"admission: source (9,9) outside mesh"},
+		{"not a link", PlanSpec{Src: src, Dst: dst, Spec: spec,
+			Route: []int{router.PortLocal, router.PortLocal}, DSplit: []int64{10, 10}}, "not_a_link",
+			"admission: layout: hop 0 uses port local, not a link"},
 		{"no local delivery", PlanSpec{Src: src, Dst: dst, Spec: spec,
-			Route: []int{router.PortXPlus, router.PortXPlus, router.PortXPlus}, DSplit: []int64{10, 10, 10}},
-			"route must end with local delivery"},
+			Route: []int{router.PortXPlus, router.PortXPlus, router.PortXPlus}, DSplit: []int64{10, 10, 10}}, "no_local_delivery",
+			"admission: layout: route must end with local delivery, got +x"},
 		{"wrong terminus", PlanSpec{Src: src, Dst: dst, Spec: spec,
-			Route: []int{router.PortXPlus, router.PortLocal}, DSplit: []int64{10, 10}},
-			"route ends at (1,0), not (2,0)"},
+			Route: []int{router.PortXPlus, router.PortLocal}, DSplit: []int64{10, 10}}, "wrong_end",
+			"admission: layout: route ends at (1,0), not (2,0)"},
 		{"leaves mesh", PlanSpec{Src: src, Dst: dst, Spec: spec,
-			Route: []int{router.PortYMinus, router.PortLocal}, DSplit: []int64{10, 10}},
-			"route leaves the mesh"},
+			Route: []int{router.PortYMinus, router.PortLocal}, DSplit: []int64{10, 10}}, "leaves_mesh",
+			"admission: layout: route leaves the mesh at (0,0) via -y"},
 		{"revisits", PlanSpec{Src: src, Dst: dst, Spec: spec,
 			Route:  []int{router.PortXPlus, router.PortXMinus, router.PortXPlus, router.PortXPlus, router.PortLocal},
-			DSplit: []int64{10, 10, 10, 10, 10}},
-			"route revisits (0,0)"},
-		{"bound below service", xyPlan(t, net, src, dst, spec, []int64{0, 10, 10}),
-			"hop 0 bound 0 below message service time"},
-		{"split over budget", xyPlan(t, net, src, dst, spec, []int64{30, 30, 30}),
-			"split sums to 90, over the end-to-end bound 64"},
+			DSplit: []int64{10, 10, 10, 10, 10}}, "revisits",
+			"admission: layout: route revisits (0,0)"},
+		{"bound below service", xyPlan(t, net, src, dst, spec, []int64{0, 10, 10}), "bound_below_service",
+			"admission: layout: hop 0 bound 0 below message service time 1"},
+		{"split over budget", xyPlan(t, net, src, dst, spec, []int64{30, 30, 30}), "split_over_budget",
+			"admission: layout: split sums to 90, over the end-to-end bound 64"},
 	}
 	for _, tc := range cases {
 		_, err := c.PlanLayout(tc.ps)
 		if err == nil {
-			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.want)
+			t.Errorf("%s: accepted, want %q", tc.name, tc.want)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
+		var bad *ErrBadLayout
+		if got := errors.As(err, &bad); got != (tc.reason != "") || (got && bad.Reason != tc.reason) {
+			t.Errorf("%s: errors.As(*ErrBadLayout) = %v (%+v), want reason %q", tc.name, got, bad, tc.reason)
+		}
+		if _, typed := Explain(err); typed {
+			t.Errorf("%s: Explain calls malformed input a resource rejection", tc.name)
 		}
 	}
 	if c.Active() != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/mesh"
@@ -225,9 +226,9 @@ func (c *Controller) VerifyLedger() error {
 
 // verifyCache cross-checks one link's incremental EDF cache against a
 // from-scratch recompute: scalars bit-exact (including the float
-// utilization sum), the point set exactly the union of the committed
-// tasks' step ladders over the cache's coverage, and the committed
-// analysis verdict identical to edfAnalyze's.
+// utilization sum), the demand array, bitmap, point count and total
+// exactly a fresh lay of the committed tasks over the cache's coverage,
+// and the committed analysis verdict identical to edfAnalyze's.
 func (c *Controller) verifyCache(k linkKey, ls *linkState) error {
 	ec := &ls.cache
 	if c.cfg.Reference {
@@ -267,27 +268,37 @@ func (c *Controller) verifyCache(k linkKey, ls *linkState) error {
 	if want := busyBoundFrom(maxD, sumC, util); ec.cover < want && ec.cover < coverCap {
 		return fmt.Errorf("admission: ledger: link %s cache covers (0,%d], committed busy-period bound is %d (cap %d)", k, ec.cover, want, coverCap)
 	}
-	var raw []stepPoint
-	for i := range ls.tasks {
-		raw = stepsInto(raw, ls.tasks[i], 0, ec.cover)
-	}
-	sortSteps(raw)
-	var want edfCache
-	want.built = true
-	want.mergeIn(raw)
-	if len(want.points) != len(ec.points) {
-		return fmt.Errorf("admission: ledger: link %s caches %d step points, tasks generate %d", k, len(ec.points), len(want.points))
-	}
-	for i := range want.points {
-		if want.points[i] != ec.points[i] {
-			return fmt.Errorf("admission: ledger: link %s step point %d is %+v, tasks say %+v", k, i, ec.points[i], want.points[i])
-		}
-		if want.prefix[i] != ec.prefix[i] {
-			return fmt.Errorf("admission: ledger: link %s dbf prefix at t=%d is %d, tasks say %d", k, ec.points[i].t, ec.prefix[i], want.prefix[i])
-		}
+	if err := ec.sameLayout(ls.tasks); err != nil {
+		return fmt.Errorf("admission: ledger: link %s %v", k, err)
 	}
 	if got, ref := ec.committedReport(ls.tasks), edfAnalyze(ls.tasks); got != ref {
 		return fmt.Errorf("admission: ledger: link %s cached analysis %+v, edfAnalyze says %+v", k, got, ref)
+	}
+	return nil
+}
+
+// sameLayout compares the cache's demand layout with a fresh lay of the
+// committed tasks over the same coverage, returning the first difference.
+func (ec *edfCache) sameLayout(tasks []task) error {
+	var want edfCache
+	want.extend(ec.cover)
+	for _, tk := range tasks {
+		want.lay(tk, 0, ec.cover, 1)
+	}
+	if len(ec.w) != len(want.w) || len(ec.set) != len(want.set) {
+		return fmt.Errorf("cache holds %d slots in %d bitmap words, coverage (0,%d] needs %d in %d",
+			len(ec.w), len(ec.set), ec.cover, len(want.w), len(want.set))
+	}
+	for t := range want.w {
+		if ec.w[t] != want.w[t] {
+			return fmt.Errorf("cache demand at t=%d is %d, tasks say %d", t, ec.w[t], want.w[t])
+		}
+	}
+	if !slices.Equal(ec.set, want.set) {
+		return fmt.Errorf("cache occupancy bitmap disagrees with its demand array")
+	}
+	if ec.n != want.n || ec.total != want.total {
+		return fmt.Errorf("cache counts %d points summing to %d, tasks say %d summing to %d", ec.n, ec.total, want.n, want.total)
 	}
 	return nil
 }
