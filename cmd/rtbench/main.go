@@ -34,26 +34,25 @@ import (
 )
 
 var (
-	exp             = flag.String("exp", "all", "experiment to run ("+strings.Join(expNames(), "|")+"|all)")
-	seed            = flag.Int64("seed", 1, "seed for the faults campaign's fault placement")
-	cycles          = flag.Int64("cycles", 0, "override simulated cycles where applicable (0 = experiment default)")
-	chart           = flag.Bool("chart", false, "render ASCII charts where available")
-	workers         = flag.Int("workers", 0, "narrow the sweep to this single kernel worker count (0 = the default worker set)")
-	benchJSON       = flag.String("benchjson", "", "write the sweep's mesh × workers matrix as JSON to this file (e.g. BENCH_router.json)")
-	meshList        = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64; 128 runs when asked for and needs more than 16 GB of memory); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
-	minSpeedup      = flag.Float64("min-speedup", 0, "fail the sweep if any parallel row is slower than this fraction of sequential (0 = don't enforce)")
-	scenarioPath    = flag.String("scenario", "scenarios/faulty.json", "scenario file for -exp forensics and the audit-identity leg of -exp capacity")
-	requests        = flag.Int("requests", 0, "request count per family for -exp admission and -exp layout (0 = 100000 for admission, 3·nodes for layout)")
-	strictLayout    = flag.String("strict-layout", "", "comma-separated families whose synthesized run must admit strictly more than greedy in -exp layout (e.g. hotspot,transpose)")
-	minAdmitSpeedup = flag.Float64("min-admit-speedup", 0, "fail -exp admission if any family's incremental-vs-reference sequential speedup (timed in-run, serial vs serial) is below this (0 = don't enforce)")
-	minAdmitRate    = flag.Float64("min-admit-rate", 0, "fail -exp admission if the slowest family's incremental sequential decisions/sec is below this floor (0 = don't enforce)")
-	linkLatency     = flag.Int("link-latency", 1, "mesh link latency in cycles for sweep/forensics, on every run compared; the parallel kernel derives its synchronization epoch from it, so deeper links amortize its barrier (1 = the paper's wire, per-cycle barriers)")
-	cpuProfile      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile      = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	metricsOut      = flag.String("metrics", "", "write aggregate telemetry across all runs to this file (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-	listen          = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080)")
-	traceOut        = flag.String("trace-out", "", "write the merged event timeline across all runs to this file (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
-	traceBuf        = flag.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace-out (oldest events evict first)")
+	exp          = flag.String("exp", "all", "experiment to run ("+strings.Join(expNames(), "|")+"|all)")
+	seed         = flag.Int64("seed", 1, "seed for the faults campaign's fault placement")
+	cycles       = flag.Int64("cycles", 0, "override simulated cycles where applicable (0 = experiment default)")
+	chart        = flag.Bool("chart", false, "render ASCII charts where available")
+	workers      = flag.Int("workers", 0, "narrow the sweep to this single kernel worker count (0 = the default worker set)")
+	benchJSON    = flag.String("benchjson", "", "write the sweep's mesh × workers matrix as JSON to this file (e.g. BENCH_router.json)")
+	meshList     = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64; 128 runs when asked for and needs more than 16 GB of memory); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
+	minSpeedup   = flag.Float64("min-speedup", 0, "fail the sweep if any parallel row is slower than this fraction of sequential (0 = don't enforce)")
+	scenarioPath = flag.String("scenario", "scenarios/faulty.json", "scenario file for -exp forensics and the audit-identity leg of -exp capacity")
+	requests     = flag.Int("requests", 0, "request count per family for -exp admission and -exp layout (0 = 100000 for admission, 3·nodes for layout)")
+	strictLayout = flag.String("strict-layout", "", "comma-separated families whose synthesized run must admit strictly more than greedy in -exp layout (e.g. hotspot,transpose)")
+	minAdmitRate = flag.Float64("min-admit-rate", 0, "fail -exp admission if the slowest family's incremental sequential decisions/sec is below this floor (0 = don't enforce)")
+	linkLatency  = flag.Int("link-latency", 1, "mesh link latency in cycles for sweep/forensics, on every run compared; the parallel kernel derives its synchronization epoch from it, so deeper links amortize its barrier (1 = the paper's wire, per-cycle barriers)")
+	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+	metricsOut   = flag.String("metrics", "", "write aggregate telemetry across all runs to this file (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
+	listen       = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080)")
+	traceOut     = flag.String("trace-out", "", "write the merged event timeline across all runs to this file (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
+	traceBuf     = flag.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace-out (oldest events evict first)")
 )
 
 // experiment is one -exp name: the flags it consumes beyond globalFlags,
@@ -105,7 +104,7 @@ var experimentList = []experiment{
 	{"sweep", false, []string{"cycles", "workers", "link-latency", "mesh", "benchjson", "min-speedup"}, runSweep},
 	{"forensics", false, []string{"scenario", "cycles", "link-latency"}, runForensics},
 	{"capacity", false, []string{"mesh", "scenario", "cycles"}, runCapacity},
-	{"admission", false, []string{"mesh", "requests", "min-admit-speedup", "min-admit-rate"}, runAdmission},
+	{"admission", false, []string{"mesh", "requests", "min-admit-rate"}, runAdmission},
 	{"layout", false, []string{"mesh", "requests", "strict-layout"}, runLayout},
 }
 
@@ -506,8 +505,7 @@ func judgeSweep(res *experiments.SweepResult, linkLat int, benchJSON string, min
 
 // runAdmission prints the mass-admission campaign on a square mesh
 // (default 16, the acceptance configuration) and enforces its identity
-// and ledger checks, then the -min-admit-speedup and -min-admit-rate
-// floors.
+// and ledger checks, then the -min-admit-rate floor.
 func runAdmission() error {
 	edge, err := meshEdge(16)
 	if err != nil {
@@ -522,14 +520,8 @@ func runAdmission() error {
 		failedChecks("admission", res.Checks)
 		return fmt.Errorf("admission identity/ledger checks failed on the %dx%d mesh", edge, edge)
 	}
-	// Both floors are serial figures timed in this very run — enforceable
+	// The floor is a serial figure timed in this very run — enforceable
 	// on any hardware, single-CPU runners included.
-	if *minAdmitSpeedup > 0 {
-		if got := res.MinSpeedup(); got < *minAdmitSpeedup {
-			return fmt.Errorf("incremental speedup %.2fx below the %.2fx floor (reference vs incremental, both sequential)",
-				got, *minAdmitSpeedup)
-		}
-	}
 	if *minAdmitRate > 0 {
 		if got := res.MinSeqRate(); got < *minAdmitRate {
 			return fmt.Errorf("slowest family's sequential admission rate %.0f decisions/sec below the %.0f floor", got, *minAdmitRate)

@@ -63,11 +63,10 @@ type Config struct {
 	Horizon uint32
 	// Reference turns the admission caches off: every link check runs the
 	// from-scratch edfAnalyze (no incremental EDF cache, so no verdict
-	// memo) and no rejection is replayed from the memo. Planning is the one
-	// walk either way. A Reference controller must make exactly the same
-	// decisions as a standard one (the fuzz harness diffs them); it is the
-	// differential-testing oracle for the caches and the baseline the
-	// admission campaign times them against.
+	// memo). Planning is the one walk either way. A Reference controller
+	// must make exactly the same decisions as a standard one (the fuzz
+	// harness diffs them); it is the differential-testing oracle for the
+	// caches and the baseline the admission campaign times them against.
 	Reference bool
 }
 
@@ -107,14 +106,6 @@ type Controller struct {
 	// admission runs on one thread, so one set of buffers (and one verdict
 	// memo) serves every door.
 	sc evalScratch
-	// mut counts reservation-state mutations (every reserve and release
-	// walk, link failure transitions); rejMemo caches whole admit() rejections
-	// keyed by request and mut. Mass admission replays the same few
-	// (src, dst, spec) rejections thousands of times against unchanged
-	// state, and a rejection leaves no state behind, so replaying the
-	// stored error is exact — same value, same rendered bytes.
-	mut     uint64
-	rejMemo map[rejKey]error
 	// lastSpec/lastSpecStr memoize the last audit spec rendering: a mass
 	// admission run replays one traffic contract thousands of times.
 	lastSpec    rtc.Spec
@@ -450,46 +441,16 @@ func dsplitString(ds []int64) string {
 	return string(b)
 }
 
-// rejKey names one memoizable unicast rejection: the request plus the
-// controller's mutation count, which pins the exact reservation state
-// the decision was made against.
-type rejKey struct {
-	src, dst mesh.Coord
-	spec     rtc.Spec
-	mut      uint64
-}
-
-// rejMemoCap bounds the rejection memo; on overflow the map is cleared
-// in place (buckets are kept, so steady state stays allocation-free).
-const rejMemoCap = 1 << 14
-
-// admit is plan + commitPlan behind the rejection-replay memo. A plan
-// that passes is committed as planned: should a control write refuse it
-// mid-commit, the programming error is returned (state unwound) rather
-// than falling through to the other routing order: the plan that passed
-// is the decision.
+// admit is plan + commitPlan. A plan that passes is committed as
+// planned: should a control write refuse it mid-commit, the programming
+// error is returned (state unwound) rather than falling through to the
+// other routing order: the plan that passed is the decision.
 func (c *Controller) admit(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*Channel, error) {
-	memoable := len(dsts) == 1 && !c.cfg.Reference
-	var key rejKey
-	if memoable {
-		key = rejKey{src: src, dst: dsts[0], spec: spec, mut: c.mut}
-		if err, ok := c.rejMemo[key]; ok {
-			return nil, err
-		}
-	}
 	p, err := c.plan(src, dsts, spec)
-	if err == nil {
-		return c.commitPlan(p)
+	if err != nil {
+		return nil, err
 	}
-	if memoable {
-		if c.rejMemo == nil {
-			c.rejMemo = make(map[rejKey]error, 1<<10)
-		} else if len(c.rejMemo) >= rejMemoCap {
-			clear(c.rejMemo)
-		}
-		c.rejMemo[key] = err
-	}
-	return nil, err
+	return c.commitPlan(p)
 }
 
 // plan runs admission phase 1 only — route, delay split, schedulability,
@@ -793,7 +754,6 @@ func (c *Controller) commitPlan(ch *Channel) (*Channel, error) {
 // refused control write releases the hops already taken, so a failure
 // leaves no debris; the error names the refusing router.
 func (c *Controller) reserve(ch *Channel) error {
-	c.mut++
 	tk := task{C: ch.Spec.MessageSlots(), T: ch.Spec.Imin, D: ch.hops[0].d, chanID: ch.ID}
 	c.addTask(linkKey{ch.Src, portInject}, tk)
 	for i, h := range ch.hops {
@@ -828,7 +788,6 @@ func (c *Controller) reserve(ch *Channel) error {
 // task, and delists ch. It finishes the walk even if a control write
 // fails, returning the first such error.
 func (c *Controller) release(ch *Channel, hops []hopRef) error {
-	c.mut++
 	delete(c.chans, ch.ID)
 	c.dropTask(linkKey{ch.Src, portInject}, ch.ID)
 	var first error
@@ -1001,7 +960,6 @@ func (c *Controller) MarkFailed(from mesh.Coord, port int) error {
 	if !c.net.Contains(from) || !c.net.Contains(to) {
 		return fmt.Errorf("admission: no link %s→%s", from, router.PortName(port))
 	}
-	c.mut++
 	c.failed[c.linkIdx(linkKey{from, port})] = true
 	c.failed[c.linkIdx(linkKey{to, reverse(port)})] = true
 	return nil
@@ -1018,7 +976,6 @@ func (c *Controller) MarkRepaired(from mesh.Coord, port int) error {
 	if !c.net.Contains(from) || !c.net.Contains(to) {
 		return fmt.Errorf("admission: no link %s→%s", from, router.PortName(port))
 	}
-	c.mut++
 	c.failed[c.linkIdx(linkKey{from, port})] = false
 	c.failed[c.linkIdx(linkKey{to, reverse(port)})] = false
 	return nil

@@ -296,13 +296,17 @@ const (
 )
 
 // memoWorth is the committed-set size, in occupied slots (n), up to which
-// check skips the table: walking that few points costs less than the
-// probe — a cold cache line or two — and the store after a miss, which is
-// all a filling or churning controller ever gets out of the memo on its
-// lightly loaded links. The saturated links a rejection storm re-checks
-// hold hundreds of points. (32 / 64 / 128 measured on the bitmap walk:
-// 32 loses on all three ledger admission workloads, 128 gains 4–5 % on
-// fill and churn but loses 8 % on storm; DESIGN §8.)
+// check skips the table for a walk that stays inside the coverage:
+// walking that few points costs less than the probe — a cold cache line
+// or two — and the store after a miss, which is all a filling or churning
+// controller ever gets out of the memo on its lightly loaded links. The
+// saturated links a rejection storm re-checks hold hundreds of points.
+// (32 / 64 / 128 measured on the bitmap walk: 32 loses on all three
+// ledger admission workloads, 128 gains 4–5 % on fill and churn but loses
+// 8 % on storm; DESIGN §8.) A candidate whose busy bound passes the
+// coverage always goes to the table, however few points the link holds:
+// at utilization 1 the bound is maxAnalysisHorizon, and the walk merges
+// thousands of ladder points past the coverage.
 const memoWorth = 64
 
 // cacheIDs hands out edfCache.id values (atomic: controllers on
@@ -356,27 +360,15 @@ func (sc *evalScratch) growMemo() {
 // check analyzes the committed set plus one candidate, returning exactly
 // what edfAnalyze(append(tasks, cand)) returns. Read-only on the cache
 // and the task slice; sc supplies the scratch buffers and the verdict
-// memo.
+// memo. The validity, utilization and busy-bound tests cost a few
+// scalar operations and run on every call; the verdict table only keys
+// the step-point walk behind them, and only when that walk is long (see
+// memoWorth).
 func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
 	if !ec.built || ec.degenerate {
 		sc.tasks = append(append(sc.tasks[:0], tasks...), cand)
 		return edfAnalyze(sc.tasks)
 	}
-	if ec.n <= memoWorth {
-		return ec.checkFull(tasks, cand, sc)
-	}
-	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
-	if rep := sc.lookup(key); rep != nil {
-		return *rep
-	}
-	rep := ec.checkFull(tasks, cand, sc)
-	sc.remember(key, rep)
-	return rep
-}
-
-// checkFull is the uncached analysis behind check, on a built,
-// non-degenerate cache.
-func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfReport {
 	if !validTask(cand) {
 		// edfAnalyze sums utilization up to (not including) the bad task;
 		// the candidate is last, so that sum is the full committed util.
@@ -388,12 +380,24 @@ func (ec *edfCache) checkFull(tasks []task, cand task, sc *evalScratch) edfRepor
 		return edfReport{test: "utilization", util: util, margin: 1.0 - util}
 	}
 	limit := busyBoundFrom(max(ec.maxD, cand.D), sumC, util)
-	headroom, ok := ec.minSlack(tasks, cand, limit, sc)
-	if !ok {
-		return ec.failReport(tasks, cand, limit, util, sc)
+	memo := ec.n > memoWorth || limit > ec.cover
+	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
+	if memo {
+		if rep := sc.lookup(key); rep != nil {
+			return *rep
+		}
 	}
-	return edfReport{feasible: true, util: util, headroom: headroom,
-		margin: float64(headroom)}
+	var rep edfReport
+	if headroom, ok := ec.minSlack(tasks, cand, limit, sc); ok {
+		rep = edfReport{feasible: true, util: util, headroom: headroom,
+			margin: float64(headroom)}
+	} else {
+		rep = ec.failReport(tasks, cand, limit, util, sc)
+	}
+	if memo {
+		sc.remember(key, rep)
+	}
+	return rep
 }
 
 // minSlack walks the union of the committed set's and the candidate's

@@ -226,16 +226,38 @@ func diffFailReports(t *testing.T) {
 // TestVerdictTableCollisions checks several hundred distinct (cache,
 // epoch, C, T, D) keys in random order against a verdict table held at
 // its minimum size — so entries collide and evict one another — and then
-// through a resize: every answer, hit or miss, must be checkFull's. The
-// shared empty-link cache rides along: below memoWorth points its checks
-// bypass the table, and must come out the same.
+// through a resize: every answer, hit or miss, must be edfAnalyze's. The
+// table is consulted when the link holds more than memoWorth points or
+// the candidate's busy bound passes the coverage; the shared empty-link
+// cache rides along with checks that do neither and bypass it, and a
+// light link at utilization 15/16 with checks that go to the table on
+// their bound alone.
 func TestVerdictTableCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	type link struct {
 		ec    *edfCache
 		tasks []task
 	}
-	links := []link{{ec: emptyLinkCache}}
+	// 15 tasks of C=1, T=16: 30 points in a coverage of 482 slots. A 16th
+	// takes utilization to exactly 1 and the bound to maxAnalysisHorizon.
+	light := link{ec: new(edfCache)}
+	light.ec.rebuild(nil)
+	fill := task{C: 1, T: 16, D: 16}
+	for i := 0; i < 15; i++ {
+		light.tasks = append(light.tasks, fill)
+		light.ec.addTask(light.tasks, fill)
+	}
+	if light.ec.n > memoWorth || light.ec.cover >= maxAnalysisHorizon {
+		t.Fatalf("light link holds %d points over %d slots; the case no longer isolates the bound", light.ec.n, light.ec.cover)
+	}
+	var first evalScratch
+	if got, want := light.ec.check(light.tasks, fill, &first), edfAnalyze(append(light.tasks[:15:15], fill)); got != want || !got.feasible {
+		t.Fatalf("16th task on the light link: check %+v, edfAnalyze %+v", got, want)
+	}
+	if first.lookup(checkKey{light.ec, light.ec.epoch, fill.C, fill.T, fill.D}) == nil {
+		t.Fatalf("a check walking past the coverage left no verdict in the table")
+	}
+	links := []link{{ec: emptyLinkCache}, light}
 	for len(links) < 12 {
 		l := link{ec: new(edfCache)}
 		l.ec.rebuild(nil)
@@ -264,16 +286,17 @@ func TestVerdictTableCollisions(t *testing.T) {
 	for _, l := range links {
 		for i := 0; i < 50; i++ {
 			cand := randTask(rng)
-			probes = append(probes, probe{l, cand, l.ec.checkFull(l.tasks, cand, new(evalScratch))})
+			probes = append(probes, probe{l, cand, edfAnalyze(append(l.tasks[:len(l.tasks):len(l.tasks)], cand))})
 		}
 	}
+	probes = append(probes, probe{light, fill, edfAnalyze(append(light.tasks[:15:15], fill))})
 	var sc evalScratch
 	sweep := func(stage string) {
 		t.Helper()
 		for _, i := range rng.Perm(len(probes)) {
 			p := probes[i]
 			if got := p.ec.check(p.tasks, p.cand, &sc); got != p.want {
-				t.Fatalf("%s: table answered %+v, checkFull %+v (tasks=%v cand=%+v)", stage, got, p.want, p.tasks, p.cand)
+				t.Fatalf("%s: table answered %+v, edfAnalyze %+v (tasks=%v cand=%+v)", stage, got, p.want, p.tasks, p.cand)
 			}
 		}
 	}

@@ -168,14 +168,14 @@ func (s *opStream) intn(n int) int {
 }
 
 // runAdmissionOps drives a standard controller and a Reference-mode
-// shadow (every fast path disabled: no EDF cache, no verdict or
-// rejection memo) through the op program in prog —
-// admissions (unicast and multicast), teardowns, reroutes, link
-// failures/repairs, AdmitBatch rounds, and PlanLayout/AdmitLayout on a
-// random staircase route with a non-uniform split — for up to maxOps ops
-// or until the program runs out. It demands identical decisions, errors,
-// channel parameters, and sealed ledger bytes throughout. This is the
-// oracle for the whole incremental machinery.
+// shadow (every fast path disabled: no EDF cache, so no verdict memo)
+// through the op program in prog — admissions (unicast and multicast),
+// teardowns, reroutes, link failures/repairs, AdmitBatch rounds, and
+// PlanLayout/AdmitLayout on a random staircase route with a non-uniform
+// split — for up to maxOps ops or until the program runs out. It demands
+// identical decisions, errors, channel parameters, and sealed ledger
+// bytes throughout. This is the oracle for the whole incremental
+// machinery.
 func runAdmissionOps(t testing.TB, prog []byte, maxOps int) {
 	t.Helper()
 

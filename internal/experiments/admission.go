@@ -54,18 +54,6 @@ type AdmissionResult struct {
 	Checks     // identity and ledger invariants
 }
 
-// MinSpeedup returns the smallest per-family incremental-vs-reference
-// speedup, the number the CI gate floors.
-func (r *AdmissionResult) MinSpeedup() float64 {
-	min := 0.0
-	for i, f := range r.Families {
-		if i == 0 || f.Speedup < min {
-			min = f.Speedup
-		}
-	}
-	return min
-}
-
 // MinSeqRate returns the slowest family's incremental sequential
 // decisions/sec, the number the -min-admit-rate gate floors.
 func (r *AdmissionResult) MinSeqRate() float64 {
