@@ -123,36 +123,6 @@ func BenchmarkT3ControlInterface(b *testing.B) {
 	}
 }
 
-// BenchmarkT4SchedulerThroughput measures full-occupancy selection on
-// the paper's 256-leaf shared tree (the chip does one selection per
-// ~50 ns pipeline beat).
-func BenchmarkT4SchedulerThroughput(b *testing.B) {
-	w := timing.MustWheel(8)
-	for _, kind := range []struct {
-		name string
-		s    sched.Scheduler
-	}{
-		{"linear-scan", sched.NewEDFTree(256, w)},
-		{"tournament", sched.NewTournament(256, w)},
-	} {
-		for i := 0; i < 256; i++ {
-			leaf := sched.Leaf{
-				L:    w.Wrap(timing.Slot(i % 90)),
-				Dl:   w.Wrap(timing.Slot(i%90 + 30)),
-				Mask: sched.PortMask(1 << (i % 5)),
-			}
-			if err := kind.s.Install(i, leaf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(kind.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kind.s.Select(i%5, timing.Stamp(i), 8)
-			}
-		})
-	}
-}
-
 // BenchmarkX1HorizonSweep regenerates the horizon trade-off study.
 func BenchmarkX1HorizonSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {

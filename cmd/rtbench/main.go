@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -273,6 +274,11 @@ func fatal(name string, err error) {
 	os.Exit(1)
 }
 
+// tables is where show, runFig7 and runChip print the paper's tables:
+// stdout, except under TestRunnersSmoke, which compares what lands here
+// with the recorded golden output.
+var tables io.Writer = os.Stdout
+
 // show prints an experiment result's table; it takes the (result,
 // error) pair every experiments.RunX returns, so a table entry is
 // show(experiments.RunX(…)).
@@ -280,7 +286,7 @@ func show(res interface{ Table() *experiments.Table }, err error) error {
 	if err != nil {
 		return err
 	}
-	res.Table().Fprint(os.Stdout)
+	res.Table().Fprint(tables)
 	return nil
 }
 
@@ -334,18 +340,18 @@ func runFig7() error {
 	if err != nil {
 		return err
 	}
-	res.Table().Fprint(os.Stdout)
+	res.Table().Fprint(tables)
 	if *chart {
-		fmt.Println(res.Chart())
+		fmt.Fprintln(tables, res.Chart())
 	}
 	return nil
 }
 
 func runChip() error {
 	res := experiments.RunChip()
-	res.Table().Fprint(os.Stdout)
-	res.SharedTable().Fprint(os.Stdout)
-	res.ClockTable().Fprint(os.Stdout)
+	res.Table().Fprint(tables)
+	res.SharedTable().Fprint(tables)
+	res.ClockTable().Fprint(tables)
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,18 +40,36 @@ var smokeFlags = map[string][]string{
 	"layout":    {"mesh=4", "requests=24"},
 }
 
+// update rewrites the golden file from this run instead of comparing
+// with it: go test ./cmd/rtbench -run TestRunnersSmoke -update.
+var update = flag.Bool("update", false, "rewrite "+smokeGolden+" from this run")
+
+// smokeGolden holds the tables the "all" experiments print at their
+// smoke budgets, in "all" order: rtbench -exp all's stdout in miniature.
+const smokeGolden = "testdata/smoke_all.golden"
+
 // TestRunnersSmoke executes every entry of the experiment table with a
 // reduced budget, through the same flags the CLI sets, so CLI wiring
 // cannot rot silently. A registered experiment without a smoke case
-// fails. Output goes to the test log; only errors fail.
+// fails. The tables of the "all" experiments must match smokeGolden
+// byte for byte; the campaigns outside "all" print to the test log.
 func TestRunnersSmoke(t *testing.T) {
+	var got bytes.Buffer
+	defer func() { tables = os.Stdout }()
+	ranAll := true
 	for _, e := range experimentList {
 		settings, ok := smokeFlags[e.name]
 		if !ok {
 			t.Errorf("experiment %q has no smoke case in smokeFlags", e.name)
 			continue
 		}
+		tables = io.Discard
+		if e.inAll {
+			tables = &got
+		}
+		ran := false
 		t.Run(e.name, func(t *testing.T) {
+			ran = true
 			for _, s := range settings {
 				name, value, _ := strings.Cut(s, "=")
 				if !slices.Contains(e.flags, name) {
@@ -65,9 +85,34 @@ func TestRunnersSmoke(t *testing.T) {
 				t.Fatalf("%s: %v", e.name, err)
 			}
 		})
+		ranAll = ranAll && (ran || !e.inAll)
 	}
 	if len(smokeFlags) != len(experimentList) {
 		t.Errorf("smokeFlags has %d cases for %d experiments", len(smokeFlags), len(experimentList))
+	}
+	// A -run filter that skips an "all" experiment leaves nothing whole
+	// to compare.
+	if !ranAll || t.Failed() {
+		return
+	}
+	if *update {
+		if err := os.WriteFile(smokeGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(smokeGolden)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("tables differ from %s at line %d:\n got: %s\nwant: %s", smokeGolden, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("tables differ from %s in length: %d lines, want %d", smokeGolden, len(gotLines), len(wantLines))
 	}
 }
 
@@ -167,8 +212,8 @@ func TestExpFlagsCoverAllFlags(t *testing.T) {
 		}
 	}
 	for name := range registered {
-		// The test binary's own flags (test.*) are not rtbench's.
-		if strings.HasPrefix(name, "test.") {
+		// The test binary's own flags (test.*, -update) are not rtbench's.
+		if strings.HasPrefix(name, "test.") || name == "update" {
 			continue
 		}
 		if !consumed[name] {

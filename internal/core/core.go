@@ -64,22 +64,20 @@ type Options struct {
 	ChannelSLO *obs.SLO
 	// Forensics attaches the slack-attribution engine: every router
 	// collects per-cycle blame counters, merged post-run into the blame
-	// matrix and cause totals (obs.Forensics). Nil falls back to
-	// DefaultForensics; when that is nil too, attribution is off and the
-	// routers pay only a nil check per arbitration.
+	// matrix and cause totals (obs.Forensics). Nil turns attribution off:
+	// the routers pay only a nil check per arbitration.
 	Forensics *obs.Forensics
 	// Recorder attaches the flight recorder: deadline misses, fault
 	// drops and fault-attributed stalls trigger bounded per-node logs
 	// with occupancy snapshots, dumpable post-run as the last K cycles
-	// of the merged timeline (obs.Recorder). Nil falls back to
-	// DefaultRecorder. A recorder without a Collector still counts and
-	// logs triggers; only the timeline dump needs the collector.
+	// of the merged timeline (obs.Recorder); nil records nothing. A
+	// recorder without a Collector still counts and logs triggers; only
+	// the timeline dump needs the collector.
 	Recorder *obs.Recorder
 	// Audit attaches an admission audit log: every Admit, Teardown and
 	// Reroute decision the controller makes is recorded with its
 	// contract, route, margin, and (on rejection) the typed explanation
-	// (obs.AuditLog). Nil falls back to DefaultAudit; when that is nil
-	// too, auditing is off.
+	// (obs.AuditLog). Nil turns auditing off.
 	Audit *obs.AuditLog
 	// Workers selects the kernel execution mode: 0 or 1 runs the
 	// simulation sequentially (the default); n > 1 ticks the per-node
@@ -116,9 +114,6 @@ var DefaultMetrics *metrics.Registry
 var (
 	DefaultCollector  *obs.Sharded
 	DefaultChannelSLO *obs.SLO
-	DefaultForensics  *obs.Forensics
-	DefaultRecorder   *obs.Recorder
-	DefaultAudit      *obs.AuditLog
 )
 
 // WithAdmission returns o with the admission configuration set.
@@ -191,14 +186,7 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 	if slo == nil {
 		slo = DefaultChannelSLO
 	}
-	fns := opts.Forensics
-	if fns == nil {
-		fns = DefaultForensics
-	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = DefaultRecorder
-	}
+	fns, rec := opts.Forensics, opts.Recorder
 	for _, c := range net.Coords() {
 		p, err := rtc.NewPacer(fmt.Sprintf("pacer%s", c), net.Router(c), acfg.SourceWindow)
 		if err != nil {
@@ -267,9 +255,6 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 	}
 	sys.Adm = adm
 	aud := opts.Audit
-	if aud == nil {
-		aud = DefaultAudit
-	}
 	if aud != nil {
 		adm.AttachAudit(aud)
 	}

@@ -29,11 +29,8 @@ func TestAdmittedChannelsNeverMissDeadlines(t *testing.T) {
 			w, h := 2+rng.Intn(3), 2+rng.Intn(3)
 			rcfg := router.DefaultConfig()
 			// The guarantee must also hold with the §7 cut-through
-			// extension and the structural tree driving the chips.
+			// extension.
 			rcfg.VCT = trial%2 == 1
-			if trial%3 == 2 {
-				rcfg.Scheduler = router.SchedTournament
-			}
 			sys, err := NewMesh(w, h, Options{Router: rcfg}.WithAdmission(admission.Config{
 				Policy:       admission.Partitioned,
 				SourceWindow: int64(rng.Intn(12)),

@@ -41,10 +41,13 @@ type Fig7Result struct {
 	Misses   int64
 }
 
-// sampler periodically samples a set of accumulators.
+// sampler periodically samples the per-connection accumulators and the
+// tapped router's best-effort byte counter on port +x.
 type sampler struct {
 	period int64
 	accs   []*stats.Accumulator
+	r      *router.Router
+	be     *stats.Series
 }
 
 func (s *sampler) Name() string { return "sampler" }
@@ -53,6 +56,7 @@ func (s *sampler) Tick(now sim.Cycle) {
 		for _, a := range s.accs {
 			a.Sample(int64(now))
 		}
+		s.be.Append(int64(now), float64(s.r.Stats.BEBytes[router.PortXPlus]))
 	}
 }
 
@@ -85,7 +89,7 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	}
 
 	res := &Fig7Result{Cfg: cfg}
-	accs := make([]*stats.Accumulator, 0, len(cfg.Imins)+1)
+	accs := make([]*stats.Accumulator, 0, len(cfg.Imins))
 	connAcc := make(map[uint8]*stats.Accumulator)
 	for i, imin := range cfg.Imins {
 		acc := &stats.Accumulator{Series: stats.Series{Name: fmt.Sprintf("connection %d (d=Imin=%d)", i+1, imin)}}
@@ -93,27 +97,26 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 		accs = append(accs, acc)
 		res.TC = append(res.TC, &acc.Series)
 	}
-	beAcc := &stats.Accumulator{Series: stats.Series{Name: "best-effort"}}
-	accs = append(accs, beAcc)
-	res.BE = &beAcc.Series
+	res.BE = &stats.Series{Name: "best-effort"}
 
-	// Tap the (0,0)→+x link.
+	// Tap the (0,0)→+x link: time-constrained service from the lifecycle
+	// stream's transmit events, chained onto any observer already
+	// attached (a trace collector, say); best-effort service is the
+	// port's byte counter.
 	r0 := sys.Router(src)
-	r0.OnTCTransmit = func(ev router.TCTransmitEvent) {
-		if ev.Port != router.PortXPlus {
-			return
+	prev := r0.OnLifecycle
+	r0.OnLifecycle = func(ev router.LifecycleEvent) {
+		if ev.Kind == router.EvTransmit && ev.Port == router.PortXPlus {
+			if acc, ok := connAcc[ev.InConn]; ok {
+				acc.Inc(packet.TCBytes)
+			}
 		}
-		if acc, ok := connAcc[ev.InConn]; ok {
-			acc.Inc(packet.TCBytes)
-		}
-	}
-	r0.OnBETransmit = func(port int, _ int64) {
-		if port == router.PortXPlus {
-			beAcc.Inc(1)
+		if prev != nil {
+			prev(ev)
 		}
 	}
 
-	sys.Net.Kernel.Register(&sampler{period: cfg.Sample, accs: accs})
+	sys.Net.Kernel.Register(&sampler{period: cfg.Sample, accs: accs, r: r0, be: res.BE})
 
 	sys.Run(cfg.Cycles)
 
@@ -122,7 +125,7 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 		res.TCTotal = append(res.TCTotal, accs[i].Total())
 		res.Expected = append(res.Expected, slots/float64(imin)*packet.TCBytes)
 	}
-	res.BETotal = beAcc.Total()
+	res.BETotal = float64(r0.Stats.BEBytes[router.PortXPlus])
 	res.Misses = sys.Summarize().TCMisses
 	return res, nil
 }

@@ -547,9 +547,6 @@ func (b *beOutput) sendByte() {
 	if b.r.met != nil {
 		b.r.met.ArbWins[b.port][metrics.ArbBE].Inc()
 	}
-	if b.r.OnBETransmit != nil {
-		b.r.OnBETransmit(b.port, b.r.nowCycle)
-	}
 	if b.port == PortLocal {
 		b.rxBuf = append(b.rxBuf, by)
 		if tail {

@@ -72,10 +72,6 @@ const (
 	// SchedApproxEDF is the paper's Section 7 reduced-complexity
 	// extension: deadline order quantized to 2^ApproxShift-slot buckets.
 	SchedApproxEDF
-	// SchedTournament drives the chip from the structural comparator
-	// tree (the Figure 5 hardware mirror) instead of the linear-scan
-	// model; decisions are identical, the reduction is gate-for-gate.
-	SchedTournament
 )
 
 func (k SchedulerKind) String() string {
@@ -88,8 +84,6 @@ func (k SchedulerKind) String() string {
 		return "static-priority"
 	case SchedApproxEDF:
 		return "approx-edf"
-	case SchedTournament:
-		return "tournament"
 	default:
 		return fmt.Sprintf("SchedulerKind(%d)", int(k))
 	}
@@ -239,15 +233,13 @@ func (c Config) newScheduler() sched.Scheduler {
 	case SchedFIFO:
 		return sched.NewFIFO(c.Slots)
 	case SchedStaticPriority:
-		return sched.NewStaticPriority(c.Slots)
+		return sched.NewStaticPriority(c.Slots, mustWheel(c.ClockBits))
 	case SchedApproxEDF:
 		s, err := sched.NewApproxEDF(c.Slots, mustWheel(c.ClockBits), c.ApproxShift)
 		if err != nil {
 			panic(err) // Validate rejects bad shifts before this point
 		}
 		return s
-	case SchedTournament:
-		return sched.NewTournament(c.Slots, mustWheel(c.ClockBits))
 	default:
 		return sched.NewEDFTree(c.Slots, mustWheel(c.ClockBits))
 	}

@@ -111,12 +111,13 @@ func TestStaleStampFloodLimitation(t *testing.T) {
 	if err := r.b.SetConnection(4, 8, 30, maskOf(PortLocal)); err != nil {
 		t.Fatal(err)
 	}
-	// Track per-connection misses precisely through the transmit hooks:
-	// the flood may miss its own loose deadlines once backlogged — that
-	// IS the isolation working — but the compliant stream must not.
+	// Track per-connection misses precisely through the lifecycle
+	// stream's transmit events: the flood may miss its own loose
+	// deadlines once backlogged — that IS the isolation working — but the
+	// compliant stream must not.
 	var compliantMisses, rogueMisses int
-	hook := func(ev TCTransmitEvent) {
-		if !ev.Missed {
+	hook := func(ev LifecycleEvent) {
+		if ev.Kind != EvTransmit || !ev.Missed {
 			return
 		}
 		if ev.InConn == 1 || ev.InConn == 2 {
@@ -125,8 +126,8 @@ func TestStaleStampFloodLimitation(t *testing.T) {
 			rogueMisses++
 		}
 	}
-	r.a.OnTCTransmit = hook
-	r.b.OnTCTransmit = hook
+	r.a.OnLifecycle = hook
+	r.b.OnLifecycle = hook
 
 	const slots = 200
 	for s := int64(0); s < slots; s++ {

@@ -26,20 +26,6 @@ type DeliveredBE struct {
 	Cycle   int64
 }
 
-// TCTransmitEvent describes one time-constrained packet transmission,
-// reported through Router.OnTCTransmit for per-connection accounting
-// (Figure 7 style service curves).
-type TCTransmitEvent struct {
-	Router  string
-	Port    int
-	InConn  uint8
-	OutConn uint8
-	Class   sched.Class
-	Cycle   int64
-	Missed  bool
-	Wait    int64 // cycles from leaf install to transmission start
-}
-
 // Stats aggregates the router's hardware counters.
 type Stats struct {
 	TCArrived        int64 // packets written into the shared memory
@@ -117,10 +103,6 @@ type Router struct {
 	met   *metrics.RouterMetrics
 	wheel timing.Wheel
 
-	// schedSkip caches the scheduler's IdleSkipper view; non-nil is a
-	// precondition for the quiescence fast-forward (Skip).
-	schedSkip sched.IdleSkipper
-
 	// Delivery queues are double-buffered: Drain returns the filled
 	// buffer and installs the spare, so steady-state delivery never
 	// allocates once both buffers have grown to the working set.
@@ -189,14 +171,13 @@ type Router struct {
 
 	// Stats exposes the hardware counters; read-only for callers.
 	Stats Stats
-	// OnTCTransmit, if set, is invoked at the start of every
-	// time-constrained packet transmission.
-	OnTCTransmit func(TCTransmitEvent)
-	// OnBETransmit, if set, is invoked for every best-effort flit sent.
-	OnBETransmit func(port int, cycle int64)
 	// OnLifecycle, if set, observes every packet-level lifecycle event
 	// (inject, enqueue, arbitration win, transmit, cut-through, block,
 	// drop, deliver); obs.Sharded.Attach installs the standard recorder.
+	// It is the router's one per-packet tap: EvTransmit reports every
+	// time-constrained transmission start, from the packet memory and
+	// cut-through alike. Observers chain: each one attached keeps and
+	// calls the hook it found.
 	OnLifecycle func(LifecycleEvent)
 	// OnReset, if set, is invoked by ResetStats so externally attached
 	// state (collector shards) rotates together with the counters.
@@ -249,7 +230,6 @@ func New(name string, cfg Config) (*Router, error) {
 			nackWin: nackWin, hist: make([]beHist, nackWin+2),
 		}
 	}
-	r.schedSkip, _ = r.schedq.(sched.IdleSkipper)
 	// Bus polling order mirrors the chip's ten port engines: five
 	// receive engines then five transmit engines.
 	for i := 0; i < NumPorts; i++ {
@@ -327,9 +307,7 @@ func (r *Router) ResetStats() {
 	r.bus.grants = 0
 	r.resetBlame()
 	r.met.Reset()
-	if sr, ok := r.schedq.(interface{ ResetTelemetry() }); ok {
-		sr.ResetTelemetry()
-	}
+	r.schedq.ResetTelemetry()
 	if r.OnReset != nil {
 		r.OnReset()
 	}
@@ -585,7 +563,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		if rest == restIdle && r.schedSkip != nil {
+		if rest == restIdle {
 			r.idleBeats(1)
 		} else {
 			candidate = r.schedBeat(nowSlot)
@@ -736,14 +714,14 @@ func (r *Router) IdleTicks() int64 { return r.idleTicks }
 // IdleTicks.
 func (r *Router) ParkedTicks() int64 { return r.parkedTicks }
 
-// NextWork implements sim.Skipper. While the router is idle and
-// its scheduler supports closed-form idle accounting, every future idle
-// cycle's observable effects can be replayed in O(1), so the kernel may
-// fast-forward arbitrarily far — arriving wire traffic is tracked
-// separately, by the link pipes' stamps. A busy or parked router, or one
-// whose scheduler lacks SkipIdleSelects, must tick every cycle.
+// NextWork implements sim.Skipper. While the router is idle, every
+// future idle cycle's observable effects can be replayed in O(1) —
+// the scheduler's SkipIdleSelects accounts its empty-tree beats — so
+// the kernel may fast-forward arbitrarily far; arriving wire traffic is
+// tracked separately, by the link pipes' stamps. A busy or parked router
+// must tick every cycle.
 func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
-	if r.rest != restIdle || r.schedSkip == nil {
+	if r.rest != restIdle {
 		return now
 	}
 	return sim.Never
@@ -792,11 +770,10 @@ func (r *Router) Skip(now, target sim.Cycle) {
 // idleBeats replays n ≥ 1 comparator-tree beats of an idle router in
 // closed form: each advances the round-robin pointer by one port, runs
 // one empty-tree selection (SkipIdleSelects is bit-identical to it) and
-// refreshes the occupancy gauge, idempotent at zero occupancy. Requires
-// schedSkip.
+// refreshes the occupancy gauge, idempotent at zero occupancy.
 func (r *Router) idleBeats(n int64) {
 	r.schedRR = (r.schedRR%NumPorts+int((n-1)%int64(NumPorts)))%NumPorts + 1
-	r.schedSkip.SkipIdleSelects(n)
+	r.schedq.SkipIdleSelects(n)
 	if r.met != nil {
 		r.met.SchedSelects.Add(n)
 		r.noteSchedOccupancy()
@@ -1018,29 +995,7 @@ func (r *Router) emitCut(o *tcOutput) bool {
 	}
 	head := o.cutIdx == 0
 	if head {
-		r.Stats.TCTransmitted[o.port]++
-		if r.met != nil {
-			r.met.ArbWins[o.port][arbClass(o.cutClass)].Inc()
-		}
-		if r.OnTCTransmit != nil {
-			r.OnTCTransmit(TCTransmitEvent{
-				Router: r.name, Port: o.port,
-				InConn: o.cutLeaf.InConn, OutConn: o.cutLeaf.OutConn,
-				Class: o.cutClass, Cycle: r.nowCycle,
-			})
-		}
-		if r.OnLifecycle != nil {
-			ev := LifecycleEvent{
-				Port: o.port, InConn: o.cutLeaf.InConn, OutConn: o.cutLeaf.OutConn,
-				Class: o.cutClass,
-				Stamp: o.cutLeaf.Dl,
-				Slack: r.wheel.SignedDiff(o.cutLeaf.Dl, r.slotNow(r.nowCycle)),
-			}
-			ev.Kind = EvArbWin
-			r.lifecycle(ev)
-			ev.Kind = EvTransmit
-			r.lifecycle(ev)
-		}
+		r.noteTransmit(o.port, &o.cutLeaf, o.cutClass, r.slotNow(r.nowCycle), false, 0)
 	}
 	tail := o.cutIdx == packet.TCBytes-1
 	if o.port == PortLocal {

@@ -480,38 +480,13 @@ func (o *tcOutput) startTx(nowSlot timing.Stamp, class sched.Class) {
 	if overdue {
 		o.r.Stats.TCDeadlineMisses++
 	}
-	o.r.Stats.TCTransmitted[o.port]++
-	wait := o.r.nowCycle - o.sLeaf.EnqueueCycle
 	if m := o.r.met; m != nil {
-		m.ArbWins[o.port][arbClass(class)].Inc()
 		m.TCDequeued[o.port].Inc()
 		if overdue {
 			m.DeadlineMisses.Inc()
 		}
 	}
-	if o.r.OnTCTransmit != nil {
-		o.r.OnTCTransmit(TCTransmitEvent{
-			Router:  o.r.name,
-			Port:    o.port,
-			InConn:  o.sLeaf.InConn,
-			OutConn: o.sLeaf.OutConn,
-			Class:   class,
-			Cycle:   o.r.nowCycle,
-			Missed:  overdue,
-			Wait:    wait,
-		})
-	}
-	if o.r.OnLifecycle != nil {
-		ev := LifecycleEvent{
-			Port: o.port, InConn: o.sLeaf.InConn, OutConn: o.sLeaf.OutConn,
-			Class: class, Missed: overdue, Wait: wait,
-			Stamp: o.sLeaf.Dl, Slack: o.r.wheel.SignedDiff(o.sLeaf.Dl, nowSlot),
-		}
-		ev.Kind = EvArbWin
-		o.r.lifecycle(ev)
-		ev.Kind = EvTransmit
-		o.r.lifecycle(ev)
-	}
+	o.r.noteTransmit(o.port, &o.sLeaf, class, nowSlot, overdue, o.r.nowCycle-o.sLeaf.EnqueueCycle)
 	o.txBuf = o.sBuf
 	if o.r.cfg.Integrity {
 		o.txCRC = packet.CRC8(o.sBuf[:])
@@ -520,6 +495,29 @@ func (o *tcOutput) startTx(nowSlot timing.Stamp, class sched.Class) {
 	o.txIdx = 0
 	o.txConn = o.sLeaf.InConn
 	o.staged = false
+}
+
+// noteTransmit records a transmission start on port, from the packet
+// memory (startTx) or a cut-through stream (emitCut): the transmit
+// counter, the arbitration-win telemetry and the lifecycle stream's
+// EvArbWin/EvTransmit pair. missed and wait belong to the memory path; a
+// cut-through start reports neither.
+func (r *Router) noteTransmit(port int, lf *sched.Leaf, class sched.Class, nowSlot timing.Stamp, missed bool, wait int64) {
+	r.Stats.TCTransmitted[port]++
+	if r.met != nil {
+		r.met.ArbWins[port][arbClass(class)].Inc()
+	}
+	if r.OnLifecycle != nil {
+		ev := LifecycleEvent{
+			Port: port, InConn: lf.InConn, OutConn: lf.OutConn,
+			Class: class, Missed: missed, Wait: wait,
+			Stamp: lf.Dl, Slack: r.wheel.SignedDiff(lf.Dl, nowSlot),
+		}
+		ev.Kind = EvArbWin
+		r.lifecycle(ev)
+		ev.Kind = EvTransmit
+		r.lifecycle(ev)
+	}
 }
 
 // emitByte sends the next byte of the active transmission and reports

@@ -8,8 +8,9 @@ import (
 
 // leafTable is the leaf array every scheduler embeds: a slot's leaf, the
 // in-use count, install validation, and the mask-clear-and-free of
-// ClearPort. The ablation schedulers (FIFO, StaticPriority, ApproxEDF,
-// Tournament) add only their ordering rule; EDFTree also keeps its own
+// ClearPort, plus the no-op telemetry methods of the schedulers that
+// keep no counters. The ablation schedulers (FIFO, StaticPriority,
+// ApproxEDF) add only their ordering rule; EDFTree also keeps its own
 // Install and ClearPort, which are fused with the owed-leaf bitmaps the
 // performance ledger times and refuse mask bits no port owns.
 type leafTable struct {
@@ -76,9 +77,13 @@ func (t *leafTable) Occupancy() int { return t.inUse }
 // Slots implements Scheduler.
 func (t *leafTable) Slots() int { return len(t.leaves) }
 
-// SkipIdleSelects implements IdleSkipper for the schedulers whose
+// SkipIdleSelects implements Scheduler for the schedulers whose
 // empty-table Select is a pure scan with no telemetry.
 func (t *leafTable) SkipIdleSelects(int64) {}
+
+// ResetTelemetry implements Scheduler for the schedulers that keep no
+// counters.
+func (t *leafTable) ResetTelemetry() {}
 
 // FIFO is an ablation scheduler: time-constrained packets leave each port
 // in arrival order, with no deadline awareness. It models a conventional
@@ -142,28 +147,31 @@ func (f *FIFO) ClearPort(slot, port int) (bool, error) {
 // arrival gating), and FIFO order breaks priority ties.
 type StaticPriority struct {
 	leafTable
-	prio []uint8
-	seq  []int64
-	next int64
+	wheel timing.Wheel
+	prio  []uint8
+	seq   []int64
+	next  int64
 }
 
 // NewStaticPriority returns a static-priority scheduler with the given
-// number of leaf slots.
-func NewStaticPriority(slots int) *StaticPriority {
+// number of leaf slots on the given clock wheel.
+func NewStaticPriority(slots int, wheel timing.Wheel) *StaticPriority {
 	return &StaticPriority{
 		leafTable: newLeafTable(slots),
+		wheel:     wheel,
 		prio:      make([]uint8, slots),
 		seq:       make([]int64, slots),
 	}
 }
 
 // Install implements Scheduler. The leaf's deadline field carries the
-// static priority: priority = ℓ+d − ℓ = the connection's delay parameter.
+// static priority: priority = ℓ+d − ℓ = the connection's delay parameter,
+// measured on the wheel so a deadline that wrapped the clock keeps it.
 func (s *StaticPriority) Install(slot int, leaf Leaf) error {
 	if err := s.leafTable.Install(slot, leaf); err != nil {
 		return err
 	}
-	s.prio[slot] = uint8(leaf.Dl - leaf.L)
+	s.prio[slot] = uint8(s.wheel.Sub(leaf.Dl, leaf.L))
 	s.seq[slot] = s.next
 	s.next++
 	return nil
@@ -193,12 +201,5 @@ var (
 	_ Scheduler = (*EDFTree)(nil)
 	_ Scheduler = (*FIFO)(nil)
 	_ Scheduler = (*StaticPriority)(nil)
-	_ Scheduler = (*Tournament)(nil)
 	_ Scheduler = (*ApproxEDF)(nil)
-
-	_ IdleSkipper = (*EDFTree)(nil)
-	_ IdleSkipper = (*FIFO)(nil)
-	_ IdleSkipper = (*StaticPriority)(nil)
-	_ IdleSkipper = (*Tournament)(nil)
-	_ IdleSkipper = (*ApproxEDF)(nil)
 )

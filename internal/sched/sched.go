@@ -17,15 +17,18 @@
 // whether a winning early packet falls within the link's horizon
 // parameter h and may be sent ahead of its logical arrival time.
 //
-// The package provides five Scheduler implementations behind one
-// interface and over one leaf table (leafTable, in baseline.go):
+// The package ships four Scheduler implementations behind one interface
+// and over one leaf table (leafTable, in baseline.go):
 //
 //   - EDFTree — the paper's design (deadline-driven with horizon).
-//   - Tournament — the same decisions from a materialized comparator tree.
 //   - FIFO — per-port FIFO order; the "no deadline hardware" baseline.
 //   - StaticPriority — per-connection fixed priority, standing in for
 //     priority-forwarding-style designs in ablations.
 //   - ApproxEDF — EDF on quantized keys (the paper's Section 7 proposal).
+//
+// The package's tests add a fifth, structural one: a materialized
+// comparator tree that must make EDFTree's decisions, the oracle for the
+// reduction the chip performs. tree.go holds the tree's cost model.
 package sched
 
 import (
@@ -134,23 +137,22 @@ type Scheduler interface {
 	Occupancy() int
 	// Slots returns the leaf count.
 	Slots() int
-}
-
-// IdleSkipper is implemented by schedulers whose empty-tree Select has
-// closed-form side effects: SkipIdleSelects(n) must leave the scheduler
-// bit-identical to n Select calls on an empty tree. The router's
-// quiescence fast-forward requires it — a scheduler without the method
-// disables cycle skipping for its router.
-type IdleSkipper interface {
+	// SkipIdleSelects(n) must leave the scheduler bit-identical to n
+	// Select calls on an empty tree; the router's quiescence
+	// fast-forward replays idle beats through it.
 	SkipIdleSelects(n int64)
+	// ResetTelemetry zeroes any running counters without disturbing
+	// installed leaves; Router.ResetStats calls it so warmup exclusion
+	// covers the scheduler too.
+	ResetTelemetry()
 }
 
 // EDFTree is the paper's scheduler: a comparator tree over all leaves
 // with Figure 4 keys. In the chip only eligible leaves take part in a
 // reduction; the software model keeps, per output port, a bitmap of the
 // slots that still owe that port a copy and reduces over those alone,
-// in ascending slot order. Tournament (in tree.go) mirrors the hardware
-// structure and is tested equivalent.
+// in ascending slot order. The tests' structural tree mirrors the
+// hardware reduction and is checked equivalent.
 type EDFTree struct {
 	leafTable
 	wheel timing.Wheel
@@ -261,14 +263,13 @@ func (t *EDFTree) ClearPort(slot, port int) (bool, error) {
 	return false, nil
 }
 
-// ResetTelemetry zeroes the running Select and Overdue counters without
-// disturbing installed leaves; Router.ResetStats calls it so warmup
-// exclusion covers the scheduler too.
+// ResetTelemetry implements Scheduler: it zeroes the running Select and
+// Overdue counters.
 func (t *EDFTree) ResetTelemetry() {
 	t.Selects = 0
 	t.Overdue = 0
 }
 
-// SkipIdleSelects implements IdleSkipper: an empty-tree Select only
+// SkipIdleSelects implements Scheduler: an empty-tree Select only
 // increments the beat counter (no leaf, no Overdue).
 func (t *EDFTree) SkipIdleSelects(n int64) { t.Selects += n }

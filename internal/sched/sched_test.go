@@ -50,7 +50,7 @@ func schedulers(t *testing.T, slots int) map[string]Scheduler {
 		"EDFTree":        NewEDFTree(slots, wheel8),
 		"Tournament":     NewTournament(slots, wheel8),
 		"FIFO":           NewFIFO(slots),
-		"StaticPriority": NewStaticPriority(slots),
+		"StaticPriority": NewStaticPriority(slots, wheel8),
 		"ApproxEDF":      approx,
 	}
 }
@@ -310,7 +310,7 @@ func TestFIFOClearNonHeadFails(t *testing.T) {
 }
 
 func TestStaticPriorityOrder(t *testing.T) {
-	s := NewStaticPriority(8)
+	s := NewStaticPriority(8, wheel8)
 	// Priority is Dl−L: connection delay reused as priority.
 	must(t, s.Install(0, Leaf{L: 0, Dl: 9, Mask: 1})) // prio 9
 	must(t, s.Install(1, Leaf{L: 0, Dl: 3, Mask: 1})) // prio 3
@@ -333,52 +333,17 @@ func TestStaticPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestTournamentMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(64)
-		tr := NewEDFTree(n, wheel8)
-		tm := NewTournament(n, wheel8)
-		base := rng.Int63n(100000)
-		for slot := 0; slot < n; slot++ {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			off := int64(rng.Intn(100)) - 50
-			d := int64(rng.Intn(60)) + 1
-			lf := Leaf{
-				L:    wheel8.Wrap(timing.Slot(base + off)),
-				Dl:   wheel8.Wrap(timing.Slot(base + off + d)),
-				Mask: PortMask(rng.Intn(31) + 1),
-			}
-			must(t, tr.Install(slot, lf))
-			must(t, tm.Install(slot, lf))
-		}
-		now := wheel8.Wrap(timing.Slot(base))
-		for port := 0; port < NumPorts; port++ {
-			for _, h := range []uint32{0, 3, 10, 127} {
-				a := tr.Select(port, now, h)
-				b := tm.Select(port, now, h)
-				if a.Slot != b.Slot || a.Class != b.Class {
-					t.Fatalf("trial %d port %d h=%d: scan=%+v tournament=%+v",
-						trial, port, h, a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestTournamentCompareOps(t *testing.T) {
-	tm := NewTournament(256, wheel8)
-	must(t, tm.Install(0, Leaf{Mask: 1}))
-	before := tm.CompareOps
-	tm.Select(0, 0, 0)
-	// 256 leaves → 255 comparators per full reduction.
-	if got := tm.CompareOps - before; got != 255 {
-		t.Errorf("CompareOps per Select = %d, want 255", got)
-	}
-	if tm.Levels() != 8 {
-		t.Errorf("Levels = %d, want 8", tm.Levels())
+// TestStaticPriorityWrappedDeadline: the priority is the delay d = Dl−ℓ
+// measured on the scheduler's wheel, so a deadline that wraps a clock
+// narrower than the 8-bit priority field keeps its small delay.
+func TestStaticPriorityWrappedDeadline(t *testing.T) {
+	w5 := timing.MustWheel(5)
+	s := NewStaticPriority(8, w5)
+	// ℓ = 30, d = 4: Dl wraps to 2 on the 32-slot wheel.
+	must(t, s.Install(0, Leaf{L: w5.Wrap(20), Dl: w5.Wrap(30), Mask: 1})) // d = 10
+	must(t, s.Install(1, Leaf{L: w5.Wrap(30), Dl: w5.Wrap(34), Mask: 1})) // d = 4, wrapped
+	if sel := s.Select(0, 0, 0); sel.Slot != 1 || sel.Key != 4 {
+		t.Fatalf("Select = %+v, want slot 1 at priority 4 (the wrapped d=4 leaf)", sel)
 	}
 }
 
