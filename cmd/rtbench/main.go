@@ -51,7 +51,7 @@ var (
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsOut   = flag.String("metrics", "", "write aggregate telemetry across all runs to this file (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-	listen       = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080)")
+	listen       = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080); router counters update each time a simulation run returns")
 	traceOut     = flag.String("trace-out", "", "write the merged event timeline across all runs to this file (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
 	traceBuf     = flag.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace-out (oldest events evict first)")
 )

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,14 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
+
+// update rewrites faultyGolden from this run instead of comparing with
+// it: go test ./cmd/rtsim -run TestFaultyMetricsGolden -update.
+var update = flag.Bool("update", false, "rewrite "+faultyGolden+" from this run")
+
+// faultyGolden is the Prometheus registry rtsim writes for
+// scenarios/faulty.json.
+const faultyGolden = "testdata/faulty_metrics.golden"
 
 func TestParseMesh(t *testing.T) {
 	good := map[string][2]int{
@@ -150,6 +160,45 @@ func TestReportEpilogueIsShared(t *testing.T) {
 				break
 			}
 			at += i
+		}
+	}
+}
+
+// TestFaultyMetricsGolden pins every counter and gauge of the telemetry
+// registry on the fault scenario: corrupt, flap and lose episodes, with
+// the drops, best-effort nacks and retransmits they cause. The whole
+// 120 000-cycle run takes about a quarter second, so it is its own smoke
+// budget; it crosses the flap's outage and repair. The Prometheus report
+// must match faultyGolden byte for byte at one and at two kernel workers.
+func TestFaultyMetricsGolden(t *testing.T) {
+	for _, workers := range []string{"1", "2"} {
+		prom := filepath.Join(t.TempDir(), "faulty.prom")
+		if code, _, stderr := runCaptured(t, "-scenario", "../../scenarios/faulty.json", "-workers", workers, "-metrics", prom); code != 0 {
+			t.Fatalf("workers %s: exit %d: %s", workers, code, stderr)
+		}
+		got, err := os.ReadFile(prom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *update {
+			if err := os.WriteFile(faultyGolden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(faultyGolden)
+		if err != nil {
+			t.Fatalf("%v (record it with -update)", err)
+		}
+		if !bytes.Equal(got, want) {
+			gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gotLines), len(wantLines)) {
+				if gotLines[i] != wantLines[i] {
+					t.Fatalf("workers %s: registry differs from %s at line %d:\n got: %s\nwant: %s",
+						workers, faultyGolden, i+1, gotLines[i], wantLines[i])
+				}
+			}
+			t.Fatalf("workers %s: registry has %d lines, %s has %d", workers, len(gotLines), faultyGolden, len(wantLines))
 		}
 	}
 }

@@ -43,9 +43,12 @@ type Options struct {
 	// admissionSet marks Admission as explicitly provided.
 	admissionSet bool
 	// Metrics attaches a telemetry registry: every router gets a
-	// counter block named after its coordinate. Nil falls back to
+	// counter block named after its coordinate, and the routers fold what
+	// they counted into it when Run or RunUntil returns and before each
+	// sampler beat — the tick itself only bumps the router's own
+	// counters, with or without a registry. Nil falls back to
 	// DefaultMetrics; when that is nil too, the system runs without
-	// telemetry (the hot paths pay only a nil check).
+	// telemetry.
 	Metrics *metrics.Registry
 	// MetricsSampleEvery, when positive, registers a periodic sampler
 	// snapshotting registry totals into System.Sampler.TS every N
@@ -88,8 +91,9 @@ type Options struct {
 	//
 	// Observability is parallel-safe under any worker count: each router
 	// writes lifecycle events only into its own node's collector shard
-	// during the compute phase, metrics and SLO accounting use
-	// commutative atomics, and the collector merges shards into the
+	// during the compute phase, metrics fold from the routers' own
+	// counters while the kernel is quiet, SLO accounting uses commutative
+	// atomics, and the collector merges shards into the
 	// deterministic (cycle, node, seq) order at snapshot time — so
 	// traces, counters, and histograms are identical across worker
 	// counts. What remains unsafe is custom cross-node mutable state:
@@ -245,7 +249,7 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 			})
 		}
 		if opts.MetricsSampleEvery > 0 {
-			sys.Sampler = metrics.NewSampler("metrics-sampler", reg, opts.MetricsSampleEvery)
+			sys.Sampler = metrics.NewSampler("metrics-sampler", reg, opts.MetricsSampleEvery, sys.foldMetrics)
 			net.Kernel.Register(sys.Sampler)
 		}
 	}
@@ -476,11 +480,32 @@ func (s *System) RegisterNode(c mesh.Coord, comp sim.Component) { s.Net.Register
 func (s *System) Close() { s.Net.Close() }
 
 // Run advances the network by the given number of cycles.
-func (s *System) Run(cycles int64) { s.Net.Run(cycles) }
+func (s *System) Run(cycles int64) {
+	s.Net.Run(cycles)
+	s.foldMetrics()
+}
 
 // RunUntil steps until pred holds or the cycle budget runs out.
 func (s *System) RunUntil(pred func() bool, budget int64) bool {
-	return s.Net.Kernel.RunUntil(pred, budget)
+	ok := s.Net.Kernel.RunUntil(pred, budget)
+	s.foldMetrics()
+	return ok
+}
+
+// foldMetrics folds every router's counts into the metrics registry
+// (Router.FoldMetrics). Its callers run it where the kernel is quiet:
+// Run and RunUntil after the last step, the sampler as a barrier
+// component. Folding at every return keeps a registry shared by several
+// systems exact, and keeps no finished system reachable from it.
+func (s *System) foldMetrics() {
+	if s.Metrics == nil {
+		return
+	}
+	s.Metrics.Fold(func() {
+		for _, c := range s.Net.Coords() {
+			s.Net.Router(c).FoldMetrics()
+		}
+	})
 }
 
 // Now returns the current cycle.
@@ -508,7 +533,7 @@ type Summary struct {
 	BEAborts       int64 // best-effort frames abandoned (retry budget or dead link)
 	TCLatency      stats.Hist
 	BELatency      stats.Hist
-	SchedulerPeak  int
+	SchedulerPeak  int // most scheduling leaves one router held at a beat since ResetStats
 	CutThroughs    int64
 	StageReplaced  int64
 	BusUtilization float64 // granted chunks per cycle, network-wide mean
@@ -549,9 +574,7 @@ func (s *System) Summarize() Summary {
 		sum.CutThroughs += st.TCCutThroughs
 		sum.StageReplaced += st.TCStageReplaced
 		grants += st.BusGrants
-		if occ := r.Scheduler().Occupancy(); occ > sum.SchedulerPeak {
-			sum.SchedulerPeak = occ
-		}
+		sum.SchedulerPeak = max(sum.SchedulerPeak, r.SchedHighWater())
 		snk := s.snks[c]
 		snk.TCLatency.CopyInto(&sum.TCLatency)
 		snk.BELatency.CopyInto(&sum.BELatency)

@@ -198,3 +198,39 @@ func TestResetStats(t *testing.T) {
 		t.Errorf("post-reset delivered = %d, want 1", got)
 	}
 }
+
+// TestSchedulerPeakIsAHighWater: Summarize reports the most leaves a
+// scheduler held at a beat, not what is left when the run ends. Packets
+// stamped with a logical arrival 40 slots ahead wait in the source
+// router's memory; after they have drained, the peak still counts them.
+func TestSchedulerPeakIsAHighWater(t *testing.T) {
+	sys := MustNewMesh(2, 1, Options{})
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
+	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, rtc.Spec{Imin: 8, Smax: 18, D: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fill = 12
+	r := sys.Router(src)
+	ahead := packet.StampOf(r.SlotNow(sys.Now())) + 40
+	for i := 0; i < fill; i++ {
+		r.InjectTC(packet.TCPacket{Conn: ch.Admitted().SrcConn, Stamp: ahead})
+	}
+	sys.Run(fill*packet.TCBytes + 100)
+	if occ := r.Scheduler().Occupancy(); occ != fill {
+		t.Fatalf("%d leaves installed before the packets came due, want %d", occ, fill)
+	}
+	sys.Run(4000)
+	for _, c := range sys.Net.Coords() {
+		if occ := sys.Router(c).Scheduler().Occupancy(); occ != 0 {
+			t.Fatalf("router %v still holds %d leaves", c, occ)
+		}
+	}
+	sum := sys.Summarize()
+	if sum.TCDelivered != fill {
+		t.Fatalf("delivered %d/%d", sum.TCDelivered, fill)
+	}
+	if sum.SchedulerPeak < fill {
+		t.Errorf("SchedulerPeak = %d after draining a scheduler that held %d leaves", sum.SchedulerPeak, fill)
+	}
+}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mesh"
@@ -27,6 +29,9 @@ type loadedRun struct {
 	Trace      string
 	Channels   []metrics.ChannelSnapshot
 	Epoch      int64
+	// Scrapes counts the registry reads a scraping run made while the
+	// kernel was running.
+	Scrapes int64
 }
 
 // loadedOpts selects the execution mode for one runLoaded call. The
@@ -38,6 +43,11 @@ type loadedOpts struct {
 	linkLat   int // router.Config.LinkLatency; 0 = the 1-cycle default
 	forcePool bool
 	cycles    int64
+	// sample registers the metrics sampler at that period; scrape reads
+	// the registry over its HTTP handler in a loop on another goroutine
+	// for the whole run.
+	sample int64
+	scrape bool
 }
 
 // runLoaded drives a loaded 8×8 mesh — unicast and multicast real-time
@@ -53,7 +63,7 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 	rcfg.LinkLatency = o.linkLat
 	sys, err := NewMesh(8, 8, Options{
 		Router: rcfg, Workers: o.workers,
-		Metrics: reg, Collector: col, ChannelSLO: slo,
+		Metrics: reg, MetricsSampleEvery: o.sample, Collector: col, ChannelSLO: slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +117,32 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 		}
 	}
 
+	var scrapes atomic.Int64
+	done, stopped := make(chan struct{}), make(chan struct{})
+	if o.scrape {
+		go func() {
+			defer close(stopped)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				url := "/metrics"
+				if i%2 == 1 {
+					url += "?format=json"
+				}
+				reg.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil))
+				scrapes.Add(1)
+			}
+		}()
+	} else {
+		close(stopped)
+	}
 	sys.Run(o.cycles)
+	duringRun := scrapes.Load()
+	close(done)
+	<-stopped
 
 	var dump strings.Builder
 	col.Dump(&dump)
@@ -117,6 +152,7 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 		Trace:      dump.String(),
 		Channels:   slo.Export(),
 		Epoch:      sys.Net.Kernel.EffectiveEpoch(),
+		Scrapes:    duringRun,
 	}
 	for _, c := range coords {
 		run.Stats = append(run.Stats, sys.Router(c).Stats)
@@ -322,4 +358,22 @@ func TestParallelTracingRace(t *testing.T) {
 	if !reflect.DeepEqual(seqLat.Snapshot, epoch.Snapshot) {
 		t.Fatalf("metrics snapshots diverged between sequential and epoch-4 runs")
 	}
+}
+
+// TestLiveScrapeRace is the live -listen endpoint's contract, meant to
+// run under the race detector: a goroutine reads the registry through
+// its HTTP handler, Prometheus text and JSON in turn, for as long as a
+// loaded 8×8 runs on two pooled workers with the metrics sampler
+// attached. The routers fold into the registry only where the kernel is
+// quiet (the sampler's barrier, the end of Run), so the scrapes race
+// nothing, and the run still matches the sequential one.
+func TestLiveScrapeRace(t *testing.T) {
+	const cycles, sample = 3000, 100
+	seq := runLoaded(t, loadedOpts{workers: 1, sample: sample, cycles: cycles})
+	live := runLoaded(t, loadedOpts{workers: 2, forcePool: true, sample: sample, scrape: true, cycles: cycles})
+	if live.Scrapes == 0 {
+		t.Fatal("the registry was never scraped while the kernel ran")
+	}
+	compareLoaded(t, seq, live, "live-scrape")
+	checkLoadedVacuity(t, seq)
 }

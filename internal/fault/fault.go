@@ -139,7 +139,7 @@ func (ls *linkState) step() bool {
 // garble returns a guaranteed-nonzero XOR mask.
 func (ls *linkState) garble() byte { return byte(1 + ls.rng.Intn(255)) }
 
-// hitKind tells the hook which telemetry counter a fault touched.
+// hitKind tells the hook which router counter a fault touched.
 type hitKind int
 
 const (
@@ -268,13 +268,7 @@ func (in *Injector) arm(n *mesh.Network, rx mesh.Coord, rxPort int, cfg Config) 
 			}
 			out, ok, hit := ls.offer(ph)
 			if hit != hitNone {
-				if met := r.Metrics(); met != nil {
-					if hit == hitLost {
-						met.FaultLostPhits.Inc()
-					} else {
-						met.FaultCorruptPhits.Inc()
-					}
-				}
+				r.NoteLinkFault(hit == hitLost)
 			}
 			return out, ok
 		}

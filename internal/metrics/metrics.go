@@ -1,13 +1,16 @@
-// Package metrics is the router telemetry layer: a zero-allocation
-// counter/gauge registry the router core updates on every hot-path
-// event, with JSON and Prometheus-text export and an HTTP handler for
-// watching a long simulation live.
+// Package metrics is the router telemetry layer: a fixed-cardinality
+// counter/gauge registry with JSON and Prometheus-text export and an
+// HTTP handler for watching a long simulation live.
 //
 // The label space is fixed at construction — router name, output port
-// (0..4) and arbitration class — so every hot-path update is a single
-// atomic add into a preallocated array; nothing on the tick path
-// allocates, hashes or locks. Counters are safe for concurrent readers
-// (the -listen endpoint) while the simulation is running.
+// (0..4) and arbitration class — so a router's block is a preallocated
+// set of plain int64s. Routers never write a block while they tick:
+// each keeps its own counters (router.Stats plus a small tally) and
+// folds what it counted since its last fold into its block at a point
+// where the kernel is quiet (Fold; core.System folds after every run and
+// before each Sampler beat). The registry's mutex guards the blocks, so
+// the -listen endpoint may read them while the simulation runs, current
+// as of the last fold.
 //
 // The software plays the role of the chip-level event counters and
 // Verilog waveforms the paper's authors watched (Figures 4–7): each
@@ -146,111 +149,118 @@ func (d DropReason) String() string {
 	}
 }
 
-// Counter is a monotonically increasing event count, safe for one
-// writer and many concurrent readers (and for several writers, though
-// the simulator is single-threaded).
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-func (c *Counter) reset() { c.v.Store(0) }
-
-// Gauge is an instantaneous level, also usable as a running maximum via
-// SetMax (high-water marks).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the current level.
-func (g *Gauge) Set(x int64) { g.v.Store(x) }
-
-// SetMax raises the gauge to x if x exceeds the stored value.
-func (g *Gauge) SetMax(x int64) {
-	for {
-		cur := g.v.Load()
-		if x <= cur || g.v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
-
-// RouterMetrics is the fixed-cardinality counter block of one router
-// chip. The router core holds a pointer (nil when telemetry is off) and
-// updates fields directly on its hot path; all updates are atomic adds
-// or stores into preallocated storage.
-type RouterMetrics struct {
-	name string
-
+// RouterCounts is one router's telemetry as plain values: event
+// counters, two levels (packet-memory and scheduling-leaf occupancy) and
+// their high-water marks. A router keeps one as the tally of the events
+// its Stats has no field for, and folds its full counts into its
+// RouterMetrics block (Fold).
+type RouterCounts struct {
 	// TCInjected counts packets handed to the time-constrained
 	// injection port by the local processor.
-	TCInjected Counter
+	TCInjected int64
 	// TCEnqueued counts scheduling-leaf installs: a packet became live
 	// in the shared memory and visible to the comparator tree.
-	TCEnqueued Counter
+	TCEnqueued int64
 	// TCDequeued counts transmission starts per output port for packets
 	// leaving through the memory path (cut-throughs are separate).
-	TCDequeued [NumPorts]Counter
+	TCDequeued [NumPorts]int64
 	// TCDelivered counts packets handed to the local processor.
-	TCDelivered Counter
+	TCDelivered int64
 	// BEDelivered counts best-effort deliveries.
-	BEDelivered Counter
+	BEDelivered int64
 
 	// ArbWins counts output-port arbitration decisions by class:
 	// time-constrained wins per packet, best-effort wins per flit.
-	ArbWins [NumPorts][NumArbClasses]Counter
+	ArbWins [NumPorts][NumArbClasses]int64
 
 	// CutThroughs counts established virtual cut-through paths (§7).
-	CutThroughs Counter
+	CutThroughs int64
 
 	// MemOccupancy is the current number of occupied packet-memory
 	// slots; MemHighWater is its maximum since the last reset.
-	MemOccupancy Gauge
-	MemHighWater Gauge
+	MemOccupancy int64
+	MemHighWater int64
 
 	// SchedSelects counts comparator-tree selection beats issued;
-	// SchedOccupancy/SchedOccPeak track in-use scheduling leaves.
-	SchedSelects   Counter
-	SchedOccupancy Gauge
-	SchedOccPeak   Gauge
+	// SchedOccupancy/SchedOccPeak track in-use scheduling leaves, sampled
+	// at each beat.
+	SchedSelects   int64
+	SchedOccupancy int64
+	SchedOccPeak   int64
 
 	// SlotRollovers counts wraps of the bounded slot clock (§4.3).
-	SlotRollovers Counter
+	SlotRollovers int64
 
 	// DeadlineMisses counts transmissions that started past their local
 	// deadline.
-	DeadlineMisses Counter
+	DeadlineMisses int64
 
 	// BEStallCycles counts cycles an output port idled with a
 	// best-effort flit waiting but no downstream credit.
-	BEStallCycles [NumPorts]Counter
+	BEStallCycles [NumPorts]int64
 	// BEFlitAcks counts flit credits returned upstream.
-	BEFlitAcks Counter
+	BEFlitAcks int64
 
 	// FaultCorruptPhits and FaultLostPhits count link-fault injections on
 	// this router's input wires: phits garbled in place and phits erased
-	// entirely. Incremented by the attached fault injector, not the
-	// router core.
-	FaultCorruptPhits Counter
-	FaultLostPhits    Counter
+	// entirely. Reported by the attached fault injector, not the router
+	// core.
+	FaultCorruptPhits int64
+	FaultLostPhits    int64
 	// BEFlitNacks counts corrupted best-effort flits nacked upstream;
 	// BEFlitRetransmits counts flits resent after a nack; BEFrameAborts
 	// counts frames abandoned after the retry budget ran out.
-	BEFlitNacks       Counter
-	BEFlitRetransmits Counter
-	BEFrameAborts     Counter
+	BEFlitNacks       int64
+	BEFlitRetransmits int64
+	BEFrameAborts     int64
 
 	// Drops counts discarded packets by reason.
-	Drops [NumDropReasons]Counter
+	Drops [NumDropReasons]int64
+}
+
+// Zero zeroes the counters and high-water marks. The two levels keep
+// their value: the memory does not empty on a stats reset, and the next
+// update overwrites them anyway.
+func (c *RouterCounts) Zero() {
+	*c = RouterCounts{MemOccupancy: c.MemOccupancy, SchedOccupancy: c.SchedOccupancy}
+}
+
+// add adds a − b to each of c's counters; the levels and high-water
+// marks are the caller's.
+func (c *RouterCounts) add(a, b *RouterCounts) {
+	c.TCInjected += a.TCInjected - b.TCInjected
+	c.SchedSelects += a.SchedSelects - b.SchedSelects
+	c.SlotRollovers += a.SlotRollovers - b.SlotRollovers
+	c.TCEnqueued += a.TCEnqueued - b.TCEnqueued
+	c.TCDelivered += a.TCDelivered - b.TCDelivered
+	c.BEDelivered += a.BEDelivered - b.BEDelivered
+	c.CutThroughs += a.CutThroughs - b.CutThroughs
+	c.DeadlineMisses += a.DeadlineMisses - b.DeadlineMisses
+	c.BEFlitAcks += a.BEFlitAcks - b.BEFlitAcks
+	c.FaultCorruptPhits += a.FaultCorruptPhits - b.FaultCorruptPhits
+	c.FaultLostPhits += a.FaultLostPhits - b.FaultLostPhits
+	c.BEFlitNacks += a.BEFlitNacks - b.BEFlitNacks
+	c.BEFlitRetransmits += a.BEFlitRetransmits - b.BEFlitRetransmits
+	c.BEFrameAborts += a.BEFrameAborts - b.BEFrameAborts
+	for p := 0; p < NumPorts; p++ {
+		c.TCDequeued[p] += a.TCDequeued[p] - b.TCDequeued[p]
+		c.BEStallCycles[p] += a.BEStallCycles[p] - b.BEStallCycles[p]
+		for k := 0; k < NumArbClasses; k++ {
+			c.ArbWins[p][k] += a.ArbWins[p][k] - b.ArbWins[p][k]
+		}
+	}
+	for d := 0; d < NumDropReasons; d++ {
+		c.Drops[d] += a.Drops[d] - b.Drops[d]
+	}
+}
+
+// RouterMetrics is the block of one router name in a registry. Routers
+// sharing the name (systems built one after another on one registry)
+// share the block; each adds its own counts by folding.
+type RouterMetrics struct {
+	reg  *Registry
+	name string
+	RouterCounts
 }
 
 // Name returns the router label the block was registered under.
@@ -261,46 +271,42 @@ func (m *RouterMetrics) Name() string {
 	return m.name
 }
 
-// Reset zeroes every counter and gauge. Nil-safe, so the router's
-// warmup reset needs no telemetry guard.
+// Reset zeroes the block's counters and high-water marks (Zero). Nil-safe.
 func (m *RouterMetrics) Reset() {
 	if m == nil {
 		return
 	}
-	m.TCInjected.reset()
-	m.TCEnqueued.reset()
-	m.TCDelivered.reset()
-	m.BEDelivered.reset()
-	m.CutThroughs.reset()
-	m.SchedSelects.reset()
-	m.SlotRollovers.reset()
-	m.DeadlineMisses.reset()
-	m.BEFlitAcks.reset()
-	m.FaultCorruptPhits.reset()
-	m.FaultLostPhits.reset()
-	m.BEFlitNacks.reset()
-	m.BEFlitRetransmits.reset()
-	m.BEFrameAborts.reset()
-	m.MemHighWater.reset()
-	m.SchedOccPeak.reset()
-	// Occupancy gauges keep their level: the memory does not empty on a
-	// stats reset, and the next update overwrites them anyway.
-	for p := 0; p < NumPorts; p++ {
-		m.TCDequeued[p].reset()
-		m.BEStallCycles[p].reset()
-		for c := 0; c < NumArbClasses; c++ {
-			m.ArbWins[p][c].reset()
-		}
+	m.reg.mu.Lock()
+	m.Zero()
+	m.reg.mu.Unlock()
+}
+
+// Fold merges one router's counts into the block and records cur in
+// last. cur holds what the router counted since its last reset and last
+// what it held at the router's previous fold: each counter gains the
+// difference and each high-water takes the larger value. A level is
+// overwritten only where the router moved it since that fold — the leaf
+// level with every beat, the memory level where memMoved says an
+// allocation or free did — so a router that stayed idle leaves alone the
+// level another router of the same name set. The caller holds the
+// registry's lock (Registry.Fold).
+func (m *RouterMetrics) Fold(cur, last *RouterCounts, memMoved bool) {
+	b := &m.RouterCounts
+	b.add(cur, last)
+	b.MemHighWater = max(b.MemHighWater, cur.MemHighWater)
+	b.SchedOccPeak = max(b.SchedOccPeak, cur.SchedOccPeak)
+	if memMoved {
+		b.MemOccupancy = cur.MemOccupancy
 	}
-	for d := 0; d < NumDropReasons; d++ {
-		m.Drops[d].reset()
+	if cur.SchedSelects != last.SchedSelects {
+		b.SchedOccupancy = cur.SchedOccupancy
 	}
+	*last = *cur
 }
 
 // Registry holds the telemetry of a whole network, one RouterMetrics
-// block per router plus run-level bookkeeping. Router() is the only
-// locking operation and runs once per router at attach time; everything
-// on the simulation hot path goes through the preallocated blocks.
+// block per router name plus run-level bookkeeping. Its mutex guards
+// the blocks: folds write them, snapshots read them.
 type Registry struct {
 	mu      sync.RWMutex
 	routers map[string]*RouterMetrics
@@ -352,10 +358,19 @@ func (g *Registry) Router(name string) *RouterMetrics {
 	if m = g.routers[name]; m != nil {
 		return m
 	}
-	m = &RouterMetrics{name: name}
+	m = &RouterMetrics{reg: g, name: name}
 	g.routers[name] = m
 	g.order = append(g.order, name)
 	return m
+}
+
+// Fold runs fold with the registry locked for writing: the routers fold
+// their counts into their blocks inside it (RouterMetrics.Fold), one
+// lock for a whole system.
+func (g *Registry) Fold(fold func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fold()
 }
 
 // Routers returns the registered router names in registration order.
@@ -367,10 +382,10 @@ func (g *Registry) Routers() []string {
 
 // Reset zeroes every registered block (warmup exclusion).
 func (g *Registry) Reset() {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, m := range g.routers {
-		m.Reset()
+		m.Zero()
 	}
 	g.Cycles.Store(0)
 }
@@ -594,110 +609,72 @@ type Snapshot struct {
 	Admission *AdmissionStats    `json:"admission,omitempty"`
 }
 
-func (m *RouterMetrics) snapshot() RouterSnapshot {
+// snapshot renders c in export form under the router label name.
+func (c *RouterCounts) snapshot(name string) RouterSnapshot {
 	s := RouterSnapshot{
-		Router:         m.name,
-		TCInjected:     m.TCInjected.Load(),
-		TCEnqueued:     m.TCEnqueued.Load(),
+		Router:         name,
+		TCInjected:     c.TCInjected,
+		TCEnqueued:     c.TCEnqueued,
 		TCDequeued:     make(map[string]int64, NumPorts),
-		TCDelivered:    m.TCDelivered.Load(),
-		BEDelivered:    m.BEDelivered.Load(),
+		TCDelivered:    c.TCDelivered,
+		BEDelivered:    c.BEDelivered,
 		ArbWins:        make(map[string]map[string]int64, NumPorts),
-		CutThroughs:    m.CutThroughs.Load(),
-		MemOccupancy:   m.MemOccupancy.Load(),
-		MemHighWater:   m.MemHighWater.Load(),
-		SchedSelects:   m.SchedSelects.Load(),
-		SchedOccupancy: m.SchedOccupancy.Load(),
-		SchedOccPeak:   m.SchedOccPeak.Load(),
-		SlotRollovers:  m.SlotRollovers.Load(),
-		DeadlineMisses: m.DeadlineMisses.Load(),
+		CutThroughs:    c.CutThroughs,
+		MemOccupancy:   c.MemOccupancy,
+		MemHighWater:   c.MemHighWater,
+		SchedSelects:   c.SchedSelects,
+		SchedOccupancy: c.SchedOccupancy,
+		SchedOccPeak:   c.SchedOccPeak,
+		SlotRollovers:  c.SlotRollovers,
+		DeadlineMisses: c.DeadlineMisses,
 		BEStallCycles:  make(map[string]int64, NumPorts),
-		BEFlitAcks:     m.BEFlitAcks.Load(),
-		FaultCorrupt:   m.FaultCorruptPhits.Load(),
-		FaultLost:      m.FaultLostPhits.Load(),
-		BEFlitNacks:    m.BEFlitNacks.Load(),
-		BERetransmits:  m.BEFlitRetransmits.Load(),
-		BEFrameAborts:  m.BEFrameAborts.Load(),
+		BEFlitAcks:     c.BEFlitAcks,
+		FaultCorrupt:   c.FaultCorruptPhits,
+		FaultLost:      c.FaultLostPhits,
+		BEFlitNacks:    c.BEFlitNacks,
+		BERetransmits:  c.BEFlitRetransmits,
+		BEFrameAborts:  c.BEFrameAborts,
 		Drops:          make(map[string]int64, NumDropReasons),
 	}
 	for p := 0; p < NumPorts; p++ {
 		pn := portName(p)
-		s.TCDequeued[pn] = m.TCDequeued[p].Load()
-		s.BEStallCycles[pn] = m.BEStallCycles[p].Load()
+		s.TCDequeued[pn] = c.TCDequeued[p]
+		s.BEStallCycles[pn] = c.BEStallCycles[p]
 		wins := make(map[string]int64, NumArbClasses)
-		for c := 0; c < NumArbClasses; c++ {
-			wins[ArbClass(c).String()] = m.ArbWins[p][c].Load()
+		for k := 0; k < NumArbClasses; k++ {
+			wins[ArbClass(k).String()] = c.ArbWins[p][k]
 		}
 		s.ArbWins[pn] = wins
 	}
 	for d := 0; d < NumDropReasons; d++ {
-		s.Drops[DropReason(d).String()] = m.Drops[d].Load()
+		s.Drops[DropReason(d).String()] = c.Drops[d]
 	}
 	return s
 }
 
-func (s *RouterSnapshot) accumulate(o RouterSnapshot) {
-	s.TCInjected += o.TCInjected
-	s.TCEnqueued += o.TCEnqueued
-	s.TCDelivered += o.TCDelivered
-	s.BEDelivered += o.BEDelivered
-	s.CutThroughs += o.CutThroughs
-	s.MemOccupancy += o.MemOccupancy
-	if o.MemHighWater > s.MemHighWater {
-		s.MemHighWater = o.MemHighWater
-	}
-	s.SchedSelects += o.SchedSelects
-	s.SchedOccupancy += o.SchedOccupancy
-	if o.SchedOccPeak > s.SchedOccPeak {
-		s.SchedOccPeak = o.SchedOccPeak
-	}
-	s.SlotRollovers += o.SlotRollovers
-	s.DeadlineMisses += o.DeadlineMisses
-	s.BEFlitAcks += o.BEFlitAcks
-	s.FaultCorrupt += o.FaultCorrupt
-	s.FaultLost += o.FaultLost
-	s.BEFlitNacks += o.BEFlitNacks
-	s.BERetransmits += o.BERetransmits
-	s.BEFrameAborts += o.BEFrameAborts
-	for pn, v := range o.TCDequeued {
-		s.TCDequeued[pn] += v
-	}
-	for pn, v := range o.BEStallCycles {
-		s.BEStallCycles[pn] += v
-	}
-	for pn, wins := range o.ArbWins {
-		if s.ArbWins[pn] == nil {
-			s.ArbWins[pn] = make(map[string]int64, NumArbClasses)
-		}
-		for cn, v := range wins {
-			s.ArbWins[pn][cn] += v
-		}
-	}
-	for dn, v := range o.Drops {
-		s.Drops[dn] += v
-	}
-}
-
-// Snapshot copies the registry. Counters are read atomically but not as
-// one transaction; a snapshot taken mid-cycle can be off by in-flight
-// events, which is fine for reporting.
+// Snapshot copies the registry: the router blocks as of their last fold,
+// read under the registry's lock, plus whatever the attached sources
+// report. The totals add the counters and levels and keep the largest
+// high-water marks.
 func (g *Registry) Snapshot() Snapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	snap := Snapshot{
-		Cycles: g.Cycles.Load(),
-		Totals: RouterSnapshot{
-			Router:        "total",
-			TCDequeued:    make(map[string]int64, NumPorts),
-			BEStallCycles: make(map[string]int64, NumPorts),
-			ArbWins:       make(map[string]map[string]int64, NumPorts),
-			Drops:         make(map[string]int64, NumDropReasons),
-		},
-	}
+	snap := Snapshot{Cycles: g.Cycles.Load()}
+	var tot RouterCounts
 	for _, name := range g.order {
-		rs := g.routers[name].snapshot()
-		snap.Routers = append(snap.Routers, rs)
-		snap.Totals.accumulate(rs)
+		c := &g.routers[name].RouterCounts
+		snap.Routers = append(snap.Routers, c.snapshot(name))
+		tot.add(c, &RouterCounts{})
+		tot.MemOccupancy += c.MemOccupancy
+		tot.SchedOccupancy += c.SchedOccupancy
+		tot.MemHighWater = max(tot.MemHighWater, c.MemHighWater)
+		tot.SchedOccPeak = max(tot.SchedOccPeak, c.SchedOccPeak)
+	}
+	snap.Totals = tot.snapshot("total")
+	if len(g.order) == 0 {
+		// With no router there is no port, class or reason to label.
+		snap.Totals = RouterSnapshot{Router: "total", TCDequeued: map[string]int64{}, BEStallCycles: map[string]int64{},
+			ArbWins: map[string]map[string]int64{}, Drops: map[string]int64{}}
 	}
 	if g.channels != nil {
 		snap.Channels = g.channels()

@@ -10,22 +10,30 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCounterGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Errorf("counter = %d, want 5", c.Load())
+// TestFold: two routers sharing a name fold into one block. Counters add
+// what each counted since its own last fold, high-waters keep the
+// maximum, and a level moves only when the folding router moved it: the
+// memory level as flagged, the leaf level with a beat.
+func TestFold(t *testing.T) {
+	m := NewRegistry().Router("r")
+	var a0, a1, b0, b1 RouterCounts
+	a1.TCEnqueued, a1.Drops[DropTCNoRoute], a1.MemHighWater, a1.MemOccupancy = 5, 1, 9, 4
+	m.Fold(&a1, &a0, true)
+	b1.TCEnqueued, b1.MemHighWater, b1.MemOccupancy, b1.SchedSelects, b1.SchedOccupancy = 3, 6, 2, 1, 7
+	m.Fold(&b1, &b0, false)
+	a2 := a1
+	a2.TCEnqueued, a2.ArbWins[1][ArbEarly], a2.SchedOccupancy = 8, 2, 5
+	m.Fold(&a2, &a1, false)
+	if m.TCEnqueued != 11 || m.ArbWins[1][ArbEarly] != 2 || m.Drops[DropTCNoRoute] != 1 {
+		t.Errorf("counters %d enqueued, %d early wins, %d drops; want 11, 2, 1",
+			m.TCEnqueued, m.ArbWins[1][ArbEarly], m.Drops[DropTCNoRoute])
 	}
-	var g Gauge
-	g.Set(7)
-	g.SetMax(3)
-	if g.Load() != 7 {
-		t.Errorf("SetMax lowered the gauge to %d", g.Load())
+	if m.MemHighWater != 9 {
+		t.Errorf("high-water %d, want the larger fold's 9", m.MemHighWater)
 	}
-	g.SetMax(11)
-	if g.Load() != 11 {
-		t.Errorf("SetMax did not raise the gauge: %d", g.Load())
+	if m.MemOccupancy != 4 || m.SchedOccupancy != 7 {
+		t.Errorf("levels mem %d sched %d; want 4 and 7, each from the router that moved it",
+			m.MemOccupancy, m.SchedOccupancy)
 	}
 }
 
@@ -52,19 +60,19 @@ func TestRegistryRouterIdempotent(t *testing.T) {
 
 func fill(reg *Registry) {
 	m := reg.Router("(0,0)")
-	m.TCEnqueued.Add(10)
-	m.TCDequeued[0].Add(9)
-	m.ArbWins[0][ArbOnTime].Add(7)
-	m.ArbWins[0][ArbEarly].Add(2)
-	m.ArbWins[4][ArbBE].Add(100)
-	m.MemOccupancy.Set(3)
-	m.MemHighWater.SetMax(12)
-	m.SlotRollovers.Add(4)
-	m.DeadlineMisses.Inc()
-	m.Drops[DropTCNoRoute].Add(2)
+	m.TCEnqueued = 10
+	m.TCDequeued[0] = 9
+	m.ArbWins[0][ArbOnTime] = 7
+	m.ArbWins[0][ArbEarly] = 2
+	m.ArbWins[4][ArbBE] = 100
+	m.MemOccupancy = 3
+	m.MemHighWater = 12
+	m.SlotRollovers = 4
+	m.DeadlineMisses = 1
+	m.Drops[DropTCNoRoute] = 2
 	n := reg.Router("(1,0)")
-	n.TCEnqueued.Add(5)
-	n.MemHighWater.SetMax(8)
+	n.TCEnqueued = 5
+	n.MemHighWater = 8
 }
 
 func TestSnapshotTotals(t *testing.T) {
@@ -164,14 +172,17 @@ func TestServeHTTPFormats(t *testing.T) {
 func TestSamplerSeries(t *testing.T) {
 	reg := NewRegistry()
 	m := reg.Router("r")
-	s := NewSampler("sampler", reg, 10)
+	// The fold hook stands in for the routers: it brings the block up to
+	// date with what they counted before each beat.
+	var counted RouterCounts
+	s := NewSampler("sampler", reg, 10, func() { m.RouterCounts = counted })
 	for cyc := int64(0); cyc < 40; cyc++ {
 		if cyc == 5 {
-			m.TCEnqueued.Add(3)
+			counted.TCEnqueued += 3
 		}
 		if cyc == 25 {
-			m.TCEnqueued.Add(2)
-			m.MemOccupancy.Set(7)
+			counted.TCEnqueued += 2
+			counted.MemOccupancy = 7
 		}
 		s.Tick(sim.Cycle(cyc))
 	}

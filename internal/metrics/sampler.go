@@ -9,23 +9,27 @@ import (
 // stats.TimeSeries, producing Figure 7-style curves of the network's
 // internal state (occupancy, wins, misses, stalls) over the run. It
 // implements sim.Component; register it after the routers so samples
-// reflect the cycle just executed.
+// reflect the cycle just executed. The kernel runs it as a barrier —
+// every router is between ticks — so each beat first folds the routers'
+// counts into the registry (the fold function) and then reads it.
 type Sampler struct {
 	name  string
 	reg   *Registry
 	every int64
+	fold  func()
 
 	// TS receives one point per sampled quantity per period.
 	TS *stats.TimeSeries
 }
 
 // NewSampler creates a sampler emitting one point every `every` cycles
-// (clamped to at least 1).
-func NewSampler(name string, reg *Registry, every int64) *Sampler {
+// (clamped to at least 1). fold brings the registry up to date before
+// each point; core.System passes the fold of its routers.
+func NewSampler(name string, reg *Registry, every int64, fold func()) *Sampler {
 	if every < 1 {
 		every = 1
 	}
-	return &Sampler{name: name, reg: reg, every: every, TS: stats.NewTimeSeries()}
+	return &Sampler{name: name, reg: reg, every: every, fold: fold, TS: stats.NewTimeSeries()}
 }
 
 // Name implements sim.Component.
@@ -40,6 +44,7 @@ func (s *Sampler) Tick(now sim.Cycle) {
 	if t%s.every != 0 {
 		return
 	}
+	s.fold()
 	s.reg.Cycles.Store(t + 1)
 	snap := s.reg.Snapshot()
 	tot := snap.Totals

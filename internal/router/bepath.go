@@ -135,9 +135,6 @@ func (u *beInput) acceptWireBE(ph packet.Phit) {
 func (u *beInput) nack() {
 	u.nackPending = true // beside a credit owed (acceptWireBE), which marks beOwed
 	u.r.Stats.BEFlitNacks++
-	if u.r.met != nil {
-		u.r.met.BEFlitNacks.Inc()
-	}
 }
 
 // abortRecv handles an Abort tail flit: the upstream router gave up on
@@ -148,6 +145,7 @@ func (u *beInput) nack() {
 // only records the drop reason.
 func (u *beInput) abortRecv() {
 	u.owe() // the abort flit spent a credit; return it
+	u.r.tally.Drops[metrics.DropBEAborted]++
 	u.r.dropBE(metrics.DropBEAborted, u.id)
 	u.discardFrame()
 }
@@ -276,6 +274,7 @@ func (u *beInput) drainDropped() {
 // exactly one conservation bucket.
 func (u *beInput) truncate() {
 	if u.parsed || u.occ() > 0 {
+		u.r.tally.Drops[metrics.DropBETruncated]++
 		u.r.dropBE(metrics.DropBETruncated, u.id)
 	}
 	u.discardFrame()
@@ -422,9 +421,6 @@ func (b *beOutput) abortFrame() {
 		b.curIn = -1
 	}
 	b.r.Stats.BEFrameAborts++
-	if b.r.met != nil {
-		b.r.met.BEFrameAborts.Inc()
-	}
 	b.r.dropBE(metrics.DropBEAborted, b.port)
 }
 
@@ -493,9 +489,6 @@ func (b *beOutput) sendFaultFlit() {
 	}
 	b.record(ph)
 	b.r.Stats.BEFlitRetransmits++
-	if b.r.met != nil {
-		b.r.met.BEFlitRetransmits.Inc()
-	}
 	b.r.out[b.port].Drive(b.r.nowCycle, ph)
 }
 
@@ -544,9 +537,6 @@ func (b *beOutput) sendByte() {
 	u := b.r.beIn[b.curIn]
 	by, head, tail := u.pop()
 	b.r.Stats.BEBytes[b.port]++
-	if b.r.met != nil {
-		b.r.met.ArbWins[b.port][metrics.ArbBE].Inc()
-	}
 	if b.port == PortLocal {
 		b.rxBuf = append(b.rxBuf, by)
 		if tail {
@@ -581,9 +571,6 @@ func (b *beOutput) deliverLocal() {
 		Cycle:   b.r.nowCycle,
 	})
 	b.r.Stats.BEDelivered++
-	if b.r.met != nil {
-		b.r.met.BEDelivered.Inc()
-	}
 	if b.r.OnLifecycle != nil {
 		b.r.lifecycle(LifecycleEvent{Kind: EvDeliver, Port: -1, BE: true})
 	}

@@ -22,7 +22,6 @@ func (f fullScan) Tick(now sim.Cycle) {
 	r := f.Router
 	nowSlot := r.slotNow(int64(now))
 	r.nowCycle = int64(now)
-	r.prevSlot, r.slotSeen = nowSlot, true
 
 	const allPorts = 1<<NumPorts - 1
 	r.beDropping = allPorts

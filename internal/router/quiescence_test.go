@@ -199,6 +199,18 @@ func TestQuiescenceWakesOnArrival(t *testing.T) {
 	}
 }
 
+// foldEach folds its routers' metrics after every cycle, so each tick,
+// busy or resting, is a fold span of its own.
+type foldEach []*Router
+
+func (f foldEach) Name() string { return "fold-each" }
+
+func (f foldEach) Tick(sim.Cycle) {
+	for _, r := range f {
+		r.FoldMetrics()
+	}
+}
+
 // parkedObs is everything the parked differential compares.
 type parkedObs struct {
 	deliveries       [2][]DeliveredTC
@@ -252,6 +264,9 @@ func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuste
 	if bust != nil {
 		bust.rs = rs[:]
 		r.k.Register(bust)
+	}
+	if withMetrics {
+		r.k.Register(foldEach(rs[:]))
 	}
 
 	var o parkedObs
@@ -437,5 +452,30 @@ func TestBlameNeverParks(t *testing.T) {
 	late.k.Run(200)
 	if late.a.ParkedTicks() != parked {
 		t.Errorf("router parked for %d more ticks after EnableBlame", late.a.ParkedTicks()-parked)
+	}
+}
+
+// TestFoldedRegistryMatchesStats: folded after every cycle, the
+// registry agrees with every counter Stats keeps for the same events.
+func TestFoldedRegistryMatchesStats(t *testing.T) {
+	o := runParkedScript(t, DefaultConfig(), true, nil)
+	for i, rs := range o.snap.Routers {
+		st := o.stats[i]
+		if rs.TCEnqueued != st.TCArrived || rs.TCDelivered != st.TCDelivered ||
+			rs.DeadlineMisses != st.TCDeadlineMisses || rs.Drops["tc_dead_port"] != st.TCDeadPortDrops {
+			t.Errorf("router %s: registry enqueued/delivered/missed/dead-port %d/%d/%d/%d, Stats %d/%d/%d/%d",
+				rs.Router, rs.TCEnqueued, rs.TCDelivered, rs.DeadlineMisses, rs.Drops["tc_dead_port"],
+				st.TCArrived, st.TCDelivered, st.TCDeadlineMisses, st.TCDeadPortDrops)
+		}
+		for p := 0; p < NumPorts; p++ {
+			w := rs.ArbWins[PortName(p)]
+			if w["on_time"]+w["early"] != st.TCTransmitted[p] || w["best_effort"] != st.BEBytes[p] {
+				t.Errorf("router %s port %s: wins %v, Stats %d transmitted, %d best-effort bytes",
+					rs.Router, PortName(p), w, st.TCTransmitted[p], st.BEBytes[p])
+			}
+		}
+	}
+	if len(o.snap.Routers) != 2 || o.snap.Totals.TCEnqueued == 0 {
+		t.Fatalf("degenerate run: %d routers, %d enqueued", len(o.snap.Routers), o.snap.Totals.TCEnqueued)
 	}
 }

@@ -71,14 +71,11 @@ type Router struct {
 	// Tick leaves out what provably cannot change state. Cleared by
 	// injections, rewiring and EnableBlame.
 	rest restState
-	// prevSlot/slotSeen detect slot-clock rollovers.
-	slotSeen bool
 	// stampBuf backs stamps (below) while every attached link is one
 	// cycle long. It sits among the words every Tick of this router
 	// touches, so a neighbour's Pipe.Write storing into it lands on a
 	// line that is in cache anyway.
 	stampBuf [numWires * 2]uint16
-	prevSlot timing.Stamp
 
 	nowCycle       int64
 	schedCountdown int
@@ -98,9 +95,11 @@ type Router struct {
 	idleTicks   int64
 	parkedTicks int64
 
-	// met is the attached telemetry block (nil = telemetry off); see
-	// AttachMetrics.
-	met   *metrics.RouterMetrics
+	// beats counts comparator-tree beats and schedLevel is the leaf level
+	// the last one sampled. Every beat writes them, an idle router's too,
+	// so they sit with the countdown.
+	beats, schedLevel int64
+
 	wheel timing.Wheel
 
 	// Delivery queues are double-buffered: Drain returns the filled
@@ -198,6 +197,22 @@ type Router struct {
 	// payloads stay valid until the DrainBE call after next.
 	beArena      beArena
 	beArenaSpare beArena
+
+	// tally counts what Stats has no field for (see counts): injections,
+	// early wins and memory-path starts per port, best-effort stalls and
+	// acks, link-fault hits, the drops no Stats field counts, and the
+	// packet-memory high-water. schedPeak is the largest leaf level a beat
+	// sampled, and turnBase the slot clock's turn count (turns) at the last
+	// ResetStats. memMoved records that a memory allocation or free
+	// changed the occupancy level since the last FoldMetrics.
+	tally     metrics.RouterCounts
+	schedPeak int64
+	turnBase  int64
+	memMoved  bool
+
+	// met is the attached telemetry (nil = telemetry off); see
+	// AttachMetrics.
+	met *metricsFold
 }
 
 // New constructs a router with the given configuration. The name appears
@@ -298,15 +313,20 @@ func (r *Router) OutputState(p int) PortState {
 
 // ResetStats zeroes the hardware counters — the standard simulator
 // warmup idiom: run to steady state, reset, then measure. Attached
-// telemetry resets with them (the metrics block, any scheduler
-// counters, and — via OnReset — externally attached recorders such as
-// collector shards), so warmup exclusion is consistent across every
-// observation channel.
+// telemetry resets with them (the tally, the fold base and the metrics
+// block, any scheduler counters, and — via OnReset — externally
+// attached recorders such as collector shards), so warmup exclusion is
+// consistent across every observation channel.
 func (r *Router) ResetStats() {
 	r.Stats = Stats{}
 	r.bus.grants = 0
+	r.tally.Zero()
+	r.beats, r.schedPeak, r.turnBase = 0, 0, r.turns(r.nowCycle)
+	if r.met != nil {
+		r.met.base = metrics.RouterCounts{}
+		r.met.block.Reset()
+	}
 	r.resetBlame()
-	r.met.Reset()
 	r.schedq.ResetTelemetry()
 	if r.OnReset != nil {
 		r.OnReset()
@@ -388,9 +408,7 @@ func (r *Router) InjectTC(p packet.TCPacket) {
 		r.tcInjHead = 0
 	}
 	r.tcInjectQ = append(r.tcInjectQ, packet.EncodeTC(p))
-	if r.met != nil {
-		r.met.TCInjected.Inc()
-	}
+	r.tally.TCInjected++
 	if r.OnLifecycle != nil {
 		l := r.wheel.Wrap(timing.Slot(p.Stamp))
 		r.lifecycle(LifecycleEvent{
@@ -544,13 +562,6 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 	r.nowCycle = int64(now)
 
-	// The wrapped slot clock only moves forward, so a numerically
-	// smaller stamp than last cycle's means the register rolled over.
-	if nowSlot < r.prevSlot && r.slotSeen && r.met != nil {
-		r.met.SlotRollovers.Inc()
-	}
-	r.prevSlot, r.slotSeen = nowSlot, true
-
 	if rest == restBusy {
 		for p := 0; p < NumPorts; p++ {
 			r.arbitrate(p, nowSlot)
@@ -607,9 +618,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		if u.consumed > 0 {
 			a.BECredit = true
 			u.consumed--
-			if r.met != nil {
-				r.met.BEFlitAcks.Inc()
-			}
+			r.tally.BEFlitAcks++
 		}
 		if u.nackPending {
 			a.BENack = true
@@ -729,27 +738,15 @@ func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
 
 // Skip implements sim.Skipper: replay the idle ticks for cycles
 // [now, target) in closed form, bit-identical to running the idle Tick
-// target−now times. The replayed effects are exactly that tick's: slot
-// rollover telemetry, the scheduler countdown with its empty-tree
-// selection beats (idleBeats), and the idle-cycle counter.
+// target−now times. The replayed effects are exactly that tick's: the
+// scheduler countdown with its empty-tree selection beats (idleBeats),
+// and the idle-cycle counter.
 func (r *Router) Skip(now, target sim.Cycle) {
 	n := int64(target - now)
 	if n <= 0 {
 		return
 	}
 	last := int64(target) - 1
-
-	// Slot-clock rollovers: the wrapped stamp decreases exactly when the
-	// monotone slot count crosses a multiple of the wheel range. Idleness
-	// implies a prior full Tick, so slotSeen holds and prevSlot covers
-	// cycle now−1.
-	if r.met != nil {
-		rng := int64(r.wheel.Range())
-		if roll := r.unwrappedSlot(last)/rng - r.unwrappedSlot(int64(now)-1)/rng; roll > 0 {
-			r.met.SlotRollovers.Add(roll)
-		}
-	}
-	r.prevSlot, r.slotSeen = r.slotNow(last), true
 
 	// Scheduler beats: the countdown decrements every cycle and fires a
 	// beat at zero. A prior Tick guarantees schedCountdown ∈ [1, period].
@@ -770,24 +767,23 @@ func (r *Router) Skip(now, target sim.Cycle) {
 // idleBeats replays n ≥ 1 comparator-tree beats of an idle router in
 // closed form: each advances the round-robin pointer by one port, runs
 // one empty-tree selection (SkipIdleSelects is bit-identical to it) and
-// refreshes the occupancy gauge, idempotent at zero occupancy.
+// samples the leaf level, zero on an idle router.
 func (r *Router) idleBeats(n int64) {
 	r.schedRR = (r.schedRR%NumPorts+int((n-1)%int64(NumPorts)))%NumPorts + 1
 	r.schedq.SkipIdleSelects(n)
-	if r.met != nil {
-		r.met.SchedSelects.Add(n)
-		r.noteSchedOccupancy()
-	}
+	r.beats += n
+	r.schedLevel = 0
 }
 
-// unwrappedSlot is slotNow before wrapping: the monotone slot count
-// used to tally rollovers across a skipped span.
-func (r *Router) unwrappedSlot(now int64) int64 {
-	local := now + r.cfg.SkewCycles
-	if local < 0 {
-		local = 0
-	}
-	return int64(timing.CyclesToSlot(local, packet.TCBytes))
+// turns counts the slot clock's wraps from cycle 0 to cycle now: the
+// wrapped stamp rolls over exactly when the monotone slot count crosses a
+// multiple of the wheel range. The clock is a function of the cycle and
+// the kernel ticks or skips a router every cycle, so the rollovers since
+// the last ResetStats are turns(nowCycle) − turnBase, and no tick counts
+// them.
+func (r *Router) turns(now int64) int64 {
+	local := max(now+r.cfg.SkewCycles, 0)
+	return int64(timing.CyclesToSlot(local, packet.TCBytes)) / int64(r.wheel.Range())
 }
 
 // HasDeliveries reports whether any delivered packets await DrainTC or
@@ -810,10 +806,7 @@ func (r *Router) schedBeat(nowSlot timing.Stamp) bool {
 		}
 		r.schedRR = p + 1
 		o.schedule(nowSlot)
-		if r.met != nil {
-			r.met.SchedSelects.Inc()
-			r.noteSchedOccupancy()
-		}
+		r.noteSchedBeat()
 		return o.candValid
 	}
 	return false
@@ -920,9 +913,7 @@ func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
 		// backpressure stall worth counting (and tracing once per
 		// episode): the link is free, the flit is not.
 		if stalled := be.stalled(); stalled {
-			if r.met != nil {
-				r.met.BEStallCycles[p].Inc()
-			}
+			r.tally.BEStallCycles[p]++
 			if !be.wasStalled && r.OnLifecycle != nil {
 				r.lifecycle(LifecycleEvent{Kind: EvBlock, Port: p, BE: true})
 			}
@@ -1021,9 +1012,6 @@ func (r *Router) deliverLocalTC(buf [packet.TCBytes]byte) {
 		Conn: p.Conn, Stamp: p.Stamp, Payload: p.Payload, Cycle: r.nowCycle,
 	})
 	r.Stats.TCDelivered++
-	if r.met != nil {
-		r.met.TCDelivered.Inc()
-	}
 	if r.OnLifecycle != nil {
 		// The last hop rewrote the header stamp to the delivery deadline
 		// (busGrant writes StampOf(Dl)), so the slack here is the packet's

@@ -244,9 +244,6 @@ func (u *tcInput) tryCutThrough(now int64) bool {
 	u.cutHead = 0
 	u.nAsm = 0
 	u.r.Stats.TCCutThroughs++
-	if u.r.met != nil {
-		u.r.met.CutThroughs.Inc()
-	}
 	if u.r.OnLifecycle != nil {
 		u.r.lifecycle(LifecycleEvent{
 			Kind: EvCutThrough, Port: port,
@@ -326,9 +323,6 @@ func (u *tcInput) finishPacket() {
 		panic("router " + u.r.name + ": leaf install: " + err.Error())
 	}
 	u.r.Stats.TCArrived++
-	if u.r.met != nil {
-		u.r.met.TCEnqueued.Inc()
-	}
 	if u.r.OnLifecycle != nil {
 		u.r.lifecycle(LifecycleEvent{
 			Kind: EvEnqueue, Port: -1, InConn: p.Conn, OutConn: ent.Out,
@@ -480,12 +474,7 @@ func (o *tcOutput) startTx(nowSlot timing.Stamp, class sched.Class) {
 	if overdue {
 		o.r.Stats.TCDeadlineMisses++
 	}
-	if m := o.r.met; m != nil {
-		m.TCDequeued[o.port].Inc()
-		if overdue {
-			m.DeadlineMisses.Inc()
-		}
-	}
+	o.r.tally.TCDequeued[o.port]++
 	o.r.noteTransmit(o.port, &o.sLeaf, class, nowSlot, overdue, o.r.nowCycle-o.sLeaf.EnqueueCycle)
 	o.txBuf = o.sBuf
 	if o.r.cfg.Integrity {
@@ -499,13 +488,14 @@ func (o *tcOutput) startTx(nowSlot timing.Stamp, class sched.Class) {
 
 // noteTransmit records a transmission start on port, from the packet
 // memory (startTx) or a cut-through stream (emitCut): the transmit
-// counter, the arbitration-win telemetry and the lifecycle stream's
-// EvArbWin/EvTransmit pair. missed and wait belong to the memory path; a
-// cut-through start reports neither.
+// counter, the early-win tally (the on-time wins are the rest of the
+// transmit counter) and the lifecycle stream's EvArbWin/EvTransmit pair.
+// missed and wait belong to the memory path; a cut-through start reports
+// neither.
 func (r *Router) noteTransmit(port int, lf *sched.Leaf, class sched.Class, nowSlot timing.Stamp, missed bool, wait int64) {
 	r.Stats.TCTransmitted[port]++
-	if r.met != nil {
-		r.met.ArbWins[port][arbClass(class)].Inc()
+	if class == sched.ClassEarly {
+		r.tally.ArbWins[port][metrics.ArbEarly]++
 	}
 	if r.OnLifecycle != nil {
 		ev := LifecycleEvent{

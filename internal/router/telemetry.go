@@ -110,14 +110,89 @@ type LifecycleEvent struct {
 	BE bool
 }
 
-// AttachMetrics points the router's hot-path instrumentation at a
-// telemetry block, typically reg.Router(name). Attach nil to detach;
-// every update site is nil-guarded so a detached router pays only a
-// pointer test per event.
-func (r *Router) AttachMetrics(m *metrics.RouterMetrics) { r.met = m }
+// metricsFold is an attached router's side of its telemetry: the block
+// it folds into and the counts that block last received from it.
+type metricsFold struct {
+	block *metrics.RouterMetrics
+	base  metrics.RouterCounts
+}
 
-// Metrics returns the attached telemetry block, or nil.
-func (r *Router) Metrics() *metrics.RouterMetrics { return r.met }
+// AttachMetrics points the router's telemetry at a block, typically
+// reg.Router(name); attach nil to detach. The tick never writes the
+// block: FoldMetrics adds to it what the router counted, and a block
+// attached after the router ran receives everything counted since its
+// last ResetStats.
+func (r *Router) AttachMetrics(m *metrics.RouterMetrics) {
+	r.met = nil
+	if m != nil {
+		r.met = &metricsFold{block: m}
+	}
+}
+
+// FoldMetrics adds what the router counted since its last fold into the
+// attached block (metrics.RouterMetrics.Fold). It reads the router's
+// state, so it runs host-side while the kernel is quiet, and inside the
+// registry's lock (metrics.Registry.Fold) when anything may read the
+// registry meanwhile — core.System folds after every run and before each
+// sampler beat. No-op when detached.
+func (r *Router) FoldMetrics() {
+	if r.met == nil {
+		return
+	}
+	cur := r.counts()
+	r.met.block.Fold(&cur, &r.met.base, r.memMoved)
+	r.memMoved = false
+}
+
+// counts is the router's telemetry since its last ResetStats: the tally,
+// the beat counters and the clock's rollovers, plus every value a Stats
+// field already counts.
+func (r *Router) counts() metrics.RouterCounts {
+	c, st := r.tally, &r.Stats
+	c.SchedSelects, c.SchedOccupancy, c.SchedOccPeak = r.beats, r.schedLevel, r.schedPeak
+	c.SlotRollovers = r.turns(r.nowCycle) - r.turnBase
+	c.TCEnqueued = st.TCArrived
+	c.TCDelivered = st.TCDelivered
+	c.BEDelivered = st.BEDelivered
+	c.CutThroughs = st.TCCutThroughs
+	c.DeadlineMisses = st.TCDeadlineMisses
+	c.BEFlitNacks = st.BEFlitNacks
+	c.BEFlitRetransmits = st.BEFlitRetransmits
+	c.BEFrameAborts = st.BEFrameAborts
+	for p := 0; p < NumPorts; p++ {
+		c.ArbWins[p][metrics.ArbOnTime] = st.TCTransmitted[p] - c.ArbWins[p][metrics.ArbEarly]
+		c.ArbWins[p][metrics.ArbBE] = st.BEBytes[p]
+	}
+	c.Drops[metrics.DropTCNoSlot] = st.TCDropsNoSlot
+	c.Drops[metrics.DropTCNoRoute] = st.TCDropsNoRoute
+	c.Drops[metrics.DropTCStaging] = st.TCDropsStaging
+	c.Drops[metrics.DropTCDeadPort] = st.TCDeadPortDrops
+	c.Drops[metrics.DropBEMisroute] = st.BEMisroutes
+	c.Drops[metrics.DropBEOverrun] = st.BEBufferOverruns
+	c.Drops[metrics.DropTCCorrupt] = st.TCCorruptDrops
+	c.Drops[metrics.DropTCFraming] = st.TCFramingDrops
+	// The tally holds the truncations and aborts seen at inputs; Stats
+	// counts the ones this router's outputs originated.
+	c.Drops[metrics.DropBETruncated] += st.BETruncated
+	c.Drops[metrics.DropBEAborted] += st.BEFrameAborts
+	c.MemOccupancy = int64(r.cfg.Slots - r.mem.freeSlots())
+	return c
+}
+
+// SchedHighWater reports the most scheduling leaves in use at any
+// comparator-tree beat since the last ResetStats.
+func (r *Router) SchedHighWater() int { return int(r.schedPeak) }
+
+// NoteLinkFault counts one phit the LinkFault hook garbled (lost false)
+// or erased (lost true). The hook calls it from inside this router's
+// tick.
+func (r *Router) NoteLinkFault(lost bool) {
+	if lost {
+		r.tally.FaultLostPhits++
+	} else {
+		r.tally.FaultCorruptPhits++
+	}
+}
 
 // lifecycle fires the OnLifecycle hook with router identity and the
 // current cycle filled in. Callers must have checked the hook is set.
@@ -127,52 +202,31 @@ func (r *Router) lifecycle(e LifecycleEvent) {
 	r.OnLifecycle(e)
 }
 
-// arbClass maps a scheduler class to its metrics label.
-func arbClass(c sched.Class) metrics.ArbClass {
-	if c == sched.ClassEarly {
-		return metrics.ArbEarly
-	}
-	return metrics.ArbOnTime
-}
-
-// noteMemOccupancy refreshes the packet-memory occupancy gauge and its
-// high-water mark after an allocation or free.
+// noteMemOccupancy tracks the packet-memory high-water mark after an
+// allocation or free, and marks the occupancy level moved.
 func (r *Router) noteMemOccupancy() {
-	if r.met == nil {
-		return
-	}
-	occ := int64(r.cfg.Slots - r.mem.freeSlots())
-	r.met.MemOccupancy.Set(occ)
-	r.met.MemHighWater.SetMax(occ)
+	r.tally.MemHighWater = max(r.tally.MemHighWater, int64(r.cfg.Slots-r.mem.freeSlots()))
+	r.memMoved = true
 }
 
-// noteSchedOccupancy refreshes the scheduling-leaf occupancy gauge and
-// its peak, once per scheduler beat.
-func (r *Router) noteSchedOccupancy() {
-	if r.met == nil {
-		return
-	}
-	occ := int64(r.schedq.Occupancy())
-	r.met.SchedOccupancy.Set(occ)
-	r.met.SchedOccPeak.SetMax(occ)
+// noteSchedBeat counts one comparator-tree beat and samples the
+// scheduling-leaf level and its peak.
+func (r *Router) noteSchedBeat() {
+	r.beats++
+	r.schedLevel = int64(r.schedq.Occupancy())
+	r.schedPeak = max(r.schedPeak, r.schedLevel)
 }
 
-// dropTC records a time-constrained drop in counters and the lifecycle
-// stream.
+// dropTC records a time-constrained drop in the lifecycle stream; the
+// counters are the caller's.
 func (r *Router) dropTC(reason metrics.DropReason, conn uint8, port int) {
-	if r.met != nil {
-		r.met.Drops[reason].Inc()
-	}
 	if r.OnLifecycle != nil {
 		r.lifecycle(LifecycleEvent{Kind: EvDrop, Port: port, InConn: conn, Reason: reason})
 	}
 }
 
-// dropBE records a best-effort drop.
+// dropBE records a best-effort drop in the lifecycle stream.
 func (r *Router) dropBE(reason metrics.DropReason, port int) {
-	if r.met != nil {
-		r.met.Drops[reason].Inc()
-	}
 	if r.OnLifecycle != nil {
 		r.lifecycle(LifecycleEvent{Kind: EvDrop, Port: port, Reason: reason, BE: true})
 	}
