@@ -12,13 +12,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// update rewrites faultyGolden from this run instead of comparing with
-// it: go test ./cmd/rtsim -run TestFaultyMetricsGolden -update.
-var update = flag.Bool("update", false, "rewrite "+faultyGolden+" from this run")
-
-// faultyGolden is the Prometheus registry rtsim writes for
-// scenarios/faulty.json.
-const faultyGolden = "testdata/faulty_metrics.golden"
+// update rewrites the registry goldens from this run instead of
+// comparing with them: go test ./cmd/rtsim -run TestMetricsGolden -update.
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden registries from this run")
 
 func TestParseMesh(t *testing.T) {
 	good := map[string][2]int{
@@ -164,41 +160,65 @@ func TestReportEpilogueIsShared(t *testing.T) {
 	}
 }
 
-// TestFaultyMetricsGolden pins every counter and gauge of the telemetry
-// registry on the fault scenario: corrupt, flap and lose episodes, with
-// the drops, best-effort nacks and retransmits they cause. The whole
-// 120 000-cycle run takes about a quarter second, so it is its own smoke
-// budget; it crosses the flap's outage and repair. The Prometheus report
-// must match faultyGolden byte for byte at one and at two kernel workers.
-func TestFaultyMetricsGolden(t *testing.T) {
-	for _, workers := range []string{"1", "2"} {
-		prom := filepath.Join(t.TempDir(), "faulty.prom")
-		if code, _, stderr := runCaptured(t, "-scenario", "../../scenarios/faulty.json", "-workers", workers, "-metrics", prom); code != 0 {
-			t.Fatalf("workers %s: exit %d: %s", workers, code, stderr)
-		}
-		got, err := os.ReadFile(prom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *update {
-			if err := os.WriteFile(faultyGolden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(faultyGolden)
-		if err != nil {
-			t.Fatalf("%v (record it with -update)", err)
-		}
-		if !bytes.Equal(got, want) {
-			gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-			for i := range min(len(gotLines), len(wantLines)) {
-				if gotLines[i] != wantLines[i] {
-					t.Fatalf("workers %s: registry differs from %s at line %d:\n got: %s\nwant: %s",
-						workers, faultyGolden, i+1, gotLines[i], wantLines[i])
+// metricsGoldens are the runs whose whole Prometheus registry is pinned
+// byte for byte, each at one and at two kernel workers. faulty.json
+// pins every counter and gauge of the fault scenario: corrupt, flap and
+// lose episodes, with the drops, best-effort nacks and retransmits they
+// cause; the whole 120 000-cycle run takes about a quarter second, so it
+// is its own smoke budget, and it crosses the flap's outage and repair.
+// The -explain runs add the slack-attribution cells
+// (rt_blame_cycles_total{victim,cause,blamed}) and the rt_forensics_*
+// totals: mixed.json covers horizon 4, best-effort contention, multicast
+// and the dead port after its 60 000-cycle link failure; faulty.json
+// covers fault_retransmit and aborts; the 4×4 cut-through mesh under
+// best-effort load covers cut-through wins and link_busy bubbles.
+var metricsGoldens = []struct {
+	name, golden string
+	args         []string
+}{
+	{"faulty", "testdata/faulty_metrics.golden", []string{"-scenario", "../../scenarios/faulty.json"}},
+	{"mixed_explain", "testdata/mixed_explain_metrics.golden", []string{"-scenario", "../../scenarios/mixed.json", "-explain"}},
+	{"faulty_explain", "testdata/faulty_explain_metrics.golden", []string{"-scenario", "../../scenarios/faulty.json", "-explain"}},
+	{"vct_explain", "testdata/vct_explain_metrics.golden",
+		[]string{"-mesh", "4x4", "-vct", "-berate", "0.3", "-cycles", "20000", "-explain"}},
+}
+
+// TestMetricsGolden compares each metricsGoldens run's registry with its
+// golden at one and at two kernel workers.
+func TestMetricsGolden(t *testing.T) {
+	for _, tc := range metricsGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []string{"1", "2"} {
+				prom := filepath.Join(t.TempDir(), tc.name+".prom")
+				args := append(append([]string{}, tc.args...), "-workers", workers, "-metrics", prom)
+				if code, _, stderr := runCaptured(t, args...); code != 0 {
+					t.Fatalf("workers %s: exit %d: %s", workers, code, stderr)
+				}
+				got, err := os.ReadFile(prom)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *update {
+					if err := os.WriteFile(tc.golden, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(tc.golden)
+				if err != nil {
+					t.Fatalf("%v (record it with -update)", err)
+				}
+				if !bytes.Equal(got, want) {
+					gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+					for i := range min(len(gotLines), len(wantLines)) {
+						if gotLines[i] != wantLines[i] {
+							t.Fatalf("workers %s: registry differs from %s at line %d:\n got: %s\nwant: %s",
+								workers, tc.golden, i+1, gotLines[i], wantLines[i])
+						}
+					}
+					t.Fatalf("workers %s: registry has %d lines, %s has %d", workers, len(gotLines), tc.golden, len(wantLines))
 				}
 			}
-			t.Fatalf("workers %s: registry has %d lines, %s has %d", workers, len(gotLines), faultyGolden, len(wantLines))
-		}
+		})
 	}
 }

@@ -240,3 +240,41 @@ func TestRecorderTinyRing(t *testing.T) {
 		t.Fatalf("idle recorder wrote %d bytes", empty.Len())
 	}
 }
+
+// TestRecorderCountsReset: a warm-up ResetStats zeroes the flight
+// recorder's trigger counts together with its trigger log, so from the
+// reset on CountKind("hop_miss") moves in lockstep with the routers'
+// TCDeadlineMisses again.
+func TestRecorderCountsReset(t *testing.T) {
+	rec := obs.NewRecorder(64, 2)
+	sys := forensicsWorkload(t, Options{Recorder: rec}, true, 8000)
+	defer sys.Close()
+	if rec.Count() == 0 {
+		t.Fatal("corrupting injector fired no flight-recorder triggers before the reset")
+	}
+
+	sys.ResetStats()
+	if n := rec.Count(); n != 0 {
+		t.Errorf("Count() = %d after ResetStats, want 0", n)
+	}
+	for _, kind := range []string{"hop_miss", "deadline_miss", "fault_drop", "fault_retransmit"} {
+		if n := rec.CountKind(kind); n != 0 {
+			t.Errorf("CountKind(%q) = %d after ResetStats, want 0", kind, n)
+		}
+	}
+	if ts := rec.Triggers(); len(ts) != 0 {
+		t.Errorf("%d triggers retained after ResetStats", len(ts))
+	}
+
+	sys.Run(8000)
+	if rec.Count() == 0 {
+		t.Fatal("no triggers fired after the reset")
+	}
+	var misses int64
+	for _, c := range sys.Net.Coords() {
+		misses += sys.Router(c).Stats.TCDeadlineMisses
+	}
+	if got := rec.CountKind("hop_miss"); got != misses {
+		t.Errorf("CountKind(hop_miss) = %d after the reset, routers count %d deadline misses", got, misses)
+	}
+}

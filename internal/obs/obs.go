@@ -35,45 +35,52 @@ type Event struct {
 	Seq  uint64
 }
 
-// shard is one node's private event buffer: a fixed-capacity
-// newest-wins ring. Only the owning node's goroutine touches it during
-// the compute phase; merge-time readers run after the worker pool's
-// barrier, which provides the happens-before edge.
-type shard struct {
-	name  string // router name, for export metadata
-	buf   []Event
-	next  int
-	seq   uint64
-	total int64
+// ring is a fixed-capacity newest-wins buffer: once full, each push
+// overwrites the oldest entry. It has a single writer, the owning node's
+// tick; readers run after the worker pool's barrier, which provides the
+// happens-before edge.
+type ring[T any] struct {
+	buf  []T
+	next int
 }
 
-func (s *shard) record(e Event, capPer int) {
-	if len(s.buf) < capPer {
-		s.buf = append(s.buf, e)
-		s.next = len(s.buf) % capPer
+func (r *ring[T]) push(v T, capacity int) {
+	if len(r.buf) < capacity {
+		r.buf = append(r.buf, v)
+		r.next = len(r.buf) % capacity
 	} else {
-		s.buf[s.next] = e
-		s.next = (s.next + 1) % capPer
+		r.buf[r.next] = v
+		r.next = (r.next + 1) % capacity
 	}
-	s.seq++
-	s.total++
 }
 
-// events returns the retained events oldest-first. While the shard is
+// items returns the retained entries oldest-first. While the ring is
 // still filling, next == len(buf) and the rotation below degenerates to
-// a plain copy; once full, next points at the oldest retained event.
-func (s *shard) events() []Event {
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
+// a plain copy; once full, next points at the oldest retained entry.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
+func (r *ring[T]) reset() {
+	r.buf = r.buf[:0]
+	r.next = 0
+}
+
+// shard is one node's private event buffer: a ring of its events and
+// their sequence counter, which is also the count recorded, evicted
+// events included.
+type shard struct {
+	name   string // router name, for export metadata
+	events ring[Event]
+	seq    uint64
+}
+
 func (s *shard) reset() {
-	s.buf = s.buf[:0]
-	s.next = 0
+	s.events.reset()
 	s.seq = 0
-	s.total = 0
 }
 
 // DefaultShardCap is the per-node buffer capacity used when the caller
@@ -108,7 +115,8 @@ func (c *Sharded) Attach(r *router.Router) int {
 	c.shards = append(c.shards, s)
 	prev := r.OnLifecycle
 	r.OnLifecycle = func(ev router.LifecycleEvent) {
-		s.record(Event{LifecycleEvent: ev, Node: node, Seq: s.seq}, c.capPer)
+		s.events.push(Event{LifecycleEvent: ev, Node: node, Seq: s.seq}, c.capPer)
+		s.seq++
 		if prev != nil {
 			prev(ev)
 		}
@@ -146,7 +154,7 @@ func (c *Sharded) Cap() int { return c.capPer }
 func (c *Sharded) Total() int64 {
 	var n int64
 	for _, s := range c.shards {
-		n += s.total
+		n += int64(s.seq)
 	}
 	return n
 }
@@ -155,7 +163,7 @@ func (c *Sharded) Total() int64 {
 func (c *Sharded) Dropped() int64 {
 	var n int64
 	for _, s := range c.shards {
-		n += s.total - int64(len(s.buf))
+		n += int64(s.seq) - int64(len(s.events.buf))
 	}
 	return n
 }
@@ -177,7 +185,7 @@ func (c *Sharded) Reset() {
 func (c *Sharded) Merged() []Event {
 	var out []Event
 	for _, s := range c.shards {
-		out = append(out, s.events()...)
+		out = append(out, s.events.items()...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -20,13 +20,12 @@ import (
 //
 // Like the obs shards, each node's trigger log has a single writer (the
 // owning router's tick) and is read only after the kernel barrier; the
-// trigger count alone is atomic so a live metrics scrape can report it.
+// trigger counts alone are atomic so a live metrics scrape can report
+// them.
 type Recorder struct {
 	window  int64
 	maxTrig int
 	nodes   []*recNode
-	count   atomic.Int64
-	kinds   [numTrigKinds]atomic.Int64
 }
 
 // Trigger kinds.
@@ -64,30 +63,13 @@ type Trigger struct {
 	InjectBacklog int `json:"inject_backlog"`
 }
 
-// recNode is one node's bounded trigger log: newest-wins ring, single
-// writer.
+// recNode is one node's bounded trigger log and its trigger counts by
+// kind, evicted triggers included; resetting the node's router clears
+// both.
 type recNode struct {
-	r    *router.Router
-	node int
-	buf  []Trigger
-	next int
-}
-
-func (n *recNode) record(t Trigger, capPer int) {
-	if len(n.buf) < capPer {
-		n.buf = append(n.buf, t)
-		n.next = len(n.buf) % capPer
-	} else {
-		n.buf[n.next] = t
-		n.next = (n.next + 1) % capPer
-	}
-}
-
-func (n *recNode) triggers() []Trigger {
-	out := make([]Trigger, 0, len(n.buf))
-	out = append(out, n.buf[n.next:]...)
-	out = append(out, n.buf[:n.next]...)
-	return out
+	node  int
+	log   ring[Trigger]
+	kinds [numTrigKinds]atomic.Int64
 }
 
 // DefaultRecorderWindow is the dump window in cycles when the caller
@@ -118,9 +100,9 @@ func (rec *Recorder) Window() int64 { return rec.window }
 // node order, after any collector (hook chains run newest-first, and
 // the recorder only reads the event plus the router's own counters, so
 // relative order does not change what is recorded). Resetting the
-// router clears the node's trigger log.
+// router clears the node's trigger log and counts.
 func (rec *Recorder) Attach(r *router.Router) {
-	n := &recNode{r: r, node: len(rec.nodes)}
+	n := &recNode{node: len(rec.nodes)}
 	rec.nodes = append(rec.nodes, n)
 	prev := r.OnLifecycle
 	r.OnLifecycle = func(ev router.LifecycleEvent) {
@@ -135,9 +117,8 @@ func (rec *Recorder) Attach(r *router.Router) {
 			if ev.Kind == router.EvDrop {
 				t.Reason = ev.Reason.String()
 			}
-			n.record(t, rec.maxTrig)
-			rec.count.Add(1)
-			rec.kinds[kind].Add(1)
+			n.log.push(t, rec.maxTrig)
+			n.kinds[kind].Add(1)
 		}
 		if prev != nil {
 			prev(ev)
@@ -145,8 +126,10 @@ func (rec *Recorder) Attach(r *router.Router) {
 	}
 	prevReset := r.OnReset
 	r.OnReset = func() {
-		n.buf = n.buf[:0]
-		n.next = 0
+		n.log.reset()
+		for i := range n.kinds {
+			n.kinds[i].Store(0)
+		}
 		if prevReset != nil {
 			prevReset()
 		}
@@ -179,8 +162,15 @@ func classify(ev router.LifecycleEvent) (int, bool) {
 }
 
 // Count returns how many triggers fired (including ones evicted from
-// full per-node logs). Safe to read concurrently with the run.
-func (rec *Recorder) Count() int64 { return rec.count.Load() }
+// full per-node logs) since the last ResetStats. Safe to read
+// concurrently with the run.
+func (rec *Recorder) Count() int64 {
+	var c int64
+	for _, kind := range trigKindNames {
+		c += rec.CountKind(kind)
+	}
+	return c
+}
 
 // CountKind returns how many triggers of the named kind fired
 // (hop_miss, deadline_miss, fault_drop, fault_retransmit), evicted ones
@@ -188,12 +178,15 @@ func (rec *Recorder) Count() int64 { return rec.count.Load() }
 // lockstep with the hardware DeadlineMisses counter — the forensics
 // experiment cross-checks them.
 func (rec *Recorder) CountKind(kind string) int64 {
-	for i, n := range trigKindNames {
-		if n == kind {
-			return rec.kinds[i].Load()
+	var c int64
+	for i, name := range trigKindNames {
+		if name == kind {
+			for _, n := range rec.nodes {
+				c += n.kinds[i].Load()
+			}
 		}
 	}
-	return 0
+	return c
 }
 
 // Triggers returns the retained trigger descriptors merged across
@@ -201,7 +194,7 @@ func (rec *Recorder) CountKind(kind string) int64 {
 func (rec *Recorder) Triggers() []Trigger {
 	var out []Trigger
 	for _, n := range rec.nodes {
-		out = append(out, n.triggers()...)
+		out = append(out, n.log.items()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -454,19 +454,6 @@ func (b *beOutput) drainDeadBE() {
 	b.clearFault()
 }
 
-// hasFaultWork reports whether the port owes the link a recovery flit:
-// a pending abort, or replays whose backoff has elapsed. Both need a
-// downstream credit, like any other flit.
-func (b *beOutput) hasFaultWork() bool {
-	if b.port == PortLocal || b.r.out[b.port] == nil || b.credits <= 0 {
-		return false
-	}
-	if b.abortPending {
-		return true
-	}
-	return b.replayHead < len(b.replay) && b.r.nowCycle >= b.resumeAt
-}
-
 // sendFaultFlit sends one recovery flit: the pending abort, or the next
 // replay (the first of a run carries Rexmit so the receiver leaves
 // discard mode at exactly the right flit).
@@ -506,33 +493,50 @@ func (b *beOutput) bind() {
 	b.rr = idx + 1
 }
 
-// canSend reports whether a best-effort flit could go out this cycle.
-// Recovery traffic (pending replays or an abort) blocks fresh bytes:
-// the stream must stay in order.
-func (b *beOutput) canSend() bool {
-	if b.abortPending || b.replayHead < len(b.replay) {
-		return false
+// beReady is what the best-effort side of an output port can do with
+// its wire this cycle, as ready reads it.
+type beReady uint8
+
+const (
+	beNone     beReady = iota // nothing to send
+	beRecovery                // a recovery flit: the pending abort, or a replay whose backoff elapsed
+	beData                    // the bound input's next flit
+	beStalled                 // the bound input's next flit, held for want of a downstream credit
+)
+
+// ready reads the port's best-effort state once per port-cycle. A
+// recovery flit owed the link comes first, and while one is pending no
+// fresh flit may go out — the stream must stay in order; recovery and
+// data flits alike need a downstream credit. Otherwise the port binds a
+// waiting input if none is bound and reports whether its next flit can
+// go out. tcEarly says an early time-constrained packet waits for the
+// wire: with recovery pending but not yet sendable, that packet takes
+// the port, and the binding waits for a cycle on which the port idles.
+func (b *beOutput) ready(tcEarly bool) beReady {
+	mesh := b.port != PortLocal
+	recovery := b.abortPending || b.replayHead < len(b.replay)
+	if recovery {
+		if mesh && b.credits > 0 && (b.abortPending || b.r.nowCycle >= b.resumeAt) {
+			return beRecovery
+		}
+		if tcEarly {
+			return beNone
+		}
 	}
 	b.bind()
-	if b.curIn < 0 {
-		return false
+	switch {
+	case b.curIn < 0 || !b.r.beIn[b.curIn].hasByte():
+		return beNone
+	case mesh && b.credits <= 0:
+		return beStalled
+	case recovery:
+		return beNone
 	}
-	if b.port != PortLocal && b.credits <= 0 {
-		return false
-	}
-	return b.r.beIn[b.curIn].hasByte()
+	return beData
 }
 
-// stalled reports whether a bound input has a flit ready but the port
-// cannot send it for lack of downstream credits.
-func (b *beOutput) stalled() bool {
-	b.bind()
-	return b.curIn >= 0 && b.port != PortLocal && b.credits <= 0 &&
-		b.r.beIn[b.curIn].hasByte()
-}
-
-// sendByte forwards one flit from the bound input. The caller has
-// checked canSend.
+// sendByte forwards one flit from the bound input, which ready reported
+// as beData.
 func (b *beOutput) sendByte() {
 	u := b.r.beIn[b.curIn]
 	by, head, tail := u.pop()

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sched"
 	"repro/internal/timing"
@@ -251,12 +252,6 @@ func (r *Router) blameNoteTC(p int, victim uint8, cause StallCause, blamed uint8
 	}
 }
 
-// blameNoteBE records one best-effort credit-starved cycle (bank only;
-// the existing EvBlock event already marks best-effort stall episodes).
-func (r *Router) blameNoteBE(p int) {
-	r.blameNoteAt(p, 0, true, CauseCreditStarved, 0)
-}
-
 // blameClose ends the port's open episode, emitting one EvStall whose
 // Cycle is the end-exclusive boundary: the episode covered cycles
 // [Cycle-Wait, Cycle-1]. Victim rides InConn, the blamed connection
@@ -286,8 +281,9 @@ const (
 
 // blameScan finds the head-of-line waiting leaf for port p — the one
 // the comparator tree would pick — without touching the scheduler's
-// Select telemetry. O(slots), paid only on attributed port-cycles with
-// no staged/fetching candidate.
+// Select telemetry. It walks the allocated packet-memory slots in
+// ascending order, so ties break toward the lowest slot as in the tree;
+// paid only on attributed port-cycles with no staged/fetching candidate.
 func (r *Router) blameScan(p int, nowSlot timing.Stamp) (uint8, int) {
 	if r.schedq.Occupancy() == 0 {
 		return 0, scanNone
@@ -298,15 +294,16 @@ func (r *Router) blameScan(p int, nowSlot timing.Stamp) (uint8, int) {
 		early bool
 		found bool
 	)
-	n := r.schedq.Slots()
-	for i := 0; i < n; i++ {
-		lf := r.schedq.Leaf(i)
-		if !lf.InUse || !lf.Mask.Has(p) {
-			continue
-		}
-		k, e, _ := r.wheel.SortKey(lf.L, lf.Dl, nowSlot)
-		if !found || k < bestK {
-			bestK, conn, early, found = k, lf.InConn, e, true
+	for w, used := range r.mem.used {
+		for ; used != 0; used &= used - 1 {
+			lf := r.schedq.Leaf(w*64 + bits.TrailingZeros64(used))
+			if !lf.InUse || !lf.Mask.Has(p) {
+				continue
+			}
+			k, e, _ := r.wheel.SortKey(lf.L, lf.Dl, nowSlot)
+			if !found || k < bestK {
+				bestK, conn, early, found = k, lf.InConn, e, true
+			}
 		}
 	}
 	if !found {
@@ -321,86 +318,76 @@ func (r *Router) blameScan(p int, nowSlot timing.Stamp) (uint8, int) {
 	return conn, scanOnTime
 }
 
-// blameArbWin attributes the cycle on a port whose wire a
-// time-constrained packet is holding: the head-of-line waiter (staged
-// prefetch first, then the earliest waiting leaf) lost the arbitration
-// to the winner.
-func (r *Router) blameArbWin(p int, nowSlot timing.Stamp, winner uint8) {
+// blameGrant attributes one port-cycle from what arbitrate granted the
+// wire to (winner: the time-constrained packet holding it). Exactly one
+// cause is recorded when time-constrained work waits at the port;
+// otherwise the open episode closes.
+func (r *Router) blameGrant(p int, nowSlot timing.Stamp, g grant, winner uint8) {
 	o := r.tcOut[p]
-	if o.staged {
-		r.blameNoteTC(p, o.sLeaf.InConn, CauseArbLoss, winner)
+	switch g {
+	case grantDead:
+		r.blameClose(p)
 		return
-	}
-	if conn, st := r.blameScan(p, nowSlot); st != scanNone {
-		if st == scanBeyond {
+	case grantBubble:
+		// The cut-through's arrival stream has not caught up with the
+		// rewritten header, so the wire itself is the bottleneck.
+		r.blameNoteTC(p, winner, CauseLinkBusy, 0)
+		return
+	case grantBusy, grantOnTimeStaged, grantOnTimeCut, grantEarlyStaged, grantEarlyCut:
+		// A time-constrained packet holds the wire: the head-of-line waiter
+		// (staged prefetch first, then the earliest waiting leaf) lost the
+		// arbitration to it.
+		if o.staged {
+			r.blameNoteTC(p, o.sLeaf.InConn, CauseArbLoss, winner)
+			return
+		}
+		switch conn, st := r.blameScan(p, nowSlot); st {
+		case scanNone:
+			r.blameClose(p)
+		case scanBeyond:
 			r.blameNoteTC(p, conn, CauseHorizonHold, 0)
-		} else {
+		default:
 			r.blameNoteTC(p, conn, CauseArbLoss, winner)
 		}
 		return
 	}
-	r.blameClose(p)
-}
 
-// What, if anything, the best-effort side sent on the cycle being
-// attributed.
-const (
-	beSentNone = iota
-	beSentData
-	beSentFault
-)
-
-// blameIdle attributes a port-cycle on which no time-constrained byte
-// moved: either a best-effort flit took the wire (beSent says which
-// kind) or the port idled. Exactly one cause is recorded when any
-// time-constrained work is present; otherwise the open episode closes.
-func (r *Router) blameIdle(p int, nowSlot timing.Stamp, beSent int) {
-	o := r.tcOut[p]
+	// No time-constrained byte moved: a best-effort flit took the wire, or
+	// the port idled, perhaps on a best-effort credit stall — charged to
+	// the port's best-effort pseudo-victim, bank only: EvBlock already
+	// marks best-effort stall episodes.
+	if g == grantIdle && r.beOut[p].wasStalled {
+		r.blameNoteAt(p, 0, true, CauseCreditStarved, 0)
+	}
 	if o.staged {
-		// arbitrate handles ClassOnTime before reaching any idle path,
-		// and ClassEarly only loses the cycle to best-effort traffic; a
-		// staged packet here is otherwise beyond the horizon.
+		// Table 1 starts an on-time staged packet ahead of any best-effort
+		// flit, so one left staged is early — losing only to best-effort
+		// traffic — or beyond the horizon.
+		cause := CauseHorizonHold
 		switch o.stagedClass(nowSlot) {
 		case sched.ClassEarly:
-			switch beSent {
-			case beSentFault:
-				r.blameNoteTC(p, o.sLeaf.InConn, CauseFaultRetransmit, 0)
-			case beSentData:
-				r.blameNoteTC(p, o.sLeaf.InConn, CauseBEContention, 0)
-			default:
-				r.blameNoteTC(p, o.sLeaf.InConn, CauseUnattributed, 0)
-			}
-		case sched.ClassNone:
-			r.blameNoteTC(p, o.sLeaf.InConn, CauseHorizonHold, 0)
-		default:
-			r.blameNoteTC(p, o.sLeaf.InConn, CauseUnattributed, 0)
+			cause = earlyCause(g, CauseUnattributed)
+		case sched.ClassOnTime:
+			cause = CauseUnattributed
 		}
+		r.blameNoteTC(p, o.sLeaf.InConn, cause, 0)
 		return
 	}
 	if o.cutIn != nil {
 		// A pending cut-through (head byte not yet sent) held back like a
 		// staged packet.
-		switch o.cutClass {
-		case sched.ClassEarly:
-			switch beSent {
-			case beSentFault:
-				r.blameNoteTC(p, o.cutLeaf.InConn, CauseFaultRetransmit, 0)
-			case beSentData:
-				r.blameNoteTC(p, o.cutLeaf.InConn, CauseBEContention, 0)
-			default:
-				r.blameNoteTC(p, o.cutLeaf.InConn, CauseUnattributed, 0)
-			}
-		default:
-			r.blameNoteTC(p, o.cutLeaf.InConn, CauseHorizonHold, 0)
+		cause := CauseHorizonHold
+		if o.cutClass == sched.ClassEarly {
+			cause = earlyCause(g, CauseUnattributed)
 		}
+		r.blameNoteTC(p, o.cutLeaf.InConn, cause, 0)
 		return
 	}
 	if o.fetching || o.candValid {
 		r.blameNoteTC(p, r.schedq.Leaf(o.cand.Slot).InConn, CauseMemBusWait, 0)
 		return
 	}
-	conn, st := r.blameScan(p, nowSlot)
-	switch st {
+	switch conn, st := r.blameScan(p, nowSlot); st {
 	case scanNone:
 		r.blameClose(p)
 	case scanBeyond:
@@ -412,15 +399,22 @@ func (r *Router) blameIdle(p int, nowSlot timing.Stamp, beSent int) {
 		r.blameNoteTC(p, conn, CauseSchedWait, 0)
 	case scanEarly:
 		// An early waiting leaf loses to best-effort traffic even when
-		// staged, so a best-effort send is the binding constraint; with
-		// the link free it is scheduling latency.
-		switch beSent {
-		case beSentFault:
-			r.blameNoteTC(p, conn, CauseFaultRetransmit, 0)
-		case beSentData:
-			r.blameNoteTC(p, conn, CauseBEContention, 0)
-		default:
-			r.blameNoteTC(p, conn, CauseSchedWait, 0)
-		}
+		// staged; with the link free it is scheduling latency.
+		r.blameNoteTC(p, conn, earlyCause(g, CauseSchedWait), 0)
 	}
+}
+
+// earlyCause is the cause charged to a victim that is only
+// horizon-early on a cycle the wire did not carry time-constrained
+// traffic. Table 1 lets best-effort flits go ahead of it, so a recovery
+// flit makes the cycle fault_retransmit and a data flit be_contention;
+// on an idle wire the caller's cause stands.
+func earlyCause(g grant, idle StallCause) StallCause {
+	switch g {
+	case grantRecovery:
+		return CauseFaultRetransmit
+	case grantData:
+		return CauseBEContention
+	}
+	return idle
 }

@@ -15,14 +15,23 @@ import (
 // flit. The router must not panic, and once the streams stop, one full
 // slot-clock period plus slack must return every packet-memory slot:
 // a corrupt, truncated or misrouted frame may be dropped, never leaked.
+// Each program runs twice, with slack attribution off and on, and both
+// runs must end with the same hardware counters and free slots:
+// attribution observes the tick, it never steers it.
 //
 //	go test -fuzz=FuzzRouterTick -fuzztime=20s -run '^$' ./internal/router/
 func FuzzRouterTick(f *testing.F) {
 	f.Add(tickFrame(0, 1, 0, false))                 // clean frame
 	f.Add(tickFrame(2, 3, 5, true))                  // corrupted tail checksum
 	f.Add(tickFrame(1, 2, 9, false)[:12*tickRecord]) // truncated frame
+	f.Add(tickBERecovery())                          // best-effort nack, then an abort to forward
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		runRouterTick(t, prog)
+		stats, free := runRouterTick(t, prog, false)
+		blamed, blamedFree := runRouterTick(t, prog, true)
+		if blamed != stats || blamedFree != free {
+			t.Fatalf("attribution changed the run: %d free slots, stats %+v; without it %d, %+v",
+				blamedFree, blamed, free, stats)
+		}
 	})
 }
 
@@ -58,6 +67,35 @@ func tickFrame(port int, conn, stamp uint8, corrupt bool) []byte {
 		prog = append(prog, byte(port), flags, p[i], side)
 	}
 	return prog
+}
+
+// tickBERecovery is a program holding one best-effort Integrity frame
+// on input -x, routed on through output +x, whose tail flit carries a
+// wrong checksum: the input nacks and discards it while the head flits
+// go on downstream. The upstream's Abort flit follows, so the output owes
+// its link a recovery flit as soon as the abort is read.
+func tickBERecovery() []byte {
+	frame, err := packet.NewBE(2, 0, []byte{1, 2, 3, 4})
+	if err != nil {
+		panic(err)
+	}
+	const best, head, tail, side, abort = 1 | 1<<1, 1 << 2, 1 << 3, 1 << 4, 1 << 6
+	var prog []byte
+	for i, b := range frame {
+		flags, crc := byte(best|side), packet.CRC8Update(0, b)
+		if i == 0 {
+			flags |= head
+		}
+		if i == len(frame)-1 {
+			flags |= tail
+			crc ^= 0x5a
+		}
+		prog = append(prog, PortXMinus, flags, b, crc)
+	}
+	for range 8 {
+		prog = append(prog, PortXMinus, 0, 0, 0) // idle while the head flits go on
+	}
+	return append(prog, PortXMinus, best|tail|abort, 0, 0)
 }
 
 // tickHarness plays the program's streams into the router and sinks its
@@ -99,10 +137,15 @@ func (h *tickHarness) streamCycles() int64 {
 	return n
 }
 
-func runRouterTick(t *testing.T, prog []byte) {
+// runRouterTick plays prog into a fresh router, with slack attribution
+// on if blame, and returns its counters and free slots after the drain.
+func runRouterTick(t *testing.T, prog []byte, blame bool) (Stats, int) {
 	cfg := DefaultConfig()
 	cfg.Integrity = true
 	r := MustNew("F", cfg)
+	if blame {
+		r.EnableBlame()
+	}
 	for _, e := range []struct {
 		in, out, d uint8
 		ports      []int
@@ -155,6 +198,7 @@ func runRouterTick(t *testing.T, prog []byte) {
 	period := int64(r.Wheel().Range()) * packet.TCBytes
 	k.Run(h.streamCycles() + period + 1000)
 	if got := r.FreeSlots(); got != cfg.Slots {
-		t.Fatalf("%d of %d packet-memory slots free after the drain; stats %+v", got, cfg.Slots, r.Stats)
+		t.Fatalf("%d of %d packet-memory slots free after the drain (blame %v); stats %+v", got, cfg.Slots, blame, r.Stats)
 	}
+	return r.Stats, r.FreeSlots()
 }

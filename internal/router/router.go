@@ -665,7 +665,7 @@ func (r *Router) inputsClear(now int64) bool {
 // is a count other runs are compared by — but parking a tick late costs
 // nothing, so a router that holds packets skips the engine scan on the
 // cheap signs that it cannot pass: an arrival this very cycle, which on a
-// loaded mesh is nearly every cycle. Forensics runs never park: blameIdle
+// loaded mesh is nearly every cycle. Forensics runs never park: blameGrant
 // attributes a horizon hold to every port-cycle a held packet waits,
 // which the parked tick would leave out.
 func (r *Router) atRest(arrived bool) restState {
@@ -812,122 +812,134 @@ func (r *Router) schedBeat(nowSlot timing.Stamp) bool {
 	return false
 }
 
-// arbitrate resolves one output port for one cycle: continue an active
-// time-constrained burst; else start an on-time packet; else send a
-// best-effort flit; else start an early packet within the horizon
-// (Table 1 service order with byte-level preemption of best-effort
-// traffic).
+// grant is what one output port's wire does for one cycle. grantOf
+// picks among the first seven — Table 1's service order — on a port
+// whose wire is free; the last three are the outcomes arbitrate settles
+// before the table is consulted.
+type grant uint8
+
+const (
+	grantIdle         grant = iota // nothing goes out
+	grantOnTimeStaged              // the staged packet, on time, starts
+	grantOnTimeCut                 // the pending cut-through, on time, starts
+	grantRecovery                  // a best-effort recovery flit goes out
+	grantData                      // a fresh best-effort flit goes out
+	grantEarlyStaged               // the staged packet, early within the horizon, starts
+	grantEarlyCut                  // the pending cut-through, early within the horizon, starts
+	grantBusy                      // a time-constrained packet on the wire sends its next byte
+	grantBubble                    // a cut-through stream waits for its arrival to catch up
+	grantDead                      // the port's link is gone
+)
+
+// grantOf is Table 1 for one port-cycle, from the staged packet's class,
+// the pending cut-through's class and the best-effort readiness: on-time
+// time-constrained traffic first (staged before cut), then best-effort
+// flits (recovery before data), then early time-constrained traffic
+// within the horizon (staged before cut); otherwise the port idles.
+func grantOf(staged, cut sched.Class, be beReady) grant {
+	switch {
+	case staged == sched.ClassOnTime:
+		return grantOnTimeStaged
+	case cut == sched.ClassOnTime:
+		return grantOnTimeCut
+	case be == beRecovery:
+		return grantRecovery
+	case be == beData:
+		return grantData
+	case staged == sched.ClassEarly:
+		return grantEarlyStaged
+	case cut == sched.ClassEarly:
+		return grantEarlyCut
+	}
+	return grantIdle
+}
+
+// arbitrate resolves one output port for one cycle: a dead port drains,
+// a time-constrained packet already on the wire continues, and a free
+// wire goes to whatever serve grants it. Attribution, when on, reads the
+// one grant.
 func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
 	o := r.tcOut[p]
-	if p != PortLocal && r.out[p] == nil {
+	dead := p != PortLocal && r.out[p] == nil
+	if dead {
 		r.drainDeadPort(o)
 		r.beOut[p].drainDeadBE()
-		if r.beDropping&(1<<p) != 0 {
-			r.beIn[p].drainDropped()
-		}
-		if r.blame != nil {
-			r.blameClose(p)
-		}
-		return
 	}
 	if r.beDropping&(1<<p) != 0 {
 		r.beIn[p].drainDropped()
 	}
 
-	if o.txActive {
-		r.emitTC(o)
-		if r.blame != nil {
-			r.blameArbWin(p, nowSlot, o.txConn)
-		}
-		return
-	}
-	if o.cutIn != nil && o.cutIdx > 0 {
-		cutConn := o.cutLeaf.InConn
-		if r.emitCut(o) {
-			if r.blame != nil {
-				r.blameArbWin(p, nowSlot, cutConn)
-			}
-		} else if r.blame != nil {
-			// Cut-through bubble: the arrival stream has not caught up
-			// with the rewritten header, so the wire itself is the
-			// bottleneck.
-			r.blameNoteTC(p, cutConn, CauseLinkBusy, 0)
-		}
-		return
-	}
-
-	class := sched.ClassNone
-	if o.staged {
-		class = o.stagedClass(nowSlot)
-	}
-	cutClass := sched.ClassNone
-	if o.cutIn != nil {
-		cutClass = o.cutClass
-		if cutClass == sched.ClassEarly && r.wheel.OnTime(o.cutLeaf.L, nowSlot) {
-			cutClass = sched.ClassOnTime
-			o.cutClass = cutClass
-		}
-	}
-	be := r.beOut[p]
-
+	var (
+		g      grant
+		winner uint8 // the time-constrained packet holding the wire
+	)
 	switch {
-	case class == sched.ClassOnTime:
-		o.startTx(nowSlot, class)
+	case dead:
+		g = grantDead
+	case o.txActive:
+		g, winner = grantBusy, o.txConn
 		r.emitTC(o)
-		if r.blame != nil {
-			r.blameArbWin(p, nowSlot, o.txConn)
-		}
-	case cutClass == sched.ClassOnTime:
-		cutConn := o.cutLeaf.InConn
-		r.emitCut(o)
-		if r.blame != nil {
-			r.blameArbWin(p, nowSlot, cutConn)
-		}
-	case be.hasFaultWork():
-		be.sendFaultFlit()
-		be.wasStalled = false
-		if r.blame != nil {
-			r.blameIdle(p, nowSlot, beSentFault)
-		}
-	case be.canSend():
-		be.sendByte()
-		be.wasStalled = false
-		if r.blame != nil {
-			r.blameIdle(p, nowSlot, beSentData)
-		}
-	case class == sched.ClassEarly:
-		o.startTx(nowSlot, class)
-		r.emitTC(o)
-		if r.blame != nil {
-			r.blameArbWin(p, nowSlot, o.txConn)
-		}
-	case cutClass == sched.ClassEarly:
-		cutConn := o.cutLeaf.InConn
-		r.emitCut(o)
-		if r.blame != nil {
-			r.blameArbWin(p, nowSlot, cutConn)
+	case o.cutIn != nil && o.cutIdx > 0:
+		g, winner = grantBusy, o.cutLeaf.InConn
+		if !r.emitCut(o) {
+			g = grantBubble
 		}
 	default:
-		// The port idles this cycle. If a best-effort flit is waiting
-		// but the downstream buffer owes no credit, that is a
-		// backpressure stall worth counting (and tracing once per
-		// episode): the link is free, the flit is not.
-		if stalled := be.stalled(); stalled {
-			r.tally.BEStallCycles[p]++
-			if !be.wasStalled && r.OnLifecycle != nil {
-				r.lifecycle(LifecycleEvent{Kind: EvBlock, Port: p, BE: true})
-			}
-			be.wasStalled = true
-			if r.blame != nil {
-				r.blameNoteBE(p)
-			}
-		} else {
-			be.wasStalled = false
+		g, winner = r.serve(p, nowSlot)
+	}
+	if r.blame != nil {
+		r.blameGrant(p, nowSlot, g, winner)
+	}
+}
+
+// serve grants a free wire by Table 1 (grantOf) and carries the grant
+// out. Best-effort readiness is read once, and only when no on-time
+// packet takes the wire. It returns the grant and, for a
+// time-constrained one, the packet that started.
+func (r *Router) serve(p int, nowSlot timing.Stamp) (grant, uint8) {
+	o, be := r.tcOut[p], r.beOut[p]
+	staged := sched.ClassNone
+	if o.staged {
+		staged = o.stagedClass(nowSlot)
+	}
+	cut := sched.ClassNone
+	if o.cutIn != nil {
+		if o.cutClass == sched.ClassEarly && r.wheel.OnTime(o.cutLeaf.L, nowSlot) {
+			o.cutClass = sched.ClassOnTime
 		}
-		if r.blame != nil {
-			r.blameIdle(p, nowSlot, beSentNone)
+		cut = o.cutClass
+	}
+	rd := beNone
+	if staged != sched.ClassOnTime && cut != sched.ClassOnTime {
+		rd = be.ready(staged == sched.ClassEarly || cut == sched.ClassEarly)
+	}
+
+	g := grantOf(staged, cut, rd)
+	switch g {
+	case grantOnTimeStaged, grantEarlyStaged:
+		o.startTx(nowSlot, staged)
+		r.emitTC(o)
+		return g, o.txConn
+	case grantOnTimeCut, grantEarlyCut:
+		r.emitCut(o)
+		return g, o.cutLeaf.InConn
+	case grantRecovery:
+		be.sendFaultFlit()
+	case grantData:
+		be.sendByte()
+	}
+	// The best-effort side had the wire. If a flit is waiting but the
+	// downstream buffer owes no credit, that is a backpressure stall worth
+	// counting (and tracing once per episode): the link is free, the flit
+	// is not.
+	if rd == beStalled {
+		r.tally.BEStallCycles[p]++
+		if !be.wasStalled && r.OnLifecycle != nil {
+			r.lifecycle(LifecycleEvent{Kind: EvBlock, Port: p, BE: true})
 		}
 	}
+	be.wasStalled = rd == beStalled
+	return g, 0
 }
 
 // drainDeadPort discards time-constrained packets scheduled to a port

@@ -58,14 +58,21 @@ func (t *leafTable) ClearPort(slot, port int) (bool, error) {
 	if err := t.owes(slot, port); err != nil {
 		return false, err
 	}
+	return t.clear(slot, port), nil
+}
+
+// clear takes port off the mask of the leaf in slot, which owes it a
+// copy (owes has checked), and frees the leaf once no port is owed; it
+// reports whether it did.
+func (t *leafTable) clear(slot, port int) bool {
 	lf := &t.leaves[slot]
 	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		t.inUse--
-		return true, nil
+	if lf.Mask != 0 {
+		return false
 	}
-	return false, nil
+	*lf = Leaf{}
+	t.inUse--
+	return true
 }
 
 // Leaf implements Scheduler.
@@ -135,7 +142,7 @@ func (f *FIFO) ClearPort(slot, port int) (bool, error) {
 		return false, fmt.Errorf("sched: FIFO clear of slot %d which is not at head of port %d", slot, port)
 	}
 	f.queues[port] = q[1:]
-	return f.leafTable.ClearPort(slot, port)
+	return f.clear(slot, port), nil
 }
 
 // StaticPriority is an ablation scheduler that serves time-constrained
