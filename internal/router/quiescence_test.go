@@ -15,16 +15,22 @@ import (
 // tick by clearing their rest state every cycle, giving the differential
 // tests a control that never parks and never idles. With parkedOnly it
 // leaves an idle router alone — the router as it was before the parked
-// state existed, whose IdleTicks the parked path must not disturb.
+// state existed, whose IdleTicks the parked path must not disturb. With
+// sleepless it leaves the rest state alone and forgets every quiet span
+// instead: a router that parks but never sleeps, whose every beat is a
+// real Select.
 type idleBuster struct {
-	rs         []*Router
-	parkedOnly bool
+	rs                    []*Router
+	parkedOnly, sleepless bool
 }
 
 func (b *idleBuster) Name() string { return "idle-buster" }
 func (b *idleBuster) Tick(sim.Cycle) {
 	for _, r := range b.rs {
-		if !b.parkedOnly || r.rest == restParked {
+		switch {
+		case b.sleepless:
+			r.forgetQuiet(sched.AllPortsMask(NumPorts))
+		case !b.parkedOnly || r.rest == restParked:
 			r.rest = restBusy
 		}
 	}
@@ -200,14 +206,23 @@ func TestQuiescenceWakesOnArrival(t *testing.T) {
 }
 
 // foldEach folds its routers' metrics after every cycle, so each tick,
-// busy or resting, is a fold span of its own.
-type foldEach []*Router
+// busy or resting, is a fold span of its own, and folds what the beat
+// samples — the beat count, the leaf level and its peak — into a running
+// digest, so a closed-form beat that sampled differently shows even where
+// the final gauges agree.
+type foldEach struct {
+	rs     []*Router
+	digest uint64
+}
 
-func (f foldEach) Name() string { return "fold-each" }
+func (f *foldEach) Name() string { return "fold-each" }
 
-func (f foldEach) Tick(sim.Cycle) {
-	for _, r := range f {
+func (f *foldEach) Tick(sim.Cycle) {
+	for _, r := range f.rs {
 		r.FoldMetrics()
+		for _, v := range []int64{r.beats, r.schedLevel, r.schedPeak} {
+			f.digest = f.digest*1099511628211 ^ uint64(v)
+		}
 	}
 }
 
@@ -216,7 +231,9 @@ type parkedObs struct {
 	deliveries       [2][]DeliveredTC
 	stats            [2]Stats
 	selects, overdue [2]int64
+	highWater        [2]int
 	snap             metrics.Snapshot
+	beatDigest       uint64
 	idle, parked     [2]int64
 }
 
@@ -229,7 +246,10 @@ type parkedObs struct {
 // traffic and B's own injections contending for B's reception port, a
 // multicast leaf owed to a link and to the reception port, leaves owed
 // to an unwired port alone and together with a live one, and traffic in
-// the reverse direction. bust is registered after the routers, if set.
+// the reverse direction — held leaves on all five of A's ports, with
+// horizons of 4 and 9 slots on two of them, so quiet spans end at the
+// horizon and not only at ℓ. bust is registered after the routers, if
+// set.
 func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuster) parkedObs {
 	t.Helper()
 	r := newPairRig(t, cfg)
@@ -248,13 +268,20 @@ func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuste
 		{0, 10, 10, 7, maskOf(PortYPlus, PortLocal)},
 		{1, 11, 12, 5, maskOf(PortXMinus)},
 		{0, 12, 13, 5, maskOf(PortLocal)},
+		{0, 13, 14, 6, maskOf(PortYMinus, PortXMinus)},
 	}
 	for _, c := range conns {
 		if err := rs[c.at].SetConnection(c.in, c.out, c.d, c.mask); err != nil {
 			t.Fatal(err)
 		}
 	}
-	injectA, injectB := []uint8{1, 4, 6, 10}, []uint8{3, 11}
+	if err := r.a.SetHorizon(maskOf(PortXPlus), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.a.SetHorizon(maskOf(PortLocal), 9); err != nil {
+		t.Fatal(err)
+	}
+	injectA, injectB := []uint8{1, 4, 6, 10, 13}, []uint8{3, 11}
 	var reg *metrics.Registry
 	if withMetrics {
 		reg = metrics.NewRegistry()
@@ -265,15 +292,23 @@ func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuste
 		bust.rs = rs[:]
 		r.k.Register(bust)
 	}
+	fold := &foldEach{rs: rs[:]}
 	if withMetrics {
-		r.k.Register(foldEach(rs[:]))
+		r.k.Register(fold)
 	}
 
 	var o parkedObs
 	rng := rand.New(rand.NewSource(7))
-	next := int64(0)
+	next, reset := int64(0), false
 	for r.k.Now() < 16000 {
 		now := int64(r.k.Now())
+		if now >= 8000 && !reset {
+			// Mid-script warm-up exclusion: a router resting across it
+			// must sample its leaf level into the fresh high-water mark.
+			reset = true
+			r.a.ResetStats()
+			r.b.ResetStats()
+		}
 		if now >= next {
 			// A quiet stretch now and then lets both routers drain to idle,
 			// so the script crosses idle → parked → busy → idle.
@@ -298,19 +333,23 @@ func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuste
 		o.stats[i] = x.Stats
 		tree := x.Scheduler().(*sched.EDFTree)
 		o.selects[i], o.overdue[i] = tree.Selects, tree.Overdue
+		o.highWater[i] = x.SchedHighWater()
 		o.idle[i], o.parked[i] = x.IdleTicks(), x.ParkedTicks()
 	}
 	if reg != nil {
 		o.snap = reg.Snapshot()
 	}
+	o.beatDigest = fold.digest
 	return o
 }
 
 // TestParkedFastPathEquivalence: a router that only holds packets until
 // their logical arrival time leaves out output arbitration and, unless
-// the beat wakes it, everything after the beat. Every observable must
-// match a control pinned to the full tick, and the idle-cycle count must
-// match a control that only never parks.
+// the beat wakes it, everything after the beat; a beat on a port inside
+// its quiet span is closed-form. Every observable must match a control
+// pinned to the full tick, the idle-cycle count a control that only never
+// parks, and everything — Selects, Overdue, SchedHighWater, IdleTicks and
+// ParkedTicks included — a control that parks but never sleeps.
 func TestParkedFastPathEquivalence(t *testing.T) {
 	integrity := DefaultConfig()
 	integrity.Integrity = true
@@ -326,6 +365,7 @@ func TestParkedFastPathEquivalence(t *testing.T) {
 			fast := runParkedScript(t, tc.cfg, tc.metrics, nil)
 			full := runParkedScript(t, tc.cfg, tc.metrics, &idleBuster{})
 			unparked := runParkedScript(t, tc.cfg, tc.metrics, &idleBuster{parkedOnly: true})
+			sleepless := runParkedScript(t, tc.cfg, tc.metrics, &idleBuster{sleepless: true})
 
 			if fast.parked[0] == 0 || fast.parked[1] == 0 {
 				t.Errorf("parked path never engaged: %v parked ticks", fast.parked)
@@ -350,9 +390,12 @@ func TestParkedFastPathEquivalence(t *testing.T) {
 			for _, ctl := range []struct {
 				name string
 				o    parkedObs
-			}{{"full-tick", full}, {"never-parking", unparked}} {
-				// The tick counts were judged above; everything else must be equal.
-				ctl.o.idle, ctl.o.parked = fast.idle, fast.parked
+			}{{"full-tick", full}, {"never-parking", unparked}, {"never-sleeping", sleepless}} {
+				// The tick counts of the first two were judged above;
+				// everything else must be equal.
+				if ctl.name != "never-sleeping" {
+					ctl.o.idle, ctl.o.parked = fast.idle, fast.parked
+				}
 				if !reflect.DeepEqual(fast, ctl.o) {
 					t.Errorf("diverges from the %s control:\nfast: %+v\nctl:  %+v", ctl.name, fast, ctl.o)
 				}
@@ -400,6 +443,88 @@ func TestParkedWakesSameCycle(t *testing.T) {
 		t.Errorf("woke=%v after %d parked ticks", woke, fast.a.ParkedTicks())
 	}
 	if fast.a.Stats != ctl.a.Stats || fast.a.Stats.TCDelivered != 1 {
+		t.Errorf("stats %+v, control %+v", fast.a.Stats, ctl.a.Stats)
+	}
+}
+
+// TestHorizonWriteWakesParked: widening a parked router's horizon in the
+// middle of a hold makes its held packet eligible at once. The router is
+// asleep then — parked, its reception port quiet until ℓ, every beat
+// closed-form — so the control write must end the rest state and forget the quiet
+// spans: the packet must start on the very cycle it starts on a router
+// pinned to the full tick, not at ℓ. A connection-table write, which no
+// Select reads, leaves a sleeping router asleep and in step.
+func TestHorizonWriteWakesParked(t *testing.T) {
+	build := func() *rig {
+		r := newRig(t, DefaultConfig())
+		if err := r.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
+			t.Fatal(err)
+		}
+		r.a.InjectTC(tcPkt(1, 100, 0x55)) // ℓ = slot 100 = cycle 2000
+		return r
+	}
+	fast, ctl := build(), build()
+	ctl.k.Register(&idleBuster{rs: []*Router{ctl.a}})
+	fast.k.Run(400)
+	ctl.k.Run(400)
+	if fast.a.rest != restParked {
+		t.Fatalf("rest state %d: the router is not parked", fast.a.rest)
+	}
+	if q, now := fast.a.tcOut[PortLocal].quietUntil, fast.a.absSlot(400); q <= now+50 {
+		t.Fatalf("reception port quiet until slot %d at slot %d, want a span reaching ℓ", q, now)
+	}
+	for _, r := range []*Router{fast.a, ctl.a} {
+		if err := r.SetHorizon(maskOf(PortLocal), 90); err != nil { // ℓ is 80 slots off
+			t.Fatal(err)
+		}
+	}
+	started := int64(-1)
+	for c := int64(400); c < 700; c++ {
+		fast.k.Run(1)
+		ctl.k.Run(1)
+		fs, cs := fast.a.OutputState(PortLocal), ctl.a.OutputState(PortLocal)
+		if fs != cs {
+			t.Fatalf("cycle %d: reception port %+v, control %+v", c, fs, cs)
+		}
+		if fs.TxActive && started < 0 {
+			started = c
+		}
+	}
+	if started < 0 || started > 450 {
+		t.Errorf("held packet started at cycle %d after the horizon write at 400, want within a beat round", started)
+	}
+	if fast.a.Stats != ctl.a.Stats || fast.a.Stats.TCDelivered != 1 {
+		t.Errorf("stats %+v, control %+v", fast.a.Stats, ctl.a.Stats)
+	}
+
+	// A connection-table write feeds only the installs of later arrivals,
+	// which end their ports' spans themselves: the router sleeps on, in
+	// step with the control.
+	for _, r := range []*rig{fast, ctl} {
+		r.a.InjectTC(tcPkt(1, 155, 0x56)) // ℓ = slot 155: 120 slots off, 30 past the horizon
+		r.k.Run(300)
+	}
+	quiet := fast.a.tcOut[PortLocal].quietUntil
+	if fast.a.rest != restParked || quiet <= fast.a.absSlot(1000)+10 {
+		t.Fatalf("rest state %d, reception port quiet until slot %d: the second hold is not asleep", fast.a.rest, quiet)
+	}
+	for _, r := range []*Router{fast.a, ctl.a} {
+		if err := r.SetConnection(1, 9, 12, maskOf(PortLocal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fast.a.rest != restParked || fast.a.tcOut[PortLocal].quietUntil != quiet {
+		t.Errorf("a connection write woke the router: rest state %d, span %d → %d",
+			fast.a.rest, quiet, fast.a.tcOut[PortLocal].quietUntil)
+	}
+	for c := 1000; c < 1800; c++ {
+		fast.k.Run(1)
+		ctl.k.Run(1)
+		if fs, cs := fast.a.OutputState(PortLocal), ctl.a.OutputState(PortLocal); fs != cs {
+			t.Fatalf("cycle %d: reception port %+v, control %+v", c, fs, cs)
+		}
+	}
+	if fast.a.Stats != ctl.a.Stats || fast.a.Stats.TCDelivered != 2 {
 		t.Errorf("stats %+v, control %+v", fast.a.Stats, ctl.a.Stats)
 	}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/metrics"
@@ -76,6 +77,10 @@ type Router struct {
 	// touches, so a neighbour's Pipe.Write storing into it lands on a
 	// line that is in cache anyway.
 	stampBuf [numWires * 2]uint16
+	// restLevel is the leaf level the last full Tick left behind: what a
+	// closed-form beat samples while the router rests (restBeats). It
+	// fills the padding before nowCycle.
+	restLevel int32
 
 	nowCycle       int64
 	schedCountdown int
@@ -502,11 +507,26 @@ func (r *Router) DrainBE() []DeliveredBE {
 // time plus the configured skew. The clock ticks once per packet
 // transmission time (Section 4.2).
 func (r *Router) slotNow(now int64) timing.Stamp {
-	local := now + r.cfg.SkewCycles
-	if local < 0 {
-		local = 0
+	return r.wheel.Wrap(timing.Slot(r.absSlot(now)))
+}
+
+// absSlot is the unwrapped slot count behind slotNow: the slot clock as a
+// monotone count, which quiet spans are kept in so that no rollover can
+// alias a stale span into a current one.
+func (r *Router) absSlot(now int64) int64 {
+	return int64(timing.CyclesToSlot(max(now+r.cfg.SkewCycles, 0), packet.TCBytes))
+}
+
+// quietForever is the quietUntil of a port quiet until the tree changes.
+const quietForever = math.MaxInt64
+
+// forgetQuiet forgets the quiet spans of the ports in mask, so each
+// one's next beat runs a real Select: the ports an installed leaf is owed
+// to, or those whose horizon a control write set.
+func (r *Router) forgetQuiet(mask sched.PortMask) {
+	for m := uint8(mask); m != 0; m &= m - 1 {
+		r.tcOut[bits.TrailingZeros8(m)].quietUntil = 0
 	}
-	return r.wheel.Wrap(timing.CyclesToSlot(local, packet.TCBytes))
 }
 
 // SlotNow exposes the current slot stamp for traffic sources, which need
@@ -526,14 +546,16 @@ const (
 	// restParked: every engine is idle (enginesIdle), forensics is off
 	// and the tick took nothing off a wire, but packets sit in the packet
 	// memory as scheduler leaves, held until their logical arrival time
-	// (atRest). Output arbitration has
-	// nothing to move, so the next Tick runs the countdown and the real
-	// comparator-tree beat alone, and the rest of the cycle only if that
-	// beat produced a candidate to fetch.
+	// (atRest). Output arbitration has nothing to move, so the next Tick
+	// runs the countdown and the beat alone — a closed-form one while the
+	// beat's port is inside its quiet span, the real comparator-tree beat
+	// once it is not — and the rest of the cycle only if a real beat
+	// produced a candidate to fetch.
 	restParked
 	// restIdle: every engine idle, the packet memory free, no leaf
-	// installed. The next Tick is the countdown and an empty-tree beat,
-	// and the kernel may skip the router altogether (NextWork, Skip).
+	// installed: every port quiet forever. The next Tick is the countdown
+	// and a closed-form beat, and the kernel may skip the router
+	// altogether (NextWork, Skip).
 	restIdle
 )
 
@@ -548,21 +570,24 @@ const (
 //
 // A router at rest whose wires are clear leaves out the phases that
 // provably change nothing: phase 1 when parked, and phases 3–5 too unless
-// the parked beat made a candidate; all but the countdown and an
-// empty-tree beat when idle (see restState). A busy tick visits only the
-// ports that hold work: the launch, acknowledge and parse loops walk port
-// masks (tcStaged|tcCand, beOwed, beUnparsed) in ascending port order,
-// arbitrate drains a dropped frame only where beDropping marks one, and
-// sampleInputs reads a wire only when its stamp row matches the cycle.
+// the parked beat made a candidate; all but the countdown and a
+// closed-form beat when idle (see restState). A parked beat on a port
+// inside its quiet span is the same closed-form beat (restBeats). A busy
+// tick visits only the ports that hold work: the launch, acknowledge and
+// parse loops walk port masks (tcStaged|tcCand, beOwed, beUnparsed) in
+// ascending port order, arbitrate drains a dropped frame only where
+// beDropping marks one, and sampleInputs reads a wire only when its stamp
+// row matches the cycle.
 func (r *Router) Tick(now sim.Cycle) {
-	nowSlot := r.slotNow(int64(now))
 	rest := r.rest
 	if rest != restBusy && !r.inputsClear(int64(now)) {
 		rest = restBusy
 	}
 	r.nowCycle = int64(now)
 
+	var nowSlot timing.Stamp // read on a busy tick, and at rest only for a real beat
 	if rest == restBusy {
+		nowSlot = r.slotNow(int64(now))
 		for p := 0; p < NumPorts; p++ {
 			r.arbitrate(p, nowSlot)
 		}
@@ -574,9 +599,14 @@ func (r *Router) Tick(now sim.Cycle) {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		if rest == restIdle {
-			r.idleBeats(1)
-		} else {
+		switch {
+		case rest == restIdle,
+			rest == restParked && r.tcOut[r.schedRR%NumPorts].quietUntil > r.absSlot(int64(now)):
+			r.restBeats(1)
+		default:
+			if rest != restBusy {
+				nowSlot = r.slotNow(int64(now))
+			}
 			candidate = r.schedBeat(nowSlot)
 		}
 	}
@@ -674,8 +704,10 @@ func (r *Router) atRest(arrived bool) restState {
 		return restBusy
 	}
 	if held {
+		r.restLevel = int32(r.schedq.Occupancy())
 		return restParked
 	}
+	r.restLevel = 0
 	return restIdle
 }
 
@@ -728,7 +760,8 @@ func (r *Router) ParkedTicks() int64 { return r.parkedTicks }
 // the scheduler's SkipIdleSelects accounts its empty-tree beats — so
 // the kernel may fast-forward arbitrarily far; arriving wire traffic is
 // tracked separately, by the link pipes' stamps. A busy or parked router
-// must tick every cycle.
+// must tick every cycle; a parked one's beats on quiet ports are
+// closed-form inside Tick.
 func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
 	if r.rest != restIdle {
 		return now
@@ -739,8 +772,8 @@ func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
 // Skip implements sim.Skipper: replay the idle ticks for cycles
 // [now, target) in closed form, bit-identical to running the idle Tick
 // target−now times. The replayed effects are exactly that tick's: the
-// scheduler countdown with its empty-tree selection beats (idleBeats),
-// and the idle-cycle counter.
+// scheduler countdown with its closed-form beats (restBeats), and the
+// idle-cycle counter.
 func (r *Router) Skip(now, target sim.Cycle) {
 	n := int64(target - now)
 	if n <= 0 {
@@ -755,7 +788,7 @@ func (r *Router) Skip(now, target sim.Cycle) {
 		beats := 1 + (n-c0)/period
 		rem := n - (c0 + (beats-1)*period)
 		r.schedCountdown = int(period - rem)
-		r.idleBeats(beats)
+		r.restBeats(beats)
 	} else {
 		r.schedCountdown = int(c0 - n)
 	}
@@ -764,15 +797,21 @@ func (r *Router) Skip(now, target sim.Cycle) {
 	r.nowCycle = last
 }
 
-// idleBeats replays n ≥ 1 comparator-tree beats of an idle router in
-// closed form: each advances the round-robin pointer by one port, runs
-// one empty-tree selection (SkipIdleSelects is bit-identical to it) and
-// samples the leaf level, zero on an idle router.
-func (r *Router) idleBeats(n int64) {
-	r.schedRR = (r.schedRR%NumPorts+int((n-1)%int64(NumPorts)))%NumPorts + 1
+// restBeats replays n ≥ 1 comparator-tree beats of a router at rest in
+// closed form, each on a port inside its quiet span: each advances the
+// round-robin pointer by one port (at rest no port is passed over), runs
+// one selection that returns ClassNone and counts no Overdue
+// (SkipIdleSelects is bit-identical to it) and samples the leaf level
+// the router rests at — zero on an idle router, whose every port is
+// quiet forever.
+func (r *Router) restBeats(n int64) {
+	r.schedRR = int((int64(r.schedRR)+n-1)%NumPorts) + 1
 	r.schedq.SkipIdleSelects(n)
 	r.beats += n
-	r.schedLevel = 0
+	r.schedLevel = int64(r.restLevel)
+	if r.restLevel != 0 { // an idle router's zero cannot raise the peak
+		r.schedPeak = max(r.schedPeak, r.schedLevel)
+	}
 }
 
 // turns counts the slot clock's wraps from cycle 0 to cycle now: the

@@ -94,6 +94,11 @@ func (r *Router) ControlWrite(f ControlField, v uint8) error {
 				r.horizons[p] = uint32(v)
 			}
 		}
+		// The horizon is the one control register Select reads: the
+		// ports' quiet spans end here, and a resting router re-derives
+		// its state from a full tick.
+		r.forgetQuiet(c.horizonM)
+		r.rest = restBusy
 	default:
 		return fmt.Errorf("router %s: unknown control field %d", r.name, int(f))
 	}

@@ -322,6 +322,7 @@ func (u *tcInput) finishPacket() {
 		// Internal invariant violation; surface loudly in tests.
 		panic("router " + u.r.name + ": leaf install: " + err.Error())
 	}
+	u.r.forgetQuiet(leaf.Mask)
 	u.r.Stats.TCArrived++
 	if u.r.OnLifecycle != nil {
 		u.r.lifecycle(LifecycleEvent{
@@ -344,6 +345,14 @@ type tcOutput struct {
 	// candidate awaiting fetch
 	cand      sched.Selection
 	candValid bool
+
+	// quietUntil is the absolute slot (absSlot) at which the port's quiet
+	// span ends — the slot the last Select found it quiet at plus the
+	// selection's Quiet, quietForever for an endless span. Until then a
+	// beat on the port may be closed-form (restBeats). An Install owing
+	// the port a leaf or a write of its horizon resets it to 0; a
+	// ClearPort only removes owed leaves, so it cannot end a span early.
+	quietUntil int64
 
 	// fetch in progress
 	fetching bool
@@ -388,6 +397,14 @@ func (o *tcOutput) schedule(nowSlot timing.Stamp) {
 		return // mid-fetch; commit to it
 	}
 	sel := o.r.schedq.Select(o.port, nowSlot, o.r.horizons[o.port])
+	switch {
+	case sel.Class != sched.ClassNone:
+		o.quietUntil = 0
+	case sel.Quiet == sched.QuietForever:
+		o.quietUntil = quietForever
+	default:
+		o.quietUntil = o.r.absSlot(o.r.nowCycle) + int64(sel.Quiet)
+	}
 	if sel.Class == sched.ClassNone {
 		if !o.staged {
 			o.setCand(false)

@@ -30,11 +30,11 @@ func newBenchPair(b *testing.B) (*sim.Kernel, *Router, *Router) {
 // paths the simulator spends its time in: the idle tick (bare, and with
 // all four links attached so reading the wires is in the number), the
 // parked tick (packets held to their logical arrival time, nothing
-// moving), saturated time-constrained forwarding (with a near-empty and
-// with a 32-leaf scheduler, and with the sender's other three links
-// attached but quiet — the ports a busy tick should not pay for), and
-// best-effort wormhole traffic contending in both directions. One
-// iteration is one simulated
+// moving; owed to one port, or spread over all five), saturated
+// time-constrained forwarding (with a near-empty and with a 32-leaf
+// scheduler, and with the sender's other three links attached but quiet
+// — the ports a busy tick should not pay for), and best-effort wormhole
+// traffic contending in both directions. One iteration is one simulated
 // cycle, so ns/op reads directly as ns/cycle and allocs/op as
 // allocs/cycle (the steady-state figure TestSteadyStateAllocs gates at
 // the mesh level).
@@ -73,28 +73,43 @@ func BenchmarkRouterTick(b *testing.B) {
 	})
 
 	// parked holds eight leaves in each router of the pair, all a hundred
-	// slots short of their logical arrival time. The 8-bit slot clock
-	// would bring any stamp due within 2560 cycles, so every 1024 cycles
-	// the leaves are re-stamped in place — below the router's own
-	// interfaces, since a real packet cannot be told to wait longer.
-	b.Run("parked", func(b *testing.B) {
+	// slots short of their logical arrival time — all owed to the
+	// reception port, or with spread, leaf s owed to port s mod 5 and held
+	// 100 + s slots. The 8-bit slot clock would bring any stamp due within
+	// 2560 cycles, so every 1024 cycles the leaves are re-stamped in place
+	// — below the router's own interfaces, since a real packet cannot be
+	// told to wait longer.
+	parked := func(b *testing.B, spread bool) {
 		k, ra, rb := newBenchPair(b)
+		port := func(s int) int {
+			if spread {
+				return s % NumPorts
+			}
+			return PortLocal
+		}
 		hold := func(r *Router) {
-			l := r.wheel.Add(r.slotNow(int64(k.Now())), 100)
+			now := r.slotNow(int64(k.Now()))
 			for s := 0; s < 8; s++ {
 				if r.schedq.Leaf(s).InUse {
-					if _, err := r.schedq.ClearPort(s, PortLocal); err != nil {
+					if _, err := r.schedq.ClearPort(s, port(s)); err != nil {
 						b.Fatal(err)
 					}
 				} else if got, ok := r.mem.alloc(); !ok || got != s {
 					b.Fatalf("allocated slot %d, want %d", got, s)
 				}
-				leaf := sched.Leaf{L: l, Dl: r.wheel.Add(l, 5), Mask: 1 << PortLocal, InConn: 1, OutConn: 1}
+				l := r.wheel.Add(now, 100)
+				if spread {
+					l = r.wheel.Add(l, uint32(s))
+				}
+				leaf := sched.Leaf{L: l, Dl: r.wheel.Add(l, 5), Mask: 1 << port(s), InConn: 1, OutConn: 1}
 				if err := r.schedq.Install(s, leaf); err != nil {
 					b.Fatal(err)
 				}
 			}
-			r.rest = restBusy // as an injection would: the next Tick re-derives it
+			// As the packets' installs would: their ports' quiet spans
+			// end, and the next Tick re-derives the rest state.
+			r.forgetQuiet(sched.AllPortsMask(NumPorts))
+			r.rest = restBusy
 		}
 		step := func(cycle int) {
 			if cycle%1024 == 0 {
@@ -118,7 +133,9 @@ func BenchmarkRouterTick(b *testing.B) {
 			b.Fatalf("%d leaves resident, %v transmitted: the hold did not hold",
 				ra.Scheduler().Occupancy(), ra.Stats.TCTransmitted)
 		}
-	})
+	}
+	b.Run("parked", func(b *testing.B) { parked(b, false) })
+	b.Run("parked_ports", func(b *testing.B) { parked(b, true) })
 
 	// tcForward saturates the A→B link with one packet per slot, each
 	// stamped ahead slots before its logical arrival time. With ahead 0

@@ -84,8 +84,9 @@ func (t *leafTable) Occupancy() int { return t.inUse }
 // Slots implements Scheduler.
 func (t *leafTable) Slots() int { return len(t.leaves) }
 
-// SkipIdleSelects implements Scheduler for the schedulers whose
-// empty-table Select is a pure scan with no telemetry.
+// SkipIdleSelects implements Scheduler for the schedulers whose Select
+// is a pure scan with no telemetry. They report no Quiet span, so only an
+// empty table's selections are ever replayed through it.
 func (t *leafTable) SkipIdleSelects(int64) {}
 
 // ResetTelemetry implements Scheduler for the schedulers that keep no

@@ -116,7 +116,17 @@ type Selection struct {
 	Slot  int
 	Class Class
 	Key   timing.Key
+	// Quiet, on a ClassNone selection, is how many slots the port stays
+	// quiet: Select on it with the same horizon at each of the next Quiet
+	// slots — this one included — returns ClassNone and counts no
+	// Overdue, unless an Install owes the port a leaf first (a ClearPort
+	// only removes owed leaves, so it cannot shorten the span).
+	// QuietForever means until then; 0 promises nothing.
+	Quiet uint32
 }
+
+// QuietForever is the Quiet of a port owed no leaf at all.
+const QuietForever = ^uint32(0)
 
 // Scheduler is the interface the router's output ports program and query.
 // Implementations must be deterministic: ties break toward the lowest
@@ -126,7 +136,10 @@ type Scheduler interface {
 	Install(slot int, leaf Leaf) error
 	// Select returns the best packet for the port at slot-clock t, given
 	// the port's horizon parameter. Class is ClassNone if nothing is
-	// eligible.
+	// eligible; such a selection may report a Quiet span, over which the
+	// caller may replay the port's selections through SkipIdleSelects
+	// instead. A scheduler that reports none (Quiet 0) is simply asked
+	// again.
 	Select(port int, t timing.Stamp, horizon uint32) Selection
 	// ClearPort marks port's copy of the packet in slot transmitted and
 	// reports whether the leaf (and memory slot) is now free.
@@ -138,8 +151,10 @@ type Scheduler interface {
 	// Slots returns the leaf count.
 	Slots() int
 	// SkipIdleSelects(n) must leave the scheduler bit-identical to n
-	// Select calls on an empty tree; the router's quiescence
-	// fast-forward replays idle beats through it.
+	// Select calls that return ClassNone inside a Quiet span — on an
+	// empty tree every port is quiet forever. The router's rest ticks
+	// replay idle and parked beats through it, the kernel's skips idle
+	// ones.
 	SkipIdleSelects(n int64)
 	// ResetTelemetry zeroes any running counters without disturbing
 	// installed leaves; Router.ResetStats calls it so warmup exclusion
@@ -234,9 +249,18 @@ func (t *EDFTree) Select(port int, now timing.Stamp, horizon uint32) Selection {
 			}
 		}
 	}
-	// Top-of-tree check: early winners ship only within the horizon.
-	if best.Class == ClassEarly && !t.wheel.WithinHorizon(best.Key, horizon) {
-		return Selection{Slot: -1, Class: ClassNone, Key: best.Key}
+	switch {
+	case best.Class == ClassNone:
+		// Owed nothing: quiet until an Install owes the port a leaf.
+		best.Quiet = QuietForever
+	case best.Class == ClassEarly && !t.wheel.WithinHorizon(best.Key, horizon):
+		// Top-of-tree check: early winners ship only within the horizon.
+		// Every owed leaf is early, and each one's gap to ℓ shrinks by
+		// one a slot, so the best gap reaches the horizon — and the port
+		// its first candidate — after gap − horizon slots; until then no
+		// leaf is on time, so none counts as overdue.
+		return Selection{Slot: -1, Class: ClassNone, Key: best.Key,
+			Quiet: t.wheel.KeyGap(best.Key) - horizon}
 	}
 	return best
 }
@@ -270,6 +294,6 @@ func (t *EDFTree) ResetTelemetry() {
 	t.Overdue = 0
 }
 
-// SkipIdleSelects implements Scheduler: an empty-tree Select only
-// increments the beat counter (no leaf, no Overdue).
+// SkipIdleSelects implements Scheduler: a Select inside a Quiet span
+// only increments the beat counter (no leaf on time, so no Overdue).
 func (t *EDFTree) SkipIdleSelects(n int64) { t.Selects += n }
