@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/obs"
+	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/traffic"
 )
@@ -21,16 +24,93 @@ const knownMisses = 21
 // full-Smax source per admitted channel, best-effort traffic off),
 // admitted channels miss deadlines on the cycle-accurate dataplane. The
 // run is 5000 cycles of warm-up, ResetStats, then 24 000 measured cycles,
-// and the test asserts today's exact miss count — neither more nor fewer.
-// It keeps its own copy of the ledger's request formula (knownBugRequest)
+// and the test asserts today's exact miss count — neither more nor fewer —
+// and how late each missed transmission started, in slots past its hop
+// deadline (knownLateness). It runs twice, plain and with the
+// slack-attribution engine attached, and both runs must agree miss for
+// miss; the second logs which stall causes the missed packets waited on
+// at the hop they missed (DESIGN §5 reads its numbers off this log). It
+// keeps its own copy of the ledger's request formula (knownBugRequest)
 // so it depends on nothing outside the module.
 func TestKnownDeadlineMisses(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		// One sequential kernel: the race detector has nothing to find.
-		t.Skip("known-bug probe: a 16×16 mesh for 29 000 cycles")
+		t.Skip("known-bug probe: a 16×16 mesh for 29 000 cycles, twice")
 	}
+	plain := knownBugRun(t, nil, nil)
+	if len(plain) != knownMisses {
+		t.Errorf("%d deadline misses, want the known %d: a change moved the soundness gap", len(plain), knownMisses)
+	}
+	late := make([]int64, len(plain))
+	for i, m := range plain {
+		late[i] = m.late
+	}
+	slices.Sort(late)
+	if !slices.Equal(late, knownLateness) {
+		t.Errorf("missed transmissions started %v slots late, want the known %v", late, knownLateness)
+	}
+
+	// The attributed run keeps the stall episodes of each miss's victim at
+	// the port it missed on, and charges the cycles that overlap the
+	// packet's wait to their causes.
+	sites := make(map[knownSite]bool)
+	for _, m := range plain {
+		sites[m.knownSite] = true
+	}
+	var eps []router.LifecycleEvent
+	attributed := knownBugRun(t, obs.NewForensics(), func(e router.LifecycleEvent) {
+		if e.Kind == router.EvStall && sites[knownSite{e.Router, e.Port, e.InConn}] {
+			eps = append(eps, e)
+		}
+	})
+	if !slices.Equal(attributed, plain) {
+		t.Fatalf("attribution moved the misses:\n%+v\nwithout it\n%+v", attributed, plain)
+	}
+	byCause := make(map[router.StallCause]int64)
+	var waited int64
+	for _, m := range plain {
+		from := m.cycle - m.wait
+		waited += m.wait
+		for _, e := range eps {
+			if e.Router == m.router && e.Port == m.port && e.InConn == m.conn {
+				if n := min(e.Cycle, m.cycle) - max(e.Cycle-e.Wait, from); n > 0 {
+					byCause[e.Cause] += n
+				}
+			}
+		}
+	}
+	t.Logf("missed transmissions, slots late: %v; %d cycles waited at the missing hops, by stall cause: %v", late, waited, byCause)
+}
+
+// knownLateness is how many slots past its hop deadline each of the
+// knownMisses missed transmissions started, in ascending order: every
+// one of them by exactly one slot.
+var knownLateness = []int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+
+// knownSite is an output port of one router and a connection arriving
+// there.
+type knownSite struct {
+	router string
+	port   int
+	conn   uint8
+}
+
+// knownMiss is one transmission that started after its hop deadline.
+type knownMiss struct {
+	knownSite
+	cycle int64 // the transmission start
+	wait  int64 // cycles from the leaf's install to cycle
+	late  int64 // slots past the hop deadline
+}
+
+// knownBugRun plays the known-bug probe with fns attached (nil: no
+// attribution), passes every lifecycle event of the measured window to
+// tap (when set), and returns the window's missed transmissions in the
+// order they started. It fails the test if the probe drifted.
+func knownBugRun(t *testing.T, fns *obs.Forensics, tap func(router.LifecycleEvent)) []knownMiss {
+	t.Helper()
 	const w, h, seed, requests = 16, 16, 3, 3000
-	sys, err := NewMesh(w, h, Options{})
+	sys, err := NewMesh(w, h, Options{Forensics: fns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +131,45 @@ func TestKnownDeadlineMisses(t *testing.T) {
 		sys.RegisterNode(src, app)
 		admitted++
 	}
+	var (
+		misses   []knownMiss
+		measured bool
+	)
+	for _, c := range sys.Net.Coords() {
+		rt := sys.Router(c)
+		prev := rt.OnLifecycle
+		rt.OnLifecycle = func(e router.LifecycleEvent) {
+			if prev != nil {
+				prev(e)
+			}
+			if !measured {
+				return
+			}
+			if e.Kind == router.EvTransmit && e.Missed {
+				misses = append(misses, knownMiss{knownSite{e.Router, e.Port, e.InConn}, e.Cycle, e.Wait, -e.Slack})
+			}
+			if tap != nil {
+				tap(e)
+			}
+		}
+	}
 	sys.Run(5000)
 	sys.ResetStats()
+	measured = true
 	sys.Run(24000)
+	if fns != nil {
+		fns.Flush()
+	}
 	sum := sys.Summarize()
 	t.Logf("%d of %d requests admitted; %d delivered, %d missed, %d dropped",
 		admitted, requests, sum.TCDelivered, sum.TCMisses, sum.TCDrops)
 	if sum.TCDelivered < 40000 || sum.TCDrops != 0 {
 		t.Fatalf("probe drifted: %d delivered, %d dropped", sum.TCDelivered, sum.TCDrops)
 	}
-	if sum.TCMisses != knownMisses {
-		t.Errorf("%d deadline misses, want the known %d: a change moved the soundness gap", sum.TCMisses, knownMisses)
+	if int(sum.TCMisses) != len(misses) {
+		t.Fatalf("%d misses counted, %d missed transmissions traced", sum.TCMisses, len(misses))
 	}
+	return misses
 }
 
 // knownBugReq is one generated channel request.

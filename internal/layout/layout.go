@@ -311,10 +311,12 @@ func (s *synth) shrinkAround(ds []int64, j int, c int64) bool {
 // hopIndex finds the route hop owned by the named router (rejection
 // Router() strings render mesh coordinates), -1 when the router is not
 // on the route (cannot happen for controller rejections of this
-// layout's own probe).
+// layout's own probe). Each coordinate is rendered into a stack buffer:
+// every repair probe asks, so it must not allocate.
 func hopIndex(coords []mesh.Coord, routerName string) int {
+	var buf [48]byte
 	for i, co := range coords {
-		if co.String() == routerName {
+		if string(co.AppendString(buf[:0])) == routerName {
 			return i
 		}
 	}

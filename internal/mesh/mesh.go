@@ -20,14 +20,17 @@ type Coord struct {
 // String renders "(x,y)". Built with strconv rather than fmt: the
 // admission audit trail renders coordinates on every decision, and this
 // sits on that hot path.
-func (c Coord) String() string {
-	b := make([]byte, 0, 8)
+func (c Coord) String() string { return string(c.AppendString(make([]byte, 0, 8))) }
+
+// AppendString appends String's rendering to b. A caller that only
+// compares the rendering renders into a stack buffer and allocates
+// nothing.
+func (c Coord) AppendString(b []byte) []byte {
 	b = append(b, '(')
 	b = strconv.AppendInt(b, int64(c.X), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(c.Y), 10)
-	b = append(b, ')')
-	return string(b)
+	return append(b, ')')
 }
 
 // Add returns c displaced by one hop through the given output port.

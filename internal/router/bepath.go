@@ -214,6 +214,7 @@ func (u *beInput) parse() {
 		return
 	}
 	u.r.beWaiting[u.outPort] |= 1 << u.id
+	u.r.portWork |= 1 << u.outPort
 }
 
 // hasByte reports whether the engine can supply a byte to its output.
@@ -291,6 +292,7 @@ func (u *beInput) discardFrame() {
 			o.rxBuf = o.rxBuf[:0]
 		} else if u.r.out[u.outPort] != nil {
 			u.r.beOut[u.outPort].abortPending = true
+			u.r.portWork |= 1 << u.outPort
 		}
 	}
 	for q := 0; q < NumPorts; q++ {
@@ -396,6 +398,7 @@ func (b *beOutput) handleNack(now int64) {
 	nq = append(nq, rest...)
 	b.replay = nq
 	b.replayHead = 0
+	b.r.portWork |= 1 << b.port
 	b.rexmitNext = true
 	shift := b.retryCount - 1
 	if shift > 6 {
@@ -416,6 +419,7 @@ func (b *beOutput) handleNack(now int64) {
 func (b *beOutput) abortFrame() {
 	b.clearFault()
 	b.abortPending = true
+	b.r.portWork |= 1 << b.port
 	if b.curIn >= 0 {
 		b.r.beIn[b.curIn].setDropping()
 		b.curIn = -1

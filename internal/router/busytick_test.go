@@ -7,20 +7,24 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
-// fullScan ticks its router the way Router.Tick did before the port masks
-// and the stamp gate: always the whole cycle, every phase over all five
-// ports, every attached wire read. The launch and acknowledge loops are
-// the loops the masks replaced; drainDropped, the wire reads and parse sit
-// inside arbitrate and sampleInputs, so there the oracle forces every gate
-// open instead — all ports marked, every stamp row made to match the cycle,
-// which the engines' own tests and the precise read then settle.
+// fullScan ticks its router the way Router.Tick did before the port masks,
+// the stamp gate and the quiet beat: always the whole cycle, every phase
+// over all five ports, every attached wire read, every beat a real Select.
+// The port, launch and acknowledge loops are the loops the masks
+// replaced; drainDropped, the wire reads, parse and the beat's quiet test
+// sit inside arbitrate, sampleInputs and schedBeat, so there the oracle
+// forces every gate open instead — all ports marked, every stamp row made
+// to match the cycle, every quiet span forgotten, which the engines' own
+// tests, the precise read and the tree then settle.
 type fullScan struct{ *Router }
 
 func (f fullScan) Tick(now sim.Cycle) {
 	r := f.Router
-	nowSlot := r.slotNow(int64(now))
+	abs := r.absSlot(int64(now))
+	nowSlot := r.wheel.Wrap(timing.Slot(abs))
 	r.nowCycle = int64(now)
 
 	const allPorts = 1<<NumPorts - 1
@@ -33,7 +37,8 @@ func (f fullScan) Tick(now sim.Cycle) {
 	r.schedCountdown--
 	if r.schedCountdown <= 0 {
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		r.schedBeat(nowSlot)
+		r.forgetQuiet(allPorts)
+		r.schedBeat(abs)
 	}
 
 	for p := 0; p < NumPorts; p++ {
@@ -59,6 +64,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 		if u.consumed > 0 {
 			a.BECredit = true
 			u.consumed--
+			r.tally.BEFlitAcks++
 		}
 		if u.nackPending {
 			a.BENack = true
@@ -300,6 +306,47 @@ func (r *scanRig) script(c int64) {
 		b.InjectTC(tcPkt(3, slot+early, byte(c)))
 	case 93:
 		b.InjectTC(tcPkt(5, slot, byte(c)))
+	}
+}
+
+// TestBusyTickNackWakesIdlePort: a nack that reaches an output port after
+// its last flit went out — its portWork bit cleared — must wake the port
+// for the replay, and the retry budget's abort must wake it again. One
+// best-effort frame crosses A→B alone and B's fault hook garbles its tail
+// flit and every resend of it; the rigs under Tick and under the full-scan
+// oracle must agree after every cycle, and the frame must end aborted.
+func TestBusyTickNackWakesIdlePort(t *testing.T) {
+	garbleTail := func(at *Router, port int, ph packet.Phit) (packet.Phit, bool) {
+		if at.name == "B" && port == PortXMinus && ph.VC == packet.VCBest && ph.Tail {
+			ph.Data ^= 0x5a
+		}
+		return ph, true
+	}
+	for _, lat := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.LinkLatency, cfg.Integrity, cfg.BERetryLimit = lat, true, 2
+		prod, orac := newScanRig(t, cfg, false, garbleTail), newScanRig(t, cfg, true, garbleTail)
+		for c := int64(0); c < 600; c++ {
+			if c == 10 {
+				topUpBE(t, prod.a, 1, 0, 20)
+				topUpBE(t, orac.a, 1, 0, 20)
+			}
+			prod.k.Step()
+			orac.k.Step()
+			for _, pair := range [][2]*Router{{prod.a, orac.a}, {prod.b, orac.b}} {
+				if got, want := observe(pair[0]), observe(pair[1]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("latency %d cycle %d router %s:\nTick:      %+v\nfull scan: %+v", lat, c, pair[0].name, got, want)
+				}
+				checkIndexes(t, pair[0], c)
+			}
+		}
+		if !reflect.DeepEqual(prod.events, orac.events) {
+			t.Fatalf("latency %d: lifecycle events diverge:\nTick:      %+v\nfull scan: %+v", lat, prod.events, orac.events)
+		}
+		if st := prod.a.Stats; st.BEFlitRetransmits < 2 || st.BEFrameAborts != 1 {
+			t.Errorf("latency %d: %d flits resent, %d frames aborted: the tail was never nacked into an idle port",
+				lat, st.BEFlitRetransmits, st.BEFrameAborts)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package router
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -15,9 +17,12 @@ import (
 // flit. The router must not panic, and once the streams stop, one full
 // slot-clock period plus slack must return every packet-memory slot:
 // a corrupt, truncated or misrouted frame may be dropped, never leaked.
-// Each program runs twice, with slack attribution off and on, and both
-// runs must end with the same hardware counters and free slots:
-// attribution observes the tick, it never steers it.
+// Each program runs three times — plain, with slack attribution on, and
+// ticked by the fullScan oracle (every port arbitrated, every beat a real
+// Select) — and all three must end with the same hardware counters,
+// folded telemetry, free slots and scheduler Selects/Overdue: attribution
+// observes the tick, it never steers it, and the busy tick's gates leave
+// out only work that changes nothing.
 //
 //	go test -fuzz=FuzzRouterTick -fuzztime=20s -run '^$' ./internal/router/
 func FuzzRouterTick(f *testing.F) {
@@ -26,13 +31,22 @@ func FuzzRouterTick(f *testing.F) {
 	f.Add(tickFrame(1, 2, 9, false)[:12*tickRecord]) // truncated frame
 	f.Add(tickBERecovery())                          // best-effort nack, then an abort to forward
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		stats, free := runRouterTick(t, prog, false)
-		blamed, blamedFree := runRouterTick(t, prog, true)
-		if blamed != stats || blamedFree != free {
-			t.Fatalf("attribution changed the run: %d free slots, stats %+v; without it %d, %+v",
-				blamedFree, blamed, free, stats)
+		plain := runRouterTick(t, prog, false, false)
+		if blamed := runRouterTick(t, prog, true, false); blamed != plain {
+			t.Fatalf("attribution changed the run:\n%+v\nwithout it\n%+v", blamed, plain)
+		}
+		if scanned := runRouterTick(t, prog, false, true); scanned != plain {
+			t.Fatalf("the full-scan oracle ended elsewhere:\n%+v\nTick\n%+v", scanned, plain)
 		}
 	})
+}
+
+// tickResult is what the runs of one program must agree on.
+type tickResult struct {
+	stats            Stats
+	counts           metrics.RouterCounts
+	free             int
+	selects, overdue int64
 }
 
 // tickRecord is the size of one program record: input port (mod 5, 4 the
@@ -138,8 +152,9 @@ func (h *tickHarness) streamCycles() int64 {
 }
 
 // runRouterTick plays prog into a fresh router, with slack attribution
-// on if blame, and returns its counters and free slots after the drain.
-func runRouterTick(t *testing.T, prog []byte, blame bool) (Stats, int) {
+// on if blame and ticked by fullScan if scan, and returns its counters,
+// telemetry, free slots and scheduler telemetry after the drain.
+func runRouterTick(t *testing.T, prog []byte, blame, scan bool) tickResult {
 	cfg := DefaultConfig()
 	cfg.Integrity = true
 	r := MustNew("F", cfg)
@@ -168,7 +183,11 @@ func runRouterTick(t *testing.T, prog []byte, blame bool) (Stats, int) {
 		r.ConnectOut(p, out.Out())
 	}
 	k.Register(h)
-	k.Register(r)
+	if scan {
+		k.Register(fullScan{r})
+	} else {
+		k.Register(r)
+	}
 
 	var injBytes []byte
 	for i := 0; i+tickRecord <= len(prog) && i < tickMaxRecords*tickRecord; i += tickRecord {
@@ -200,5 +219,6 @@ func runRouterTick(t *testing.T, prog []byte, blame bool) (Stats, int) {
 	if got := r.FreeSlots(); got != cfg.Slots {
 		t.Fatalf("%d of %d packet-memory slots free after the drain (blame %v); stats %+v", got, cfg.Slots, blame, r.Stats)
 	}
-	return r.Stats, r.FreeSlots()
+	tree := r.schedq.(*sched.EDFTree)
+	return tickResult{r.Stats, r.counts(), r.FreeSlots(), tree.Selects, tree.Overdue}
 }

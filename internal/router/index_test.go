@@ -117,7 +117,7 @@ func TestBusTickMatchesModuloScan(t *testing.T) {
 // portFlags is what the engine flags say each port mask of a router
 // should hold (see the field comments in router.go).
 type portFlags struct {
-	staged, cand, dropping, owed, unparsed uint8
+	staged, cand, dropping, owed, unparsed, work, dead uint8
 }
 
 func flagsOf(r *Router) (f portFlags) {
@@ -138,6 +138,14 @@ func flagsOf(r *Router) (f portFlags) {
 		if !u.parsed && u.occ() >= packet.BEHeaderBytes {
 			f.unparsed |= 1 << p
 		}
+		o, be := r.tcOut[p], r.beOut[p]
+		if o.txActive || o.staged || o.cutIn != nil || be.curIn >= 0 || r.beWaiting[p] != 0 ||
+			be.abortPending || be.replayHead < len(be.replay) || be.wasStalled {
+			f.work |= 1 << p
+		}
+		if p < NumLinks && r.out[p] == nil {
+			f.dead |= 1 << p
+		}
 	}
 	return f
 }
@@ -149,13 +157,13 @@ func flagsOf(r *Router) (f portFlags) {
 func checkIndexes(t *testing.T, r *Router, cycle int64) {
 	t.Helper()
 	f := flagsOf(r)
-	if r.tcStaged != f.staged || r.tcCand != f.cand || r.beDropping != f.dropping {
-		t.Fatalf("router %s cycle %d: tcStaged %05b tcCand %05b beDropping %05b, flags say %05b %05b %05b",
-			r.name, cycle, r.tcStaged, r.tcCand, r.beDropping, f.staged, f.cand, f.dropping)
+	if r.tcStaged != f.staged || r.tcCand != f.cand || r.beDropping != f.dropping || r.portDead != f.dead {
+		t.Fatalf("router %s cycle %d: tcStaged %05b tcCand %05b beDropping %05b portDead %05b, flags say %05b %05b %05b %05b",
+			r.name, cycle, r.tcStaged, r.tcCand, r.beDropping, r.portDead, f.staged, f.cand, f.dropping, f.dead)
 	}
-	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 {
-		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b do not cover the flags %05b %05b",
-			r.name, cycle, r.beOwed, r.beUnparsed, f.owed, f.unparsed)
+	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 || f.work&^r.portWork != 0 {
+		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b portWork %05b do not cover the flags %05b %05b %05b",
+			r.name, cycle, r.beOwed, r.beUnparsed, r.portWork, f.owed, f.unparsed, f.work)
 	}
 	if n := r.beIn[PortLocal].consumed; n != 0 {
 		t.Fatalf("router %s cycle %d: the injection port counts %d credits owed", r.name, cycle, n)
@@ -188,7 +196,7 @@ func checkIndexes(t *testing.T, r *Router, cycle int64) {
 // TestIndexesTrackEngineFlags runs a contended pair of routers with link
 // integrity on and checks after every cycle that the waiting-input masks
 // equal parsed && !bound && !dropping per input, the bus request mask
-// equals wActive / fetching per engine, and the five port masks agree
+// equals wActive / fetching per engine, and the port masks agree
 // with the flags they stand for. B's reception port is fought
 // over by three inputs (the link from A, a loopback of B's own +y
 // output, and B's injection port); the run takes in a misrouted frame, a
@@ -247,6 +255,7 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 			seen.cand |= x.tcCand
 			seen.dropping |= x.beDropping
 			seen.owed |= x.beOwed
+			seen.work |= x.portWork
 		}
 		if n := bits.OnesCount8(b.beWaiting[PortLocal]); n > maxWaiters {
 			maxWaiters = n
@@ -276,7 +285,7 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 		t.Error("no best-effort frame delivered")
 	case b.Stats.BEFlitNacks == 0:
 		t.Error("no flit nacked on the garbled link")
-	case seen.staged == 0 || seen.cand == 0 || seen.dropping == 0 || seen.owed == 0:
+	case seen.staged == 0 || seen.cand == 0 || seen.dropping == 0 || seen.owed == 0 || seen.work == 0:
 		t.Errorf("a port mask never held a bit between cycles: %+v", seen)
 	}
 }

@@ -77,10 +77,6 @@ type Router struct {
 	// touches, so a neighbour's Pipe.Write storing into it lands on a
 	// line that is in cache anyway.
 	stampBuf [numWires * 2]uint16
-	// restLevel is the leaf level the last full Tick left behind: what a
-	// closed-form beat samples while the router rests (restBeats). It
-	// fills the padding before nowCycle.
-	restLevel int32
 
 	nowCycle       int64
 	schedCountdown int
@@ -158,6 +154,16 @@ type Router struct {
 	// pushed while no header is parsed and by a frame's tail pop, cleared
 	// by the parse loop's visit.
 	beUnparsed uint8
+	// portWork covers the output ports whose arbitration can do anything:
+	// a packet on the wire, staged or cutting through, a bound or waiting
+	// best-effort input, a recovery flit owed, or a credit stall in
+	// progress. One-sided: raised where a port gains such work from
+	// outside its own arbitration, cleared only by arbitrate after a visit
+	// that leaves the port with none.
+	portWork uint8
+	// portDead has bit p set exactly while link port p has no output
+	// attached: a dead port drains on every busy tick.
+	portDead uint8
 
 	// tcInjectQ is a head-indexed queue: popped entries advance tcInjHead
 	// instead of reslicing, so the backing array is reused rather than
@@ -235,6 +241,7 @@ func New(name string, cfg Config) (*Router, error) {
 		schedq:   cfg.newScheduler(),
 		horizons: cfg.Horizons,
 		beFree:   make([][]byte, 0, beFreeCap),
+		portDead: 1<<NumLinks - 1,
 	}
 	r.stamps, r.stampMask = r.stampBuf[:], 1
 	// The nack window scales with the link round trip: a corrupted flit
@@ -360,6 +367,11 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 		old.ch.ack.MirrorStamps(nil)
 	}
 	r.out[p] = l
+	if l == nil {
+		r.portDead |= 1 << p
+	} else {
+		r.portDead &^= 1 << p
+	}
 	r.rest = restBusy
 	r.lendStamps()
 }
@@ -547,10 +559,9 @@ const (
 	// and the tick took nothing off a wire, but packets sit in the packet
 	// memory as scheduler leaves, held until their logical arrival time
 	// (atRest). Output arbitration has nothing to move, so the next Tick
-	// runs the countdown and the beat alone — a closed-form one while the
-	// beat's port is inside its quiet span, the real comparator-tree beat
-	// once it is not — and the rest of the cycle only if a real beat
-	// produced a candidate to fetch.
+	// runs the countdown and the beat alone (schedBeat: closed-form while
+	// the beat's port is inside its quiet span), and the rest of the cycle
+	// only if the beat produced a candidate to fetch.
 	restParked
 	// restIdle: every engine idle, the packet memory free, no leaf
 	// installed: every port quiet forever. The next Tick is the countdown
@@ -571,13 +582,13 @@ const (
 // A router at rest whose wires are clear leaves out the phases that
 // provably change nothing: phase 1 when parked, and phases 3–5 too unless
 // the parked beat made a candidate; all but the countdown and a
-// closed-form beat when idle (see restState). A parked beat on a port
-// inside its quiet span is the same closed-form beat (restBeats). A busy
-// tick visits only the ports that hold work: the launch, acknowledge and
-// parse loops walk port masks (tcStaged|tcCand, beOwed, beUnparsed) in
-// ascending port order, arbitrate drains a dropped frame only where
-// beDropping marks one, and sampleInputs reads a wire only when its stamp
-// row matches the cycle.
+// closed-form beat when idle (see restState). A busy tick visits only the
+// ports that hold work: arbitrate runs where portWork, beDropping or
+// portDead marks a port (every port while attribution is on), the launch,
+// acknowledge and parse loops walk port masks (tcStaged|tcCand, beOwed,
+// beUnparsed) in ascending port order, and sampleInputs reads a wire only
+// when its stamp row matches the cycle. On any router a beat on a port
+// inside its quiet span is closed-form (schedBeat).
 func (r *Router) Tick(now sim.Cycle) {
 	rest := r.rest
 	if rest != restBusy && !r.inputsClear(int64(now)) {
@@ -585,11 +596,17 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 	r.nowCycle = int64(now)
 
-	var nowSlot timing.Stamp // read on a busy tick, and at rest only for a real beat
+	var abs int64 // the slot clock: read on a busy tick, and at rest only on a beat
 	if rest == restBusy {
-		nowSlot = r.slotNow(int64(now))
+		abs = r.absSlot(int64(now))
+		nowSlot := r.wheel.Wrap(timing.Slot(abs))
 		for p := 0; p < NumPorts; p++ {
-			r.arbitrate(p, nowSlot)
+			// Attribution charges idle port-cycles too. The masks are read
+			// afresh at every port: arbitrate(q) can raise a later port's
+			// bit (drainDeadBE → setDropping).
+			if r.blame != nil || (r.portWork|r.beDropping|r.portDead)&(1<<p) != 0 {
+				r.arbitrate(p, nowSlot)
+			}
 		}
 	}
 
@@ -599,15 +616,13 @@ func (r *Router) Tick(now sim.Cycle) {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		switch {
-		case rest == restIdle,
-			rest == restParked && r.tcOut[r.schedRR%NumPorts].quietUntil > r.absSlot(int64(now)):
+		if rest == restIdle {
 			r.restBeats(1)
-		default:
+		} else {
 			if rest != restBusy {
-				nowSlot = r.slotNow(int64(now))
+				abs = r.absSlot(int64(now))
 			}
-			candidate = r.schedBeat(nowSlot)
+			candidate = r.schedBeat(abs)
 		}
 	}
 
@@ -704,10 +719,8 @@ func (r *Router) atRest(arrived bool) restState {
 		return restBusy
 	}
 	if held {
-		r.restLevel = int32(r.schedq.Occupancy())
 		return restParked
 	}
-	r.restLevel = 0
 	return restIdle
 }
 
@@ -797,21 +810,17 @@ func (r *Router) Skip(now, target sim.Cycle) {
 	r.nowCycle = last
 }
 
-// restBeats replays n ≥ 1 comparator-tree beats of a router at rest in
-// closed form, each on a port inside its quiet span: each advances the
-// round-robin pointer by one port (at rest no port is passed over), runs
-// one selection that returns ClassNone and counts no Overdue
-// (SkipIdleSelects is bit-identical to it) and samples the leaf level
-// the router rests at — zero on an idle router, whose every port is
-// quiet forever.
+// restBeats replays n ≥ 1 comparator-tree beats of an idle router in
+// closed form: no leaf is installed, so every port is quiet forever, and
+// each beat advances the round-robin pointer by one port (no port is
+// passed over), runs one selection that returns ClassNone and counts no
+// Overdue (SkipIdleSelects is bit-identical to it) and samples a leaf
+// level of zero, which cannot raise the peak.
 func (r *Router) restBeats(n int64) {
 	r.schedRR = int((int64(r.schedRR)+n-1)%NumPorts) + 1
 	r.schedq.SkipIdleSelects(n)
 	r.beats += n
-	r.schedLevel = int64(r.restLevel)
-	if r.restLevel != 0 { // an idle router's zero cannot raise the peak
-		r.schedPeak = max(r.schedPeak, r.schedLevel)
-	}
+	r.schedLevel = 0
 }
 
 // turns counts the slot clock's wraps from cycle 0 to cycle now: the
@@ -833,10 +842,15 @@ func (r *Router) HasDeliveries() bool {
 
 // schedBeat runs one comparator-tree selection for the next port in
 // round-robin order, modelling the shared, pipelined tree's throughput
-// of one result per SchedPeriod cycles. It reports whether the port it
-// served holds a candidate afterwards — on a parked router, whether this
-// beat woke it.
-func (r *Router) schedBeat(nowSlot timing.Stamp) bool {
+// of one result per SchedPeriod cycles; abs is the slot clock (absSlot).
+// It reports whether the port it served holds a candidate afterwards — on
+// a parked router, whether this beat woke it. A port inside its quiet
+// span gets the closed-form beat: the selection would return ClassNone
+// and count no Overdue, which SkipIdleSelects replays, and would leave
+// the port without a candidate, as it already is (a candidate ends the
+// span). Only an Install or a horizon write ends a span early, so this
+// holds on busy and parked routers alike.
+func (r *Router) schedBeat(abs int64) bool {
 	for i := 0; i < NumPorts; i++ {
 		p := (r.schedRR + i) % NumPorts
 		o := r.tcOut[p]
@@ -844,7 +858,11 @@ func (r *Router) schedBeat(nowSlot timing.Stamp) bool {
 			continue
 		}
 		r.schedRR = p + 1
-		o.schedule(nowSlot)
+		if o.quietUntil > abs {
+			r.schedq.SkipIdleSelects(1)
+		} else {
+			o.schedule(abs)
+		}
 		r.noteSchedBeat()
 		return o.candValid
 	}
@@ -896,13 +914,16 @@ func grantOf(staged, cut sched.Class, be beReady) grant {
 // arbitrate resolves one output port for one cycle: a dead port drains,
 // a time-constrained packet already on the wire continues, and a free
 // wire goes to whatever serve grants it. Attribution, when on, reads the
-// one grant.
+// one grant. A visit that leaves the port with no work clears its
+// portWork bit: with nothing on the wire, staged or cutting through, no
+// bound or waiting input, no recovery flit owed and no stall episode
+// open, the next visit would grant grantIdle and change nothing.
 func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
-	o := r.tcOut[p]
-	dead := p != PortLocal && r.out[p] == nil
+	o, be := r.tcOut[p], r.beOut[p]
+	dead := r.portDead&(1<<p) != 0
 	if dead {
 		r.drainDeadPort(o)
-		r.beOut[p].drainDeadBE()
+		be.drainDeadBE()
 	}
 	if r.beDropping&(1<<p) != 0 {
 		r.beIn[p].drainDropped()
@@ -928,6 +949,10 @@ func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
 	}
 	if r.blame != nil {
 		r.blameGrant(p, nowSlot, g, winner)
+	}
+	if !o.txActive && !o.staged && o.cutIn == nil && be.curIn < 0 && r.beWaiting[p] == 0 &&
+		!be.abortPending && be.replayHead == len(be.replay) && !be.wasStalled {
+		r.portWork &^= 1 << p
 	}
 }
 

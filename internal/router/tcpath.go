@@ -234,6 +234,7 @@ func (u *tcInput) tryCutThrough(now int64) bool {
 		class = sched.ClassEarly
 	}
 	out.cutIn = u
+	u.r.portWork |= 1 << port
 	out.cutIdx = 0
 	out.cutHdr = [packet.TCHeaderBytes]byte{ent.Out, packet.StampOf(dl)}
 	out.cutLeaf = sched.Leaf{L: l, Dl: dl, OutConn: ent.Out, InConn: hdr.Conn, EnqueueCycle: now}
@@ -349,7 +350,7 @@ type tcOutput struct {
 	// quietUntil is the absolute slot (absSlot) at which the port's quiet
 	// span ends — the slot the last Select found it quiet at plus the
 	// selection's Quiet, quietForever for an endless span. Until then a
-	// beat on the port may be closed-form (restBeats). An Install owing
+	// beat on the port is closed-form (schedBeat). An Install owing
 	// the port a leaf or a write of its horizon resets it to 0; a
 	// ClearPort only removes owed leaves, so it cannot end a span early.
 	quietUntil int64
@@ -383,10 +384,11 @@ type tcOutput struct {
 	rxBuf [packet.TCBytes]byte
 }
 
-// schedule refreshes the port's candidate from the shared tree. A staged
-// packet may be displaced by a better selection until its transmission
-// starts (the hardware's one-packet scheduling slack).
-func (o *tcOutput) schedule(nowSlot timing.Stamp) {
+// schedule refreshes the port's candidate from the shared tree at slot
+// abs (absSlot). A staged packet may be displaced by a better selection
+// until its transmission starts (the hardware's one-packet scheduling
+// slack).
+func (o *tcOutput) schedule(abs int64) {
 	if o.cutIn != nil {
 		return // port owned by a cut-through stream
 	}
@@ -396,14 +398,14 @@ func (o *tcOutput) schedule(nowSlot timing.Stamp) {
 	if o.fetching {
 		return // mid-fetch; commit to it
 	}
-	sel := o.r.schedq.Select(o.port, nowSlot, o.r.horizons[o.port])
+	sel := o.r.schedq.Select(o.port, o.r.wheel.Wrap(timing.Slot(abs)), o.r.horizons[o.port])
 	switch {
 	case sel.Class != sched.ClassNone:
 		o.quietUntil = 0
 	case sel.Quiet == sched.QuietForever:
 		o.quietUntil = quietForever
 	default:
-		o.quietUntil = o.r.absSlot(o.r.nowCycle) + int64(sel.Quiet)
+		o.quietUntil = abs + int64(sel.Quiet)
 	}
 	if sel.Class == sched.ClassNone {
 		if !o.staged {
@@ -454,6 +456,7 @@ func (o *tcOutput) busGrant() {
 	o.r.bus.release(o.busLine)
 	o.setCand(false)
 	o.staged = true
+	o.r.portWork |= 1 << o.port
 	o.sSlot = o.cand.Slot
 	o.sLeaf = o.r.schedq.Leaf(o.sSlot)
 	// Rewrite the header for the next hop: the new connection id and the

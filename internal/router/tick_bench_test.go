@@ -33,7 +33,9 @@ func newBenchPair(b *testing.B) (*sim.Kernel, *Router, *Router) {
 // moving; owed to one port, or spread over all five), saturated
 // time-constrained forwarding (with a near-empty and with a 32-leaf
 // scheduler, and with the sender's other three links attached but quiet
-// — the ports a busy tick should not pay for), and best-effort wormhole
+// — the ports a busy tick should not pay for — also while early leaves
+// are held for two of them, so beats land on quiet ports of a busy
+// router), and best-effort wormhole
 // traffic contending in both directions. One iteration is one simulated
 // cycle, so ns/op reads directly as ns/cycle and allocs/op as
 // allocs/cycle (the steady-state figure TestSteadyStateAllocs gates at
@@ -143,13 +145,43 @@ func BenchmarkRouterTick(b *testing.B) {
 	// its earliness in A's memory, so about 32 leaves stay resident — the
 	// occupancy a loaded mesh runs at, and what Select's cost scales with.
 	// With quietPorts A's other three links are looped back on themselves
-	// and carry nothing: wired like a mesh router's, with work on one.
-	tcForward := func(b *testing.B, ahead int, quietPorts bool) {
+	// and carry nothing: wired like a mesh router's, with work on one. With
+	// held A also holds a leaf for +y and one for its reception port, a
+	// hundred slots short of their logical arrival time and re-stamped in
+	// place every 1024 cycles as the parked case does, so those two ports'
+	// beats fall inside finite quiet spans while the stream keeps A busy.
+	tcForward := func(b *testing.B, ahead int, quietPorts, held bool) {
 		k, ra, rb := newBenchPair(b)
 		if quietPorts {
 			for _, p := range []int{PortXMinus, PortYPlus, PortYMinus} {
 				Loopback(k, ra, p, p)
 			}
+		}
+		heldPorts := []int{PortYPlus, PortLocal}
+		var heldSlots []int
+		if held {
+			for range heldPorts {
+				s, ok := ra.mem.alloc()
+				if !ok {
+					b.Fatal("no free slot to hold")
+				}
+				heldSlots = append(heldSlots, s)
+			}
+		}
+		hold := func() {
+			l := ra.wheel.Add(ra.slotNow(int64(k.Now())), 100)
+			for i, s := range heldSlots {
+				if ra.schedq.Leaf(s).InUse {
+					if _, err := ra.schedq.ClearPort(s, heldPorts[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				leaf := sched.Leaf{L: l, Dl: ra.wheel.Add(l, 5), Mask: 1 << heldPorts[i], InConn: 1, OutConn: 1}
+				if err := ra.schedq.Install(s, leaf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ra.forgetQuiet(maskOf(heldPorts...))
 		}
 		if err := ra.SetConnection(1, 2, 5, 1<<PortXPlus); err != nil {
 			b.Fatal(err)
@@ -159,12 +191,13 @@ func BenchmarkRouterTick(b *testing.B) {
 		}
 		pkt := packet.TCPacket{Conn: 1}
 		step := func(cycle int) {
+			if held && cycle%1024 == 0 {
+				hold()
+			}
 			// One packet per slot keeps the scheduler, the shared memory,
 			// and the transmit engines busy every single cycle.
 			if cycle%packet.TCBytes == 0 && ra.FreeSlots() > 0 {
-				if ahead > 0 {
-					pkt.Stamp = packet.StampOf(ra.SlotNow(int64(k.Now()))) + uint8(ahead)
-				}
+				pkt.Stamp = packet.StampOf(ra.SlotNow(int64(k.Now()))) + uint8(ahead)
 				ra.InjectTC(pkt)
 			}
 			k.Step()
@@ -187,10 +220,16 @@ func BenchmarkRouterTick(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			step(i)
 		}
+		b.StopTimer()
+		if held && (ra.Stats.TCTransmitted[PortYPlus] != 0 || ra.Stats.TCTransmitted[PortLocal] != 0 || ra.ParkedTicks() != 0) {
+			b.Fatalf("%v transmitted, %d parked ticks: the held leaves did not hold on a busy router",
+				ra.Stats.TCTransmitted, ra.ParkedTicks())
+		}
 	}
-	b.Run("tc_forward", func(b *testing.B) { tcForward(b, 0, false) })
-	b.Run("tc_forward_occ32", func(b *testing.B) { tcForward(b, 32, false) })
-	b.Run("busy_quiet_ports", func(b *testing.B) { tcForward(b, 0, true) })
+	b.Run("tc_forward", func(b *testing.B) { tcForward(b, 0, false, false) })
+	b.Run("tc_forward_occ32", func(b *testing.B) { tcForward(b, 32, false, false) })
+	b.Run("busy_quiet_ports", func(b *testing.B) { tcForward(b, 0, true, false) })
+	b.Run("busy_held", func(b *testing.B) { tcForward(b, 0, true, true) })
 
 	b.Run("be_contention", func(b *testing.B) {
 		k, ra, rb := newBenchPair(b)
