@@ -298,6 +298,7 @@ func (u *beInput) discardFrame() {
 	for q := 0; q < NumPorts; q++ {
 		if o := u.r.beOut[q]; o.curIn == u.id {
 			o.curIn = -1
+			u.r.portWork |= u.r.stallSleep & (1 << q) // the stall it slept on is over
 		}
 	}
 	if u.parsed && !u.bound && !u.dropping {

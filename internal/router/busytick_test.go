@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -38,7 +39,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 	if r.schedCountdown <= 0 {
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
 		r.forgetQuiet(allPorts)
-		r.schedBeat(abs)
+		r.schedBeat(abs, false)
 	}
 
 	for p := 0; p < NumPorts; p++ {
@@ -48,10 +49,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 	r.bus.tick()
 	r.Stats.BusGrants = r.bus.grants
 
-	size := r.stampMask + 1
-	for w := int64(0); w < numWires; w++ {
-		r.stamps[w*size+int64(now)&r.stampMask] = uint16(now)
-	}
+	forgeStamps(r, int64(now))
 	r.beUnparsed = allPorts
 	r.sampleInputs()
 
@@ -75,6 +73,14 @@ func (f fullScan) Tick(now sim.Cycle) {
 		}
 	}
 	r.rest = restBusy
+}
+
+// forgeStamps makes every lane of cycle now's stamp row match the cycle.
+func forgeStamps(r *Router, now int64) {
+	row := r.stampsAt(now)
+	for w := 0; w < numWires; w++ {
+		binary.LittleEndian.PutUint16(row[2*w:], uint16(now))
+	}
 }
 
 type faultCall struct {
@@ -374,9 +380,7 @@ func TestStampGateStaleMatch(t *testing.T) {
 	r.k.Run(300)
 
 	now := int64(r.k.Now())
-	for w := int64(0); w < numWires; w++ {
-		b.stamps[w*(b.stampMask+1)+now&b.stampMask] = uint16(now)
-	}
+	forgeStamps(b, now)
 	b.rest = restBusy // the full tick, so the rows are read by sampleInputs
 	r.k.Step()
 	if calls != 0 || b.Stats != (Stats{}) || b.rest != restIdle {
@@ -396,7 +400,7 @@ func TestStampGateStaleMatch(t *testing.T) {
 	// row and matches again 65536 cycles on.
 	alias := lastCall + 1<<16
 	r.k.Run(alias - int64(r.k.Now()))
-	if got := b.stamps[PortXMinus*(b.stampMask+1)+alias&b.stampMask]; got != uint16(alias) {
+	if got := laneStamp(b.stampsAt(alias), PortXMinus); got != uint16(alias) {
 		t.Fatalf("row holds %#x at cycle %d: no alias to test", got, alias)
 	}
 	if !b.inputsClear(alias) {

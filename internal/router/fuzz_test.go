@@ -14,9 +14,11 @@ import (
 // virtual channel, sideband checksum, retransmit and abort flags all the
 // fuzzer's — and its injection port an arbitrary byte stream, cut into
 // 20-byte packets. Every output feeds a sink that acks each best-effort
-// flit. The router must not panic, and once the streams stop, one full
-// slot-clock period plus slack must return every packet-memory slot:
-// a corrupt, truncated or misrouted frame may be dropped, never leaked.
+// flit, unless the program holds the credits back for a while; a program
+// may also reset the router's counters mid-run. The router must not
+// panic, and once the streams stop, one full slot-clock period plus slack
+// must return every packet-memory slot: a corrupt, truncated or misrouted
+// frame may be dropped, never leaked.
 // Each program runs three times — plain, with slack attribution on, and
 // ticked by the fullScan oracle (every port arbitrated, every beat a real
 // Select) — and all three must end with the same hardware counters,
@@ -30,6 +32,7 @@ func FuzzRouterTick(f *testing.F) {
 	f.Add(tickFrame(2, 3, 5, true))                  // corrupted tail checksum
 	f.Add(tickFrame(1, 2, 9, false)[:12*tickRecord]) // truncated frame
 	f.Add(tickBERecovery())                          // best-effort nack, then an abort to forward
+	f.Add(tickCreditStall())                         // a credit stall held across ResetStats
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		plain := runRouterTick(t, prog, false, false)
 		if blamed := runRouterTick(t, prog, true, false); blamed != plain {
@@ -52,8 +55,20 @@ type tickResult struct {
 // tickRecord is the size of one program record: input port (mod 5, 4 the
 // injection port), flags (Valid, VCBest, Head, Tail, SideValid, Rexmit,
 // Abort from bit 0 up), data byte, sideband byte. A record is one cycle of
-// its port's stream; the injection port uses only the data byte.
+// its port's stream; the injection port uses only the data byte. An
+// injection-port record with flag bit 7 set is a control record instead,
+// acting before the cycle numbered by its place in the program: with bit
+// 0 the sinks hold back their credits for the next 4·data cycles and
+// return them one a cycle afterwards, with bit 1 the router's counters
+// are reset (ResetStats).
 const tickRecord = 4
+
+// tickCtl is one control record.
+type tickCtl struct {
+	cycle int64
+	flags byte
+	data  byte
+}
 
 // tickMaxRecords caps a program. It bounds the packets one run can offer
 // (a few dozen), so the drain below never has to outwait a backlog.
@@ -81,6 +96,33 @@ func tickFrame(port int, conn, stamp uint8, corrupt bool) []byte {
 		prog = append(prog, byte(port), flags, p[i], side)
 	}
 	return prog
+}
+
+// tickCreditStall is a program holding one best-effort Integrity frame on
+// input -x, routed on through output +x, while the sinks hold back their
+// credits for 400 cycles: the output sends the ten flits its credits
+// cover and stalls. The counters are reset at cycle 80, mid-stall.
+func tickCreditStall() []byte {
+	frame, err := packet.NewBE(2, 0, make([]byte, 10))
+	if err != nil {
+		panic(err)
+	}
+	const best, head, tail, side, ctl = 1 | 1<<1, 1 << 2, 1 << 3, 1 << 4, 1 << 7
+	prog := []byte{NumLinks, ctl | 1, 100, 0}
+	for i, b := range frame {
+		flags := byte(best | side)
+		if i == 0 {
+			flags |= head
+		}
+		if i == len(frame)-1 {
+			flags |= tail
+		}
+		prog = append(prog, PortXMinus, flags, b, packet.CRC8Update(0, b))
+	}
+	for len(prog) < 80*tickRecord {
+		prog = append(prog, PortYPlus, 0, 0, 0) // an idle wire
+	}
+	return append(prog, NumLinks, ctl|2, 0, 0)
 }
 
 // tickBERecovery is a program holding one best-effort Integrity frame
@@ -120,17 +162,34 @@ type tickHarness struct {
 	out    [NumLinks]*InLink
 	phits  [NumLinks][]packet.Phit
 	inject [][packet.TCBytes]byte
+	ctl    []tickCtl // in cycle order
+
+	owed             [NumLinks]int // credits the sinks have yet to return
+	holdFrom, holdTo int64         // the sinks return none in [holdFrom, holdTo)
 }
 
 func (h *tickHarness) Name() string { return "tick-harness" }
 
 func (h *tickHarness) Tick(now sim.Cycle) {
 	c := int64(now)
+	for ; len(h.ctl) > 0 && h.ctl[0].cycle == c; h.ctl = h.ctl[1:] {
+		x := h.ctl[0]
+		if x.flags&1 != 0 {
+			h.holdFrom, h.holdTo = c, c+4*int64(x.data)
+		}
+		if x.flags&2 != 0 {
+			h.r.ResetStats()
+		}
+	}
 	for p := 0; p < NumLinks; p++ {
 		if c < int64(len(h.phits[p])) {
 			h.in[p].Drive(c, h.phits[p][c])
 		}
 		if ph := h.out[p].Phit(c); ph.Valid && ph.VC == packet.VCBest {
+			h.owed[p]++
+		}
+		if h.owed[p] > 0 && (c < h.holdFrom || c >= h.holdTo) {
+			h.owed[p]--
 			h.out[p].DriveAck(c, packet.Ack{BECredit: true})
 		}
 	}
@@ -147,6 +206,9 @@ func (h *tickHarness) streamCycles() int64 {
 	n := int64(len(h.inject)) * packet.TCBytes
 	for _, s := range h.phits {
 		n = max(n, int64(len(s)))
+	}
+	for _, x := range h.ctl {
+		n = max(n, x.cycle+4*int64(x.data))
 	}
 	return n
 }
@@ -193,7 +255,11 @@ func runRouterTick(t *testing.T, prog []byte, blame, scan bool) tickResult {
 	for i := 0; i+tickRecord <= len(prog) && i < tickMaxRecords*tickRecord; i += tickRecord {
 		rec := prog[i : i+tickRecord]
 		port, fl := int(rec[0])%(NumLinks+1), rec[1]
-		if port == NumLinks {
+		switch {
+		case port == NumLinks && fl&(1<<7) != 0:
+			h.ctl = append(h.ctl, tickCtl{int64(i / tickRecord), fl, rec[2]})
+			continue
+		case port == NumLinks:
 			injBytes = append(injBytes, rec[2])
 			continue
 		}

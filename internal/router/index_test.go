@@ -161,9 +161,23 @@ func checkIndexes(t *testing.T, r *Router, cycle int64) {
 		t.Fatalf("router %s cycle %d: tcStaged %05b tcCand %05b beDropping %05b portDead %05b, flags say %05b %05b %05b %05b",
 			r.name, cycle, r.tcStaged, r.tcCand, r.beDropping, r.portDead, f.staged, f.cand, f.dropping, f.dead)
 	}
-	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 || f.work&^r.portWork != 0 {
-		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b portWork %05b do not cover the flags %05b %05b %05b",
-			r.name, cycle, r.beOwed, r.beUnparsed, r.portWork, f.owed, f.unparsed, f.work)
+	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 || f.work&^(r.portWork|r.stallSleep) != 0 {
+		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b portWork|stallSleep %05b do not cover the flags %05b %05b %05b",
+			r.name, cycle, r.beOwed, r.beUnparsed, r.portWork|r.stallSleep, f.owed, f.unparsed, f.work)
+	}
+	// A port asleep and not yet woken is in exactly the state it fell
+	// asleep in: nothing but a credit stall.
+	for m := r.stallSleep &^ r.portWork; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		o, be := r.tcOut[p], r.beOut[p]
+		if !be.wasStalled || be.credits > 0 || be.curIn < 0 || !r.beIn[be.curIn].hasByte() ||
+			o.txActive || o.staged || o.cutIn != nil || r.beWaiting[p] != 0 ||
+			be.abortPending || be.replayHead < len(be.replay) || r.out[p] == nil {
+			t.Fatalf("router %s cycle %d: port %d sleeps unwoken outside a credit stall: stalled %v credits %d bound %d "+
+				"tx %v staged %v cut %v waiting %05b abort %v replay %d dead %v",
+				r.name, cycle, p, be.wasStalled, be.credits, be.curIn, o.txActive, o.staged, o.cutIn != nil,
+				r.beWaiting[p], be.abortPending, len(be.replay)-be.replayHead, r.out[p] == nil)
+		}
 	}
 	if n := r.beIn[PortLocal].consumed; n != 0 {
 		t.Fatalf("router %s cycle %d: the injection port counts %d credits owed", r.name, cycle, n)

@@ -48,7 +48,7 @@ func (c *Channel) Latency() int64 { return c.data.Latency() }
 // ack wire for the holder of the OutLink.
 type inbound interface {
 	Ring() int
-	MirrorStamps(m []uint16)
+	MirrorStamps(rows []byte, lane, size, stride int)
 }
 
 // Out returns the sending end of the channel.

@@ -470,7 +470,7 @@ func TestHorizonWriteWakesParked(t *testing.T) {
 	if fast.a.rest != restParked {
 		t.Fatalf("rest state %d: the router is not parked", fast.a.rest)
 	}
-	if q, now := fast.a.tcOut[PortLocal].quietUntil, fast.a.absSlot(400); q <= now+50 {
+	if q, now := fast.a.quiet[PortLocal], fast.a.absSlot(400); q <= now+50 {
 		t.Fatalf("reception port quiet until slot %d at slot %d, want a span reaching ℓ", q, now)
 	}
 	for _, r := range []*Router{fast.a, ctl.a} {
@@ -504,7 +504,7 @@ func TestHorizonWriteWakesParked(t *testing.T) {
 		r.a.InjectTC(tcPkt(1, 155, 0x56)) // ℓ = slot 155: 120 slots off, 30 past the horizon
 		r.k.Run(300)
 	}
-	quiet := fast.a.tcOut[PortLocal].quietUntil
+	quiet := fast.a.quiet[PortLocal]
 	if fast.a.rest != restParked || quiet <= fast.a.absSlot(1000)+10 {
 		t.Fatalf("rest state %d, reception port quiet until slot %d: the second hold is not asleep", fast.a.rest, quiet)
 	}
@@ -513,9 +513,9 @@ func TestHorizonWriteWakesParked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fast.a.rest != restParked || fast.a.tcOut[PortLocal].quietUntil != quiet {
+	if fast.a.rest != restParked || fast.a.quiet[PortLocal] != quiet {
 		t.Errorf("a connection write woke the router: rest state %d, span %d → %d",
-			fast.a.rest, quiet, fast.a.tcOut[PortLocal].quietUntil)
+			fast.a.rest, quiet, fast.a.quiet[PortLocal])
 	}
 	for c := 1000; c < 1800; c++ {
 		fast.k.Run(1)

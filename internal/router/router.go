@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -73,10 +74,10 @@ type Router struct {
 	// injections, rewiring and EnableBlame.
 	rest restState
 	// stampBuf backs stamps (below) while every attached link is one
-	// cycle long. It sits among the words every Tick of this router
-	// touches, so a neighbour's Pipe.Write storing into it lands on a
-	// line that is in cache anyway.
-	stampBuf [numWires * 2]uint16
+	// cycle long: two rows. It sits among the words every Tick of this
+	// router touches, so a neighbour's Pipe.Write storing into it lands on
+	// a line that is in cache anyway.
+	stampBuf [2 * stampRow]byte
 
 	nowCycle       int64
 	schedCountdown int
@@ -84,11 +85,13 @@ type Router struct {
 
 	// stamps mirrors the arrival stamps (their low 16 bits) of the eight
 	// inbound wires — the phit wire of each input link, then the ack wire
-	// of each output link — one ring of stampMask+1 cycles per wire, lent
-	// to the wires' pipes (lendStamps). inputsClear reads these words of
-	// the router's own memory instead of chasing link → channel → pipe →
-	// slot eight times a cycle.
-	stamps    []uint16
+	// of each output link — in stampMask+1 rows, one per cycle modulo the
+	// row count: cycle c's row is the stampRow bytes at (c&stampMask) ·
+	// stampRow, and wire w's stamp the little-endian uint16 at byte 2w of
+	// it. The wires' pipes write their lanes (lendStamps). inputsClear
+	// reads one row of the router's own memory, two words, instead of
+	// chasing link → channel → pipe → slot eight times a cycle.
+	stamps    []byte
 	stampMask int64
 
 	// idleTicks and parkedTicks count the cycles spent in the two rest
@@ -100,6 +103,14 @@ type Router struct {
 	// the last one sampled. Every beat writes them, an idle router's too,
 	// so they sit with the countdown.
 	beats, schedLevel int64
+	// quiet[p] is the absolute slot (absSlot) at which output port p's
+	// quiet span ends — the slot the last Select found it quiet at plus
+	// the selection's Quiet, quietForever for an endless span. Until then
+	// a beat on the port is closed-form (schedBeat) and reads no engine.
+	// An Install owing the port a leaf or a write of its horizon resets
+	// it to 0 (forgetQuiet); a ClearPort only removes owed leaves, so it
+	// cannot end a span early.
+	quiet [NumPorts]int64
 
 	wheel timing.Wheel
 
@@ -159,10 +170,22 @@ type Router struct {
 	// best-effort input, a recovery flit owed, or a credit stall in
 	// progress. One-sided: raised where a port gains such work from
 	// outside its own arbitration, cleared only by arbitrate after a visit
-	// that leaves the port with none.
+	// that leaves the port with none — or with only a credit stall, which
+	// it then sleeps through (stallSleep).
 	portWork uint8
+	// stallSleep has bit p set while port p sleeps through a credit stall:
+	// its last visit left it with nothing but a bound input whose next
+	// flit waits for a downstream credit, so every visit skipped since
+	// would have counted one BEStallCycles cycle and changed nothing else.
+	// stallFrom[p] is the first cycle not yet counted. A returning credit
+	// or the bound input's frame being discarded raises the port's
+	// portWork bit; the next visit adds the skipped cycles and clears the
+	// bit (arbitrate), and counts adds the open episodes.
+	stallSleep uint8
+	stallFrom  [NumPorts]int64
 	// portDead has bit p set exactly while link port p has no output
-	// attached: a dead port drains on every busy tick.
+	// attached. ConnectOut raises the port's portWork bit as it dies, and
+	// the visit drains it.
 	portDead uint8
 
 	// tcInjectQ is a head-indexed queue: popped entries advance tcInjHead
@@ -334,6 +357,9 @@ func (r *Router) ResetStats() {
 	r.bus.grants = 0
 	r.tally.Zero()
 	r.beats, r.schedPeak, r.turnBase = 0, 0, r.turns(r.nowCycle)
+	for m := r.stallSleep; m != 0; m &= m - 1 {
+		r.stallFrom[bits.TrailingZeros8(m)] = r.nowCycle + 1
+	}
 	if r.met != nil {
 		r.met.base = metrics.RouterCounts{}
 		r.met.block.Reset()
@@ -351,7 +377,7 @@ func (r *Router) ConnectIn(p int, l *InLink) {
 		panic(fmt.Sprintf("router %s: ConnectIn(%d) out of link range", r.name, p))
 	}
 	if old := r.in[p]; old != nil {
-		old.ch.data.MirrorStamps(nil)
+		old.ch.data.MirrorStamps(nil, 0, 0, 0)
 	}
 	r.in[p] = l
 	r.rest = restBusy
@@ -364,11 +390,12 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 		panic(fmt.Sprintf("router %s: ConnectOut(%d) out of link range", r.name, p))
 	}
 	if old := r.out[p]; old != nil {
-		old.ch.ack.MirrorStamps(nil)
+		old.ch.ack.MirrorStamps(nil, 0, 0, 0)
 	}
 	r.out[p] = l
 	if l == nil {
 		r.portDead |= 1 << p
+		r.portWork |= 1 << p
 	} else {
 		r.portDead &^= 1 << p
 	}
@@ -379,6 +406,10 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 // numWires counts a router's inbound wires: a phit wire per input link
 // and an ack wire per output link.
 const numWires = 2 * NumLinks
+
+// stampRow is the bytes of one row of the stamp block: a 16-bit stamp
+// per inbound wire.
+const stampRow = 2 * numWires
 
 // inbound returns the delay line of inbound wire w, or nil while that
 // link is unattached.
@@ -393,8 +424,9 @@ func (r *Router) inbound(w int) inbound {
 	return nil
 }
 
-// lendStamps hands every attached inbound wire its row of the stamp
-// block, first growing the rows to the deepest attached ring.
+// lendStamps hands every attached inbound wire its lane of the stamp
+// rows, first growing the block to as many rows as the deepest attached
+// ring has slots.
 func (r *Router) lendStamps() {
 	size := int(r.stampMask) + 1
 	for w := 0; w < numWires; w++ {
@@ -402,15 +434,41 @@ func (r *Router) lendStamps() {
 			size = p.Ring()
 		}
 	}
-	if size*numWires > len(r.stamps) {
-		r.stamps, r.stampMask = make([]uint16, size*numWires), int64(size-1)
+	if size*stampRow > len(r.stamps) {
+		r.stamps, r.stampMask = make([]byte, size*stampRow), int64(size-1)
 	}
 	clear(r.stamps)
 	for w := 0; w < numWires; w++ {
 		if p := r.inbound(w); p != nil {
-			p.MirrorStamps(r.stamps[w*size : (w+1)*size])
+			p.MirrorStamps(r.stamps, w, size, stampRow)
 		}
 	}
+}
+
+// stampsAt returns the stamp row of cycle now.
+func (r *Router) stampsAt(now int64) *[stampRow]byte {
+	return (*[stampRow]byte)(r.stamps[(now&r.stampMask)*stampRow:])
+}
+
+// laneStamp is wire w's stamp in a row.
+func laneStamp(row *[stampRow]byte, w int) uint16 {
+	return binary.LittleEndian.Uint16(row[2*w:])
+}
+
+// lanes16 repeats a 16-bit 1 in each lane of a word.
+const lanes16 = 0x0001_0001_0001_0001
+
+// rowHit reports whether any wire's stamp in row equals the low 16 bits
+// of now: each half of the row, XORed with the cycle repeated in its four
+// lanes, has a lane of zero exactly where a stamp matches, and
+// (x − 1…1) &^ x & 8…0 is non-zero exactly when some lane of x is zero —
+// a lane borrows only from a zero lane below it, and a lane that borrows
+// into its sign bit had that bit clear.
+func rowHit(row *[stampRow]byte, now int64) bool {
+	rep := uint64(uint16(now)) * lanes16
+	lo := binary.LittleEndian.Uint64(row[:8]) ^ rep
+	hi := binary.LittleEndian.Uint64(row[8:]) ^ rep
+	return ((lo-lanes16)&^lo|(hi-lanes16)&^hi)&(lanes16<<15) != 0
 }
 
 // InjectTC queues one time-constrained packet at the injection port. The
@@ -529,7 +587,8 @@ func (r *Router) absSlot(now int64) int64 {
 	return int64(timing.CyclesToSlot(max(now+r.cfg.SkewCycles, 0), packet.TCBytes))
 }
 
-// quietForever is the quietUntil of a port quiet until the tree changes.
+// quietForever is the quiet span end of a port quiet until the tree
+// changes.
 const quietForever = math.MaxInt64
 
 // forgetQuiet forgets the quiet spans of the ports in mask, so each
@@ -537,7 +596,7 @@ const quietForever = math.MaxInt64
 // to, or those whose horizon a control write set.
 func (r *Router) forgetQuiet(mask sched.PortMask) {
 	for m := uint8(mask); m != 0; m &= m - 1 {
-		r.tcOut[bits.TrailingZeros8(m)].quietUntil = 0
+		r.quiet[bits.TrailingZeros8(m)] = 0
 	}
 }
 
@@ -583,11 +642,11 @@ const (
 // provably change nothing: phase 1 when parked, and phases 3–5 too unless
 // the parked beat made a candidate; all but the countdown and a
 // closed-form beat when idle (see restState). A busy tick visits only the
-// ports that hold work: arbitrate runs where portWork, beDropping or
-// portDead marks a port (every port while attribution is on), the launch,
-// acknowledge and parse loops walk port masks (tcStaged|tcCand, beOwed,
-// beUnparsed) in ascending port order, and sampleInputs reads a wire only
-// when its stamp row matches the cycle. On any router a beat on a port
+// ports that hold work: arbitrate runs where portWork or beDropping marks
+// a port (every port while attribution is on), the launch, acknowledge
+// and parse loops walk port masks (tcStaged|tcCand, beOwed, beUnparsed)
+// in ascending port order, and sampleInputs reads a wire only when its
+// lane of the stamp row matches the cycle. On any router a beat on a port
 // inside its quiet span is closed-form (schedBeat).
 func (r *Router) Tick(now sim.Cycle) {
 	rest := r.rest
@@ -604,7 +663,7 @@ func (r *Router) Tick(now sim.Cycle) {
 			// Attribution charges idle port-cycles too. The masks are read
 			// afresh at every port: arbitrate(q) can raise a later port's
 			// bit (drainDeadBE → setDropping).
-			if r.blame != nil || (r.portWork|r.beDropping|r.portDead)&(1<<p) != 0 {
+			if r.blame != nil || (r.portWork|r.beDropping)&(1<<p) != 0 {
 				r.arbitrate(p, nowSlot)
 			}
 		}
@@ -622,7 +681,7 @@ func (r *Router) Tick(now sim.Cycle) {
 			if rest != restBusy {
 				abs = r.absSlot(int64(now))
 			}
-			candidate = r.schedBeat(abs)
+			candidate = r.schedBeat(abs, rest == restParked)
 		}
 	}
 
@@ -683,13 +742,17 @@ func (r *Router) Tick(now sim.Cycle) {
 // inputsClear reports that nothing arrived on the link wires this
 // cycle: no valid phit to sample and no returning best-effort credit.
 // Together with the recorded rest state this licenses the short ticks.
-// The stamp block answers for a quiet wire; a stamp that matches the
-// cycle — an arrival, or sixteen stale or never-written bits that happen
-// to agree with it — is settled by the precise read.
+// The cycle's stamp row answers for all eight wires at once (rowHit); a
+// lane that matches the cycle — an arrival, or sixteen stale or
+// never-written bits that happen to agree with it — is settled by the
+// precise read.
 func (r *Router) inputsClear(now int64) bool {
-	i, size := now&r.stampMask, r.stampMask+1
-	for w := 0; w < numWires; w, i = w+1, i+size {
-		if r.stamps[i] != uint16(now) {
+	row := r.stampsAt(now)
+	if !rowHit(row, now) {
+		return true
+	}
+	for w := 0; w < numWires; w++ {
+		if laneStamp(row, w) != uint16(now) {
 			continue
 		}
 		if w < NumLinks {
@@ -844,13 +907,17 @@ func (r *Router) HasDeliveries() bool {
 // round-robin order, modelling the shared, pipelined tree's throughput
 // of one result per SchedPeriod cycles; abs is the slot clock (absSlot).
 // It reports whether the port it served holds a candidate afterwards — on
-// a parked router, whether this beat woke it. A port inside its quiet
-// span gets the closed-form beat: the selection would return ClassNone
-// and count no Overdue, which SkipIdleSelects replays, and would leave
-// the port without a candidate, as it already is (a candidate ends the
-// span). Only an Install or a horizon write ends a span early, so this
-// holds on busy and parked routers alike.
-func (r *Router) schedBeat(abs int64) bool {
+// a parked router, whether this beat woke it. The round robin passes over
+// ports whose engines cannot take a candidate (cutting through, fetching,
+// or transmitting with the next packet staged); on a parked router
+// (resting) enginesIdle held at the end of the last full tick and no
+// engine has run since, so no port is passed over and none is read.
+func (r *Router) schedBeat(abs int64, resting bool) bool {
+	if resting {
+		p := r.schedRR % NumPorts
+		r.schedRR = p + 1
+		return r.beatPort(p, abs)
+	}
 	for i := 0; i < NumPorts; i++ {
 		p := (r.schedRR + i) % NumPorts
 		o := r.tcOut[p]
@@ -858,15 +925,28 @@ func (r *Router) schedBeat(abs int64) bool {
 			continue
 		}
 		r.schedRR = p + 1
-		if o.quietUntil > abs {
-			r.schedq.SkipIdleSelects(1)
-		} else {
-			o.schedule(abs)
-		}
-		r.noteSchedBeat()
-		return o.candValid
+		return r.beatPort(p, abs)
 	}
 	return false
+}
+
+// beatPort is one beat on port p. A port inside its quiet span gets the
+// closed-form beat, which touches no engine: the selection would return
+// ClassNone and count no Overdue, which SkipIdleSelects replays, and
+// would leave the port without a candidate, as it already is (a
+// candidate ends the span). Only an Install or a horizon write ends a
+// span early, so this holds on busy and parked routers alike. Only a
+// real Select reads the port's transmit engine.
+func (r *Router) beatPort(p int, abs int64) bool {
+	if r.quiet[p] > abs {
+		r.schedq.SkipIdleSelects(1)
+		r.noteSchedBeat()
+		return false
+	}
+	o := r.tcOut[p]
+	o.schedule(abs)
+	r.noteSchedBeat()
+	return o.candValid
 }
 
 // grant is what one output port's wire does for one cycle. grantOf
@@ -914,11 +994,23 @@ func grantOf(staged, cut sched.Class, be beReady) grant {
 // arbitrate resolves one output port for one cycle: a dead port drains,
 // a time-constrained packet already on the wire continues, and a free
 // wire goes to whatever serve grants it. Attribution, when on, reads the
-// one grant. A visit that leaves the port with no work clears its
-// portWork bit: with nothing on the wire, staged or cutting through, no
-// bound or waiting input, no recovery flit owed and no stall episode
-// open, the next visit would grant grantIdle and change nothing.
+// one grant. A visit to a port asleep on a credit stall first counts the
+// stall cycles it slept through.
+//
+// A visit that leaves the port with no work clears its portWork bit: with
+// nothing on the wire, staged or cutting through, no bound or waiting
+// input, no recovery flit owed and no stall episode open, the next visit
+// would grant grantIdle and change nothing. A visit that leaves a live
+// port with nothing but a credit stall — an episode open, a bound input
+// with a flit ready, no credit — clears the bit too and puts the port to
+// sleep: until a credit returns or the bound frame is discarded, each
+// visit would grant grantIdle, read beStalled and count one stall cycle,
+// nothing else.
 func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
+	if r.stallSleep&(1<<p) != 0 {
+		r.stallSleep &^= 1 << p
+		r.tally.BEStallCycles[p] += r.nowCycle - r.stallFrom[p]
+	}
 	o, be := r.tcOut[p], r.beOut[p]
 	dead := r.portDead&(1<<p) != 0
 	if dead {
@@ -950,9 +1042,17 @@ func (r *Router) arbitrate(p int, nowSlot timing.Stamp) {
 	if r.blame != nil {
 		r.blameGrant(p, nowSlot, g, winner)
 	}
-	if !o.txActive && !o.staged && o.cutIn == nil && be.curIn < 0 && r.beWaiting[p] == 0 &&
-		!be.abortPending && be.replayHead == len(be.replay) && !be.wasStalled {
+	if o.txActive || o.staged || o.cutIn != nil || r.beWaiting[p] != 0 ||
+		be.abortPending || be.replayHead != len(be.replay) {
+		return
+	}
+	switch {
+	case be.curIn < 0 && !be.wasStalled:
 		r.portWork &^= 1 << p
+	case be.wasStalled && be.curIn >= 0 && be.credits <= 0 && !dead && r.beIn[be.curIn].hasByte():
+		r.portWork &^= 1 << p
+		r.stallSleep |= 1 << p
+		r.stallFrom[p] = r.nowCycle + 1
 	}
 }
 
@@ -1103,13 +1203,14 @@ func (r *Router) deliverLocalTC(buf [packet.TCBytes]byte) {
 // sampleInputs reads the link wires and injection queues. It reports
 // whether a wire carried anything this cycle: a valid phit (even one a
 // fault then erased) or an acknowledgement. A wire is read only when its
-// row of the stamp block matches the cycle — a quiet wire yields the zero
-// Phit or Ack without the link → channel → pipe → slot chase — and a
-// match, true or stale, is settled by the precise read, as in inputsClear.
+// lane of the cycle's stamp row matches the cycle — a quiet wire yields
+// the zero Phit or Ack without the link → channel → pipe → slot chase —
+// and a match, true or stale, is settled by the precise read, as in
+// inputsClear. A returning credit wakes a port asleep on a credit stall.
 func (r *Router) sampleInputs() (arrived bool) {
 	now := r.nowCycle
-	i, size := now&r.stampMask, r.stampMask+1
-	for p := 0; p < NumLinks; p, i = p+1, i+size {
+	row := r.stampsAt(now)
+	for p := 0; p < NumLinks; p++ {
 		if r.in[p] == nil {
 			// A failed upstream link can never complete an in-progress
 			// packet: flush the fragment so it releases its output.
@@ -1123,7 +1224,7 @@ func (r *Router) sampleInputs() (arrived bool) {
 		}
 		if r.in[p] != nil {
 			var ph packet.Phit
-			if r.stamps[i] == uint16(now) {
+			if laneStamp(row, p) == uint16(now) {
 				ph = r.in[p].Phit(now)
 			}
 			arrived = arrived || ph.Valid
@@ -1158,7 +1259,7 @@ func (r *Router) sampleInputs() (arrived bool) {
 				}
 			}
 		}
-		if r.out[p] != nil && r.stamps[i+NumLinks*size] == uint16(now) {
+		if r.out[p] != nil && laneStamp(row, NumLinks+p) == uint16(now) {
 			a := r.out[p].Ack(now)
 			arrived = arrived || a.BECredit || a.BENack
 			if a.BECredit {
@@ -1166,6 +1267,7 @@ func (r *Router) sampleInputs() (arrived bool) {
 				if be.credits < r.cfg.FlitBufBytes {
 					be.credits++
 				}
+				r.portWork |= r.stallSleep & (1 << p)
 			}
 			if a.BENack {
 				r.beOut[p].handleNack(now)

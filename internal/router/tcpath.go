@@ -347,14 +347,6 @@ type tcOutput struct {
 	cand      sched.Selection
 	candValid bool
 
-	// quietUntil is the absolute slot (absSlot) at which the port's quiet
-	// span ends — the slot the last Select found it quiet at plus the
-	// selection's Quiet, quietForever for an endless span. Until then a
-	// beat on the port is closed-form (schedBeat). An Install owing
-	// the port a leaf or a write of its horizon resets it to 0; a
-	// ClearPort only removes owed leaves, so it cannot end a span early.
-	quietUntil int64
-
 	// fetch in progress
 	fetching bool
 	fChunk   int
@@ -399,13 +391,14 @@ func (o *tcOutput) schedule(abs int64) {
 		return // mid-fetch; commit to it
 	}
 	sel := o.r.schedq.Select(o.port, o.r.wheel.Wrap(timing.Slot(abs)), o.r.horizons[o.port])
+	q := &o.r.quiet[o.port]
 	switch {
 	case sel.Class != sched.ClassNone:
-		o.quietUntil = 0
+		*q = 0
 	case sel.Quiet == sched.QuietForever:
-		o.quietUntil = quietForever
+		*q = quietForever
 	default:
-		o.quietUntil = abs + int64(sel.Quiet)
+		*q = abs + int64(sel.Quiet)
 	}
 	if sel.Class == sched.ClassNone {
 		if !o.staged {

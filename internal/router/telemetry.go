@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/timing"
@@ -176,6 +178,12 @@ func (r *Router) counts() metrics.RouterCounts {
 	c.Drops[metrics.DropBETruncated] += st.BETruncated
 	c.Drops[metrics.DropBEAborted] += st.BEFrameAborts
 	c.MemOccupancy = int64(r.cfg.Slots - r.mem.freeSlots())
+	// A port asleep on a credit stall has counted none of the cycles since
+	// it fell asleep (arbitrate).
+	for m := r.stallSleep; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		c.BEStallCycles[p] += r.nowCycle + 1 - r.stallFrom[p]
+	}
 	return c
 }
 

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Pipe is a fixed-latency delay line: a value written at cycle t is
 // readable exactly at cycle t+latency, for that one cycle, and then
 // expires — the same single-edge wire semantics as a chain of `latency`
@@ -21,13 +26,14 @@ package sim
 // occupancy probes for quiescence skipping.
 type Pipe[T any] struct {
 	lat   Cycle
-	mask  int64
 	slots []pipeSlot[T]
-	// mirror, when the reading component has lent one (MirrorStamps),
-	// repeats the low bits of every arrival stamp into a ring the reader
-	// owns. With it the struct is 64 bytes: one cache line, not a
+	// mirror, when the reading component has lent one (MirrorStamps), is
+	// the reader's stamp rows from this wire's lane on: Write repeats the
+	// low bits of every arrival stamp at (stamp & mirMask) * stride. With
+	// the two int32s the struct is 64 bytes: one cache line, not a
 	// straddled one and a half.
-	mirror []uint16
+	mirror          []byte
+	mirMask, stride int32
 }
 
 type pipeSlot[T any] struct {
@@ -45,7 +51,7 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 	for size < 2*latency {
 		size <<= 1
 	}
-	p := &Pipe[T]{lat: Cycle(latency), mask: size - 1, slots: make([]pipeSlot[T], size)}
+	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size)}
 	for i := range p.slots {
 		p.slots[i].stamp = -1
 	}
@@ -58,38 +64,46 @@ func (p *Pipe[T]) Latency() int64 { return int64(p.lat) }
 // Write drives v onto the wire at cycle now; it arrives at now+latency.
 func (p *Pipe[T]) Write(now Cycle, v T) {
 	at := now + p.lat
-	s := &p.slots[int64(at)&p.mask]
+	s := &p.slots[int64(at)&int64(len(p.slots)-1)]
 	s.stamp, s.val = at, v
 	if m := p.mirror; m != nil {
-		m[int(at)&(len(m)-1)] = uint16(at)
+		binary.LittleEndian.PutUint16(m[(int(at)&int(p.mirMask))*int(p.stride):], uint16(at))
 	}
 }
 
-// Ring returns the number of slots in the pipe's ring, the least length
-// MirrorStamps accepts.
+// Ring returns the number of slots in the pipe's ring, the least ring
+// size MirrorStamps accepts.
 func (p *Pipe[T]) Ring() int { return len(p.slots) }
 
-// MirrorStamps lends the pipe a stamp ring owned by its reader: from
-// now on Write also stores the low 16 bits of each arrival stamp at
-// m[stamp&(len(m)-1)]. The reader then learns "nothing arrives at cycle
-// c" from m[c&(len(m)-1)] != uint16(c) — sixteen bits of its own memory,
-// next to whatever else it keeps there — and needs Read only on a match,
-// which may also be a stale stamp 65536·k cycles old. len(m) must be a
-// power of two no shorter than Ring, which keeps the ring's disjoint-slot
-// discipline: the mirror is as race-free as the slots. The stamps in
-// flight are copied in; nil takes the mirror away again. Only safe at a
-// synchronization point.
-func (p *Pipe[T]) MirrorStamps(m []uint16) {
-	if m != nil && (len(m) < len(p.slots) || len(m)&(len(m)-1) != 0) {
-		panic("sim: pipe stamp mirror must be a power of two no shorter than the ring")
-	}
-	p.mirror = m
-	if m == nil {
+// MirrorStamps lends the pipe a block of stamp rows owned by its reader:
+// size rows of stride bytes each, one per arrival cycle modulo size, and
+// in every row the little-endian 16-bit lane number lane (bytes 2·lane
+// and 2·lane+1) belongs to this wire. From now on Write also stores the
+// low 16 bits of each arrival stamp at row stamp&(size-1) of that lane.
+// The reader then learns "nothing arrives at cycle c on any of my wires"
+// from the row of c alone — one compare per lane, or one per word for
+// lanes packed four to a word — and needs Read only on a lane that
+// matches, which may also be a stale stamp 65536·k cycles old. size must
+// be a power of two no smaller than Ring: a reader probing cycles
+// [t, t+k) and a writer storing arrivals in [t+latency, t+k+latency)
+// then touch disjoint rows whenever k ≤ latency, so the mirror is as
+// race-free as the slots. The stamps in flight are copied in; nil rows
+// take the mirror away again. Only safe at a synchronization point.
+func (p *Pipe[T]) MirrorStamps(rows []byte, lane, size, stride int) {
+	if rows == nil {
+		p.mirror = nil
 		return
 	}
+	switch {
+	case size < len(p.slots) || size&(size-1) != 0:
+		panic("sim: pipe stamp rows must be a power of two no fewer than the ring")
+	case lane < 0 || 2*lane+2 > stride || len(rows) < size*stride || size*stride > math.MaxInt32:
+		panic("sim: pipe stamp lane outside its rows")
+	}
+	p.mirror, p.mirMask, p.stride = rows[2*lane:], int32(size-1), int32(stride)
 	for i := range p.slots {
 		if s := p.slots[i].stamp; s >= 0 {
-			m[int(s)&(len(m)-1)] = uint16(s)
+			binary.LittleEndian.PutUint16(p.mirror[(int(s)&(size-1))*stride:], uint16(s))
 		}
 	}
 }
@@ -98,7 +112,7 @@ func (p *Pipe[T]) MirrorStamps(m []uint16) {
 // value if the wire is idle this cycle. Reading does not consume: the
 // slot expires on its own when the clock moves past it.
 func (p *Pipe[T]) Read(now Cycle) T {
-	s := &p.slots[int64(now)&p.mask]
+	s := &p.slots[int64(now)&int64(len(p.slots)-1)]
 	if s.stamp == now {
 		return s.val
 	}
@@ -125,7 +139,7 @@ func (p *Pipe[T]) NextStamp(now Cycle) Cycle {
 // per-tile skip may call it while other tiles are still ticking.
 func (p *Pipe[T]) HasStampIn(now, end Cycle) bool {
 	for c := now; c < end; c++ {
-		if p.slots[int64(c)&p.mask].stamp == c {
+		if p.slots[int64(c)&int64(len(p.slots)-1)].stamp == c {
 			return true
 		}
 	}
