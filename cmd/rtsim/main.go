@@ -32,6 +32,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -159,9 +160,9 @@ func run(args []string) int {
 		switch *scheduler {
 		case "edf":
 		case "fifo":
-			cfg.Scheduler = router.SchedFIFO
+			cfg.Scheduler = sched.OrderFIFO
 		case "static":
-			cfg.Scheduler = router.SchedStaticPriority
+			cfg.Scheduler = sched.OrderStatic
 		default:
 			fail(fmt.Errorf("unknown scheduler %q", *scheduler))
 		}

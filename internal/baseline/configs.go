@@ -1,13 +1,17 @@
 package baseline
 
-import "repro/internal/router"
+import (
+	"repro/internal/router"
+	"repro/internal/sched"
+)
 
-// FIFOConfig returns the real-time router reconfigured as a plain
-// output-queued packet switch: no deadline hardware, arrival-order
-// service. This is the "drop the comparator tree" ablation.
+// FIFOConfig returns the real-time router reconfigured as an
+// output-queued packet switch: arrival-order service, no deadline order
+// in the tree. This is the "drop the comparator tree" ablation; the
+// router still holds early packets until ℓ − h (sched.OrderFIFO).
 func FIFOConfig() router.Config {
 	cfg := router.DefaultConfig()
-	cfg.Scheduler = router.SchedFIFO
+	cfg.Scheduler = sched.OrderFIFO
 	return cfg
 }
 
@@ -15,10 +19,10 @@ func FIFOConfig() router.Config {
 // serve time-constrained packets by fixed per-connection priority with
 // no logical-arrival gating — the behavioural analog of designs that
 // resolve priority through dedicated virtual channels (Related Work
-// [3,4,17]): priorities are static, granularity is per connection, and
-// nothing holds early traffic back.
+// [3,4,17]): priorities are static and granularity is per connection
+// (early packets are still held until ℓ − h, as under FIFOConfig).
 func StaticPriorityConfig() router.Config {
 	cfg := router.DefaultConfig()
-	cfg.Scheduler = router.SchedStaticPriority
+	cfg.Scheduler = sched.OrderStatic
 	return cfg
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -234,10 +235,10 @@ func TestPFDropsNoRoute(t *testing.T) {
 }
 
 func TestAblationConfigs(t *testing.T) {
-	if FIFOConfig().Scheduler != router.SchedFIFO {
+	if FIFOConfig().Scheduler != sched.OrderFIFO {
 		t.Error("FIFOConfig scheduler wrong")
 	}
-	if StaticPriorityConfig().Scheduler != router.SchedStaticPriority {
+	if StaticPriorityConfig().Scheduler != sched.OrderStatic {
 		t.Error("StaticPriorityConfig scheduler wrong")
 	}
 	if err := FIFOConfig().Validate(); err != nil {

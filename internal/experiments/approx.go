@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/router"
+	"repro/internal/sched"
 )
 
 // ApproxResult is the X6 study of the paper's Section 7 proposal:
@@ -29,7 +30,7 @@ func RunApprox(shifts []uint, cycles int64) (*ApproxResult, error) {
 	res := &ApproxResult{Shifts: shifts}
 	for _, sh := range shifts {
 		cfg := router.DefaultConfig()
-		cfg.Scheduler = router.SchedApproxEDF
+		cfg.Scheduler = sched.OrderApprox
 		cfg.ApproxShift = sh
 		if err := cfg.Validate(); err != nil {
 			return nil, err

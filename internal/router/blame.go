@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sched"
 	"repro/internal/timing"
@@ -19,18 +18,18 @@ import (
 // The victim model is head-of-line: at most one time-constrained victim
 // is charged per output port per cycle — the packet that would transmit
 // next (staged packet, then a pending cut-through, then the candidate in
-// fetch, then the earliest-deadline waiting leaf). A packet queued
-// behind the head is charged once it becomes head-of-line itself, so
-// totals stay conserved without quadratic accounting. Best-effort
+// fetch, then the waiting leaf the tree's order serves next). A packet
+// queued behind the head is charged once it becomes head-of-line itself,
+// so totals stay conserved without quadratic accounting. Best-effort
 // credit stalls are charged to a per-port best-effort pseudo-victim in
 // exact lockstep with the BEStallCycles hardware counter.
 //
 // Collection is deterministic and inert: the bank is written only
 // during the owning router's tick (single writer under the parallel
 // kernel), reads no scheduler state through mutating interfaces
-// (Select is never called; leaves are scanned via Leaf), and changes no
-// simulation behavior — a run with blame enabled is cycle-identical to
-// one without.
+// (Select is never called; the tree is asked through Peek), and changes
+// no simulation behavior — a run with blame enabled is cycle-identical
+// to one without.
 
 // StallCause classifies why a time-constrained packet failed to advance
 // for one cycle.
@@ -271,51 +270,16 @@ func (r *Router) blameClose(p int) {
 	}
 }
 
-// Scan outcomes for the waiting-leaf victim search.
-const (
-	scanNone   = iota // no leaf wants the port
-	scanOnTime        // eligible, past its logical arrival time
-	scanEarly         // eligible, early within the horizon
-	scanBeyond        // early beyond the horizon (ineligible by design)
-)
-
 // blameScan finds the head-of-line waiting leaf for port p — the one
-// the comparator tree would pick — without touching the scheduler's
-// Select telemetry. It walks the allocated packet-memory slots in
-// ascending order, so ties break toward the lowest slot as in the tree;
-// paid only on attributed port-cycles with no staged/fetching candidate.
-func (r *Router) blameScan(p int, nowSlot timing.Stamp) (uint8, int) {
-	if r.schedq.Occupancy() == 0 {
-		return 0, scanNone
+// the tree's order serves next, held or not — and its class, through
+// the tree's Peek, which leaves Select's telemetry alone; paid only on
+// attributed port-cycles with no staged/fetching candidate.
+func (r *Router) blameScan(p int, nowSlot timing.Stamp) (uint8, sched.Class) {
+	sel := r.schedq.Peek(p, nowSlot, r.horizons[p])
+	if sel.Slot < 0 {
+		return 0, sched.ClassNone
 	}
-	var (
-		bestK timing.Key
-		conn  uint8
-		early bool
-		found bool
-	)
-	for w, used := range r.mem.used {
-		for ; used != 0; used &= used - 1 {
-			lf := r.schedq.Leaf(w*64 + bits.TrailingZeros64(used))
-			if !lf.InUse || !lf.Mask.Has(p) {
-				continue
-			}
-			k, e, _ := r.wheel.SortKey(lf.L, lf.Dl, nowSlot)
-			if !found || k < bestK {
-				bestK, conn, early, found = k, lf.InConn, e, true
-			}
-		}
-	}
-	if !found {
-		return 0, scanNone
-	}
-	if early {
-		if !r.wheel.WithinHorizon(bestK, r.horizons[p]) {
-			return conn, scanBeyond
-		}
-		return conn, scanEarly
-	}
-	return conn, scanOnTime
+	return r.schedq.Leaf(sel.Slot).InConn, sel.Class
 }
 
 // blameGrant attributes one port-cycle from what arbitrate granted the
@@ -335,16 +299,16 @@ func (r *Router) blameGrant(p int, nowSlot timing.Stamp, g grant, winner uint8) 
 		return
 	case grantBusy, grantOnTimeStaged, grantOnTimeCut, grantEarlyStaged, grantEarlyCut:
 		// A time-constrained packet holds the wire: the head-of-line waiter
-		// (staged prefetch first, then the earliest waiting leaf) lost the
-		// arbitration to it.
+		// (staged prefetch first, then the leaf the order serves next)
+		// lost the arbitration to it.
 		if o.staged {
 			r.blameNoteTC(p, o.sLeaf.InConn, CauseArbLoss, winner)
 			return
 		}
-		switch conn, st := r.blameScan(p, nowSlot); st {
-		case scanNone:
+		switch conn, c := r.blameScan(p, nowSlot); c {
+		case sched.ClassNone:
 			r.blameClose(p)
-		case scanBeyond:
+		case sched.ClassHeld:
 			r.blameNoteTC(p, conn, CauseHorizonHold, 0)
 		default:
 			r.blameNoteTC(p, conn, CauseArbLoss, winner)
@@ -387,17 +351,17 @@ func (r *Router) blameGrant(p int, nowSlot timing.Stamp, g grant, winner uint8) 
 		r.blameNoteTC(p, r.schedq.Leaf(o.cand.Slot).InConn, CauseMemBusWait, 0)
 		return
 	}
-	switch conn, st := r.blameScan(p, nowSlot); st {
-	case scanNone:
+	switch conn, c := r.blameScan(p, nowSlot); c {
+	case sched.ClassNone:
 		r.blameClose(p)
-	case scanBeyond:
+	case sched.ClassHeld:
 		r.blameNoteTC(p, conn, CauseHorizonHold, 0)
-	case scanOnTime:
+	case sched.ClassOnTime:
 		// Eligible but not yet staged: the shared comparator tree has not
 		// delivered it to this port (had it been staged it would have
 		// preempted any best-effort flit).
 		r.blameNoteTC(p, conn, CauseSchedWait, 0)
-	case scanEarly:
+	case sched.ClassEarly:
 		// An early waiting leaf loses to best-effort traffic even when
 		// staged; with the link free it is scheduling latency.
 		r.blameNoteTC(p, conn, earlyCause(g, CauseSchedWait), 0)

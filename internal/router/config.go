@@ -57,38 +57,6 @@ func PortName(p int) string {
 	}
 }
 
-// SchedulerKind selects the link-scheduling discipline, for the paper's
-// design and its ablation baselines.
-type SchedulerKind int
-
-const (
-	// SchedEDF is the paper's deadline-driven comparator tree with
-	// logical-arrival eligibility and per-port horizons.
-	SchedEDF SchedulerKind = iota
-	// SchedFIFO serves time-constrained packets in arrival order.
-	SchedFIFO
-	// SchedStaticPriority serves by fixed per-connection priority.
-	SchedStaticPriority
-	// SchedApproxEDF is the paper's Section 7 reduced-complexity
-	// extension: deadline order quantized to 2^ApproxShift-slot buckets.
-	SchedApproxEDF
-)
-
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedEDF:
-		return "edf"
-	case SchedFIFO:
-		return "fifo"
-	case SchedStaticPriority:
-		return "static-priority"
-	case SchedApproxEDF:
-		return "approx-edf"
-	default:
-		return fmt.Sprintf("SchedulerKind(%d)", int(k))
-	}
-}
-
 // Config holds the architectural parameters of Table 4a plus the
 // simulation knobs that stand in for circuit timings.
 type Config struct {
@@ -117,11 +85,12 @@ type Config struct {
 	// selection takes LeafSharing times as long — modelled as a
 	// proportionally slower scheduler beat. Default 1 (the paper's chip).
 	LeafSharing int
-	// Scheduler selects the scheduling discipline (default SchedEDF).
-	Scheduler SchedulerKind
-	// ApproxShift is the key-quantization exponent for SchedApproxEDF:
-	// laxities within the same 2^ApproxShift-slot bucket are not
-	// distinguished. Ignored by other schedulers.
+	// Scheduler is the order the comparator tree serves in (default
+	// sched.OrderEDF, the paper's).
+	Scheduler sched.Order
+	// ApproxShift is the key-quantization exponent for
+	// sched.OrderApprox: laxities within the same 2^ApproxShift-slot
+	// bucket are not distinguished. Ignored by other orders.
 	ApproxShift uint
 	// BEHeadDelay is the per-hop pipeline delay, in cycles, between a
 	// best-effort header being decoded and its first flit leaving: the
@@ -184,7 +153,6 @@ func DefaultConfig() Config {
 		SchedPeriod:  3,
 		LeafSharing:  1,
 		BEHeadDelay:  5,
-		Scheduler:    SchedEDF,
 		BERetryLimit: 8,
 	}
 }
@@ -213,7 +181,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: BERetryLimit must be non-negative, got %d", c.BERetryLimit)
 	case c.LinkLatency < 0 || c.LinkLatency > 64:
 		return fmt.Errorf("router: LinkLatency must be in [0,64], got %d", c.LinkLatency)
-	case c.Scheduler == SchedApproxEDF && c.ApproxShift >= c.ClockBits:
+	case c.Scheduler == sched.OrderApprox && c.ApproxShift >= c.ClockBits:
 		return fmt.Errorf("router: ApproxShift %d leaves no key bits on a %d-bit clock",
 			c.ApproxShift, c.ClockBits)
 	}
@@ -226,21 +194,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (c Config) newScheduler() sched.Scheduler {
-	switch c.Scheduler {
-	case SchedFIFO:
-		return sched.NewFIFO(c.Slots)
-	case SchedStaticPriority:
-		return sched.NewStaticPriority(c.Slots, mustWheel(c.ClockBits))
-	case SchedApproxEDF:
-		s, err := sched.NewApproxEDF(c.Slots, mustWheel(c.ClockBits), c.ApproxShift)
-		if err != nil {
-			panic(err) // Validate rejects bad shifts before this point
-		}
-		return s
-	default:
-		return sched.NewEDFTree(c.Slots, mustWheel(c.ClockBits))
-	}
 }

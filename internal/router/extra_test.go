@@ -1,7 +1,6 @@
 package router
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -73,28 +72,26 @@ func TestMalformedBELength(t *testing.T) {
 	}
 }
 
-// TestAllSchedulerKindsConstruct drives a packet through each
-// configured discipline, including the quantized scheduler.
+// TestAllSchedulerKindsConstruct drives a packet through a router of
+// each tree order, including the quantized one.
 func TestAllSchedulerKindsConstruct(t *testing.T) {
-	kinds := []SchedulerKind{SchedEDF, SchedFIFO, SchedStaticPriority, SchedApproxEDF}
-	for _, kind := range kinds {
+	for _, order := range []sched.Order{sched.OrderEDF, sched.OrderFIFO, sched.OrderStatic, sched.OrderApprox} {
 		cfg := DefaultConfig()
-		cfg.Scheduler = kind
+		cfg.Scheduler = order
 		cfg.ApproxShift = 2
 		r := newRig(t, cfg)
 		if err := r.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
 			t.Fatal(err)
 		}
-		r.a.InjectTC(tcPkt(1, 0, byte(kind)))
+		r.a.InjectTC(tcPkt(1, 0, byte(order)))
 		if !r.k.RunUntil(func() bool { return r.a.Stats.TCDelivered > 0 }, 5000) {
-			t.Errorf("%v: packet not delivered", kind)
-		}
-		if s := kind.String(); s == "" || strings.HasPrefix(s, "SchedulerKind(") {
-			t.Errorf("missing String label for %d", int(kind))
+			t.Errorf("%v: packet not delivered", order)
 		}
 	}
-	if SchedulerKind(99).String() != "SchedulerKind(99)" {
-		t.Error("unknown kind label wrong")
+	cfg := DefaultConfig()
+	cfg.Scheduler = sched.OrderApprox + 1
+	if _, err := New("bad", cfg); err == nil {
+		t.Error("unknown order: want error")
 	}
 }
 

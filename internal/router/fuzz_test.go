@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -285,6 +284,5 @@ func runRouterTick(t *testing.T, prog []byte, blame, scan bool) tickResult {
 	if got := r.FreeSlots(); got != cfg.Slots {
 		t.Fatalf("%d of %d packet-memory slots free after the drain (blame %v); stats %+v", got, cfg.Slots, blame, r.Stats)
 	}
-	tree := r.schedq.(*sched.EDFTree)
-	return tickResult{r.Stats, r.counts(), r.FreeSlots(), tree.Selects, tree.Overdue}
+	return tickResult{r.Stats, r.counts(), r.FreeSlots(), r.schedq.Selects, r.schedq.Overdue}
 }

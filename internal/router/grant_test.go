@@ -32,7 +32,7 @@ var table1 = []struct {
 // holds together on some combination, so swapping neighbours in grantOf
 // fails here.
 func TestGrantOfIsTable1(t *testing.T) {
-	classes := []sched.Class{sched.ClassNone, sched.ClassEarly, sched.ClassOnTime}
+	classes := []sched.Class{sched.ClassNone, sched.ClassHeld, sched.ClassEarly, sched.ClassOnTime}
 	for _, staged := range classes {
 		for _, cut := range classes {
 			for _, be := range []beReady{beNone, beRecovery, beData, beStalled} {

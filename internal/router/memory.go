@@ -19,14 +19,10 @@ type packetMemory struct {
 	idle  []int
 	head  int
 	nIdle int
-	// used has bit s%64 of word s/64 set while slot s is allocated: a
-	// superset of the slots holding an installed scheduler leaf, which
-	// blameScan walks instead of every slot.
-	used []uint64
 }
 
 func newPacketMemory(slots int) *packetMemory {
-	m := &packetMemory{data: make([][packet.TCBytes]byte, slots), nIdle: slots, used: make([]uint64, (slots+63)/64)}
+	m := &packetMemory{data: make([][packet.TCBytes]byte, slots), nIdle: slots}
 	m.idle = make([]int, slots)
 	for i := range m.idle {
 		m.idle[i] = i
@@ -44,7 +40,6 @@ func (m *packetMemory) alloc() (int, bool) {
 		m.head = 0
 	}
 	m.nIdle--
-	m.used[s/64] |= 1 << (s % 64)
 	return s, true
 }
 
@@ -62,7 +57,6 @@ func (m *packetMemory) free(slot int) {
 	}
 	m.idle[tail] = slot
 	m.nIdle++
-	m.used[slot/64] &^= 1 << (slot % 64)
 }
 
 func (m *packetMemory) freeSlots() int { return m.nIdle }

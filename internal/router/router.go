@@ -133,7 +133,7 @@ type Router struct {
 	horizons [NumPorts]uint32
 
 	mem    *packetMemory
-	schedq sched.Scheduler
+	schedq *sched.EDFTree
 	bus    memBus
 
 	tcIn  [NumPorts]*tcInput
@@ -255,13 +255,18 @@ func New(name string, cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	wheel := mustWheel(cfg.ClockBits)
+	tree, err := sched.NewTree(cfg.Slots, wheel, cfg.Scheduler, cfg.ApproxShift)
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
 		cfg:      cfg,
 		name:     name,
-		wheel:    mustWheel(cfg.ClockBits),
+		wheel:    wheel,
 		table:    make([]ConnEntry, cfg.Conns),
 		mem:      newPacketMemory(cfg.Slots),
-		schedq:   cfg.newScheduler(),
+		schedq:   tree,
 		horizons: cfg.Horizons,
 		beFree:   make([][]byte, 0, beFreeCap),
 		portDead: 1<<NumLinks - 1,
@@ -317,7 +322,7 @@ func (r *Router) Config() Config { return r.cfg }
 // Wheel returns the router's slot-clock wheel.
 func (r *Router) Wheel() timing.Wheel { return r.wheel }
 
-// Scheduler exposes the link scheduler for inspection in tests.
+// Scheduler exposes the comparator tree's leaves for inspection.
 func (r *Router) Scheduler() sched.Scheduler { return r.schedq }
 
 // FreeSlots returns the current idle-address FIFO depth.

@@ -495,13 +495,6 @@ func TestPortName(t *testing.T) {
 	}
 }
 
-func TestSchedulerKindString(t *testing.T) {
-	if SchedEDF.String() != "edf" || SchedFIFO.String() != "fifo" ||
-		SchedStaticPriority.String() != "static-priority" {
-		t.Error("SchedulerKind labels wrong")
-	}
-}
-
 // TestBEFlowControlNoOverrun drives several packets at the same output
 // and checks credits prevent flit-buffer overruns.
 func TestBEFlowControlNoOverrun(t *testing.T) {

@@ -225,13 +225,9 @@ func (u *tcInput) tryCutThrough(now int64) bool {
 	// sorting keys", Section 7).
 	l := u.r.wheel.Wrap(timing.Slot(hdr.Stamp))
 	dl := u.r.wheel.Add(l, uint32(ent.Delay))
-	k, early, _ := u.r.wheel.SortKey(l, dl, nowSlot)
-	class := sched.ClassOnTime
-	if early {
-		if !u.r.wheel.WithinHorizon(k, u.r.horizons[port]) {
-			return false
-		}
-		class = sched.ClassEarly
+	class := sched.LeafClass(u.r.wheel, l, dl, nowSlot, u.r.horizons[port])
+	if class == sched.ClassHeld {
+		return false
 	}
 	out.cutIn = u
 	u.r.portWork |= 1 << port
@@ -461,14 +457,7 @@ func (o *tcOutput) busGrant() {
 // stagedClass classifies the staged packet at the current slot time.
 // Early packets promote to on-time automatically as the clock advances.
 func (o *tcOutput) stagedClass(nowSlot timing.Stamp) sched.Class {
-	k, early, _ := o.r.wheel.SortKey(o.sLeaf.L, o.sLeaf.Dl, nowSlot)
-	if !early {
-		return sched.ClassOnTime
-	}
-	if o.r.wheel.WithinHorizon(k, o.r.horizons[o.port]) {
-		return sched.ClassEarly
-	}
-	return sched.ClassNone
+	return sched.LeafClass(o.r.wheel, o.sLeaf.L, o.sLeaf.Dl, nowSlot, o.r.horizons[o.port])
 }
 
 // startTx commits the staged packet to the wire: the port's bit in the

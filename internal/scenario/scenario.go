@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/rtc"
+	"repro/internal/sched"
 	"repro/internal/traffic"
 )
 
@@ -309,11 +310,11 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	}
 	switch sc.Router.Scheduler {
 	case "fifo":
-		rcfg.Scheduler = router.SchedFIFO
+		rcfg.Scheduler = sched.OrderFIFO
 	case "static":
-		rcfg.Scheduler = router.SchedStaticPriority
+		rcfg.Scheduler = sched.OrderStatic
 	case "approx":
-		rcfg.Scheduler = router.SchedApproxEDF
+		rcfg.Scheduler = sched.OrderApprox
 		rcfg.ApproxShift = sc.Router.ApproxShift
 	}
 	acfg := admission.DefaultConfig()

@@ -7,19 +7,23 @@ import (
 	"repro/internal/timing"
 )
 
-func TestNewApproxEDFValidation(t *testing.T) {
-	if _, err := NewApproxEDF(0, wheel8, 2); err == nil {
+// TestNewTreeValidation: NewTree refuses an empty tree, an unknown
+// order and a quantization that leaves no key bit; only OrderApprox
+// reads the shift.
+func TestNewTreeValidation(t *testing.T) {
+	if _, err := NewTree(0, wheel8, OrderApprox, 2); err == nil {
 		t.Error("zero slots accepted")
 	}
-	if _, err := NewApproxEDF(8, wheel8, 8); err == nil {
+	if _, err := NewTree(8, wheel8, OrderApprox, 8); err == nil {
 		t.Error("shift consuming the whole key accepted")
 	}
-	a, err := NewApproxEDF(8, wheel8, 3)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewTree(8, wheel8, OrderApprox+1, 0); err == nil {
+		t.Error("unknown order accepted")
 	}
-	if a.QuantizedKeyBits() != 6 {
-		t.Errorf("QuantizedKeyBits = %d, want 6 (8−3 magnitude + class)", a.QuantizedKeyBits())
+	for _, o := range []Order{OrderEDF, OrderFIFO, OrderStatic} {
+		if _, err := NewTree(8, wheel8, o, 8); err != nil {
+			t.Errorf("%v: shift refused: %v", o, err)
+		}
 	}
 }
 
@@ -30,10 +34,7 @@ func TestApproxZeroShiftMatchesExact(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(48)
 		exact := NewEDFTree(n, wheel8)
-		approx, err := NewApproxEDF(n, wheel8, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		approx := newTree(t, n, wheel8, OrderApprox, 0)
 		base := rng.Int63n(1 << 18)
 		for slot := 0; slot < n; slot++ {
 			if rng.Intn(3) == 0 {
@@ -66,10 +67,7 @@ func TestApproxZeroShiftMatchesExact(t *testing.T) {
 // bucket serve lowest-slot-first regardless of exact laxity; packets in
 // different buckets keep deadline order.
 func TestApproxBucketsCollapseOrder(t *testing.T) {
-	a, err := NewApproxEDF(8, wheel8, 3) // 8-slot buckets
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTree(t, 8, wheel8, OrderApprox, 3) // 8-slot buckets
 	now := wheel8.Wrap(100)
 	// Laxities 5 and 2: same bucket (0) → slot order picks slot 0 even
 	// though slot 1 is more urgent.
@@ -101,10 +99,7 @@ func TestApproxBucketsCollapseOrder(t *testing.T) {
 // TestApproxClassExact: quantization never blurs early vs. on-time, and
 // the horizon check stays exact.
 func TestApproxClassExact(t *testing.T) {
-	a, err := NewApproxEDF(8, wheel8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTree(t, 8, wheel8, OrderApprox, 4)
 	now := wheel8.Wrap(50)
 	// Early by 3: bucket 0 — same bucket as an on-time laxity-3 packet
 	// would be, but the class bit must still dominate.

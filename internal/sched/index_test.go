@@ -8,20 +8,17 @@ import (
 	"repro/internal/timing"
 )
 
-// scanEDF is the linear-scan EDF scheduler EDFTree was before it kept a
-// per-port bitmap of owed slots: every Select visits all leaf slots. It
-// stays as the oracle the indexed tree is compared against.
-type scanEDF struct {
-	wheel   timing.Wheel
-	leaves  []Leaf
-	inUse   int
-	Overdue int64
-	Selects int64
+// leafStore is the leaf array of the tests' oracles: what EDFTree's
+// Install and ClearPort check and write, without the per-port bitmaps.
+type leafStore struct {
+	leaves []Leaf
+	inUse  int
 }
 
-func (t *scanEDF) Install(slot int, leaf Leaf) error {
-	if slot < 0 || slot >= len(t.leaves) || t.leaves[slot].InUse || leaf.Mask == 0 {
-		return fmt.Errorf("scanEDF: bad install of slot %d", slot)
+func (t *leafStore) Install(slot int, leaf Leaf) error {
+	if slot < 0 || slot >= len(t.leaves) || t.leaves[slot].InUse || leaf.Mask == 0 ||
+		leaf.Mask&^AllPortsMask(NumPorts) != 0 {
+		return fmt.Errorf("leafStore: bad install of slot %d", slot)
 	}
 	leaf.InUse = true
 	t.leaves[slot] = leaf
@@ -29,14 +26,51 @@ func (t *scanEDF) Install(slot int, leaf Leaf) error {
 	return nil
 }
 
+func (t *leafStore) ClearPort(slot, port int) (bool, error) {
+	if !t.owes(slot, port) {
+		return false, fmt.Errorf("leafStore: invalid clear of slot %d port %d", slot, port)
+	}
+	lf := &t.leaves[slot]
+	lf.Mask = lf.Mask.Clear(port)
+	if lf.Mask == 0 {
+		*lf = Leaf{}
+		t.inUse--
+		return true, nil
+	}
+	return false, nil
+}
+
+// owes reports whether slot holds a leaf still owed to port.
+func (t *leafStore) owes(slot, port int) bool {
+	return slot >= 0 && slot < len(t.leaves) && port >= 0 && port < NumPorts && t.leaves[slot].Mask.Has(port)
+}
+
+func (t *leafStore) Leaf(slot int) Leaf { return t.leaves[slot] }
+func (t *leafStore) Occupancy() int     { return t.inUse }
+func (t *leafStore) Slots() int         { return len(t.leaves) }
+
+// scanEDF is the linear-scan EDF scheduler EDFTree was before it kept a
+// per-port bitmap of owed slots: every Select visits all leaf slots. It
+// stays as the oracle the indexed tree is compared against.
+type scanEDF struct {
+	leafStore
+	wheel   timing.Wheel
+	Overdue int64
+	Selects int64
+}
+
+func newScanEDF(slots int, wheel timing.Wheel) *scanEDF {
+	return &scanEDF{leafStore: leafStore{leaves: make([]Leaf, slots)}, wheel: wheel}
+}
+
 func (t *scanEDF) Select(port int, now timing.Stamp, horizon uint32) Selection {
 	t.Selects++
 	best := Selection{Slot: -1, Class: ClassNone, Key: t.wheel.KeyIneligible()}
 	for i := range t.leaves {
-		lf := &t.leaves[i]
-		if !lf.InUse || !lf.Mask.Has(port) {
+		if !t.owes(i, port) {
 			continue
 		}
+		lf := &t.leaves[i]
 		k, early, overdue := t.wheel.SortKey(lf.L, lf.Dl, now)
 		if overdue {
 			t.Overdue++
@@ -57,23 +91,6 @@ func (t *scanEDF) Select(port int, now timing.Stamp, horizon uint32) Selection {
 	return best
 }
 
-func (t *scanEDF) ClearPort(slot, port int) (bool, error) {
-	if slot < 0 || slot >= len(t.leaves) {
-		return false, fmt.Errorf("scanEDF: slot %d out of range", slot)
-	}
-	lf := &t.leaves[slot]
-	if !lf.InUse || !lf.Mask.Has(port) {
-		return false, fmt.Errorf("scanEDF: invalid clear of slot %d port %d", slot, port)
-	}
-	lf.Mask = lf.Mask.Clear(port)
-	if lf.Mask == 0 {
-		*lf = Leaf{}
-		t.inUse--
-		return true, nil
-	}
-	return false, nil
-}
-
 // TestEDFIndexMatchesScan drives the indexed EDFTree, the linear-scan
 // oracle and the structural Tournament through the same seeded random
 // Install / ClearPort / Select sequences — multicast masks, a slot clock
@@ -85,7 +102,7 @@ func TestEDFIndexMatchesScan(t *testing.T) {
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(slots)))
 			tr := NewEDFTree(slots, wheel8)
-			ref := &scanEDF{wheel: wheel8, leaves: make([]Leaf, slots)}
+			ref := newScanEDF(slots, wheel8)
 			tm := NewTournament(slots, wheel8)
 			abs := rng.Int63n(1 << 20)
 			for op := 0; op < 3000; op++ {

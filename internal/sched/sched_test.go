@@ -40,25 +40,42 @@ func TestPortMask(t *testing.T) {
 	}
 }
 
-// schedulers returns one fresh instance of every Scheduler
-// implementation, each with the given number of leaf slots.
-func schedulers(t *testing.T, slots int) map[string]Scheduler {
+// tree is what the tests install into and select from: EDFTree under
+// each order, and the structural Tournament.
+type tree interface {
+	Scheduler
+	Install(slot int, leaf Leaf) error
+	Select(port int, now timing.Stamp, horizon uint32) Selection
+	ClearPort(slot, port int) (bool, error)
+}
+
+// newTree is NewTree for tests.
+func newTree(t testing.TB, slots int, w timing.Wheel, order Order, shift uint) *EDFTree {
 	t.Helper()
-	approx, err := NewApproxEDF(slots, wheel8, 1)
-	must(t, err)
-	return map[string]Scheduler{
+	tr, err := NewTree(slots, w, order, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// schedulers returns a fresh tree of every order, and the structural
+// Tournament, each with the given number of leaf slots.
+func schedulers(t *testing.T, slots int) map[string]tree {
+	t.Helper()
+	return map[string]tree{
 		"EDFTree":        NewEDFTree(slots, wheel8),
 		"Tournament":     NewTournament(slots, wheel8),
-		"FIFO":           NewFIFO(slots),
-		"StaticPriority": NewStaticPriority(slots, wheel8),
-		"ApproxEDF":      approx,
+		"FIFO":           newTree(t, slots, wheel8, OrderFIFO, 0),
+		"StaticPriority": newTree(t, slots, wheel8, OrderStatic, 0),
+		"ApproxEDF":      newTree(t, slots, wheel8, OrderApprox, 1),
 	}
 }
 
-// TestSchedulerConformance is the leaf-table contract every
-// implementation shares, whatever its ordering rule: what Install and
-// ClearPort refuse, that a refusal disturbs nothing, and what Leaf and
-// Occupancy report as a multicast leaf's ports clear one by one.
+// TestSchedulerConformance is the leaf-table contract every order (and
+// the structural tree) shares: what Install, ClearPort and Select
+// refuse, that a refusal disturbs nothing, and what Leaf and Occupancy
+// report as a multicast leaf's ports clear one by one.
 func TestSchedulerConformance(t *testing.T) {
 	for name, s := range schedulers(t, 4) {
 		t.Run(name, func(t *testing.T) {
@@ -76,6 +93,13 @@ func TestSchedulerConformance(t *testing.T) {
 			if err := s.Install(0, Leaf{Mask: 0}); err == nil {
 				t.Error("install with an empty mask: want error")
 			}
+			// No port could clear a bit beyond the five: the leaf would
+			// never free.
+			for _, m := range []PortMask{1 << NumPorts, 1 << 6, 0x80} {
+				if err := s.Install(1, Leaf{Mask: m}); err == nil {
+					t.Errorf("install with mask %#x: want error", m)
+				}
+			}
 			if _, err := s.ClearPort(0, 0); err == nil {
 				t.Error("clear of a free slot: want error")
 			}
@@ -85,6 +109,16 @@ func TestSchedulerConformance(t *testing.T) {
 			}
 			if _, err := s.ClearPort(0, 0); err == nil {
 				t.Error("clear of a port the leaf does not owe: want error")
+			}
+			// Ports outside [0, NumPorts): a refused clear, an empty
+			// selection, never a panic.
+			for _, port := range []int{-1, NumPorts, 64} {
+				if _, err := s.ClearPort(0, port); err == nil {
+					t.Errorf("clear of port %d: want error", port)
+				}
+				if sel := s.Select(port, 0, 0); sel.Slot != -1 || sel.Class != ClassNone {
+					t.Errorf("Select(port %d) = %+v, want nothing", port, sel)
+				}
 			}
 			must(t, s.Install(2, Leaf{Mask: 0b1}))
 			// Every refusal above must have left the two leaves alone.
@@ -119,9 +153,7 @@ func TestSchedulerConformance(t *testing.T) {
 	}
 }
 
-// TestEDFInstallErrors: beyond the shared contract
-// (TestSchedulerConformance), the EDF tree refuses mask bits no port
-// owns.
+// TestEDFInstallErrors: a refused mask leaves the tree's occupancy alone.
 func TestEDFInstallErrors(t *testing.T) {
 	tr := NewEDFTree(4, wheel8)
 	must(t, tr.Install(0, Leaf{Mask: 1}))
@@ -208,8 +240,8 @@ func TestEDFPerPortEligibility(t *testing.T) {
 	}
 }
 
-// TestEDFClearErrors: beyond the shared contract, the EDF tree turns a
-// port outside [0, NumPorts) into an error or an empty selection.
+// TestEDFClearErrors: the EDF tree turns a port outside [0, NumPorts)
+// into an error or an empty selection that still counts as a beat.
 func TestEDFClearErrors(t *testing.T) {
 	tr := NewEDFTree(4, wheel8)
 	must(t, tr.Install(0, Leaf{Mask: 0b10}))
@@ -256,7 +288,7 @@ func TestEDFRollover(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	f := NewFIFO(8)
+	f := newTree(t, 8, wheel8, OrderFIFO, 0)
 	now := wheel8.Wrap(0)
 	// Install urgent-last; FIFO must ignore deadlines.
 	must(t, f.Install(0, Leaf{L: 0, Dl: 100, Mask: 1}))
@@ -277,7 +309,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOMulticastQueues(t *testing.T) {
-	f := NewFIFO(8)
+	f := newTree(t, 8, wheel8, OrderFIFO, 0)
 	must(t, f.Install(3, Leaf{Mask: 0b11}))
 	for port := 0; port < 2; port++ {
 		if sel := f.Select(port, 0, 0); sel.Slot != 3 {
@@ -301,7 +333,7 @@ func TestFIFOMulticastQueues(t *testing.T) {
 }
 
 func TestFIFOClearNonHeadFails(t *testing.T) {
-	f := NewFIFO(8)
+	f := newTree(t, 8, wheel8, OrderFIFO, 0)
 	must(t, f.Install(0, Leaf{Mask: 1}))
 	must(t, f.Install(1, Leaf{Mask: 1}))
 	if _, err := f.ClearPort(1, 0); err == nil {
@@ -310,7 +342,7 @@ func TestFIFOClearNonHeadFails(t *testing.T) {
 }
 
 func TestStaticPriorityOrder(t *testing.T) {
-	s := NewStaticPriority(8, wheel8)
+	s := newTree(t, 8, wheel8, OrderStatic, 0)
 	// Priority is Dl−L: connection delay reused as priority.
 	must(t, s.Install(0, Leaf{L: 0, Dl: 9, Mask: 1})) // prio 9
 	must(t, s.Install(1, Leaf{L: 0, Dl: 3, Mask: 1})) // prio 3
@@ -338,7 +370,7 @@ func TestStaticPriorityOrder(t *testing.T) {
 // narrower than the 8-bit priority field keeps its small delay.
 func TestStaticPriorityWrappedDeadline(t *testing.T) {
 	w5 := timing.MustWheel(5)
-	s := NewStaticPriority(8, w5)
+	s := newTree(t, 8, w5, OrderStatic, 0)
 	// ℓ = 30, d = 4: Dl wraps to 2 on the 32-slot wheel.
 	must(t, s.Install(0, Leaf{L: w5.Wrap(20), Dl: w5.Wrap(30), Mask: 1})) // d = 10
 	must(t, s.Install(1, Leaf{L: w5.Wrap(30), Dl: w5.Wrap(34), Mask: 1})) // d = 4, wrapped
@@ -436,11 +468,22 @@ func TestEDFSelectIsArgminQuick(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	if ClassNone.String() != "none" || ClassOnTime.String() != "on-time" || ClassEarly.String() != "early" {
+	if ClassNone.String() != "none" || ClassOnTime.String() != "on-time" || ClassEarly.String() != "early" ||
+		ClassHeld.String() != "held" {
 		t.Error("Class labels wrong")
 	}
 	if Class(7).String() != "Class(7)" {
 		t.Error("unknown class label wrong")
+	}
+}
+
+func TestOrderString(t *testing.T) {
+	if OrderEDF.String() != "edf" || OrderFIFO.String() != "fifo" ||
+		OrderStatic.String() != "static-priority" || OrderApprox.String() != "approx-edf" {
+		t.Error("Order labels wrong")
+	}
+	if Order(9).String() != "Order(9)" {
+		t.Error("unknown order label wrong")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // of the two reductions can be property-tested and CostModel's
 // comparator count checked against the comparisons actually evaluated.
 type Tournament struct {
-	leafTable
+	leafStore
 	wheel  timing.Wheel
 	levels int
 
@@ -28,7 +28,7 @@ type Tournament struct {
 // slots (rounded up internally to a power of two, as the hardware would).
 func NewTournament(slots int, wheel timing.Wheel) *Tournament {
 	return &Tournament{
-		leafTable: newLeafTable(slots),
+		leafStore: leafStore{leaves: make([]Leaf, slots)},
 		wheel:     wheel,
 		levels:    treeLevels(slots),
 	}
@@ -48,7 +48,7 @@ func (t *Tournament) Select(port int, now timing.Stamp, horizon uint32) Selectio
 	cur := make([]entry, round)
 	inel := t.wheel.KeyIneligible()
 	for i := 0; i < round; i++ {
-		if i >= n || !t.leaves[i].InUse || !t.leaves[i].Mask.Has(port) {
+		if i >= n || !t.owes(i, port) {
 			cur[i] = entry{slot: -1, key: inel}
 			continue
 		}
@@ -84,14 +84,7 @@ func (t *Tournament) Select(port int, now timing.Stamp, horizon uint32) Selectio
 	return sel
 }
 
-// ResetTelemetry implements Scheduler: it zeroes the running comparator
-// and Select counters without disturbing installed leaves.
-func (t *Tournament) ResetTelemetry() {
-	t.CompareOps = 0
-	t.Selects = 0
-}
-
-// SkipIdleSelects implements Scheduler: the tournament runs its full
+// SkipIdleSelects is EDFTree's: the tournament runs its full
 // reduction even over an empty tree, so each skipped beat accounts one
 // Select and 2^levels−1 comparator evaluations.
 func (t *Tournament) SkipIdleSelects(n int64) {
@@ -167,7 +160,7 @@ func BenchmarkT4SchedulerThroughput(b *testing.B) {
 	w := timing.MustWheel(8)
 	for _, kind := range []struct {
 		name string
-		s    Scheduler
+		s    tree
 	}{
 		{"linear-scan", NewEDFTree(256, w)},
 		{"tournament", NewTournament(256, w)},
