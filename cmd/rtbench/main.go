@@ -274,9 +274,9 @@ func fatal(name string, err error) {
 	os.Exit(1)
 }
 
-// tables is where show, runFig7 and runChip print the paper's tables:
-// stdout, except under TestRunnersSmoke, which compares what lands here
-// with the recorded golden output.
+// tables is where show, runFig7, runChip and runLayout print their
+// tables: stdout, except under TestRunnersSmoke, which compares what
+// lands here with the recorded golden output.
 var tables io.Writer = os.Stdout
 
 // show prints an experiment result's table; it takes the (result,
@@ -417,14 +417,14 @@ func runLayout() error {
 	if err != nil {
 		return err
 	}
-	res.Table().Fprint(os.Stdout)
+	res.Table().Fprint(tables)
 	for i := range res.Families {
 		f := &res.Families[i]
-		fmt.Printf("\n%s greedy rejection heatmap (%dx%d, digit = rejections bound at router, . = none):\n%s",
+		fmt.Fprintf(tables, "\n%s greedy rejection heatmap (%dx%d, digit = rejections bound at router, . = none):\n%s",
 			f.Name, res.W, res.H, f.GreedyRejectHeat)
-		fmt.Printf("%s synthesized utilization heatmap (digit = floor(10*max link util at node), . = idle):\n%s",
+		fmt.Fprintf(tables, "%s synthesized utilization heatmap (digit = floor(10*max link util at node), . = idle):\n%s",
 			f.Name, f.SynthHeat)
-		f.BindingTable().Fprint(os.Stdout)
+		f.BindingTable().Fprint(tables)
 	}
 	if !res.OK() {
 		failedChecks("layout", res.Checks)

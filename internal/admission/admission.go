@@ -119,11 +119,6 @@ type Controller struct {
 // runs, so no synchronization is needed; pass nil to detach.
 func (c *Controller) AttachAudit(log *obs.AuditLog) { c.audit = log }
 
-// ConfigView returns the controller's configuration (a copy). Layout
-// synthesis reads SourceWindow and Horizon to keep its repaired delay
-// splits inside the rollover window without a rejected probe per step.
-func (c *Controller) ConfigView() Config { return c.cfg }
-
 // portInject is the pseudo-port of a node's time-constrained injection
 // link: one byte per cycle shared by every channel sourced there, EDF-
 // ordered by the source regulator, and therefore subject to the same
@@ -147,6 +142,31 @@ func (k linkKey) String() string {
 type task struct {
 	C, T, D int64
 	chanID  int
+}
+
+// hopTask is the link task a hop with delay bound d reserves for
+// channel id: one message of C = spec.MessageSlots() slots every Imin,
+// due d slots after its logical arrival. Every site that checks,
+// reserves or verifies a hop's demand builds it here.
+func hopTask(spec rtc.Spec, d int64, id int) task {
+	return task{C: spec.MessageSlots(), T: spec.Imin, D: d, chanID: id}
+}
+
+// DelayRange returns the legal range [lo, hi] of the delay bound d_j at
+// hop j (0 = the source router) of a channel with contract spec sourced
+// at src. It is the one statement of the rule: d_j covers the message's
+// service time (lo, §2), and what the next hop can see early — the
+// horizon plus d_j, and at the source also the source window plus d_0 —
+// stays a valid delay, strictly inside half the clock range (§4.3), so
+// hi is the largest d with ValidDelay(early + d). Both admission doors
+// check their bounds against it, and the layout synthesizer reads it to
+// keep its splits legal.
+func (c *Controller) DelayRange(src mesh.Coord, spec rtc.Spec, j int) (lo, hi int64) {
+	early := int64(c.cfg.Horizon)
+	if j == 0 {
+		early = max(early, c.cfg.SourceWindow)
+	}
+	return spec.MessageSlots(), int64(c.node(src).wheel.HalfRange()) - 1 - early
 }
 
 type linkState struct {
@@ -538,27 +558,24 @@ func (o routeOrder) appendRoute(buf []int, src, dst mesh.Coord) []int {
 	return mesh.AppendXYRoute(buf, src, dst)
 }
 
-// uniformOK checks the constraints on a uniform per-router bound d: a
-// non-empty budget, and Section 4.3's rollover limits on what the
-// downstream hop can see early — window+d at the source, h+d elsewhere.
-func (c *Controller) uniformOK(wheel timing.Wheel, d int64) error {
-	if d < 1 {
-		return fmt.Errorf("admission: empty delay budget")
-	}
-	if err := rolloverOK(wheel, "source window", c.cfg.SourceWindow, d); err != nil {
-		return err
-	}
-	return rolloverOK(wheel, "horizon", int64(c.cfg.Horizon), d)
+// rolloverError refuses a bound d above its DelayRange, naming the early
+// window (the source window or the horizon) that d overruns.
+func rolloverError(name string, early, d int64) error {
+	return fmt.Errorf("admission: %s %d + d %d exceeds half clock range", name, early, d)
 }
 
-// rolloverOK checks one half-clock-range constraint: early (the source
-// window or the horizon) plus the hop's delay bound must stay a valid
-// delay.
-func rolloverOK(wheel timing.Wheel, name string, early, d int64) error {
-	if wheel.ValidDelay(early + d) {
-		return nil
+// uniformRangeError explains a uniform bound d above the source hop's
+// DelayRange by the first limit it passes: half the clock range itself,
+// then the source window, then the horizon.
+func (c *Controller) uniformRangeError(src mesh.Coord, d int64) error {
+	half := int64(c.node(src).wheel.HalfRange())
+	switch {
+	case d >= half:
+		return fmt.Errorf("rtc: local delay bound %d exceeds half the clock range (%d)", d, half)
+	case c.cfg.SourceWindow+d >= half:
+		return rolloverError("source window", c.cfg.SourceWindow, d)
 	}
-	return fmt.Errorf("admission: %s %d + d %d exceeds half clock range", name, early, d)
+	return rolloverError("horizon", int64(c.cfg.Horizon), d)
 }
 
 // endpointsOK refuses a request whose source or any destination lies
@@ -582,7 +599,8 @@ func (c *Controller) endpointsOK(src mesh.Coord, dsts []mesh.Coord) error {
 // order's route to every destination, merged per router into one tree
 // (a unicast route is a tree with one leaf), and one uniform per-router
 // bound d — the hardware keeps one d per router for every branch, so the
-// longest route sizes it, with the floor split of the deadline.
+// longest route sizes it, with the floor split of the deadline. d must
+// lie in the source hop's DelayRange, the tightest of the route's.
 func (c *Controller) planUniform(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec, order routeOrder) (*Channel, error) {
 	if err := c.endpointsOK(src, dsts); err != nil {
 		return nil, err
@@ -591,13 +609,13 @@ func (c *Controller) planUniform(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spe
 	for _, dst := range dsts {
 		segs = max(segs, abs(dst.X-src.X)+abs(dst.Y-src.Y)+1)
 	}
-	wheel := c.node(src).wheel
-	d, err := rtc.DecomposeUniform(spec, segs, wheel)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.uniformOK(wheel, d); err != nil {
-		return nil, err
+	d := spec.D / int64(segs)
+	switch lo, hi := c.DelayRange(src, spec, 0); {
+	case d < lo:
+		return nil, fmt.Errorf("rtc: delay bound %d too tight for %d hops of %d-slot messages",
+			spec.D, segs, lo)
+	case d > hi:
+		return nil, c.uniformRangeError(src, d)
 	}
 	sc := &c.sc
 	hops := sc.hops[:0]
@@ -629,16 +647,15 @@ func (c *Controller) planUniform(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spe
 // rejected attempt allocates nothing here.
 func (c *Controller) planHops(src mesh.Coord, dsts []mesh.Coord, spec rtc.Spec) (*Channel, error) {
 	hops := c.sc.hops
-	tk := task{C: spec.MessageSlots(), T: spec.Imin, D: hops[0].d}
 	injKey := linkKey{src, portInject}
-	rep := c.linkCheckIn(injKey, tk)
+	rep := c.linkCheckIn(injKey, hopTask(spec, hops[0].d, 0))
 	if !rep.feasible {
 		return nil, overloadError(c.linkName(injKey), c.nodeName(src), rep, true)
 	}
 	margin := rep.headroom
 	for i := range hops {
 		h := &hops[i]
-		tk.D = h.d
+		tk := hopTask(spec, h.d, 0)
 		for m := h.mask; m != 0; m &= m - 1 {
 			key := linkKey{h.node, bits.TrailingZeros8(uint8(m))}
 			rep := c.linkCheckIn(key, tk)
@@ -754,8 +771,7 @@ func (c *Controller) commitPlan(ch *Channel) (*Channel, error) {
 // refused control write releases the hops already taken, so a failure
 // leaves no debris; the error names the refusing router.
 func (c *Controller) reserve(ch *Channel) error {
-	tk := task{C: ch.Spec.MessageSlots(), T: ch.Spec.Imin, D: ch.hops[0].d, chanID: ch.ID}
-	c.addTask(linkKey{ch.Src, portInject}, tk)
+	c.addTask(linkKey{ch.Src, portInject}, hopTask(ch.Spec, ch.hops[0].d, ch.ID))
 	for i, h := range ch.hops {
 		if err := c.net.Router(h.node).SetConnection(h.inConn, h.outConn, uint8(h.d), h.mask); err != nil {
 			// Clearing entries this walk just wrote cannot fail; the
@@ -769,7 +785,7 @@ func (c *Controller) reserve(ch *Channel) error {
 			ns.usedIDs.add(h.outConn)
 		}
 		ns.total += h.buffers
-		tk.D = h.d
+		tk := hopTask(ch.Spec, h.d, ch.ID)
 		for p := 0; p < router.NumPorts; p++ {
 			if h.mask.Has(p) {
 				ns.portBuffers[p] += h.buffers

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -323,6 +324,143 @@ func TestAdmitRespectsRolloverWindow(t *testing.T) {
 	if _, err := c.Admit(mesh.Coord{X: 0, Y: 0}, []mesh.Coord{{X: 1, Y: 0}}, spec); err == nil {
 		t.Error("rollover-violating window accepted")
 	}
+}
+
+// TestDelayRange holds the two admission doors and the exported range
+// to one rule for a hop's delay bound d: lo is the message service
+// time, hi the largest d whose early window (the horizon, and at the
+// source also the source window) plus d stays inside half the clock
+// range. For every clock, window and horizon it probes d = lo−1, lo,
+// hi and hi+1 as the uniform bound (with and without a remainder slot
+// in D, which the door never programs) and as one hop of an explicit
+// split, at the source and downstream. Each door admits exactly the
+// bounds inside the range, no bound refusal is a typed resource
+// rejection, and each refusal keeps its text. DoorsAgree sweeps the
+// range, RefusalTexts pins the texts, Remainder the D mod segs case.
+func TestDelayRange(t *testing.T) {
+	const segs = 4
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: segs - 1, Y: 0}
+	route := mesh.XYRoute(src, dst)
+	spec := rtc.Spec{Imin: 100, Smax: 36} // two-slot messages: lo = 2
+	check := func(t *testing.T, door string, err error, legal bool) {
+		t.Helper()
+		if legal && err != nil {
+			t.Errorf("%s: refused a bound inside the range: %v", door, err)
+		}
+		if !legal && err == nil {
+			t.Errorf("%s: admitted a bound outside the range", door)
+		}
+		if _, typed := Explain(err); typed {
+			t.Errorf("%s: a bound refusal is a resource rejection: %v", door, err)
+		}
+	}
+	t.Run("DoorsAgree", func(t *testing.T) {
+		for _, bits := range []uint{8, 6} {
+			for _, window := range []int64{0, 8} {
+				for _, horizon := range []uint32{0, 5} {
+					rcfg := router.DefaultConfig()
+					rcfg.ClockBits = bits
+					c, err := New(mesh.MustNew(segs, 1, rcfg), Config{SourceWindow: window, Horizon: horizon})
+					if err != nil {
+						t.Fatal(err)
+					}
+					half := int64(1) << (bits - 1)
+					lo, hi0 := c.DelayRange(src, spec, 0)
+					_, hi1 := c.DelayRange(src, spec, 1)
+					if lo != 2 || hi0 != half-1-max(window, int64(horizon)) || hi1 != half-1-int64(horizon) {
+						t.Fatalf("bits %d window %d horizon %d: DelayRange = [%d, %d] at the source, hi %d downstream",
+							bits, window, horizon, lo, hi0, hi1)
+					}
+					for _, rem := range []int64{0, segs - 1} {
+						for _, d := range []int64{lo - 1, lo, hi0, hi0 + 1} {
+							spec.D = d*segs + rem
+							name := fmt.Sprintf("bits %d window %d horizon %d D %d", bits, window, horizon, spec.D)
+							legal := lo <= d && d <= hi0
+							ch, err := c.plan(src, []mesh.Coord{dst}, spec)
+							check(t, name+": uniform door", err, legal)
+							if err == nil && ch.LocalD != d {
+								t.Errorf("%s: uniform door programs %d, want %d", name, ch.LocalD, d)
+							}
+							_, err = c.PlanLayout(PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: []int64{d, d, d, d}})
+							check(t, name+": PlanLayout uniform split", err, legal)
+						}
+					}
+					for j, hi := range []int64{hi0, hi1} {
+						for _, d := range []int64{lo - 1, lo, hi, hi + 1} {
+							split := []int64{lo, lo, lo, lo}
+							split[j] = d
+							spec.D = d + 3*lo
+							_, err := c.PlanLayout(PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: split})
+							check(t, fmt.Sprintf("bits %d window %d horizon %d: PlanLayout hop %d bound %d",
+								bits, window, horizon, j, d), err, lo <= d && d <= hi)
+						}
+					}
+				}
+			}
+		}
+	})
+
+	// The refusal texts: the uniform door names the first limit a bound
+	// passes (service time, half the clock range, source window,
+	// horizon), the layout door the hop below service, the horizon, then
+	// the source window.
+	cases := []struct {
+		name    string
+		window  int64
+		horizon uint32
+		segs    int
+		spec    rtc.Spec
+		split   []int64 // nil: the uniform door
+		want    string
+	}{
+		{"uniform too tight", 8, 0, 4, rtc.Spec{Imin: 10, Smax: 18, D: 3}, nil,
+			"rtc: delay bound 3 too tight for 4 hops of 1-slot messages"},
+		{"uniform past half range", 0, 0, 2, rtc.Spec{Imin: 200, Smax: 18, D: 300}, nil,
+			"rtc: local delay bound 150 exceeds half the clock range (128)"},
+		{"uniform past source window", 8, 5, 2, rtc.Spec{Imin: 200, Smax: 18, D: 250}, nil,
+			"admission: source window 8 + d 125 exceeds half clock range"},
+		{"uniform past horizon", 0, 5, 2, rtc.Spec{Imin: 200, Smax: 18, D: 250}, nil,
+			"admission: horizon 5 + d 125 exceeds half clock range"},
+		{"layout below service", 8, 5, 2, rtc.Spec{Imin: 200, Smax: 36, D: 250}, []int64{1, 2},
+			"admission: layout: hop 0 bound 1 below message service time 2"},
+		{"layout past horizon", 8, 5, 2, rtc.Spec{Imin: 200, Smax: 18, D: 250}, []int64{10, 123},
+			"admission: horizon 5 + d 123 exceeds half clock range"},
+		// The source window is checked after every hop's own range.
+		{"layout past source window", 8, 5, 2, rtc.Spec{Imin: 200, Smax: 18, D: 250}, []int64{120, 10},
+			"admission: source window 8 + d 120 exceeds half clock range"},
+		{"layout hop before source window", 8, 5, 2, rtc.Spec{Imin: 200, Smax: 36, D: 250}, []int64{120, 1},
+			"admission: layout: hop 1 bound 1 below message service time 2"},
+	}
+	t.Run("RefusalTexts", func(t *testing.T) {
+		for _, tc := range cases {
+			c, err := New(newNet(t, tc.segs, 1), Config{SourceWindow: tc.window, Horizon: tc.horizon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := mesh.Coord{X: tc.segs - 1, Y: 0}
+			if tc.split == nil {
+				_, err = c.Admit(src, []mesh.Coord{dst}, tc.spec)
+			} else {
+				_, err = c.PlanLayout(PlanSpec{Src: src, Dst: dst, Spec: tc.spec, Route: mesh.XYRoute(src, dst), DSplit: tc.split})
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	})
+
+	// A remainder in D is no bound the door programs: D = 17 over four
+	// routers is four slots per hop.
+	t.Run("Remainder", func(t *testing.T) {
+		c, err := New(newNet(t, 4, 1), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := c.Admit(src, []mesh.Coord{{X: 3, Y: 0}}, rtc.Spec{Imin: 10, Smax: 18, D: 17})
+		if err != nil || ch.LocalD != 4 {
+			t.Fatalf("D = 17 over 4 hops: got %v, %v; want LocalD 4", ch, err)
+		}
+	})
 }
 
 func TestHorizonValidation(t *testing.T) {

@@ -62,7 +62,7 @@ func edfAnalyze(tasks []task) edfReport {
 	var sumC int64
 	var util float64
 	for _, tk := range tasks {
-		if tk.C < 1 || tk.T < 1 || tk.D < 1 || tk.C > tk.D {
+		if !validTask(tk) {
 			// Invalid parameters, or a message that cannot finish inside
 			// its own bound.
 			return edfReport{test: "validity", util: util, margin: -1}

@@ -133,24 +133,24 @@ func (c *Controller) planLayout(ps PlanSpec) (*Channel, error) {
 		}
 	}
 
-	// Delay-split constraints: every hop's bound covers the message
-	// service time, respects the rollover window (what the downstream
-	// hop can see early is window+d_0 at the source, h+d_j elsewhere),
-	// and the split spends no more than the end-to-end budget.
-	wheel := c.node(ps.Src).wheel
-	slots := spec.MessageSlots()
+	// Delay-split constraints: every hop's bound lies in the downstream
+	// DelayRange — it covers the message service time and h+d_j stays
+	// inside the rollover window — the source hop's also in its own
+	// (window+d_0), and the split spends no more than the end-to-end
+	// budget.
+	lo, hi := c.DelayRange(ps.Src, spec, 1)
 	var sum int64
 	for j, d := range ps.DSplit {
-		if d < slots {
-			return nil, badLayout("bound_below_service", "admission: layout: hop %d bound %d below message service time %d", j, d, slots)
+		if d < lo {
+			return nil, badLayout("bound_below_service", "admission: layout: hop %d bound %d below message service time %d", j, d, lo)
 		}
-		if err := rolloverOK(wheel, "horizon", int64(c.cfg.Horizon), d); err != nil {
-			return nil, err
+		if d > hi {
+			return nil, rolloverError("horizon", int64(c.cfg.Horizon), d)
 		}
 		sum += d
 	}
-	if err := rolloverOK(wheel, "source window", c.cfg.SourceWindow, ps.DSplit[0]); err != nil {
-		return nil, err
+	if _, hi0 := c.DelayRange(ps.Src, spec, 0); ps.DSplit[0] > hi0 {
+		return nil, rolloverError("source window", c.cfg.SourceWindow, ps.DSplit[0])
 	}
 	if sum > spec.D {
 		return nil, badLayout("split_over_budget", "admission: layout: split sums to %d, over the end-to-end bound %d", sum, spec.D)

@@ -143,8 +143,7 @@ func (c *Controller) VerifyLedger() error {
 		// Per-hop deadlines: each hop's link tasks carry that hop's d
 		// (uniform LocalD for default channels, DSplit[j] for layout
 		// ones); the injection pseudo-link carries the source hop's.
-		tk := task{C: ch.Spec.MessageSlots(), T: ch.Spec.Imin, D: ch.hops[0].d, chanID: ch.ID}
-		reserve(linkKey{ch.Src, portInject}, tk)
+		reserve(linkKey{ch.Src, portInject}, hopTask(ch.Spec, ch.hops[0].d, ch.ID))
 		for _, h := range ch.hops {
 			n := getNode(h.node)
 			n.total += h.buffers
@@ -152,7 +151,7 @@ func (c *Controller) VerifyLedger() error {
 			if h.mask.Has(router.PortLocal) {
 				n.ids.add(h.outConn)
 			}
-			tk.D = h.d
+			tk := hopTask(ch.Spec, h.d, ch.ID)
 			for p := 0; p < router.NumPorts; p++ {
 				if !h.mask.Has(p) {
 					continue

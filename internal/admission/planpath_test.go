@@ -82,9 +82,9 @@ func TestDoorsShareOneWalk(t *testing.T) {
 				continue
 			}
 			route := mesh.XYRoute(src, dst)
-			d, derr := rtc.DecomposeUniform(spec, len(route), netB.Router(src).Wheel())
-			if derr != nil {
-				t.Fatalf("req %d: typed rejection %v but the split fails: %v", i, err, derr)
+			d := spec.D / int64(len(route))
+			if lo, hi := b.DelayRange(src, spec, 0); d < lo || d > hi {
+				t.Fatalf("req %d: typed rejection %v but the uniform bound %d is outside [%d, %d]", i, err, d, lo, hi)
 			}
 			_, perr := b.PlanLayout(PlanSpec{Src: src, Dst: dst, Spec: spec, Route: route, DSplit: uniform(d, len(route))})
 			if perr == nil || perr.Error() != err.Error() {

@@ -342,6 +342,3 @@ func (r *PFRouter) driveAcks() {
 		}
 	}
 }
-
-// QueueDepth reports the current occupancy of an input queue (tests).
-func (r *PFRouter) QueueDepth(in int) int { return len(r.inputs[in].queue) }

@@ -23,13 +23,13 @@
 package layout
 
 import (
+	"errors"
 	"slices"
 
 	"repro/internal/admission"
 	"repro/internal/mesh"
 	"repro/internal/router"
 	"repro/internal/rtc"
-	"repro/internal/timing"
 )
 
 // Request is one channel request of a traffic matrix.
@@ -100,7 +100,8 @@ type Result struct {
 // the candidate order guarantees any request the default planner would
 // admit is admitted with the byte-identical layout, so a synthesized
 // run never places fewer channels than the greedy baseline on the same
-// sequence prefix.
+// sequence prefix. net is the mesh ctl admits on; the search reads the
+// legal range of every delay bound from ctl itself.
 func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, opts Options) *Result {
 	if opts.MaxRepairs <= 0 {
 		opts.MaxRepairs = DefaultMaxRepairs
@@ -109,7 +110,7 @@ func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, op
 		opts.MaxRoutes = DefaultMaxRoutes
 	}
 	res := &Result{}
-	s := &synth{net: net, ctl: ctl, opts: opts, res: res}
+	s := &synth{ctl: ctl, opts: opts, res: res}
 	for i, req := range reqs {
 		ps, err := s.place(req)
 		if err != nil {
@@ -136,7 +137,6 @@ func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, op
 }
 
 type synth struct {
-	net  *mesh.Network
 	ctl  *admission.Controller
 	opts Options
 	res  *Result
@@ -145,35 +145,35 @@ type synth struct {
 // place searches for a layout that admits one request. Candidate
 // order: the exact greedy layouts first (XY then YX with the uniform
 // floor split — byte-identical to what Admit would commit), then the
-// slack-aware search (full-budget Decompose split with repair) over
-// XY, YX, and staircase routes. The first probe that passes wins.
+// slack-aware search (the full budget split with repair) over XY, YX,
+// and staircase routes. The first probe that passes wins; a split
+// outside the controller's DelayRange is never probed.
 func (s *synth) place(req Request) (admission.PlanSpec, error) {
-	wheel := s.net.Router(req.Src).Wheel()
 	routes := candidateRoutes(req.Src, req.Dst, s.opts.MaxRoutes)
 	var lastErr error
 
 	// Greedy-identical pass: guarantees the synthesizer never does
 	// worse than the default planner on any prefix of the sequence.
+	// Every minimal route has the same length, so one uniform bound
+	// serves both orders.
 	dimRoutes := 1
 	if len(routes) > 1 && isDimensionOrdered(req.Src, req.Dst, routes[1]) {
 		dimRoutes = 2
 	}
-	for _, route := range routes[:dimRoutes] {
-		d, err := rtc.DecomposeUniform(req.Spec, len(route), wheel)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ds := make([]int64, len(route))
-		for j := range ds {
-			ds[j] = d
-		}
-		ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: ds}
-		s.res.Stats.Probes++
-		if _, err := s.ctl.PlanLayout(ps); err == nil {
-			return ps, nil
-		} else {
-			lastErr = err
+	d := req.Spec.D / int64(len(routes[0]))
+	if lo, hi := s.ctl.DelayRange(req.Src, req.Spec, 0); d >= lo && d <= hi {
+		for _, route := range routes[:dimRoutes] {
+			ds := make([]int64, len(route))
+			for j := range ds {
+				ds[j] = d
+			}
+			ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: ds}
+			s.res.Stats.Probes++
+			if _, err := s.ctl.PlanLayout(ps); err == nil {
+				return ps, nil
+			} else {
+				lastErr = err
+			}
 		}
 	}
 
@@ -181,7 +181,7 @@ func (s *synth) place(req Request) (admission.PlanSpec, error) {
 	// binding hop on busy-period failures, rerouted on utilization or
 	// failed-link ones.
 	for _, route := range routes {
-		ps, err := s.repair(req, route, wheel)
+		ps, err := s.repair(req, route)
 		if err == nil {
 			return ps, nil
 		}
@@ -190,18 +190,33 @@ func (s *synth) place(req Request) (admission.PlanSpec, error) {
 	return admission.PlanSpec{}, lastErr
 }
 
-// repair probes one route starting from the full-budget Decompose
-// split and steers by the typed rejection until the layout passes, the
-// repair budget runs out, or the rejection says this route cannot work
-// at any split (utilization and link failures are split-independent).
-func (s *synth) repair(req Request, route []int, wheel timing.Wheel) (admission.PlanSpec, error) {
-	ds, err := rtc.Decompose(req.Spec, len(route), wheel)
-	if err != nil {
-		return admission.PlanSpec{}, err
+// errNoSplit refuses a request none of whose candidate splits lies in
+// the controller's DelayRange: its budget is too tight for the route's
+// message service times, or too loose for the rollover window.
+var errNoSplit = errors.New("layout: no delay split of the route fits the legal range of d_j")
+
+// repair probes one route starting from the full-budget split — D
+// divided evenly over the hops, the remainder one slot each on the
+// first hops, where queueing for injection concentrates — and steers by
+// the typed rejection until the layout passes, the repair budget runs
+// out, or the rejection says this route cannot work at any split
+// (utilization and link failures are split-independent).
+func (s *synth) repair(req Request, route []int) (admission.PlanSpec, error) {
+	segs := int64(len(route))
+	dsplit := make([]int64, segs)
+	for j := range dsplit {
+		dsplit[j] = req.Spec.D / segs
+		if int64(j) < req.Spec.D%segs {
+			dsplit[j]++
+		}
 	}
-	dsplit := append([]int64(nil), ds...)
+	// The first hop holds the largest bound and has the tightest range,
+	// the last the smallest bound.
+	lo, hi0 := s.ctl.DelayRange(req.Src, req.Spec, 0)
+	if dsplit[segs-1] < lo || dsplit[0] > hi0 {
+		return admission.PlanSpec{}, errNoSplit
+	}
 	coords := admission.RouteCoords(nil, req.Src, route)
-	c := req.Spec.MessageSlots()
 	var lastErr error
 	for iter := 0; iter <= s.opts.MaxRepairs; iter++ {
 		ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: dsplit}
@@ -225,13 +240,14 @@ func (s *synth) repair(req Request, route []int, wheel timing.Wheel) (admission.
 			// utilization sum ΣC/T is split-independent, so only the
 			// demand-bound half of the test can be repaired this way.
 			if j := hopIndex(coords, rej.Router()); j >= 0 {
-				repaired = s.shiftToward(dsplit, j, c, wheel)
+				_, hi := s.ctl.DelayRange(req.Src, req.Spec, j)
+				repaired = shiftToward(dsplit, j, lo, hi)
 			}
 		case "buffers":
 			// The buffer bound at hop j grows with d_{j-1}+d_j; shrink
 			// the larger of the two (forfeiting end-to-end slack).
 			if j := hopIndex(coords, rej.Router()); j >= 0 {
-				repaired = s.shrinkAround(dsplit, j, c)
+				repaired = shrinkAround(dsplit, j, lo)
 			}
 		default:
 			// utilization, link_failed, conn_ids: no delay split fixes
@@ -247,14 +263,14 @@ func (s *synth) repair(req Request, route []int, wheel timing.Wheel) (admission.
 }
 
 // shiftToward moves delay slack onto hop j from the hop with the
-// largest bound, transferring half the donor's surplus per call (at
-// least one slot) so repeated repairs converge geometrically. Returns
-// false when no donor has surplus or the receiver cannot grow without
-// violating the rollover window.
-func (s *synth) shiftToward(ds []int64, j int, c int64, wheel timing.Wheel) bool {
+// largest bound, transferring half the donor's surplus over lo per call
+// (at least one slot) so repeated repairs converge geometrically; the
+// transfer halves until hop j's bound stays within hi. Returns false
+// when no donor has surplus or the receiver cannot grow at all.
+func shiftToward(ds []int64, j int, lo, hi int64) bool {
 	donor := -1
 	for k := range ds {
-		if k == j || ds[k] <= c {
+		if k == j || ds[k] <= lo {
 			continue
 		}
 		if donor < 0 || ds[k] > ds[donor] {
@@ -264,16 +280,8 @@ func (s *synth) shiftToward(ds []int64, j int, c int64, wheel timing.Wheel) bool
 	if donor < 0 {
 		return false
 	}
-	t := (ds[donor] - c + 1) / 2
-	cfg := s.ctl.ConfigView()
-	for t > 0 {
-		ok := wheel.ValidDelay(int64(cfg.Horizon) + ds[j] + t)
-		if ok && j == 0 {
-			ok = wheel.ValidDelay(cfg.SourceWindow + ds[j] + t)
-		}
-		if ok {
-			break
-		}
+	t := (ds[donor] - lo + 1) / 2
+	for t > 0 && ds[j]+t > hi {
 		t /= 2
 	}
 	if t <= 0 {
@@ -286,20 +294,21 @@ func (s *synth) shiftToward(ds []int64, j int, c int64, wheel timing.Wheel) bool
 
 // shrinkAround lowers the buffer bound at hop j by shrinking the
 // larger of d_{j-1} and d_j one slot (never below the message service
-// time). The forfeited slot shortens the end-to-end bound — acceptable
-// for admitting a channel the pool could not otherwise buffer.
-func (s *synth) shrinkAround(ds []int64, j int, c int64) bool {
+// time lo). The forfeited slot shortens the end-to-end bound —
+// acceptable for admitting a channel the pool could not otherwise
+// buffer.
+func shrinkAround(ds []int64, j int, lo int64) bool {
 	cand := j
 	if j > 0 && ds[j-1] > ds[j] {
 		cand = j - 1
 	}
-	if ds[cand] <= c {
+	if ds[cand] <= lo {
 		// Try the other side before giving up.
 		other := j
 		if cand == j && j > 0 {
 			other = j - 1
 		}
-		if other == cand || ds[other] <= c {
+		if other == cand || ds[other] <= lo {
 			return false
 		}
 		cand = other

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/admission"
@@ -15,17 +16,97 @@ import (
 
 func newPair(t *testing.T, w, h int, reference bool) (*mesh.Network, *admission.Controller) {
 	t.Helper()
-	net, err := mesh.New(w, h, router.DefaultConfig())
+	cfg := admission.DefaultConfig()
+	cfg.Reference = reference
+	return newCtl(t, w, h, router.DefaultConfig(), cfg)
+}
+
+// newCtl builds a w×h mesh of rcfg routers and a controller over it.
+func newCtl(t *testing.T, w, h int, rcfg router.Config, cfg admission.Config) (*mesh.Network, *admission.Controller) {
+	t.Helper()
+	net, err := mesh.New(w, h, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := admission.DefaultConfig()
-	cfg.Reference = reference
 	ctl, err := admission.New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return net, ctl
+}
+
+// TestUniformBoundWithRemainderAtRangeTop is the regression test for a
+// uniform door that validated a bound it never programs. With no source
+// window and no horizon the legal range of d on an 8-bit clock tops out
+// at 127; D = 255 over two routers splits as 127 per hop with one slot
+// left over. The door programs 127 at both hops, so the request is legal
+// through every door: Admit, PlanLayout of the uniform split, and the
+// synthesizer — which used to refuse it after 0 probes because the
+// remainder slot made 128 look like a bound to check.
+func TestUniformBoundWithRemainderAtRangeTop(t *testing.T) {
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
+	spec := rtc.Spec{Imin: 200, Smax: 18, D: 255}
+	cfg := admission.Config{SourceWindow: 0}
+
+	_, ctl := newCtl(t, 2, 1, router.DefaultConfig(), cfg)
+	if lo, hi := ctl.DelayRange(src, spec, 0); lo != 1 || hi != 127 {
+		t.Fatalf("source DelayRange = [%d, %d], want [1, 127]", lo, hi)
+	}
+	ps := admission.PlanSpec{Src: src, Dst: dst, Spec: spec, Route: mesh.XYRoute(src, dst), DSplit: []int64{127, 127}}
+	if _, err := ctl.PlanLayout(ps); err != nil {
+		t.Fatalf("PlanLayout refuses the uniform split [127 127]: %v", err)
+	}
+	ch, err := ctl.Admit(src, []mesh.Coord{dst}, spec)
+	if err != nil {
+		t.Fatalf("Admit refuses D = 255 over 2 hops: %v", err)
+	}
+	if ch.LocalD != 127 {
+		t.Fatalf("Admit programmed LocalD %d, want 127", ch.LocalD)
+	}
+
+	net, sctl := newCtl(t, 2, 1, router.DefaultConfig(), cfg)
+	res := Synthesize(net, sctl, []Request{{Src: src, Dst: dst, Spec: spec}}, Options{})
+	if len(res.Admitted) != 1 || res.Stats.Probes != 1 {
+		t.Fatalf("Synthesize admitted %d after %d probes (rejections %v), want 1 after 1",
+			len(res.Admitted), res.Stats.Probes, res.Rejected)
+	}
+	if got := res.Admitted[0].Plan.DSplit; !slices.Equal(got, []int64{127, 127}) {
+		t.Fatalf("Synthesize split %v, want the greedy [127 127]", got)
+	}
+}
+
+// TestRepairShiftClampedByRange drives one repair whose slack transfer
+// must halve to keep the receiving hop inside its DelayRange. On a
+// 6-bit clock with no window or horizon every hop's range is [1, 31].
+// Two channels of 13-slot messages from (1,0) load the link (1,0)→+x
+// with deadlines 26, so a third task there meets its deadline only if
+// that deadline is at least 27 (dbf(26) = 26 + 1 otherwise). The
+// request (0,0)→(2,0) with D = 75 starts from the split [25 25 25],
+// which fails busy_period at hop 1; the repair's transfer from hop 0 is
+// half its surplus, 12 slots, which would put hop 1 at 37 > 31. Halved
+// once to 6 it lands on 31, the top of the range, and the layout
+// passes.
+func TestRepairShiftClampedByRange(t *testing.T) {
+	rcfg := router.DefaultConfig()
+	rcfg.ClockBits = 6
+	net, ctl := newCtl(t, 3, 2, rcfg, admission.Config{SourceWindow: 0})
+	load := rtc.Spec{Imin: 100, Smax: 13 * 18, D: 3 * 26}
+	for i := 0; i < 2; i++ {
+		if _, err := ctl.Admit(mesh.Coord{X: 1, Y: 0}, []mesh.Coord{{X: 2, Y: 1}}, load); err != nil {
+			t.Fatalf("load channel %d: %v", i, err)
+		}
+	}
+	req := Request{Src: mesh.Coord{X: 0, Y: 0}, Dst: mesh.Coord{X: 2, Y: 0}, Spec: rtc.Spec{Imin: 100, Smax: 18, D: 75}}
+	if _, hi := ctl.DelayRange(req.Src, req.Spec, 1); hi != 31 {
+		t.Fatalf("downstream DelayRange tops out at %d, want 31", hi)
+	}
+	res := Synthesize(net, ctl, []Request{req}, Options{})
+	if len(res.Admitted) != 1 {
+		t.Fatalf("request refused: %v", res.Rejected)
+	}
+	if got := res.Admitted[0].Plan.DSplit; !slices.Equal(got, []int64{19, 31, 25}) || res.Stats.Repairs != 1 {
+		t.Fatalf("split %v after %d repairs, want [19 31 25] after 1", got, res.Stats.Repairs)
+	}
 }
 
 // uniformRequests is a deterministic stride pattern past saturation.

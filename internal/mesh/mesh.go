@@ -350,25 +350,6 @@ func (n *Network) RepairLink(from Coord, port int) error {
 	return nil
 }
 
-// LinkFailed reports whether the link leaving `from` through `port` is
-// currently severed.
-func (n *Network) LinkFailed(from Coord, port int) bool {
-	if port < 0 || port >= router.NumLinks {
-		return false
-	}
-	return n.failed[canonicalLink(from, port)]
-}
-
-// TotalStats sums a statistic across all routers. f receives a pointer
-// to each router's live Stats struct (no copying); it must only read.
-func (n *Network) TotalStats(f func(*router.Stats) int64) int64 {
-	var total int64
-	for _, r := range n.routers {
-		total += f(&r.Stats)
-	}
-	return total
-}
-
 // Loopback is the paper's first-experiment configuration: one router
 // whose +x output feeds its own −x input and whose +y output feeds its
 // own −y input. A packet injected with offsets (1,1) crosses the chip
@@ -390,15 +371,6 @@ func NewLoopback(cfg router.Config) (*Loopback, error) {
 	router.Loopback(k, r, router.PortXPlus, router.PortXMinus)
 	router.Loopback(k, r, router.PortYPlus, router.PortYMinus)
 	return &Loopback{Kernel: k, R: r}, nil
-}
-
-// MustNewLoopback is NewLoopback for known-good configurations.
-func MustNewLoopback(cfg router.Config) *Loopback {
-	l, err := NewLoopback(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // Run advances the loopback rig.

@@ -134,9 +134,6 @@ func (c *Sharded) Attach(r *router.Router) int {
 // Nodes returns the number of attached routers.
 func (c *Sharded) Nodes() int { return len(c.shards) }
 
-// RouterName returns the name of the router attached as node i.
-func (c *Sharded) RouterName(i int) string { return c.shards[i].name }
-
 // NodeNames returns every attached router's name in node order.
 func (c *Sharded) NodeNames() []string {
 	names := make([]string, len(c.shards))

@@ -118,65 +118,6 @@ func (s *Source) Backlog(t timing.Slot) int64 {
 	return int64(s.lastL - t)
 }
 
-// Decompose splits an end-to-end delay bound D over the routers of a
-// route (segments = hops + 1: every router traversed, including the
-// source and destination routers, schedules the packet once). Each local
-// bound must cover at least the message transmission time and respect
-// the half-clock-range rollover constraint. Remainder slots go to the
-// earliest hops, where queueing for injection is concentrated.
-func Decompose(spec Spec, segments int, wheel timing.Wheel) ([]int64, error) {
-	if segments < 1 {
-		return nil, fmt.Errorf("rtc: route with %d segments", segments)
-	}
-	base := spec.D / int64(segments)
-	rem := spec.D % int64(segments)
-	c := spec.MessageSlots()
-	if base < c {
-		return nil, fmt.Errorf("rtc: delay bound %d too tight for %d hops of %d-slot messages",
-			spec.D, segments, c)
-	}
-	ds := make([]int64, segments)
-	for i := range ds {
-		ds[i] = base
-		if int64(i) < rem {
-			ds[i]++
-		}
-		if !wheel.ValidDelay(ds[i]) {
-			return nil, fmt.Errorf("rtc: local delay bound %d exceeds half the clock range (%d)",
-				ds[i], wheel.HalfRange())
-		}
-	}
-	return ds, nil
-}
-
-// DecomposeUniform is Decompose for callers that only want the uniform
-// per-hop bound — the last (most conservative) element of the split —
-// without allocating the slice. It reproduces Decompose's verdict and
-// error bytes exactly: the split holds only two distinct values, base
-// and base+1, and Decompose reports the first invalid one, which is
-// base+1 (index 0) when a remainder exists.
-func DecomposeUniform(spec Spec, segments int, wheel timing.Wheel) (int64, error) {
-	if segments < 1 {
-		return 0, fmt.Errorf("rtc: route with %d segments", segments)
-	}
-	base := spec.D / int64(segments)
-	rem := spec.D % int64(segments)
-	c := spec.MessageSlots()
-	if base < c {
-		return 0, fmt.Errorf("rtc: delay bound %d too tight for %d hops of %d-slot messages",
-			spec.D, segments, c)
-	}
-	if rem > 0 && !wheel.ValidDelay(base+1) {
-		return 0, fmt.Errorf("rtc: local delay bound %d exceeds half the clock range (%d)",
-			base+1, wheel.HalfRange())
-	}
-	if !wheel.ValidDelay(base) {
-		return 0, fmt.Errorf("rtc: local delay bound %d exceeds half the clock range (%d)",
-			base, wheel.HalfRange())
-	}
-	return base, nil
-}
-
 // BufferBound is the worst-case number of messages from one connection
 // resident at hop j simultaneously (Section 2): packets can arrive up to
 // h(j−1)+d(j−1) slots early and leave up to d(j) slots late, so

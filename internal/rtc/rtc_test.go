@@ -109,85 +109,6 @@ func TestSourceMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestDecompose(t *testing.T) {
-	w := timing.MustWheel(8)
-	spec := Spec{Imin: 10, Smax: 18, D: 17}
-	ds, err := Decompose(spec, 4, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, d := range ds {
-		sum += d
-		if d < 1 {
-			t.Errorf("hop bound %d below message time", d)
-		}
-	}
-	if sum != 17 {
-		t.Errorf("decomposed bounds sum to %d, want 17 (full budget used)", sum)
-	}
-	// Remainder goes to the earliest hops.
-	if ds[0] < ds[len(ds)-1] {
-		t.Errorf("remainder not front-loaded: %v", ds)
-	}
-}
-
-func TestDecomposeErrors(t *testing.T) {
-	w := timing.MustWheel(8)
-	if _, err := Decompose(Spec{Imin: 10, Smax: 18, D: 3}, 4, w); err == nil {
-		t.Error("over-tight bound accepted")
-	}
-	if _, err := Decompose(Spec{Imin: 10, Smax: 18, D: 10}, 0, w); err == nil {
-		t.Error("zero segments accepted")
-	}
-	// Bound so loose a per-hop share exceeds the rollover window.
-	if _, err := Decompose(Spec{Imin: 200, Smax: 18, D: 300}, 2, w); err == nil {
-		t.Error("per-hop bound beyond half clock range accepted")
-	}
-}
-
-// TestDecomposeUniformMatchesDecompose pins DecomposeUniform to its
-// contract: for every (spec, segments, wheel) it must reproduce
-// Decompose's verdict and error bytes exactly, and on success return
-// the last (most conservative) element of Decompose's split. The
-// generator sweeps the edges that distinguish the two code paths:
-// zero/negative segments, base below message time, remainders present
-// and absent, and per-hop bounds straddling the wheel's half-range
-// (where the remainder makes base+1 invalid while base is still
-// valid — the one case where reporting order matters).
-func TestDecomposeUniformMatchesDecompose(t *testing.T) {
-	wheels := []timing.Wheel{timing.MustWheel(4), timing.MustWheel(8)}
-	for _, w := range wheels {
-		half := int64(w.HalfRange())
-		for segments := -1; segments <= 6; segments++ {
-			for _, smax := range []int{18, 36} {
-				// D sweeps divisible and remainder cases, and crosses
-				// half-range multiples so some splits straddle validity.
-				for d := int64(0); d <= 3*half+3; d++ {
-					spec := Spec{Imin: 10, Smax: smax, D: d}
-					ds, derr := Decompose(spec, segments, w)
-					u, uerr := DecomposeUniform(spec, segments, w)
-					if (derr == nil) != (uerr == nil) {
-						t.Fatalf("verdicts diverge for D=%d segs=%d smax=%d half=%d: Decompose err=%v, Uniform err=%v",
-							d, segments, smax, half, derr, uerr)
-					}
-					if derr != nil {
-						if derr.Error() != uerr.Error() {
-							t.Fatalf("error bytes diverge for D=%d segs=%d smax=%d half=%d:\n Decompose: %q\n   Uniform: %q",
-								d, segments, smax, half, derr, uerr)
-						}
-						continue
-					}
-					if last := ds[len(ds)-1]; u != last {
-						t.Fatalf("DecomposeUniform = %d, want Decompose's last element %d (split %v, D=%d segs=%d)",
-							u, last, ds, d, segments)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestBufferBound(t *testing.T) {
 	spec := Spec{Imin: 8, Smax: 18, D: 40}
 	// prev window 10, local d 10: ceil(20/8) = 3 messages of 1 packet.

@@ -138,7 +138,7 @@ func TestParallelCommit(t *testing.T) {
 	defer k.Close()
 	regs := make([]*Reg[int], 37) // not a multiple of the worker count
 	for i := range regs {
-		regs[i] = NewSticky[int]()
+		regs[i] = NewReg[int]()
 		k.AddLatch(regs[i])
 	}
 	k.RegisterShard(0, &funcComp{"w", func(now Cycle) {

@@ -75,7 +75,7 @@ func TestForcePoolCommit(t *testing.T) {
 	defer k.Close()
 	regs := make([]*Reg[int], 37) // not a multiple of the worker count
 	for i := range regs {
-		regs[i] = NewSticky[int]()
+		regs[i] = NewReg[int]()
 		k.AddLatch(regs[i])
 	}
 	k.RegisterShard(0, &funcComp{"w", func(now Cycle) {
@@ -165,10 +165,18 @@ func TestTilingEquivalence(t *testing.T) {
 	}
 }
 
-// TestDirtyLatchCommit drives a wire and a sticky Reg through
+// latch is a test-local Latchable with latch semantics: it holds the
+// last written value until overwritten, where a Reg drains to zero.
+type latch[T any] struct{ cur, next T }
+
+func (l *latch[T]) Read() T   { return l.cur }
+func (l *latch[T]) Write(v T) { l.next = v }
+func (l *latch[T]) Commit()   { l.cur = l.next }
+
+// TestDirtyLatchCommit drives a wire Reg and a latch through
 // write/no-write cycles in the sequential and the pooled mode and checks
-// the documented Reg semantics: wires drain to zero one cycle after
-// their last write, stickies hold, and untouched latches stay untouched.
+// that the kernel commits both every cycle: the wire drains to zero one
+// cycle after its last write, the latch holds.
 func TestDirtyLatchCommit(t *testing.T) {
 	type mode struct {
 		name    string
@@ -179,13 +187,13 @@ func TestDirtyLatchCommit(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			k := NewKernel()
 			wire := NewReg[int]()
-			sticky := NewSticky[int]()
+			held := &latch[int]{}
 			k.AddLatch(wire)
-			k.AddLatch(sticky)
+			k.AddLatch(held)
 			k.RegisterShard(0, &funcComp{"w", func(now Cycle) {
 				if now%2 == 0 { // write on even cycles only
 					wire.Write(int(now) + 10)
-					sticky.Write(int(now) + 10)
+					held.Write(int(now) + 10)
 				}
 			}})
 			k.SetWorkers(m.workers)
@@ -197,15 +205,15 @@ func TestDirtyLatchCommit(t *testing.T) {
 				if c%2 == 0 {
 					wantWire = c + 10 // written this cycle, visible now
 				}
-				wantSticky := c + 10
+				wantHeld := c + 10
 				if c%2 == 1 {
-					wantSticky = c - 1 + 10 // holds the last even-cycle write
+					wantHeld = c - 1 + 10 // holds the last even-cycle write
 				}
 				if got := wire.Read(); got != wantWire {
 					t.Fatalf("cycle %d: wire = %d, want %d", c, got, wantWire)
 				}
-				if got := sticky.Read(); got != wantSticky {
-					t.Fatalf("cycle %d: sticky = %d, want %d", c, got, wantSticky)
+				if got := held.Read(); got != wantHeld {
+					t.Fatalf("cycle %d: latch = %d, want %d", c, got, wantHeld)
 				}
 			}
 		})
@@ -230,20 +238,5 @@ func TestRegCommitIdempotentWhenClean(t *testing.T) {
 	}
 	if got := wire.Read(); got != 0 {
 		t.Fatalf("clean wire moved to %d", got)
-	}
-
-	sticky := NewSticky[int]()
-	sticky.Write(7)
-	sticky.Commit()
-	for i := 0; i < 3; i++ {
-		sticky.Commit()
-	}
-	if got := sticky.Read(); got != 7 {
-		t.Fatalf("clean sticky = %d, want 7", got)
-	}
-	sticky.Write(0) // an explicit zero write is a real write
-	sticky.Commit()
-	if got := sticky.Read(); got != 0 {
-		t.Fatalf("sticky after zero write = %d, want 0", got)
 	}
 }

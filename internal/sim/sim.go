@@ -219,14 +219,10 @@ func (k *Kernel) String() string {
 // cycle it was driven).
 type Reg[T any] struct {
 	cur, next T
-	sticky    bool // if true, hold value until overwritten (latch semantics)
 }
 
 // NewReg returns a wire-semantics register (drains each cycle).
 func NewReg[T any]() *Reg[T] { return &Reg[T]{} }
-
-// NewSticky returns a latch-semantics register (holds last written value).
-func NewSticky[T any]() *Reg[T] { return &Reg[T]{sticky: true} }
 
 // Read returns the value latched at the previous clock edge.
 func (r *Reg[T]) Read() T { return r.cur }
@@ -234,13 +230,10 @@ func (r *Reg[T]) Read() T { return r.cur }
 // Write drives the value to be latched at the next clock edge.
 func (r *Reg[T]) Write(v T) { r.next = v }
 
-// Commit implements Latchable. A sticky register keeps next, so an edge
-// without a write re-latches the held value; a wire clears it, so an
-// edge without a write latches zero.
+// Commit implements Latchable. It clears next, so an edge without a
+// write latches zero.
 func (r *Reg[T]) Commit() {
 	r.cur = r.next
-	if !r.sticky {
-		var zero T
-		r.next = zero
-	}
+	var zero T
+	r.next = zero
 }

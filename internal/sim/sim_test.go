@@ -163,22 +163,6 @@ func TestRegWireSemantics(t *testing.T) {
 	}
 }
 
-func TestRegStickySemantics(t *testing.T) {
-	r := NewSticky[string]()
-	r.Write("held")
-	r.Commit()
-	r.Commit()
-	r.Commit()
-	if got := r.Read(); got != "held" {
-		t.Errorf("sticky reg lost value: %q", got)
-	}
-	r.Write("new")
-	r.Commit()
-	if got := r.Read(); got != "new" {
-		t.Errorf("sticky reg did not update: %q", got)
-	}
-}
-
 // TestRegWireMultipleWrites: the last write of a cycle wins, mirroring
 // the final driven value being the one latched at the edge.
 func TestRegWireMultipleWrites(t *testing.T) {
@@ -189,43 +173,6 @@ func TestRegWireMultipleWrites(t *testing.T) {
 	r.Commit()
 	if got := r.Read(); got != 3 {
 		t.Errorf("Read = %d, want the last written value 3", got)
-	}
-}
-
-// TestRegStickyZeroWrite: writing the zero value to a sticky register
-// is a real write, not "no write" — the latch holds zero afterwards.
-func TestRegStickyZeroWrite(t *testing.T) {
-	r := NewSticky[int]()
-	r.Write(9)
-	r.Commit()
-	r.Write(0)
-	r.Commit()
-	if got := r.Read(); got != 0 {
-		t.Errorf("sticky Read = %d after explicit zero write, want 0", got)
-	}
-	r.Commit()
-	if got := r.Read(); got != 0 {
-		t.Errorf("sticky reg drifted to %d", got)
-	}
-}
-
-// TestRegWireVsStickyDivergence pins the defining difference between
-// the two semantics over the same write/commit sequence.
-func TestRegWireVsStickyDivergence(t *testing.T) {
-	wire := NewReg[string]()
-	latch := NewSticky[string]()
-	for _, r := range []*Reg[string]{wire, latch} {
-		r.Write("driven")
-		r.Commit()
-	}
-	// Cycle with no writes: wire drains, latch holds.
-	wire.Commit()
-	latch.Commit()
-	if got := wire.Read(); got != "" {
-		t.Errorf("wire held %q across an idle cycle", got)
-	}
-	if got := latch.Read(); got != "driven" {
-		t.Errorf("sticky lost %q across an idle cycle", got)
 	}
 }
 

@@ -90,21 +90,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.samples[idx]
 }
 
-// StdDev returns the population standard deviation.
-func (h *Hist) StdDev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	m := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Reset discards all samples.
 func (h *Hist) Reset() {
 	h.samples = h.samples[:0]
@@ -193,8 +178,7 @@ func (s *Series) Insert(t int64, v float64) {
 // metrics registry into during a run. Observations may arrive with
 // out-of-order timestamps; each series stays time-sorted.
 type TimeSeries struct {
-	m     map[string]*Series
-	names []string
+	m map[string]*Series
 }
 
 // NewTimeSeries returns an empty collection.
@@ -209,7 +193,6 @@ func (ts *TimeSeries) Observe(name string, t int64, v float64) {
 	if s == nil {
 		s = &Series{Name: name}
 		ts.m[name] = s
-		ts.names = append(ts.names, name)
 	}
 	s.Insert(t, v)
 }
@@ -217,15 +200,9 @@ func (ts *TimeSeries) Observe(name string, t int64, v float64) {
 // Series returns the named series, or nil if never observed.
 func (ts *TimeSeries) Series(name string) *Series { return ts.m[name] }
 
-// Names returns the series names in first-observation order.
-func (ts *TimeSeries) Names() []string {
-	return append([]string(nil), ts.names...)
-}
-
 // Reset discards every series (warmup exclusion).
 func (ts *TimeSeries) Reset() {
 	ts.m = make(map[string]*Series)
-	ts.names = nil
 }
 
 // Accumulator builds a cumulative series by counting increments and

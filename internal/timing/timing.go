@@ -91,13 +91,6 @@ func (w Wheel) Sub(a, b Stamp) uint32 {
 	return (uint32(a) - uint32(b)) & w.mask
 }
 
-// Before reports whether stamp a is in the past half-window relative to b:
-// (b − a) mod 2^bits < half. Under the paper's window invariant this is
-// exactly "a ≤ b in real time".
-func (w Wheel) Before(a, b Stamp) bool {
-	return w.Sub(b, a) < w.half
-}
-
 // OnTime reports whether a packet with logical arrival time l has reached
 // it at current time t, i.e. l ≤ t within the rollover window (Figure 6:
 // with an 8-bit clock and t = 240, ℓ = 210 is on-time because

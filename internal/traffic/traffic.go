@@ -209,17 +209,6 @@ func FixedDst(dst mesh.Coord) DstPicker {
 	return func(*rand.Rand) mesh.Coord { return dst }
 }
 
-// HotspotDst picks hot with probability p, else uniformly.
-func HotspotDst(net *mesh.Network, src, hot mesh.Coord, p float64) DstPicker {
-	uni := UniformDst(net, src)
-	return func(rng *rand.Rand) mesh.Coord {
-		if rng.Float64() < p {
-			return hot
-		}
-		return uni(rng)
-	}
-}
-
 // SizePicker selects a payload size for each best-effort packet.
 type SizePicker func(rng *rand.Rand) int
 

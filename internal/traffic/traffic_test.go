@@ -167,16 +167,6 @@ func TestDstPickers(t *testing.T) {
 	if d := FixedDst(mesh.Coord{X: 2, Y: 0})(rng); d != (mesh.Coord{X: 2, Y: 0}) {
 		t.Error("fixed picker wrong")
 	}
-	hot := HotspotDst(net, src, mesh.Coord{X: 0, Y: 0}, 0.9)
-	hits := 0
-	for i := 0; i < 1000; i++ {
-		if hot(rng) == (mesh.Coord{X: 0, Y: 0}) {
-			hits++
-		}
-	}
-	if hits < 850 || hits > 980 {
-		t.Errorf("hotspot rate %d/1000, want ≈900", hits)
-	}
 }
 
 func TestSizePickers(t *testing.T) {
