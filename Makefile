@@ -95,18 +95,19 @@ profile-admission:
 # profile-dataplane CPU-profiles the dataplane's two regimes on the
 # sequential kernel and prints the top of each profile: a 32×32 sparse
 # mesh (BenchmarkSparseCycleRate over experiments.SparseMesh — nearly
-# every router idle or parked) and the loaded 8×8 mesh
-# (BenchmarkRouterCycleRate over experiments.LoadedMesh — every router
-# busy), each followed by a per-line view: inputsClear and schedBeat on
-# the sparse mesh, Router.Tick and sampleInputs on the loaded one. A
-# router hot-path change quotes both before and after (CHANGES.md).
-# Leaves the two profiles and the test binary behind.
+# every router idle or parked, asleep on the kernel's wake list) and the
+# loaded 8×8 mesh (BenchmarkRouterCycleRate over experiments.LoadedMesh —
+# every router busy), each followed by a per-line view: the wake list's
+# walk and the parked router's wake-up (liveBeat) on the sparse mesh,
+# Router.Tick and sampleInputs on the loaded one. A router or kernel
+# hot-path change quotes both before and after (CHANGES.md). Leaves the
+# two profiles and the test binary behind.
 DATAPLANE_PROF ?= dataplane
 profile-dataplane:
 	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$' -benchtime 30000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_sparse.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_sparse.prof
-	$(GO) tool pprof -list 'inputsClear$$|schedBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
+	$(GO) tool pprof -list 'Kernel..walk$$|liveBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
 	$(GO) test -run '^$$' -bench '^BenchmarkRouterCycleRate$$/^workers=1$$' -benchtime 150000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_loaded.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_loaded.prof

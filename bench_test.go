@@ -335,10 +335,10 @@ func BenchmarkRouterCycleRate(b *testing.B) {
 
 // BenchmarkSparseCycleRate is the other regime of the dataplane: a 32×32
 // mesh carrying experiments.SparseMesh's forty channels and nothing
-// else, on the sequential kernel. Nearly every router-tick is an idle or a
-// parked one, so ns/op over the 1024 routers reads as the cost of a
-// router at rest; `make profile-dataplane` profiles it beside the loaded
-// mesh above.
+// else, on the sequential kernel. Nearly every router is idle or parked
+// and asleep on the kernel's wake list, so ns/op is the cost of the few
+// busy routers plus the wake list's own walk, timers and settling;
+// `make profile-dataplane` profiles it beside the loaded mesh above.
 func BenchmarkSparseCycleRate(b *testing.B) {
 	built, err := experiments.SparseMesh(32, 32).BuildAll()
 	if err != nil {

@@ -173,11 +173,11 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 		pcrs: make(map[mesh.Coord]*rtc.Pacer),
 		snks: make(map[mesh.Coord]*traffic.Sink),
 	}
-	// Pacers must tick before their routers so releases land the same
-	// cycle; the mesh registered routers already, and the kernel runs
-	// components in registration order, so pacer injections become
-	// visible at the next cycle — one cycle of processor-interface
-	// latency, which is fine. Sinks drain after the routers.
+	// The mesh registered the routers already and the kernel runs
+	// components in registration order, so a pacer's injection becomes
+	// visible to its router at the next cycle — one cycle of
+	// processor-interface latency — and a sink drains a delivery in the
+	// cycle it was made (TestNodeHandOverOrder).
 	reg := opts.Metrics
 	if reg == nil {
 		reg = DefaultMetrics

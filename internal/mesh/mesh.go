@@ -104,8 +104,9 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 			n.order = append(n.order, c)
 			// Each router is its own kernel shard; node-side software
 			// (pacers, sinks, traffic apps) registers into the same shard
-			// via RegisterAt so the parallel mode keeps the documented
-			// node-before-router ordering per chip.
+			// via RegisterAt, after every router, so each chip keeps the
+			// router-before-node order of the sim package docs in every
+			// execution mode.
 			n.Kernel.RegisterShard(n.Shard(c), r)
 		}
 	}

@@ -575,6 +575,7 @@ func (b *beOutput) deliverLocal() {
 		payload = b.r.beArena.alloc(n)
 		copy(payload, b.rxBuf[packet.BEHeaderBytes:])
 	}
+	b.r.delivered.Wake()
 	b.r.beDelivered = append(b.r.beDelivered, DeliveredBE{
 		Payload: payload,
 		Cycle:   b.r.nowCycle,

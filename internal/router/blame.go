@@ -162,8 +162,8 @@ type blameBank struct {
 // here on every port-cycle a held packet waits is attributed.
 func (r *Router) EnableBlame() {
 	if r.blame == nil {
+		r.wake()
 		r.blame = &blameBank{cells: make(map[BlameKey]int64)}
-		r.rest = restBusy
 	}
 }
 

@@ -44,11 +44,14 @@ func (c *Channel) Latency() int64 { return c.data.Latency() }
 
 // inbound is what a receiving router asks of an inbound wire's delay
 // line to keep the wire's arrival stamps in its own stamp block (see
-// Router.lendStamps): the phit wire for the holder of the InLink, the
-// ack wire for the holder of the OutLink.
+// Router.lendStamps) and to wake the router for what arrives on it: the
+// phit wire for the holder of the InLink, the ack wire for the holder of
+// the OutLink.
 type inbound interface {
 	Ring() int
+	Latency() int64
 	MirrorStamps(rows []byte, lane, size, stride int)
+	SetReader(a *sim.Alarm)
 }
 
 // Out returns the sending end of the channel.

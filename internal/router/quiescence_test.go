@@ -252,7 +252,12 @@ type parkedObs struct {
 // set.
 func runParkedScript(t *testing.T, cfg Config, withMetrics bool, bust *idleBuster) parkedObs {
 	t.Helper()
-	r := newPairRig(t, cfg)
+	return runParkedScriptOn(t, newPairRig(t, cfg), withMetrics, bust)
+}
+
+// runParkedScriptOn plays the script on a given pair rig.
+func runParkedScriptOn(t *testing.T, r *rig, withMetrics bool, bust *idleBuster) parkedObs {
+	t.Helper()
 	rs := [2]*Router{r.a, r.b}
 	conns := []struct {
 		at         int // index into rs
@@ -401,6 +406,49 @@ func TestParkedFastPathEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// newShardedPairRig is newPairRig with each router in a shard of its own
+// and the wires' endpoints known: no barrier, so the kernel's wake list
+// puts resting routers to sleep.
+func newShardedPairRig(cfg Config) *rig {
+	k := sim.NewKernel()
+	r := &rig{k: k, a: MustNew("A", cfg), b: MustNew("B", cfg)}
+	k.RegisterShard(0, r.a)
+	k.RegisterShard(1, r.b)
+	ab := NewChannelShards(k, 1, 0, 1)
+	r.a.ConnectOut(PortXPlus, ab.Out())
+	r.b.ConnectIn(PortXMinus, ab.In())
+	ba := NewChannelShards(k, 1, 1, 0)
+	r.b.ConnectOut(PortXMinus, ba.Out())
+	r.a.ConnectIn(PortXPlus, ba.In())
+	return r
+}
+
+// TestParkedSleepsOnWakeList: on the kernel's wake list a resting router
+// is not ticked at all — idle until a wire or an injection wakes it,
+// parked until its first beat on a port whose quiet span has ended
+// (liveBeat) — and Skip replays what it slept through, the parked beats
+// included. The parked script, with its mid-run ResetStats and its
+// injections into sleeping routers, must then read exactly as on the
+// kernel that ticks both routers every cycle, rest-tick counts and all,
+// while the routers sleep through most of their cycles.
+func TestParkedSleepsOnWakeList(t *testing.T) {
+	integrity := DefaultConfig()
+	integrity.Integrity = true
+	for _, cfg := range []Config{DefaultConfig(), integrity} {
+		every := runParkedScript(t, cfg, false, nil)
+		r := newShardedPairRig(cfg)
+		asleep := runParkedScriptOn(t, r, false, nil)
+		if !reflect.DeepEqual(asleep, every) {
+			t.Errorf("integrity %v: the wake list diverges from the every-cycle kernel:\nasleep: %+v\nevery:  %+v",
+				cfg.Integrity, asleep, every)
+		}
+		ticked, slept := r.k.Activity(nil)
+		if slept < 2*ticked {
+			t.Errorf("integrity %v: the routers slept %d of %d cycles", cfg.Integrity, slept, ticked+slept)
+		}
 	}
 }
 

@@ -63,15 +63,15 @@ type Stats struct {
 // its mesh links with ConnectIn/ConnectOut (or the mesh package) before
 // running the kernel.
 type Router struct {
-	// What a router at rest touches every cycle — its own short Tick and
-	// the node's sink asking HasDeliveries — comes first and together:
-	// a sparse mesh ticks a thousand resting routers a cycle, and each
-	// cache line they are spread over is a miss apiece.
+	// What an awake router at rest touches every cycle — its own short
+	// Tick and the kernel's NextWork — comes first and together: each
+	// cache line it is spread over is a miss apiece.
 
 	// rest is the rest state the last full Tick left the router in (see
 	// restState); while it is not busy and the link wires stay clear,
-	// Tick leaves out what provably cannot change state. Cleared by
-	// injections, rewiring and EnableBlame.
+	// Tick leaves out what provably cannot change state, and the kernel's
+	// wake list may leave out the Tick. Cleared by wake: injections,
+	// rewiring, horizon writes and EnableBlame.
 	rest restState
 	// stampBuf backs stamps (below) while every attached link is one
 	// cycle long: two rows. It sits among the words every Tick of this
@@ -82,6 +82,14 @@ type Router struct {
 	nowCycle       int64
 	schedCountdown int
 	schedRR        int
+
+	// alarm is the router's place on the kernel's wake list (SetAlarm),
+	// lent to every inbound wire; delivered is the alarm of the sink that
+	// drains the delivery queues (WakeOnDelivery). Both nil until a
+	// kernel binds them. maxLat is the longest inbound wire's latency:
+	// the cycles ahead in which a value may already be in flight.
+	alarm, delivered *sim.Alarm
+	maxLat           int64
 
 	// stamps mirrors the arrival stamps (their low 16 bits) of the eight
 	// inbound wires — the phit wire of each input link, then the ack wire
@@ -323,7 +331,10 @@ func (r *Router) Config() Config { return r.cfg }
 func (r *Router) Wheel() timing.Wheel { return r.wheel }
 
 // Scheduler exposes the comparator tree's leaves for inspection.
-func (r *Router) Scheduler() sched.Scheduler { return r.schedq }
+func (r *Router) Scheduler() sched.Scheduler {
+	r.alarm.Settle()
+	return r.schedq
+}
 
 // FreeSlots returns the current idle-address FIFO depth.
 func (r *Router) FreeSlots() int { return r.mem.freeSlots() }
@@ -358,6 +369,7 @@ func (r *Router) OutputState(p int) PortState {
 // attached recorders such as collector shards), so warmup exclusion is
 // consistent across every observation channel.
 func (r *Router) ResetStats() {
+	r.alarm.Settle()
 	r.Stats = Stats{}
 	r.bus.grants = 0
 	r.tally.Zero()
@@ -381,11 +393,12 @@ func (r *Router) ConnectIn(p int, l *InLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectIn(%d) out of link range", r.name, p))
 	}
+	r.wake()
 	if old := r.in[p]; old != nil {
 		old.ch.data.MirrorStamps(nil, 0, 0, 0)
+		old.ch.data.SetReader(nil)
 	}
 	r.in[p] = l
-	r.rest = restBusy
 	r.lendStamps()
 }
 
@@ -394,8 +407,10 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectOut(%d) out of link range", r.name, p))
 	}
+	r.wake()
 	if old := r.out[p]; old != nil {
 		old.ch.ack.MirrorStamps(nil, 0, 0, 0)
+		old.ch.ack.SetReader(nil)
 	}
 	r.out[p] = l
 	if l == nil {
@@ -404,7 +419,6 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 	} else {
 		r.portDead &^= 1 << p
 	}
-	r.rest = restBusy
 	r.lendStamps()
 }
 
@@ -430,13 +444,16 @@ func (r *Router) inbound(w int) inbound {
 }
 
 // lendStamps hands every attached inbound wire its lane of the stamp
-// rows, first growing the block to as many rows as the deepest attached
-// ring has slots.
+// rows and, once a kernel has bound it, the router's alarm, first
+// growing the block to as many rows as the deepest attached ring has
+// slots.
 func (r *Router) lendStamps() {
 	size := int(r.stampMask) + 1
+	r.maxLat = 0
 	for w := 0; w < numWires; w++ {
-		if p := r.inbound(w); p != nil && p.Ring() > size {
-			size = p.Ring()
+		if p := r.inbound(w); p != nil {
+			size = max(size, p.Ring())
+			r.maxLat = max(r.maxLat, p.Latency())
 		}
 	}
 	if size*stampRow > len(r.stamps) {
@@ -446,6 +463,9 @@ func (r *Router) lendStamps() {
 	for w := 0; w < numWires; w++ {
 		if p := r.inbound(w); p != nil {
 			p.MirrorStamps(r.stamps, w, size, stampRow)
+			if r.alarm != nil {
+				p.SetReader(r.alarm)
+			}
 		}
 	}
 }
@@ -480,7 +500,7 @@ func rowHit(row *[stampRow]byte, now int64) bool {
 // header stamp must carry the connection's logical arrival time ℓ0(m) on
 // the network slot clock.
 func (r *Router) InjectTC(p packet.TCPacket) {
-	r.rest = restBusy
+	r.wake()
 	if r.tcInjHead > 0 && len(r.tcInjectQ) == cap(r.tcInjectQ) {
 		// Reclaim the consumed head space instead of growing.
 		n := copy(r.tcInjectQ, r.tcInjectQ[r.tcInjHead:])
@@ -504,7 +524,7 @@ func (r *Router) InjectBE(frame []byte) {
 	if len(frame) < packet.BEHeaderBytes {
 		panic(fmt.Sprintf("router %s: InjectBE frame of %d bytes", r.name, len(frame)))
 	}
-	r.rest = restBusy
+	r.wake()
 	r.beIn[PortLocal].inject(frame)
 }
 
@@ -625,12 +645,14 @@ const (
 	// (atRest). Output arbitration has nothing to move, so the next Tick
 	// runs the countdown and the beat alone (schedBeat: closed-form while
 	// the beat's port is inside its quiet span), and the rest of the cycle
-	// only if the beat produced a candidate to fetch.
+	// only if the beat produced a candidate to fetch. The kernel's wake
+	// list leaves the router out until its first beat on a port whose
+	// quiet span has ended (NextWork, liveBeat, Skip).
 	restParked
 	// restIdle: every engine idle, the packet memory free, no leaf
 	// installed: every port quiet forever. The next Tick is the countdown
-	// and a closed-form beat, and the kernel may skip the router
-	// altogether (NextWork, Skip).
+	// and a closed-form beat, and the wake list leaves the router out
+	// until a wire or a push wakes it.
 	restIdle
 )
 
@@ -646,13 +668,15 @@ const (
 // A router at rest whose wires are clear leaves out the phases that
 // provably change nothing: phase 1 when parked, and phases 3–5 too unless
 // the parked beat made a candidate; all but the countdown and a
-// closed-form beat when idle (see restState). A busy tick visits only the
-// ports that hold work: arbitrate runs where portWork or beDropping marks
-// a port (every port while attribution is on), the launch, acknowledge
-// and parse loops walk port masks (tcStaged|tcCand, beOwed, beUnparsed)
-// in ascending port order, and sampleInputs reads a wire only when its
-// lane of the stamp row matches the cycle. On any router a beat on a port
-// inside its quiet span is closed-form (schedBeat).
+// closed-form beat when idle (see restState); on the kernel's wake list
+// most such ticks do not happen at all, and Skip replays them. A busy
+// tick visits only the ports that hold work: arbitrate runs where
+// portWork or beDropping marks a port (every port while attribution is
+// on), the launch, acknowledge and parse loops walk port masks
+// (tcStaged|tcCand, beOwed, beUnparsed) in ascending port order, and
+// sampleInputs reads a wire only when its lane of the stamp row matches
+// the cycle. On any router a beat on a port inside its quiet span is
+// closed-form (schedBeat).
 func (r *Router) Tick(now sim.Cycle) {
 	rest := r.rest
 	if rest != restBusy && !r.inputsClear(int64(now)) {
@@ -828,33 +852,95 @@ func (r *Router) enginesIdle() bool {
 // packet anywhere in it, the tick (or the kernel's skip) reduced to the
 // countdown — a diagnostic for tests and benchmarks, not a hardware
 // counter.
-func (r *Router) IdleTicks() int64 { return r.idleTicks }
+func (r *Router) IdleTicks() int64 {
+	r.alarm.Settle()
+	return r.idleTicks
+}
 
 // ParkedTicks reports how many cycles this router has spent parked:
 // holding packets until their logical arrival time with every engine
 // idle, the tick reduced to the comparator-tree beat. A diagnostic like
 // IdleTicks.
-func (r *Router) ParkedTicks() int64 { return r.parkedTicks }
-
-// NextWork implements sim.Skipper. While the router is idle, every
-// future idle cycle's observable effects can be replayed in O(1) —
-// the scheduler's SkipIdleSelects accounts its empty-tree beats — so
-// the kernel may fast-forward arbitrarily far; arriving wire traffic is
-// tracked separately, by the link pipes' stamps. A busy or parked router
-// must tick every cycle; a parked one's beats on quiet ports are
-// closed-form inside Tick.
-func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
-	if r.rest != restIdle {
-		return now
-	}
-	return sim.Never
+func (r *Router) ParkedTicks() int64 {
+	r.alarm.Settle()
+	return r.parkedTicks
 }
 
-// Skip implements sim.Skipper: replay the idle ticks for cycles
-// [now, target) in closed form, bit-identical to running the idle Tick
-// target−now times. The replayed effects are exactly that tick's: the
-// scheduler countdown with its closed-form beats (restBeats), and the
-// idle-cycle counter.
+// SetAlarm implements sim.Sleeper: the router lends its alarm to every
+// inbound wire, and wake rings it.
+func (r *Router) SetAlarm(a *sim.Alarm) {
+	r.alarm = a
+	r.lendStamps()
+}
+
+// WakeOnDelivery makes every delivery to the local processor wake a:
+// the alarm of the sink draining the delivery queues.
+func (r *Router) WakeOnDelivery(a *sim.Alarm) { r.delivered = a }
+
+// wake is every push into the router from outside its own Tick — an
+// injection, a rewiring, a horizon write, switching attribution on: a
+// router asleep on the kernel's wake list first settles the cycles it
+// slept through, in the rest state it slept in, and the next Tick runs
+// in full.
+func (r *Router) wake() {
+	r.alarm.Wake()
+	r.rest = restBusy
+}
+
+// NextWork implements sim.Skipper. A router at rest does nothing
+// observable until a wire delivers to it or, when parked, until its first
+// beat on a port whose quiet span has ended (liveBeat); every tick before
+// that is replayed by Skip. Wire values already in flight count here;
+// later writes wake the router themselves (sim.Pipe.SetReader), and so do
+// injections and control writes (wake). A busy router works every cycle.
+func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
+	if r.rest == restBusy {
+		return now
+	}
+	next := int64(sim.Never)
+	if r.rest == restParked {
+		next = r.liveBeat(int64(now))
+	}
+	for c := int64(now); c < int64(now)+r.maxLat && c < next; c++ {
+		if !r.inputsClear(c) {
+			return sim.Cycle(c)
+		}
+	}
+	return sim.Cycle(next)
+}
+
+// liveBeat is the cycle of a parked router's first comparator beat at or
+// after now on a port whose quiet span has ended: the first beat that
+// runs a real Select. The next beat falls at now + schedCountdown − 1,
+// each later one a period after it, and no port is passed over on a
+// parked router (schedBeat), so port p's beats recur every NumPorts
+// periods; the slot clock reaches quiet[p] at cycle
+// quiet[p]·TCBytes − SkewCycles.
+func (r *Router) liveBeat(now int64) int64 {
+	period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
+	lap := NumPorts * period
+	first := now + int64(r.schedCountdown) - 1
+	best := int64(sim.Never)
+	for k := 0; k < NumPorts; k++ {
+		q := r.quiet[(r.schedRR+k)%NumPorts]
+		if q == quietForever {
+			continue
+		}
+		c := first + int64(k)*period
+		if t := q*packet.TCBytes - r.cfg.SkewCycles; q > 0 && c < t {
+			c += (t - c + lap - 1) / lap * lap
+		}
+		best = min(best, c)
+	}
+	return best
+}
+
+// Skip implements sim.Skipper: replay the ticks of a router at rest for
+// cycles [now, target) in closed form, bit-identical to running the
+// idle or parked Tick target−now times, with no wire delivering and, when
+// parked, every beat on a quiet port (NextWork). The replayed effects are
+// exactly that tick's: the scheduler countdown with its closed-form
+// beats (restBeats), and the idle- or parked-cycle counter.
 func (r *Router) Skip(now, target sim.Cycle) {
 	n := int64(target - now)
 	if n <= 0 {
@@ -874,29 +960,35 @@ func (r *Router) Skip(now, target sim.Cycle) {
 		r.schedCountdown = int(c0 - n)
 	}
 
-	r.idleTicks += n
+	if r.rest == restIdle {
+		r.idleTicks += n
+	} else {
+		r.parkedTicks += n
+	}
 	r.nowCycle = last
 }
 
-// restBeats replays n ≥ 1 comparator-tree beats of an idle router in
-// closed form: no leaf is installed, so every port is quiet forever, and
-// each beat advances the round-robin pointer by one port (no port is
-// passed over), runs one selection that returns ClassNone and counts no
-// Overdue (SkipIdleSelects is bit-identical to it) and samples a leaf
-// level of zero, which cannot raise the peak.
+// restBeats replays n ≥ 1 comparator-tree beats of a router at rest in
+// closed form, each on a port inside its quiet span — on an idle router
+// no leaf is installed, so every port is quiet forever. Each beat
+// advances the round-robin pointer by one port (no port is passed over),
+// runs one selection that returns ClassNone and counts no Overdue
+// (SkipIdleSelects is bit-identical to it) and samples the leaf level,
+// which no beat at rest changes (noteSchedBeat).
 func (r *Router) restBeats(n int64) {
 	r.schedRR = int((int64(r.schedRR)+n-1)%NumPorts) + 1
 	r.schedq.SkipIdleSelects(n)
 	r.beats += n
-	r.schedLevel = 0
+	r.schedLevel = int64(r.schedq.Occupancy())
+	r.schedPeak = max(r.schedPeak, r.schedLevel)
 }
 
 // turns counts the slot clock's wraps from cycle 0 to cycle now: the
 // wrapped stamp rolls over exactly when the monotone slot count crosses a
 // multiple of the wheel range. The clock is a function of the cycle and
-// the kernel ticks or skips a router every cycle, so the rollovers since
-// the last ResetStats are turns(nowCycle) − turnBase, and no tick counts
-// them.
+// every cycle of a router is ticked or replayed by Skip (settled before
+// any read: counts, ResetStats), so the rollovers since the last
+// ResetStats are turns(nowCycle) − turnBase, and no tick counts them.
 func (r *Router) turns(now int64) int64 {
 	local := max(now+r.cfg.SkewCycles, 0)
 	return int64(timing.CyclesToSlot(local, packet.TCBytes)) / int64(r.wheel.Range())
@@ -1189,6 +1281,7 @@ func (r *Router) emitCut(o *tcOutput) bool {
 
 func (r *Router) deliverLocalTC(buf [packet.TCBytes]byte) {
 	p := packet.DecodeTC(buf)
+	r.delivered.Wake()
 	r.tcDelivered = append(r.tcDelivered, DeliveredTC{
 		Conn: p.Conn, Stamp: p.Stamp, Payload: p.Payload, Cycle: r.nowCycle,
 	})

@@ -89,16 +89,16 @@ func (r *Router) ControlWrite(f ControlField, v uint8) error {
 			return fmt.Errorf("router %s: horizon %d violates half-clock-range bound %d",
 				r.name, v, r.wheel.HalfRange())
 		}
+		// The horizon is the one control register Select reads: the
+		// ports' quiet spans end here, and a resting router re-derives
+		// its state from a full tick.
+		r.wake()
 		for p := 0; p < NumPorts; p++ {
 			if c.horizonM.Has(p) {
 				r.horizons[p] = uint32(v)
 			}
 		}
-		// The horizon is the one control register Select reads: the
-		// ports' quiet spans end here, and a resting router re-derives
-		// its state from a full tick.
 		r.forgetQuiet(c.horizonM)
-		r.rest = restBusy
 	default:
 		return fmt.Errorf("router %s: unknown control field %d", r.name, int(f))
 	}

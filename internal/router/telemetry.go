@@ -150,6 +150,7 @@ func (r *Router) FoldMetrics() {
 // the beat counters and the clock's rollovers, plus every value a Stats
 // field already counts.
 func (r *Router) counts() metrics.RouterCounts {
+	r.alarm.Settle()
 	c, st := r.tally, &r.Stats
 	c.SchedSelects, c.SchedOccupancy, c.SchedOccPeak = r.beats, r.schedLevel, r.schedPeak
 	c.SlotRollovers = r.turns(r.nowCycle) - r.turnBase
@@ -189,7 +190,10 @@ func (r *Router) counts() metrics.RouterCounts {
 
 // SchedHighWater reports the most scheduling leaves in use at any
 // comparator-tree beat since the last ResetStats.
-func (r *Router) SchedHighWater() int { return int(r.schedPeak) }
+func (r *Router) SchedHighWater() int {
+	r.alarm.Settle()
+	return int(r.schedPeak)
+}
 
 // NoteLinkFault counts one phit the LinkFault hook garbled (lost false)
 // or erased (lost true). The hook calls it from inside this router's

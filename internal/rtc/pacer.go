@@ -28,8 +28,9 @@ import (
 // schedulability test on the injection port as on any mesh link, with
 // this EDF order making the test sound.
 //
-// Pacer implements sim.Component and must be registered with the kernel
-// before the routers it feeds (see sim package docs on node ordering).
+// Pacer implements sim.Sleeper. A mesh registers it after the router it
+// feeds, so a release in cycle c enters the router in cycle c+1 (see the
+// sim package docs on node ordering).
 type Pacer struct {
 	name   string
 	r      *router.Router
@@ -39,6 +40,9 @@ type Pacer struct {
 	// queued counts the messages queued across chans (Σ Pending()), so a
 	// tick with nothing to release never walks the channels.
 	queued int
+	// alarm is the pacer's place on the kernel's wake list: Submit wakes
+	// it.
+	alarm *sim.Alarm
 }
 
 // NewPacer creates a regulator feeding the given router's injection
@@ -115,6 +119,7 @@ func (c *PacedChannel) Submit(now timing.Slot, payload []byte) error {
 	if len(payload) > c.spec.Smax {
 		return fmt.Errorf("rtc: message of %d bytes exceeds Smax %d", len(payload), c.spec.Smax)
 	}
+	c.p.alarm.Wake()
 	l := c.src.Next(now)
 	if c.src.Backlog(now) > c.spec.Imin*int64(c.spec.Bmax) {
 		c.ContractViolations++
@@ -239,10 +244,9 @@ func (p *Pacer) Tick(now sim.Cycle) {
 
 // NextWork implements sim.Skipper: with every channel queue empty a
 // tick is pure (the eligibility scan finds nothing and writes nothing),
-// and nothing can enqueue during a skipped span — Submit happens from
-// generators, which the kernel also holds idle. Any queued message
-// makes the pacer immediate work: eligibility depends on the moving
-// slot clock, so it is re-examined every cycle.
+// so the pacer sleeps until a Submit wakes it. Any queued message makes
+// the pacer immediate work: eligibility depends on the moving slot
+// clock, so it is re-examined every cycle.
 func (p *Pacer) NextWork(now sim.Cycle) sim.Cycle {
 	if p.queued > 0 {
 		return now
@@ -253,4 +257,7 @@ func (p *Pacer) NextWork(now sim.Cycle) sim.Cycle {
 // Skip implements sim.Skipper; idle pacer cycles have no effects.
 func (p *Pacer) Skip(now, target sim.Cycle) {}
 
-var _ sim.Skipper = (*Pacer)(nil)
+// SetAlarm implements sim.Sleeper.
+func (p *Pacer) SetAlarm(a *sim.Alarm) { p.alarm = a }
+
+var _ sim.Sleeper = (*Pacer)(nil)

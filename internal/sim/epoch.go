@@ -18,12 +18,13 @@ package sim
 // registered mid-run flushes the epoch back to 1 before the next Run
 // iteration.
 //
-// Quiescence skipping removes the idle cycles entirely. A component
-// that implements Skipper can report the next cycle at which it has
-// work and can replay a span of idle ticks in closed form. When every
-// component is idle past a horizon and no pipe holds an in-flight
-// value due before it, the kernel jumps the clock. Skip must be
-// bit-exact: counters, scheduler state, and telemetry after Skip(now,
+// Quiescence skipping removes the idle cycles, one mechanism for single
+// components and for the whole system: the sequential engine's wake list
+// (wake.go). A component that implements Skipper reports the next cycle
+// at which it has work and can replay a span of idle ticks in closed
+// form; the engine leaves it out until then, or until a wire arrival or
+// a push wakes it, and jumps the clock when nobody is awake. Skip must
+// be bit-exact: counters, scheduler state, and telemetry after Skip(now,
 // target) must equal what target-now idle Ticks would have produced,
 // which is what keeps sequential, parallel, and epoch runs
 // byte-identical.
@@ -41,7 +42,9 @@ type Skipper interface {
 	// NextWork returns the earliest cycle ≥ now at which the component
 	// may do anything observable; now itself means "busy". Returning an
 	// earlier cycle than necessary is safe (the skip just shortens);
-	// returning a later one is a correctness bug.
+	// returning a later one is a correctness bug. Work a Sleeper is
+	// woken for after the call — a push, or a Pipe write — need not be
+	// counted; a value already in flight on a wire it reads must be.
 	NextWork(now Cycle) Cycle
 
 	// Skip replays the idle cycles [now, target) in closed form. The
@@ -59,33 +62,19 @@ func (k *Kernel) EffectiveEpoch() int64 {
 	return k.effEpoch
 }
 
-// refreshSync re-derives the effective epoch and the skip roster after
-// any registration change.
+// refreshSync re-derives the effective epoch and the wake list's
+// roster after any registration change: every sleeper wakes, each new
+// entry gets its alarm, and sleeping is allowed again where it is legal
+// (wake.go).
 func (k *Kernel) refreshSync() {
 	if !k.syncDirty {
 		return
 	}
 	k.syncDirty = false
 	k.effEpoch = k.legalEpoch()
-
-	// Whole-system skipping needs every component able to fast-forward
-	// and no latch whose per-edge drain a jump would miss.
-	k.skippers = k.skippers[:0]
-	k.skipOK = len(k.latches) == 0
-	if k.skipOK {
-		for _, en := range k.entries {
-			s, ok := en.c.(Skipper)
-			if !ok {
-				k.skipOK = false
-				break
-			}
-			k.skippers = append(k.skippers, s)
-		}
-	}
-	if !k.skipOK {
-		k.skippers = k.skippers[:0]
-	}
-	k.skipBlock = -1
+	k.wakeAll()
+	k.bindAlarms()
+	k.sleepOn = k.sleepLegal()
 }
 
 // legalEpoch is the minimum latency over the cross-shard pipes, or 1
@@ -115,48 +104,4 @@ func (k *Kernel) legalEpoch() int64 {
 		return 1 // no wire crosses shards: nothing bounds the epoch
 	}
 	return e
-}
-
-// trySkipTo fast-forwards the whole system to the earliest upcoming
-// work (capped at end) when every component is idle and no wire holds
-// an arrival due first. Returns false — having changed nothing — if any
-// component or pipe has work now. The most-recently-blocking component
-// is probed first, so on a busy system the failed probe is one call.
-func (k *Kernel) trySkipTo(end Cycle) bool {
-	if !k.skipOK {
-		return false
-	}
-	now := k.now
-	if b := k.skipBlock; b >= 0 && k.skippers[b].NextWork(now) <= now {
-		return false
-	}
-	target := end
-	for i, s := range k.skippers {
-		nw := s.NextWork(now)
-		if nw <= now {
-			k.skipBlock = i
-			return false
-		}
-		if nw < target {
-			target = nw
-		}
-	}
-	k.skipBlock = -1
-	for _, pe := range k.pipes {
-		ns := pe.p.NextStamp(now)
-		if ns <= now {
-			return false
-		}
-		if ns < target {
-			target = ns
-		}
-	}
-	if target <= now {
-		return false
-	}
-	for _, s := range k.skippers {
-		s.Skip(now, target)
-	}
-	k.now = target
-	return true
 }

@@ -23,16 +23,17 @@ import (
 // one reading component, at most one value per cycle. It is not a
 // Latchable: pipes register with the kernel through AttachPipe, which
 // records the wire's latency for the epoch legality check and its
-// occupancy probes for quiescence skipping.
+// occupancy probe for the per-tile skip.
 type Pipe[T any] struct {
-	lat   Cycle
 	slots []pipeSlot[T]
 	// mirror, when the reading component has lent one (MirrorStamps), is
 	// the reader's stamp rows from this wire's lane on: Write repeats the
-	// low bits of every arrival stamp at (stamp & mirMask) * stride. With
-	// the two int32s the struct is 64 bytes: one cache line, not a
-	// straddled one and a half.
-	mirror          []byte
+	// low bits of every arrival stamp at (stamp & mirMask) * stride.
+	mirror []byte
+	// reader is the reading component's alarm, once it has lent it
+	// (SetReader): Write wakes a sleeping reader.
+	reader          *Alarm
+	lat             Cycle
 	mirMask, stride int32
 }
 
@@ -51,7 +52,7 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 	for size < 2*latency {
 		size <<= 1
 	}
-	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size)}
+	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size), reader: &unread}
 	for i := range p.slots {
 		p.slots[i].stamp = -1
 	}
@@ -62,6 +63,8 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 func (p *Pipe[T]) Latency() int64 { return int64(p.lat) }
 
 // Write drives v onto the wire at cycle now; it arrives at now+latency.
+// A sleeping reader's bit on the kernel's wake list is set, so it wakes
+// at its next turn (see Kernel.walk).
 func (p *Pipe[T]) Write(now Cycle, v T) {
 	at := now + p.lat
 	s := &p.slots[int64(at)&int64(len(p.slots)-1)]
@@ -69,7 +72,31 @@ func (p *Pipe[T]) Write(now Cycle, v T) {
 	if m := p.mirror; m != nil {
 		binary.LittleEndian.PutUint16(m[(int(at)&int(p.mirMask))*int(p.stride):], uint16(at))
 	}
+	if r := p.reader; r.at != awake {
+		*r.word |= r.bit
+	}
 }
+
+// SetReader lends the pipe its reading component's alarm: from now on a
+// Write marks a sleeping reader awake, and the reader wakes at its next
+// turn. The reader still owns the values already in flight (see
+// Skipper.NextWork). nil takes the alarm away again, for a reader that
+// stops reading the pipe. Only safe at a synchronization point.
+func (p *Pipe[T]) SetReader(a *Alarm) {
+	if a == nil {
+		a = &unplugged
+	}
+	p.reader = a
+}
+
+// unread is the reader alarm of a pipe no reader has lent one, unplugged
+// that of a pipe whose reader took it back. Both stay awake, so Write
+// never rings them; only an unread pipe keeps the wake list from putting
+// anyone to sleep, since someone may still read it.
+var unread, unplugged = Alarm{at: awake}, Alarm{at: awake}
+
+// announced reports that no reader reads the pipe unannounced.
+func (p *Pipe[T]) announced() bool { return p.reader != &unread }
 
 // Ring returns the number of slots in the pipe's ring, the least ring
 // size MirrorStamps accepts.
@@ -120,19 +147,6 @@ func (p *Pipe[T]) Read(now Cycle) T {
 	return zero
 }
 
-// NextStamp returns the earliest in-flight arrival at or after now, or
-// Never when nothing is due. It scans the whole ring and is only safe
-// at a synchronization point (the kernel's between-cycle skip probe).
-func (p *Pipe[T]) NextStamp(now Cycle) Cycle {
-	best := Never
-	for i := range p.slots {
-		if s := p.slots[i].stamp; s >= now && s < best {
-			best = s
-		}
-	}
-	return best
-}
-
 // HasStampIn reports whether any value arrives in [now, end). It probes
 // only the slots those cycles map to — indices no concurrent writer can
 // touch while end-now stays within the epoch legality bound — so the
@@ -149,8 +163,8 @@ func (p *Pipe[T]) HasStampIn(now, end Cycle) bool {
 // PipeState is the kernel's view of an attached delay line.
 type PipeState interface {
 	Latency() int64
-	NextStamp(now Cycle) Cycle
 	HasStampIn(now, end Cycle) bool
+	announced() bool
 }
 
 // pipeEntry records one attached pipe with the shards of its single

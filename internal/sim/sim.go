@@ -11,10 +11,14 @@
 // Two exceptions are deliberate and documented where used:
 //
 //   - Nodes (traffic sources/sinks) talk to their local router through
-//     injection and delivery queues rather than cycle-latched wires; nodes
-//     are registered before routers so a packet handed over in cycle c is
-//     visible to the router in cycle c. This models the processor-network
-//     interface, which the paper leaves outside the chip.
+//     injection and delivery queues rather than cycle-latched wires, so
+//     registration order decides when a hand-over is seen. A mesh
+//     registers every router first and each node's pacer and sink after
+//     it: a packet the pacer releases in cycle c enters the router in
+//     cycle c+1, one cycle of processor-interface latency, and a packet
+//     the router delivers in cycle c is drained by the sink in cycle c.
+//     This models the processor-network interface, which the paper leaves
+//     outside the chip.
 //   - A router's internal units run in a fixed order inside its single
 //     Tick, modelling same-chip combinational paths.
 package sim
@@ -56,12 +60,14 @@ func ResolveWorkers(n int) int {
 
 // Kernel drives a set of components cycle by cycle.
 //
-// By default every component ticks sequentially in registration order —
-// the deliberately simple reference implementation that the parallel
-// engine is differentially tested against. SetWorkers enables the
-// parallel execution mode: components registered with RegisterShard may
-// tick concurrently with components of other shards, while components
-// registered with plain Register act as barriers (see parallel.go).
+// By default components tick sequentially in registration order, the
+// ones at rest left out on a wake list (wake.go) with results identical
+// to ticking everyone every cycle — the reference implementation that
+// the parallel engine is differentially tested against. SetWorkers
+// enables the parallel execution mode: components registered with
+// RegisterShard may tick concurrently with components of other shards,
+// while components registered with plain Register act as barriers (see
+// parallel.go).
 // Results are bit-identical across worker counts as long as components
 // of different shards communicate only through Regs and Pipes.
 type Kernel struct {
@@ -76,20 +82,33 @@ type Kernel struct {
 	plan      []planSeg
 	planDirty bool
 
-	// Epoch synchronization and quiescence skipping (see epoch.go).
-	// syncDirty marks the derived fields stale after any registration.
+	// Epoch synchronization (see epoch.go). syncDirty marks the derived
+	// fields stale after any registration.
 	pipes     []pipeEntry
 	effEpoch  int64 // longest legal epoch, derived from wires/latches
-	skipOK    bool  // every component is a Skipper and no latches exist
-	skippers  []Skipper
-	skipBlock int // index of the most recent skip-blocking component
 	syncDirty bool
+
+	// The wake list (see wake.go): whether entries may sleep at all, one
+	// bit per entry that ticks this cycle, the number of entries asleep,
+	// their pending timers, and the entry ticking now (-1 between
+	// ticks).
+	sleepOn  bool
+	awakeSet []uint64
+	asleep   int
+	timers   timerHeap
+	cursor   int
 }
 
 // entry is one registered component with its shard tag.
 type entry struct {
 	c     Component
 	shard int // globalShard for barrier components
+	// From the first refresh on: the component's Skipper view (nil if it
+	// is none), its place on the wake list, and whether that alarm is
+	// asleep (a set bit on a sleeper is a Pipe.Write's).
+	s      Skipper
+	a      *Alarm
+	asleep bool
 }
 
 // globalShard marks a component registered without a shard: it may
@@ -98,7 +117,7 @@ const globalShard = -1
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{workers: 1, effEpoch: 1, skipBlock: -1}
+	return &Kernel{workers: 1, effEpoch: 1, cursor: -1}
 }
 
 // Register adds a component. Components tick in registration order. In
@@ -155,39 +174,66 @@ func (k *Kernel) AddLatch(l Latchable) {
 func (k *Kernel) Now() Cycle { return k.now }
 
 // Step executes one full cycle: compute phase then commit phase. The
-// loop below is the sequential reference; parallel mode runs the same
-// cycle on the worker pool when there is parallelism to extract.
+// sequential engine runs it on the wake list (wake.go): the timers due
+// wake their components, the awake entries tick in registration order
+// (walk) — where nobody may sleep, every entry in a plain loop — and the
+// latches commit. Parallel mode runs the same cycle on the worker pool
+// when there is parallelism to extract.
 func (k *Kernel) Step() {
+	if k.syncDirty {
+		k.refreshSync()
+	}
 	if k.usePool() {
+		k.wakeAll()
 		k.stepPool(1)
 		return
 	}
-	for _, e := range k.entries {
-		e.c.Tick(k.now)
+	now := k.now
+	if len(k.timers) > 0 && k.timers[0].at <= now {
+		k.fire(now)
+	}
+	if k.sleepOn {
+		k.walk(now)
+	} else {
+		ents := k.entries
+		for i := range ents {
+			ents[i].c.Tick(now)
+		}
 	}
 	for _, l := range k.latches {
 		l.Commit()
 	}
-	k.now++
+	k.now = now + 1
+	k.cursor = -1
 }
 
-// Run executes n cycles. Between cycles it applies the two schedule
-// optimizations that never change results: whole-system quiescence
-// skips (when every component is a Skipper with no pending work) and,
-// in parallel mode, epoch-length steps that amortize the worker
+// Run executes n cycles. Besides the wake list's own savings it applies
+// the two schedule optimizations that never change results: when nobody
+// is awake the clock jumps to the first timer (whole-system quiescence),
+// and in parallel mode epoch-length steps amortize the worker
 // rendezvous over EffectiveEpoch consecutive cycles.
 func (k *Kernel) Run(n int64) {
 	end := k.now + Cycle(n)
 	for k.now < end {
-		k.refreshSync()
-		if k.trySkipTo(end) {
+		if k.syncDirty {
+			k.refreshSync()
+		}
+		if k.usePool() {
+			k.wakeAll()
+			k.stepPool(min(k.effEpoch, int64(end-k.now)))
 			continue
 		}
-		if e := min(k.effEpoch, int64(end-k.now)); e > 1 && k.usePool() {
-			k.stepPool(e)
-		} else {
-			k.Step()
+		if k.asleep == len(k.entries) && len(k.latches) == 0 && k.quiet() {
+			next := end
+			if len(k.timers) > 0 {
+				next = min(next, k.timers[0].at)
+			}
+			if next > k.now {
+				k.now = next
+				continue
+			}
 		}
+		k.Step()
 	}
 }
 

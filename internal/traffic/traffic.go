@@ -77,7 +77,8 @@ type Sender interface {
 }
 
 // TCApp drives one real-time channel with a synthetic message pattern.
-// It implements sim.Component and must tick before the routers.
+// It implements sim.Skipper; nothing pushes into it, so the kernel's wake
+// list leaves it out until its NextWork.
 type TCApp struct {
 	name    string
 	ch      Sender
@@ -362,9 +363,12 @@ func (a *BEApp) Skip(now, target sim.Cycle) {
 	}
 }
 
-// Sink drains a router's delivery queues every cycle and accumulates
-// latency statistics from probe payloads. It implements sim.Component
-// and should be registered after the router it serves.
+// Sink drains a router's delivery queues and accumulates latency
+// statistics from probe payloads. It implements sim.Sleeper: the router
+// wakes it for every delivery (Router.WakeOnDelivery), so on the
+// kernel's wake list it ticks only in the cycles something was
+// delivered. Registered after the router it serves, it drains a
+// delivery in the cycle it was made.
 type Sink struct {
 	name string
 	r    *router.Router
@@ -403,8 +407,7 @@ func (s *Sink) Reset() {
 }
 
 // NextWork implements sim.Skipper: with nothing delivered the drain is
-// a no-op, and during a skipped span the (also idle) router cannot
-// deliver anything new.
+// a no-op, and the next delivery wakes the sink.
 func (s *Sink) NextWork(now sim.Cycle) sim.Cycle {
 	if s.r.HasDeliveries() {
 		return now
@@ -415,11 +418,14 @@ func (s *Sink) NextWork(now sim.Cycle) sim.Cycle {
 // Skip implements sim.Skipper; idle sink cycles have no effects.
 func (s *Sink) Skip(now, target sim.Cycle) {}
 
+// SetAlarm implements sim.Sleeper: the router rings the alarm at every
+// delivery.
+func (s *Sink) SetAlarm(a *sim.Alarm) { s.r.WakeOnDelivery(a) }
+
 // Tick implements sim.Component.
 func (s *Sink) Tick(now sim.Cycle) {
-	// Idle-cycle fast path: the double-buffered drains are cheap, but on
-	// large meshes most sinks see nothing most cycles, and the pre-check
-	// is one pointer's worth of work.
+	// Idle-cycle fast path, for the kernels that tick every sink every
+	// cycle (the worker pool, a kernel with a barrier component).
 	if !s.r.HasDeliveries() {
 		return
 	}
@@ -451,5 +457,5 @@ func (s *Sink) Tick(now sim.Cycle) {
 var (
 	_ sim.Skipper = (*TCApp)(nil)
 	_ sim.Skipper = (*BEApp)(nil)
-	_ sim.Skipper = (*Sink)(nil)
+	_ sim.Sleeper = (*Sink)(nil)
 )
