@@ -58,10 +58,11 @@ ledger:
 	$(GO) test -C benchmark ./...
 
 # bench runs the simulator-speed micro-benchmarks (router tick hot
-# paths, cycle rate sequential vs parallel, scheduler selection, sort
-# keys) with allocation reporting, the admission-path benchmarks with
-# their allocs-per-admit ceiling (TestAdmitAllocs fails the run if the
-# steady-state admit path starts allocating), then runs the scaling
+# paths, cycle rate sequential vs parallel on the loaded and the sparse
+# mesh, scheduler selection, sort keys) with allocation reporting, the
+# admission-path benchmarks with their allocs-per-admit ceiling
+# (TestAdmitAllocs fails the run if the steady-state admit path starts
+# allocating), then runs the scaling
 # sweep — mesh size × worker count, printing the speedup table — and
 # records machine-readable numbers (including allocs/cycle, GOMAXPROCS
 # and NumCPU) in $(BENCH_JSON). The sweep stops at 64×64, as rtbench's
@@ -71,7 +72,7 @@ ledger:
 BENCH_JSON ?= BENCH_router.json
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkRouterTick -benchmem ./internal/router
-	$(GO) test -run '^$$' -bench 'BenchmarkRouterCycleRate|BenchmarkFig6SortKeys' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterCycleRate|BenchmarkSparseCycleRate|BenchmarkFig6SortKeys' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkT4SchedulerThroughput -benchmem ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit$$|BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$|BenchmarkLinkCheckCached$$' -benchmem ./internal/admission
 	$(GO) test -run TestAdmitAllocs -count=1 ./internal/admission
@@ -98,16 +99,16 @@ profile-admission:
 # every router idle or parked, asleep on the kernel's wake list) and the
 # loaded 8×8 mesh (BenchmarkRouterCycleRate over experiments.LoadedMesh —
 # every router busy), each followed by a per-line view: the wake list's
-# walk and the parked router's wake-up (liveBeat) on the sparse mesh,
+# walk (walker.walk) and the parked router's wake-up (liveBeat) on the sparse mesh,
 # Router.Tick and sampleInputs on the loaded one. A router or kernel
 # hot-path change quotes both before and after (CHANGES.md). Leaves the
 # two profiles and the test binary behind.
 DATAPLANE_PROF ?= dataplane
 profile-dataplane:
-	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$' -benchtime 30000x -cpu 1 \
+	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$/^workers=1$$' -benchtime 30000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_sparse.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_sparse.prof
-	$(GO) tool pprof -list 'Kernel..walk$$|liveBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
+	$(GO) tool pprof -list 'walker..walk$$|liveBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
 	$(GO) test -run '^$$' -bench '^BenchmarkRouterCycleRate$$/^workers=1$$' -benchtime 150000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_loaded.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_loaded.prof

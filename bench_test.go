@@ -335,24 +335,37 @@ func BenchmarkRouterCycleRate(b *testing.B) {
 
 // BenchmarkSparseCycleRate is the other regime of the dataplane: a 32×32
 // mesh carrying experiments.SparseMesh's forty channels and nothing
-// else, on the sequential kernel. Nearly every router is idle or parked
-// and asleep on the kernel's wake list, so ns/op is the cost of the few
-// busy routers plus the wake list's own walk, timers and settling;
-// `make profile-dataplane` profiles it beside the loaded mesh above.
+// else, once on the sequential kernel and once on the worker pool at
+// GOMAXPROCS workers, like BenchmarkRouterCycleRate. Nearly every router
+// is idle or parked and asleep on a wake list — the sequential kernel's
+// one, or its tile's on the pool — so ns/op is the cost of the few busy
+// routers plus the wake lists' own walks, timers and settling (and on the
+// pool the rendezvous); `make profile-dataplane` profiles the sequential
+// leg beside the loaded mesh above.
 func BenchmarkSparseCycleRate(b *testing.B) {
-	built, err := experiments.SparseMesh(32, 32).BuildAll()
-	if err != nil {
-		b.Fatal(err)
+	par := runtime.GOMAXPROCS(0)
+	if par < 2 {
+		par = 2 // still exercise the pooled path on single-core hosts
 	}
-	sys := built.System
-	defer sys.Close()
-	sys.Run(2000) // every channel has packets in flight
-	b.ResetTimer()
-	sys.Run(int64(b.N))
-	b.StopTimer()
-	b.ReportMetric(float64(1024), "routers")
-	if sys.Summarize().TCDelivered == 0 {
-		b.Fatal("sparse mesh delivered nothing")
+	for _, workers := range []int{1, par} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			fx := experiments.SparseMesh(32, 32)
+			fx.Options.Workers = workers
+			built, err := fx.BuildAll()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys := built.System
+			defer sys.Close()
+			sys.Run(2000) // every channel has packets in flight
+			b.ResetTimer()
+			sys.Run(int64(b.N))
+			b.StopTimer()
+			b.ReportMetric(float64(1024), "routers")
+			if sys.Summarize().TCDelivered == 0 {
+				b.Fatal("sparse mesh delivered nothing")
+			}
+		})
 	}
 }
 

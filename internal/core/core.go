@@ -88,6 +88,8 @@ type Options struct {
 	// GOMAXPROCS. Parallel systems should be Closed when done. The
 	// workers rendezvous once per Router.LinkLatency cycles: the kernel
 	// derives that epoch from the wiring (sim.Kernel.EffectiveEpoch).
+	// Either way resting routers, pacers and sinks sleep on wake lists —
+	// the sequential kernel's one, or one per tile of the worker pool.
 	//
 	// Observability is parallel-safe under any worker count: each router
 	// writes lifecycle events only into its own node's collector shard

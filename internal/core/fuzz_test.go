@@ -9,20 +9,23 @@ import (
 	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // FuzzMeshTick drives a 3×3 mesh with a fuzzer-chosen op program: sends on
 // four real-time channels, best-effort frames between any two nodes,
 // horizon writes, link failures and repairs, ResetStats, and Run chunks
-// of 1–17 cycles. Each program runs on the sequential kernel, whose wake
-// list puts resting routers, pacers and sinks to sleep, and on the
-// two-worker pool that ticks every component every cycle. After every
-// chunk the two must agree on every router's counters, rest-tick counts
-// and comparator-tree selections. After the program, every link is
-// repaired and the mesh drained: every time-constrained packet a pacer
-// released must be delivered or dropped, every best-effort frame
-// delivered, aborted or misrouted, every packet-memory slot free, and the
-// two kernels still in agreement.
+// of 1–17 cycles. Each program runs on three kernels: the sequential one,
+// whose wake list puts resting routers, pacers and sinks to sleep, the
+// two-worker pool, whose tiles do the same on wake lists of their own,
+// and a kernel a barrier keeps awake, which ticks every component every
+// cycle. After every chunk the two wake lists must agree with the
+// every-cycle loop on every router's counters, rest-tick counts and
+// comparator-tree selections. After the program, every link is repaired
+// and the mesh drained: every time-constrained packet a pacer released
+// must be delivered or dropped, every best-effort frame delivered,
+// aborted or misrouted, every packet-memory slot free, and the three
+// kernels still in agreement.
 //
 //	go test -fuzz=FuzzMeshTick -fuzztime=20s -run '^$' ./internal/core/
 func FuzzMeshTick(f *testing.F) {
@@ -38,9 +41,19 @@ func FuzzMeshTick(f *testing.F) {
 		if len(prog) > 96 {
 			prog = prog[:96]
 		}
-		seq, par := newFuzzMesh(t, 1), newFuzzMesh(t, 2)
-		defer seq.sys.Close()
-		defer par.sys.Close()
+		ctl, seq, par := newFuzzMesh(t, 1, true), newFuzzMesh(t, 1, false), newFuzzMesh(t, 2, false)
+		legs := []*fuzzMesh{ctl, seq, par}
+		for _, m := range legs {
+			defer m.sys.Close()
+		}
+		agree := func(when string) {
+			want := ctl.observe()
+			for _, m := range legs[1:] {
+				if got := m.observe(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the wake list at %s diverged from the every-cycle loop:\n%+v\n%+v", when, m.name, got, want)
+				}
+			}
+		}
 		for i := 0; i < len(prog); i++ {
 			arg := func() int {
 				if i+1 < len(prog) {
@@ -52,44 +65,46 @@ func FuzzMeshTick(f *testing.F) {
 			switch op := prog[i] % 8; op {
 			case 0, 1:
 				k := arg()
-				seq.send(k)
-				par.send(k)
+				for _, m := range legs {
+					m.send(k)
+				}
 			case 2:
 				src, dst := arg(), arg()
-				seq.sendBE(t, src, dst)
-				par.sendBE(t, src, dst)
+				for _, m := range legs {
+					m.sendBE(t, src, dst)
+				}
 			case 3:
 				at, mask, h := arg(), arg(), arg()
-				seq.horizon(t, at, mask, h)
-				par.horizon(t, at, mask, h)
+				for _, m := range legs {
+					m.horizon(t, at, mask, h)
+				}
 			case 4:
 				l := arg()
-				seq.toggleLink(t, l)
-				par.toggleLink(t, l)
+				for _, m := range legs {
+					m.toggleLink(t, l)
+				}
 			case 5:
-				seq.reset()
-				par.reset()
+				for _, m := range legs {
+					m.reset()
+				}
 			default:
 				n := int64(1 + arg()%17)
-				seq.sys.Run(n)
-				par.sys.Run(n)
-				if a, b := seq.observe(), par.observe(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("op %d, cycle %d: the wake list diverged from the every-cycle pool:\n%+v\n%+v",
-						i, seq.sys.Now(), a, b)
+				for _, m := range legs {
+					m.sys.Run(n)
 				}
+				agree(fmt.Sprintf("op %d, cycle %d", i, ctl.sys.Now()))
 			}
 		}
-		for _, m := range []*fuzzMesh{seq, par} {
+		for _, m := range legs {
 			m.drain(t)
 		}
-		if a, b := seq.observe(), par.observe(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("after the drain the wake list diverged from the every-cycle pool:\n%+v\n%+v", a, b)
-		}
+		agree("after the drain")
 	})
 }
 
 // fuzzMesh is one system of the fuzzer with what it has sent.
 type fuzzMesh struct {
+	name   string
 	sys    *System
 	chans  []*Channel
 	failed map[int]bool
@@ -113,12 +128,17 @@ var fuzzLinks = func() (l [][2]int) {
 	return l
 }()
 
-func newFuzzMesh(t *testing.T, workers int) *fuzzMesh {
+// newFuzzMesh builds the fuzzer's mesh on the given kernel: workers > 1
+// is the pool, and control adds a barrier that keeps everyone awake.
+func newFuzzMesh(t *testing.T, workers int, control bool) *fuzzMesh {
 	sys := MustNewMesh(3, 3, Options{Workers: workers})
 	if workers > 1 {
 		sys.Net.Kernel.ForcePool(true)
 	}
-	m := &fuzzMesh{sys: sys, failed: make(map[int]bool)}
+	if control {
+		sys.Net.Kernel.Register(keepAwake{})
+	}
+	m := &fuzzMesh{name: fmt.Sprintf("workers %d, control %v", workers, control), sys: sys, failed: make(map[int]bool)}
 	for _, r := range [][2]mesh.Coord{
 		{{X: 0, Y: 0}, {X: 2, Y: 2}},
 		{{X: 2, Y: 0}, {X: 0, Y: 1}},
@@ -222,18 +242,25 @@ func (m *fuzzMesh) drain(t *testing.T) {
 	for _, ch := range m.chans {
 		sent += ch.Paced().Sent * int64(ch.Spec().PacketsPerMessage())
 	}
-	name := fmt.Sprintf("workers %d", m.sys.Net.Kernel.Workers())
 	if sent != m.done.TCDelivered+m.done.TCDrops {
 		t.Errorf("%s: %d time-constrained packets released, %d delivered, %d dropped",
-			name, sent, m.done.TCDelivered, m.done.TCDrops)
+			m.name, sent, m.done.TCDelivered, m.done.TCDrops)
 	}
 	if m.beSent != m.done.BEDelivered+m.done.BEAborts {
 		t.Errorf("%s: %d best-effort frames sent, %d delivered, %d aborted or misrouted",
-			name, m.beSent, m.done.BEDelivered, m.done.BEAborts)
+			m.name, m.beSent, m.done.BEDelivered, m.done.BEAborts)
 	}
 	for _, c := range m.sys.Net.Coords() {
 		if free := m.sys.Router(c).FreeSlots(); free != router.DefaultConfig().Slots {
-			t.Errorf("%s: router %s holds %d memory slots after the drain", name, c, router.DefaultConfig().Slots-free)
+			t.Errorf("%s: router %s holds %d memory slots after the drain", m.name, c, router.DefaultConfig().Slots-free)
 		}
 	}
 }
+
+// keepAwake is a barrier component that does nothing: registered on a
+// kernel, it keeps every component awake, which makes the kernel the
+// every-cycle loop the wake lists are checked against.
+type keepAwake struct{}
+
+func (keepAwake) Name() string   { return "keep-awake" }
+func (keepAwake) Tick(sim.Cycle) {}

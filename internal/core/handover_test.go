@@ -15,14 +15,21 @@ import (
 // c+1 — the router has already run cycle c when the release lands, which
 // the release event's cycle shows — and a packet the router delivers in
 // cycle c is drained by its sink in cycle c. Both hold on the sequential
-// kernel, whose wake list has the router or the sink asleep when most
-// hand-overs reach it, and on the worker pool.
+// kernel and on the worker pool, whose wake lists have the router or the
+// sink asleep when most hand-overs reach it, and on a kernel a barrier
+// keeps awake, which ticks everyone every cycle.
 func TestNodeHandOverOrder(t *testing.T) {
-	for _, pool := range []bool{false, true} {
-		sys := MustNewMesh(3, 3, Options{})
-		if pool {
-			sys.Net.SetWorkers(2)
+	for _, leg := range []struct {
+		name    string
+		workers int
+		control bool
+	}{{"sequential", 1, false}, {"pool", 2, false}, {"every-cycle", 1, true}} {
+		sys := MustNewMesh(3, 3, Options{Workers: leg.workers})
+		if leg.workers > 1 {
 			sys.Net.Kernel.ForcePool(true)
+		}
+		if leg.control {
+			sys.Net.Kernel.Register(keepAwake{})
 		}
 		src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 1}
 		spec := rtc.Spec{Imin: 24, Smax: 18, D: 60}
@@ -59,11 +66,11 @@ func TestNodeHandOverOrder(t *testing.T) {
 		sys.Run(20000)
 		sys.Close()
 		if releases < 30 || drains < 30 || late != 0 || stale != 0 {
-			t.Errorf("pool %v: %d releases, %d seen by a router that had not run their cycle; %d drains, %d not in the delivery's cycle",
-				pool, releases, late, drains, stale)
+			t.Errorf("%s: %d releases, %d seen by a router that had not run their cycle; %d drains, %d not in the delivery's cycle",
+				leg.name, releases, late, drains, stale)
 		}
-		if ticked, slept := sys.Net.Kernel.Activity(nil); !pool && slept < ticked {
-			t.Errorf("the wake list slept only %d of %d component-cycles", slept, ticked+slept)
+		if ticked, slept := sys.Net.Kernel.Activity(nil); leg.control != (slept == 0) || !leg.control && slept < ticked {
+			t.Errorf("%s: slept %d of %d component-cycles", leg.name, slept, ticked+slept)
 		}
 	}
 }

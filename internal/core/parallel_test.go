@@ -39,7 +39,7 @@ type loadedRun struct {
 // wires.
 type loadedOpts struct {
 	workers   int
-	tile      int // mesh tile edge; 0 = mesh.DefaultTileSize
+	tile      int // tile edge of the parallel plan; 0 = the mesh's own
 	linkLat   int // router.Config.LinkLatency; 0 = the 1-cycle default
 	forcePool bool
 	cycles    int64
@@ -69,8 +69,8 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if o.tile != 0 {
-		sys.Net.SetTileSize(o.tile)
+	if t := o.tile; t != 0 {
+		sys.Net.Kernel.SetTiling(func(shard int) int { return shard/8/t*((8+t-1)/t) + shard%8/t })
 	}
 	sys.Net.Kernel.ForcePool(o.forcePool)
 

@@ -37,7 +37,10 @@ func observeSparse(b *core.Built) sparseObs {
 	return o
 }
 
-func buildSparse(t *testing.T, w, h, workers, linkLat int) *core.Built {
+// buildSparse builds the sparse fixture on the given kernel: workers > 1
+// is the pool (even at GOMAXPROCS=1), and control registers a barrier
+// that keeps every component awake — the every-cycle loop.
+func buildSparse(t *testing.T, w, h, workers, linkLat int, control bool) *core.Built {
 	t.Helper()
 	fx := SparseMesh(w, h)
 	fx.Options.Workers = workers
@@ -48,10 +51,20 @@ func buildSparse(t *testing.T, w, h, workers, linkLat int) *core.Built {
 		t.Fatal(err)
 	}
 	if workers > 1 {
-		b.Net.Kernel.ForcePool(true) // pool even at GOMAXPROCS=1
+		b.Net.Kernel.ForcePool(true)
+	}
+	if control {
+		b.Net.Kernel.Register(keepAwake{})
 	}
 	return b
 }
+
+// keepAwake is a barrier component that does nothing: registered on a
+// kernel, it keeps every component awake.
+type keepAwake struct{}
+
+func (keepAwake) Name() string   { return "keep-awake" }
+func (keepAwake) Tick(sim.Cycle) {}
 
 // isRouter selects the routers for Kernel.Activity.
 func isRouter(c sim.Component) bool {
@@ -61,26 +74,32 @@ func isRouter(c sim.Component) bool {
 
 // TestSparseMeshRestsAcrossWorkers: on the sparse fixture most routers
 // are at rest — idle, or parked on held packets. The sequential kernel's
-// wake list leaves them out until a wire, a push or a live beat wakes
-// them; the two-worker pool ticks every one of them every cycle (over the
-// paper's one-cycle wires) or skips whole tiles (over four-cycle ones,
-// with four-cycle epochs and eight-slot stamp rings). After every Run
-// chunk of 1, 8 or 37 cycles, and through a RunUntil whose predicate
-// reads the settled IdleTicks each cycle, the sequential run must read
-// exactly as the pooled one: counters, rest-tick counts, selections,
-// sink counts and latency histograms. `make check` runs it under the
-// race detector.
+// wake list and the two-worker pool's per-tile wake lists leave them out
+// until a wire, a push or a live beat wakes them; a kernel kept awake by
+// a barrier ticks every one of them every cycle. Over the paper's
+// one-cycle wires and over four-cycle ones (four-cycle epochs, eight-slot
+// stamp rings), after every Run chunk of 1, 8 or 37 cycles, and through a
+// RunUntil whose predicate reads the settled IdleTicks each cycle, the
+// three must read exactly alike: counters, rest-tick counts, selections,
+// sink counts and latency histograms. `make check` runs it under the race
+// detector.
 func TestSparseMeshRestsAcrossWorkers(t *testing.T) {
 	for _, linkLat := range []int{1, 4} {
-		seq, par := buildSparse(t, 10, 10, 1, linkLat), buildSparse(t, 10, 10, 2, linkLat)
+		legs := []*core.Built{buildSparse(t, 10, 10, 1, linkLat, true),
+			buildSparse(t, 10, 10, 1, linkLat, false), buildSparse(t, 10, 10, 2, linkLat, false)}
+		names := []string{"", "the sequential wake list", "the pooled wake list"}
+		ctl := legs[0]
 		chunks := []int64{1, 8, 37}
-		for i := 0; seq.Now() < 6000; i++ {
-			n := chunks[i%len(chunks)]
-			seq.Run(n)
-			par.Run(n)
-			if a, b := observeSparse(seq), observeSparse(par); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%d-cycle links, cycle %d: the sequential run of the sparse mesh diverged from the two-worker run",
-					linkLat, seq.Now())
+		for i := 0; ctl.Now() < 6000; i++ {
+			for _, b := range legs {
+				b.Run(chunks[i%len(chunks)])
+			}
+			want := observeSparse(ctl)
+			for j, b := range legs[1:] {
+				if !reflect.DeepEqual(observeSparse(b), want) {
+					t.Fatalf("%d-cycle links, cycle %d: %s of the sparse mesh diverged from the every-cycle loop",
+						linkLat, ctl.Now(), names[j+1])
+				}
 			}
 		}
 		idleSum := func(b *core.Built) int64 {
@@ -90,46 +109,55 @@ func TestSparseMeshRestsAcrossWorkers(t *testing.T) {
 			}
 			return n
 		}
-		target := idleSum(seq) + 150*int64(len(seq.Net.Coords()))
-		okSeq := seq.RunUntil(func() bool { return idleSum(seq) >= target }, 1000)
-		okPar := par.RunUntil(func() bool { return idleSum(par) >= target }, 1000)
-		if !okSeq || okSeq != okPar || seq.Now() != par.Now() {
-			t.Fatalf("%d-cycle links: RunUntil on idle ticks stopped at cycle %d (%v), the pool at %d (%v)",
-				linkLat, seq.Now(), okSeq, par.Now(), okPar)
-		}
-		if a, b := observeSparse(seq), observeSparse(par); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%d-cycle links: after RunUntil the sequential run diverged from the two-worker run", linkLat)
+		target := idleSum(ctl) + 150*int64(len(ctl.Net.Coords()))
+		okCtl := ctl.RunUntil(func() bool { return idleSum(ctl) >= target }, 1000)
+		for j, b := range legs[1:] {
+			ok := b.RunUntil(func() bool { return idleSum(b) >= target }, 1000)
+			if !okCtl || ok != okCtl || b.Now() != ctl.Now() {
+				t.Fatalf("%d-cycle links: RunUntil on idle ticks stopped %s at cycle %d (%v), the every-cycle loop at %d (%v)",
+					linkLat, names[j+1], b.Now(), ok, ctl.Now(), okCtl)
+			}
+			if !reflect.DeepEqual(observeSparse(b), observeSparse(ctl)) {
+				t.Fatalf("%d-cycle links: after RunUntil %s diverged from the every-cycle loop", linkLat, names[j+1])
+			}
 		}
 		var idle, parked int64
-		o := observeSparse(seq)
+		o := observeSparse(ctl)
 		for i := range o.idle {
 			idle += o.idle[i]
 			parked += o.parked[i]
 		}
-		if sum := seq.Summarize(); sum.TCDelivered == 0 || sum.TCMisses != 0 || idle == 0 || parked == 0 {
+		if sum := ctl.Summarize(); sum.TCDelivered == 0 || sum.TCMisses != 0 || idle == 0 || parked == 0 {
 			t.Fatalf("%d-cycle links: %d delivered, %d missed, %d idle and %d parked ticks",
 				linkLat, sum.TCDelivered, sum.TCMisses, idle, parked)
 		}
-		seq.Close()
-		par.Close()
+		for j, b := range legs {
+			if ticked, slept := b.Net.Kernel.Activity(isRouter); j > 0 && slept < ticked {
+				t.Errorf("%d-cycle links: %s slept only %d of %d router-cycles", linkLat, names[j], slept, ticked+slept)
+			}
+			b.Close()
+		}
 	}
 }
 
 // TestSparseMeshRoutersSleep: on the 32×32 sparse mesh after warm-up, the
-// wake list sleeps through at least 80 % of the router-cycles, so a
-// change that keeps resting routers awake fails here.
+// wake lists sleep through at least 80 % of the router-cycles — the
+// sequential kernel's and the two-worker pool's tiles alike — so a change
+// that keeps resting routers awake on either engine fails here.
 func TestSparseMeshRoutersSleep(t *testing.T) {
-	b := buildSparse(t, 32, 32, 1, 1)
-	defer b.Close()
-	b.Run(2000)
-	t0, s0 := b.Net.Kernel.Activity(isRouter)
-	b.Run(3000)
-	t1, s1 := b.Net.Kernel.Activity(isRouter)
-	ticked, slept := t1-t0, s1-s0
-	if ticked+slept != 3000*1024 {
-		t.Fatalf("%d router-cycles accounted, want %d", ticked+slept, 3000*1024)
-	}
-	if share := float64(slept) / float64(ticked+slept); share < 0.8 {
-		t.Errorf("the wake list slept %.1f %% of the router-cycles, want at least 80 %%", 100*share)
+	for _, workers := range []int{1, 2} {
+		b := buildSparse(t, 32, 32, workers, 1, false)
+		b.Run(2000)
+		t0, s0 := b.Net.Kernel.Activity(isRouter)
+		b.Run(3000)
+		t1, s1 := b.Net.Kernel.Activity(isRouter)
+		b.Close()
+		ticked, slept := t1-t0, s1-s0
+		if ticked+slept != 3000*1024 {
+			t.Fatalf("workers %d: %d router-cycles accounted, want %d", workers, ticked+slept, 3000*1024)
+		}
+		if share := float64(slept) / float64(ticked+slept); share < 0.8 {
+			t.Errorf("workers %d: the wake lists slept %.1f %% of the router-cycles, want at least 80 %%", workers, 100*share)
+		}
 	}
 }

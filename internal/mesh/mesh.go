@@ -121,7 +121,12 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 			}
 		}
 	}
-	n.SetTileSize(0)
+	// The parallel plan groups node shards into tile×tile spatial blocks,
+	// so each kernel worker walks coarse, cache-local regions of the mesh.
+	// Results are bit-identical for every tiling; it only affects locality.
+	const tile = 4
+	tilesX := (w + tile - 1) / tile
+	n.Kernel.SetTiling(func(shard int) int { return shard/w/tile*tilesX + shard%w/tile })
 	return n, nil
 }
 
@@ -187,26 +192,6 @@ func (n *Network) RegisterAt(c Coord, comp sim.Component) {
 // component sequentially; w > 1 ticks the per-node shards on w workers
 // with bit-identical results; w <= 0 picks GOMAXPROCS.
 func (n *Network) SetWorkers(w int) { n.Kernel.SetWorkers(w) }
-
-// DefaultTileSize is the spatial tile edge used by the parallel
-// execution mode: node shards group into DefaultTileSize² blocks so
-// each kernel worker walks coarse, cache-local regions of the mesh.
-const DefaultTileSize = 4
-
-// SetTileSize regroups the kernel's parallel plan around t×t spatial
-// blocks of nodes (t = 1 is per-node grouping; t <= 0 restores
-// DefaultTileSize). Results are bit-identical for every tile size; the
-// choice only affects locality. Takes effect at the next Step.
-func (n *Network) SetTileSize(t int) {
-	if t <= 0 {
-		t = DefaultTileSize
-	}
-	tilesX := (n.W + t - 1) / t
-	n.Kernel.SetTiling(func(shard int) int {
-		x, y := shard%n.W, shard/n.W
-		return (y/t)*tilesX + x/t
-	})
-}
 
 // Close releases the kernel's resident worker goroutines, if any.
 func (n *Network) Close() { n.Kernel.Close() }

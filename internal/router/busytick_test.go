@@ -39,7 +39,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 	if r.schedCountdown <= 0 {
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
 		r.forgetQuiet(allPorts)
-		r.schedBeat(abs, false)
+		r.schedBeat(abs)
 	}
 
 	for p := 0; p < NumPorts; p++ {

@@ -63,14 +63,14 @@ type Stats struct {
 // its mesh links with ConnectIn/ConnectOut (or the mesh package) before
 // running the kernel.
 type Router struct {
-	// What an awake router at rest touches every cycle — its own short
-	// Tick and the kernel's NextWork — comes first and together: each
-	// cache line it is spread over is a miss apiece.
+	// What an awake router at rest touches every cycle — its Tick that
+	// is a Skip of one cycle and the kernel's NextWork — comes first and
+	// together: each cache line it is spread over is a miss apiece.
 
 	// rest is the rest state the last full Tick left the router in (see
-	// restState); while it is not busy and the link wires stay clear,
-	// Tick leaves out what provably cannot change state, and the kernel's
-	// wake list may leave out the Tick. Cleared by wake: injections,
+	// restState); while it is not busy and the link wires stay clear, a
+	// Tick with a closed-form beat is a Skip of the cycle, and the wake
+	// lists may leave out the Tick. Cleared by wake: injections,
 	// rewiring, horizon writes and EnableBlame.
 	rest restState
 	// stampBuf backs stamps (below) while every attached link is one
@@ -83,7 +83,7 @@ type Router struct {
 	schedCountdown int
 	schedRR        int
 
-	// alarm is the router's place on the kernel's wake list (SetAlarm),
+	// alarm is the router's place on its wake list (SetAlarm),
 	// lent to every inbound wire; delivered is the alarm of the sink that
 	// drains the delivery queues (WakeOnDelivery). Both nil until a
 	// kernel binds them. maxLat is the longest inbound wire's latency:
@@ -631,8 +631,8 @@ func (r *Router) forgetQuiet(mask sched.PortMask) {
 func (r *Router) SlotNow(now int64) timing.Stamp { return r.slotNow(now) }
 
 // restState summarizes what a router holds between two cycles, which
-// decides how much of the next Tick can be left out while the link wires
-// stay clear. The end of every full Tick records it.
+// decides whether the next Tick is a Skip of one cycle while the link
+// wires stay clear. The end of every full Tick records it.
 type restState uint8
 
 const (
@@ -642,17 +642,17 @@ const (
 	// restParked: every engine is idle (enginesIdle), forensics is off
 	// and the tick took nothing off a wire, but packets sit in the packet
 	// memory as scheduler leaves, held until their logical arrival time
-	// (atRest). Output arbitration has nothing to move, so the next Tick
-	// runs the countdown and the beat alone (schedBeat: closed-form while
-	// the beat's port is inside its quiet span), and the rest of the cycle
-	// only if the beat produced a candidate to fetch. The kernel's wake
-	// list leaves the router out until its first beat on a port whose
-	// quiet span has ended (NextWork, liveBeat, Skip).
+	// (atRest). Output arbitration has nothing to move, so a cycle whose
+	// beat is closed-form (the beat's port inside its quiet span, or no
+	// beat) only counts down, which Skip replays; a live beat runs a real
+	// Select, and the rest of the tick only if it made a candidate to
+	// fetch. The wake lists leave the router out until its first live beat
+	// (NextWork, liveBeat).
 	restParked
 	// restIdle: every engine idle, the packet memory free, no leaf
-	// installed: every port quiet forever. The next Tick is the countdown
-	// and a closed-form beat, and the wake list leaves the router out
-	// until a wire or a push wakes it.
+	// installed: every port quiet forever. Every cycle with clear wires
+	// is a Skip, and the wake lists leave the router out until a wire or
+	// a push wakes it.
 	restIdle
 )
 
@@ -665,36 +665,36 @@ const (
 //  4. inputs sample the link wires, and
 //  5. acknowledgements return flit credits upstream.
 //
-// A router at rest whose wires are clear leaves out the phases that
-// provably change nothing: phase 1 when parked, and phases 3–5 too unless
-// the parked beat made a candidate; all but the countdown and a
-// closed-form beat when idle (see restState); on the kernel's wake list
-// most such ticks do not happen at all, and Skip replays them. A busy
-// tick visits only the ports that hold work: arbitrate runs where
-// portWork or beDropping marks a port (every port while attribution is
-// on), the launch, acknowledge and parse loops walk port masks
-// (tcStaged|tcCand, beOwed, beUnparsed) in ascending port order, and
-// sampleInputs reads a wire only when its lane of the stamp row matches
-// the cycle. On any router a beat on a port inside its quiet span is
-// closed-form (schedBeat).
+// A tick of a router at rest whose wires are clear and whose beat, if
+// one falls in the cycle, is closed-form changes nothing a Skip of the
+// cycle would not (see restState), so it is one: on the wake lists most
+// such ticks do not happen at all. Every other tick is a full one,
+// which on a parked router with clear wires ends after a live beat that
+// made no candidate. A full tick visits only the ports that hold work:
+// arbitrate runs where portWork or beDropping marks a port (every port
+// while attribution is on), the launch, acknowledge and parse loops
+// walk port masks (tcStaged|tcCand, beOwed, beUnparsed) in ascending
+// port order, and sampleInputs reads a wire only when its lane of the
+// stamp row matches the cycle. On any router a beat on a port inside
+// its quiet span is closed-form (schedBeat).
 func (r *Router) Tick(now sim.Cycle) {
-	rest := r.rest
-	if rest != restBusy && !r.inputsClear(int64(now)) {
-		rest = restBusy
+	// At rest no port is passed over (schedBeat), so a beat in this cycle
+	// serves port schedRR; on an idle router every port is quiet.
+	still := r.rest != restBusy && r.inputsClear(int64(now))
+	if still && (r.schedCountdown > 1 || r.rest == restIdle || r.quiet[r.schedRR%NumPorts] > r.absSlot(int64(now))) {
+		r.Skip(now, now+1)
+		return
 	}
 	r.nowCycle = int64(now)
 
-	var abs int64 // the slot clock: read on a busy tick, and at rest only on a beat
-	if rest == restBusy {
-		abs = r.absSlot(int64(now))
-		nowSlot := r.wheel.Wrap(timing.Slot(abs))
-		for p := 0; p < NumPorts; p++ {
-			// Attribution charges idle port-cycles too. The masks are read
-			// afresh at every port: arbitrate(q) can raise a later port's
-			// bit (drainDeadBE → setDropping).
-			if r.blame != nil || (r.portWork|r.beDropping)&(1<<p) != 0 {
-				r.arbitrate(p, nowSlot)
-			}
+	abs := r.absSlot(int64(now))
+	nowSlot := r.wheel.Wrap(timing.Slot(abs))
+	for p := 0; p < NumPorts; p++ {
+		// Attribution charges idle port-cycles too. The masks are read
+		// afresh at every port: arbitrate(q) can raise a later port's
+		// bit (drainDeadBE → setDropping).
+		if r.blame != nil || (r.portWork|r.beDropping)&(1<<p) != 0 {
+			r.arbitrate(p, nowSlot)
 		}
 	}
 
@@ -704,21 +704,11 @@ func (r *Router) Tick(now sim.Cycle) {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
 		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
-		if rest == restIdle {
-			r.restBeats(1)
-		} else {
-			if rest != restBusy {
-				abs = r.absSlot(int64(now))
-			}
-			candidate = r.schedBeat(abs, rest == restParked)
-		}
+		candidate = r.schedBeat(abs)
 	}
-
-	switch {
-	case rest == restIdle:
-		r.idleTicks++
-		return
-	case rest == restParked && !candidate:
+	if still && !candidate {
+		// A parked router's live beat found nothing to fetch: the rest of
+		// the tick has nothing to move, and the router stays parked.
 		r.parkedTicks++
 		return
 	}
@@ -770,7 +760,7 @@ func (r *Router) Tick(now sim.Cycle) {
 
 // inputsClear reports that nothing arrived on the link wires this
 // cycle: no valid phit to sample and no returning best-effort credit.
-// Together with the recorded rest state this licenses the short ticks.
+// Together with the recorded rest state this licenses a Tick's Skip.
 // The cycle's stamp row answers for all eight wires at once (rowHit); a
 // lane that matches the cycle — an arrival, or sixteen stale or
 // never-written bits that happen to agree with it — is settled by the
@@ -804,7 +794,7 @@ func (r *Router) inputsClear(now int64) bool {
 // cheap signs that it cannot pass: an arrival this very cycle, which on a
 // loaded mesh is nearly every cycle. Forensics runs never park: blameGrant
 // attributes a horizon hold to every port-cycle a held packet waits,
-// which the parked tick would leave out.
+// which a parked cycle's Skip would leave out.
 func (r *Router) atRest(arrived bool) restState {
 	held := r.mem.freeSlots() != r.cfg.Slots || r.schedq.Occupancy() != 0
 	if held && (arrived || r.blame != nil) || !r.enginesIdle() {
@@ -879,7 +869,7 @@ func (r *Router) WakeOnDelivery(a *sim.Alarm) { r.delivered = a }
 
 // wake is every push into the router from outside its own Tick — an
 // injection, a rewiring, a horizon write, switching attribution on: a
-// router asleep on the kernel's wake list first settles the cycles it
+// router asleep on its wake list first settles the cycles it
 // slept through, in the rest state it slept in, and the next Tick runs
 // in full.
 func (r *Router) wake() {
@@ -936,26 +926,32 @@ func (r *Router) liveBeat(now int64) int64 {
 }
 
 // Skip implements sim.Skipper: replay the ticks of a router at rest for
-// cycles [now, target) in closed form, bit-identical to running the
-// idle or parked Tick target−now times, with no wire delivering and, when
-// parked, every beat on a quiet port (NextWork). The replayed effects are
-// exactly that tick's: the scheduler countdown with its closed-form
-// beats (restBeats), and the idle- or parked-cycle counter.
+// cycles [now, target) in closed form, with no wire delivering and, when
+// parked, every beat on a quiet port (NextWork). Each such tick only runs
+// the scheduler countdown with its closed-form beats and counts an idle
+// or parked cycle, and a Tick at rest is a Skip of its one cycle.
 func (r *Router) Skip(now, target sim.Cycle) {
 	n := int64(target - now)
 	if n <= 0 {
 		return
 	}
-	last := int64(target) - 1
-
 	// Scheduler beats: the countdown decrements every cycle and fires a
 	// beat at zero. A prior Tick guarantees schedCountdown ∈ [1, period].
-	period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
+	// Each beat is on a port inside its quiet span — on an idle router no
+	// leaf is installed, so every port is quiet forever. It advances the
+	// round-robin pointer by one port (no port is passed over), runs one
+	// selection that returns ClassNone and counts no Overdue
+	// (SkipIdleSelects is bit-identical to it) and samples the leaf level,
+	// which no beat at rest changes (noteSchedBeat).
 	if c0 := int64(r.schedCountdown); n >= c0 {
+		period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
 		beats := 1 + (n-c0)/period
-		rem := n - (c0 + (beats-1)*period)
-		r.schedCountdown = int(period - rem)
-		r.restBeats(beats)
+		r.schedCountdown = int(period - (n - c0 - (beats-1)*period))
+		r.schedRR = int((int64(r.schedRR)+beats-1)%NumPorts) + 1
+		r.schedq.SkipIdleSelects(beats)
+		r.beats += beats
+		r.schedLevel = int64(r.schedq.Occupancy())
+		r.schedPeak = max(r.schedPeak, r.schedLevel)
 	} else {
 		r.schedCountdown = int(c0 - n)
 	}
@@ -965,22 +961,7 @@ func (r *Router) Skip(now, target sim.Cycle) {
 	} else {
 		r.parkedTicks += n
 	}
-	r.nowCycle = last
-}
-
-// restBeats replays n ≥ 1 comparator-tree beats of a router at rest in
-// closed form, each on a port inside its quiet span — on an idle router
-// no leaf is installed, so every port is quiet forever. Each beat
-// advances the round-robin pointer by one port (no port is passed over),
-// runs one selection that returns ClassNone and counts no Overdue
-// (SkipIdleSelects is bit-identical to it) and samples the leaf level,
-// which no beat at rest changes (noteSchedBeat).
-func (r *Router) restBeats(n int64) {
-	r.schedRR = int((int64(r.schedRR)+n-1)%NumPorts) + 1
-	r.schedq.SkipIdleSelects(n)
-	r.beats += n
-	r.schedLevel = int64(r.schedq.Occupancy())
-	r.schedPeak = max(r.schedPeak, r.schedLevel)
+	r.nowCycle = int64(target) - 1
 }
 
 // turns counts the slot clock's wraps from cycle 0 to cycle now: the
@@ -1003,18 +984,12 @@ func (r *Router) HasDeliveries() bool {
 // schedBeat runs one comparator-tree selection for the next port in
 // round-robin order, modelling the shared, pipelined tree's throughput
 // of one result per SchedPeriod cycles; abs is the slot clock (absSlot).
-// It reports whether the port it served holds a candidate afterwards — on
-// a parked router, whether this beat woke it. The round robin passes over
-// ports whose engines cannot take a candidate (cutting through, fetching,
-// or transmitting with the next packet staged); on a parked router
-// (resting) enginesIdle held at the end of the last full tick and no
-// engine has run since, so no port is passed over and none is read.
-func (r *Router) schedBeat(abs int64, resting bool) bool {
-	if resting {
-		p := r.schedRR % NumPorts
-		r.schedRR = p + 1
-		return r.beatPort(p, abs)
-	}
+// It reports whether the port it served holds a candidate afterwards. The
+// round robin passes over ports whose engines cannot take a candidate
+// (cutting through, fetching, or transmitting with the next packet
+// staged); on a router at rest no engine holds work, so none is passed
+// over.
+func (r *Router) schedBeat(abs int64) bool {
 	for i := 0; i < NumPorts; i++ {
 		p := (r.schedRR + i) % NumPorts
 		o := r.tcOut[p]

@@ -40,8 +40,7 @@ type Pacer struct {
 	// queued counts the messages queued across chans (Σ Pending()), so a
 	// tick with nothing to release never walks the channels.
 	queued int
-	// alarm is the pacer's place on the kernel's wake list: Submit wakes
-	// it.
+	// alarm is the pacer's place on its wake list: Submit wakes it.
 	alarm *sim.Alarm
 }
 
@@ -177,9 +176,9 @@ func (p *Pacer) Name() string { return p.name }
 // window) with the earliest local deadline ℓ0+d.
 func (p *Pacer) Tick(now sim.Cycle) {
 	// Most nodes of a large mesh source no real-time channels at all, and
-	// a periodic source's queue is empty between releases; such a tick is
-	// pure overhead, so get out before touching the channels or the
-	// router.
+	// a periodic source's queue is empty between releases; on the wake
+	// lists such a pacer sleeps, and a kernel a barrier keeps awake gets
+	// out here before touching the channels or the router.
 	if p.queued == 0 {
 		return
 	}

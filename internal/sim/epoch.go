@@ -19,14 +19,16 @@ package sim
 // iteration.
 //
 // Quiescence skipping removes the idle cycles, one mechanism for single
-// components and for the whole system: the sequential engine's wake list
+// components, tiles and the whole system in both engines: the wake lists
 // (wake.go). A component that implements Skipper reports the next cycle
 // at which it has work and can replay a span of idle ticks in closed
-// form; the engine leaves it out until then, or until a wire arrival or
-// a push wakes it, and jumps the clock when nobody is awake. Skip must
-// be bit-exact: counters, scheduler state, and telemetry after Skip(now,
-// target) must equal what target-now idle Ticks would have produced,
-// which is what keeps sequential, parallel, and epoch runs
+// form; its walker leaves it out until then, or until a wire arrival or
+// a push wakes it, and jumps ahead when nobody on it is awake. On the
+// pool an entry falls asleep only at a step boundary, and an arrival from
+// another tile wakes it there, which the epoch bound makes early enough.
+// Skip must be bit-exact: counters, scheduler state, and telemetry after
+// Skip(now, target) must equal what target-now idle Ticks would have
+// produced, which is what keeps sequential, parallel, and epoch runs
 // byte-identical.
 
 // Never is the NextWork sentinel for "no work scheduled": far enough
@@ -62,19 +64,17 @@ func (k *Kernel) EffectiveEpoch() int64 {
 	return k.effEpoch
 }
 
-// refreshSync re-derives the effective epoch and the wake list's
-// roster after any registration change: every sleeper wakes, each new
-// entry gets its alarm, and sleeping is allowed again where it is legal
-// (wake.go).
+// refreshSync re-derives the effective epoch after any registration
+// change and gives each new entry its alarm; the next step deals the
+// entries out afresh (wake.go).
 func (k *Kernel) refreshSync() {
 	if !k.syncDirty {
 		return
 	}
 	k.syncDirty = false
 	k.effEpoch = k.legalEpoch()
-	k.wakeAll()
 	k.bindAlarms()
-	k.sleepOn = k.sleepLegal()
+	k.dealt = false
 }
 
 // legalEpoch is the minimum latency over the cross-shard pipes, or 1

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -25,17 +26,6 @@ func TestPipeSemantics(t *testing.T) {
 				t.Fatalf("lat %d: read at %d = %d, want %d", lat, c, got, want)
 			}
 		}
-	}
-	if NewPipe[int](3).HasStampIn(0, 8) {
-		t.Fatal("empty pipe reports pending arrival")
-	}
-	p := NewPipe[int](4)
-	p.Write(5, 1)
-	if p.HasStampIn(5, 9) {
-		t.Fatal("HasStampIn [5,9) true, arrival is at 9")
-	}
-	if !p.HasStampIn(9, 10) {
-		t.Fatal("HasStampIn [9,10) false, arrival is at 9")
 	}
 }
 
@@ -299,27 +289,82 @@ func TestQuiescenceSkip(t *testing.T) {
 
 }
 
-// TestSkipRespectsPipeArrivals: the whole-system jump stops at a wire
-// delivery so the receiving component ticks exactly on the arrival
-// cycle.
-func TestSkipRespectsPipeArrivals(t *testing.T) {
-	k := NewKernel()
-	var seen []Cycle
-	p := NewPipe[int](16)
-	recv := &funcSkipComp{
-		tick: func(now Cycle) {
-			if p.Read(now) != 0 {
-				seen = append(seen, now)
-			}
-		},
-		next: func(now Cycle) Cycle { return Never },
+// pipeSleeper is a Sleeper that reads one delay line and logs every
+// arrival; between arrivals it has nothing to do.
+type pipeSleeper struct {
+	in   *Pipe[int]
+	seen []Cycle
+}
+
+func (s *pipeSleeper) Name() string { return "reader" }
+func (s *pipeSleeper) Tick(now Cycle) {
+	if s.in.Read(now) != 0 {
+		s.seen = append(s.seen, now)
 	}
-	k.RegisterShard(0, recv)
-	k.AttachPipe(p, 0, 0)
-	p.Write(0, 7)
-	k.Run(100)
-	if len(seen) != 1 || seen[0] != 16 {
-		t.Fatalf("arrival observed at %v, want exactly [16]", seen)
+}
+func (s *pipeSleeper) NextWork(now Cycle) Cycle {
+	for c := now; c < now+Cycle(s.in.Latency()); c++ {
+		if s.in.Read(c) != 0 {
+			return c
+		}
+	}
+	return Never
+}
+func (s *pipeSleeper) Skip(now, target Cycle) {}
+func (s *pipeSleeper) SetAlarm(a *Alarm)      { s.in.SetReader(a) }
+
+// TestSkipRespectsPipeArrivals: a reader asleep on a wire from
+// another shard sees every arrival exactly on its cycle and sleeps
+// through the cycles with nothing in flight — on the sequential
+// walker, where the write sets its bit, and on the pool, where its
+// tile and the writer's are different walkers and the write reaches
+// it through a stand-in alarm, turned into a wake at the step
+// boundary. A value written before the first step, which no alarm
+// announces, is found by NextWork in flight; a pipe nothing is
+// written to leaves its reader asleep.
+func TestSkipRespectsPipeArrivals(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		k := NewKernel()
+		p, quiet := NewPipe[int](16), NewPipe[int](16)
+		send := &funcSkipComp{
+			tick: func(now Cycle) {
+				if now == 40 || now == 101 {
+					p.Write(now, int(now))
+				}
+			},
+			next: func(now Cycle) Cycle {
+				switch {
+				case now <= 40:
+					return 40
+				case now <= 101:
+					return 101
+				}
+				return Never
+			},
+		}
+		recv, idle := &pipeSleeper{in: p}, &pipeSleeper{in: quiet}
+		k.RegisterShard(0, send)
+		k.RegisterShard(1, recv)
+		k.RegisterShard(2, idle)
+		k.AttachPipe(p, 0, 1)
+		k.AttachPipe(quiet, 0, 2)
+		k.SetWorkers(workers)
+		k.ForcePool(workers > 1)
+		if got := k.EffectiveEpoch(); got != 16 {
+			t.Fatalf("workers %d: effective epoch %d, want 16", workers, got)
+		}
+		p.Write(0, 7)
+		k.Run(400)
+		k.Close()
+		if want := []Cycle{16, 56, 117}; !reflect.DeepEqual(recv.seen, want) {
+			t.Fatalf("workers %d: arrivals observed at %v, want %v", workers, recv.seen, want)
+		}
+		if ticked, slept := k.Activity(func(c Component) bool { return c == recv }); slept < 300 {
+			t.Errorf("workers %d: the reader ticked %d and slept %d cycles, want at least 300 asleep", workers, ticked, slept)
+		}
+		if ticked, _ := k.Activity(func(c Component) bool { return c == idle }); ticked > 16 {
+			t.Errorf("workers %d: the reader of a silent wire ticked %d cycles, want at most one step", workers, ticked)
+		}
 	}
 }
 

@@ -24,6 +24,9 @@ import (
 //     dealt out contiguously to the workers balanced by component count,
 //     so the plan has ~workers coarse, cache-local groups rather than
 //     ~shards small ones, and the tile→worker assignment is stable.
+//     Each tile is a walker (wake.go): it ticks only its awake
+//     components, jumps where none is awake, and puts components to
+//     sleep at the step boundary.
 //   - Components registered with plain Register may touch anything
 //     (e.g. a telemetry sampler reading every router's counters), so
 //     they act as barriers: all workers rendezvous, worker 0 ticks the
@@ -33,7 +36,8 @@ import (
 // the job and enters the cycle barrier, every worker ticks its own
 // group, and the tick-phase join doubles as the commit dispatch — each
 // worker falls directly into committing its own contiguous share of
-// the latches, so the commit has no shared cursor. A final join lets
+// the latches, so the commit has no shared cursor, and then into its
+// tiles' step boundary. A final join lets
 // Step return only after all state has committed, keeping between-step
 // reads (RunUntil predicates, stats scrapes) safe. The barriers are
 // sense-reversing atomics that spin briefly before parking, so a step
@@ -89,44 +93,11 @@ func (k *Kernel) stopPool() {
 }
 
 // planSeg is one step of the parallel schedule: either one barrier
-// component or one batch of per-worker tile lists.
+// component or one batch of per-worker tile lists, each tile a walker
+// over its components.
 type planSeg struct {
 	barrier Component
-	groups  [][]planTile
-}
-
-// planTile is one spatial tile of one worker's share: its components in
-// tick order, plus what the per-tile skip of a multi-cycle step needs —
-// the components' Skipper views (nil when any component cannot skip)
-// and the pipes whose reader lives in this tile.
-type planTile struct {
-	comps    []Component
-	skippers []Skipper
-	pipes    []PipeState
-}
-
-// trySkip fast-forwards one tile across a whole step when every
-// component in it is idle past end and no inbound wire delivers before
-// then. The pipe probe touches only ring slots in [now, end), which the
-// epoch legality bound keeps disjoint from any concurrent writer's.
-func (t *planTile) trySkip(now, end Cycle) bool {
-	if t.skippers == nil {
-		return false
-	}
-	for _, s := range t.skippers {
-		if s.NextWork(now) < end {
-			return false
-		}
-	}
-	for _, p := range t.pipes {
-		if p.HasStampIn(now, end) {
-			return false
-		}
-	}
-	for _, s := range t.skippers {
-		s.Skip(now, end)
-	}
-	return true
+	groups  [][]*walker
 }
 
 // buildPlan compiles the registration list into the segment schedule.
@@ -148,7 +119,7 @@ func (k *Kernel) buildPlan() {
 		run = append(run, e)
 	}
 	flush()
-	k.planDirty = false
+	k.planDirty, k.dealt = false, false
 }
 
 // groupRun turns one run of sharded registrations into per-worker tile
@@ -156,21 +127,15 @@ func (k *Kernel) buildPlan() {
 // within each tile, which subsumes the per-shard order), tiles sort by
 // id so the assignment is stable and spatially contiguous, and a greedy
 // contiguous deal balances component counts across the workers. Each
-// tile also learns its Skipper roster and inbound pipes, which is what
-// the per-tile quiescence skip consults. A pipe with an unknown reader
-// belongs to no tile, but it also pins the epoch to 1 (legalEpoch), and
-// tiles only skip inside longer steps.
-func (k *Kernel) groupRun(run []entry) [][]planTile {
-	tileOf := func(shard int) int {
-		if k.tiling != nil {
-			return k.tiling(shard)
-		}
-		return shard
+// tile becomes one walker (wake.go).
+func (k *Kernel) groupRun(run []entry) [][]*walker {
+	tileOf := k.tiling
+	if tileOf == nil {
+		tileOf = func(shard int) int { return shard }
 	}
 	type tile struct {
-		id     int
-		shards map[int]bool
-		comps  []Component
+		id   int
+		ents []entry
 	}
 	idx := make(map[int]int)
 	var tiles []tile
@@ -180,44 +145,21 @@ func (k *Kernel) groupRun(run []entry) [][]planTile {
 		if !ok {
 			i = len(tiles)
 			idx[t] = i
-			tiles = append(tiles, tile{id: t, shards: make(map[int]bool)})
+			tiles = append(tiles, tile{id: t})
 		}
-		tiles[i].comps = append(tiles[i].comps, e.c)
-		tiles[i].shards[e.shard] = true
+		tiles[i].ents = append(tiles[i].ents, e)
 	}
 	sort.Slice(tiles, func(i, j int) bool { return tiles[i].id < tiles[j].id })
 
-	build := func(t *tile) planTile {
-		pt := planTile{comps: t.comps}
-		skippers := make([]Skipper, 0, len(t.comps))
-		for _, c := range t.comps {
-			s, ok := c.(Skipper)
-			if !ok {
-				return pt
-			}
-			skippers = append(skippers, s)
-		}
-		pt.skippers = skippers
-		for _, pe := range k.pipes {
-			if t.shards[pe.reader] {
-				pt.pipes = append(pt.pipes, pe.p)
-			}
-		}
-		return pt
-	}
-
-	n := k.workers
-	if n > len(tiles) {
-		n = len(tiles)
-	}
-	groups := make([][]planTile, 0, n)
+	n := min(k.workers, len(tiles))
+	groups := make([][]*walker, 0, n)
 	total := len(run)
 	done := 0
-	var cur []planTile
+	var cur []*walker
 	for i := range tiles {
 		t := &tiles[i]
-		cur = append(cur, build(t))
-		done += len(t.comps)
+		cur = append(cur, newWalker(t.ents))
+		done += len(t.ents)
 		if len(groups) < n-1 && done >= (len(groups)+1)*total/n {
 			groups = append(groups, cur)
 			cur = nil
@@ -253,6 +195,10 @@ func (k *Kernel) singleGroup() bool {
 	return true
 }
 
+// napEvery is the pool's sleep-pass period: a step ends in one when it
+// crosses a multiple of napEvery cycles.
+const napEvery = 4
+
 // stepPool executes e consecutive cycles of the compiled plan with a
 // single worker rendezvous. Callers guarantee e ≤ EffectiveEpoch, so
 // e > 1 implies the plan has no barrier segments and the kernel no
@@ -264,6 +210,7 @@ func (k *Kernel) stepPool(e int64) {
 	}
 	p := k.pool
 	p.plan, p.latches, p.now, p.end = k.plan, k.latches, k.now, k.now+Cycle(e)
+	p.nap = k.sleepOn && p.end/napEvery > p.now/napEvery
 	p.enter.await()
 	p.run(0)
 	k.now = p.end
@@ -271,9 +218,10 @@ func (k *Kernel) stepPool(e int64) {
 
 // cycleBarrier is a sense-reversing barrier: the last arriver of a
 // generation resets the count, publishes the next generation, and wakes
-// the parked. Waiters spin briefly on the generation word (cheap on
-// multicore, where the other side is at most a few hundred nanoseconds
-// behind) before parking on the condition variable.
+// the parked. Waiters spin on the generation word for some microseconds
+// (cheap on multicore, where the other side is usually less than that
+// behind — the step boundary's phase included) before parking on the
+// condition variable, whose wake-up costs far more on a busy host.
 type cycleBarrier struct {
 	n       int32
 	spin    int
@@ -331,6 +279,7 @@ type workerPool struct {
 	stopping bool
 	plan     []planSeg
 	latches  []Latchable
+	nap      bool  // the step's boundary is a sleep pass (walker.boundary)
 	now, end Cycle // the step covers cycles [now, end)
 	wg       sync.WaitGroup
 }
@@ -338,7 +287,7 @@ type workerPool struct {
 func newWorkerPool(n int) *workerPool {
 	spin := 0
 	if runtime.GOMAXPROCS(0) > 1 {
-		spin = 256
+		spin = 4096
 	}
 	p := &workerPool{
 		n:     n,
@@ -368,36 +317,30 @@ func (p *workerPool) workerLoop(id int) {
 // await sequence (the plan is shared), so the barriers stay balanced:
 // around each barrier component all workers rendezvous twice, and the
 // tick-phase join flows straight into each worker's own share of the
-// latches — the commit has no dispatch of its own.
+// latches — the commit has no dispatch of its own — and then into the
+// step boundary of its own tiles (walker.boundary).
 //
-// Each tile runs [now, end) to completion — or, in a multi-cycle step,
-// skips the whole span when quiescent — before the next tile starts.
-// Tile-serial order is safe for the same reason the epoch is: anything
-// a tile writes toward another lands at least a full epoch later, so
-// within the step no tile can observe a sibling's progress.
+// Each tile runs [now, end) on its wake list to completion — jumping
+// where nobody on it is awake — before the next tile starts. Tile-serial
+// order is safe for the same reason the epoch is: anything a tile writes
+// toward another lands at least a full epoch later, so within the step
+// no tile can observe a sibling's progress.
 func (p *workerPool) run(id int) {
-	now, end := p.now, p.end
+	end := p.end
 	for i := range p.plan {
 		s := &p.plan[i]
 		if s.barrier != nil {
 			p.join.await()
 			if id == 0 {
-				s.barrier.Tick(now)
+				s.barrier.Tick(p.now)
 			}
 			p.join.await()
 			continue
 		}
-		if id >= len(s.groups) {
-			continue
-		}
-		for ti := range s.groups[id] {
-			t := &s.groups[id][ti]
-			if end-now > 1 && t.trySkip(now, end) {
-				continue
-			}
-			for c := now; c < end; c++ {
-				for _, comp := range t.comps {
-					comp.Tick(c)
+		if id < len(s.groups) {
+			for _, w := range s.groups[id] {
+				for w.now < end {
+					w.advance(end, false)
 				}
 			}
 		}
@@ -406,6 +349,13 @@ func (p *workerPool) run(id int) {
 	n := len(p.latches)
 	for _, l := range p.latches[id*n/p.n : (id+1)*n/p.n] {
 		l.Commit()
+	}
+	for i := range p.plan {
+		if g := p.plan[i].groups; id < len(g) {
+			for _, w := range g[id] {
+				w.boundary(end, p.nap)
+			}
+		}
 	}
 	p.leave.await()
 }

@@ -22,8 +22,8 @@ import (
 // A Pipe carries values from exactly one writing component to exactly
 // one reading component, at most one value per cycle. It is not a
 // Latchable: pipes register with the kernel through AttachPipe, which
-// records the wire's latency for the epoch legality check and its
-// occupancy probe for the per-tile skip.
+// records the wire's latency and endpoint shards for the epoch legality
+// check and for the wake a write sends its reader.
 type Pipe[T any] struct {
 	slots []pipeSlot[T]
 	// mirror, when the reading component has lent one (MirrorStamps), is
@@ -31,8 +31,9 @@ type Pipe[T any] struct {
 	// low bits of every arrival stamp at (stamp & mirMask) * stride.
 	mirror []byte
 	// reader is the reading component's alarm, once it has lent it
-	// (SetReader): Write wakes a sleeping reader.
-	reader          *Alarm
+	// (SetReader), and ring the alarm Write rings: the reader's own, or
+	// on the pool a stand-in between tiles (Kernel.retarget).
+	reader, ring    *Alarm
 	lat             Cycle
 	mirMask, stride int32
 }
@@ -52,7 +53,7 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 	for size < 2*latency {
 		size <<= 1
 	}
-	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size), reader: &unread}
+	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size), reader: &unread, ring: &unread}
 	for i := range p.slots {
 		p.slots[i].stamp = -1
 	}
@@ -63,8 +64,8 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 func (p *Pipe[T]) Latency() int64 { return int64(p.lat) }
 
 // Write drives v onto the wire at cycle now; it arrives at now+latency.
-// A sleeping reader's bit on the kernel's wake list is set, so it wakes
-// at its next turn (see Kernel.walk).
+// A sleeping reader's bit on its wake list is set, so it wakes at its
+// next turn (see walker.walk).
 func (p *Pipe[T]) Write(now Cycle, v T) {
 	at := now + p.lat
 	s := &p.slots[int64(at)&int64(len(p.slots)-1)]
@@ -72,7 +73,7 @@ func (p *Pipe[T]) Write(now Cycle, v T) {
 	if m := p.mirror; m != nil {
 		binary.LittleEndian.PutUint16(m[(int(at)&int(p.mirMask))*int(p.stride):], uint16(at))
 	}
-	if r := p.reader; r.at != awake {
+	if r := p.ring; r.at != awake {
 		*r.word |= r.bit
 	}
 }
@@ -81,22 +82,31 @@ func (p *Pipe[T]) Write(now Cycle, v T) {
 // Write marks a sleeping reader awake, and the reader wakes at its next
 // turn. The reader still owns the values already in flight (see
 // Skipper.NextWork). nil takes the alarm away again, for a reader that
-// stops reading the pipe. Only safe at a synchronization point.
+// stops reading the pipe. Only safe at a synchronization point; a new
+// reader makes the kernel deal its entries afresh before the next step.
 func (p *Pipe[T]) SetReader(a *Alarm) {
 	if a == nil {
 		a = &unplugged
 	}
-	p.reader = a
+	if a != p.reader {
+		p.reader, p.ring = a, a
+		if a.k != nil {
+			a.k.dealt = false
+		}
+	}
 }
 
 // unread is the reader alarm of a pipe no reader has lent one, unplugged
 // that of a pipe whose reader took it back. Both stay awake, so Write
-// never rings them; only an unread pipe keeps the wake list from putting
+// never rings them; only an unread pipe keeps the wake lists from putting
 // anyone to sleep, since someone may still read it.
 var unread, unplugged = Alarm{at: awake}, Alarm{at: awake}
 
-// announced reports that no reader reads the pipe unannounced.
-func (p *Pipe[T]) announced() bool { return p.reader != &unread }
+// readBy returns the reading component's alarm.
+func (p *Pipe[T]) readBy() *Alarm { return p.reader }
+
+// ringTo sets the alarm Write rings.
+func (p *Pipe[T]) ringTo(a *Alarm) { p.ring = a }
 
 // Ring returns the number of slots in the pipe's ring, the least ring
 // size MirrorStamps accepts.
@@ -147,24 +157,11 @@ func (p *Pipe[T]) Read(now Cycle) T {
 	return zero
 }
 
-// HasStampIn reports whether any value arrives in [now, end). It probes
-// only the slots those cycles map to — indices no concurrent writer can
-// touch while end-now stays within the epoch legality bound — so the
-// per-tile skip may call it while other tiles are still ticking.
-func (p *Pipe[T]) HasStampIn(now, end Cycle) bool {
-	for c := now; c < end; c++ {
-		if p.slots[int64(c)&int64(len(p.slots)-1)].stamp == c {
-			return true
-		}
-	}
-	return false
-}
-
 // PipeState is the kernel's view of an attached delay line.
 type PipeState interface {
 	Latency() int64
-	HasStampIn(now, end Cycle) bool
-	announced() bool
+	readBy() *Alarm
+	ringTo(a *Alarm)
 }
 
 // pipeEntry records one attached pipe with the shards of its single

@@ -119,7 +119,9 @@ func TestTiledPlanGroups(t *testing.T) {
 	for g, want := range wantGroups {
 		var flat []Component
 		for _, tl := range groups[g] {
-			flat = append(flat, tl.comps...)
+			for _, e := range tl.ents {
+				flat = append(flat, e.c)
+			}
 		}
 		if len(flat) != len(want) {
 			t.Fatalf("group %d has %d components, want %d", g, len(flat), len(want))

@@ -62,14 +62,15 @@ func ResolveWorkers(n int) int {
 //
 // By default components tick sequentially in registration order, the
 // ones at rest left out on a wake list (wake.go) with results identical
-// to ticking everyone every cycle — the reference implementation that
-// the parallel engine is differentially tested against. SetWorkers
-// enables the parallel execution mode: components registered with
-// RegisterShard may tick concurrently with components of other shards,
-// while components registered with plain Register act as barriers (see
-// parallel.go).
-// Results are bit-identical across worker counts as long as components
-// of different shards communicate only through Regs and Pipes.
+// to ticking everyone every cycle. SetWorkers enables the parallel
+// execution mode: components registered with RegisterShard may tick
+// concurrently with components of other shards, each tile of them on its
+// own wake list, while components registered with plain Register act as
+// barriers (see parallel.go). A barrier keeps every component awake, so
+// a kernel with one is the every-cycle loop the wake lists are tested
+// against. Results are bit-identical across worker counts as long as
+// components of different shards communicate only through Regs and
+// Pipes.
 type Kernel struct {
 	entries []entry
 	latches []Latchable // in AddLatch order
@@ -88,15 +89,13 @@ type Kernel struct {
 	effEpoch  int64 // longest legal epoch, derived from wires/latches
 	syncDirty bool
 
-	// The wake list (see wake.go): whether entries may sleep at all, one
-	// bit per entry that ticks this cycle, the number of entries asleep,
-	// their pending timers, and the entry ticking now (-1 between
-	// ticks).
-	sleepOn  bool
-	awakeSet []uint64
-	asleep   int
-	timers   timerHeap
-	cursor   int
+	// The wake lists (see wake.go): whether entries may sleep at all, the
+	// sequential engine's walker, whether the entries are dealt to the
+	// pool plan's tiles instead, and whether that deal is current.
+	sleepOn bool
+	seq     *walker
+	pooled  bool
+	dealt   bool
 }
 
 // entry is one registered component with its shard tag.
@@ -104,10 +103,12 @@ type entry struct {
 	c     Component
 	shard int // globalShard for barrier components
 	// From the first refresh on: the component's Skipper view (nil if it
-	// is none), its place on the wake list, and whether that alarm is
-	// asleep (a set bit on a sleeper is a Pipe.Write's).
+	// is none), its alarm and the cycle the alarm was made at. On a
+	// walker's copy, whether that alarm is asleep (a set bit on a sleeper
+	// is a Pipe.Write's).
 	s      Skipper
 	a      *Alarm
+	born   Cycle
 	asleep bool
 }
 
@@ -117,7 +118,7 @@ const globalShard = -1
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{workers: 1, effEpoch: 1, cursor: -1}
+	return &Kernel{workers: 1, effEpoch: 1}
 }
 
 // Register adds a component. Components tick in registration order. In
@@ -174,40 +175,32 @@ func (k *Kernel) AddLatch(l Latchable) {
 func (k *Kernel) Now() Cycle { return k.now }
 
 // Step executes one full cycle: compute phase then commit phase. The
-// sequential engine runs it on the wake list (wake.go): the timers due
-// wake their components, the awake entries tick in registration order
-// (walk) — where nobody may sleep, every entry in a plain loop — and the
-// latches commit. Parallel mode runs the same cycle on the worker pool
-// when there is parallelism to extract.
+// sequential engine runs it on its walker (wake.go): the timers due wake
+// their components and the awake entries tick in registration order —
+// where nobody may sleep, every entry in a plain loop — and the latches
+// commit. Parallel mode runs the same cycle on the worker pool when there
+// is parallelism to extract.
 func (k *Kernel) Step() {
-	if k.syncDirty {
-		k.refreshSync()
-	}
-	if k.usePool() {
-		k.wakeAll()
+	if k.prepare() {
 		k.stepPool(1)
 		return
 	}
-	now := k.now
-	if len(k.timers) > 0 && k.timers[0].at <= now {
-		k.fire(now)
-	}
+	w := k.seq
 	if k.sleepOn {
-		k.walk(now)
+		w.advance(w.now+1, true)
 	} else {
-		ents := k.entries
-		for i := range ents {
-			ents[i].c.Tick(now)
+		for i := range w.ents {
+			w.ents[i].c.Tick(w.now)
 		}
+		for _, l := range k.latches {
+			l.Commit()
+		}
+		w.now++
 	}
-	for _, l := range k.latches {
-		l.Commit()
-	}
-	k.now = now + 1
-	k.cursor = -1
+	k.now = w.now
 }
 
-// Run executes n cycles. Besides the wake list's own savings it applies
+// Run executes n cycles. Besides the wake lists' own savings it applies
 // the two schedule optimizations that never change results: when nobody
 // is awake the clock jumps to the first timer (whole-system quiescence),
 // and in parallel mode epoch-length steps amortize the worker
@@ -215,25 +208,33 @@ func (k *Kernel) Step() {
 func (k *Kernel) Run(n int64) {
 	end := k.now + Cycle(n)
 	for k.now < end {
-		if k.syncDirty {
-			k.refreshSync()
-		}
-		if k.usePool() {
-			k.wakeAll()
+		switch {
+		case k.prepare():
 			k.stepPool(min(k.effEpoch, int64(end-k.now)))
-			continue
+		case k.sleepOn:
+			k.seq.advance(end, true)
+			k.now = k.seq.now
+		default:
+			k.Step()
 		}
-		if k.asleep == len(k.entries) && len(k.latches) == 0 && k.quiet() {
-			next := end
-			if len(k.timers) > 0 {
-				next = min(next, k.timers[0].at)
-			}
-			if next > k.now {
-				k.now = next
-				continue
-			}
-		}
-		k.Step()
+	}
+}
+
+// prepare brings the derived state up to date before a step — the
+// epoch, the alarms, the plan and the deal of entries to walkers — and
+// reports whether the step runs on the worker pool. A clean sequential
+// kernel has nothing to check.
+func (k *Kernel) prepare() bool {
+	if k.syncDirty || !k.dealt || k.workers > 1 || k.pooled {
+		k.redeal()
+	}
+	return k.pooled
+}
+
+func (k *Kernel) redeal() {
+	k.refreshSync()
+	if pool := k.usePool(); !k.dealt || pool != k.pooled {
+		k.deal(pool)
 	}
 }
 

@@ -7,14 +7,15 @@ import (
 
 // The wake list.
 //
-// The sequential engine ticks only the components that are awake. It
-// keeps one bit per registered entry and walks the set bits in
-// registration order every cycle. After an awake Skipper ticks at cycle
-// c, the engine asks its NextWork(c+1); a later answer takes the entry
-// off the list until then. While it sleeps, nobody calls it. Before it
-// ticks again, or before anyone reads state its idle ticks would have
-// changed, Skip replays the cycles it missed in closed form, so every
-// result is the every-cycle loop's.
+// Both engines tick only the components that are awake, through one
+// walker type. A walker keeps one bit per entry it owns and walks the set
+// bits in registration order every cycle: the sequential engine has one
+// walker over every entry, and the worker pool gives each tile its own.
+// An awake Skipper whose NextWork lies beyond the next cycle leaves the
+// list until then; while it sleeps, nobody calls it. Before it ticks
+// again, or before anyone reads state its idle ticks would have changed,
+// Skip replays the cycles it missed in closed form, so every result is
+// the every-cycle loop's.
 //
 // A sleeper wakes three ways: its NextWork comes due (a timer), another
 // component pushes work into it (Alarm.Wake), or a value is written to a
@@ -23,35 +24,49 @@ import (
 // replaces). A push wakes it at the present moment, exactly where the
 // every-cycle loop would first see the push: later in the same cycle for
 // an entry registered after the pusher, in the next cycle for one
-// registered before it. When nobody is awake, the clock jumps to the
-// first timer — the whole-system quiescence skip is the empty list's
-// case of the same engine.
+// registered before it. When nobody on a walker is awake, it jumps to
+// its first timer — the whole-system quiescence skip is the sequential
+// walker's case of that jump.
+//
+// The sequential walker puts an entry to sleep right after its tick. A
+// tile of the worker pool does so only at a step boundary, after the
+// tick-phase join: a NextWork in mid-step would read the stamps of
+// wires that other tiles are writing. Such a sleep pass asks every
+// awake entry, which on a busy mesh is nearly all of them, so the pool
+// runs one at most every napEvery cycles; an entry that came to rest in
+// between ticks a few cycles more. A write on a pipe between two tiles
+// never touches the reader's tile either: it rings a stand-in alarm
+// (Kernel.retarget) whose flag the writer's tile owns, and the reader's
+// tile turns the flags of its stand-ins into wakes at the boundary.
+// That is early enough, because the epoch is at most the shortest
+// latency between shards, so every arrival from another tile lands at
+// or after the step's end.
 //
 // Sleeping is legal only where no state is shared behind the kernel's
 // back: no latch (a Reg commits every edge), no barrier component (it
-// may read anything), every component a Skipper, and every attached
-// pipe read by a component that has lent it its Alarm (Pipe.SetReader),
-// so no arrival can go unannounced. Otherwise every entry stays awake
-// and the list is the every-cycle loop. The worker pool never sleeps
-// anyone: entering it wakes every sleeper first.
+// may read anything), every component a Skipper, every attached pipe
+// read by a component that has lent it its Alarm (Pipe.SetReader), so no
+// arrival can go unannounced, and on the pool every pipe's writer shard
+// known. Otherwise every entry stays awake: the sequential engine ticks
+// them all in a plain loop, the pool's walkers every cycle.
 
 // awake is Alarm.at of a component on the wake list: below every cycle,
 // so no arrival can pull its wake-up earlier.
 const awake = Cycle(math.MinInt64)
 
-// Alarm is one registered component's place on the sequential engine's
-// wake list. The kernel hands it to every Sleeper (SetAlarm); the
-// component wakes it on every push and lends it to the pipes it reads.
+// Alarm is one registered component's place on its walker's wake list.
+// The kernel hands it to every Sleeper (SetAlarm); the component wakes
+// it on every push and lends it to the pipes it reads.
 type Alarm struct {
 	at   Cycle // while asleep, the cycle its timer fires (Never: only a push wakes it); awake while on the list
 	from Cycle // while asleep, the first cycle Skip has not replayed yet
-	// word and bit locate the entry's bit in the kernel's awake bitmap,
+	// word and bit locate the entry's bit in its walker's awake bitmap,
 	// which Pipe.Write sets for a sleeping reader.
 	word *uint64
 	bit  uint64
+	w    *walker // the walker the kernel dealt the entry to (nil before the first deal)
+	i    int     // the entry's index on w
 	k    *Kernel
-	i    int   // entry index
-	born Cycle // the cycle the kernel made the alarm at
 	// slept counts the cycles Skip has replayed.
 	slept int64
 }
@@ -65,7 +80,7 @@ type Alarm struct {
 // no kernel has bound).
 func (a *Alarm) Wake() {
 	if a != nil && a.at != awake {
-		a.k.wake(a)
+		a.w.wake(a)
 	}
 }
 
@@ -75,7 +90,7 @@ func (a *Alarm) Wake() {
 // nil alarm.
 func (a *Alarm) Settle() {
 	if a != nil && a.at != awake {
-		a.k.settle(a)
+		a.w.settle(a)
 	}
 }
 
@@ -91,9 +106,7 @@ type Sleeper interface {
 	SetAlarm(a *Alarm)
 }
 
-// timer is one pending wake-up of entry i at cycle at. A timer whose
-// alarm has since woken, or been set to another cycle, is stale and is
-// dropped when it comes due.
+// timer is one pending wake-up of entry i at cycle at.
 type timer struct {
 	at Cycle
 	i  int
@@ -139,166 +152,272 @@ func (h *timerHeap) pop() timer {
 	return top
 }
 
-// present is the first cycle entry i has not run in the every-cycle
-// schedule: during a cycle, the next one for an entry whose turn has
-// passed.
-func (k *Kernel) present(i int) Cycle {
-	if i < k.cursor {
-		return k.now + 1
-	}
-	return k.now
+// walker is the wake list of one run of entries in registration order:
+// one bit per entry that ticks this cycle, the number asleep, their
+// pending timers, the entry ticking now (-1 between ticks), the cycle it
+// has reached, and, on a pool tile, the stand-in alarms that writes from
+// other tiles ring for its readers, and how many of those show their
+// reader asleep.
+type walker struct {
+	ents   []entry
+	set    []uint64
+	asleep int
+	timers timerHeap
+	cursor int
+	now    Cycle
+	stand  []*Alarm
+	dozing int
 }
 
-// settle replays a sleeper's missed cycles up to the present moment.
-func (k *Kernel) settle(a *Alarm) {
-	if t := k.present(a.i); t > a.from {
-		k.entries[a.i].s.Skip(a.from, t)
+// newWalker returns a walker over copies of ents. The kernel binds their
+// alarms to it when it deals (Kernel.deal).
+func newWalker(ents []entry) *walker {
+	return &walker{ents: append([]entry(nil), ents...), set: make([]uint64, (len(ents)+63)>>6)}
+}
+
+// bind puts every entry, awake (Kernel.deal), on the list at cycle
+// now, and points its alarm at its bit.
+func (w *walker) bind(now Cycle) {
+	w.timers, w.cursor, w.now, w.stand, w.dozing = nil, -1, now, nil, 0
+	for i := range w.ents {
+		a := w.ents[i].a
+		a.w, a.i, a.word, a.bit = w, i, &w.set[i>>6], 1<<(i&63)
+		*a.word |= a.bit
+	}
+}
+
+// settle replays a sleeper's missed cycles up to the present moment: the
+// first cycle it has not run in the every-cycle schedule, which during a
+// cycle is the next one for an entry whose turn has passed.
+func (w *walker) settle(a *Alarm) {
+	t := w.now
+	if a.i < w.cursor {
+		t++
+	}
+	if t > a.from {
+		w.ents[a.i].s.Skip(a.from, t)
 		a.slept += int64(t - a.from)
 		a.from = t
 	}
 }
 
 // wake settles a sleeper and puts it back on the list.
-func (k *Kernel) wake(a *Alarm) {
-	k.settle(a)
+func (w *walker) wake(a *Alarm) {
+	w.settle(a)
 	a.at = awake
 	*a.word |= a.bit
-	k.entries[a.i].asleep = false
-	k.asleep--
+	w.ents[a.i].asleep = false
+	w.asleep--
 }
 
 // sleep takes entry i off the list from cycle from until cycle at.
-func (k *Kernel) sleep(i int, from, at Cycle) {
-	e := &k.entries[i]
+func (w *walker) sleep(i int, from, at Cycle) {
+	e := &w.ents[i]
 	a := e.a
 	a.at, a.from = at, from
 	*a.word &^= a.bit
 	e.asleep = true
-	k.asleep++
+	w.asleep++
 	if at < Never {
-		k.timers.push(timer{at: at, i: i})
+		w.timers.push(timer{at: at, i: i})
 	}
+}
+
+// advance moves the walker from its cycle toward end: the timers due
+// wake their components, and then either the awake entries tick one
+// cycle (walk) or, with nobody awake, the walker jumps to its first
+// timer or to end. nap puts an entry to sleep right after its tick.
+func (w *walker) advance(end Cycle, nap bool) {
+	now := w.now
+	for len(w.timers) > 0 && w.timers[0].at <= now {
+		// A timer whose alarm has since woken, or been set to another
+		// cycle, is stale and is dropped.
+		if t := w.timers.pop(); w.ents[t.i].a.at == t.at {
+			w.wake(w.ents[t.i].a)
+		}
+	}
+	if w.asleep == len(w.ents) && w.quiet() {
+		w.now = end
+		if len(w.timers) > 0 {
+			w.now = min(end, w.timers[0].at)
+		}
+		return
+	}
+	w.walk(now, nap)
+	w.now = now + 1
 }
 
 // quiet reports that no bit of the awake bitmap is set: with everyone
 // asleep, a set bit is an arrival announced by Pipe.Write.
-func (k *Kernel) quiet() bool {
-	for _, w := range k.awakeSet {
-		if w != 0 {
+func (w *walker) quiet() bool {
+	for _, b := range w.set {
+		if b != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// wakeAll settles every sleeper and puts it back on the list, for the
-// worker pool and for a roster change.
-func (k *Kernel) wakeAll() {
-	if k.asleep == 0 {
-		return
-	}
-	for i := range k.entries {
-		if a := k.entries[i].a; a != nil && a.at != awake {
-			k.wake(a)
-		}
-	}
-	k.timers = k.timers[:0]
-}
-
-// fire wakes the components whose timers are due at now, dropping stale
-// timers.
-func (k *Kernel) fire(now Cycle) {
-	for len(k.timers) > 0 && k.timers[0].at <= now {
-		t := k.timers.pop()
-		if a := k.entries[t.i].a; a.at == t.at {
-			k.wake(a)
-		}
-	}
-}
-
 // walk ticks the entries whose bit is set, in registration order, and
-// takes off the list each one whose next work lies beyond the next
-// cycle. It re-reads the current bitmap word after every tick, so an
+// with nap takes off the list each one whose next work lies beyond the
+// next cycle. It re-reads the current bitmap word after every tick, so an
 // entry a push woke later in this cycle's order ticks in it. A set bit
 // on a sleeper is a Pipe.Write's: the sleeper wakes at its turn, this
-// cycle or the next. Registration waits for the next refresh, so neither
-// slice moves during the walk.
-func (k *Kernel) walk(now Cycle) {
+// cycle or the next. Neither slice moves during the walk.
+func (w *walker) walk(now Cycle, nap bool) {
 	next := now + 1
-	ents, set := k.entries, k.awakeSet
-	for w := range set {
-		for m := set[w]; m != 0; {
+	ents, set := w.ents, w.set
+	for wd := range set {
+		for m := set[wd]; m != 0; {
 			b := bits.TrailingZeros64(m)
-			i := w<<6 | b
-			k.cursor = i
+			i := wd<<6 | b
+			w.cursor = i
 			e := &ents[i]
 			if e.asleep {
-				k.wake(e.a)
+				w.wake(e.a)
 			}
 			e.c.Tick(now)
-			if nw := e.s.NextWork(next); nw > next {
-				k.sleep(i, next, nw)
+			if nap {
+				if nw := e.s.NextWork(next); nw > next {
+					w.sleep(i, next, nw)
+				}
 			}
-			m = set[w] & (^uint64(1) << b)
+			m = set[wd] & (^uint64(1) << b)
+		}
+	}
+	w.cursor = -1
+}
+
+// boundary ends a pool step at cycle end: with nap it puts to sleep each
+// awake entry whose next work lies beyond end and copies each reader's
+// state into its stand-in alarms, so that in the next steps a write from
+// another tile rings only for a reader asleep at the last sleep pass — an
+// entry awake then stays awake until the next one. While some stand-in
+// shows its reader asleep, it also turns the flags of the stand-ins into
+// wakes of their readers.
+func (w *walker) boundary(end Cycle, nap bool) {
+	for wd := 0; nap && wd < len(w.set); wd++ {
+		for m := w.set[wd]; m != 0; m &= m - 1 {
+			i := wd<<6 | bits.TrailingZeros64(m)
+			if e := &w.ents[i]; !e.asleep {
+				if nw := e.s.NextWork(end); nw > end {
+					w.sleep(i, end, nw)
+				}
+			}
+		}
+	}
+	if !nap && w.dozing == 0 {
+		return
+	}
+	w.dozing = 0
+	for _, a := range w.stand {
+		r := w.ents[a.i].a
+		if *a.word != 0 {
+			*a.word = 0
+			*r.word |= r.bit
+		}
+		if nap && a.at != r.at {
+			a.at = r.at // the writer's tile reads the line: store only a change
+		}
+		if a.at != awake {
+			w.dozing++
 		}
 	}
 }
 
 // bindAlarms gives every entry registered since the last refresh its
-// alarm, hands it to the entry if it is a Sleeper, and puts the entry on
-// the list. The alarms of one refresh share one allocation.
+// alarm and hands it to the entry if it is a Sleeper; the next deal puts
+// them on a walker.
 func (k *Kernel) bindAlarms() {
-	n := len(k.entries)
-	if need := (n + 63) >> 6; need > len(k.awakeSet) {
-		k.awakeSet = append(k.awakeSet, make([]uint64, need-len(k.awakeSet))...)
-		for _, e := range k.entries {
-			if a := e.a; a != nil {
-				a.word = &k.awakeSet[a.i>>6]
-			}
+	for i := range k.entries {
+		e := &k.entries[i]
+		if e.a != nil {
+			continue
 		}
-	}
-	first := n
-	for first > 0 && k.entries[first-1].a == nil {
-		first--
-	}
-	block := make([]Alarm, n-first)
-	for i := first; i < n; i++ {
-		a := &block[i-first]
-		*a = Alarm{at: awake, word: &k.awakeSet[i>>6], bit: 1 << (i & 63), k: k, i: i, born: k.now}
-		k.entries[i].a = a
-		*a.word |= a.bit
-		k.entries[i].s, _ = k.entries[i].c.(Skipper)
-		if s, ok := k.entries[i].c.(Sleeper); ok {
-			s.SetAlarm(a)
+		e.a, e.born = &Alarm{at: awake, k: k}, k.now
+		e.s, _ = e.c.(Skipper)
+		if s, ok := e.c.(Sleeper); ok {
+			s.SetAlarm(e.a)
 		}
 	}
 }
 
-// sleepLegal reports that the wake list may put entries to sleep: no
-// latch, no barrier component, every component a Skipper, and no pipe a
-// reader reads unannounced.
-func (k *Kernel) sleepLegal() bool {
-	if len(k.latches) > 0 {
-		return false
+// deal wakes everyone and puts the entries on the walkers of the engine
+// that runs next: the sequential engine's one walker, or the pool plan's
+// tiles. It runs after every change of the roster, the plan, the engine
+// or a pipe's reader.
+func (k *Kernel) deal(pool bool) {
+	for _, e := range k.entries {
+		if a := e.a; a != nil && a.at != awake {
+			a.w.wake(a) // settle every sleeper on its old walker
+		}
 	}
+	k.sleepOn = k.sleepLegal(pool)
+	var ws []*walker
+	if pool {
+		for _, s := range k.plan {
+			for _, g := range s.groups {
+				ws = append(ws, g...)
+			}
+		}
+	} else {
+		k.seq = newWalker(k.entries)
+		ws = []*walker{k.seq}
+	}
+	for _, w := range ws {
+		w.bind(k.now)
+	}
+	k.retarget(pool, ws)
+	k.pooled, k.dealt = pool, true
+}
+
+// retarget points every pipe's Write at its reader's bit, directly where
+// writer and reader share a walker. Otherwise — on the pool, while
+// entries may sleep — Write rings a stand-in alarm of the reader's tile
+// whose flag word belongs to the pipe, so only the writer's tile writes
+// it during a step (walker.boundary).
+func (k *Kernel) retarget(pool bool, ws []*walker) {
+	home := make(map[int]*walker)
+	if pool && k.sleepOn {
+		for _, w := range ws {
+			for _, e := range w.ents {
+				home[e.shard] = w
+			}
+		}
+	}
+	for _, pe := range k.pipes {
+		r := pe.p.readBy()
+		ring := r
+		if from := home[pe.writer]; from != nil && r.w != nil && from != r.w {
+			ring = &Alarm{at: awake, word: new(uint64), bit: 1, i: r.i}
+			r.w.stand = append(r.w.stand, ring)
+		}
+		pe.p.ringTo(ring)
+	}
+}
+
+// sleepLegal reports that the walkers may put entries to sleep: no
+// latch, no barrier component, every component a Skipper, no pipe a
+// reader reads unannounced, and on the pool no pipe whose writer's tile
+// is unknown.
+func (k *Kernel) sleepLegal(pool bool) bool {
 	for _, en := range k.entries {
 		if en.s == nil || en.shard == globalShard {
 			return false
 		}
 	}
 	for _, pe := range k.pipes {
-		if !pe.p.announced() {
+		if pe.p.readBy() == &unread || pool && pe.writer < 0 {
 			return false
 		}
 	}
-	return true
+	return len(k.latches) == 0
 }
 
-// Activity reports how the sequential engine spent the cycles of the
-// components match accepts (every component when match is nil): ticked
-// counts the component-cycles they were awake for, slept those they
-// slept through, replayed by Skip or still to be. Cycles run on the
-// worker pool count as ticked. It settles nothing.
+// Activity reports how the engines spent the cycles of the components
+// match accepts (every component when match is nil): ticked counts the
+// component-cycles they were awake for, slept those they slept through,
+// replayed by Skip or still to be. It settles nothing.
 func (k *Kernel) Activity(match func(Component) bool) (ticked, slept int64) {
 	for _, e := range k.entries {
 		a := e.a
@@ -310,7 +429,7 @@ func (k *Kernel) Activity(match func(Component) bool) (ticked, slept int64) {
 			s += int64(k.now - a.from)
 		}
 		slept += s
-		ticked += int64(k.now-a.born) - s
+		ticked += int64(k.now-e.born) - s
 	}
 	return ticked, slept
 }

@@ -65,7 +65,7 @@ func (n *wnode) NextWork(now Cycle) Cycle {
 	next := n.due
 	for _, p := range n.in {
 		for c := now; c < now+Cycle(p.Latency()) && c < next; c++ {
-			if p.HasStampIn(c, c+1) {
+			if p.Read(c) != 0 {
 				next = c
 			}
 		}

@@ -77,8 +77,8 @@ type Sender interface {
 }
 
 // TCApp drives one real-time channel with a synthetic message pattern.
-// It implements sim.Skipper; nothing pushes into it, so the kernel's wake
-// list leaves it out until its NextWork.
+// It implements sim.Skipper; nothing pushes into it, so the wake lists
+// leave it out until its NextWork.
 type TCApp struct {
 	name    string
 	ch      Sender
@@ -365,9 +365,9 @@ func (a *BEApp) Skip(now, target sim.Cycle) {
 
 // Sink drains a router's delivery queues and accumulates latency
 // statistics from probe payloads. It implements sim.Sleeper: the router
-// wakes it for every delivery (Router.WakeOnDelivery), so on the
-// kernel's wake list it ticks only in the cycles something was
-// delivered. Registered after the router it serves, it drains a
+// wakes it for every delivery (Router.WakeOnDelivery), so on a wake
+// list it ticks only in the cycles something was delivered (on the pool,
+// through the end of that step). Registered after the router it serves, it drains a
 // delivery in the cycle it was made.
 type Sink struct {
 	name string
@@ -424,8 +424,9 @@ func (s *Sink) SetAlarm(a *sim.Alarm) { s.r.WakeOnDelivery(a) }
 
 // Tick implements sim.Component.
 func (s *Sink) Tick(now sim.Cycle) {
-	// Idle-cycle fast path, for the kernels that tick every sink every
-	// cycle (the worker pool, a kernel with a barrier component).
+	// Idle-cycle fast path, for a kernel that ticks every sink every
+	// cycle (one with a barrier component), and for the cycles a woken
+	// pool tile ticks a sink before its step boundary puts it to sleep.
 	if !s.r.HasDeliveries() {
 		return
 	}
