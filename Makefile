@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission profile-dataplane trace loc
+.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission profile-dataplane trace loc identity
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
 # capacity gate, and the layout-synthesis gate.
@@ -119,6 +119,16 @@ profile-dataplane:
 TRACE_JSON ?= trace.json
 trace:
 	$(GO) run ./cmd/rtsim -scenario scenarios/fig6.json -trace-out $(TRACE_JSON)
+
+# identity checks that the working tree prints byte for byte what
+# revision $(BASE) prints: rtbench -exp all, the forensics campaign on
+# faulty.json and on fig6.json at link latency 4, the capacity campaign,
+# and rtsim's stdout and -metrics JSON on faulty, mixed and fig6. BASE is
+# built from a `git archive` in a temp directory. Example:
+# `make identity BASE=HEAD~1`.
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	bash scripts/identity.sh $(BASE)
 
 # loc prints, per package directory and in total, benchmark/ (its own
 # module) excluded: non-test Go lines (`wc -l`), the non-blank,

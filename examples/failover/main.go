@@ -45,7 +45,7 @@ func main() {
 	phase("healthy (XY route):", 6)
 
 	fmt.Println("\n*** link (0,0)→(1,0) fails ***")
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		log.Fatal(err)
 	}
 	phase("failed, awaiting re-establishment:", 3)

@@ -81,14 +81,13 @@ func DefaultConfig() Config {
 type Controller struct {
 	net *mesh.Network
 	cfg Config
-	// links and failed are dense tables indexed by linkIdx — the mesh is
-	// a full W×H rectangle, so a slice beats a map on the admission hot
-	// path (linkCheckIn runs once per route hop per plan attempt).
-	links  []*linkState
-	nodes  []*nodeState
-	chans  map[int]*Channel
-	failed []bool
-	seq    int
+	// links is a dense table indexed by linkIdx — the mesh is a full W×H
+	// rectangle, so a slice beats a map on the admission hot path
+	// (linkCheckIn runs once per route hop per plan attempt).
+	links []*linkState
+	nodes []*nodeState
+	chans map[int]*Channel
+	seq   int
 	// linkNames and nodeNames hold every link's and node's rendered name
 	// (dense, same indexing as links/nodes) for rejections and audit
 	// records. Filled once by New, so a rejection stamps a name without
@@ -215,12 +214,11 @@ func New(net *mesh.Network, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("admission: negative source window")
 	}
 	c := &Controller{
-		net:    net,
-		cfg:    cfg,
-		links:  make([]*linkState, net.W*net.H*(router.NumPorts+1)),
-		nodes:  make([]*nodeState, net.W*net.H),
-		chans:  make(map[int]*Channel),
-		failed: make([]bool, net.W*net.H*(router.NumPorts+1)),
+		net:   net,
+		cfg:   cfg,
+		links: make([]*linkState, net.W*net.H*(router.NumPorts+1)),
+		nodes: make([]*nodeState, net.W*net.H),
+		chans: make(map[int]*Channel),
 	}
 	c.linkNames = make([]string, len(c.links))
 	for i := range c.linkNames {
@@ -244,8 +242,8 @@ func New(net *mesh.Network, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// linkIdx maps a directed link to its slot in the dense link/failed
-// tables; the injection pseudo-port (−1) occupies slot 0 of each node's
+// linkIdx maps a directed link to its slot in the dense link tables;
+// the injection pseudo-port (−1) occupies slot 0 of each node's
 // NumPorts+1 stride.
 func (c *Controller) linkIdx(k linkKey) int {
 	return c.net.Shard(k.node)*(router.NumPorts+1) + k.port + 1
@@ -914,14 +912,14 @@ func (c *Controller) link(k linkKey) *linkState {
 }
 
 // linkCheckIn runs the EDF schedulability analysis for the link with the
-// candidate task added; failed links are never feasible and report the
-// "link_failed" pseudo-test. It never mutates reservation state, so
-// PlanLayout's what-if probes leave the ledger as they found it: links
-// with no reservations are analyzed against a shared pre-built empty
-// cache instead of materializing a linkState.
+// candidate task added; a link the mesh reports down (LinkDown) is
+// never feasible and reports the "link_failed" pseudo-test. It never
+// mutates reservation state, so PlanLayout's what-if probes leave the
+// ledger as they found it: links with no reservations are analyzed
+// against a shared pre-built empty cache instead of materializing a
+// linkState.
 func (c *Controller) linkCheckIn(k linkKey, cand task) edfReport {
-	i := c.linkIdx(k)
-	if c.failed[i] {
+	if c.net.LinkDown(k.node, k.port) {
 		return edfReport{test: "link_failed", margin: -1}
 	}
 	if c.cfg.Reference {
@@ -931,7 +929,7 @@ func (c *Controller) linkCheckIn(k linkKey, cand task) edfReport {
 		tasks = append(tasks, cand)
 		return edfAnalyze(tasks)
 	}
-	ls := c.links[i]
+	ls := c.linkAt(k)
 	if ls == nil {
 		return emptyLinkCache.check(nil, cand, &c.sc)
 	}
@@ -962,53 +960,6 @@ func (c *Controller) buffersFit(co mesh.Coord, mask sched.PortMask, need int) er
 		}
 	}
 	return nil
-}
-
-// MarkFailed records a bidirectional link failure so no future channel
-// routes across it (pair with mesh.Network.FailLink, which cuts the
-// wires). Channels already using the link keep their reservations until
-// rerouted or torn down.
-func (c *Controller) MarkFailed(from mesh.Coord, port int) error {
-	if port < 0 || port >= router.NumLinks {
-		return fmt.Errorf("admission: port %s is not a link", router.PortName(port))
-	}
-	to := from.Add(port)
-	if !c.net.Contains(from) || !c.net.Contains(to) {
-		return fmt.Errorf("admission: no link %s→%s", from, router.PortName(port))
-	}
-	c.failed[c.linkIdx(linkKey{from, port})] = true
-	c.failed[c.linkIdx(linkKey{to, reverse(port)})] = true
-	return nil
-}
-
-// MarkRepaired clears a previously recorded link failure in both
-// directions so future admissions may route across the link again (pair
-// with mesh.Network.RepairLink, which restores the wires).
-func (c *Controller) MarkRepaired(from mesh.Coord, port int) error {
-	if port < 0 || port >= router.NumLinks {
-		return fmt.Errorf("admission: port %s is not a link", router.PortName(port))
-	}
-	to := from.Add(port)
-	if !c.net.Contains(from) || !c.net.Contains(to) {
-		return fmt.Errorf("admission: no link %s→%s", from, router.PortName(port))
-	}
-	c.failed[c.linkIdx(linkKey{from, port})] = false
-	c.failed[c.linkIdx(linkKey{to, reverse(port)})] = false
-	return nil
-}
-
-// reverse maps a link port to the peer router's port on the same link.
-func reverse(port int) int {
-	switch port {
-	case router.PortXPlus:
-		return router.PortXMinus
-	case router.PortXMinus:
-		return router.PortXPlus
-	case router.PortYPlus:
-		return router.PortYMinus
-	default:
-		return router.PortYPlus
-	}
 }
 
 // Hops returns the number of routers on the channel's deepest branch —
@@ -1123,10 +1074,10 @@ func (ch *Channel) Uses(node mesh.Coord, port int) bool {
 
 // Reroute re-establishes a channel after a failure (or a repair, for
 // failing back to the primary path): its reservations are released and
-// admission re-runs, taking the failed-link set and the freed resources
-// into account. On success the old channel is invalid and the returned
-// one carries fresh connection ids; the caller must re-bind its source
-// regulator. On failure the old channel's reservations are restored
+// admission re-runs, taking the mesh's failed links and the freed
+// resources into account. On success the old channel is invalid and the
+// returned one carries fresh connection ids; the caller must re-bind its
+// source regulator. On failure the old channel's reservations are restored
 // verbatim — per-hop delay split included, so a refused reroute of a
 // layout-admitted channel leaves it exactly as it was. A successful
 // reroute of a layout channel falls back to the default planner (uniform

@@ -199,7 +199,7 @@ func TestRefusedRerouteLedgerInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MarkFailed(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
+	if err := c.net.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	before := sealJSON(t, c)
@@ -333,7 +333,7 @@ func TestAuditTrailReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MarkFailed(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
+	if err := c.net.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Reroute(ch); err != nil {

@@ -91,9 +91,6 @@ func TestFailedLinkAvoidance(t *testing.T) {
 	if err := n.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MarkFailed(src, router.PortXPlus); err != nil {
-		t.Fatal(err)
-	}
 	// New channels avoid it in both directions.
 	nch, err := c.Admit(src, []mesh.Coord{dst}, spec)
 	if err != nil {
@@ -123,34 +120,33 @@ func TestFailedLinkAvoidance(t *testing.T) {
 	}
 }
 
-// TestMarkFailedValidation rejects non-links.
-func TestMarkFailedValidation(t *testing.T) {
-	n := mesh.MustNew(2, 2, router.DefaultConfig())
-	c, _ := New(n, DefaultConfig())
-	if err := c.MarkFailed(mesh.Coord{X: 0, Y: 0}, router.PortLocal); err == nil {
-		t.Error("local port accepted as a link")
-	}
-	if err := c.MarkFailed(mesh.Coord{X: 1, Y: 1}, router.PortXPlus); err == nil {
-		t.Error("edge-of-mesh link accepted")
-	}
-	if err := n.FailLink(mesh.Coord{X: 1, Y: 1}, router.PortXPlus); err == nil {
-		t.Error("mesh accepted failing a nonexistent link")
-	}
-	if err := n.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortLocal); err == nil {
-		t.Error("mesh accepted failing the local port")
-	}
-}
-
 // TestStraightLineNoFallback: when src and dst share a row, XY and YX
 // coincide; a failure on that row must reject rather than loop.
 func TestStraightLineNoFallback(t *testing.T) {
 	n := mesh.MustNew(3, 1, router.DefaultConfig())
 	c, _ := New(n, DefaultConfig())
-	if err := c.MarkFailed(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
+	if err := n.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	spec := rtc.Spec{Imin: 8, Smax: 18, D: 60}
 	if _, err := c.Admit(mesh.Coord{X: 0, Y: 0}, []mesh.Coord{{X: 2, Y: 0}}, spec); err == nil {
 		t.Error("admission across a severed row accepted")
+	}
+}
+
+// setLinkDown fails or repairs lk on the controller's own mesh. Asking
+// for the state the link is already in is a no-op, so an op program may
+// fail or repair one link twice in a row.
+func setLinkDown(t testing.TB, c *Controller, lk linkKey, down bool) {
+	t.Helper()
+	if c.net.LinkDown(lk.node, lk.port) == down {
+		return
+	}
+	op := c.net.RepairLink
+	if down {
+		op = c.net.FailLink
+	}
+	if err := op(lk.node, lk.port); err != nil {
+		t.Fatal(err)
 	}
 }

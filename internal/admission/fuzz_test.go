@@ -298,11 +298,11 @@ func runAdmissionOps(t testing.TB, prog []byte, maxOps int) {
 			}
 			if len(failedLinks) > 0 && s.intn(2) == 0 {
 				lk = failedLinks[s.intn(len(failedLinks))]
-				if fast.MarkRepaired(lk.node, lk.port) == nil {
-					_ = ref.MarkRepaired(lk.node, lk.port)
-				}
-			} else if fast.MarkFailed(lk.node, lk.port) == nil {
-				_ = ref.MarkFailed(lk.node, lk.port)
+				setLinkDown(t, fast, lk, false)
+				setLinkDown(t, ref, lk, false)
+			} else {
+				setLinkDown(t, fast, lk, true)
+				setLinkDown(t, ref, lk, true)
 				failedLinks = append(failedLinks, lk)
 			}
 		case k == 3: // AdmitBatch round vs sequential reference loop

@@ -391,28 +391,6 @@ func (c *Channel) Close() error {
 	return c.sys.Adm.Teardown(c.adm)
 }
 
-// FailLink severs a bidirectional mesh link and records the failure
-// with the admission controller, so new channels route around it.
-// Channels currently crossing the link keep flowing into the dead port
-// (their packets drain and count as drops) until Reroute moves them.
-func (s *System) FailLink(from mesh.Coord, port int) error {
-	if err := s.Net.FailLink(from, port); err != nil {
-		return err
-	}
-	return s.Adm.MarkFailed(from, port)
-}
-
-// RepairLink restores a previously failed link and clears the failure
-// record with the admission controller. Channels that were rerouted
-// around the outage keep their detour until Reroute is called again,
-// which re-admits them on the primary path (failback).
-func (s *System) RepairLink(from mesh.Coord, port int) error {
-	if err := s.Net.RepairLink(from, port); err != nil {
-		return err
-	}
-	return s.Adm.MarkRepaired(from, port)
-}
-
 // SealCapacity publishes the admission controller's current reservation
 // ledger as an immutable capacity snapshot and returns it. Sealed
 // snapshots ride the metrics exports (rt_capacity_*); call after any

@@ -37,7 +37,7 @@ func TestEndToEndFailover(t *testing.T) {
 	}
 
 	// The first XY link dies.
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	// Traffic sent now blackholes at the dead port (drops counted, no
@@ -71,7 +71,7 @@ func TestEndToEndFailover(t *testing.T) {
 // drop as misroutes while other paths keep working.
 func TestFailoverBestEffort(t *testing.T) {
 	sys := MustNewMesh(2, 2, Options{})
-	if err := sys.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(mesh.Coord{X: 0, Y: 0}, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	// (0,0)→(1,0) needs the dead +x link: dropped.
@@ -106,10 +106,10 @@ func TestRerouteWithoutCapacityFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill both of src's outgoing links: no route can exist.
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FailLink(src, router.PortYPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortYPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Reroute(); err == nil {

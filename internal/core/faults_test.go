@@ -21,22 +21,22 @@ import (
 func TestDoubleFailLink(t *testing.T) {
 	sys := MustNewMesh(2, 2, Options{})
 	src := mesh.Coord{X: 0, Y: 0}
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FailLink(src, router.PortXPlus); err == nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err == nil {
 		t.Fatal("double FailLink accepted")
 	}
 	// The far end names the same wire; failing it again must also error.
-	if err := sys.FailLink(mesh.Coord{X: 1, Y: 0}, router.PortXMinus); err == nil {
+	if err := sys.Net.FailLink(mesh.Coord{X: 1, Y: 0}, router.PortXMinus); err == nil {
 		t.Fatal("double FailLink via the reverse direction accepted")
 	}
 	// The failure record survived the rejected duplicates: the first
 	// repair finds it. Repairing twice is equally loud.
-	if err := sys.RepairLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.RepairLink(src, router.PortXPlus); err != nil {
 		t.Fatalf("failure record lost after rejected duplicates: %v", err)
 	}
-	if err := sys.RepairLink(src, router.PortXPlus); err == nil {
+	if err := sys.Net.RepairLink(src, router.PortXPlus); err == nil {
 		t.Fatal("double RepairLink accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestFailRepairFailback(t *testing.T) {
 		sys.Run(spec.D * 20)
 	}
 	send(4)
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Reroute(); err != nil {
@@ -73,7 +73,7 @@ func TestFailRepairFailback(t *testing.T) {
 		t.Fatal("channel still on the failed link")
 	}
 	send(4)
-	if err := sys.RepairLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.RepairLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Reroute(); err != nil {
@@ -103,10 +103,10 @@ func TestZeroSpareRerouteThenRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FailLink(src, router.PortYPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortYPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Reroute(); err == nil {
@@ -121,7 +121,7 @@ func TestZeroSpareRerouteThenRepair(t *testing.T) {
 	if err := ch.Send([]byte("still paced")); err != nil {
 		t.Fatalf("source regulator lost by the refused reroute: %v", err)
 	}
-	if err := sys.RepairLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.RepairLink(src, router.PortXPlus); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.Reroute(); err != nil {

@@ -183,9 +183,9 @@ func (m *fuzzMesh) toggleLink(t *testing.T, l int) {
 	from, port := m.node(fuzzLinks[l][0]), fuzzLinks[l][1]
 	var err error
 	if m.failed[l] {
-		err = m.sys.RepairLink(from, port)
+		err = m.sys.Net.RepairLink(from, port)
 	} else {
-		err = m.sys.FailLink(from, port)
+		err = m.sys.Net.FailLink(from, port)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -106,11 +106,11 @@ func identityRun(t *testing.T, integrity bool, workers int) identityGolden {
 	flap := mesh.Coord{X: 3, Y: 3}
 	for _, down := range []int64{1200, 2400} {
 		sys.Run(down - sys.Now())
-		if err := sys.FailLink(flap, router.PortXPlus); err != nil {
+		if err := sys.Net.FailLink(flap, router.PortXPlus); err != nil {
 			t.Fatal(err)
 		}
 		sys.Run(300)
-		if err := sys.RepairLink(flap, router.PortXPlus); err != nil {
+		if err := sys.Net.RepairLink(flap, router.PortXPlus); err != nil {
 			t.Fatal(err)
 		}
 	}

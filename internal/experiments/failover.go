@@ -99,7 +99,7 @@ func RunFailover(perPhase int) (*FailoverResult, error) {
 	if err := phase("healthy (XY route)", perPhase); err != nil {
 		return nil, err
 	}
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		return nil, err
 	}
 	if err := phase("link failed, not yet rerouted", perPhase); err != nil {

@@ -152,7 +152,7 @@ func faultsFlap(res *FaultsResult, msgs int) error {
 	if err := probeTrain(sys, ch, msgs, &seq, nil); err != nil {
 		return err
 	}
-	if err := sys.FailLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.FailLink(src, router.PortXPlus); err != nil {
 		return err
 	}
 	if err := ch.Reroute(); err != nil {
@@ -162,7 +162,7 @@ func faultsFlap(res *FaultsResult, msgs int) error {
 	if err := probeTrain(sys, ch, msgs, &seq, nil); err != nil {
 		return err
 	}
-	if err := sys.RepairLink(src, router.PortXPlus); err != nil {
+	if err := sys.Net.RepairLink(src, router.PortXPlus); err != nil {
 		return err
 	}
 	repairAt := sys.Now()

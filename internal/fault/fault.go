@@ -203,19 +203,6 @@ func (in *Injector) linkSeed(rx mesh.Coord, rxPort int) int64 {
 	return int64(h)
 }
 
-func reversePort(p int) int {
-	switch p {
-	case router.PortXPlus:
-		return router.PortXMinus
-	case router.PortXMinus:
-		return router.PortXPlus
-	case router.PortYPlus:
-		return router.PortYMinus
-	default:
-		return router.PortYPlus
-	}
-}
-
 // InjectLink arms the fault process on the bidirectional link leaving
 // from through port (both directions, independent processes), matching
 // the granularity of mesh.FailLink.
@@ -223,16 +210,13 @@ func (in *Injector) InjectLink(n *mesh.Network, from mesh.Coord, port int, cfg C
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if port < 0 || port >= router.NumLinks {
-		return fmt.Errorf("fault: port %d is not a link", port)
+	to, err := n.LinkEnd(from, port)
+	if err != nil {
+		return err
 	}
-	to := from.Add(port)
-	if n.Router(from) == nil || n.Router(to) == nil {
-		return fmt.Errorf("fault: link %s port %d has no neighbour", from, port)
-	}
-	// from→to traffic is sampled at to's reverse port; to→from at from's
-	// forward port.
-	in.arm(n, to, reversePort(port), cfg)
+	// from→to traffic is sampled at to's peer port; to→from at from's
+	// own port.
+	in.arm(n, to, router.PeerPort(port), cfg)
 	in.arm(n, from, port, cfg)
 	return nil
 }
@@ -280,7 +264,7 @@ func (in *Injector) arm(n *mesh.Network, rx mesh.Coord, rxPort int, cfg Config) 
 // leaving from through port. Clearing a link that was never armed is a
 // no-op; accumulated counters survive into Stats.
 func (in *Injector) ClearLink(from mesh.Coord, port int) {
-	in.clear(from.Add(port), reversePort(port))
+	in.clear(from.Add(port), router.PeerPort(port))
 	in.clear(from, port)
 }
 

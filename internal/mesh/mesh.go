@@ -56,21 +56,11 @@ type Network struct {
 	cfg     router.Config
 	routers []*router.Router // dense, indexed by Shard(c)
 	order   []Coord          // deterministic iteration order
-	failed  map[linkID]bool
-}
-
-// linkID names an undirected mesh link canonically: the endpoint with
-// the +x/+y facing port.
-type linkID struct {
-	from Coord
-	port int
-}
-
-func canonicalLink(from Coord, port int) linkID {
-	if port == router.PortXMinus || port == router.PortYMinus {
-		return linkID{from.Add(port), reversePort(port)}
-	}
-	return linkID{from, port}
+	// down is the one record of failed links: entry
+	// Shard(c)*NumLinks+port is set while the link leaving c through port
+	// is down. FailLink and RepairLink write both directions; LinkDown
+	// reads it for the admission controller.
+	down []bool
 }
 
 // New builds a W×H mesh of routers with the given configuration,
@@ -91,7 +81,7 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 		H:       h,
 		cfg:     cfg,
 		routers: make([]*router.Router, 0, w*h),
-		failed:  make(map[linkID]bool),
+		down:    make([]bool, w*h*router.NumLinks),
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -269,70 +259,77 @@ func BEOffsets(src, dst Coord) (x, y int) {
 	return dst.X - src.X, dst.Y - src.Y
 }
 
-// reversePort maps each link direction to its opposite.
-func reversePort(p int) int {
-	switch p {
-	case router.PortXPlus:
-		return router.PortXMinus
-	case router.PortXMinus:
-		return router.PortXPlus
-	case router.PortYPlus:
-		return router.PortYMinus
-	case router.PortYMinus:
-		return router.PortYPlus
-	default:
-		return p
-	}
-}
-
-// FailLink severs the bidirectional link leaving `from` through `port`:
-// both routers lose the wire, in both directions. In-flight
-// time-constrained packets scheduled onto the dead port drain at the
-// router (counted as TCDeadPortDrops); best-effort packets toward it
-// drop as misroutes. Failing a link that is already down is an error.
-// The admission controller must be told separately
-// (Controller.MarkFailed) so new channels route around.
-func (n *Network) FailLink(from Coord, port int) error {
+// LinkEnd checks that port is a link port and that both ends of the
+// link leaving from through it lie in the mesh, and returns the far end.
+func (n *Network) LinkEnd(from Coord, port int) (Coord, error) {
 	if port < 0 || port >= router.NumLinks {
-		return fmt.Errorf("mesh: FailLink port %d is not a link", port)
+		return Coord{}, fmt.Errorf("mesh: port %s is not a link", router.PortName(port))
 	}
 	to := from.Add(port)
 	if !n.Contains(from) || !n.Contains(to) {
-		return fmt.Errorf("mesh: no link %s→%s", from, router.PortName(port))
+		return Coord{}, fmt.Errorf("mesh: no link %s→%s", from, router.PortName(port))
 	}
-	id := canonicalLink(from, port)
-	if n.failed[id] {
+	return to, nil
+}
+
+// LinkDown reports whether the link leaving from through port is
+// failed. The local port (and the injection pseudo-port −1) never is.
+func (n *Network) LinkDown(from Coord, port int) bool {
+	return uint(port) < router.NumLinks && n.down[n.Shard(from)*router.NumLinks+port]
+}
+
+// setDown records the link between from and to, leaving from through
+// port, as down or up in both directions.
+func (n *Network) setDown(from, to Coord, port int, down bool) {
+	n.down[n.Shard(from)*router.NumLinks+port] = down
+	n.down[n.Shard(to)*router.NumLinks+router.PeerPort(port)] = down
+}
+
+// FailLink severs the bidirectional link leaving from through port:
+// both routers lose the wire, in both directions, and the admission
+// controller, which reads LinkDown, routes new channels around it.
+// Channels already crossing the link keep their reservations until
+// rerouted or torn down, and their time-constrained packets scheduled
+// onto the dead port drain at the router (counted as TCDeadPortDrops);
+// a packet cut mid-wire — its head in flight, or partly received — is
+// counted once, as a TCFramingDrops by the router that loses it (DESIGN
+// §7). Best-effort packets toward the dead port drop as misroutes.
+// Failing a link that is already down is an error.
+func (n *Network) FailLink(from Coord, port int) error {
+	to, err := n.LinkEnd(from, port)
+	if err != nil {
+		return err
+	}
+	if n.LinkDown(from, port) {
 		return fmt.Errorf("mesh: link %s→%s already failed", from, router.PortName(port))
 	}
-	n.failed[id] = true
+	n.setDown(from, to, port, true)
+	rp := router.PeerPort(port)
 	n.Router(from).ConnectOut(port, nil)
 	n.Router(from).ConnectIn(port, nil)
-	rp := reversePort(port)
 	n.Router(to).ConnectOut(rp, nil)
 	n.Router(to).ConnectIn(rp, nil)
 	return nil
 }
 
 // RepairLink restores a link previously severed by FailLink, rewiring
-// both directions with fresh channels. The dead channels' wires stay
+// both directions with fresh channels, and clears its failure record so
+// new admissions may use it again; channels rerouted around the outage
+// keep their detour until rerouted again (failback). The dead channels'
+// wires stay
 // attached to the kernel but their stamps age out, so the cost of a
 // flap is bounded and the parallel plan simply rebuilds. Repairing a
-// link that is up is an error. Pair with Controller.MarkRepaired so new
-// admissions may use the link again.
+// link that is up is an error.
 func (n *Network) RepairLink(from Coord, port int) error {
-	if port < 0 || port >= router.NumLinks {
-		return fmt.Errorf("mesh: RepairLink port %d is not a link", port)
+	to, err := n.LinkEnd(from, port)
+	if err != nil {
+		return err
 	}
-	to := from.Add(port)
-	if !n.Contains(from) || !n.Contains(to) {
-		return fmt.Errorf("mesh: no link %s→%s", from, router.PortName(port))
-	}
-	id := canonicalLink(from, port)
-	if !n.failed[id] {
+	if !n.LinkDown(from, port) {
 		return fmt.Errorf("mesh: link %s→%s is not failed", from, router.PortName(port))
 	}
-	delete(n.failed, id)
-	n.wire(from, to, port, reversePort(port))
+	n.setDown(from, to, port, false)
+	n.wire(from, to, port, router.PeerPort(port))
 	return nil
 }
 

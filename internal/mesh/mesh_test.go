@@ -328,3 +328,36 @@ type nopComp struct{}
 
 func (nopComp) Name() string   { return "nop" }
 func (nopComp) Tick(sim.Cycle) {}
+
+// TestFailLinkValidation: only a link with both ends in the mesh can
+// fail, and the one record marks it down from both ends until repaired.
+func TestFailLinkValidation(t *testing.T) {
+	n := MustNew(2, 2, router.DefaultConfig())
+	a, b := Coord{X: 0, Y: 0}, Coord{X: 1, Y: 0}
+	if err := n.FailLink(a, router.PortLocal); err == nil {
+		t.Error("local port accepted as a link")
+	}
+	if err := n.FailLink(Coord{X: 1, Y: 1}, router.PortXPlus); err == nil {
+		t.Error("edge-of-mesh link accepted")
+	}
+	if err := n.FailLink(a, router.PortXPlus); err != nil {
+		t.Fatal(err)
+	}
+	if !n.LinkDown(a, router.PortXPlus) || !n.LinkDown(b, router.PortXMinus) {
+		t.Error("failed link not down from both ends")
+	}
+	if n.LinkDown(a, router.PortYPlus) || n.LinkDown(a, router.PortLocal) || n.LinkDown(a, -1) {
+		t.Error("a live link, the local port or the injection port reads down")
+	}
+	if err := n.RepairLink(b, router.PortXMinus); err != nil {
+		t.Fatal(err)
+	}
+	if n.LinkDown(a, router.PortXPlus) || n.LinkDown(b, router.PortXMinus) {
+		t.Error("repaired link still down")
+	}
+	for p := 0; p < router.NumPorts; p++ {
+		if q := router.PeerPort(p); router.PeerPort(q) != p || (p < router.NumLinks) != (q != p) {
+			t.Errorf("PeerPort(%d) = %d", p, q)
+		}
+	}
+}

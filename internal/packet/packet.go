@@ -71,9 +71,11 @@ type Phit struct {
 	// Rexmit marks the first flit of a best-effort retransmission run: the
 	// receiver leaves discard mode and resumes accepting at this flit.
 	Rexmit bool
-	// Abort marks a best-effort tail flit that terminates a frame early:
-	// the upstream link died (or the retry budget ran out) mid-worm, so the
-	// receiver must drop the partial frame and release the output binding.
+	// Abort marks a tail flit that terminates a frame early: the upstream
+	// link died (or, best-effort, the retry budget ran out) mid-worm or
+	// mid-cut-through, so the receiver must drop the partial frame — a
+	// time-constrained one counted once, there — and release the output
+	// binding.
 	Abort bool
 }
 

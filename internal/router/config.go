@@ -39,6 +39,16 @@ const (
 	NumLinks = 4
 )
 
+// PeerPort returns the port by which the router at the far end of the
+// link leaving through p receives it (+x ↔ −x, +y ↔ −y); the local port
+// is its own peer.
+func PeerPort(p int) int {
+	if p < NumLinks {
+		return p ^ 1
+	}
+	return p
+}
+
 // PortName returns a short label for a port index.
 func PortName(p int) string {
 	switch p {

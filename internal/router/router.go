@@ -389,6 +389,8 @@ func (r *Router) ResetStats() {
 }
 
 // ConnectIn attaches the receive side of a mesh link to input port p.
+// Replacing or detaching (nil) a link cuts the old one: the
+// time-constrained packets it destroys are counted (tcInput.cutOff).
 func (r *Router) ConnectIn(p int, l *InLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectIn(%d) out of link range", r.name, p))
@@ -397,12 +399,15 @@ func (r *Router) ConnectIn(p int, l *InLink) {
 	if old := r.in[p]; old != nil {
 		old.ch.data.MirrorStamps(nil, 0, 0, 0)
 		old.ch.data.SetReader(nil)
+		r.tcIn[p].cutOff(old)
 	}
 	r.in[p] = l
 	r.lendStamps()
 }
 
 // ConnectOut attaches the transmit side of a mesh link to output port p.
+// Replacing or detaching (nil) a link abandons the time-constrained
+// packet on the old one (tcOutput.abandon).
 func (r *Router) ConnectOut(p int, l *OutLink) {
 	if p < 0 || p >= NumLinks {
 		panic(fmt.Sprintf("router %s: ConnectOut(%d) out of link range", r.name, p))
@@ -411,6 +416,7 @@ func (r *Router) ConnectOut(p int, l *OutLink) {
 	if old := r.out[p]; old != nil {
 		old.ch.ack.MirrorStamps(nil, 0, 0, 0)
 		old.ch.ack.SetReader(nil)
+		r.tcOut[p].abandon()
 	}
 	r.out[p] = l
 	if l == nil {
@@ -1217,6 +1223,11 @@ func (r *Router) emitTC(o *tcOutput) {
 // bytes come rewritten, payload bytes from the input's skew FIFO. It
 // reports whether a byte actually went out (false on a skew bubble).
 func (r *Router) emitCut(o *tcOutput) bool {
+	if o.cutShort {
+		o.cutIn, o.cutShort = nil, false
+		r.out[o.port].Drive(r.nowCycle, packet.Phit{Valid: true, VC: packet.VCTime, Tail: true, Abort: true})
+		return true
+	}
 	var b byte
 	if o.cutIdx < packet.TCHeaderBytes {
 		b = o.cutHdr[o.cutIdx]
@@ -1289,10 +1300,6 @@ func (r *Router) sampleInputs() (arrived bool) {
 			// packet: flush the fragment so it releases its output.
 			if u := r.beIn[p]; u.parsed || u.occ() > 0 || u.discard {
 				u.truncate()
-			}
-			if tu := r.tcIn[p]; r.cfg.Integrity && tu.nAsm > 0 {
-				tu.framingDrop()
-				tu.resync = true
 			}
 		}
 		if r.in[p] != nil {

@@ -77,14 +77,14 @@ const pendingCap = 2
 // before any resource is allocated, and the reservation absorbs the
 // loss as slack.
 func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
-	if !u.r.cfg.Integrity {
-		u.acceptByte(ph.Data, now)
+	if ph.Abort {
+		u.endFrame()
 		return
 	}
 	if u.resync {
-		// Discarding a damaged frame: its end is the next Tail mark (a
-		// Head instead means the tail itself was lost and a new frame
-		// has begun — accept it normally).
+		// Discarding a damaged or abandoned frame: its end is the next
+		// Tail mark (a Head instead means the tail itself was lost and a
+		// new frame has begun — accept it normally).
 		if ph.Head {
 			u.resync = false
 		} else {
@@ -93,6 +93,10 @@ func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
 			}
 			return
 		}
+	}
+	if !u.r.cfg.Integrity {
+		u.acceptByte(ph.Data, now)
+		return
 	}
 	if ph.Head && u.nAsm != 0 {
 		// A new packet started mid-assembly: the old one lost its tail.
@@ -134,6 +138,50 @@ func (u *tcInput) framingDrop() {
 	u.r.Stats.TCFramingDrops++
 	u.r.dropTC(metrics.DropTCFraming, u.asm[0], u.id)
 	u.nAsm = 0
+}
+
+// endFrame ends the frame arriving on the input short: its link was cut,
+// or an abort phit says the upstream router's was. A partial assembly is
+// a framing drop. A cut-through stream stops: if nothing of it has left
+// the router, or it was being delivered here, the packet is a framing
+// drop here; otherwise its output ends the frame downstream with an
+// abort phit, and the router there counts the packet.
+func (u *tcInput) endFrame() {
+	if !u.cutting {
+		if u.nAsm > 0 {
+			u.framingDrop()
+		}
+		return
+	}
+	u.cutting = false
+	u.cutFIFO, u.cutHead = u.cutFIFO[:0], 0
+	for _, o := range u.r.tcOut {
+		switch {
+		case o.cutIn != u:
+		case o.cutIdx == 0 || o.port == PortLocal:
+			o.cutIn = nil
+			u.framingDrop()
+		default:
+			o.cutShort = true
+		}
+	}
+}
+
+// cutOff accounts for the input's link being cut: the frame it was
+// receiving ends short (endFrame), and each time-constrained packet whose
+// head is still on the old wire, arriving within its latency, is a
+// framing drop too. The sender abandons what it was transmitting
+// uncounted (tcOutput.abandon), so every packet the cut destroys is
+// counted once.
+func (u *tcInput) cutOff(old *InLink) {
+	u.endFrame()
+	now := u.r.nowCycle
+	for c := now + 1; c <= now+old.Latency(); c++ {
+		if ph := old.Phit(c); ph.Valid && ph.VC == packet.VCTime && ph.Head {
+			u.r.Stats.TCFramingDrops++
+			u.r.dropTC(metrics.DropTCFraming, ph.Data, u.id)
+		}
+	}
 }
 
 // acceptByte consumes one time-constrained byte from the wire (or the
@@ -367,6 +415,9 @@ type tcOutput struct {
 	cutHdr   [packet.TCHeaderBytes]byte
 	cutLeaf  sched.Leaf
 	cutClass sched.Class
+	// cutShort is set when the cut's input lost its link mid-packet
+	// (endFrame): the next phit is the abort that ends the frame.
+	cutShort bool
 
 	// local reception assembly (PortLocal only)
 	rxBuf [packet.TCBytes]byte
@@ -509,6 +560,36 @@ func (r *Router) noteTransmit(port int, lf *sched.Leaf, class sched.Class, nowSl
 		r.lifecycle(ev)
 		ev.Kind = EvTransmit
 		r.lifecycle(ev)
+	}
+}
+
+// abandon gives up the packet the port is sending when its link is cut.
+// What already left is counted by the receiving router (tcInput.cutOff);
+// a cut-through packet not yet started is a dead-port drop here, and its
+// input discards the rest of it.
+func (o *tcOutput) abandon() {
+	o.txActive = false
+	u := o.cutIn
+	if u == nil {
+		return
+	}
+	o.cutIn = nil
+	if o.cutShort {
+		o.cutShort = false
+		return
+	}
+	if o.cutIdx == 0 {
+		o.r.Stats.TCDeadPortDrops++
+		o.r.dropTC(metrics.DropTCDeadPort, o.cutLeaf.InConn, o.port)
+	}
+	u.cutFIFO, u.cutHead = u.cutFIFO[:0], 0
+	if u.cutting {
+		u.cutting = false
+		if u.id == PortLocal {
+			u.injCount = 0
+		} else {
+			u.resync = true
+		}
 	}
 }
 

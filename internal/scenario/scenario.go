@@ -197,7 +197,7 @@ func (sc *Scenario) validate() error {
 		// Canonical undirected link name, keyed per episode category.
 		lf, lp := from, port
 		if port == router.PortXMinus || port == router.PortYMinus {
-			lf, lp = to, map[int]int{router.PortXMinus: router.PortXPlus, router.PortYMinus: router.PortYPlus}[port]
+			lf, lp = to, router.PeerPort(port)
 		}
 		key := fmt.Sprintf("%s#%d#%v", lf, lp, f.outage())
 		end := f.RepairAt
@@ -441,19 +441,13 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 			inj.ClearLink(from, port)
 			res.Repairs++
 		case !ev.repair:
-			if err := sys.FailLink(from, port); err != nil {
+			if err := sys.Net.FailLink(from, port); err != nil {
 				return nil, nil, fmt.Errorf("scenario: failure at %d: %w", f.At, err)
 			}
 			res.Failures++
 			// A severed link is dead in both directions: reroute channels
 			// crossing it either way.
-			rev := map[int]int{
-				router.PortXPlus:  router.PortXMinus,
-				router.PortXMinus: router.PortXPlus,
-				router.PortYPlus:  router.PortYMinus,
-				router.PortYMinus: router.PortYPlus,
-			}[port]
-			to := from.Add(port)
+			to, rev := from.Add(port), router.PeerPort(port)
 			for _, ch := range opened {
 				if ch.Admitted().Uses(from, port) || ch.Admitted().Uses(to, rev) {
 					if err := ch.Reroute(); err == nil {
@@ -463,7 +457,7 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 				}
 			}
 		default:
-			if err := sys.RepairLink(from, port); err != nil {
+			if err := sys.Net.RepairLink(from, port); err != nil {
 				return nil, nil, fmt.Errorf("scenario: repair at %d: %w", ev.at, err)
 			}
 			res.Repairs++
