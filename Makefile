@@ -123,8 +123,9 @@ trace:
 # identity checks that the working tree prints byte for byte what
 # revision $(BASE) prints: rtbench -exp all, the forensics campaign on
 # faulty.json and on fig6.json at link latency 4, the capacity campaign,
-# and rtsim's stdout and -metrics JSON on faulty, mixed and fig6. BASE is
-# built from a `git archive` in a temp directory. Example:
+# rtsim's stdout and -metrics JSON on faulty, mixed and fig6 and on two
+# flag-driven 4x4 runs, and rtchip. BASE is built from a `git archive` in
+# a temp directory. Example:
 # `make identity BASE=HEAD~1`.
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }

@@ -26,9 +26,9 @@ func main() {
 	fmt.Printf("  connections:               %d\n", cfg.Conns)
 	fmt.Printf("  time-constrained packets:  %d x %d bytes\n", cfg.Slots, packet.TCBytes)
 	fmt.Printf("  clock (sorting key):       %d (%d) bits\n", cfg.ClockBits, cfg.ClockBits+1)
-	fmt.Printf("  comparator tree pipeline:  one selection per %d cycles\n", cfg.SchedPeriod)
-	fmt.Printf("  flit input buffer:         %d bytes\n", cfg.FlitBufBytes)
-	fmt.Printf("  memory chunk:              %d bytes/cycle\n", cfg.ChunkBytes)
+	fmt.Printf("  comparator tree pipeline:  one selection per %d cycles\n", router.SchedPeriod)
+	fmt.Printf("  flit input buffer:         %d bytes\n", router.FlitBufBytes)
+	fmt.Printf("  memory chunk:              %d bytes/cycle\n", router.ChunkBytes)
 	fmt.Printf("  ports:                     %d in + %d out (4 links, injection, reception)\n\n",
 		router.NumPorts, router.NumPorts)
 

@@ -43,17 +43,6 @@ import (
 var workloadFlags = []string{"mesh", "channels", "imin", "deadline", "smax", "berate", "besize",
 	"cycles", "seed", "horizon", "window", "sched", "vct", "shared"}
 
-// observers is the observability stack one run attaches: whichever of
-// these the flags asked for, nil otherwise.
-type observers struct {
-	reg *metrics.Registry
-	col *obs.Sharded
-	slo *obs.SLO
-	fns *obs.Forensics
-	rec *obs.Recorder
-	aud *obs.AuditLog
-}
-
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main with its exit code returned, so tests can drive the
@@ -130,39 +119,41 @@ func run(args []string) int {
 		*workers = -1
 	}
 
+	// One set of options serves both workloads: the observability stack
+	// the flags asked for (nil where they did not) and the workers.
 	// Tracing is sharded per node (obs.Sharded), so it composes with any
 	// worker count; the merged timeline is identical across modes.
 	// Forensics and the flight recorder both reconstruct from the merged
 	// timeline, so requesting either brings the collector up too.
-	o := observers{reg: openTelemetry(*metricsOut, *listen), slo: obs.NewSLO()}
+	o := core.Options{Metrics: openTelemetry(*metricsOut, *listen), ChannelSLO: obs.NewSLO(), Workers: *workers}
 	if *traceN > 0 || *traceOut != "" || *explain || *flight != "" {
-		o.col = obs.NewSharded(*traceBuf)
+		o.Collector = obs.NewSharded(*traceBuf)
 	}
 	if *explain || *flight != "" {
-		o.fns = obs.NewForensics()
-		o.fns.UseSLO(o.slo)
-		o.rec = obs.NewRecorder(*flightN, 0)
+		o.Forensics = obs.NewForensics()
+		o.Forensics.UseSLO(o.ChannelSLO)
+		o.Recorder = obs.NewRecorder(*flightN, 0)
 	}
 	if *admitRep {
-		o.aud = obs.NewAuditLog()
+		o.Audit = obs.NewAuditLog()
 	}
 
 	var sys *core.System
 	if *scenPath != "" {
-		sys = runScenario(*scenPath, o, *sample, *workers)
+		sys = runScenario(*scenPath, o, *sample)
 	} else {
 		w, h, err := parseMesh(*meshDim)
 		if err != nil {
 			fail(err)
 		}
-		cfg := router.DefaultConfig()
-		cfg.VCT = *vct
+		o.Router = router.DefaultConfig()
+		o.Router.VCT = *vct
 		switch *scheduler {
 		case "edf":
 		case "fifo":
-			cfg.Scheduler = sched.OrderFIFO
+			o.Router.Scheduler = sched.OrderFIFO
 		case "static":
-			cfg.Scheduler = sched.OrderStatic
+			o.Router.Scheduler = sched.OrderStatic
 		default:
 			fail(fmt.Errorf("unknown scheduler %q", *scheduler))
 		}
@@ -170,19 +161,10 @@ func run(args []string) int {
 		if *shared {
 			policy = admission.SharedPool
 		}
+		o.MetricsSampleEvery = samplePeriod(o.Metrics, *sample, *cycles)
 		fx := core.Fixture{
 			W: w, H: h, Seed: *seed,
-			Options: core.Options{
-				Router:             cfg,
-				Metrics:            o.reg,
-				MetricsSampleEvery: samplePeriod(o.reg, *sample, *cycles),
-				Collector:          o.col,
-				ChannelSLO:         o.slo,
-				Forensics:          o.fns,
-				Recorder:           o.rec,
-				Audit:              o.aud,
-				Workers:            *workers,
-			}.WithAdmission(admission.Config{
+			Options: o.WithAdmission(admission.Config{
 				Policy:       policy,
 				SourceWindow: *window,
 				Horizon:      uint32(*horizon),
@@ -232,20 +214,20 @@ func run(args []string) int {
 
 	// Flush open stall episodes before anything reads the merged
 	// timeline, so -trace-out, -explain and -flight all see them.
-	if o.fns != nil {
-		o.fns.Flush()
+	if o.Forensics != nil {
+		o.Forensics.Flush()
 	}
 	printSummary(sys, *workers)
-	printChannelReport(o.slo)
+	printChannelReport(o.ChannelSLO)
 	if *links {
 		printLinkTable(sys)
 	}
-	printForensics(o.fns, o.rec, o.col, *explain)
-	printAdmitReport(sys, o.aud)
-	dumpTraceTail(o.col, *traceN)
-	writeTraceFile(o.col, o.slo, *traceOut)
-	writeFlightFile(o.rec, o.col, o.slo, *flight)
-	finishTelemetry(o.reg, sys.Now(), *metricsOut)
+	printForensics(o.Forensics, o.Recorder, o.Collector, *explain)
+	printAdmitReport(sys, o.Audit)
+	dumpTraceTail(o.Collector, *traceN)
+	writeTraceFile(o.Collector, o.ChannelSLO, *traceOut)
+	writeFlightFile(o.Recorder, o.Collector, o.ChannelSLO, *flight)
+	finishTelemetry(o.Metrics, sys.Now(), *metricsOut)
 	return 0
 }
 
@@ -421,15 +403,13 @@ func finishTelemetry(reg *metrics.Registry, now int64, metricsOut string) {
 
 // runScenario plays a declarative workload file (see scenarios/ and the
 // scenario package) and prints what it opened and played.
-func runScenario(path string, o observers, sample int64, workers int) *core.System {
+func runScenario(path string, o core.Options, sample int64) *core.System {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fail(err)
 	}
-	res, sys, err := sc.RunWith(scenario.RunOpts{
-		Metrics: o.reg, SampleEvery: samplePeriod(o.reg, sample, sc.Cycles), Workers: workers,
-		Collector: o.col, ChannelSLO: o.slo, Forensics: o.fns, Recorder: o.rec, Audit: o.aud,
-	})
+	o.MetricsSampleEvery = samplePeriod(o.Metrics, sample, sc.Cycles)
+	res, sys, err := sc.RunWith(o)
 	if err != nil {
 		fail(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
@@ -127,7 +128,7 @@ func TestSamplePeriodFollowsTheRun(t *testing.T) {
 		t.Errorf("period without telemetry = %d, want 0 (no sampler)", got)
 	}
 	// End to end: the sampler runScenario registers ticks at that period.
-	sys := runScenario(fig6, observers{reg: reg}, 0, 1)
+	sys := runScenario(fig6, core.Options{Metrics: reg, Workers: 1}, 0)
 	defer sys.Close()
 	if sys.Sampler == nil || sys.Sampler.Every() != 160 {
 		t.Errorf("scenario run sampler = %+v, want one every 160 cycles", sys.Sampler)

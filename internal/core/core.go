@@ -158,7 +158,7 @@ type System struct {
 // NewMesh builds a W×H system.
 func NewMesh(w, h int, opts Options) (*System, error) {
 	rcfg := opts.Router
-	if rcfg.Slots == 0 { // zero value: use the paper's configuration
+	if rcfg == (router.Config{}) { // zero value: use the paper's configuration
 		rcfg = router.DefaultConfig()
 	}
 	acfg := opts.Admission

@@ -147,6 +147,25 @@ func TestOptionsOverride(t *testing.T) {
 	}
 }
 
+// TestPartialRouterConfigRejected: only the zero router configuration
+// means the paper's chip. A partly set one is validated as given, so a
+// caller asking for 4-cycle wires and nothing else gets an error, not a
+// mesh on the default 1-cycle wires.
+func TestPartialRouterConfigRejected(t *testing.T) {
+	if _, err := NewMesh(2, 2, Options{Router: router.Config{LinkLatency: 4}}); err == nil {
+		t.Error("NewMesh accepted a router configuration with only LinkLatency set")
+	}
+	rcfg := router.DefaultConfig()
+	rcfg.LinkLatency = 4
+	sys, err := NewMesh(2, 2, Options{Router: rcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Router(mesh.Coord{}).Config().LinkLatency; got != 4 {
+		t.Errorf("LinkLatency = %d, want 4", got)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	sys := MustNewMesh(2, 1, Options{})
 	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}

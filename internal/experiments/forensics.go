@@ -61,8 +61,9 @@ func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int)
 	fns := obs.NewForensics()
 	rec := obs.NewRecorder(0, 0)
 	_, sys, err := sc.RunWith(scenario.RunOpts{
+		Router:  router.Config{LinkLatency: linkLat},
 		Metrics: reg, Collector: col, ChannelSLO: slo,
-		Forensics: fns, Recorder: rec, Workers: workers, LinkLatency: linkLat,
+		Forensics: fns, Recorder: rec, Workers: workers,
 	})
 	if err != nil {
 		return nil, err

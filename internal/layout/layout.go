@@ -38,25 +38,21 @@ type Request struct {
 	Spec     rtc.Spec
 }
 
-// Options bounds the synthesizer's search.
-type Options struct {
-	// MaxRepairs is the per-route cap on repair iterations (delay-slack
-	// shifts and buffer shrinks) before the search moves to the next
-	// candidate route. Zero means DefaultMaxRepairs.
-	MaxRepairs int
-	// MaxRoutes caps the candidate routes tried per request (the two
-	// dimension orders plus staircase variants). Zero means
-	// DefaultMaxRoutes.
-	MaxRoutes int
-}
+// Options is the synthesizer's option set. It has no fields: the search
+// bounds are the constants maxRepairs and maxRoutes. The type stays
+// because Synthesize's callers, the frozen benchmark module among them,
+// pass Options{}.
+type Options struct{}
 
-// DefaultMaxRepairs and DefaultMaxRoutes bound the search when Options
-// leaves them zero: enough iterations to drain a hop's slack surplus
-// one transfer at a time at campaign scale, and enough routes to reach
-// past the two dimension orders without exploding probe counts.
+// maxRepairs is the per-route cap on repair iterations (delay-slack
+// shifts and buffer shrinks) before the search moves to the next
+// candidate route: enough to drain a hop's slack surplus one transfer at
+// a time at campaign scale. maxRoutes caps the candidate routes tried per
+// request (the two dimension orders plus staircase variants): enough to
+// reach past the two dimension orders without exploding probe counts.
 const (
-	DefaultMaxRepairs = 64
-	DefaultMaxRoutes  = 8
+	maxRepairs = 64
+	maxRoutes  = 8
 )
 
 // Admitted records one synthesized admission: the channel the
@@ -102,15 +98,9 @@ type Result struct {
 // run never places fewer channels than the greedy baseline on the same
 // sequence prefix. net is the mesh ctl admits on; the search reads the
 // legal range of every delay bound from ctl itself.
-func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, opts Options) *Result {
-	if opts.MaxRepairs <= 0 {
-		opts.MaxRepairs = DefaultMaxRepairs
-	}
-	if opts.MaxRoutes <= 0 {
-		opts.MaxRoutes = DefaultMaxRoutes
-	}
+func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, _ Options) *Result {
 	res := &Result{}
-	s := &synth{ctl: ctl, opts: opts, res: res}
+	s := &synth{ctl: ctl, res: res}
 	for i, req := range reqs {
 		ps, err := s.place(req)
 		if err != nil {
@@ -137,9 +127,8 @@ func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, op
 }
 
 type synth struct {
-	ctl  *admission.Controller
-	opts Options
-	res  *Result
+	ctl *admission.Controller
+	res *Result
 }
 
 // place searches for a layout that admits one request. Candidate
@@ -149,7 +138,7 @@ type synth struct {
 // and staircase routes. The first probe that passes wins; a split
 // outside the controller's DelayRange is never probed.
 func (s *synth) place(req Request) (admission.PlanSpec, error) {
-	routes := candidateRoutes(req.Src, req.Dst, s.opts.MaxRoutes)
+	routes := candidateRoutes(req.Src, req.Dst, maxRoutes)
 	var lastErr error
 
 	// Greedy-identical pass: guarantees the synthesizer never does
@@ -218,7 +207,7 @@ func (s *synth) repair(req Request, route []int) (admission.PlanSpec, error) {
 	}
 	coords := admission.RouteCoords(nil, req.Src, route)
 	var lastErr error
-	for iter := 0; iter <= s.opts.MaxRepairs; iter++ {
+	for iter := 0; iter <= maxRepairs; iter++ {
 		ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: dsplit}
 		s.res.Stats.Probes++
 		_, err := s.ctl.PlanLayout(ps)

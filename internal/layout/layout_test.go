@@ -260,7 +260,7 @@ func TestSynthesizeAtLeastGreedy(t *testing.T) {
 // and ends with local delivery at the destination.
 func TestCandidateRoutes(t *testing.T) {
 	src, dst := mesh.Coord{X: 1, Y: 1}, mesh.Coord{X: 4, Y: 3}
-	routes := candidateRoutes(src, dst, DefaultMaxRoutes)
+	routes := candidateRoutes(src, dst, maxRoutes)
 	if len(routes) < 2 {
 		t.Fatalf("got %d candidates, want at least XY and YX", len(routes))
 	}
@@ -294,7 +294,7 @@ func TestCandidateRoutes(t *testing.T) {
 	}
 
 	// Single-dimension pairs have exactly one minimal route.
-	routes = candidateRoutes(mesh.Coord{X: 0, Y: 2}, mesh.Coord{X: 3, Y: 2}, DefaultMaxRoutes)
+	routes = candidateRoutes(mesh.Coord{X: 0, Y: 2}, mesh.Coord{X: 3, Y: 2}, maxRoutes)
 	if len(routes) != 1 {
 		t.Errorf("aligned pair produced %d candidates, want 1", len(routes))
 	}

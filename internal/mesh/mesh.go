@@ -61,6 +61,9 @@ type Network struct {
 	// is down. FailLink and RepairLink write both directions; LinkDown
 	// reads it for the admission controller.
 	down []bool
+	// links holds, indexed like down, the channel each link carries away
+	// from c through port: built once by New, plugged back in on repair.
+	links []*router.Channel
 }
 
 // New builds a W×H mesh of routers with the given configuration,
@@ -82,6 +85,7 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 		cfg:     cfg,
 		routers: make([]*router.Router, 0, w*h),
 		down:    make([]bool, w*h*router.NumLinks),
+		links:   make([]*router.Channel, w*h*router.NumLinks),
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -104,10 +108,10 @@ func New(w, h int, cfg router.Config) (*Network, error) {
 		for x := 0; x < w; x++ {
 			c := Coord{x, y}
 			if x+1 < w {
-				n.wire(c, Coord{x + 1, y}, router.PortXPlus, router.PortXMinus)
+				n.wire(c, Coord{x + 1, y}, router.PortXPlus)
 			}
 			if y+1 < h {
-				n.wire(c, Coord{x, y + 1}, router.PortYPlus, router.PortYMinus)
+				n.wire(c, Coord{x, y + 1}, router.PortYPlus)
 			}
 		}
 	}
@@ -129,21 +133,30 @@ func MustNew(w, h int, cfg router.Config) *Network {
 	return n
 }
 
-// wire connects a and b bidirectionally: a's outPort to b, b's reverse
-// port back to a. The channels carry the configured link latency and
-// tell the kernel which shards they bridge; from those the kernel
+// wire builds the two channels of the link leaving a through aPort to
+// b and plugs them in. The channels carry the configured link latency
+// and tell the kernel which shards they bridge; from those the kernel
 // derives the epoch of its parallel mode (the minimum cross-shard wire
 // latency), so this latency is the only thing that sets it.
-func (n *Network) wire(a, b Coord, aPort, bPort int) {
+func (n *Network) wire(a, b Coord, aPort int) {
 	lat := int64(n.cfg.LinkLatency)
 	if lat <= 0 {
 		lat = 1
 	}
 	sa, sb := n.Shard(a), n.Shard(b)
-	fw := router.NewChannelShards(n.Kernel, lat, sa, sb)
+	n.links[n.linkIdx(a, aPort)] = router.NewChannelShards(n.Kernel, lat, sa, sb)
+	n.links[n.linkIdx(b, router.PeerPort(aPort))] = router.NewChannelShards(n.Kernel, lat, sb, sa)
+	n.plug(a, b, aPort)
+}
+
+// plug connects the link leaving a through aPort to b: each direction's
+// channel runs from its sender's output port to its receiver's input.
+func (n *Network) plug(a, b Coord, aPort int) {
+	bPort := router.PeerPort(aPort)
+	fw := n.links[n.linkIdx(a, aPort)]
+	bw := n.links[n.linkIdx(b, bPort)]
 	n.Router(a).ConnectOut(aPort, fw.Out())
 	n.Router(b).ConnectIn(bPort, fw.In())
-	bw := router.NewChannelShards(n.Kernel, lat, sb, sa)
 	n.Router(b).ConnectOut(bPort, bw.Out())
 	n.Router(a).ConnectIn(aPort, bw.In())
 }
@@ -275,14 +288,18 @@ func (n *Network) LinkEnd(from Coord, port int) (Coord, error) {
 // LinkDown reports whether the link leaving from through port is
 // failed. The local port (and the injection pseudo-port −1) never is.
 func (n *Network) LinkDown(from Coord, port int) bool {
-	return uint(port) < router.NumLinks && n.down[n.Shard(from)*router.NumLinks+port]
+	return uint(port) < router.NumLinks && n.down[n.linkIdx(from, port)]
 }
+
+// linkIdx is the index of the link leaving c through port in down and
+// links.
+func (n *Network) linkIdx(c Coord, port int) int { return n.Shard(c)*router.NumLinks + port }
 
 // setDown records the link between from and to, leaving from through
 // port, as down or up in both directions.
 func (n *Network) setDown(from, to Coord, port int, down bool) {
-	n.down[n.Shard(from)*router.NumLinks+port] = down
-	n.down[n.Shard(to)*router.NumLinks+router.PeerPort(port)] = down
+	n.down[n.linkIdx(from, port)] = down
+	n.down[n.linkIdx(to, router.PeerPort(port))] = down
 }
 
 // FailLink severs the bidirectional link leaving from through port:
@@ -312,14 +329,13 @@ func (n *Network) FailLink(from Coord, port int) error {
 	return nil
 }
 
-// RepairLink restores a link previously severed by FailLink, rewiring
-// both directions with fresh channels, and clears its failure record so
-// new admissions may use it again; channels rerouted around the outage
-// keep their detour until rerouted again (failback). The dead channels'
-// wires stay
-// attached to the kernel but their stamps age out, so the cost of a
-// flap is bounded and the parallel plan simply rebuilds. Repairing a
-// link that is up is an error.
+// RepairLink restores a link previously severed by FailLink and clears
+// its failure record so new admissions may use it again; channels
+// rerouted around the outage keep their detour until rerouted again
+// (failback). The link's own two channels, built by New, are cleared of
+// what was in flight at the cut (FailLink counted it) and plugged back
+// in, so a flap attaches nothing to the kernel and costs the same at
+// every repetition. Repairing a link that is up is an error.
 func (n *Network) RepairLink(from Coord, port int) error {
 	to, err := n.LinkEnd(from, port)
 	if err != nil {
@@ -329,7 +345,9 @@ func (n *Network) RepairLink(from Coord, port int) error {
 		return fmt.Errorf("mesh: link %s→%s is not failed", from, router.PortName(port))
 	}
 	n.setDown(from, to, port, false)
-	n.wire(from, to, port, router.PeerPort(port))
+	n.links[n.linkIdx(from, port)].Clear()
+	n.links[n.linkIdx(to, router.PeerPort(port))].Clear()
+	n.plug(from, to, port)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -359,5 +360,34 @@ func TestFailLinkValidation(t *testing.T) {
 		if q := router.PeerPort(p); router.PeerPort(q) != p || (p < router.NumLinks) != (q != p) {
 			t.Errorf("PeerPort(%d) = %d", p, q)
 		}
+	}
+}
+
+// TestFlapAttachesNothing: a repair plugs the link's own channels back
+// in, so the kernel holds as many pipes after 1 000 flaps as after one.
+func TestFlapAttachesNothing(t *testing.T) {
+	n := MustNew(2, 2, router.DefaultConfig())
+	a := Coord{X: 0, Y: 0}
+	pipes := func() string {
+		s := n.Kernel.String()
+		return s[strings.Index(s, "pipes="):strings.Index(s, " workers=")]
+	}
+	flap := func() {
+		if err := n.FailLink(a, router.PortXPlus); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(1)
+		if err := n.RepairLink(a, router.PortXPlus); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(1)
+	}
+	flap()
+	one := pipes()
+	for i := 1; i < 1000; i++ {
+		flap()
+	}
+	if got := pipes(); got != one {
+		t.Errorf("after 1 000 flaps the kernel holds %s, after one %s", got, one)
 	}
 }

@@ -96,7 +96,7 @@ func (u *beInput) inject(frame []byte) {
 
 // acceptByte receives one best-effort flit from the wire.
 func (u *beInput) acceptByte(b byte) {
-	if u.occ() >= u.r.cfg.FlitBufBytes {
+	if u.occ() >= FlitBufBytes {
 		// Credits make this unreachable from a correct upstream; count it
 		// as a protocol violation rather than silently growing the buffer.
 		u.r.Stats.BEBufferOverruns++
@@ -153,7 +153,7 @@ func (u *beInput) abortRecv() {
 // feedInjection streams one byte of the oldest queued packet into the
 // flit buffer, modelling the injection port crossing at link rate.
 func (u *beInput) feedInjection() {
-	if u.injHead == len(u.injQ) || u.occ() >= u.r.cfg.FlitBufBytes {
+	if u.injHead == len(u.injQ) || u.occ() >= FlitBufBytes {
 		return
 	}
 	pkt := u.injQ[u.injHead]
@@ -203,7 +203,7 @@ func (u *beInput) parse() {
 	packet.EncodeBEHeader(next, u.nextHdr[:])
 	u.parsed = true
 	u.fwdIdx = 0
-	u.readyAt = u.r.nowCycle + int64(u.r.cfg.BEHeadDelay)
+	u.readyAt = u.r.nowCycle + BEHeadDelay
 	if u.outPort != PortLocal && u.r.out[u.outPort] == nil {
 		// No neighbour in that direction: a routing error (dimension
 		// order keeps in-mesh destinations on existing links). Consume

@@ -37,7 +37,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 
 	r.schedCountdown--
 	if r.schedCountdown <= 0 {
-		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
+		r.schedCountdown = SchedPeriod * r.cfg.LeafSharing
 		r.forgetQuiet(allPorts)
 		r.schedBeat(abs)
 	}

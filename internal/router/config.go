@@ -39,6 +39,26 @@ const (
 	NumLinks = 4
 )
 
+// The chip's fixed datapath sizes and timings (Table 4a, §5.2).
+const (
+	// FlitBufBytes is the per-input best-effort flit buffer capacity; it
+	// holds a whole best-effort header.
+	FlitBufBytes = 10
+	// ChunkBytes is the packet-memory word width; the internal bus moves
+	// one chunk per cycle. It divides packet.TCBytes.
+	ChunkBytes = 10
+	// SchedPeriod is the number of cycles between comparator-tree
+	// results: the paper's two-stage pipeline produces one selection per
+	// stage time (~50 ns ≈ 2.5 cycles), rounded up.
+	SchedPeriod = 3
+	// BEHeadDelay is the per-hop pipeline delay, in cycles, between a
+	// best-effort header being decoded and its first flit leaving: the
+	// paper's byte synchronization plus five-byte chunk accumulation for
+	// the router's internal bus (Section 5.2 attributes its 30-cycle
+	// three-hop overhead to these).
+	BEHeadDelay = 5
+)
+
 // PeerPort returns the port by which the router at the far end of the
 // link leaving through p receives it (+x ↔ −x, +y ↔ −y); the local port
 // is its own peer.
@@ -67,8 +87,11 @@ func PortName(p int) string {
 	}
 }
 
-// Config holds the architectural parameters of Table 4a plus the
-// simulation knobs that stand in for circuit timings.
+// Config holds the architectural parameters of Table 4a that callers
+// vary, plus the simulation knobs that stand in for circuit timings; the
+// fixed datapath sizes are the constants above. A port's horizon is not
+// configuration: it starts at 0 and changes through the control
+// interface (SetHorizon).
 type Config struct {
 	// Slots is the number of time-constrained packet buffers in the
 	// shared memory (and comparator-tree leaves). Paper: 256.
@@ -79,16 +102,6 @@ type Config struct {
 	// one bit wider. At most 8, the width of the header stamp field.
 	// Paper: 8.
 	ClockBits uint
-	// FlitBufBytes is the per-input best-effort flit buffer capacity.
-	// Paper: 10.
-	FlitBufBytes int
-	// ChunkBytes is the packet-memory word width; the internal bus moves
-	// one chunk per cycle. Paper: 10.
-	ChunkBytes int
-	// SchedPeriod is the number of cycles between comparator-tree
-	// results. The paper's two-stage pipeline produces one selection per
-	// stage time (~50 ns ≈ 2.5 cycles); default 3.
-	SchedPeriod int
 	// LeafSharing is the §5.1 cost-reduction factor: combining
 	// LeafSharing leaves into one module with a single comparator shrinks
 	// the tree by that factor but serializes each module's packets, so a
@@ -102,12 +115,6 @@ type Config struct {
 	// sched.OrderApprox: laxities within the same 2^ApproxShift-slot
 	// bucket are not distinguished. Ignored by other orders.
 	ApproxShift uint
-	// BEHeadDelay is the per-hop pipeline delay, in cycles, between a
-	// best-effort header being decoded and its first flit leaving: the
-	// paper's byte synchronization plus five-byte chunk accumulation for
-	// the router's internal bus (Section 5.2 attributes its 30-cycle
-	// three-hop overhead to these). Default 5.
-	BEHeadDelay int
 	// VCT enables the virtual cut-through extension for time-constrained
 	// traffic sketched in the paper's Section 7: an arriving packet may
 	// proceed directly to an idle output if nothing more urgent waits.
@@ -138,9 +145,6 @@ type Config struct {
 	// so nothing else sets the epoch. The best-effort nack window scales
 	// with the round trip automatically.
 	LinkLatency int
-	// Horizons are the initial per-output-port horizon parameters (in
-	// slots); the control interface can rewrite them at run time.
-	Horizons [NumPorts]uint32
 }
 
 // linkLatency returns the effective wire latency (the zero value means
@@ -158,11 +162,7 @@ func DefaultConfig() Config {
 		Slots:        256,
 		Conns:        256,
 		ClockBits:    8,
-		FlitBufBytes: 10,
-		ChunkBytes:   10,
-		SchedPeriod:  3,
 		LeafSharing:  1,
-		BEHeadDelay:  5,
 		BERetryLimit: 8,
 	}
 }
@@ -176,17 +176,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: Conns must be in [1,256] (8-bit header id), got %d", c.Conns)
 	case c.ClockBits < 2 || c.ClockBits > 8:
 		return fmt.Errorf("router: ClockBits must be in [2,8] (8-bit header stamp), got %d", c.ClockBits)
-	case c.FlitBufBytes < packet.BEHeaderBytes:
-		return fmt.Errorf("router: FlitBufBytes must hold at least a %d-byte header, got %d",
-			packet.BEHeaderBytes, c.FlitBufBytes)
-	case c.ChunkBytes < 1 || packet.TCBytes%c.ChunkBytes != 0:
-		return fmt.Errorf("router: ChunkBytes must divide %d, got %d", packet.TCBytes, c.ChunkBytes)
-	case c.SchedPeriod < 1:
-		return fmt.Errorf("router: SchedPeriod must be positive, got %d", c.SchedPeriod)
 	case c.LeafSharing < 1:
 		return fmt.Errorf("router: LeafSharing must be at least 1, got %d", c.LeafSharing)
-	case c.BEHeadDelay < 0:
-		return fmt.Errorf("router: BEHeadDelay must be non-negative, got %d", c.BEHeadDelay)
 	case c.BERetryLimit < 0:
 		return fmt.Errorf("router: BERetryLimit must be non-negative, got %d", c.BERetryLimit)
 	case c.LinkLatency < 0 || c.LinkLatency > 64:
@@ -197,11 +188,6 @@ func (c Config) Validate() error {
 	}
 	if max := int64(1) << (c.ClockBits - 2) * packet.TCBytes; c.SkewCycles > max || c.SkewCycles < -max {
 		return fmt.Errorf("router: clock skew %d cycles exceeds a quarter of the clock range", c.SkewCycles)
-	}
-	for p, h := range c.Horizons {
-		if h >= 1<<(c.ClockBits-1) {
-			return fmt.Errorf("router: horizon %d on port %s exceeds half clock range", h, PortName(p))
-		}
 	}
 	return nil
 }

@@ -206,13 +206,11 @@ func TestLeafSharingSlowsScheduling(t *testing.T) {
 func TestVCTBackToBackCutsSameInput(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VCT = true
-	for p := range cfg.Horizons {
-		cfg.Horizons[p] = 64
-	}
 	k := sim.NewKernel()
 	a := MustNew("A", cfg)
 	bx := MustNew("Bx", cfg)
 	by := MustNew("By", cfg)
+	setHorizon(t, sched.AllPortsMask(NumPorts), 64, a, bx, by)
 	k.Register(a)
 	k.Register(bx)
 	k.Register(by)

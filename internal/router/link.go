@@ -42,6 +42,13 @@ func NewChannelShards(k *sim.Kernel, latency int64, srcShard, dstShard int) *Cha
 // Latency returns the channel's one-way wire latency in cycles.
 func (c *Channel) Latency() int64 { return c.data.Latency() }
 
+// Clear drops whatever is in flight on both wires, so the channel carries
+// nothing sent before it was unplugged. Only safe while it is unplugged.
+func (c *Channel) Clear() {
+	c.data.Clear()
+	c.ack.Clear()
+}
+
 // inbound is what a receiving router asks of an inbound wire's delay
 // line to keep the wire's arrival stamps in its own stamp block (see
 // Router.lendStamps) and to wake the router for what arrives on it: the

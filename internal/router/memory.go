@@ -61,16 +61,16 @@ func (m *packetMemory) free(slot int) {
 
 func (m *packetMemory) freeSlots() int { return m.nIdle }
 
-// writeChunk stores chunk i (chunkBytes wide) of a packet into slot.
-func (m *packetMemory) writeChunk(slot, chunk, chunkBytes int, src []byte) {
-	off := chunk * chunkBytes
-	copy(m.data[slot][off:off+chunkBytes], src)
+// writeChunk stores chunk i of a packet into slot.
+func (m *packetMemory) writeChunk(slot, chunk int, src []byte) {
+	off := chunk * ChunkBytes
+	copy(m.data[slot][off:off+ChunkBytes], src)
 }
 
 // readChunk loads chunk i of slot into dst.
-func (m *packetMemory) readChunk(slot, chunk, chunkBytes int, dst []byte) {
-	off := chunk * chunkBytes
-	copy(dst, m.data[slot][off:off+chunkBytes])
+func (m *packetMemory) readChunk(slot, chunk int, dst []byte) {
+	off := chunk * ChunkBytes
+	copy(dst, m.data[slot][off:off+ChunkBytes])
 }
 
 // busClient is a port engine that may need a memory access this cycle.

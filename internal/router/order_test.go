@@ -18,8 +18,8 @@ func TestFIFOHoldsEarlyStagedPacket(t *testing.T) {
 	const l, h = 20, 3 // ℓ at this router and the reception port's horizon, in slots
 	cfg := DefaultConfig()
 	cfg.Scheduler = sched.OrderFIFO
-	cfg.Horizons[PortLocal] = h
 	r := newRig(t, cfg)
+	setHorizon(t, maskOf(PortLocal), h, r.a)
 	if err := r.a.SetConnection(1, 9, 10, maskOf(PortLocal)); err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,6 @@ type Router struct {
 	tcDrainSpare []DeliveredTC
 	beDrainSpare []DeliveredBE
 
-	cfg  Config
 	name string
 
 	in  [NumLinks]*InLink
@@ -255,6 +254,10 @@ type Router struct {
 	// met is the attached telemetry (nil = telemetry off); see
 	// AttachMetrics.
 	met *metricsFold
+
+	// cfg sits last: the hot fields above keep their offsets whatever
+	// the configuration holds.
+	cfg Config
 }
 
 // New constructs a router with the given configuration. The name appears
@@ -275,7 +278,6 @@ func New(name string, cfg Config) (*Router, error) {
 		table:    make([]ConnEntry, cfg.Conns),
 		mem:      newPacketMemory(cfg.Slots),
 		schedq:   tree,
-		horizons: cfg.Horizons,
 		beFree:   make([][]byte, 0, beFreeCap),
 		portDead: 1<<NumLinks - 1,
 	}
@@ -287,9 +289,9 @@ func New(name string, cfg Config) (*Router, error) {
 	for i := 0; i < NumPorts; i++ {
 		r.tcIn[i] = &tcInput{r: r, id: i}
 		r.tcOut[i] = &tcOutput{r: r, port: i}
-		r.beIn[i] = &beInput{r: r, id: i, buf: make([]byte, 0, cfg.FlitBufBytes)}
+		r.beIn[i] = &beInput{r: r, id: i, buf: make([]byte, 0, FlitBufBytes)}
 		r.beOut[i] = &beOutput{
-			r: r, port: i, curIn: -1, credits: cfg.FlitBufBytes,
+			r: r, port: i, curIn: -1, credits: FlitBufBytes,
 			nackWin: nackWin, hist: make([]beHist, nackWin+2),
 		}
 	}
@@ -709,7 +711,7 @@ func (r *Router) Tick(now sim.Cycle) {
 	if r.schedCountdown <= 0 {
 		// Leaf sharing (§5.1) serializes each module's packets through
 		// one comparator: selections come LeafSharing times slower.
-		r.schedCountdown = r.cfg.SchedPeriod * r.cfg.LeafSharing
+		r.schedCountdown = SchedPeriod * r.cfg.LeafSharing
 		candidate = r.schedBeat(abs)
 	}
 	if still && !candidate {
@@ -913,7 +915,7 @@ func (r *Router) NextWork(now sim.Cycle) sim.Cycle {
 // periods; the slot clock reaches quiet[p] at cycle
 // quiet[p]·TCBytes − SkewCycles.
 func (r *Router) liveBeat(now int64) int64 {
-	period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
+	period := int64(SchedPeriod * r.cfg.LeafSharing)
 	lap := NumPorts * period
 	first := now + int64(r.schedCountdown) - 1
 	best := int64(sim.Never)
@@ -950,7 +952,7 @@ func (r *Router) Skip(now, target sim.Cycle) {
 	// (SkipIdleSelects is bit-identical to it) and samples the leaf level,
 	// which no beat at rest changes (noteSchedBeat).
 	if c0 := int64(r.schedCountdown); n >= c0 {
-		period := int64(r.cfg.SchedPeriod * r.cfg.LeafSharing)
+		period := int64(SchedPeriod * r.cfg.LeafSharing)
 		beats := 1 + (n-c0)/period
 		r.schedCountdown = int(period - (n - c0 - (beats-1)*period))
 		r.schedRR = int((int64(r.schedRR)+beats-1)%NumPorts) + 1
@@ -1344,7 +1346,7 @@ func (r *Router) sampleInputs() (arrived bool) {
 			arrived = arrived || a.BECredit || a.BENack
 			if a.BECredit {
 				be := r.beOut[p]
-				if be.credits < r.cfg.FlitBufBytes {
+				if be.credits < FlitBufBytes {
 					be.credits++
 				}
 				r.portWork |= r.stallSleep & (1 << p)

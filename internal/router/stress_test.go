@@ -90,10 +90,10 @@ func TestRandomMixedSoak(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		cfg.VCT = rng.Intn(2) == 1
-		for p := range cfg.Horizons {
-			cfg.Horizons[p] = uint32(rng.Intn(30))
-		}
 		r := newPairRig(t, cfg)
+		for p := 0; p < NumPorts; p++ {
+			setHorizon(t, maskOf(p), uint8(rng.Intn(30)), r.a, r.b)
+		}
 		// Generous delay bounds: nothing should miss or drop.
 		if err := r.a.SetConnection(1, 2, 60, maskOf(PortXPlus)); err != nil {
 			t.Fatal(err)

@@ -333,10 +333,9 @@ func (u *tcInput) launchWrite() {
 // busGrant writes one chunk; on the last chunk the packet is live in
 // memory and its scheduling leaf is installed.
 func (u *tcInput) busGrant() {
-	cb := u.r.cfg.ChunkBytes
-	u.r.mem.writeChunk(u.wSlot, u.wChunk, cb, u.wData[u.wChunk*cb:])
+	u.r.mem.writeChunk(u.wSlot, u.wChunk, u.wData[u.wChunk*ChunkBytes:])
 	u.wChunk++
-	if u.wChunk*cb < packet.TCBytes {
+	if u.wChunk*ChunkBytes < packet.TCBytes {
 		return
 	}
 	u.wActive = false
@@ -486,10 +485,9 @@ func (o *tcOutput) launchFetch() {
 }
 
 func (o *tcOutput) busGrant() {
-	cb := o.r.cfg.ChunkBytes
-	o.r.mem.readChunk(o.cand.Slot, o.fChunk, cb, o.sBuf[o.fChunk*cb:])
+	o.r.mem.readChunk(o.cand.Slot, o.fChunk, o.sBuf[o.fChunk*ChunkBytes:])
 	o.fChunk++
-	if o.fChunk*cb < packet.TCBytes {
+	if o.fChunk*ChunkBytes < packet.TCBytes {
 		return
 	}
 	o.fetching = false

@@ -15,8 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mesh"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/rtc"
 	"repro/internal/sched"
@@ -246,42 +244,11 @@ type Result struct {
 	Faults fault.Stats
 }
 
-// RunOpts carries harness-level knobs that are not part of the
-// scenario document itself.
-type RunOpts struct {
-	// Metrics, when non-nil, attaches the telemetry registry to every
-	// router in the built system.
-	Metrics *metrics.Registry
-	// SampleEvery, when positive, registers a periodic sampler
-	// snapshotting the registry into System.Sampler.TS.
-	SampleEvery int64
-	// Collector, when non-nil, attaches the sharded lifecycle collector
-	// to every router (parallel-safe tracing).
-	Collector *obs.Sharded
-	// ChannelSLO, when non-nil, attaches per-channel SLO accounting to
-	// every channel the scenario opens.
-	ChannelSLO *obs.SLO
-	// Forensics, when non-nil, attaches the slack-attribution engine to
-	// every router (blame matrix, cause totals).
-	Forensics *obs.Forensics
-	// Recorder, when non-nil, attaches the flight recorder (trigger
-	// logs with occupancy snapshots, post-run window dumps).
-	Recorder *obs.Recorder
-	// Audit, when non-nil, receives one record per admission-plane
-	// decision the scenario drives (channel opens, failure-driven
-	// reroutes, failbacks).
-	Audit *obs.AuditLog
-	// Workers selects the kernel execution mode: 0 or 1 sequential,
-	// n > 1 parallel over per-node shards (bit-identical results),
-	// negative GOMAXPROCS. Parallel runs should Close the returned
-	// System when done with it.
-	Workers int
-	// LinkLatency > 1 deepens the mesh links to that many cycles: the
-	// run then simulates a machine with n-cycle links, identically at
-	// every worker count, and the parallel kernel — which derives its
-	// epoch from the wiring — rendezvous once per n cycles.
-	LinkLatency int
-}
+// RunOpts are the harness options of a run: observers, workers and the
+// wire latency. The scenario document decides the rest of the router
+// and admission configuration, so RunWith refuses RunOpts whose Router
+// sets anything but LinkLatency, or whose Admission is set at all.
+type RunOpts = core.Options
 
 // Run builds the system, opens every channel, attaches the generators,
 // plays the failure timeline (rerouting affected channels), and returns
@@ -290,17 +257,23 @@ func (sc *Scenario) Run() (*Result, *core.System, error) {
 	return sc.RunWith(RunOpts{})
 }
 
-// RunWith is Run with harness options (telemetry attachment). The
-// scenario is re-validated first, so hand-built documents get the same
-// checks as parsed ones.
+// RunWith is Run with harness options (telemetry attachment, workers).
+// opts.Router.LinkLatency > 1 deepens the mesh links to that many cycles:
+// the run then simulates a machine with n-cycle links, identically at
+// every worker count. The scenario is re-validated first, so hand-built
+// documents get the same checks as parsed ones.
 func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	if err := sc.validate(); err != nil {
 		return nil, nil, err
 	}
+	lat := opts.Router.LinkLatency
+	if opts.Router != (router.Config{LinkLatency: lat}) || opts.Admission != (admission.Config{}) {
+		return nil, nil, fmt.Errorf("scenario: run options set the router or admission configuration the scenario decides")
+	}
 	rcfg := router.DefaultConfig()
 	rcfg.VCT = sc.Router.VCT
-	if opts.LinkLatency > 1 {
-		rcfg.LinkLatency = opts.LinkLatency
+	if lat > 1 {
+		rcfg.LinkLatency = lat
 	}
 	for _, f := range sc.Failures {
 		if !f.outage() {
@@ -326,20 +299,8 @@ func (sc *Scenario) RunWith(opts RunOpts) (*Result, *core.System, error) {
 	}
 	acfg.Horizon = sc.Admission.Horizon
 
-	fx := core.Fixture{
-		W: sc.Mesh.W, H: sc.Mesh.H, Seed: sc.Seed,
-		Options: core.Options{
-			Router:             rcfg,
-			Metrics:            opts.Metrics,
-			MetricsSampleEvery: opts.SampleEvery,
-			Collector:          opts.Collector,
-			ChannelSLO:         opts.ChannelSLO,
-			Forensics:          opts.Forensics,
-			Recorder:           opts.Recorder,
-			Audit:              opts.Audit,
-			Workers:            opts.Workers,
-		}.WithAdmission(acfg),
-	}
+	opts.Router = rcfg
+	fx := core.Fixture{W: sc.Mesh.W, H: sc.Mesh.H, Seed: sc.Seed, Options: opts.WithAdmission(acfg)}
 	for _, def := range sc.Channels {
 		req := core.ChannelReq{
 			Src:  coord(def.Src),

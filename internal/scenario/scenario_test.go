@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/admission"
+	"repro/internal/router"
 )
 
 const sampleJSON = `{
@@ -94,6 +97,40 @@ func TestRunValidatesHandBuiltScenario(t *testing.T) {
 	sc.Failures = []LinkFail{{At: 10, From: [2]int{0, 0}, Port: "east"}}
 	if _, _, err := sc.Run(); err == nil {
 		t.Fatal("bad port string in a hand-built scenario not rejected")
+	}
+}
+
+// TestRunWithTakesOnlyLinkLatency: the document decides the router and
+// admission configuration. Run options may set the wire latency and
+// nothing else of either; an explicit latency of 1 is the default wire.
+func TestRunWithTakesOnlyLinkLatency(t *testing.T) {
+	sc, err := Parse([]byte(`{"mesh": {"w": 2, "h": 1}, "cycles": 100, "router": {"vct": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lat := range []int{0, 1, 4} {
+		_, sys, err := sc.RunWith(RunOpts{Router: router.Config{LinkLatency: lat}})
+		if err != nil {
+			t.Fatalf("latency %d: %v", lat, err)
+		}
+		cfg := sys.Router(coord([2]int{0, 0})).Config()
+		want := router.DefaultConfig()
+		want.VCT = true
+		if lat > 1 {
+			want.LinkLatency = lat
+		}
+		if cfg != want {
+			t.Errorf("latency %d: router config %+v, want %+v", lat, cfg, want)
+		}
+	}
+	for _, opts := range []RunOpts{
+		{Router: router.Config{LinkLatency: 4, VCT: true}},
+		{Router: router.DefaultConfig()},
+		{Admission: admission.DefaultConfig()},
+	} {
+		if _, _, err := sc.RunWith(opts); err == nil {
+			t.Errorf("RunWith(%+v) accepted a configuration the scenario decides", opts)
+		}
 	}
 }
 

@@ -54,10 +54,16 @@ func NewPipe[T any](latency int64) *Pipe[T] {
 		size <<= 1
 	}
 	p := &Pipe[T]{lat: Cycle(latency), slots: make([]pipeSlot[T], size), reader: &unread, ring: &unread}
+	p.Clear()
+	return p
+}
+
+// Clear expires every value in flight, as if none had been written. Only
+// safe while nothing writes or reads the pipe: a link that is cut.
+func (p *Pipe[T]) Clear() {
 	for i := range p.slots {
 		p.slots[i].stamp = -1
 	}
-	return p
 }
 
 // Latency returns the write-to-read delay in cycles.

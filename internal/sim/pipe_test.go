@@ -78,3 +78,26 @@ func TestPipeMirrorStampRows(t *testing.T) {
 		}()
 	}
 }
+
+// TestPipeClear: a cleared pipe delivers nothing written before the
+// clear, and copies no stamp into a mirror lent afterwards.
+func TestPipeClear(t *testing.T) {
+	p := NewPipe[int](2)
+	p.Write(10, 7)
+	p.Write(11, 8)
+	p.Clear()
+	for c := Cycle(10); c < 14; c++ {
+		if v := p.Read(c); v != 0 {
+			t.Errorf("cycle %d: read %d after Clear", c, v)
+		}
+	}
+	rows := make([]byte, p.Ring()*2)
+	p.MirrorStamps(rows, 0, p.Ring(), 2)
+	if !bytes.Equal(rows, make([]byte, len(rows))) {
+		t.Errorf("a mirror lent after Clear got stamps %x", rows)
+	}
+	p.Write(12, 9)
+	if v := p.Read(14); v != 9 {
+		t.Errorf("a write after Clear read %d, want 9", v)
+	}
+}

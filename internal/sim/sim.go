@@ -255,8 +255,8 @@ func (k *Kernel) Components() int { return len(k.entries) }
 
 // String implements fmt.Stringer for debugging.
 func (k *Kernel) String() string {
-	return fmt.Sprintf("sim.Kernel{cycle=%d components=%d latches=%d workers=%d}",
-		k.now, len(k.entries), len(k.latches), k.workers)
+	return fmt.Sprintf("sim.Kernel{cycle=%d components=%d latches=%d pipes=%d workers=%d}",
+		k.now, len(k.entries), len(k.latches), len(k.pipes), k.workers)
 }
 
 // Reg is a clock-latched register of any value type. Producers write the

@@ -212,7 +212,9 @@ func TestKernelString(t *testing.T) {
 	k.Register(&counter{name: "x"})
 	k.AddLatch(NewReg[int]())
 	k.Step()
-	want := "sim.Kernel{cycle=1 components=1 latches=1 workers=1}"
+	k.AttachPipe(NewPipe[int](1), 0, 0)
+	k.Step()
+	want := "sim.Kernel{cycle=2 components=1 latches=1 pipes=1 workers=1}"
 	if got := k.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

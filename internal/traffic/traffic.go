@@ -189,19 +189,21 @@ func (a *TCApp) submit(cycle int64, nowSlot timing.Slot) {
 // DstPicker selects a destination for each best-effort packet.
 type DstPicker func(rng *rand.Rand) mesh.Coord
 
-// UniformDst picks uniformly over the mesh, excluding the source.
+// UniformDst picks uniformly over the mesh, excluding the source (a node
+// of the mesh): one draw over the other n−1 nodes in row-major order,
+// read off net.Coords() past the source's own index, so no source keeps
+// a copy of the mesh.
 func UniformDst(net *mesh.Network, src mesh.Coord) DstPicker {
-	coords := make([]mesh.Coord, 0, len(net.Coords())-1)
-	for _, c := range net.Coords() {
-		if c != src {
-			coords = append(coords, c)
-		}
-	}
+	coords, skip := net.Coords(), net.Shard(src)
 	return func(rng *rand.Rand) mesh.Coord {
-		if len(coords) == 0 {
+		if len(coords) == 1 {
 			return src
 		}
-		return coords[rng.Intn(len(coords))]
+		i := rng.Intn(len(coords) - 1)
+		if i >= skip {
+			i++
+		}
+		return coords[i]
 	}
 }
 

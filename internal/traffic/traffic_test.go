@@ -169,6 +169,41 @@ func TestDstPickers(t *testing.T) {
 	}
 }
 
+// TestUniformDstMatchesListPicker: UniformDst picks exactly what a
+// picker drawing over a list of every other node in row-major order
+// picks, for every source of a 4×4 mesh and several seeds, and on a 1×1
+// mesh returns the source.
+func TestUniformDstMatchesListPicker(t *testing.T) {
+	listPicker := func(net *mesh.Network, src mesh.Coord) DstPicker {
+		var coords []mesh.Coord
+		for _, c := range net.Coords() {
+			if c != src {
+				coords = append(coords, c)
+			}
+		}
+		return func(rng *rand.Rand) mesh.Coord {
+			if len(coords) == 0 {
+				return src
+			}
+			return coords[rng.Intn(len(coords))]
+		}
+	}
+	for _, dim := range []int{4, 1} {
+		net := mesh.MustNew(dim, dim, router.DefaultConfig())
+		for _, src := range net.Coords() {
+			for seed := int64(1); seed <= 3; seed++ {
+				got, want := UniformDst(net, src), listPicker(net, src)
+				rg, rw := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for i := 0; i < 100; i++ {
+					if g, w := got(rg), want(rw); g != w {
+						t.Fatalf("%dx%d, source %s, seed %d, pick %d: %s, want %s", dim, dim, src, seed, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSizePickers(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	if FixedSize(64)(rng) != 64 {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# identity.sh BASE builds rtbench and rtsim at git revision BASE (from a
+# identity.sh BASE builds rtbench, rtsim and rtchip at git revision BASE (from a
 # `git archive`, so no worktree and no network) and in the working tree,
 # runs the byte-identity list below with both builds on the working
 # tree's scenario files, and compares each pair of outputs with cmp. It
@@ -14,8 +14,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/src"
 git -C "$root" archive "$base" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/rtbench ./cmd/rtsim)
-(cd "$root" && go build -o "$tmp/work/" ./cmd/rtbench ./cmd/rtsim)
+(cd "$tmp/src" && go build -o "$tmp/base/" ./cmd/rtbench ./cmd/rtsim ./cmd/rtchip)
+(cd "$root" && go build -o "$tmp/work/" ./cmd/rtbench ./cmd/rtsim ./cmd/rtchip)
 
 # record FILE CMD... runs CMD from the repository root and writes its
 # stdout and stderr, then its exit status, to FILE.
@@ -39,6 +39,12 @@ for side in base work; do
 		# The report line names the -metrics path, which differs by side.
 		sed -i "s|$b/out/||" "$b/out/rtsim_$s"
 	done
+	# The flag-driven workload, with and without admission horizons.
+	record "$b/out/rtsim_mesh" "$b/rtsim" -mesh 4x4 -cycles 20000 -links -admit-report -explain \
+		-metrics "$b/out/rtsim_mesh.metrics.json"
+	sed -i "s|$b/out/||" "$b/out/rtsim_mesh"
+	record "$b/out/rtsim_mesh_vct" "$b/rtsim" -mesh 4x4 -cycles 8000 -window 0 -horizon 0 -vct -admit-report
+	record "$b/out/rtchip" "$b/rtchip"
 done
 
 for f in "$tmp/work/out"/*; do
