@@ -41,7 +41,7 @@ var (
 	chart        = flag.Bool("chart", false, "render ASCII charts where available")
 	workers      = flag.Int("workers", 0, "narrow the sweep to this single kernel worker count (0 = the default worker set)")
 	benchJSON    = flag.String("benchjson", "", "write the sweep's mesh × workers matrix as JSON to this file (e.g. BENCH_router.json)")
-	meshList     = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64; 128 runs when asked for and needs more than 16 GB of memory); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
+	meshList     = flag.String("mesh", "", "comma-separated square mesh edges for the sweep (default 8,16,32,64; 128 runs when asked for and peaks at about 1.8 GiB resident); the first entry sizes the capacity/layout (default 8) and admission (default 16) mesh")
 	minSpeedup   = flag.Float64("min-speedup", 0, "fail the sweep if any parallel row is slower than this fraction of sequential (0 = don't enforce)")
 	scenarioPath = flag.String("scenario", "scenarios/faulty.json", "scenario file for -exp forensics and the audit-identity leg of -exp capacity")
 	requests     = flag.Int("requests", 0, "request count per family for -exp admission and -exp layout (0 = 100000 for admission, 3·nodes for layout)")
@@ -51,7 +51,7 @@ var (
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsOut   = flag.String("metrics", "", "write aggregate telemetry across all runs to this file (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-	listen       = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080); router counters update each time a simulation run returns")
+	listen       = flag.String("listen", "", "serve live telemetry over HTTP at this address while experiments run (e.g. :8080); router counters update every 1024 cycles of a simulation run and when it returns")
 	traceOut     = flag.String("trace-out", "", "write the merged event timeline across all runs to this file (.json = Chrome trace-event JSON for Perfetto, .jsonl = JSON lines, otherwise the human-readable dump)")
 	traceBuf     = flag.Int("trace-buf", obs.DefaultShardCap, "per-node event buffer capacity for -trace-out (oldest events evict first)")
 )

@@ -70,8 +70,7 @@ func run(args []string) int {
 		scenPath   = fs.String("scenario", "", "run a JSON scenario file instead of the flag-driven workload (the workload flags then conflict with it)")
 		links      = fs.Bool("links", false, "print the per-link utilization table after the run")
 		metricsOut = fs.String("metrics", "", "write the telemetry report to this file after the run (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-		sample     = fs.Int64("sample", 0, "snapshot telemetry totals into a time series every N cycles (0 = 1% of the run, the scenario's own length under -scenario, when telemetry is on)")
-		listen     = fs.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/)")
+		listen     = fs.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/); counters are as of the last fold, every 1024 cycles, and rt_cycles is stamped when the run ends")
 		workers    = fs.Int("workers", 1, "simulation kernel workers: 1 = sequential, >1 parallel (bit-identical results), 0 = GOMAXPROCS")
 		explain    = fs.Bool("explain", false, "print the slack-attribution report after the run: cause totals, blame matrix, per-channel waterfalls, longest stall episodes")
 		flight     = fs.String("flight", "", "write the flight-recorder dump to this file after the run: the merged events of the last -flight-cycles cycles before the final trigger (.jsonl = JSON lines with trigger records, otherwise Chrome trace-event JSON for Perfetto)")
@@ -140,7 +139,7 @@ func run(args []string) int {
 
 	var sys *core.System
 	if *scenPath != "" {
-		sys = runScenario(*scenPath, o, *sample)
+		sys = runScenario(*scenPath, o)
 	} else {
 		w, h, err := parseMesh(*meshDim)
 		if err != nil {
@@ -161,7 +160,6 @@ func run(args []string) int {
 		if *shared {
 			policy = admission.SharedPool
 		}
-		o.MetricsSampleEvery = samplePeriod(o.Metrics, *sample, *cycles)
 		fx := core.Fixture{
 			W: w, H: h, Seed: *seed,
 			Options: o.WithAdmission(admission.Config{
@@ -229,15 +227,6 @@ func run(args []string) int {
 	writeFlightFile(o.Recorder, o.Collector, o.ChannelSLO, *flight)
 	finishTelemetry(o.Metrics, sys.Now(), *metricsOut)
 	return 0
-}
-
-// samplePeriod resolves -sample: an explicit period stands; otherwise,
-// with telemetry on, 1% of the run that is about to happen.
-func samplePeriod(reg *metrics.Registry, sample, cycles int64) int64 {
-	if reg == nil || sample > 0 {
-		return sample
-	}
-	return max(cycles/100, 1)
 }
 
 // printAdmitReport writes the sealed capacity ledger (per-link
@@ -403,12 +392,11 @@ func finishTelemetry(reg *metrics.Registry, now int64, metricsOut string) {
 
 // runScenario plays a declarative workload file (see scenarios/ and the
 // scenario package) and prints what it opened and played.
-func runScenario(path string, o core.Options, sample int64) *core.System {
+func runScenario(path string, o core.Options) *core.System {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fail(err)
 	}
-	o.MetricsSampleEvery = samplePeriod(o.Metrics, sample, sc.Cycles)
 	res, sys, err := sc.RunWith(o)
 	if err != nil {
 		fail(err)

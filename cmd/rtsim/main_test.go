@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
 )
 
 // update rewrites the registry goldens from this run instead of
@@ -106,32 +105,14 @@ func TestLinksTableInBothModes(t *testing.T) {
 	}
 }
 
-// TestSamplePeriodFollowsTheRun: the default -sample is 1% of the run
-// that is about to happen — the scenario's own length under -scenario,
-// not the -cycles default — and only with telemetry on.
-func TestSamplePeriodFollowsTheRun(t *testing.T) {
-	sc, err := scenario.Load(fig6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	if got := samplePeriod(reg, 0, sc.Cycles); got != 160 {
-		t.Errorf("default period for the %d-cycle fig6 scenario = %d, want 160", sc.Cycles, got)
-	}
-	if got := samplePeriod(reg, 25, sc.Cycles); got != 25 {
-		t.Errorf("explicit -sample 25 resolved to %d", got)
-	}
-	if got := samplePeriod(reg, 0, 40); got != 1 {
-		t.Errorf("period for a 40-cycle run = %d, want the floor of 1", got)
-	}
-	if got := samplePeriod(nil, 0, sc.Cycles); got != 0 {
-		t.Errorf("period without telemetry = %d, want 0 (no sampler)", got)
-	}
-	// End to end: the sampler runScenario registers ticks at that period.
-	sys := runScenario(fig6, core.Options{Metrics: reg, Workers: 1}, 0)
+// TestTelemetryRunRests: a run with a registry attached keeps the wake
+// list. The routers fold between slices of System.Run, where the kernel
+// is quiet, so no barrier component holds every router awake.
+func TestTelemetryRunRests(t *testing.T) {
+	sys := runScenario(fig6, core.Options{Metrics: metrics.NewRegistry(), Workers: 1})
 	defer sys.Close()
-	if sys.Sampler == nil || sys.Sampler.Every() != 160 {
-		t.Errorf("scenario run sampler = %+v, want one every 160 cycles", sys.Sampler)
+	if _, slept := sys.Net.Kernel.Activity(nil); slept == 0 {
+		t.Error("no component slept through any cycle of a telemetry run")
 	}
 }
 

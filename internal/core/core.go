@@ -44,16 +44,12 @@ type Options struct {
 	admissionSet bool
 	// Metrics attaches a telemetry registry: every router gets a
 	// counter block named after its coordinate, and the routers fold what
-	// they counted into it when Run or RunUntil returns and before each
-	// sampler beat — the tick itself only bumps the router's own
+	// they counted into it every foldSlice cycles of Run and when Run or
+	// RunUntil returns — the tick itself only bumps the router's own
 	// counters, with or without a registry. Nil falls back to
 	// DefaultMetrics; when that is nil too, the system runs without
 	// telemetry.
 	Metrics *metrics.Registry
-	// MetricsSampleEvery, when positive, registers a periodic sampler
-	// snapshotting registry totals into System.Sampler.TS every N
-	// cycles. Ignored without a registry.
-	MetricsSampleEvery int64
 	// Collector attaches a sharded lifecycle collector: every router
 	// writes its events into a private per-node buffer, merged into one
 	// deterministic timeline on demand (obs.Sharded). Nil falls back to
@@ -140,9 +136,6 @@ type System struct {
 
 	// Metrics is the attached telemetry registry, or nil.
 	Metrics *metrics.Registry
-	// Sampler is the periodic registry sampler, or nil; its TS field
-	// holds the per-quantity time series after a run.
-	Sampler *metrics.Sampler
 	// Collector is the attached sharded lifecycle collector, or nil.
 	Collector *obs.Sharded
 	// SLO is the attached per-channel SLO tracker, or nil.
@@ -249,10 +242,6 @@ func NewMesh(w, h int, opts Options) (*System, error) {
 				}
 				return fs
 			})
-		}
-		if opts.MetricsSampleEvery > 0 {
-			sys.Sampler = metrics.NewSampler("metrics-sampler", reg, opts.MetricsSampleEvery, sys.foldMetrics)
-			net.Kernel.Register(sys.Sampler)
 		}
 	}
 	adm, err := admission.New(net, acfg)
@@ -459,10 +448,22 @@ func (s *System) RegisterNode(c mesh.Coord, comp sim.Component) { s.Net.Register
 // closed system keeps working sequentially.
 func (s *System) Close() { s.Net.Close() }
 
-// Run advances the network by the given number of cycles.
+// foldSlice is the most cycles Run steps between two folds, so a live
+// scrape of a long run moves while it runs.
+const foldSlice = 1024
+
+// Run advances the network by the given number of cycles, folding the
+// routers' counts into the registry after every slice of at most
+// foldSlice cycles (once, for a run of none).
 func (s *System) Run(cycles int64) {
-	s.Net.Run(cycles)
-	s.foldMetrics()
+	for {
+		n := min(cycles, foldSlice)
+		s.Net.Run(n)
+		s.foldMetrics()
+		if cycles -= n; cycles <= 0 {
+			return
+		}
+	}
 }
 
 // RunUntil steps until pred holds or the cycle budget runs out.
@@ -474,9 +475,10 @@ func (s *System) RunUntil(pred func() bool, budget int64) bool {
 
 // foldMetrics folds every router's counts into the metrics registry
 // (Router.FoldMetrics). Its callers run it where the kernel is quiet:
-// Run and RunUntil after the last step, the sampler as a barrier
-// component. Folding at every return keeps a registry shared by several
-// systems exact, and keeps no finished system reachable from it.
+// Run after each slice, RunUntil after the last step. It leaves
+// Registry.Cycles alone; whoever reports the run stamps that. Folding
+// at every return keeps a registry shared by several systems exact, and
+// keeps no finished system reachable from it.
 func (s *System) foldMetrics() {
 	if s.Metrics == nil {
 		return

@@ -5,9 +5,11 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/router"
 	"repro/internal/rtc"
+	"repro/internal/sim"
 )
 
 func TestOpenChannelAndSend(t *testing.T) {
@@ -188,6 +190,40 @@ func TestSummarize(t *testing.T) {
 		t.Error("bus utilization not measured")
 	}
 }
+
+// TestRunFoldsEverySlice: a long Run folds the routers' counts into the
+// registry after every foldSlice cycles, so a live scrape moves before
+// Run returns. A probe reads the registry in the last cycle of the first
+// slice and in the first cycle of the second.
+func TestRunFoldsEverySlice(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sys := MustNewMesh(2, 1, Options{Metrics: reg})
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 1, Y: 0}
+	ch, err := sys.OpenChannel(src, []mesh.Coord{dst}, rtc.Spec{Imin: 8, Smax: 18, D: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Send([]byte("cmd")); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[sim.Cycle]int64{}
+	sys.Net.Kernel.Register(probe(func(now sim.Cycle) {
+		if now == foldSlice-1 || now == foldSlice {
+			seen[now] = reg.Snapshot().Totals.TCDelivered
+		}
+	}))
+	sys.Run(2 * foldSlice)
+	if seen[foldSlice-1] != 0 || seen[foldSlice] != 1 {
+		t.Errorf("registry deliveries at cycles %d/%d = %d/%d, want 0/1 (one fold after the first slice)",
+			foldSlice-1, foldSlice, seen[foldSlice-1], seen[foldSlice])
+	}
+}
+
+// probe is a component that calls its function every cycle.
+type probe func(sim.Cycle)
+
+func (probe) Name() string         { return "probe" }
+func (p probe) Tick(now sim.Cycle) { p(now) }
 
 func TestResetStats(t *testing.T) {
 	sys := MustNewMesh(2, 1, Options{})

@@ -43,10 +43,8 @@ type loadedOpts struct {
 	linkLat   int // router.Config.LinkLatency; 0 = the 1-cycle default
 	forcePool bool
 	cycles    int64
-	// sample registers the metrics sampler at that period; scrape reads
-	// the registry over its HTTP handler in a loop on another goroutine
-	// for the whole run.
-	sample int64
+	// scrape reads the registry over its HTTP handler in a loop on
+	// another goroutine for the whole run.
 	scrape bool
 }
 
@@ -63,7 +61,7 @@ func runLoaded(t *testing.T, o loadedOpts) loadedRun {
 	rcfg.LinkLatency = o.linkLat
 	sys, err := NewMesh(8, 8, Options{
 		Router: rcfg, Workers: o.workers,
-		Metrics: reg, MetricsSampleEvery: o.sample, Collector: col, ChannelSLO: slo,
+		Metrics: reg, Collector: col, ChannelSLO: slo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,14 +361,14 @@ func TestParallelTracingRace(t *testing.T) {
 // TestLiveScrapeRace is the live -listen endpoint's contract, meant to
 // run under the race detector: a goroutine reads the registry through
 // its HTTP handler, Prometheus text and JSON in turn, for as long as a
-// loaded 8×8 runs on two pooled workers with the metrics sampler
-// attached. The routers fold into the registry only where the kernel is
-// quiet (the sampler's barrier, the end of Run), so the scrapes race
-// nothing, and the run still matches the sequential one.
+// loaded 8×8 runs on two pooled workers. The run is long enough for Run
+// to fold between slices at least twice before it returns. The routers
+// fold into the registry only where the kernel is quiet, so the scrapes
+// race nothing, and the run still matches the sequential one.
 func TestLiveScrapeRace(t *testing.T) {
-	const cycles, sample = 3000, 100
-	seq := runLoaded(t, loadedOpts{workers: 1, sample: sample, cycles: cycles})
-	live := runLoaded(t, loadedOpts{workers: 2, forcePool: true, sample: sample, scrape: true, cycles: cycles})
+	const cycles = 2*foldSlice + foldSlice/2
+	seq := runLoaded(t, loadedOpts{workers: 1, cycles: cycles})
+	live := runLoaded(t, loadedOpts{workers: 2, forcePool: true, scrape: true, cycles: cycles})
 	if live.Scrapes == 0 {
 		t.Fatal("the registry was never scraped while the kernel ran")
 	}

@@ -7,8 +7,8 @@
 // set of plain int64s. Routers never write a block while they tick:
 // each keeps its own counters (router.Stats plus a small tally) and
 // folds what it counted since its last fold into its block at a point
-// where the kernel is quiet (Fold; core.System folds after every run and
-// before each Sampler beat). The registry's mutex guards the blocks, so
+// where the kernel is quiet (Fold; core.System folds every 1024 cycles
+// of a run and when it returns). The registry's mutex guards the blocks, so
 // the -listen endpoint may read them while the simulation runs, current
 // as of the last fold.
 //

@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestFold: two routers sharing a name fold into one block. Counters add
@@ -166,34 +164,5 @@ func TestServeHTTPFormats(t *testing.T) {
 	reg.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics?format=json", nil))
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Errorf("format=json endpoint not JSON: %v", err)
-	}
-}
-
-func TestSamplerSeries(t *testing.T) {
-	reg := NewRegistry()
-	m := reg.Router("r")
-	// The fold hook stands in for the routers: it brings the block up to
-	// date with what they counted before each beat.
-	var counted RouterCounts
-	s := NewSampler("sampler", reg, 10, func() { m.RouterCounts = counted })
-	for cyc := int64(0); cyc < 40; cyc++ {
-		if cyc == 5 {
-			counted.TCEnqueued += 3
-		}
-		if cyc == 25 {
-			counted.TCEnqueued += 2
-			counted.MemOccupancy = 7
-		}
-		s.Tick(sim.Cycle(cyc))
-	}
-	enq := s.TS.Series("tc_enqueued")
-	if enq == nil || enq.Len() != 4 {
-		t.Fatalf("tc_enqueued series = %v", enq)
-	}
-	if enq.At(15) != 3 || enq.At(35) != 5 {
-		t.Errorf("series values: at15=%v at35=%v, want 3,5", enq.At(15), enq.At(35))
-	}
-	if occ := s.TS.Series("mem_occupancy"); occ.At(30) != 7 {
-		t.Errorf("occupancy at 30 = %v, want 7", occ.At(30))
 	}
 }

@@ -135,8 +135,8 @@ func (r *Router) AttachMetrics(m *metrics.RouterMetrics) {
 // attached block (metrics.RouterMetrics.Fold). It reads the router's
 // state, so it runs host-side while the kernel is quiet, and inside the
 // registry's lock (metrics.Registry.Fold) when anything may read the
-// registry meanwhile — core.System folds after every run and before each
-// sampler beat. No-op when detached.
+// registry meanwhile — core.System folds every 1024 cycles of a run and
+// when it returns. No-op when detached.
 func (r *Router) FoldMetrics() {
 	if r.met == nil {
 		return

@@ -28,7 +28,7 @@ import (
 //     components, jumps where none is awake, and puts components to
 //     sleep at the step boundary.
 //   - Components registered with plain Register may touch anything
-//     (e.g. a telemetry sampler reading every router's counters), so
+//     (e.g. Figure 7's service sampler reading one router's counters), so
 //     they act as barriers: all workers rendezvous, worker 0 ticks the
 //     component alone, and all workers rendezvous again.
 //

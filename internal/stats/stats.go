@@ -155,56 +155,6 @@ func (s *Series) At(t int64) float64 {
 	return s.V[idx-1]
 }
 
-// Insert adds a point keeping T sorted by time, so observers with
-// skewed or buffered clocks (out-of-order timestamps) still produce a
-// valid series for At and RenderASCII. In-order appends take the fast
-// path.
-func (s *Series) Insert(t int64, v float64) {
-	if n := len(s.T); n == 0 || s.T[n-1] <= t {
-		s.Append(t, v)
-		return
-	}
-	idx := sort.Search(len(s.T), func(i int) bool { return s.T[i] > t })
-	s.T = append(s.T, 0)
-	s.V = append(s.V, 0)
-	copy(s.T[idx+1:], s.T[idx:])
-	copy(s.V[idx+1:], s.V[idx:])
-	s.T[idx] = t
-	s.V[idx] = v
-}
-
-// TimeSeries is a named collection of Series built up by periodic
-// observation — the container the telemetry sampler snapshots the
-// metrics registry into during a run. Observations may arrive with
-// out-of-order timestamps; each series stays time-sorted.
-type TimeSeries struct {
-	m map[string]*Series
-}
-
-// NewTimeSeries returns an empty collection.
-func NewTimeSeries() *TimeSeries {
-	return &TimeSeries{m: make(map[string]*Series)}
-}
-
-// Observe records value v for the named series at time t, creating the
-// series on first use.
-func (ts *TimeSeries) Observe(name string, t int64, v float64) {
-	s := ts.m[name]
-	if s == nil {
-		s = &Series{Name: name}
-		ts.m[name] = s
-	}
-	s.Insert(t, v)
-}
-
-// Series returns the named series, or nil if never observed.
-func (ts *TimeSeries) Series(name string) *Series { return ts.m[name] }
-
-// Reset discards every series (warmup exclusion).
-func (ts *TimeSeries) Reset() {
-	ts.m = make(map[string]*Series)
-}
-
 // Accumulator builds a cumulative series by counting increments and
 // sampling on demand.
 type Accumulator struct {

@@ -166,51 +166,3 @@ func TestHistAddAfterSortedRead(t *testing.T) {
 		t.Errorf("stats after post-sort Add: min=%v max=%v mean=%v", h.Min(), h.Max(), h.Mean())
 	}
 }
-
-func TestSeriesInsertOutOfOrder(t *testing.T) {
-	var s Series
-	s.Insert(100, 1)
-	s.Insert(300, 3)
-	s.Insert(200, 2) // late observation lands in the middle
-	s.Insert(50, 0.5)
-	wantT := []int64{50, 100, 200, 300}
-	wantV := []float64{0.5, 1, 2, 3}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for i := range wantT {
-		if s.T[i] != wantT[i] || s.V[i] != wantV[i] {
-			t.Errorf("point %d = (%d, %v), want (%d, %v)", i, s.T[i], s.V[i], wantT[i], wantV[i])
-		}
-	}
-	if s.At(250) != 2 || s.At(49) != 0 {
-		t.Errorf("At after out-of-order insert: %v %v", s.At(250), s.At(49))
-	}
-	// Equal timestamps keep insertion order (stable on ties).
-	s.Insert(300, 4)
-	if s.V[s.Len()-1] != 4 {
-		t.Errorf("tie did not append after existing point: %v", s.V)
-	}
-}
-
-func TestTimeSeriesOutOfOrder(t *testing.T) {
-	ts := NewTimeSeries()
-	ts.Observe("misses", 200, 2)
-	ts.Observe("misses", 100, 1)
-	ts.Observe("occupancy", 50, 9)
-	s := ts.Series("misses")
-	if s == nil || s.Len() != 2 || s.T[0] != 100 || s.T[1] != 200 {
-		t.Fatalf("misses series out of order: %+v", s)
-	}
-	if ts.Series("absent") != nil {
-		t.Error("unknown series should be nil")
-	}
-	ts.Reset()
-	if ts.Series("occupancy") != nil || ts.Series("misses") != nil {
-		t.Error("Reset left series behind")
-	}
-	ts.Observe("misses", 5, 1)
-	if ts.Series("misses").Len() != 1 {
-		t.Error("Observe after Reset broken")
-	}
-}
