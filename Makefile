@@ -99,8 +99,9 @@ profile-admission:
 # every router idle or parked, asleep on the kernel's wake list) and the
 # loaded 8×8 mesh (BenchmarkRouterCycleRate over experiments.LoadedMesh —
 # every router busy), each followed by a per-line view: the wake list's
-# walk (walker.walk) and the parked router's wake-up (liveBeat) on the sparse mesh,
-# Router.Tick and sampleInputs on the loaded one. A router or kernel
+# walk (walker.walk) and the busy routers' rest verdict and beat
+# (Router.atRest, Router.schedBeat) on the sparse mesh, Router.Tick and
+# sampleInputs on the loaded one. A router or kernel
 # hot-path change quotes both before and after (CHANGES.md). Leaves the
 # two profiles and the test binary behind.
 DATAPLANE_PROF ?= dataplane
@@ -108,7 +109,7 @@ profile-dataplane:
 	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$/^workers=1$$' -benchtime 30000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_sparse.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_sparse.prof
-	$(GO) tool pprof -list 'walker..walk$$|liveBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
+	$(GO) tool pprof -list 'walker..walk$$|Router..atRest$$|Router..schedBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof
 	$(GO) test -run '^$$' -bench '^BenchmarkRouterCycleRate$$/^workers=1$$' -benchtime 150000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_loaded.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_loaded.prof

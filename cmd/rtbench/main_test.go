@@ -8,10 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 )
 
 // smokeFlags gives every registered experiment a small-budget flag
@@ -244,4 +247,36 @@ func TestExpFlagsCoverAllFlags(t *testing.T) {
 			t.Errorf("flag -%s is consumed by no experiment and is not global", name)
 		}
 	}
+}
+
+// TestMetricsReportCycles: the telemetry report of an rtbench run covers
+// the simulated cycles its experiments' systems ran, not zero.
+func TestMetricsReportCycles(t *testing.T) {
+	reg := metrics.NewRegistry()
+	core.DefaultMetrics = reg
+	defer func() { core.DefaultMetrics = nil }()
+	tables = io.Discard
+	defer func() { tables = os.Stdout }()
+	for _, e := range selected("multicast") {
+		if err := e.run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := reg.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "rt_cycles "); ok {
+			if n, err := strconv.ParseInt(v, 10, 64); err != nil || n <= 0 {
+				t.Errorf("report says %q", line)
+			}
+			return
+		}
+	}
+	t.Error("report has no rt_cycles line")
 }

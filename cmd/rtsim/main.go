@@ -70,7 +70,7 @@ func run(args []string) int {
 		scenPath   = fs.String("scenario", "", "run a JSON scenario file instead of the flag-driven workload (the workload flags then conflict with it)")
 		links      = fs.Bool("links", false, "print the per-link utilization table after the run")
 		metricsOut = fs.String("metrics", "", "write the telemetry report to this file after the run (.prom/.txt = Prometheus text, otherwise JSON; - = stdout)")
-		listen     = fs.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/); counters are as of the last fold, every 1024 cycles, and rt_cycles is stamped when the run ends")
+		listen     = fs.String("listen", "", "serve live telemetry over HTTP at this address during the run (e.g. :8080; also serves net/http/pprof under /debug/pprof/); counters and rt_cycles are as of the last fold, every 1024 cycles")
 		workers    = fs.Int("workers", 1, "simulation kernel workers: 1 = sequential, >1 parallel (bit-identical results), 0 = GOMAXPROCS")
 		explain    = fs.Bool("explain", false, "print the slack-attribution report after the run: cause totals, blame matrix, per-channel waterfalls, longest stall episodes")
 		flight     = fs.String("flight", "", "write the flight-recorder dump to this file after the run: the merged events of the last -flight-cycles cycles before the final trigger (.jsonl = JSON lines with trigger records, otherwise Chrome trace-event JSON for Perfetto)")
@@ -225,7 +225,7 @@ func run(args []string) int {
 	dumpTraceTail(o.Collector, *traceN)
 	writeTraceFile(o.Collector, o.ChannelSLO, *traceOut)
 	writeFlightFile(o.Recorder, o.Collector, o.ChannelSLO, *flight)
-	finishTelemetry(o.Metrics, sys.Now(), *metricsOut)
+	finishTelemetry(o.Metrics, *metricsOut)
 	return 0
 }
 
@@ -373,13 +373,10 @@ func openTelemetry(metricsOut, listen string) *metrics.Registry {
 	return reg
 }
 
-// finishTelemetry stamps the final cycle count and writes the report.
-func finishTelemetry(reg *metrics.Registry, now int64, metricsOut string) {
-	if reg == nil {
-		return
-	}
-	reg.Cycles.Store(now)
-	if metricsOut == "" {
+// finishTelemetry writes the report; the system's runs have folded
+// their counts and cycles into it.
+func finishTelemetry(reg *metrics.Registry, metricsOut string) {
+	if reg == nil || metricsOut == "" {
 		return
 	}
 	if err := reg.WriteFile(metricsOut); err != nil {

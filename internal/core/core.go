@@ -146,6 +146,10 @@ type System struct {
 	Recorder *obs.Recorder
 	// Audit is the attached admission audit log, or nil.
 	Audit *obs.AuditLog
+
+	// folded is the cycle of the last foldMetrics: the cycles since are
+	// the ones Metrics.Cycles does not count yet.
+	folded int64
 }
 
 // NewMesh builds a W×H system.
@@ -474,11 +478,12 @@ func (s *System) RunUntil(pred func() bool, budget int64) bool {
 }
 
 // foldMetrics folds every router's counts into the metrics registry
-// (Router.FoldMetrics). Its callers run it where the kernel is quiet:
-// Run after each slice, RunUntil after the last step. It leaves
-// Registry.Cycles alone; whoever reports the run stamps that. Folding
-// at every return keeps a registry shared by several systems exact, and
-// keeps no finished system reachable from it.
+// (Router.FoldMetrics) and adds the cycles run since the last fold to
+// Registry.Cycles. Its callers run it where the kernel is quiet: Run
+// after each slice, RunUntil after the last step. Folding at every
+// return keeps a registry shared by several systems exact — its Cycles
+// is then the sum of their runs — and keeps no finished system
+// reachable from it.
 func (s *System) foldMetrics() {
 	if s.Metrics == nil {
 		return
@@ -488,6 +493,9 @@ func (s *System) foldMetrics() {
 			s.Net.Router(c).FoldMetrics()
 		}
 	})
+	now := s.Now()
+	s.Metrics.Cycles.Add(now - s.folded)
+	s.folded = now
 }
 
 // Now returns the current cycle.

@@ -70,7 +70,6 @@ func runForensicsOnce(path string, cycles int64, workers, linkLat, shardCap int)
 	}
 	defer sys.Close()
 	fns.Flush()
-	reg.Cycles.Store(sys.Now())
 	var buf bytes.Buffer
 	fns.Report(&buf, col.Merged())
 	buf.WriteString("\n")

@@ -334,8 +334,8 @@ type Registry struct {
 	// sealed ledger must stay byte-identical across refusals.
 	admission func() *AdmissionStats
 
-	// Cycles, if set by the harness, records the measured cycle span
-	// for rate normalization in reports.
+	// Cycles counts the simulated cycles the report covers: every system
+	// folding into the registry adds the cycles it ran (core.System.Run).
 	Cycles atomic.Int64
 }
 

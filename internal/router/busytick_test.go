@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,11 +16,13 @@ import (
 // the stamp gate and the quiet beat: always the whole cycle, every phase
 // over all five ports, every attached wire read, every beat a real Select.
 // The port, launch and acknowledge loops are the loops the masks
-// replaced; drainDropped, the wire reads, parse and the beat's quiet test
-// sit inside arbitrate, sampleInputs and schedBeat, so there the oracle
+// replaced, and scanBeat is the beat's pass-over as it read the transmit
+// engines; drainDropped, the wire reads, parse and the beat's quiet test
+// sit inside arbitrate, sampleInputs and beatPort, so there the oracle
 // forces every gate open instead — all ports marked, every stamp row made
 // to match the cycle, every quiet span forgotten, which the engines' own
-// tests, the precise read and the tree then settle.
+// tests, the precise read and the tree then settle. Every tick ends by
+// holding atRest's verdict to scanRest's, which runs enginesIdle.
 type fullScan struct{ *Router }
 
 func (f fullScan) Tick(now sim.Cycle) {
@@ -39,7 +42,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 	if r.schedCountdown <= 0 {
 		r.schedCountdown = SchedPeriod * r.cfg.LeafSharing
 		r.forgetQuiet(allPorts)
-		r.schedBeat(abs)
+		scanBeat(r, abs)
 	}
 
 	for p := 0; p < NumPorts; p++ {
@@ -51,7 +54,7 @@ func (f fullScan) Tick(now sim.Cycle) {
 
 	forgeStamps(r, int64(now))
 	r.beUnparsed = allPorts
-	r.sampleInputs()
+	arrived := r.sampleInputs()
 
 	for p := 0; p < NumLinks; p++ {
 		if r.in[p] == nil {
@@ -72,7 +75,38 @@ func (f fullScan) Tick(now sim.Cycle) {
 			r.in[p].DriveAck(r.nowCycle, a)
 		}
 	}
+	if got, want := r.atRest(arrived), scanRest(r, arrived); got != want {
+		panic(fmt.Sprintf("router %s cycle %d: atRest says %d, the engine scan %d", r.name, now, got, want))
+	}
 	r.rest = restBusy
+}
+
+// scanBeat is schedBeat passing over the ports whose transmit engines
+// cannot take a candidate by reading each engine's flags.
+func scanBeat(r *Router, abs int64) {
+	for i := 0; i < NumPorts; i++ {
+		p := (r.schedRR + i) % NumPorts
+		o := r.tcOut[p]
+		if o.cutIn != nil || o.fetching || (o.txActive && o.staged) {
+			continue
+		}
+		r.schedRR = p + 1
+		r.beatPort(p, abs)
+		return
+	}
+}
+
+// scanRest is atRest judged by the arrival shortcut and the engine scan
+// alone, without the port masks.
+func scanRest(r *Router, arrived bool) restState {
+	held := r.mem.freeSlots() != r.cfg.Slots || r.schedq.Occupancy() != 0
+	switch {
+	case held && (arrived || r.blame != nil) || !r.enginesIdle():
+		return restBusy
+	case held:
+		return restParked
+	}
+	return restIdle
 }
 
 // forgeStamps makes every lane of cycle now's stamp row match the cycle.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // bindScan is the modulo round-robin scan beOutput.bind ran before the
@@ -118,6 +120,7 @@ func TestBusTickMatchesModuloScan(t *testing.T) {
 // should hold (see the field comments in router.go).
 type portFlags struct {
 	staged, cand, dropping, owed, unparsed, work, dead uint8
+	asm, tx, outStaged, cut                            uint8
 }
 
 func flagsOf(r *Router) (f portFlags) {
@@ -125,8 +128,20 @@ func flagsOf(r *Router) (f portFlags) {
 		if r.tcIn[p].nPending > 0 {
 			f.staged |= 1 << p
 		}
+		if r.tcIn[p].nAsm > 0 {
+			f.asm |= 1 << p
+		}
 		if r.tcOut[p].candValid {
 			f.cand |= 1 << p
+		}
+		if r.tcOut[p].txActive {
+			f.tx |= 1 << p
+		}
+		if r.tcOut[p].staged {
+			f.outStaged |= 1 << p
+		}
+		if r.tcOut[p].cutIn != nil {
+			f.cut |= 1 << p
 		}
 		u := r.beIn[p]
 		if u.dropping {
@@ -160,6 +175,10 @@ func checkIndexes(t *testing.T, r *Router, cycle int64) {
 	if r.tcStaged != f.staged || r.tcCand != f.cand || r.beDropping != f.dropping || r.portDead != f.dead {
 		t.Fatalf("router %s cycle %d: tcStaged %05b tcCand %05b beDropping %05b portDead %05b, flags say %05b %05b %05b %05b",
 			r.name, cycle, r.tcStaged, r.tcCand, r.beDropping, r.portDead, f.staged, f.cand, f.dropping, f.dead)
+	}
+	if r.tcAsm != f.asm || r.tcTx != f.tx || r.tcOutStaged != f.outStaged || r.tcCut != f.cut {
+		t.Fatalf("router %s cycle %d: tcAsm %05b tcTx %05b tcOutStaged %05b tcCut %05b, flags say %05b %05b %05b %05b",
+			r.name, cycle, r.tcAsm, r.tcTx, r.tcOutStaged, r.tcCut, f.asm, f.tx, f.outStaged, f.cut)
 	}
 	if f.owed&^r.beOwed != 0 || f.unparsed&^r.beUnparsed != 0 || f.work&^(r.portWork|r.stallSleep) != 0 {
 		t.Fatalf("router %s cycle %d: beOwed %05b beUnparsed %05b portWork|stallSleep %05b do not cover the flags %05b %05b %05b",
@@ -270,6 +289,9 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 			seen.dropping |= x.beDropping
 			seen.owed |= x.beOwed
 			seen.work |= x.portWork
+			seen.asm |= x.tcAsm
+			seen.tx |= x.tcTx
+			seen.outStaged |= x.tcOutStaged
 		}
 		if n := bits.OnesCount8(b.beWaiting[PortLocal]); n > maxWaiters {
 			maxWaiters = n
@@ -299,7 +321,93 @@ func TestIndexesTrackEngineFlags(t *testing.T) {
 		t.Error("no best-effort frame delivered")
 	case b.Stats.BEFlitNacks == 0:
 		t.Error("no flit nacked on the garbled link")
-	case seen.staged == 0 || seen.cand == 0 || seen.dropping == 0 || seen.owed == 0 || seen.work == 0:
+	case seen.staged == 0 || seen.cand == 0 || seen.dropping == 0 || seen.owed == 0 || seen.work == 0 ||
+		seen.asm == 0 || seen.tx == 0 || seen.outStaged == 0:
 		t.Errorf("a port mask never held a bit between cycles: %+v", seen)
+	}
+}
+
+// TestIndexesTrackCutThroughLinkCut cuts a link while a cut-through
+// stream crosses it and checks every index after every cycle and right
+// after the cut. A's injection port cuts the packet through onto the
+// A→B link, and B cuts it through from its −x input onto its +y output,
+// looped back into its −y input. Cutting A→B mid-stream leaves B's +y
+// output a short stream whose next phit is the abort (emitCut's cutShort
+// path) and makes A abandon its own stream; cutting B's loopback
+// mid-stream makes B abandon its output's stream. The cut falls at every
+// offset from the cycle B's stream starts, and each run must end with
+// both routers back at rest.
+func TestIndexesTrackCutThroughLinkCut(t *testing.T) {
+	var short, abandoned int
+	for _, lat := range []int64{1, 4} {
+		for _, outCut := range []bool{false, true} {
+			for off := int64(0); off < packet.TCBytes+2; off++ {
+				cfg := DefaultConfig()
+				cfg.VCT, cfg.LinkLatency = true, int(lat)
+				k := sim.NewKernel()
+				a, b := MustNew("A", cfg), MustNew("B", cfg)
+				k.Register(a)
+				k.Register(b)
+				ab := NewChannelShards(k, lat, -1, -1)
+				a.ConnectOut(PortXPlus, ab.Out())
+				b.ConnectIn(PortXMinus, ab.In())
+				loop := NewChannelShards(k, lat, -1, -1)
+				b.ConnectOut(PortYPlus, loop.Out())
+				b.ConnectIn(PortYMinus, loop.In())
+				for _, s := range []struct {
+					at         *Router
+					in, out, d uint8
+					mask       sched.PortMask
+				}{{a, 1, 2, 5, maskOf(PortXPlus)}, {b, 2, 3, 5, maskOf(PortYPlus)}, {b, 3, 4, 5, maskOf(PortLocal)}} {
+					if err := s.at.SetConnection(s.in, s.out, s.d, s.mask); err != nil {
+						t.Fatal(err)
+					}
+				}
+				k.Run(200)
+				// Stamped a delay behind the clock, the packet is on time at
+				// A and at B: both cut it through.
+				a.InjectTC(tcPkt(1, uint8(k.Now()/packet.TCBytes)-5, 0x5c))
+				o := b.tcOut[PortYPlus]
+				cutAt := int64(-1)
+				for c := int64(k.Now()); c < 1500; c++ {
+					k.Step()
+					b.DrainTC()
+					checkIndexes(t, a, c)
+					checkIndexes(t, b, c)
+					if cutAt < 0 && o.cutIn != nil && o.cutIdx > 0 {
+						cutAt = c + off
+					}
+					if c != cutAt {
+						continue
+					}
+					streaming := o.cutIn != nil
+					if outCut {
+						b.ConnectOut(PortYPlus, nil)
+						b.ConnectIn(PortYMinus, nil)
+						if streaming {
+							abandoned++
+						}
+					} else {
+						a.ConnectOut(PortXPlus, nil)
+						b.ConnectIn(PortXMinus, nil)
+						if o.cutShort {
+							short++
+						}
+					}
+					checkIndexes(t, a, c)
+					checkIndexes(t, b, c)
+				}
+				switch {
+				case cutAt < 0 || b.Stats.TCCutThroughs == 0:
+					t.Fatalf("latency %d offset %d: B never cut the packet through: %+v", lat, off, b.Stats)
+				case a.rest == restBusy || b.rest == restBusy:
+					t.Errorf("latency %d offset %d output cut %v: rest states %d/%d after the cut, want at rest",
+						lat, off, outCut, a.rest, b.rest)
+				}
+			}
+		}
+	}
+	if short == 0 || abandoned == 0 {
+		t.Errorf("%d cuts left B's stream short, %d abandoned it: a path was never taken", short, abandoned)
 	}
 }

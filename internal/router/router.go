@@ -160,6 +160,13 @@ type Router struct {
 	// exactly while tcOut[p].candValid: together the ports the launch
 	// loop visits.
 	tcStaged, tcCand uint8
+	// tcAsm has bit p set exactly while tcIn[p].nAsm > 0, tcTx exactly
+	// while tcOut[p].txActive, tcOutStaged exactly while tcOut[p].staged
+	// and tcCut exactly while tcOut[p].cutIn != nil. Each bit flips on the
+	// transition only. atRest reads them (with the masks beside them)
+	// before it scans the engines, and schedBeat's pass-over set is built
+	// from them.
+	tcAsm, tcTx, tcOutStaged, tcCut uint8
 	// beDropping has bit p set exactly while beIn[p].dropping: the inputs
 	// arbitrate drains a discarded frame from.
 	beDropping uint8
@@ -296,7 +303,8 @@ func New(name string, cfg Config) (*Router, error) {
 		}
 	}
 	// Bus polling order mirrors the chip's ten port engines: five
-	// receive engines then five transmit engines.
+	// receive engines then five transmit engines, whose fetch lines
+	// schedBeat reads as bus.want >> NumPorts.
 	for i := 0; i < NumPorts; i++ {
 		r.tcIn[i].busLine = r.bus.attach(r.tcIn[i])
 	}
@@ -802,10 +810,17 @@ func (r *Router) inputsClear(now int64) bool {
 // cheap signs that it cannot pass: an arrival this very cycle, which on a
 // loaded mesh is nearly every cycle. Forensics runs never park: blameGrant
 // attributes a horizon hold to every port-cycle a held packet waits,
-// which a parked cycle's Skip would leave out.
+// which a parked cycle's Skip would leave out. Every set bit of an exact
+// port mask or of the bus's request lines is a flag enginesIdle would
+// find, so a busy router is told by a few bytes of its own struct, and
+// the engine scan runs only once they are all clear.
 func (r *Router) atRest(arrived bool) restState {
 	held := r.mem.freeSlots() != r.cfg.Slots || r.schedq.Occupancy() != 0
-	if held && (arrived || r.blame != nil) || !r.enginesIdle() {
+	if held && (arrived || r.blame != nil) {
+		return restBusy
+	}
+	if r.tcAsm|r.tcStaged|r.tcTx|r.tcOutStaged|r.tcCand|r.tcCut|r.beDropping != 0 ||
+		r.bus.want != 0 || !r.enginesIdle() {
 		return restBusy
 	}
 	if held {
@@ -995,13 +1010,14 @@ func (r *Router) HasDeliveries() bool {
 // It reports whether the port it served holds a candidate afterwards. The
 // round robin passes over ports whose engines cannot take a candidate
 // (cutting through, fetching, or transmitting with the next packet
-// staged); on a router at rest no engine holds work, so none is passed
-// over.
+// staged), a set the port masks and the bus's fetch request lines give
+// without reading an engine; on a router at rest no engine holds work,
+// so none is passed over.
 func (r *Router) schedBeat(abs int64) bool {
+	pass := r.tcCut | uint8(r.bus.want>>NumPorts) | r.tcTx&r.tcOutStaged
 	for i := 0; i < NumPorts; i++ {
 		p := (r.schedRR + i) % NumPorts
-		o := r.tcOut[p]
-		if o.cutIn != nil || o.fetching || (o.txActive && o.staged) {
+		if pass&(1<<p) != 0 {
 			continue
 		}
 		r.schedRR = p + 1
@@ -1197,7 +1213,7 @@ func (r *Router) drainDeadPort(o *tcOutput) {
 		r.mem.free(o.sSlot)
 		r.noteMemOccupancy()
 	}
-	o.staged = false
+	o.setStaged(false)
 	r.Stats.TCDeadPortDrops++
 	r.dropTC(metrics.DropTCDeadPort, o.sLeaf.InConn, o.port)
 }
@@ -1226,7 +1242,8 @@ func (r *Router) emitTC(o *tcOutput) {
 // reports whether a byte actually went out (false on a skew bubble).
 func (r *Router) emitCut(o *tcOutput) bool {
 	if o.cutShort {
-		o.cutIn, o.cutShort = nil, false
+		o.endCut()
+		o.cutShort = false
 		r.out[o.port].Drive(r.nowCycle, packet.Phit{Valid: true, VC: packet.VCTime, Tail: true, Abort: true})
 		return true
 	}
@@ -1255,14 +1272,14 @@ func (r *Router) emitCut(o *tcOutput) bool {
 		o.cutIdx++
 		if tail {
 			r.deliverLocalTC(o.rxBuf)
-			o.cutIn = nil
+			o.endCut()
 		}
 		return true
 	}
 	o.cutIdx++
 	r.out[o.port].Drive(r.nowCycle, packet.Phit{Valid: true, VC: packet.VCTime, Data: b, Head: head, Tail: tail})
 	if tail {
-		o.cutIn = nil
+		o.endCut()
 	}
 	return true
 }

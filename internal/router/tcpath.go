@@ -111,6 +111,7 @@ func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
 	}
 	if u.nAsm == 0 {
 		u.rxCRC = 0
+		u.r.tcAsm |= 1 << u.id
 	}
 	u.rxCRC = packet.CRC8Update(u.rxCRC, ph.Data)
 	u.asm[u.nAsm] = ph.Data
@@ -118,7 +119,7 @@ func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
 	if u.nAsm < packet.TCBytes {
 		return
 	}
-	u.nAsm = 0
+	u.asmDone()
 	if !ph.Tail || !ph.SideValid || ph.Side != u.rxCRC {
 		u.r.Stats.TCCorruptDrops++
 		u.r.dropTC(metrics.DropTCCorrupt, u.asm[0], u.id)
@@ -137,7 +138,14 @@ func (u *tcInput) acceptWire(ph packet.Phit, now int64) {
 func (u *tcInput) framingDrop() {
 	u.r.Stats.TCFramingDrops++
 	u.r.dropTC(metrics.DropTCFraming, u.asm[0], u.id)
+	u.asmDone()
+}
+
+// asmDone closes the assembly: the packet is complete, dropped or cut
+// through.
+func (u *tcInput) asmDone() {
 	u.nAsm = 0
+	u.r.tcAsm &^= 1 << u.id
 }
 
 // endFrame ends the frame arriving on the input short: its link was cut,
@@ -159,7 +167,7 @@ func (u *tcInput) endFrame() {
 		switch {
 		case o.cutIn != u:
 		case o.cutIdx == 0 || o.port == PortLocal:
-			o.cutIn = nil
+			o.endCut()
 			u.framingDrop()
 		default:
 			o.cutShort = true
@@ -200,13 +208,16 @@ func (u *tcInput) acceptByte(b byte, now int64) {
 		}
 		return
 	}
+	if u.nAsm == 0 {
+		u.r.tcAsm |= 1 << u.id
+	}
 	u.asm[u.nAsm] = b
 	u.nAsm++
 	if u.r.cfg.VCT && u.nAsm == packet.TCHeaderBytes && u.tryCutThrough(now) {
 		return
 	}
 	if u.nAsm == packet.TCBytes {
-		u.nAsm = 0
+		u.asmDone()
 		if u.nPending >= pendingCap {
 			// Staging overrun: only possible when traffic violates its
 			// reservation badly enough to saturate the memory bus.
@@ -278,6 +289,7 @@ func (u *tcInput) tryCutThrough(now int64) bool {
 		return false
 	}
 	out.cutIn = u
+	u.r.tcCut |= 1 << port
 	u.r.portWork |= 1 << port
 	out.cutIdx = 0
 	out.cutHdr = [packet.TCHeaderBytes]byte{ent.Out, packet.StampOf(dl)}
@@ -287,7 +299,7 @@ func (u *tcInput) tryCutThrough(now int64) bool {
 	u.cutIdx = packet.TCHeaderBytes
 	u.cutFIFO = u.cutFIFO[:0]
 	u.cutHead = 0
-	u.nAsm = 0
+	u.asmDone()
 	u.r.Stats.TCCutThroughs++
 	if u.r.OnLifecycle != nil {
 		u.r.lifecycle(LifecycleEvent{
@@ -457,7 +469,7 @@ func (o *tcOutput) schedule(abs int64) {
 			return
 		}
 		// Better packet arrived since staging: discard the prefetch.
-		o.staged = false
+		o.setStaged(false)
 		o.r.Stats.TCStageReplaced++
 	}
 	o.cand = sel
@@ -472,6 +484,33 @@ func (o *tcOutput) setCand(valid bool) {
 	} else {
 		o.r.tcCand &^= 1 << o.port
 	}
+}
+
+// setStaged records whether the port holds a fetched packet awaiting
+// transmission.
+func (o *tcOutput) setStaged(staged bool) {
+	o.staged = staged
+	if staged {
+		o.r.tcOutStaged |= 1 << o.port
+	} else {
+		o.r.tcOutStaged &^= 1 << o.port
+	}
+}
+
+// setTx records whether a packet from the memory is on the port's wire.
+func (o *tcOutput) setTx(active bool) {
+	o.txActive = active
+	if active {
+		o.r.tcTx |= 1 << o.port
+	} else {
+		o.r.tcTx &^= 1 << o.port
+	}
+}
+
+// endCut ends the port's cut-through stream.
+func (o *tcOutput) endCut() {
+	o.cutIn = nil
+	o.r.tcCut &^= 1 << o.port
 }
 
 // launchFetch starts reading the candidate from packet memory.
@@ -493,7 +532,7 @@ func (o *tcOutput) busGrant() {
 	o.fetching = false
 	o.r.bus.release(o.busLine)
 	o.setCand(false)
-	o.staged = true
+	o.setStaged(true)
 	o.r.portWork |= 1 << o.port
 	o.sSlot = o.cand.Slot
 	o.sLeaf = o.r.schedq.Leaf(o.sSlot)
@@ -531,10 +570,10 @@ func (o *tcOutput) startTx(nowSlot timing.Stamp, class sched.Class) {
 	if o.r.cfg.Integrity {
 		o.txCRC = packet.CRC8(o.sBuf[:])
 	}
-	o.txActive = true
+	o.setTx(true)
 	o.txIdx = 0
 	o.txConn = o.sLeaf.InConn
-	o.staged = false
+	o.setStaged(false)
 }
 
 // noteTransmit records a transmission start on port, from the packet
@@ -566,12 +605,12 @@ func (r *Router) noteTransmit(port int, lf *sched.Leaf, class sched.Class, nowSl
 // a cut-through packet not yet started is a dead-port drop here, and its
 // input discards the rest of it.
 func (o *tcOutput) abandon() {
-	o.txActive = false
+	o.setTx(false)
 	u := o.cutIn
 	if u == nil {
 		return
 	}
-	o.cutIn = nil
+	o.endCut()
 	if o.cutShort {
 		o.cutShort = false
 		return
@@ -599,7 +638,7 @@ func (o *tcOutput) emitByte() (b byte, head, tail bool) {
 	tail = o.txIdx == packet.TCBytes-1
 	o.txIdx++
 	if tail {
-		o.txActive = false
+		o.setTx(false)
 	}
 	return b, head, tail
 }

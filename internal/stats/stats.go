@@ -137,17 +137,9 @@ func (s *Series) Append(t int64, v float64) {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.T) }
 
-// Last returns the final value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
-// At returns the value at the last point with time ≤ t (step
+// at returns the value at the last point with time ≤ t (step
 // interpolation), or 0 before the first point.
-func (s *Series) At(t int64) float64 {
+func (s *Series) at(t int64) float64 {
 	idx := sort.Search(len(s.T), func(i int) bool { return s.T[i] > t })
 	if idx == 0 {
 		return 0
@@ -204,7 +196,7 @@ func RenderASCII(width, height int, series ...*Series) string {
 		g := glyphs[si%len(glyphs)]
 		for col := 0; col < width; col++ {
 			t := int64(float64(tMax) * float64(col) / float64(width-1))
-			v := s.At(t)
+			v := s.at(t)
 			row := height - 1 - int(v/vMax*float64(height-1))
 			if row < 0 {
 				row = 0

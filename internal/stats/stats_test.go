@@ -74,19 +74,19 @@ func TestHistQuantileMonotoneQuick(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Last() != 0 || s.At(100) != 0 {
+	if s.Len() != 0 || s.at(100) != 0 {
 		t.Error("empty series not zero")
 	}
 	s.Append(10, 1)
 	s.Append(20, 5)
 	s.Append(30, 9)
-	if s.Len() != 3 || s.Last() != 9 {
-		t.Errorf("Len/Last = %d/%v", s.Len(), s.Last())
+	if s.Len() != 3 || s.V[s.Len()-1] != 9 {
+		t.Errorf("Len/last value = %d/%v", s.Len(), s.V[s.Len()-1])
 	}
 	cases := map[int64]float64{5: 0, 10: 1, 15: 1, 20: 5, 25: 5, 30: 9, 99: 9}
 	for tt, want := range cases {
-		if got := s.At(tt); got != want {
-			t.Errorf("At(%d) = %v, want %v", tt, got, want)
+		if got := s.at(tt); got != want {
+			t.Errorf("at(%d) = %v, want %v", tt, got, want)
 		}
 	}
 }
@@ -101,8 +101,8 @@ func TestAccumulator(t *testing.T) {
 	if a.Total() != 8 {
 		t.Errorf("Total = %v", a.Total())
 	}
-	if a.At(100) != 7 || a.At(250) != 8 {
-		t.Errorf("series wrong: %v %v", a.At(100), a.At(250))
+	if a.at(100) != 7 || a.at(250) != 8 {
+		t.Errorf("series wrong: %v %v", a.at(100), a.at(250))
 	}
 }
 
