@@ -85,13 +85,20 @@ benchall:
 # profile-admission CPU-profiles the incremental admission path alone —
 # the filling and the churning micro-benchmarks; `rtbench -exp admission`
 # also times the Reference leg, which would drown it — and prints the
-# top of the profile. A hot-path change quotes this before and after
-# in its change notes. Leaves $(ADMISSION_PROF) and the test binary behind.
+# top of the profile; then the layout search (BenchmarkSynthesize, a
+# 768-request hot-spot stream on 16×16), its top and a per-line view of
+# the repair loop and the EDF walks behind its probes. A hot-path change
+# quotes this before and after in its change notes. Leaves
+# $(ADMISSION_PROF), layout.prof and the two test binaries behind.
 ADMISSION_PROF ?= admission.prof
 profile-admission:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmitFill$$|BenchmarkAdmitChurn$$' -benchtime 3s \
 		-cpuprofile $(ADMISSION_PROF) -o admission.test ./internal/admission
 	$(GO) tool pprof -top -nodecount 25 admission.test $(ADMISSION_PROF)
+	$(GO) test -run '^$$' -bench '^BenchmarkSynthesize$$' -benchtime 3s \
+		-cpuprofile layout.prof -o layout.test ./internal/layout
+	$(GO) tool pprof -top -nodecount 25 layout.test layout.prof
+	$(GO) tool pprof -list 'synth..repair$$|failReport$$|minSlack$$' layout.test layout.prof
 
 # profile-dataplane CPU-profiles the dataplane's two regimes on the
 # sequential kernel and prints the top of each profile: a 32×32 sparse
@@ -106,7 +113,7 @@ profile-admission:
 # two profiles and the test binary behind.
 DATAPLANE_PROF ?= dataplane
 profile-dataplane:
-	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$/^workers=1$$' -benchtime 30000x -cpu 1 \
+	$(GO) test -run '^$$' -bench '^BenchmarkSparseCycleRate$$/^workers=1$$' -benchtime 300000x -cpu 1 \
 		-cpuprofile $(DATAPLANE_PROF)_sparse.prof -o dataplane.test .
 	$(GO) tool pprof -top -nodecount 25 dataplane.test $(DATAPLANE_PROF)_sparse.prof
 	$(GO) tool pprof -list 'walker..walk$$|Router..atRest$$|Router..schedBeat$$' dataplane.test $(DATAPLANE_PROF)_sparse.prof

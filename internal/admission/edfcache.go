@@ -53,6 +53,13 @@ type evalScratch struct {
 	// entries overwritten since the last resize.
 	memo    []memoEntry
 	evicted int
+	// hyperOf and hyperEpoch name the committed set whose hyperperiod
+	// (hyperH, hyperD) was last folded (see hyperCut). The pair lives
+	// here, not on the cache: emptyLinkCache is shared across
+	// controllers, and a check never writes to a cache.
+	hyperOf        *edfCache
+	hyperEpoch     uint64
+	hyperH, hyperD int64
 }
 
 type edfCache struct {
@@ -303,10 +310,11 @@ const (
 // saturated links a rejection storm re-checks hold hundreds of points.
 // (32 / 64 / 128 measured on the bitmap walk: 32 loses on all three
 // ledger admission workloads, 128 gains 4–5 % on fill and churn but loses
-// 8 % on storm; DESIGN §8.) A candidate whose busy bound passes the
-// coverage always goes to the table, however few points the link holds:
-// at utilization 1 the bound is maxAnalysisHorizon, and the walk merges
-// thousands of ladder points past the coverage.
+// 8 % on storm; DESIGN §8.) A candidate whose busy bound, after the
+// hyperperiod cut, passes the coverage always goes to the table, however
+// few points the link holds: near utilization 1 the bound runs to
+// thousands of slots (maxAnalysisHorizon where the cut does not apply),
+// and the walk merges that many ladder points past the coverage.
 const memoWorth = 64
 
 // cacheIDs hands out edfCache.id values (atomic: controllers on
@@ -379,7 +387,11 @@ func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
 	if util > 1.0+1e-9 {
 		return edfReport{test: "utilization", util: util, margin: 1.0 - util}
 	}
-	limit := busyBoundFrom(max(ec.maxD, cand.D), sumC, util)
+	maxD := max(ec.maxD, cand.D)
+	limit := busyBoundFrom(maxD, sumC, util)
+	if limit > ec.cover {
+		limit = sc.cut(ec, tasks, cand, maxD, limit)
+	}
 	memo := ec.n > memoWorth || limit > ec.cover
 	key := checkKey{ec, ec.epoch, cand.C, cand.T, cand.D}
 	if memo {
@@ -398,6 +410,61 @@ func (ec *edfCache) check(tasks []task, cand task, sc *evalScratch) edfReport {
 		sc.remember(key, rep)
 	}
 	return rep
+}
+
+// cut applies hyperCut to a check of cand against ec's committed set,
+// folding the set's hyperperiod into the scratch once per (cache, epoch).
+// It stays out of line: inlined into check, its body made check's common
+// path, which never gets here, 5 ns slower (BenchmarkLinkCheckCached,
+// 35 → 40 ns a check).
+func (sc *evalScratch) cut(ec *edfCache, tasks []task, cand task, maxD, limit int64) int64 {
+	if sc.hyperOf != ec || sc.hyperEpoch != ec.epoch {
+		sc.hyperOf, sc.hyperEpoch = ec, ec.epoch
+		sc.hyperH, sc.hyperD = hyperperiod(tasks)
+	}
+	h, dh := hyperFold(sc.hyperH, sc.hyperD, cand)
+	return hyperCut(limit, maxD, h, dh)
+}
+
+// hyperperiod returns the hyperperiod H = lcm(T) of tasks and the demand
+// D_H = Σ C·H/T each hyperperiod brings, or (0, 0) once H passes coverCap.
+func hyperperiod(tasks []task) (h, dh int64) {
+	h = 1
+	for _, tk := range tasks {
+		h, dh = hyperFold(h, dh, tk)
+	}
+	return h, dh
+}
+
+// hyperFold adds tk to a set of hyperperiod h and hyperperiod demand dh.
+func hyperFold(h, dh int64, tk task) (int64, int64) {
+	if h == 0 {
+		return 0, 0
+	}
+	a, b := h, tk.T
+	for b != 0 {
+		a, b = b, a%b
+	}
+	nh := h / a * tk.T
+	if nh > coverCap {
+		return 0, 0
+	}
+	return nh, dh*(nh/h) + tk.C*(nh/tk.T)
+}
+
+// hyperCut shortens a busy-period bound at utilization exactly 1. There
+// busyBoundFrom returns maxAnalysisHorizon, yet for t ≥ maxD every task's
+// term of dbf is active, so dbf(t+H) = dbf(t) + D_H = dbf(t) + H and
+// slack(t+H) = slack(t). Every step point t ≥ maxD+H has a twin t−H ≥
+// maxD on the same ladder (H is a multiple of every period) with the same
+// slack, so the minimum slack, and each ladder's first violation in
+// edfAnalyze's order, lie below maxD+H. D_H == H decides utilization 1 in
+// integers; h == 0 (a hyperperiod past coverCap) never cuts.
+func hyperCut(limit, maxD, h, dh int64) int64 {
+	if h != 0 && dh == h {
+		return min(limit, maxD+h-1)
+	}
+	return limit
 }
 
 // minSlack walks the union of the committed set's and the candidate's
@@ -551,7 +618,12 @@ func (ec *edfCache) committedReport(tasks []task) edfReport {
 	if !ec.built || ec.degenerate || len(tasks) == 0 || ec.util > 1.0+1e-9 {
 		return edfAnalyze(tasks)
 	}
-	headroom, ok := ec.minSlack(tasks, task{}, busyBoundFrom(ec.maxD, ec.sumC, ec.util), new(evalScratch))
+	limit := busyBoundFrom(ec.maxD, ec.sumC, ec.util)
+	if limit > ec.cover {
+		h, dh := hyperperiod(tasks)
+		limit = hyperCut(limit, ec.maxD, h, dh)
+	}
+	headroom, ok := ec.minSlack(tasks, task{}, limit, new(evalScratch))
 	if !ok {
 		// A committed set is feasible by construction; if one ever is
 		// not, defer to the exact scan for the failure report.

@@ -59,6 +59,179 @@ func TestEDFCacheDifferential(t *testing.T) {
 	}
 	diffFailReports(t)
 	diffLayouts(t)
+	diffHyperCut(t)
+}
+
+// commitAll builds a cache the way a link's commits do: empty, then one
+// addTask per task in order.
+func commitAll(tasks []task) *edfCache {
+	ec := new(edfCache)
+	ec.rebuild(nil)
+	for i, tk := range tasks {
+		ec.addTask(tasks[:i+1], tk)
+	}
+	return ec
+}
+
+// diffHyperCut aims checks at the hyperperiod cut (hyperCut) and at the
+// sets it must leave alone, comparing each check and committed report
+// with edfAnalyze, which never cuts:
+//
+//   - utilization exactly 1 from the ledger's contract menu (T in {16, 24,
+//     48, 32}, H ≤ 96); in half the sets the first committed task's
+//     deadline lies near coverCap, so the cut bound maxD+H−1 still passes
+//     the coverage and both verdicts walk the ladders past it;
+//   - utilization exactly 1 with a hyperperiod past coverCap (periods 80
+//     and 126 or 90 and 112, H = 5040): no cut;
+//   - utilization within 1e-9 of 1, below and above it (periods from
+//     Sylvester's sequence): no cut;
+//   - one scratch reused after the committed set changed: the pair it
+//     folded must be folded again.
+func diffHyperCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var feasible, pastFeasible, pastFailing int
+	diff := func(family string, tasks []task, cand task) {
+		t.Helper()
+		ec := commitAll(tasks)
+		all := append(append([]task(nil), tasks...), cand)
+		want := edfAnalyze(all)
+		if got := ec.check(tasks, cand, new(evalScratch)); got != want {
+			t.Fatalf("%s: cache check %+v, edfAnalyze %+v\ntasks=%v cand=%+v", family, got, want, tasks, cand)
+		}
+		if h, dh := hyperperiod(all); h != 0 && dh == h {
+			var maxD int64
+			for _, tk := range all {
+				maxD = max(maxD, tk.D)
+			}
+			if past := maxD+h-1 > ec.cover; past && want.feasible {
+				pastFeasible++
+			} else if past {
+				pastFailing++
+			}
+		}
+		if want.feasible {
+			feasible++
+		}
+		ec.addTask(all, cand)
+		if got := ec.committedReport(all); got != want {
+			t.Fatalf("%s: committed report %+v, edfAnalyze %+v\ntasks=%v", family, got, want, all)
+		}
+	}
+
+	menu := []task{{C: 1, T: 16}, {C: 1, T: 24}, {C: 1, T: 48}, {C: 2, T: 32}}
+	const trials = 100
+	for trial := 0; trial < trials; trial++ {
+		// Fill to exactly 48/48 in 48ths, the committed tasks feasible
+		// (a deadline that is not grows until it is); the last task is
+		// the candidate, feasible too in every other pair of trials.
+		// Deadlines are drawn on a cache of their own: edfAnalyze would
+		// walk all of maxAnalysisHorizon for every feasible draw.
+		var tasks []task
+		var gen edfCache
+		gen.rebuild(nil)
+		for left := int64(48); left > 0; {
+			tk := menu[rng.Intn(len(menu))]
+			share := 48 * tk.C / tk.T
+			if share > left {
+				continue
+			}
+			tk.D = tk.C + int64(rng.Intn(24))
+			if len(tasks) == 0 && trial%2 == 0 {
+				tk.D = coverCap - 90 + int64(rng.Intn(180))
+			}
+			for (share < left || trial%4 < 2) && !gen.check(tasks, tk, new(evalScratch)).feasible {
+				tk.D += 4
+			}
+			tasks = append(tasks, tk)
+			gen.addTask(tasks, tk)
+			left -= share
+		}
+		if h, dh := hyperperiod(tasks); h > 96 || dh != h {
+			t.Fatalf("menu set %v: hyperperiod (%d, %d), want D_H = H ≤ 96", tasks, h, dh)
+		}
+		diff("U = 1", tasks[:len(tasks)-1], tasks[len(tasks)-1])
+	}
+	if feasible < 5 || feasible > trials-5 || pastFeasible < 5 || pastFailing < 5 {
+		t.Fatalf("utilization-1 sets: %d of %d feasible; cut bound past the coverage on %d feasible and %d failing; want ≥ 5 of each",
+			feasible, trials, pastFeasible, pastFailing)
+	}
+
+	for _, pair := range [][2]int64{{80, 126}, {90, 112}} {
+		for trial := 0; trial < 40; trial++ {
+			// Each period carries half the link, in one or two tasks.
+			var tasks []task
+			for _, T := range rng.Perm(2) {
+				T := pair[T]
+				if rng.Intn(2) == 0 {
+					tasks = append(tasks, task{C: T / 2, T: T})
+				} else {
+					tasks = append(tasks, task{C: T / 4, T: T}, task{C: T / 4, T: T})
+				}
+			}
+			for i := range tasks {
+				tasks[i].D = tasks[i].C + int64(rng.Intn(int(tasks[i].T)))
+			}
+			if h, _ := hyperperiod(tasks); h != 0 {
+				t.Fatalf("set %v: hyperperiod %d within coverCap", tasks, h)
+			}
+			diff("H > coverCap", tasks[:len(tasks)-1], tasks[len(tasks)-1])
+		}
+	}
+
+	// One scratch, one cache, two committed sets: {2/3} and then, after a
+	// teardown and two commits, {3/8, 3/11}, each checked with the same
+	// candidate. The first check folds H = 3 and cuts; the second must
+	// fold the new set's hyperperiod, 264, and not cut at all (utilization
+	// 259/264): a pair kept from the first set would cut the walk at
+	// maxD+3−1 and report the violation at t=5 instead of t=12.
+	{
+		var ec edfCache
+		ec.rebuild(nil)
+		var sc evalScratch
+		cand := task{C: 1, T: 3, D: 3}
+		tasks := []task{{C: 2, T: 3, D: 3}}
+		ec.addTask(tasks, tasks[0])
+		if got, want := ec.check(tasks, cand, &sc), edfAnalyze(append(tasks[:1:1], cand)); got != want {
+			t.Fatalf("2/3 + 1/3: cache check %+v, edfAnalyze %+v", got, want)
+		}
+		gone := tasks[0]
+		tasks = tasks[:0]
+		ec.removeTask(tasks, gone)
+		for _, tk := range []task{{C: 3, T: 8, D: 4}, {C: 3, T: 11, D: 5}} {
+			tasks = append(tasks, tk)
+			ec.addTask(tasks, tk)
+		}
+		got, want := ec.check(tasks, cand, &sc), edfAnalyze(append(tasks[:2:2], cand))
+		if got != want || want.at != 12 {
+			t.Fatalf("3/8 + 3/11 + 1/3 after 2/3 + 1/3: cache check %+v, edfAnalyze %+v (want a violation at 12)", got, want)
+		}
+	}
+
+	// 1/2 + 1/3 + 1/7 + 1/43 + 1/1807 = 1 − 1/3263442; a last task of
+	// period 3263443 leaves 1 − 9.4e-14, one of period 3263441 overshoots
+	// by as much.
+	near := []task{{C: 1, T: 2}, {C: 1, T: 3}, {C: 1, T: 7}, {C: 1, T: 43}, {C: 1, T: 1807}}
+	for _, last := range []int64{3263443, 3263441} {
+		for trial := 0; trial < 6; trial++ {
+			tasks := append([]task(nil), near...)
+			tasks = append(tasks, task{C: 1, T: last})
+			rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+			for i := range tasks {
+				tasks[i].D = min(tasks[i].T, 1+int64(rng.Intn(60)))
+				if trial < 2 {
+					tasks[i].D = tasks[i].T
+				}
+			}
+			var util float64
+			for _, tk := range tasks {
+				util += float64(tk.C) / float64(tk.T)
+			}
+			if util == 1 || util < 1-1e-9 || util > 1+1e-9 {
+				t.Fatalf("near set %v: utilization %v, want within 1e-9 of 1 but not 1", tasks, util)
+			}
+			diff("U ≈ 1", tasks[:len(tasks)-1], tasks[len(tasks)-1])
+		}
+	}
 }
 
 // diffLayouts drives one link's demand array through seeded fill-and-drain
@@ -156,14 +329,6 @@ func diffLayouts(t *testing.T) {
 // slot, and (b) one past coverCap on a set near utilization 1, where it falls
 // back to demandAt. Each must equal edfAnalyze's report field for field.
 func diffFailReports(t *testing.T) {
-	build := func(tasks []task) *edfCache {
-		ec := new(edfCache)
-		ec.rebuild(nil)
-		for i, tk := range tasks {
-			ec.addTask(tasks[:i+1], tk)
-		}
-		return ec
-	}
 	diff := func(ec *edfCache, tasks []task, cand task) edfReport {
 		t.Helper()
 		got := ec.check(tasks, cand, new(evalScratch))
@@ -187,7 +352,7 @@ func diffFailReports(t *testing.T) {
 				tasks = append(tasks, tk)
 			}
 		}
-		ec := build(tasks)
+		ec := commitAll(tasks)
 		c := int64(2 + rng.Intn(6))
 		rep := diff(ec, tasks, task{C: c, T: 60 + int64(rng.Intn(60)), D: c + int64(rng.Intn(12))})
 		if rep.test != "busy_period" || rep.at > ec.cover {
@@ -216,7 +381,7 @@ func diffFailReports(t *testing.T) {
 			{C: 1, T: 89, D: 87}, {C: 3, T: 85, D: 85}}, task{C: 2, T: 58, D: 58}, 45478},
 	}
 	for _, tc := range late {
-		rep := diff(build(tc.tasks), tc.tasks, tc.cand)
+		rep := diff(commitAll(tc.tasks), tc.tasks, tc.cand)
 		if rep.test != "busy_period" || rep.at != tc.at || rep.at <= coverCap {
 			t.Fatalf("late case: report %+v, want a busy_period failure at %d, past the cover cap", rep, tc.at)
 		}
@@ -238,8 +403,11 @@ func TestVerdictTableCollisions(t *testing.T) {
 		ec    *edfCache
 		tasks []task
 	}
-	// 15 tasks of C=1, T=16: 30 points in a coverage of 482 slots. A 16th
-	// takes utilization to exactly 1 and the bound to maxAnalysisHorizon.
+	// 15 tasks of C=1, T=16: 16 points in a coverage of 256 slots. A 16th
+	// of period 17 takes utilization to 271/272 and the bound to 4 353,
+	// far past the coverage. One of period 16 would take it to exactly 1,
+	// where the hyperperiod cut bounds the walk by 16+16−1 slots, inside
+	// the coverage, so that check skips the table.
 	light := link{ec: new(edfCache)}
 	light.ec.rebuild(nil)
 	fill := task{C: 1, T: 16, D: 16}
@@ -251,12 +419,18 @@ func TestVerdictTableCollisions(t *testing.T) {
 		t.Fatalf("light link holds %d points over %d slots; the case no longer isolates the bound", light.ec.n, light.ec.cover)
 	}
 	var first evalScratch
-	if got, want := light.ec.check(light.tasks, fill, &first), edfAnalyze(append(light.tasks[:15:15], fill)); got != want || !got.feasible {
-		t.Fatalf("16th task on the light link: check %+v, edfAnalyze %+v", got, want)
+	for _, tc := range []struct {
+		cand task
+		memo bool
+	}{{task{C: 1, T: 16, D: 16}, false}, {task{C: 1, T: 17, D: 17}, true}} {
+		if got, want := light.ec.check(light.tasks, tc.cand, &first), edfAnalyze(append(light.tasks[:15:15], tc.cand)); got != want || !got.feasible {
+			t.Fatalf("16th task %+v on the light link: check %+v, edfAnalyze %+v", tc.cand, got, want)
+		}
+		if held := first.lookup(checkKey{light.ec, light.ec.epoch, tc.cand.C, tc.cand.T, tc.cand.D}) != nil; held != tc.memo {
+			t.Fatalf("16th task %+v on the light link: verdict in the table %v, want %v", tc.cand, held, tc.memo)
+		}
 	}
-	if first.lookup(checkKey{light.ec, light.ec.epoch, fill.C, fill.T, fill.D}) == nil {
-		t.Fatalf("a check walking past the coverage left no verdict in the table")
-	}
+	fill = task{C: 1, T: 17, D: 17}
 	links := []link{{ec: emptyLinkCache}, light}
 	for len(links) < 12 {
 		l := link{ec: new(edfCache)}
@@ -424,6 +598,62 @@ func BenchmarkLinkCheckCached(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc.tasks = append(append(sc.tasks[:0], tasks...), cand)
 			edfAnalyze(sc.tasks)
+		}
+	})
+}
+
+// FuzzEDFCheck holds check and committedReport to edfAnalyze on task
+// sets drawn from a menu of small periods (lcm 48), where utilization
+// exactly 1 — the hyperperiod cut's case — is common: a program adds and
+// removes committed tasks and, after each op, checks one candidate,
+// which half the time fills the link to exactly 1 when a menu period
+// allows it. Programs stay short (8 ops): at utilization 1 a feasible
+// set makes edfAnalyze walk all of maxAnalysisHorizon.
+//
+//	go test -fuzz=FuzzEDFCheck -fuzztime=20s -run '^$' ./internal/admission/
+func FuzzEDFCheck(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seedProgram(200+seed, 48))
+	}
+	periods := [...]int64{4, 6, 8, 12, 16, 24, 32, 48}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		s := opStream(prog)
+		draw := func(T int64) task {
+			c := 1 + int64(s.intn(int(T/2)))
+			return task{C: c, T: T, D: c + int64(s.intn(int(2*T)))}
+		}
+		var ec edfCache
+		ec.rebuild(nil)
+		var tasks []task
+		var sc evalScratch
+		for op := 0; op < 8 && len(s) > 0; op++ {
+			if len(tasks) > 0 && s.intn(4) == 0 {
+				i := s.intn(len(tasks))
+				tk := tasks[i]
+				tasks = append(tasks[:i], tasks[i+1:]...)
+				ec.removeTask(tasks, tk)
+			} else if tk := draw(periods[s.intn(len(periods))]); ec.util+float64(tk.C)/float64(tk.T) <= 1 {
+				tasks = append(tasks, tk)
+				ec.addTask(tasks, tk)
+			}
+			cand := draw(periods[s.intn(len(periods))])
+			if h, dh := hyperperiod(tasks); s.intn(2) == 0 && h != 0 {
+				// The first menu period whose task can take up exactly the
+				// utilization left: C = (H − D_H)·T/H.
+				for _, T := range periods {
+					if c := (h - dh) * T; c%h == 0 && c/h >= 1 {
+						cand = task{C: c / h, T: T, D: c/h + int64(s.intn(int(2*T)))}
+						break
+					}
+				}
+			}
+			all := append(tasks[:len(tasks):len(tasks)], cand)
+			if got, want := ec.check(tasks, cand, &sc), edfAnalyze(all); got != want {
+				t.Fatalf("op %d: cache check %+v, edfAnalyze %+v\ntasks=%v cand=%+v", op, got, want, tasks, cand)
+			}
+			if got, want := ec.committedReport(tasks), edfAnalyze(tasks); got != want {
+				t.Fatalf("op %d: committed report %+v, edfAnalyze %+v\ntasks=%v", op, got, want, tasks)
+			}
 		}
 	})
 }

@@ -71,11 +71,16 @@ type Rejected struct {
 	Err     error
 }
 
-// Stats counts the search's work.
+// Stats counts the search's work in steps: a repair loop the cycle
+// rule stops early (see repair) still counts every step it would have
+// taken, so the counts do not depend on how many probes were skipped.
 type Stats struct {
-	// Probes is the number of read-only PlanLayout calls issued.
+	// Probes is the number of layout probes the search took, each a
+	// read-only PlanLayout call or a repeat the cycle rule answered
+	// without one.
 	Probes int
-	// Repairs is the number of delay-split adjustments applied.
+	// Repairs is the number of delay-split adjustments the search took,
+	// those of a skipped repeat included.
 	Repairs int
 	// Rerouted counts admissions whose route is neither XY nor YX.
 	Rerouted int
@@ -129,6 +134,10 @@ func Synthesize(net *mesh.Network, ctl *admission.Controller, reqs []Request, _ 
 type synth struct {
 	ctl *admission.Controller
 	res *Result
+	// probed holds the splits repair has probed on its current route,
+	// one route-length run per iteration, and errs the rejection of each.
+	probed []int64
+	errs   []error
 }
 
 // place searches for a layout that admits one request. Candidate
@@ -190,6 +199,15 @@ var errNoSplit = errors.New("layout: no delay split of the route fits the legal 
 // the typed rejection until the layout passes, the repair budget runs
 // out, or the rejection says this route cannot work at any split
 // (utilization and link failures are split-independent).
+//
+// The loop stops at its first repeat. PlanLayout is a pure function of
+// the controller's state and the layout, nothing commits between probes,
+// and each repair depends only on the split and the rejection; so once
+// the split about to be probed equals the split of an earlier iteration
+// m, the loop runs in a cycle of period iter − m, every remaining
+// iteration probing and repairing, up to maxRepairs. The cycle rule
+// counts those steps without taking them and returns the rejection the
+// last one would have seen.
 func (s *synth) repair(req Request, route []int) (admission.PlanSpec, error) {
 	segs := int64(len(route))
 	dsplit := make([]int64, segs)
@@ -206,15 +224,22 @@ func (s *synth) repair(req Request, route []int) (admission.PlanSpec, error) {
 		return admission.PlanSpec{}, errNoSplit
 	}
 	coords := admission.RouteCoords(nil, req.Src, route)
-	var lastErr error
+	s.probed, s.errs = s.probed[:0], s.errs[:0]
 	for iter := 0; iter <= maxRepairs; iter++ {
+		if m := s.seen(dsplit); m >= 0 {
+			left := maxRepairs + 1 - iter
+			s.res.Stats.Probes += left
+			s.res.Stats.Repairs += left
+			return admission.PlanSpec{}, s.errs[m+(maxRepairs-m)%(iter-m)]
+		}
 		ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: dsplit}
 		s.res.Stats.Probes++
 		_, err := s.ctl.PlanLayout(ps)
 		if err == nil {
 			return ps, nil
 		}
-		lastErr = err
+		s.probed = append(s.probed, dsplit...)
+		s.errs = append(s.errs, err)
 		rej, ok := admission.Explain(err)
 		if !ok {
 			// Validation error (rollover, budget): not repairable by
@@ -248,7 +273,19 @@ func (s *synth) repair(req Request, route []int) (admission.PlanSpec, error) {
 		}
 		s.res.Stats.Repairs++
 	}
-	return admission.PlanSpec{}, lastErr
+	return admission.PlanSpec{}, s.errs[maxRepairs]
+}
+
+// seen returns the iteration whose probed split equals ds, or -1. It
+// looks newest first: most cycles have period 2.
+func (s *synth) seen(ds []int64) int {
+	n := len(ds)
+	for m := len(s.errs) - 1; m >= 0; m-- {
+		if slices.Equal(s.probed[m*n:(m+1)*n], ds) {
+			return m
+		}
+	}
+	return -1
 }
 
 // shiftToward moves delay slack onto hop j from the hop with the

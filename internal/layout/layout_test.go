@@ -3,7 +3,9 @@ package layout
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 	"repro/internal/rtc"
 )
 
-func newPair(t *testing.T, w, h int, reference bool) (*mesh.Network, *admission.Controller) {
+func newPair(t testing.TB, w, h int, reference bool) (*mesh.Network, *admission.Controller) {
 	t.Helper()
 	cfg := admission.DefaultConfig()
 	cfg.Reference = reference
@@ -22,7 +24,7 @@ func newPair(t *testing.T, w, h int, reference bool) (*mesh.Network, *admission.
 }
 
 // newCtl builds a w×h mesh of rcfg routers and a controller over it.
-func newCtl(t *testing.T, w, h int, rcfg router.Config, cfg admission.Config) (*mesh.Network, *admission.Controller) {
+func newCtl(t testing.TB, w, h int, rcfg router.Config, cfg admission.Config) (*mesh.Network, *admission.Controller) {
 	t.Helper()
 	net, err := mesh.New(w, h, rcfg)
 	if err != nil {
@@ -297,5 +299,203 @@ func TestCandidateRoutes(t *testing.T) {
 	routes = candidateRoutes(mesh.Coord{X: 0, Y: 2}, mesh.Coord{X: 3, Y: 2}, maxRoutes)
 	if len(routes) != 1 {
 		t.Errorf("aligned pair produced %d candidates, want 1", len(routes))
+	}
+}
+
+// oracle is the search without the cycle rule: every repair loop probes
+// until a layout passes, a rejection cannot be repaired, or maxRepairs+1
+// probes are spent. It records the splits each loop probed
+// and, per loop that repeated one, the iteration m of the first repeated
+// split and the period L of the cycle it opens.
+type oracle struct {
+	synth
+	starts, periods []int
+}
+
+// place is synth.place with oracle.repair in place of synth.repair.
+func (o *oracle) place(req Request) (admission.PlanSpec, error) {
+	routes := candidateRoutes(req.Src, req.Dst, maxRoutes)
+	var lastErr error
+	dimRoutes := 1
+	if len(routes) > 1 && isDimensionOrdered(req.Src, req.Dst, routes[1]) {
+		dimRoutes = 2
+	}
+	d := req.Spec.D / int64(len(routes[0]))
+	if lo, hi := o.ctl.DelayRange(req.Src, req.Spec, 0); d >= lo && d <= hi {
+		for _, route := range routes[:dimRoutes] {
+			ds := make([]int64, len(route))
+			for j := range ds {
+				ds[j] = d
+			}
+			ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: ds}
+			o.res.Stats.Probes++
+			if _, err := o.ctl.PlanLayout(ps); err == nil {
+				return ps, nil
+			} else {
+				lastErr = err
+			}
+		}
+	}
+	for _, route := range routes {
+		ps, err := o.repair(req, route)
+		if err == nil {
+			return ps, nil
+		}
+		lastErr = err
+	}
+	return admission.PlanSpec{}, lastErr
+}
+
+// repair is the full repair loop: synth.repair without the cycle rule.
+func (o *oracle) repair(req Request, route []int) (admission.PlanSpec, error) {
+	segs := int64(len(route))
+	dsplit := make([]int64, segs)
+	for j := range dsplit {
+		dsplit[j] = req.Spec.D / segs
+		if int64(j) < req.Spec.D%segs {
+			dsplit[j]++
+		}
+	}
+	lo, hi0 := o.ctl.DelayRange(req.Src, req.Spec, 0)
+	if dsplit[segs-1] < lo || dsplit[0] > hi0 {
+		return admission.PlanSpec{}, errNoSplit
+	}
+	coords := admission.RouteCoords(nil, req.Src, route)
+	var probed [][]int64
+	defer func() {
+		for i := range probed {
+			for m := range i {
+				if slices.Equal(probed[m], probed[i]) {
+					o.starts, o.periods = append(o.starts, m), append(o.periods, i-m)
+					return
+				}
+			}
+		}
+	}()
+	var lastErr error
+	for iter := 0; iter <= maxRepairs; iter++ {
+		ps := admission.PlanSpec{Src: req.Src, Dst: req.Dst, Spec: req.Spec, Route: route, DSplit: dsplit}
+		o.res.Stats.Probes++
+		probed = append(probed, slices.Clone(dsplit))
+		_, err := o.ctl.PlanLayout(ps)
+		if err == nil {
+			return ps, nil
+		}
+		lastErr = err
+		rej, ok := admission.Explain(err)
+		if !ok {
+			return admission.PlanSpec{}, err
+		}
+		var repaired bool
+		switch rej.FailingTest() {
+		case "busy_period":
+			if j := hopIndex(coords, rej.Router()); j >= 0 {
+				_, hi := o.ctl.DelayRange(req.Src, req.Spec, j)
+				repaired = shiftToward(dsplit, j, lo, hi)
+			}
+		case "buffers":
+			if j := hopIndex(coords, rej.Router()); j >= 0 {
+				repaired = shrinkAround(dsplit, j, lo)
+			}
+		default:
+			return admission.PlanSpec{}, err
+		}
+		if !repaired {
+			return admission.PlanSpec{}, err
+		}
+		o.res.Stats.Repairs++
+	}
+	return admission.PlanSpec{}, lastErr
+}
+
+// hotspotRequests draws n requests on a w×w mesh the way the ledger's
+// layout workload does: half of them to one of four hot nodes, the rest
+// transposed or uniform, each with a contract from the ledger's menu and
+// D = 12 slots per router + 16.
+func hotspotRequests(w, n int, seed int64) []Request {
+	rng := rand.New(rand.NewSource(seed))
+	hot := [4]mesh.Coord{{X: w / 4, Y: w / 4}, {X: 3 * w / 4, Y: w / 4}, {X: w / 4, Y: 3 * w / 4}, {X: 3 * w / 4, Y: 3 * w / 4}}
+	menu := [4]rtc.Spec{{Imin: 16, Smax: 18}, {Imin: 24, Smax: 18}, {Imin: 48, Smax: 18}, {Imin: 32, Smax: 36}}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		src := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(w)}
+		var dst mesh.Coord
+		switch p := rng.Intn(100); {
+		case p < 50:
+			dst = hot[rng.Intn(4)]
+		case p < 65:
+			dst = mesh.Coord{X: src.Y, Y: src.X}
+		default:
+			dst = mesh.Coord{X: rng.Intn(w), Y: rng.Intn(w)}
+		}
+		if dst == src {
+			dst.X = (src.X + 1 + rng.Intn(w-1)) % w
+		}
+		spec := menu[rng.Intn(4)]
+		hops := max(dst.X-src.X, src.X-dst.X) + max(dst.Y-src.Y, src.Y-dst.Y) + 1
+		spec.D = int64(12*hops + 16)
+		reqs[i] = Request{Src: src, Dst: dst, Spec: spec}
+	}
+	return reqs
+}
+
+// TestCycleRuleMatchesFullRepair holds the cycle rule to the full repair
+// loop: on seeded hot-spot streams, before each commit, the oracle and
+// place search the same controller, and must return the same layout or
+// the same rejection text and count the same probes and repairs. The
+// streams must hold cycles of period 2 and longer, and cycles that open
+// after iteration 0, or the rule's phase arithmetic goes untested.
+func TestCycleRuleMatchesFullRepair(t *testing.T) {
+	var starts, periods []int
+	for _, tc := range []struct {
+		w, n  int
+		seeds []int64
+	}{{8, 300, []int64{1, 9}}, {16, 768, []int64{6}}} { // 9 and 6 hold the period-3 cycles
+		for _, seed := range tc.seeds {
+			_, ctl := newPair(t, tc.w, tc.w, false)
+			o := &oracle{synth: synth{ctl: ctl, res: &Result{}}}
+			for i, req := range hotspotRequests(tc.w, tc.n, seed) {
+				o.res.Stats = Stats{}
+				want, werr := o.place(req)
+				s := &synth{ctl: ctl, res: &Result{}}
+				got, gerr := s.place(req)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) || s.res.Stats != o.res.Stats {
+					t.Fatalf("%d×%d seed %d request %d: place %+v, %v, %+v; full repair %+v, %v, %+v",
+						tc.w, tc.w, seed, i, got, gerr, s.res.Stats, want, werr, o.res.Stats)
+				}
+				if gerr == nil {
+					if _, err := ctl.AdmitLayout(got); err != nil {
+						t.Fatalf("%d×%d seed %d request %d: probed layout refused: %v", tc.w, tc.w, seed, i, err)
+					}
+				}
+			}
+			starts, periods = append(starts, o.starts...), append(periods, o.periods...)
+		}
+	}
+	long := slices.ContainsFunc(periods, func(l int) bool { return l > 2 })
+	late := slices.ContainsFunc(starts, func(m int) bool { return m > 0 })
+	if !slices.Contains(periods, 2) || !long || !late {
+		t.Fatalf("%d cycles, periods %v, starts %v: want period 2, a period > 2 and a start > 0",
+			len(periods), periods, starts)
+	}
+}
+
+// BenchmarkSynthesize times the layout search: one op is Synthesize over
+// a 768-request hot-spot stream on an empty 16×16 controller. Between ops
+// (off the clock, but in a CPU profile) every admitted channel is torn
+// down again, which costs far less than building a new controller.
+// `make profile-admission` profiles it.
+func BenchmarkSynthesize(b *testing.B) {
+	reqs := hotspotRequests(16, 768, 1)
+	net, ctl := newPair(b, 16, 16, false)
+	for i := 0; i < b.N; i++ {
+		res := Synthesize(net, ctl, reqs, Options{})
+		b.StopTimer()
+		for _, a := range res.Admitted {
+			if err := ctl.Teardown(a.Channel); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 	}
 }
