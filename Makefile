@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet test fmt capacity admission layout ledger bench benchall profile-admission profile-dataplane trace loc identity
+.PHONY: check build vet test fmt docfacts capacity admission layout ledger bench benchall profile-admission profile-dataplane trace loc identity
 
 # check is the tier-1 gate: vet, build, race tests, formatting, the
-# capacity gate, and the layout-synthesis gate.
-check: vet build test fmt capacity layout
+# docs' code names, the capacity gate, and the layout-synthesis gate.
+check: vet build test fmt docfacts capacity layout
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# docfacts fails when DESIGN.md, README.md or EXPERIMENTS.md names a
+# test, an rt_* metric, an internal pkg.Symbol or a camelCase identifier
+# that the code no longer has.
+docfacts:
+	bash scripts/docfacts.sh
 
 # capacity runs the capacity-probe campaign on a small mesh plus the
 # admission audit byte-identity gate; it exits nonzero on a ledger

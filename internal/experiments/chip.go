@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
+	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/timing"
 )
@@ -37,21 +38,23 @@ type ClockPoint struct {
 // RunChip computes the cost table for leaf counts bracketing the
 // paper's 256.
 func RunChip() *ChipResult {
+	const stages = 2 // the comparator tree's pipeline (Table 4a)
+	cfg := router.DefaultConfig()
 	res := &ChipResult{
 		Params: []string{
-			fmt.Sprintf("connections: 256"),
-			fmt.Sprintf("time-constrained packets: 256 x %d bytes", packet.TCBytes),
-			fmt.Sprintf("clock (sorting key): 8 (9) bits"),
-			fmt.Sprintf("comparator tree pipeline: 2 stages"),
-			fmt.Sprintf("flit input buffer: 10 bytes"),
-			fmt.Sprintf("packet memory chunk: 10 bytes/cycle"),
+			fmt.Sprintf("connections: %d", cfg.Conns),
+			fmt.Sprintf("time-constrained packets: %d x %d bytes", cfg.Slots, packet.TCBytes),
+			fmt.Sprintf("clock (sorting key): %d (%d) bits", cfg.ClockBits, cfg.ClockBits+1),
+			fmt.Sprintf("comparator tree pipeline: %d stages", stages),
+			fmt.Sprintf("flit input buffer: %d bytes", router.FlitBufBytes),
+			fmt.Sprintf("packet memory chunk: %d bytes/cycle", router.ChunkBytes),
 		},
 	}
 	for _, leaves := range []int{64, 128, 256, 512, 1024} {
-		res.Costs = append(res.Costs, sched.CostModel(leaves, 8, 2))
+		res.Costs = append(res.Costs, sched.CostModel(leaves, cfg.ClockBits, stages))
 	}
 	for _, per := range []int{1, 2, 4, 8, 16} {
-		res.Shared = append(res.Shared, sched.CostModelShared(256, per, 8, 2))
+		res.Shared = append(res.Shared, sched.CostModelShared(cfg.Slots, per, cfg.ClockBits, stages))
 	}
 	for _, bits := range []uint{4, 5, 6, 7, 8} {
 		w := timing.MustWheel(bits)

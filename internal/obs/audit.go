@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -81,64 +81,46 @@ func (r AuditRecord) String() string {
 	return b.String()
 }
 
-type auditShard struct {
-	recs []AuditRecord
-	seq  uint64
-}
-
-// AuditLog collects admission-plane decisions per source node under the
-// sharded contract: records live in the shard of the channel's source
-// coordinate and Merged interleaves shards into the global decision
-// order. Admission decisions are made host-side between kernel runs —
-// never from worker goroutines — so recording needs no synchronization
-// and the merged log is byte-identical at any worker count by
-// construction; the per-node layout exists so audits slice the same way
-// traces and SLO accounts do.
+// AuditLog collects admission-plane decisions in the order they were
+// made. Each record keeps the shard index of its channel's source node
+// and its position among that node's records, so audits slice the same
+// way traces and SLO accounts do. Admission decisions are made host-side
+// between kernel runs — never from worker goroutines — so recording
+// needs no synchronization and the log is byte-identical at any worker
+// count by construction.
 type AuditLog struct {
-	shards map[int]*auditShard
-	seq    uint64
+	recs    []AuditRecord
+	nodeSeq map[int]uint64
 }
 
 // NewAuditLog returns an empty audit log.
 func NewAuditLog() *AuditLog {
-	return &AuditLog{shards: make(map[int]*auditShard)}
+	return &AuditLog{nodeSeq: make(map[int]uint64)}
 }
 
-// Record appends one decision to node's shard, stamping the global and
+// Record appends one decision made for node, stamping the global and
 // per-node sequence numbers.
 func (l *AuditLog) Record(node int, rec AuditRecord) {
-	s := l.shards[node]
-	if s == nil {
-		s = &auditShard{}
-		l.shards[node] = s
-	}
-	rec.Seq = l.seq
+	rec.Seq = uint64(len(l.recs))
 	rec.Node = node
-	rec.NodeSeq = s.seq
-	l.seq++
-	s.seq++
-	s.recs = append(s.recs, rec)
+	rec.NodeSeq = l.nodeSeq[node]
+	l.nodeSeq[node]++
+	l.recs = append(l.recs, rec)
 }
 
 // Len returns the total number of recorded decisions.
 func (l *AuditLog) Len() int {
-	return int(l.seq)
+	return len(l.recs)
 }
 
-// Merged returns every shard's records interleaved into the global
-// decision order.
+// Merged returns a copy of every record in the global decision order.
 func (l *AuditLog) Merged() []AuditRecord {
-	out := make([]AuditRecord, 0, l.seq)
-	for _, s := range l.shards {
-		out = append(out, s.recs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return slices.Clone(l.recs)
 }
 
-// Dump writes the merged log one line per record.
+// Dump writes the log one line per record.
 func (l *AuditLog) Dump(w io.Writer) error {
-	for _, r := range l.Merged() {
+	for _, r := range l.recs {
 		if _, err := fmt.Fprintln(w, r.String()); err != nil {
 			return err
 		}
@@ -146,7 +128,7 @@ func (l *AuditLog) Dump(w io.Writer) error {
 	return nil
 }
 
-// DumpHash returns an FNV-1a digest over the merged log's rendered
+// DumpHash returns an FNV-1a digest over the log's rendered
 // lines — a cheap fingerprint for the byte-identity gates, which compare
 // whole 100k-decision logs across worker counts without holding two
 // multi-megabyte dumps.
@@ -156,7 +138,7 @@ func (l *AuditLog) DumpHash() uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, r := range l.Merged() {
+	for _, r := range l.recs {
 		for _, b := range []byte(r.String()) {
 			h ^= uint64(b)
 			h *= prime64
@@ -169,6 +151,6 @@ func (l *AuditLog) DumpHash() uint64 {
 
 // Reset discards all records and restarts the sequence numbering.
 func (l *AuditLog) Reset() {
-	l.shards = make(map[int]*auditShard)
-	l.seq = 0
+	l.recs = nil
+	clear(l.nodeSeq)
 }

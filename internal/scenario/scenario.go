@@ -212,19 +212,14 @@ func (sc *Scenario) validate() error {
 	return nil
 }
 
+// parsePort inverts router.PortName over the four link ports.
 func parsePort(s string) (int, error) {
-	switch s {
-	case "+x":
-		return router.PortXPlus, nil
-	case "-x":
-		return router.PortXMinus, nil
-	case "+y":
-		return router.PortYPlus, nil
-	case "-y":
-		return router.PortYMinus, nil
-	default:
-		return 0, fmt.Errorf("unknown port %q", s)
+	for p := 0; p < router.NumLinks; p++ {
+		if router.PortName(p) == s {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown port %q", s)
 }
 
 func coord(a [2]int) mesh.Coord { return mesh.Coord{X: a[0], Y: a[1]} }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -41,29 +42,36 @@ func buildRing(k *Kernel, n int) []*pipelineStage {
 }
 
 // TestParallelMatchesSequential runs the same Reg-coupled ring with one
-// and with four workers and requires identical per-component histories.
+// and with four workers and requires identical per-component histories,
+// once as the kernel chooses and once on the rendezvous worker pool
+// forced on (bypassing the single-CPU sequential fallback).
 func TestParallelMatchesSequential(t *testing.T) {
 	const n, cycles = 13, 200
 	seq := NewKernel()
 	seqStages := buildRing(seq, n)
 	seq.Run(cycles)
 
-	par := NewKernel()
-	parStages := buildRing(par, n)
-	par.SetWorkers(4)
-	defer par.Close()
-	par.Run(cycles)
+	for _, pool := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pool=%v", pool), func(t *testing.T) {
+			par := NewKernel()
+			parStages := buildRing(par, n)
+			par.SetWorkers(4)
+			par.ForcePool(pool)
+			defer par.Close()
+			par.Run(cycles)
 
-	for i := range seqStages {
-		s, p := seqStages[i].seen, parStages[i].seen
-		if len(s) != len(p) {
-			t.Fatalf("stage %d: %d vs %d observations", i, len(s), len(p))
-		}
-		for c := range s {
-			if s[c] != p[c] {
-				t.Fatalf("stage %d cycle %d: sequential saw %d, parallel saw %d", i, c, s[c], p[c])
+			for i := range seqStages {
+				s, p := seqStages[i].seen, parStages[i].seen
+				if len(s) != len(p) {
+					t.Fatalf("stage %d: %d vs %d observations", i, len(s), len(p))
+				}
+				for c := range s {
+					if s[c] != p[c] {
+						t.Fatalf("stage %d cycle %d: sequential saw %d, parallel saw %d", i, c, s[c], p[c])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -100,57 +108,68 @@ func TestParallelShardOrder(t *testing.T) {
 
 // TestParallelBarrier: an unsharded component runs alone — after every
 // sharded component registered before it has finished the cycle, and
-// before any registered after it starts.
+// before any registered after it starts — with and without the pooled
+// path forced on.
 func TestParallelBarrier(t *testing.T) {
-	k := NewKernel()
-	k.SetWorkers(4)
-	defer k.Close()
-	var before, after, snapshots atomic.Int64
-	for s := 0; s < 8; s++ {
-		k.RegisterShard(s, &funcComp{"pre", func(Cycle) { before.Add(1) }})
-	}
-	var seenBefore, seenAfter []int64
-	k.Register(&funcComp{"barrier", func(Cycle) {
-		seenBefore = append(seenBefore, before.Load())
-		seenAfter = append(seenAfter, after.Load())
-		snapshots.Add(1)
-	}})
-	for s := 0; s < 8; s++ {
-		k.RegisterShard(s, &funcComp{"post", func(Cycle) { after.Add(1) }})
-	}
-	const cycles = 20
-	k.Run(cycles)
-	for c := 0; c < cycles; c++ {
-		if seenBefore[c] != int64(8*(c+1)) {
-			t.Errorf("cycle %d: barrier saw %d pre-ticks, want %d", c, seenBefore[c], 8*(c+1))
-		}
-		if seenAfter[c] != int64(8*c) {
-			t.Errorf("cycle %d: barrier saw %d post-ticks, want %d", c, seenAfter[c], 8*c)
-		}
+	for _, pool := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pool=%v", pool), func(t *testing.T) {
+			k := NewKernel()
+			k.SetWorkers(4)
+			k.ForcePool(pool)
+			defer k.Close()
+			var before, after atomic.Int64
+			for s := 0; s < 8; s++ {
+				k.RegisterShard(s, &funcComp{"pre", func(Cycle) { before.Add(1) }})
+			}
+			var seenBefore, seenAfter []int64
+			k.Register(&funcComp{"barrier", func(Cycle) {
+				seenBefore = append(seenBefore, before.Load())
+				seenAfter = append(seenAfter, after.Load())
+			}})
+			for s := 0; s < 8; s++ {
+				k.RegisterShard(s, &funcComp{"post", func(Cycle) { after.Add(1) }})
+			}
+			const cycles = 20
+			k.Run(cycles)
+			for c := 0; c < cycles; c++ {
+				if seenBefore[c] != int64(8*(c+1)) {
+					t.Errorf("cycle %d: barrier saw %d pre-ticks, want %d", c, seenBefore[c], 8*(c+1))
+				}
+				if seenAfter[c] != int64(8*c) {
+					t.Errorf("cycle %d: barrier saw %d post-ticks, want %d", c, seenAfter[c], 8*c)
+				}
+			}
+		})
 	}
 }
 
 // TestParallelCommit: the commit phase latches every Reg exactly once
-// per cycle regardless of worker count.
+// per cycle regardless of worker count, also when the per-worker latch
+// shares run on the forced pooled path.
 func TestParallelCommit(t *testing.T) {
-	k := NewKernel()
-	k.SetWorkers(4)
-	defer k.Close()
-	regs := make([]*Reg[int], 37) // not a multiple of the worker count
-	for i := range regs {
-		regs[i] = NewReg[int]()
-		k.AddLatch(regs[i])
-	}
-	k.RegisterShard(0, &funcComp{"w", func(now Cycle) {
-		for _, r := range regs {
-			r.Write(int(now) + 1)
-		}
-	}})
-	k.Run(3)
-	for i, r := range regs {
-		if got := r.Read(); got != 3 {
-			t.Fatalf("reg %d = %d after 3 cycles, want 3", i, got)
-		}
+	for _, pool := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pool=%v", pool), func(t *testing.T) {
+			k := NewKernel()
+			k.SetWorkers(4)
+			k.ForcePool(pool)
+			defer k.Close()
+			regs := make([]*Reg[int], 37) // not a multiple of the worker count
+			for i := range regs {
+				regs[i] = NewReg[int]()
+				k.AddLatch(regs[i])
+			}
+			k.RegisterShard(0, &funcComp{"w", func(now Cycle) {
+				for _, r := range regs {
+					r.Write(int(now) + 1)
+				}
+			}})
+			k.Run(3)
+			for i, r := range regs {
+				if got := r.Read(); got != 3 {
+					t.Fatalf("reg %d = %d after 3 cycles, want 3", i, got)
+				}
+			}
+		})
 	}
 }
 

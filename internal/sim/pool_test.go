@@ -1,95 +1,6 @@
 package sim
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-// TestForcePoolMatchesSequential forces the rendezvous worker pool on
-// (bypassing the single-CPU sequential fallback) and requires the
-// Reg-coupled ring to reproduce the sequential history bit for bit.
-func TestForcePoolMatchesSequential(t *testing.T) {
-	const n, cycles = 13, 200
-	seq := NewKernel()
-	seqStages := buildRing(seq, n)
-	seq.Run(cycles)
-
-	par := NewKernel()
-	parStages := buildRing(par, n)
-	par.SetWorkers(4)
-	par.ForcePool(true)
-	defer par.Close()
-	par.Run(cycles)
-
-	for i := range seqStages {
-		s, p := seqStages[i].seen, parStages[i].seen
-		if len(s) != len(p) {
-			t.Fatalf("stage %d: %d vs %d observations", i, len(s), len(p))
-		}
-		for c := range s {
-			if s[c] != p[c] {
-				t.Fatalf("stage %d cycle %d: sequential saw %d, pooled saw %d", i, c, s[c], p[c])
-			}
-		}
-	}
-}
-
-// TestForcePoolBarrier is TestParallelBarrier on the real pooled path:
-// a cross-shard barrier component still sees every earlier shard done
-// and no later shard started.
-func TestForcePoolBarrier(t *testing.T) {
-	k := NewKernel()
-	k.SetWorkers(4)
-	k.ForcePool(true)
-	defer k.Close()
-	var before, after atomic.Int64
-	for s := 0; s < 8; s++ {
-		k.RegisterShard(s, &funcComp{"pre", func(Cycle) { before.Add(1) }})
-	}
-	var seenBefore, seenAfter []int64
-	k.Register(&funcComp{"barrier", func(Cycle) {
-		seenBefore = append(seenBefore, before.Load())
-		seenAfter = append(seenAfter, after.Load())
-	}})
-	for s := 0; s < 8; s++ {
-		k.RegisterShard(s, &funcComp{"post", func(Cycle) { after.Add(1) }})
-	}
-	const cycles = 20
-	k.Run(cycles)
-	for c := 0; c < cycles; c++ {
-		if seenBefore[c] != int64(8*(c+1)) {
-			t.Errorf("cycle %d: barrier saw %d pre-ticks, want %d", c, seenBefore[c], 8*(c+1))
-		}
-		if seenAfter[c] != int64(8*c) {
-			t.Errorf("cycle %d: barrier saw %d post-ticks, want %d", c, seenAfter[c], 8*c)
-		}
-	}
-}
-
-// TestForcePoolCommit checks the per-worker latch shares commit every
-// Reg exactly once per cycle when the pooled path runs for real.
-func TestForcePoolCommit(t *testing.T) {
-	k := NewKernel()
-	k.SetWorkers(4)
-	k.ForcePool(true)
-	defer k.Close()
-	regs := make([]*Reg[int], 37) // not a multiple of the worker count
-	for i := range regs {
-		regs[i] = NewReg[int]()
-		k.AddLatch(regs[i])
-	}
-	k.RegisterShard(0, &funcComp{"w", func(now Cycle) {
-		for _, r := range regs {
-			r.Write(int(now) + 1)
-		}
-	}})
-	k.Run(3)
-	for i, r := range regs {
-		if got := r.Read(); got != 3 {
-			t.Fatalf("reg %d = %d after 3 cycles, want 3", i, got)
-		}
-	}
-}
+import "testing"
 
 // TestTiledPlanGroups checks the tiled sharding directly: shards map
 // through the tiling into spatial tiles, tiles are walked in id order,
